@@ -13,6 +13,13 @@ Three flow kinds:
 Wrap counts floor(t*theta) and floor(t/h) are taken in extended precision:
 a double-precision product can land on the wrong side of an integer and
 misassign every piece of the result.
+
+Step averages add the terms values[S^k(i)] of each atom one at a time in
+increasing k, from +0.0, so they carry the bits of a plain per-step loop.
+The orbit-sum kernel keeps that order in blocks: a sequential ``np.cumsum``
+down the time axis of gathered orbit rows, the running total in row 0.  The
+cycle closed form q*cycle_sum + partial_sum is O(natoms) but rounds
+differently and would move artifact values, so it is not used.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .functions import CircleFunction, AtomFunction, merge_sum, DEGREE_CAP
-from .fields import PolyField, SqrtPolyField, GenericField, AtomField
+from .fields import PolyField, GenericField, AtomField
 from .spaces import circle_space
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -55,15 +62,60 @@ def _split_ratio(t, h):
     return n, rem
 
 
-def _perm_power(perm, n):
-    result = np.arange(perm.size)
-    base = perm.copy()
-    while n > 0:
-        if n & 1:
-            result = base[result]
-        n >>= 1
-        base = base[base]
-    return result
+# elements held by one orbit-sum block, whatever t, the atom count or period
+_ORBIT_BLOCK = 1 << 14
+
+
+def _cycle_index(perm):
+    """Cycle layout (order, start, length, pos) of a permutation: the orbit
+    of atom i runs through order[start[i] + (pos[i] + k) % length[i]],
+    k = 0, 1, 2, ..., and length[i] is the length of its cycle."""
+    nxt = np.asarray(perm).tolist()
+    leader = [-1] * len(nxt)
+    order = []
+    for i in range(len(nxt)):
+        a = i
+        while leader[a] < 0:
+            leader[a] = i
+            order.append(a)
+            a = nxt[a]
+    order = np.asarray(order, dtype=np.intp)
+    where = np.empty_like(order)
+    where[order] = np.arange(order.size)
+    leader = np.asarray(leader, dtype=np.intp)
+    start = where[leader]
+    return order, start, np.bincount(leader)[leader], where - start
+
+
+def _orbit_sums(values, perm, n):
+    """Sum_{k<n} values[perm^k(i)] for every atom i, and the map perm^n.
+
+    Terms are added per atom in increasing k from +0.0, exactly as a
+    per-step loop adds them, so the sums carry the loop's bits.
+    """
+    order, start, length, pos = _cycle_index(perm)
+    rows = max(1, _ORBIT_BLOCK // values.size)
+    period = math.lcm(*np.unique(length).tolist())
+    if period <= rows:
+        rows -= rows % period
+    buf = np.empty((min(rows, n) + 1,) + values.shape, dtype=values.dtype)
+    out = np.empty_like(buf)
+    total = np.zeros_like(values)
+    for done in range(0, n, rows):
+        m = min(rows, n - done)
+        if done == 0 or period > rows:
+            k = np.arange(done, done + m)[:, None]
+            buf[1:m + 1] = values[order[start + (pos + k) % length]]
+        buf[0] = total
+        np.cumsum(buf[:m + 1], axis=0, out=out[:m + 1])
+        total = out[m]
+    return total.copy(), order[start + (pos + n) % length]
+
+
+def _step_map(flow, t):
+    """The time-t point map S^floor(t/h) of a step flow."""
+    order, start, length, pos = _cycle_index(flow.perm)
+    return order[start + (pos + _split_ratio(t, flow.h)[0]) % length]
 
 
 class Flow:
@@ -106,26 +158,15 @@ class Flow:
             approx = Fraction(self.theta).limit_denominator(64)
             return abs(float(approx) - self.theta) > 1e-12
         if self.kind == "step":
-            seen = {0}
-            a = int(self.perm[0])
-            while a not in seen:
-                seen.add(a)
-                a = int(self.perm[a])
-            uniform = np.ptp(self.space.weights) == 0.0
-            return len(seen) == self.space.natoms and uniform
+            one_cycle = _cycle_index(self.perm)[2][0] == self.space.natoms
+            return bool(one_cycle) and np.ptp(self.space.weights) == 0.0
         return False
 
     def orbit_period(self):
         """Smallest n >= 1 with S^n = id (step flows only)."""
         if self.kind != "step":
             raise ValueError("orbit_period applies to step flows")
-        n = 1
-        cur = self.perm
-        ident = np.arange(self.perm.size)
-        while not np.array_equal(cur, ident):
-            cur = self.perm[cur]
-            n += 1
-        return n
+        return math.lcm(*np.unique(_cycle_index(self.perm)[2]).tolist())
 
     def __repr__(self):
         if self.kind == "rotation":
@@ -169,8 +210,7 @@ def apply_flow(flow, t, f):
     if flow.kind == "rotation":
         _, delta = _split_product(t, flow.theta)
         return f.rotate(delta)
-    n, _ = _split_ratio(t, flow.h)
-    return f.permute(_perm_power(flow.perm, n))
+    return f.permute(_step_map(flow, t))
 
 
 def _check_degree(f):
@@ -199,11 +239,7 @@ def _rotation_average_fn(fn, t, theta):
 
 def _step_average_values(values, perm, t, h):
     n, rem = _split_ratio(t, h)
-    acc = np.zeros_like(values)
-    cur = np.arange(values.shape[0])
-    for _ in range(n):
-        acc += values[cur]
-        cur = perm[cur]
+    acc, cur = _orbit_sums(values, perm, n)
     acc *= h
     if rem > 0.0:
         acc += rem * values[cur]
@@ -236,12 +272,7 @@ def discrete_average(flow, n, f):
             _, delta = _split_product(i, flow.theta)
             terms.append(f.rotate(delta))
         return merge_sum(terms, np.full(n, 1.0 / n))
-    step1 = _perm_power(flow.perm, _split_ratio(1.0, flow.h)[0])
-    acc = np.zeros_like(f.values)
-    cur = np.arange(f.space.natoms)
-    for _ in range(n):
-        acc += f.values[cur]
-        cur = step1[cur]
+    acc, _ = _orbit_sums(f.values, _step_map(flow, 1.0), n)
     return AtomFunction(f.space, acc / n)
 
 
@@ -250,29 +281,6 @@ class DominantFlow:
 
     def __init__(self, base):
         self.base = base
-
-    def apply(self, t, field):
-        if t < 0.0:
-            raise ValueError("the flow is one-sided: t must be nonnegative")
-        base = self.base
-        if base.kind == "identity" or t == 0.0:
-            return field
-        if base.kind == "rotation":
-            _, delta = _split_product(t, base.theta)
-            if isinstance(field, PolyField):
-                return PolyField(field.fn.rotate(delta))
-            if isinstance(field, SqrtPolyField):
-                return SqrtPolyField(field.q.rotate(delta))
-            if isinstance(field, GenericField):
-                ev = field.eval
-                shifted = lambda x: ev((np.asarray(x) + delta) % 1.0)
-                return GenericField(field.space, shifted,
-                                    (field.breaks - delta) % 1.0,
-                                    deriv_bound=field.deriv_bound,
-                                    exact_integral=field._exact_integral)
-            raise ValueError("rotation dominants act on circle fields")
-        n, _ = _split_ratio(t, base.h)
-        return field.permute(_perm_power(base.perm, n))
 
     def cesaro(self, t, field):
         """A'_t h = (1/t)∫_0^t P_τ h dτ; positivity preserving."""

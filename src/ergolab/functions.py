@@ -109,12 +109,6 @@ class CircleFunction:
             v = v[:, None]
         return cls(bounds, v[:, None, :], space=space)
 
-    def pad_degree(self, k1):
-        if self.coeffs.shape[1] >= k1:
-            return self.coeffs
-        pad = np.zeros((self.npieces, k1 - self.coeffs.shape[1], self.d))
-        return np.concatenate([self.coeffs, pad], axis=1)
-
     def piece_index(self, x):
         return np.clip(np.searchsorted(self.breaks, x, side="right") - 1,
                        0, self.npieces - 1)

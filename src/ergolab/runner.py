@@ -529,7 +529,7 @@ class RunReport:
 def run_scenario(cfg, out_dir=None, seed=None):
     """Execute a scenario's checks in declaration order.
 
-    Check-level rejections become FAIL records; they never abort the run.
+    Any exception in a check becomes its FAIL record (class in the note).
     """
     if seed is not None:
         cfg = replace(cfg, seed=int(seed))
@@ -540,8 +540,8 @@ def run_scenario(cfg, out_dir=None, seed=None):
         start = time.perf_counter()
         try:
             rec = CHECKS[name](ctx)
-        except (ValueError, TypeError) as exc:
-            rec = CheckRecord(name, "FAIL", note=str(exc))
+        except Exception as exc:
+            rec = CheckRecord(name, "FAIL", note=f"{type(exc).__name__}: {exc}")
         rec.wall_time = time.perf_counter() - start
         records.append(rec)
     report = RunReport(cfg.name, cfg.seed, VERSION, records, cfg.echo())

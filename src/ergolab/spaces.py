@@ -174,9 +174,6 @@ class Partition:
     def measures(self):
         return np.array([self.cell_measure(i) for i in range(self.ncells)])
 
-    def is_trivial(self):
-        return self.ncells == 1
-
     def refines(self, other):
         """True when every cell of self lies inside a cell of other."""
         if self.space != other.space:

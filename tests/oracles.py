@@ -56,6 +56,45 @@ def brute_step_average(values, perm, t, h):
     return acc / t
 
 
+def loop_split(t, h):
+    """Whole steps floor(t/h) and leftover time, in extended precision,
+    snapping a leftover within 1e-13 relative of 0 or h."""
+    n = int(np.floor(np.longdouble(t) / np.longdouble(h)))
+    rem = float(np.longdouble(t) - np.longdouble(n) * np.longdouble(h))
+    if rem >= h * (1.0 - 1e-13):
+        return n + 1, 0.0
+    return n, (0.0 if rem < h * 1e-13 else rem)
+
+
+def loop_orbit_sum(values, perm, n):
+    """Sum of values[perm^k(i)] over k < n, added one term at a time in
+    increasing k from +0.0; also returns perm^n."""
+    acc = np.zeros_like(values)
+    cur = np.arange(values.shape[0])
+    for _ in range(n):
+        acc += values[cur]
+        cur = perm[cur]
+    return acc, cur
+
+
+def loop_step_average(values, perm, t, h):
+    """Step-flow time average in the sequential summation order, so a
+    correct implementation matches it bit for bit (unlike
+    brute_step_average, which adds h*cur and rounds differently)."""
+    n, rem = loop_split(t, h)
+    acc, cur = loop_orbit_sum(values, perm, n)
+    acc *= h
+    if rem > 0.0:
+        acc += rem * values[cur]
+    return acc / t
+
+
+def loop_discrete_average(values, perm, n, h):
+    """Mean of the values along n unit-time steps of a step flow of width h."""
+    step1 = loop_orbit_sum(values, perm, loop_split(1.0, h)[0])[1]
+    return loop_orbit_sum(values, step1, n)[0] / n
+
+
 def brute_cell_average(fn, lo, hi, n=200_001):
     """Mean of a callable over [lo, hi) by midpoint quadrature."""
     pts = lo + (hi - lo) * midpoints(n)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ergolab.fields import PolyField, pointwise_norm
+from ergolab.fields import AtomField, PolyField, pointwise_norm
 from ergolab.flows import (
     GOLDEN,
     DominantFlow,
@@ -104,6 +104,74 @@ def test_step_average_matches_brute_on_product():
         assert np.allclose(out.values, brute, atol=1e-13)
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_Z8X2 = product_space(8, np.array([0.6, 0.4]))
+STEP_CASES = [
+    # (space, perm, h, times)
+    (_unit_space(8), shift_perm(_unit_space(8)), 1.0, (0.4, 7.0, 1e5 + 0.3)),
+    (_unit_space(4), np.array([1, 0, 3, 2]), 0.5, (2.7, 9.25, 1e5)),
+    (_Z8X2, shift_perm(_Z8X2), 0.5, (3.0, 11.75, 4099.9)),
+]
+
+
+@pytest.mark.parametrize("sp, perm, h, times", STEP_CASES)
+def test_step_average_bit_identical_to_loop(sp, perm, h, times):
+    rng = np.random.default_rng(sp.natoms)
+    vals = rng.normal(size=(sp.natoms, 2))
+    vals[[0, perm[0]]] = -0.0
+    vals[-1, 1] = -0.0
+    f = AtomFunction(sp, vals)
+    flow = step_flow(sp, perm, h=h)
+    for t in times:
+        out = cesaro_average(flow, t, f)
+        assert _same_bits(out.values,
+                          oracles.loop_step_average(vals, perm, t, h))
+    # an orbit of signed zeros sums to +0.0, as the loop's accumulator does
+    if perm[perm[0]] == 0:
+        assert not np.signbit(out.values[0]).any()
+
+
+def test_step_average_gathers_cycles_longer_than_a_block():
+    # a 200-cycle on 200 scalars does not fit one 2^14-element block
+    sp = _unit_space(200)
+    perm = np.empty(200, dtype=int)
+    order = np.random.default_rng(3).permutation(200)
+    perm[order] = np.roll(order, -1)
+    vals = np.random.default_rng(4).normal(size=(200, 1))
+    flow = step_flow(sp, perm, h=1.0)
+    assert flow.orbit_period() == 200
+    for t in (1000.5, 333.0):
+        out = cesaro_average(flow, t, AtomFunction(sp, vals))
+        assert _same_bits(out.values,
+                          oracles.loop_step_average(vals, perm, t, 1.0))
+
+
+def test_dominant_step_cesaro_bit_identical_to_loop():
+    sp = _unit_space(4)
+    vals = np.array([0.8, 0.35, 0.0, 0.9])
+    flow = step_flow(sp, shift_perm(sp), h=0.5)
+    for t in (2.7, 1e5 + 0.25):
+        dom = DominantFlow(flow).cesaro(t, AtomField(sp, vals))
+        ref = oracles.loop_step_average(vals[:, None], shift_perm(sp), t, 0.5)
+        assert _same_bits(dom.values, ref[:, 0])
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5, 0.3, 2.0])
+def test_discrete_average_step_bit_identical_to_loop(h):
+    perm = shift_perm(_Z8X2)
+    vals = np.random.default_rng(5).normal(size=(16, 2))
+    vals[3] = -0.0
+    f = AtomFunction(_Z8X2, vals)
+    flow = step_flow(_Z8X2, perm, h=h)
+    for n in (2, 7, 1000):
+        out = discrete_average(flow, n, f)
+        assert _same_bits(out.values,
+                          oracles.loop_discrete_average(vals, perm, n, h))
+
+
 def test_discrete_average_rotation():
     f = sawtooth(d=1, phases=[0.15])
     flow = rotation_flow(GOLDEN)
@@ -144,12 +212,18 @@ def test_ergodicity_classification():
     assert step_flow(sp, shift_perm(sp)).ergodic
     # a 2+2 cycle split never mixes the halves
     assert not step_flow(_unit_space(4), np.array([1, 0, 3, 2])).ergodic
+    # the product shift never moves the second factor
+    uniform = product_space(4, np.array([0.5, 0.5]))
+    assert not step_flow(uniform, shift_perm(uniform)).ergodic
     assert not identity_flow(sp).ergodic
 
 
 def test_orbit_period():
     sp = _unit_space(6)
     assert step_flow(sp, shift_perm(sp)).orbit_period() == 6
+    # cycles of length 2, 3 and 1: the period is their lcm
+    assert step_flow(sp, np.array([1, 0, 3, 4, 2, 5])).orbit_period() == 6
+    assert step_flow(sp, np.arange(6)).orbit_period() == 1
     with pytest.raises(ValueError):
         rotation_flow(GOLDEN).orbit_period()
 

@@ -2,6 +2,7 @@ import filecmp
 import json
 import os
 
+import numpy as np
 import pytest
 
 from ergolab.config import parse_text
@@ -79,6 +80,24 @@ def test_check_level_rejection_becomes_fail():
     assert by_name["ergodic_envelope"].status == "FAIL"
     assert "ergodic" in by_name["ergodic_envelope"].note
     assert by_name["contraction"].status == "PASS"
+    assert not report.passed
+
+
+@pytest.mark.parametrize("exc", [np.linalg.LinAlgError, FloatingPointError,
+                                 KeyError])
+def test_unexpected_exception_becomes_fail(monkeypatch, exc):
+    def broken(ctx):
+        raise exc("injected")
+
+    monkeypatch.setitem(CHECKS, "decomposition", broken)
+    cfg = parse_text(SMALL)
+    report = run_scenario(cfg)
+    assert [r.name for r in report.records] == list(cfg.checks)
+    by_name = {r.name: r for r in report.records}
+    assert by_name["decomposition"].status == "FAIL"
+    assert by_name["decomposition"].note.startswith(exc.__name__ + ":")
+    assert all(r.status == "PASS" for r in report.records
+               if r.name != "decomposition")
     assert not report.passed
 
 
