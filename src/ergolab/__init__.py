@@ -8,9 +8,8 @@ from .spaces import (MeasureSpace, Partition, Filtration, VectorNorm,
                      make_dyadic_partition, make_block_partition,
                      make_factor_partition, partition_at_level,
                      max_partition_level)
-from .functions import (CircleFunction, AtomFunction, integrate, merge_sum,
-                        sawtooth, hat, cascade, from_smooth,
-                        harmonic_generator)
+from .functions import (CircleFunction, AtomFunction, merge_sum, sawtooth,
+                        hat, cascade, from_smooth, harmonic_generator)
 from .fields import (PolyField, SqrtPolyField, GenericField, AtomField,
                      pointwise_norm, lp_norm, sup_norm, exceedance_measure,
                      upper_envelope, grid_sup_field)

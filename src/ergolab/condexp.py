@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .functions import CircleFunction, AtomFunction
-from .fields import PolyField, AtomField, pointwise_norm
+from .fields import PolyField, AtomField, defect_max, pointwise_norm
 
 
 class LinearFunctional:
@@ -83,13 +83,13 @@ def defining_property_check(f, partition):
     if isinstance(f, AtomFunction):
         for cell in partition.cells:
             gap = ef.integrate_atoms(cell) - f.integrate_atoms(cell)
-            worst = max(worst, float(np.max(np.abs(gap))))
+            worst = defect_max(worst, np.max(np.abs(gap)))
         return worst
     bounds = partition.cell_bounds_float()
     for i in range(len(bounds) - 1):
         gap = (ef.integrate(bounds[i], bounds[i + 1])
                - f.integrate(bounds[i], bounds[i + 1]))
-        worst = max(worst, float(np.max(np.abs(gap))))
+        worst = defect_max(worst, np.max(np.abs(gap)))
     return worst
 
 

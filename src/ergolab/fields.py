@@ -136,9 +136,6 @@ class PolyField:
         return self.fn.antiderivative()._eval_unwrapped(
             np.atleast_1d(np.asarray(y, dtype=float)))[:, 0]
 
-    def interval_integral(self, lo, hi):
-        return float(self.fn.integrate(lo, hi)[0])
-
     def cell_averages(self, partition):
         bounds = np.asarray(partition.cell_bounds_float())
         vals = self.cumint(bounds)
@@ -247,10 +244,6 @@ class SqrtPolyField:
             out[n] = cum[i] + gl_integrate(lambda x: self.eval(x),
                                            self.q.breaks[i], yy)
         return out
-
-    def interval_integral(self, lo, hi):
-        v = self.cumint(np.array([lo, hi]))
-        return float(v[1] - v[0])
 
     def cell_averages(self, partition):
         bounds = np.asarray(partition.cell_bounds_float())
@@ -554,3 +547,10 @@ def exceedance_measure(field, lam):
     if hasattr(field, "superlevel_measure"):
         return field.superlevel_measure(lam)
     raise ValueError("exceedance_measure needs a polynomial or atomic field")
+
+
+def defect_max(*defects):
+    """Largest defect, NaN if any is NaN (the builtin max(0.0, nan) is 0.0,
+    which would let a NaN defect pass its check)."""
+    defects = [float(d) for d in defects]
+    return math.nan if any(map(math.isnan, defects)) else max(defects)

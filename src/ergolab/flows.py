@@ -1,14 +1,16 @@
 """Measure-preserving flows and their exact time averages.
 
-Three flow kinds:
+One class per flow kind; ``Flow`` itself is the identity T_t = id:
 
-* rotation  x -> x + t*theta mod 1 on the circle; the time average has a
-            closed form through the periodic antiderivative, so no time
-            discretization is ever involved.
-* step      T_t = S^floor(t/h) for a weight-preserving atom permutation S;
-            the integrand is piecewise constant in time, so the average is
-            a finite sum.
-* identity  T_t = id on any space.
+* ``Rotation``  x -> x + t*theta mod 1 on the circle; the time average has
+                a closed form through the periodic antiderivative, so no
+                time discretization is ever involved.
+* ``Step``      T_t = S^floor(t/h) for a weight-preserving atom permutation
+                S; the integrand is piecewise constant in time, so the
+                average is a finite sum.
+
+Callers use the module functions (``apply_flow``, ``cesaro_average``,
+...), which check the time argument and hand off to the flow's method.
 
 Wrap counts floor(t*theta) and floor(t/h) are taken in extended precision:
 a double-precision product can land on the wrong side of an integer and
@@ -30,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .functions import CircleFunction, AtomFunction, merge_sum, DEGREE_CAP
-from .fields import PolyField, GenericField, AtomField
+from .fields import PolyField, GenericField, AtomField, pointwise_norm
 from .spaces import circle_space
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -112,115 +114,11 @@ def _orbit_sums(values, perm, n):
     return total.copy(), order[start + (pos + n) % length]
 
 
-def _step_map(flow, t):
-    """The time-t point map S^floor(t/h) of a step flow."""
-    order, start, length, pos = _cycle_index(flow.perm)
-    return order[start + (pos + _split_ratio(t, flow.h)[0]) % length]
-
-
-class Flow:
-    """A one-sided measure-preserving flow on a concrete space."""
-
-    def __init__(self, kind, space, theta=None, perm=None, h=None):
-        self.kind = kind
-        self.space = space
-        self.theta = theta
-        self.h = h
-        self.perm = perm
-        if kind == "rotation":
-            if space.kind != "circle":
-                raise ValueError("rotation flows live on the circle")
-            if not (0.0 < theta < 1.0):
-                raise ValueError("rotation angle must lie in (0, 1)")
-        elif kind == "step":
-            if space.kind == "circle":
-                raise ValueError("step flows need an atomic space")
-            p = np.asarray(perm, dtype=int)
-            if sorted(p.tolist()) != list(range(space.natoms)):
-                raise ValueError("base map must be a permutation of the atoms")
-            if np.max(np.abs(space.weights[p] - space.weights)) > 1e-12:
-                raise ValueError("base map must preserve atom weights")
-            if not (h is not None and h > 0.0):
-                raise ValueError("step width must be positive")
-            self.perm = p
-        elif kind != "identity":
-            raise ValueError(f"unknown flow kind {kind!r}")
-
-    @property
-    def ergodic(self):
-        """Whether time averages converge to the space mean.
-
-        Rotations by an angle not close to a small-denominator rational
-        are treated as ergodic; step flows must cycle through all atoms
-        of a uniformly weighted space.
-        """
-        if self.kind == "rotation":
-            approx = Fraction(self.theta).limit_denominator(64)
-            return abs(float(approx) - self.theta) > 1e-12
-        if self.kind == "step":
-            one_cycle = _cycle_index(self.perm)[2][0] == self.space.natoms
-            return bool(one_cycle) and np.ptp(self.space.weights) == 0.0
-        return False
-
-    def orbit_period(self):
-        """Smallest n >= 1 with S^n = id (step flows only)."""
-        if self.kind != "step":
-            raise ValueError("orbit_period applies to step flows")
-        return math.lcm(*np.unique(_cycle_index(self.perm)[2]).tolist())
-
-    def __repr__(self):
-        if self.kind == "rotation":
-            return f"Flow(rotation, theta={self.theta})"
-        if self.kind == "step":
-            return f"Flow(step, h={self.h}, {self.space.natoms} atoms)"
-        return "Flow(identity)"
-
-
-def rotation_flow(theta=GOLDEN, space=None):
-    return Flow("rotation", space if space is not None else circle_space(),
-                theta=float(theta))
-
-
-def step_flow(space, perm, h=1.0):
-    return Flow("step", space, perm=perm, h=float(h))
-
-
-def shift_perm(space):
-    """Cyclic shift on a discrete space, or on the cyclic factor of a product."""
-    if space.kind == "discrete":
-        return (np.arange(space.natoms) + 1) % space.natoms
-    if space.kind == "product":
-        m1 = space.cyclic_size
-        m2 = space.factor_weights.size
-        i, j = np.divmod(np.arange(space.natoms), m2)
-        return ((i + 1) % m1) * m2 + j
-    raise ValueError("shift permutations need an atomic space")
-
-
-def identity_flow(space):
-    return Flow("identity", space)
-
-
-def apply_flow(flow, t, f):
-    """T_t f = f composed with the time-t point map."""
-    if t < 0.0:
-        raise ValueError("the flow is one-sided: t must be nonnegative")
-    if flow.kind == "identity" or t == 0.0:
-        return f
-    if flow.kind == "rotation":
-        _, delta = _split_product(t, flow.theta)
-        return f.rotate(delta)
-    return f.permute(_step_map(flow, t))
-
-
-def _check_degree(f):
-    if isinstance(f, CircleFunction) and f.degree + 1 > DEGREE_CAP:
-        raise ValueError(
-            f"averaging degree-{f.degree} input exceeds the degree cap")
-
-
 def _rotation_average_fn(fn, t, theta):
     """Closed-form (1/t)∫_0^t f(x+τθ)dτ for a CircleFunction."""
+    if fn.degree + 1 > DEGREE_CAP:
+        raise ValueError(
+            f"averaging degree-{fn.degree} input exceeds the degree cap")
     total = np.longdouble(t) * np.longdouble(theta)
     n0, delta = _split_product(t, theta)
     big_f = fn.antiderivative()
@@ -237,6 +135,31 @@ def _rotation_average_fn(fn, t, theta):
     return comb * float(1.0 / total)
 
 
+def _rotation_average_field(field, t, theta):
+    """(1/t)∫_0^t h(x+τθ)dτ for a field with cumulative integrals, as a
+    GenericField evaluated through them."""
+    total = float(np.longdouble(t) * np.longdouble(theta))
+    n0, delta = _split_product(t, theta)
+    iv = field.integral()
+    if not hasattr(field, "cumint"):
+        raise ValueError("field does not support cumulative integrals")
+    cum = field.cumint
+
+    def evaluator(x):
+        x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
+        end = x + delta
+        wraps = np.where(end >= 1.0, n0 + 1.0, float(n0))
+        end = np.where(end >= 1.0, end - 1.0, end)
+        return (cum(end) - cum(x) + wraps * iv) / total
+
+    inner = np.concatenate([field.breaks,
+                            (field.breaks - delta) % 1.0,
+                            [(1.0 - delta) % 1.0]])
+    bound = 2.0 * field.sup() / total if hasattr(field, "sup") else None
+    return GenericField(field.space, evaluator, inner,
+                        deriv_bound=bound, exact_integral=iv)
+
+
 def _step_average_values(values, perm, t, h):
     n, rem = _split_ratio(t, h)
     acc, cur = _orbit_sums(values, perm, n)
@@ -246,17 +169,197 @@ def _step_average_values(values, perm, t, h):
     return acc / t
 
 
+class Flow:
+    """The identity flow, and the protocol every flow implements.
+
+    Ergodic flows add ``envelope_constant(centered, vnorm)``: C with
+    sup_x ||A_t g||_X <= C/t for the mean-zero g = centered.
+    """
+
+    kind = "identity"
+    # whether time averages converge to the space mean
+    ergodic = False
+    # whether unit time is a whole number of evolution steps
+    unit_blocks = True
+
+    def __init__(self, space):
+        self.space = space
+
+    def shift(self, t, f):
+        """T_t f for t > 0."""
+        return f
+
+    def average(self, t, f):
+        """A_t f = (1/t)∫_0^t T_τ f dτ for t > 0."""
+        return f
+
+    def dominant_average(self, t, field):
+        """A'_t h for a scalar field h; positivity preserving."""
+        return field
+
+    def discrete_average(self, n, f):
+        """Mean of f, T_1 f, ..., T_1^{n-1} f for an integer n >= 2."""
+        return f
+
+    def lattice(self, t):
+        """The nearest time to t at which the evolution composes exactly."""
+        return t
+
+    def __repr__(self):
+        return "Flow(identity)"
+
+
+class Rotation(Flow):
+    """x -> x + t*theta mod 1 on the circle."""
+
+    kind = "rotation"
+
+    def __init__(self, space, theta):
+        if space.kind != "circle":
+            raise ValueError("rotation flows live on the circle")
+        if not (0.0 < theta < 1.0):
+            raise ValueError("rotation angle must lie in (0, 1)")
+        super().__init__(space)
+        self.theta = theta
+
+    @property
+    def ergodic(self):
+        """Angles not close to a small-denominator rational count as ergodic."""
+        approx = Fraction(self.theta).limit_denominator(64)
+        return abs(float(approx) - self.theta) > 1e-12
+
+    def shift(self, t, f):
+        return f.rotate(_split_product(t, self.theta)[1])
+
+    def average(self, t, f):
+        return _rotation_average_fn(f, t, self.theta)
+
+    def dominant_average(self, t, field):
+        if isinstance(field, PolyField):
+            return PolyField(_rotation_average_fn(field.fn, t, self.theta))
+        return _rotation_average_field(field, t, self.theta)
+
+    def discrete_average(self, n, f):
+        terms = [f.rotate(_split_product(i, self.theta)[1]) for i in range(n)]
+        return merge_sum(terms, np.full(n, 1.0 / n))
+
+    def envelope_constant(self, centered, vnorm):
+        """Twice the sup of the centered antiderivative over the angle."""
+        prim = pointwise_norm(centered.antiderivative(), vnorm)
+        return float(2.0 * prim.sup() / self.theta)
+
+    def __repr__(self):
+        return f"Flow(rotation, theta={self.theta})"
+
+
+class Step(Flow):
+    """T_t = S^floor(t/h) for a weight-preserving atom permutation S."""
+
+    kind = "step"
+
+    def __init__(self, space, perm, h):
+        if space.kind == "circle":
+            raise ValueError("step flows need an atomic space")
+        p = np.asarray(perm, dtype=int)
+        if sorted(p.tolist()) != list(range(space.natoms)):
+            raise ValueError("base map must be a permutation of the atoms")
+        if np.max(np.abs(space.weights[p] - space.weights)) > 1e-12:
+            raise ValueError("base map must preserve atom weights")
+        if not (h is not None and h > 0.0):
+            raise ValueError("step width must be positive")
+        super().__init__(space)
+        self.perm = p
+        self.h = h
+
+    @property
+    def ergodic(self):
+        """One cycle through all atoms of a uniformly weighted space."""
+        one_cycle = _cycle_index(self.perm)[2][0] == self.space.natoms
+        return bool(one_cycle) and np.ptp(self.space.weights) == 0.0
+
+    @property
+    def unit_blocks(self):
+        inv = 1.0 / self.h
+        return abs(inv - np.rint(inv)) <= 1e-9
+
+    def orbit_period(self):
+        """Smallest n >= 1 with S^n = id."""
+        return math.lcm(*np.unique(_cycle_index(self.perm)[2]).tolist())
+
+    def _map(self, t):
+        """The time-t point map S^floor(t/h)."""
+        order, start, length, pos = _cycle_index(self.perm)
+        return order[start + (pos + _split_ratio(t, self.h)[0]) % length]
+
+    def shift(self, t, f):
+        return f.permute(self._map(t))
+
+    def average(self, t, f):
+        return AtomFunction(f.space,
+                            _step_average_values(f.values, self.perm, t, self.h))
+
+    def dominant_average(self, t, field):
+        if not isinstance(field, AtomField):
+            raise ValueError("step dominants act on atomic fields")
+        vals = _step_average_values(field.values[:, None], self.perm,
+                                    t, self.h)[:, 0]
+        return AtomField(field.space, vals)
+
+    def discrete_average(self, n, f):
+        acc, _ = _orbit_sums(f.values, self._map(1.0), n)
+        return AtomFunction(f.space, acc / n)
+
+    def envelope_constant(self, centered, vnorm):
+        """One full period of worst-case deviation: h * natoms * max ||g||."""
+        peak = float(np.max(vnorm(centered.values)))
+        return float(self.h * centered.space.natoms * peak)
+
+    def lattice(self, t):
+        """The nearest positive multiple of the step width."""
+        return max(self.h, self.h * round(t / self.h))
+
+    def __repr__(self):
+        return f"Flow(step, h={self.h}, {self.space.natoms} atoms)"
+
+
+def rotation_flow(theta=GOLDEN, space=None):
+    return Rotation(space if space is not None else circle_space(), float(theta))
+
+
+def step_flow(space, perm, h=1.0):
+    return Step(space, perm, float(h))
+
+
+def identity_flow(space):
+    return Flow(space)
+
+
+def shift_perm(space):
+    """Cyclic shift on a discrete space, or on the cyclic factor of a product."""
+    if space.kind == "discrete":
+        return (np.arange(space.natoms) + 1) % space.natoms
+    if space.kind == "product":
+        m1 = space.cyclic_size
+        m2 = space.factor_weights.size
+        i, j = np.divmod(np.arange(space.natoms), m2)
+        return ((i + 1) % m1) * m2 + j
+    raise ValueError("shift permutations need an atomic space")
+
+
+def apply_flow(flow, t, f):
+    """T_t f = f composed with the time-t point map."""
+    if t < 0.0:
+        raise ValueError("the flow is one-sided: t must be nonnegative")
+    if t == 0.0:
+        return f
+    return flow.shift(t, f)
+
+
 def cesaro_average(flow, t, f):
-    """Time average A_t f = (1/t)∫_0^t T_τ f dτ, exact for every kind."""
+    """Time average A_t f = (1/t)∫_0^t T_τ f dτ, exact for every flow."""
     if t <= 0.0:
         raise ValueError("averaging time must be positive")
-    if flow.kind == "identity":
-        return f
-    if flow.kind == "rotation":
-        _check_degree(f)
-        return _rotation_average_fn(f, t, flow.theta)
-    return AtomFunction(f.space,
-                        _step_average_values(f.values, flow.perm, t, flow.h))
+    return flow.average(t, f)
 
 
 def discrete_average(flow, n, f):
@@ -264,68 +367,14 @@ def discrete_average(flow, n, f):
     if n < 1 or int(n) != n:
         raise ValueError("discrete averages need a positive integer count")
     n = int(n)
-    if flow.kind == "identity" or n == 1:
+    if n == 1:
         return f
-    if flow.kind == "rotation":
-        terms = []
-        for i in range(n):
-            _, delta = _split_product(i, flow.theta)
-            terms.append(f.rotate(delta))
-        return merge_sum(terms, np.full(n, 1.0 / n))
-    acc, _ = _orbit_sums(f.values, _step_map(flow, 1.0), n)
-    return AtomFunction(f.space, acc / n)
-
-
-class DominantFlow:
-    """Scalar companion of a composition flow: same point map, scalar data."""
-
-    def __init__(self, base):
-        self.base = base
-
-    def cesaro(self, t, field):
-        """A'_t h = (1/t)∫_0^t P_τ h dτ; positivity preserving."""
-        if t <= 0.0:
-            raise ValueError("averaging time must be positive")
-        base = self.base
-        if base.kind == "identity":
-            return field
-        if base.kind == "step":
-            if not isinstance(field, AtomField):
-                raise ValueError("step dominants act on atomic fields")
-            vals = _step_average_values(field.values[:, None], base.perm,
-                                        t, base.h)[:, 0]
-            return AtomField(field.space, vals)
-        if isinstance(field, PolyField):
-            _check_degree(field.fn)
-            return PolyField(_rotation_average_fn(field.fn, t, base.theta))
-        return self._rotation_generic(t, field)
-
-    def _rotation_generic(self, t, field):
-        theta = self.base.theta
-        total = float(np.longdouble(t) * np.longdouble(theta))
-        n0, delta = _split_product(t, theta)
-        iv = field.integral()
-        cum = field.cumint if hasattr(field, "cumint") else None
-        if cum is None:
-            raise ValueError("field does not support cumulative integrals")
-
-        def evaluator(x):
-            x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
-            end = x + delta
-            wraps = np.where(end >= 1.0, n0 + 1.0, float(n0))
-            end = np.where(end >= 1.0, end - 1.0, end)
-            return (cum(end) - cum(x) + wraps * iv) / total
-
-        inner = np.concatenate([field.breaks,
-                                (field.breaks - delta) % 1.0,
-                                [(1.0 - delta) % 1.0]])
-        bound = None
-        if hasattr(field, "sup"):
-            bound = 2.0 * field.sup() / total
-        return GenericField(field.space, evaluator, inner,
-                            deriv_bound=bound, exact_integral=iv)
+    return flow.discrete_average(n, f)
 
 
 def dominant_cesaro(flow, t, field):
-    """Convenience wrapper: time average under the dominant of ``flow``."""
-    return DominantFlow(flow).cesaro(t, field)
+    """A'_t h = (1/t)∫_0^t P_τ h dτ for a scalar field h under the same
+    point map; positivity preserving."""
+    if t <= 0.0:
+        raise ValueError("averaging time must be positive")
+    return flow.dominant_average(t, field)

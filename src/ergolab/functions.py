@@ -324,21 +324,6 @@ class AtomFunction:
         return f"AtomFunction({self.space.natoms} atoms, d={self.d})"
 
 
-def integrate(f, region=None):
-    """Integral of f over a region.
-
-    Regions: ``None`` (whole space), an ``(a, b)`` interval on the circle,
-    or a sequence of atom indices on atomic spaces.  Empty regions give the
-    zero vector.
-    """
-    if region is None:
-        return f.integral()
-    if isinstance(f, CircleFunction):
-        a, b = region
-        return f.integrate(float(a), float(b))
-    return f.integrate_atoms(region)
-
-
 # -- builtin test functions ------------------------------------------------------
 
 

@@ -4,6 +4,11 @@ Each checker replaces a supremum over continuous parameters by the sup
 over a finite grid.  That only weakens the left side, so the inequality
 direction stays sound: a PASS certifies a necessary condition, while any
 FAIL is a hard defect.
+
+The dominant and maximal inequalities read a prebuilt ME or EM
+``ProcessGrid`` (the same grids the convergence checks use) and its
+memoised pointwise norm sup, so one grid and one sup field per order
+serve every bound.
 """
 
 from dataclasses import dataclass
@@ -12,11 +17,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .condexp import cond_exp, cond_exp_dominant
-from .fields import exceedance_measure, grid_sup_field, lp_norm, pointwise_norm
+from .fields import defect_max, exceedance_measure, lp_norm, pointwise_norm
 from .flows import cesaro_average, dominant_cesaro
 from .functions import AtomFunction, CircleFunction
-from .processes import em_process, me_process
-from .spaces import VectorNorm
 
 _PASS_SLACK = 1e-9
 _SUBMART_TOL = 1e-12
@@ -35,76 +38,63 @@ class MaximalReport(NamedTuple):
     passed: bool
 
 
-def _require_p(p):
+def _require(grid, kind, p):
+    if grid.kind != kind:
+        raise ValueError(f"this bound reads an {kind} grid; got {grid.kind}")
     if not p > 1.0:
         raise ValueError("the inequality constant degenerates unless p > 1")
-
-
-def _require_decreasing(filtration):
-    if filtration.direction != "decreasing":
+    if grid.filtration.direction != "decreasing":
         raise ValueError(
             "this inequality is stated for decreasing filtrations; got "
-            f"{filtration.direction!r}")
+            f"{grid.filtration.direction!r}")
 
 
-def _grid_sup(grid, vnorm):
-    return grid_sup_field([pointwise_norm(fn, vnorm) for _, fn in grid.items()])
-
-
-def _dominant_report(grid, f, p, vnorm):
-    lhs = float(_grid_sup(grid, vnorm).lp(p))
+def _dominant_report(grid, kind, p, vnorm):
+    _require(grid, kind, p)
+    lhs = float(grid.norm_sup(vnorm).lp(p))
     constant = (p / (p - 1.0)) ** 2
-    bound = constant * float(lp_norm(f, p, vnorm))
+    bound = constant * float(lp_norm(grid.f, p, vnorm))
     ratio = lhs / bound if bound > 0.0 else 0.0
     return DominantReport(lhs, bound, ratio, lhs <= bound + _PASS_SLACK)
 
 
-def _maximal_report(grid, f, p, eps, vnorm):
+def _maximal_report(grid, kind, p, eps, vnorm):
+    _require(grid, kind, p)
     if eps <= 0.0:
         raise ValueError("exceedance threshold must be positive")
-    exc = float(exceedance_measure(_grid_sup(grid, vnorm), eps))
-    bound = (p / (p - 1.0)) * float(lp_norm(f, p, vnorm)) / eps
+    exc = float(exceedance_measure(grid.norm_sup(vnorm), eps))
+    bound = (p / (p - 1.0)) * float(lp_norm(grid.f, p, vnorm)) / eps
     return MaximalReport(exc, bound, exc <= bound + _PASS_SLACK)
 
 
-def dominant_ineq_me(f, flow, filtration, p, t_grid, s_grid, vnorm):
+def dominant_ineq_me(grid, p, vnorm):
     """Strong-type bound on the grid-sup of conditioned averages.
 
-    lhs is the L_p size of the pointwise sup over the (t, s) grid of
-    ||E(A_t f|F_s)||_X; the bound is (p/(p-1))^2 ||f||_p.
+    ``grid`` is an ME grid (``me_process``).  lhs is the L_p size of the
+    pointwise sup over the (t, s) grid of ||E(A_t f|F_s)||_X; the bound
+    is (p/(p-1))^2 ||f||_p.
     """
-    _require_p(p)
-    _require_decreasing(filtration)
-    grid = me_process(f, flow, filtration, t_grid, s_grid)
-    return _dominant_report(grid, f, p, vnorm)
+    return _dominant_report(grid, "ME", p, vnorm)
 
 
-def dominant_ineq_em(f, flow, filtration, p, t_grid, s_grid, vnorm):
-    """Companion strong-type bound with the operators in swapped order."""
-    _require_p(p)
-    _require_decreasing(filtration)
-    grid = em_process(f, flow, filtration, t_grid, s_grid)
-    return _dominant_report(grid, f, p, vnorm)
+def dominant_ineq_em(grid, p, vnorm):
+    """Companion strong-type bound on an EM grid (``em_process``)."""
+    return _dominant_report(grid, "EM", p, vnorm)
 
 
-def maximal_ineq_me(f, flow, filtration, p, t_grid, s_grid, eps, vnorm):
-    """Weak-type bound: measure of {grid-sup >= eps} vs (p/(p-1)) ||f||_p / eps.
+def maximal_ineq_me(grid, p, eps, vnorm):
+    """Weak-type bound on an ME grid: measure of {grid-sup >= eps} vs
+    (p/(p-1)) ||f||_p / eps.
 
     The exceedance set is measured exactly from the piecewise
     representation, not sampled.
     """
-    _require_p(p)
-    _require_decreasing(filtration)
-    grid = me_process(f, flow, filtration, t_grid, s_grid)
-    return _maximal_report(grid, f, p, eps, vnorm)
+    return _maximal_report(grid, "ME", p, eps, vnorm)
 
 
-def maximal_ineq_em(f, flow, filtration, p, t_grid, s_grid, eps, vnorm):
-    """Weak-type bound for averaged conditionings."""
-    _require_p(p)
-    _require_decreasing(filtration)
-    grid = em_process(f, flow, filtration, t_grid, s_grid)
-    return _maximal_report(grid, f, p, eps, vnorm)
+def maximal_ineq_em(grid, p, eps, vnorm):
+    """Weak-type bound on an EM grid of averaged conditionings."""
+    return _maximal_report(grid, "EM", p, eps, vnorm)
 
 
 def _sample_points(space, npoints):
@@ -137,7 +127,7 @@ def domination_chain_check(f, flow, partition, t_grid, vnorm, npoints=1000):
         cavg = cond_exp(avg, partition)
         cdom = cond_exp_dominant(dom, partition)
         gap2 = _norm_at(cavg, vnorm, pts) - cdom.eval(pts)
-        worst = max(worst, float(np.max(gap1)), float(np.max(gap2)))
+        worst = defect_max(worst, np.max(gap1), np.max(gap2))
     return worst
 
 
@@ -250,7 +240,7 @@ def submartingale_sup_check(family):
         part = family.filtration.partition(family.s_grid[k])
         e_next = cond_exp(sups[k + 1], part)
         drop = np.max(_values_at(sups[k], pts) - _values_at(e_next, pts))
-        worst = max(worst, float(drop))
+        worst = defect_max(worst, drop)
     terminal = np.max([_values_at(g[-1], pts) for g in family.processes], axis=0)
     term_defect = float(np.max(np.abs(_values_at(sups[-1], pts) - terminal)))
     bound = 0.0

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .condexp import cond_exp
-from .fields import grid_sup_field, pointwise_norm
+from .fields import defect_max, grid_sup_field, pointwise_norm
 from .flows import Flow, apply_flow, cesaro_average
 from .functions import AtomFunction, CircleFunction, merge_sum
 from .spaces import Filtration, VectorNorm
@@ -63,7 +63,8 @@ def _check_grid(grid, name, positive):
 
 
 class ProcessGrid:
-    """Rectangular table of process entries over (t, s) parameter grids."""
+    """Rectangular table of process entries over (t, s) parameter grids,
+    with the input f, flow and filtration that built it."""
 
     def __init__(self, kind, f, flow, filtration, t_grid, s_grid, table):
         if kind not in ("ME", "EM"):
@@ -72,9 +73,10 @@ class ProcessGrid:
         self.t_grid = t_grid
         self.s_grid = s_grid
         self.table = table
-        self._f = f
-        self._flow = flow
-        self._filtration = filtration
+        self.f = f
+        self.flow = flow
+        self.filtration = filtration
+        self._norm_sups = {}
 
     def entry(self, t, s):
         return self.table[(float(t), float(s))]
@@ -87,10 +89,17 @@ class ProcessGrid:
 
     def recompute_entry(self, t, s):
         """Rebuild one entry from scratch, bypassing the table."""
-        part = self._filtration.partition(float(s))
+        part = self.filtration.partition(float(s))
         if self.kind == "ME":
-            return cond_exp(cesaro_average(self._flow, float(t), self._f), part)
-        return cesaro_average(self._flow, float(t), cond_exp(self._f, part))
+            return cond_exp(cesaro_average(self.flow, float(t), self.f), part)
+        return cesaro_average(self.flow, float(t), cond_exp(self.f, part))
+
+    def norm_sup(self, vnorm):
+        """Pointwise sup over the grid of ||entry(x)||_X, built once per norm."""
+        if vnorm not in self._norm_sups:
+            self._norm_sups[vnorm] = grid_sup_field(
+                [pointwise_norm(fn, vnorm) for _, fn in self.items()])
+        return self._norm_sups[vnorm]
 
     def __repr__(self):
         return (f"ProcessGrid({self.kind}, {len(self.t_grid)}x"
@@ -159,10 +168,8 @@ def cesaro_decomposition_check(flow, g, t, vnorm=None):
     """
     if t < 1.0:
         raise ValueError("regrouping needs t >= 1")
-    if flow.kind == "step":
-        inv = 1.0 / flow.h
-        if abs(inv - np.rint(inv)) > 1e-9:
-            raise ValueError("unit-time blocks need 1/h to be an integer")
+    if not flow.unit_blocks:
+        raise ValueError("unit-time blocks need 1/h to be an integer")
     n = int(np.floor(t + 1e-12))
     alpha = t - n
     if alpha < 1e-12:
@@ -193,7 +200,7 @@ def commutation_check(flow, f, partition, t_grid=None, vnorm=None):
         moved = apply_flow(flow, float(t), f)
         lhs = apply_flow(flow, float(t), ef)
         rhs = cond_exp(moved, partition)
-        worst = max(worst, _sup_defect(lhs - rhs, vnorm))
+        worst = defect_max(worst, _sup_defect(lhs - rhs, vnorm))
     return worst
 
 
@@ -271,22 +278,13 @@ def sup_integrability_report(f, source, grid, vnorm=None):
 
 
 def ergodic_envelope_constant(flow, f, vnorm=None):
-    """Constant C with sup_x ||A_t f - mean||_X <= C / t, all t > 0.
-
-    Rotations: twice the sup of the centered antiderivative over the
-    angle.  Single-cycle step flows: one full period of worst-case
-    deviation, h * natoms * max ||f - mean||.
-    """
+    """Constant C with sup_x ||A_t f - mean||_X <= C / t, all t > 0;
+    each ergodic flow computes it from f - mean."""
     if not flow.ergodic:
         raise ValueError("envelope constant needs an ergodic flow")
     if vnorm is None:
         vnorm = _max_norm(f.d)
-    centered = f - _constant_like(f, f.mean())
-    if flow.kind == "rotation":
-        prim = centered.antiderivative()
-        return float(2.0 * pointwise_norm(prim, vnorm).sup() / flow.theta)
-    peak = float(np.max(vnorm(centered.values)))
-    return float(flow.h * f.space.natoms * peak)
+    return flow.envelope_constant(f - _constant_like(f, f.mean()), vnorm)
 
 
 @dataclass(frozen=True)

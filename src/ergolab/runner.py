@@ -13,7 +13,7 @@ import numpy as np
 
 from .condexp import (LinearFunctional, cond_exp, defining_property_check,
                       functional_commutation_check)
-from .fields import lp_norm, pointwise_norm, sup_norm
+from .fields import defect_max, lp_norm, pointwise_norm, sup_norm
 from .flows import (apply_flow, cesaro_average, identity_flow, rotation_flow,
                     shift_perm, step_flow)
 from .functions import (AtomFunction, CircleFunction, from_smooth,
@@ -24,7 +24,8 @@ from .inequalities import (dominant_ineq_em, dominant_ineq_me,
                            submartingale_sup_check)
 from .processes import (cesaro_decomposition_check, commutation_check,
                         convergence_table, em_process, ergodic_envelope_check,
-                        limits, me_process, sup_integrability_report)
+                        ergodic_envelope_constant, limits, me_process,
+                        sup_integrability_report)
 from .spaces import (Filtration, VectorNorm, circle_space, discrete_space,
                      partition_at_level, product_space)
 
@@ -172,7 +173,7 @@ def _chk_defining_property(ctx):
     for lvl in _levels(ctx):
         d = float(defining_property_check(ctx.f, ctx.filtration.partition_at_level(lvl)))
         rows.append((None, float(lvl), "defect", d))
-        worst = max(worst, d)
+        worst = defect_max(worst, d)
     return CheckRecord("defining_property", _verdict(worst, 1e-12), worst,
                        tolerance=1e-12, rows=tuple(rows))
 
@@ -187,14 +188,14 @@ def _chk_tower_idempotence(ctx):
         twice = cond_exp(once, part)
         d_idem = _sample_defect(twice, once, ctx.vnorm, pts)
         rows.append((None, float(lvl), "idempotence_defect", d_idem))
-        worst = max(worst, d_idem)
+        worst = defect_max(worst, d_idem)
         for finer in _levels(ctx):
             if finer <= lvl:
                 continue
             through = cond_exp(cond_exp(ctx.f, ctx.filtration.partition_at_level(finer)),
                                part)
             d_tower = _sample_defect(through, once, ctx.vnorm, pts)
-            worst = max(worst, d_tower)
+            worst = defect_max(worst, d_tower)
         rows.append((None, float(lvl), "tower_defect", worst))
     return CheckRecord("tower_idempotence", _verdict(worst, 1e-12), worst,
                        tolerance=1e-12, rows=tuple(rows))
@@ -209,7 +210,7 @@ def _chk_functional_commutation(ctx):
         part = ctx.filtration.partition_at_level(lvl)
         d = float(functional_commutation_check(ctx.f, part, functional))
         rows.append((None, float(lvl), "defect", d))
-        worst = max(worst, d)
+        worst = defect_max(worst, d)
     return CheckRecord("functional_commutation", _verdict(worst, 1e-12), worst,
                        tolerance=1e-12, rows=tuple(rows))
 
@@ -225,7 +226,7 @@ def _chk_flow_isometry(ctx):
         d_sup = abs(float(sup_norm(moved, ctx.vnorm)) - base_sup)
         rows.append((t, None, "lp_defect", d_lp))
         rows.append((t, None, "sup_defect", d_sup))
-        worst = max(worst, d_lp, d_sup)
+        worst = defect_max(worst, d_lp, d_sup)
     return CheckRecord("flow_isometry", _verdict(worst, 1e-10), worst,
                        tolerance=1e-10, rows=tuple(rows))
 
@@ -234,18 +235,15 @@ def _chk_semigroup_law(ctx):
     pts = _sample_points(ctx.space)
     worst = 0.0
     rows = []
-    probes = _probe_times(ctx, 3)
-    if ctx.flow.kind == "step":
-        # the step evolution composes only on the lattice of step widths
-        h = ctx.flow.h
-        probes = sorted({max(h, h * round(t / h)) for t in probes})
+    # a step evolution composes only on the lattice of step widths
+    probes = sorted({ctx.flow.lattice(t) for t in _probe_times(ctx, 3)})
     for t1 in probes:
         for t2 in probes:
             joint = apply_flow(ctx.flow, t1 + t2, ctx.f)
             nested = apply_flow(ctx.flow, t1, apply_flow(ctx.flow, t2, ctx.f))
             d = _sample_defect(joint, nested, ctx.vnorm, pts)
             rows.append((t1 + t2, None, "defect", d))
-            worst = max(worst, d)
+            worst = defect_max(worst, d)
     return CheckRecord("semigroup_law", _verdict(worst, 1e-10), worst,
                        tolerance=1e-10, rows=tuple(rows))
 
@@ -258,7 +256,7 @@ def _chk_contraction(ctx):
         avg = cesaro_average(ctx.flow, float(t), ctx.f)
         excess = float(lp_norm(avg, ctx.cfg.p, ctx.vnorm)) - base
         rows.append((float(t), None, "norm_excess", excess))
-        worst = max(worst, excess)
+        worst = defect_max(worst, excess)
     return CheckRecord("contraction", _verdict(worst, 1e-9), worst,
                        tolerance=1e-9, rows=tuple(rows))
 
@@ -284,7 +282,7 @@ def _chk_decomposition(ctx):
     for t in probes:
         d = float(cesaro_decomposition_check(ctx.flow, ctx.f, t, ctx.vnorm))
         rows.append((t, None, "defect", d))
-        worst = max(worst, d)
+        worst = defect_max(worst, d)
     return CheckRecord("decomposition", _verdict(worst, 1e-9), worst,
                        tolerance=1e-9, rows=tuple(rows))
 
@@ -307,7 +305,6 @@ def _convergence_record(ctx, name, grid, target):
     plots = [{"suffix": "errors", "columns": ("t", "error"),
               "rows": [(t, sup_err) for t, _, _, sup_err in table.diagonal]}]
     if ctx.flow.ergodic and name == "me_convergence":
-        from .processes import ergodic_envelope_constant
         c = ergodic_envelope_constant(ctx.flow, ctx.f, ctx.vnorm)
         plots.append({"suffix": "envelope", "columns": ("t", "bound"),
                       "rows": [(t, c / t) for t, _, _, _ in table.diagonal]})
@@ -368,41 +365,31 @@ def _chk_ergodic_envelope(ctx):
 # -- inequality checks -----------------------------------------------------------
 
 
-def _ineq_rows(rep):
-    return tuple((None, None, metric, float(getattr(rep, metric)))
+def _ineq_record(name, rep, value):
+    rows = tuple((None, None, metric, float(getattr(rep, metric)))
                  for metric in rep._fields if metric != "passed")
+    return CheckRecord(name, "PASS" if rep.passed else "FAIL", value,
+                       bound=rep.bound, tolerance=1e-9, rows=rows)
 
 
 def _chk_dominant_me(ctx):
-    rep = dominant_ineq_me(ctx.f, ctx.flow, ctx.filtration, ctx.cfg.p,
-                           ctx.t_grid, ctx.s_grid, ctx.vnorm)
-    return CheckRecord("dominant_ineq_me", "PASS" if rep.passed else "FAIL",
-                       rep.ratio, bound=rep.bound, tolerance=1e-9,
-                       rows=_ineq_rows(rep))
+    rep = dominant_ineq_me(ctx.me_grid(), ctx.cfg.p, ctx.vnorm)
+    return _ineq_record("dominant_ineq_me", rep, rep.ratio)
 
 
 def _chk_dominant_em(ctx):
-    rep = dominant_ineq_em(ctx.f, ctx.flow, ctx.filtration, ctx.cfg.p,
-                           ctx.t_grid, ctx.s_grid, ctx.vnorm)
-    return CheckRecord("dominant_ineq_em", "PASS" if rep.passed else "FAIL",
-                       rep.ratio, bound=rep.bound, tolerance=1e-9,
-                       rows=_ineq_rows(rep))
+    rep = dominant_ineq_em(ctx.em_grid(), ctx.cfg.p, ctx.vnorm)
+    return _ineq_record("dominant_ineq_em", rep, rep.ratio)
 
 
 def _chk_maximal_me(ctx):
-    rep = maximal_ineq_me(ctx.f, ctx.flow, ctx.filtration, ctx.cfg.p,
-                          ctx.t_grid, ctx.s_grid, ctx.cfg.epsilon, ctx.vnorm)
-    return CheckRecord("maximal_ineq_me", "PASS" if rep.passed else "FAIL",
-                       rep.exceedance, bound=rep.bound, tolerance=1e-9,
-                       rows=_ineq_rows(rep))
+    rep = maximal_ineq_me(ctx.me_grid(), ctx.cfg.p, ctx.cfg.epsilon, ctx.vnorm)
+    return _ineq_record("maximal_ineq_me", rep, rep.exceedance)
 
 
 def _chk_maximal_em(ctx):
-    rep = maximal_ineq_em(ctx.f, ctx.flow, ctx.filtration, ctx.cfg.p,
-                          ctx.t_grid, ctx.s_grid, ctx.cfg.epsilon, ctx.vnorm)
-    return CheckRecord("maximal_ineq_em", "PASS" if rep.passed else "FAIL",
-                       rep.exceedance, bound=rep.bound, tolerance=1e-9,
-                       rows=_ineq_rows(rep))
+    rep = maximal_ineq_em(ctx.em_grid(), ctx.cfg.p, ctx.cfg.epsilon, ctx.vnorm)
+    return _ineq_record("maximal_ineq_em", rep, rep.exceedance)
 
 
 def _chk_domination_chain(ctx):
@@ -444,7 +431,7 @@ def _chk_martingale_surrogate(ctx):
         rows.append((None, float(lvl), "bound", bound))
         ok = ok and err <= bound + 1e-12
         if bound > 0.0:
-            worst_ratio = max(worst_ratio, err / bound)
+            worst_ratio = defect_max(worst_ratio, err / bound)
     plots = ({"suffix": "errors", "columns": ("level", "error"),
               "rows": [(r[1], r[3]) for r in rows if r[2] == "l1_error"]},)
     return CheckRecord("martingale_surrogate", "PASS" if ok else "FAIL",
@@ -472,7 +459,8 @@ def _chk_me_em_coincidence(ctx):
     pts = _sample_points(ctx.space)
     worst = 0.0
     for (t, s), fn in me.items():
-        worst = max(worst, _sample_defect(fn, em.entry(t, s), ctx.vnorm, pts))
+        d = _sample_defect(fn, em.entry(t, s), ctx.vnorm, pts)
+        worst = defect_max(worst, d)
     lim = ctx.proc_limits()
     limit_gap = _sample_defect(lim.me_limit, lim.em_limit, ctx.vnorm, pts)
     passed = worst <= 1e-10 and limit_gap <= 1e-9

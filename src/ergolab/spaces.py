@@ -29,13 +29,12 @@ def _is_dyadic(x: Fraction) -> bool:
 class MeasureSpace:
     """A finite measure space: the circle, an atomic space, or a product."""
 
-    def __init__(self, kind, weights=None, labels=None, cyclic_size=None,
-                 atom_weights=None, atom_labels=None, mass=None):
+    def __init__(self, kind, weights=None, cyclic_size=None,
+                 atom_weights=None, mass=None):
         self.kind = kind
         if kind == "circle":
             self.mass = 1.0
             self.weights = None
-            self.labels = None
         elif kind == "discrete":
             w = np.asarray(weights, dtype=float)
             if w.ndim != 1 or w.size == 0:
@@ -48,10 +47,6 @@ class MeasureSpace:
                     f"weights sum to {w.sum()!r}, declared mass {declared!r}")
             self.weights = w
             self.mass = declared
-            self.labels = tuple(labels) if labels is not None else tuple(
-                str(i) for i in range(w.size))
-            if len(self.labels) != w.size:
-                raise ValueError("label/weight length mismatch")
         elif kind == "product":
             m1 = int(cyclic_size)
             if m1 < 1:
@@ -61,17 +56,12 @@ class MeasureSpace:
                 raise ValueError("atom weights must be strictly positive")
             self.cyclic_size = m1
             self.factor_weights = w2
-            self.factor_labels = tuple(atom_labels) if atom_labels is not None \
-                else tuple(str(j) for j in range(w2.size))
             # product atom (i, j) has weight w1_i * w2_j with uniform w1
             w1 = np.full(m1, 1.0 / m1)
             self.weights = np.repeat(w1, w2.size) * np.tile(w2, m1)
             self.mass = float(self.weights.sum()) if mass is None else float(mass)
             if abs(float(self.weights.sum()) - self.mass) > 1e-12:
                 raise ValueError("product weights do not sum to declared mass")
-            self.labels = tuple(
-                (i, self.factor_labels[j]) for i in range(m1)
-                for j in range(w2.size))
         else:
             raise ValueError(f"unknown space kind {kind!r}")
 
@@ -108,13 +98,13 @@ def circle_space():
     return MeasureSpace("circle")
 
 
-def discrete_space(weights, labels=None):
-    return MeasureSpace("discrete", weights=weights, labels=labels)
+def discrete_space(weights):
+    return MeasureSpace("discrete", weights=weights)
 
 
-def product_space(cyclic_size, atom_weights, atom_labels=None):
+def product_space(cyclic_size, atom_weights):
     return MeasureSpace("product", cyclic_size=cyclic_size,
-                        atom_weights=atom_weights, atom_labels=atom_labels)
+                        atom_weights=atom_weights)
 
 
 class Partition:

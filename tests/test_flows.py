@@ -4,7 +4,7 @@ import pytest
 from ergolab.fields import AtomField, PolyField, pointwise_norm
 from ergolab.flows import (
     GOLDEN,
-    DominantFlow,
+    Flow,
     apply_flow,
     cesaro_average,
     discrete_average,
@@ -154,7 +154,7 @@ def test_dominant_step_cesaro_bit_identical_to_loop():
     vals = np.array([0.8, 0.35, 0.0, 0.9])
     flow = step_flow(sp, shift_perm(sp), h=0.5)
     for t in (2.7, 1e5 + 0.25):
-        dom = DominantFlow(flow).cesaro(t, AtomField(sp, vals))
+        dom = dominant_cesaro(flow, t, AtomField(sp, vals))
         ref = oracles.loop_step_average(vals[:, None], shift_perm(sp), t, 0.5)
         assert _same_bits(dom.values, ref[:, 0])
 
@@ -218,13 +218,44 @@ def test_ergodicity_classification():
     assert not identity_flow(sp).ergodic
 
 
+def test_constructors_name_their_kind():
+    # the benchmark tracer splits cesaro_average spans by ``kind``
+    sp = _unit_space(4)
+    flows = {"rotation": rotation_flow(GOLDEN),
+             "step": step_flow(sp, shift_perm(sp), h=0.5),
+             "identity": identity_flow(sp)}
+    for kind, flow in flows.items():
+        assert isinstance(flow, Flow)
+        assert flow.kind == kind
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5, 0.3, 2.0])
+def test_step_lattice_snaps_to_step_widths(h):
+    sp = _unit_space(4)
+    flow = step_flow(sp, shift_perm(sp), h=h)
+    for t in (0.1, 0.7, 1.0, 2.5, 3.14, 16.0, 37.9):
+        # nearest positive multiple of h, as the semigroup probes snap
+        assert flow.lattice(t) == max(h, h * round(t / h))
+    # on the lattice, T_{a+b} = T_a T_b holds exactly
+    f = AtomFunction(sp, np.arange(4.0))
+    for a in (flow.lattice(0.7), flow.lattice(2.5)):
+        for b in (flow.lattice(1.0), flow.lattice(3.14)):
+            joint = apply_flow(flow, a + b, f)
+            nested = apply_flow(flow, a, apply_flow(flow, b, f))
+            assert np.array_equal(joint.values, nested.values)
+    # rotations and the identity compose at every time
+    for other in (rotation_flow(GOLDEN), identity_flow(sp)):
+        assert other.lattice(3.14) == 3.14
+
+
 def test_orbit_period():
     sp = _unit_space(6)
     assert step_flow(sp, shift_perm(sp)).orbit_period() == 6
     # cycles of length 2, 3 and 1: the period is their lcm
     assert step_flow(sp, np.array([1, 0, 3, 4, 2, 5])).orbit_period() == 6
     assert step_flow(sp, np.arange(6)).orbit_period() == 1
-    with pytest.raises(ValueError):
+    # only step flows have a finite orbit period
+    with pytest.raises(AttributeError):
         rotation_flow(GOLDEN).orbit_period()
 
 
@@ -273,7 +304,7 @@ def test_dominant_step_field():
     f = AtomFunction(sp, np.array([0.8, -0.35, 0.55, -0.9]))
     vnorm = VectorNorm("euclidean", 1)
     flow = step_flow(sp, shift_perm(sp), h=0.5)
-    dom = DominantFlow(flow).cesaro(2.7, pointwise_norm(f, vnorm))
+    dom = dominant_cesaro(flow, 2.7, pointwise_norm(f, vnorm))
     brute = oracles.brute_step_average(
         np.abs(f.values), shift_perm(sp), 2.7, 0.5)
     assert np.allclose(dom.values, brute[:, 0], atol=1e-15)

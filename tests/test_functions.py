@@ -8,7 +8,6 @@ from ergolab.functions import (
     from_smooth,
     harmonic_generator,
     hat,
-    integrate,
     merge_sum,
     sawtooth,
     taylor_shift,
@@ -85,15 +84,6 @@ def test_integrate_matches_riemann():
     ]).ravel()
     # midpoint quadrature only resolves the interior jump to O(1/n)
     assert np.allclose(exact, approx, atol=2e-5)
-
-
-def test_integrate_region_dispatch():
-    f = sawtooth(d=1)
-    assert np.allclose(integrate(f), 0.0, atol=1e-15)
-    assert np.allclose(integrate(f, (0.0, 0.5)), [-0.125])
-    sp = discrete_space(np.array([0.5, 0.25, 0.25]))
-    g = AtomFunction(sp, np.array([2.0, -1.0, 3.0]))
-    assert np.allclose(integrate(g, [0, 2]), [1.75])
 
 
 def test_rotate_is_exact_composition():

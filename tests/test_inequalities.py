@@ -13,6 +13,7 @@ from ergolab.inequalities import (
     random_submartingale_family,
     submartingale_sup_check,
 )
+from ergolab.processes import em_process, me_process
 from ergolab.spaces import (
     Filtration,
     VectorNorm,
@@ -54,7 +55,8 @@ def _dense_grid_sup(t_vals, levels, n=160_000):
 
 def test_dominant_ineq_me_frozen():
     f, flow, filt, vnorm, t_grid, s_grid = _setup()
-    report = dominant_ineq_me(f, flow, filt, 2.0, t_grid, s_grid, vnorm)
+    grid = me_process(f, flow, filt, t_grid, s_grid)
+    report = dominant_ineq_me(grid, 2.0, vnorm)
     assert report.passed
     assert report.lhs == pytest.approx(0.1197355107316189, rel=1e-12)
     # p = 2 coefficient is exactly 4
@@ -67,7 +69,8 @@ def test_dominant_ineq_me_frozen():
 
 def test_dominant_ineq_em_frozen():
     f, flow, filt, vnorm, t_grid, s_grid = _setup()
-    report = dominant_ineq_em(f, flow, filt, 2.0, t_grid, s_grid, vnorm)
+    grid = em_process(f, flow, filt, t_grid, s_grid)
+    report = dominant_ineq_em(grid, 2.0, vnorm)
     assert report.passed
     assert report.lhs == pytest.approx(0.11276972550770975, rel=1e-12)
     assert report.lhs <= report.bound
@@ -76,19 +79,32 @@ def test_dominant_ineq_em_frozen():
 def test_dominant_ineq_validation():
     f, flow, filt, vnorm, t_grid, s_grid = _setup()
     with pytest.raises(ValueError):
-        dominant_ineq_me(f, flow, filt, 1.0, t_grid, s_grid, vnorm)
+        dominant_ineq_me(me_process(f, flow, filt, t_grid, s_grid), 1.0, vnorm)
     rising = Filtration(circle_space(), "increasing", max_level=4)
     with pytest.raises(ValueError):
-        dominant_ineq_me(f, flow, rising, 2.0, t_grid, s_grid, vnorm)
+        dominant_ineq_me(me_process(f, flow, rising, t_grid, s_grid), 2.0,
+                         vnorm)
+
+
+def test_inequalities_reject_wrong_grid_kind():
+    f, flow, filt, vnorm, t_grid, s_grid = _setup()
+    me = me_process(f, flow, filt, t_grid, s_grid)
+    em = em_process(f, flow, filt, t_grid, s_grid)
+    for check, wrong in ((dominant_ineq_me, em), (dominant_ineq_em, me)):
+        with pytest.raises(ValueError, match="grid"):
+            check(wrong, 2.0, vnorm)
+    for check, wrong in ((maximal_ineq_me, em), (maximal_ineq_em, me)):
+        with pytest.raises(ValueError, match="grid"):
+            check(wrong, 2.0, 0.1, vnorm)
 
 
 def test_maximal_ineq_frozen_exceedances():
     f, flow, filt, vnorm, t_grid, s_grid = _setup()
     # the grid sup is piecewise constant on dyadic cells, so exceedance
     # measures come out as exact dyadic rationals
+    grid = me_process(f, flow, filt, t_grid, s_grid)
     for eps, expect in ((0.05, 0.875), (0.1, 0.5), (0.15, 0.375)):
-        report = maximal_ineq_me(f, flow, filt, 2.0, t_grid, s_grid,
-                                 eps, vnorm)
+        report = maximal_ineq_me(grid, 2.0, eps, vnorm)
         assert report.passed
         assert report.exceedance == pytest.approx(expect, abs=1e-12)
         assert report.bound == pytest.approx(
@@ -99,10 +115,11 @@ def test_maximal_ineq_frozen_exceedances():
 
 def test_maximal_ineq_em_runs_and_validates():
     f, flow, filt, vnorm, t_grid, s_grid = _setup()
-    report = maximal_ineq_em(f, flow, filt, 2.0, t_grid, s_grid, 0.1, vnorm)
+    grid = em_process(f, flow, filt, t_grid, s_grid)
+    report = maximal_ineq_em(grid, 2.0, 0.1, vnorm)
     assert report.passed
     with pytest.raises(ValueError):
-        maximal_ineq_em(f, flow, filt, 2.0, t_grid, s_grid, 0.0, vnorm)
+        maximal_ineq_em(grid, 2.0, 0.0, vnorm)
 
 
 def test_domination_chain_healthy_and_tight():

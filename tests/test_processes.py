@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ergolab.fields import grid_sup_field, pointwise_norm
 from ergolab.flows import (
     GOLDEN,
     identity_flow,
@@ -94,6 +95,24 @@ def test_grid_entries_match_recompute():
             again = grid.recompute_entry(t, s)
             x = (np.arange(100) + 0.37) / 100
             assert np.max(np.abs(fn(x) - again(x))) < 1e-14
+
+
+def test_norm_sup_is_memoised_per_norm():
+    f = sawtooth(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3])
+    flow = rotation_flow(GOLDEN)
+    filt = Filtration(circle_space(), "decreasing", max_level=3)
+    grid = em_process(f, flow, filt, np.array([1.0, 2.5]),
+                      np.array([0.0, 2.0]))
+    x = (np.arange(300) + 0.37) / 300
+    for vnorm in (VectorNorm("euclidean", 2), VectorNorm("max", 2)):
+        sup = grid.norm_sup(vnorm)
+        assert grid.norm_sup(vnorm) is sup
+        fresh = grid_sup_field([pointwise_norm(fn, vnorm)
+                                for _, fn in grid.items()])
+        assert np.array_equal(sup.eval(x), fresh.eval(x))
+        assert sup.lp(2.0) == fresh.lp(2.0)
+    assert grid.norm_sup(VectorNorm("max", 2)) is not \
+        grid.norm_sup(VectorNorm("euclidean", 2))
 
 
 def test_grid_items_row_major():

@@ -1,11 +1,14 @@
 import filecmp
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from ergolab.config import parse_text
+from ergolab import runner
+from ergolab.cli import scenario_dir
+from ergolab.config import parse_config, parse_text
 from ergolab.runner import CHECK_NAMES, CHECKS, VERSION, run_scenario
 
 SMALL = """
@@ -99,6 +102,53 @@ def test_unexpected_exception_becomes_fail(monkeypatch, exc):
     assert all(r.status == "PASS" for r in report.records
                if r.name != "decomposition")
     assert not report.passed
+
+
+def test_nan_defect_fails_its_check(monkeypatch):
+    real = runner.defining_property_check
+    calls = []
+
+    def nan_at_level_one(f, partition):
+        calls.append(partition)
+        return float("nan") if len(calls) == 2 else real(f, partition)
+
+    monkeypatch.setattr(runner, "defining_property_check", nan_at_level_one)
+    cfg = parse_text(SMALL)
+    report = run_scenario(cfg)
+    by_name = {r.name: r for r in report.records}
+    assert len(calls) == cfg.filtration_max_level + 1
+    assert by_name["defining_property"].status == "FAIL"
+    assert np.isnan(by_name["defining_property"].value)
+    assert [r.name for r in report.records] == list(cfg.checks)
+    assert all(r.status == "PASS" for r in report.records
+               if r.name != "defining_property")
+    assert not report.passed
+
+
+def test_full_scenario_builds_each_grid_once(monkeypatch):
+    built = {"me": 0, "em": 0}
+
+    def counting(key, build):
+        def wrapper(*args):
+            built[key] += 1
+            return build(*args)
+        return wrapper
+
+    # count through every ergolab module binding of me_process and em_process
+    for key, build in (("me", runner.me_process), ("em", runner.em_process)):
+        wrapped = counting(key, build)
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("ergolab.")
+                    and getattr(mod, build.__name__, None) is build):
+                monkeypatch.setattr(mod, build.__name__, wrapped)
+    cfg = parse_config(os.path.join(scenario_dir(), "product_z8x2.cfg"))
+    grid_checks = {"me_convergence", "em_convergence", "joint_vs_iterated",
+                   "dominant_ineq_me", "dominant_ineq_em", "maximal_ineq_me",
+                   "maximal_ineq_em", "me_em_coincidence"}
+    assert grid_checks <= set(cfg.checks)
+    report = run_scenario(cfg)
+    assert report.passed
+    assert built == {"me": 1, "em": 1}
 
 
 def test_artifacts_written_and_deterministic(tmp_path):
