@@ -97,12 +97,6 @@ def maximal_ineq_em(grid, p, eps, vnorm):
     return _maximal_report(grid, "EM", p, eps, vnorm)
 
 
-def _sample_points(space, npoints):
-    if space.kind == "circle":
-        return (np.arange(npoints) + 0.5) / npoints
-    return np.arange(space.natoms)
-
-
 def _norm_at(fn, vnorm, pts):
     if isinstance(fn, AtomFunction):
         return vnorm(fn.values)
@@ -117,7 +111,7 @@ def domination_chain_check(f, flow, partition, t_grid, vnorm, npoints=1000):
     dominant conditioning of that average.  Positive return values mean
     the chain was violated by that amount; values <= 1e-10 are healthy.
     """
-    pts = _sample_points(f.space, npoints)
+    pts = f.space.sample_points(npoints, 0.5)
     norm_f = pointwise_norm(f, vnorm)
     worst = -np.inf
     for t in np.asarray(t_grid, dtype=float):
@@ -247,11 +241,11 @@ def submartingale_sup_check(family):
     for g in sups:
         pos = np.maximum(_values_at(g, pts), 0.0)
         if isinstance(g, AtomFunction):
-            bound = max(bound, float(np.sum(pos * g.space.weights)))
+            bound = defect_max(bound, np.sum(pos * g.space.weights))
         else:
             cells = family.filtration.partition_at_level(family.filtration.max_level)
             widths = np.diff(np.asarray(cells.cell_bounds_float()))
-            bound = max(bound, float(np.sum(pos * widths)))
+            bound = defect_max(bound, np.sum(pos * widths))
     passed = worst <= _SUBMART_TOL and term_defect == 0.0
     return SubmartingaleReport(float(worst), term_defect, bound, passed)
 

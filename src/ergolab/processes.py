@@ -1,8 +1,10 @@
 """Process grids built by composing time averages with conditioning.
 
 The two grids studied here apply the same pair of operators in opposite
-order: one conditions an ergodic average, the other averages a
-conditional expectation.  Entries are honest function objects, so every
+order: the ME grid conditions the time averages A_t f, the EM grid
+averages the conditionings E(f|F_s).  Each grid keeps the family its
+first operator built (``ProcessGrid.inner``) for the diagnostics that
+read A_t f or E(f|F_s).  Entries are honest function objects, so every
 diagnostic below can recompute them from scratch and compare.
 """
 
@@ -12,19 +14,15 @@ import numpy as np
 
 from .condexp import cond_exp
 from .fields import defect_max, grid_sup_field, pointwise_norm
-from .flows import Flow, apply_flow, cesaro_average
+from .flows import apply_flow, cesaro_average
 from .functions import AtomFunction, CircleFunction, merge_sum
-from .spaces import Filtration, VectorNorm
+from .spaces import VectorNorm
 
 # slack factor / floor for "errors do not grow along the diagonal"
 _DIAG_SLACK = 1.1
 _DIAG_FLOOR = 1e-12
 
 _DEFAULT_T_PROBES = (0.3, 0.7, 1.0, 1.9, 2.5, 4.0)
-
-
-def _max_norm(d):
-    return VectorNorm("max", d)
 
 
 def _constant_like(f, value):
@@ -43,7 +41,7 @@ def _combine(funcs, weights):
 def _sup_defect(diff, vnorm=None):
     """Sup over the space of the vector norm of a difference function."""
     if vnorm is None:
-        vnorm = _max_norm(diff.d)
+        vnorm = VectorNorm("max", diff.d)
     if isinstance(diff, AtomFunction):
         return float(np.max(vnorm(diff.values)))
     return float(pointwise_norm(diff, vnorm).sup())
@@ -64,14 +62,18 @@ def _check_grid(grid, name, positive):
 
 class ProcessGrid:
     """Rectangular table of process entries over (t, s) parameter grids,
-    with the input f, flow and filtration that built it."""
+    with the input f, flow and filtration that built it, and ``inner``,
+    the first operator's family in grid order: t -> A_t f (ME) or
+    s -> E(f|F_s) (EM)."""
 
-    def __init__(self, kind, f, flow, filtration, t_grid, s_grid, table):
+    def __init__(self, kind, f, flow, filtration, t_grid, s_grid, inner,
+                 table):
         if kind not in ("ME", "EM"):
             raise ValueError(f"unknown process kind {kind!r}")
         self.kind = kind
         self.t_grid = t_grid
         self.s_grid = s_grid
+        self.inner = inner
         self.table = table
         self.f = f
         self.flow = flow
@@ -110,24 +112,24 @@ def me_process(f, flow, filtration, t_grid, s_grid):
     """Grid of conditioned averages: entry (t,s) conditions A_t f on F_s."""
     t_grid = _check_grid(t_grid, "t_grid", positive=True)
     s_grid = _check_grid(s_grid, "s_grid", positive=False)
-    table = {}
+    inner, table = {}, {}
     for t in t_grid:
-        avg = cesaro_average(flow, float(t), f)
+        inner[float(t)] = avg = cesaro_average(flow, float(t), f)
         for s in s_grid:
             table[(float(t), float(s))] = cond_exp(avg, filtration.partition(float(s)))
-    return ProcessGrid("ME", f, flow, filtration, t_grid, s_grid, table)
+    return ProcessGrid("ME", f, flow, filtration, t_grid, s_grid, inner, table)
 
 
 def em_process(f, flow, filtration, t_grid, s_grid):
     """Grid of averaged conditionings: entry (t,s) averages E(f|F_s) up to t."""
     t_grid = _check_grid(t_grid, "t_grid", positive=True)
     s_grid = _check_grid(s_grid, "s_grid", positive=False)
-    table = {}
+    inner, table = {}, {}
     for s in s_grid:
-        proj = cond_exp(f, filtration.partition(float(s)))
+        inner[float(s)] = proj = cond_exp(f, filtration.partition(float(s)))
         for t in t_grid:
             table[(float(t), float(s))] = cesaro_average(flow, float(t), proj)
-    return ProcessGrid("EM", f, flow, filtration, t_grid, s_grid, table)
+    return ProcessGrid("EM", f, flow, filtration, t_grid, s_grid, inner, table)
 
 
 @dataclass(frozen=True)
@@ -233,9 +235,6 @@ class ConvergenceReport:
     def __len__(self):
         return len(self.rows)
 
-    def __getitem__(self, i):
-        return self.rows[i]
-
 
 def convergence_table(grid, target, p, vnorm, threshold=None):
     """Per-entry errors of a process grid against a target function."""
@@ -255,24 +254,19 @@ def convergence_table(grid, target, p, vnorm, threshold=None):
     return ConvergenceReport(rows, diagonal, threshold)
 
 
-def sup_integrability_report(f, source, grid, vnorm=None):
-    """L1 size of the pointwise sup of the norm over a finite grid.
+def sup_integrability_report(family, vnorm=None):
+    """L1 size of the pointwise sup of the norm over a finite family.
 
-    ``source`` selects the family: a flow supplies time averages A_t f,
-    a filtration supplies conditionings E(f|F_s).  Always finite at desk
-    scale; a lower bound for the true sup over all parameters.
+    ``family`` holds the member functions, e.g. the time averages A_t f
+    (``me_grid.inner.values()``) or the conditionings E(f|F_s)
+    (``em_grid.inner.values()``).  Always finite at desk scale; a lower
+    bound for the true sup over all parameters.
     """
+    members = list(family)
+    if not members:
+        raise ValueError("family must be nonempty")
     if vnorm is None:
-        vnorm = _max_norm(f.d)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("parameter grid must be nonempty")
-    if isinstance(source, Flow):
-        members = [cesaro_average(source, float(t), f) for t in grid]
-    elif isinstance(source, Filtration):
-        members = [cond_exp(f, source.partition(float(s))) for s in grid]
-    else:
-        raise TypeError("second argument must be a flow or a filtration")
+        vnorm = VectorNorm("max", members[0].d)
     fields = [pointwise_norm(g, vnorm) for g in members]
     return float(grid_sup_field(fields).lp(1.0))
 
@@ -283,7 +277,7 @@ def ergodic_envelope_constant(flow, f, vnorm=None):
     if not flow.ergodic:
         raise ValueError("envelope constant needs an ergodic flow")
     if vnorm is None:
-        vnorm = _max_norm(f.d)
+        vnorm = VectorNorm("max", f.d)
     return flow.envelope_constant(f - _constant_like(f, f.mean()), vnorm)
 
 
@@ -294,14 +288,15 @@ class EnvelopeReport:
     passed: bool
 
 
-def ergodic_envelope_check(flow, f, t_grid, vnorm=None):
-    """Verify sup ||A_t f - mean||_X <= C/t on a grid of times."""
+def ergodic_envelope_check(flow, f, averages, vnorm=None):
+    """Verify sup ||A_t f - mean||_X <= C/t on the times of ``averages``,
+    a map t -> A_t f (``me_grid.inner``, say)."""
     constant = ergodic_envelope_constant(flow, f, vnorm)
     mean_fn = _constant_like(f, f.mean())
     rows = []
     ok = True
-    for t in np.asarray(t_grid, dtype=float):
-        err = _sup_defect(cesaro_average(flow, float(t), f) - mean_fn, vnorm)
+    for t, avg in averages.items():
+        err = _sup_defect(avg - mean_fn, vnorm)
         bound = constant / float(t)
         rows.append((float(t), err, bound))
         ok = ok and err <= bound + 1e-12

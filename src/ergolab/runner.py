@@ -14,8 +14,8 @@ import numpy as np
 from .condexp import (LinearFunctional, cond_exp, defining_property_check,
                       functional_commutation_check)
 from .fields import defect_max, lp_norm, pointwise_norm, sup_norm
-from .flows import (apply_flow, cesaro_average, identity_flow, rotation_flow,
-                    shift_perm, step_flow)
+from .flows import (apply_flow, identity_flow, rotation_flow, shift_perm,
+                    step_flow)
 from .functions import (AtomFunction, CircleFunction, from_smooth,
                         harmonic_generator, hat, sawtooth)
 from .inequalities import (dominant_ineq_em, dominant_ineq_me,
@@ -30,6 +30,23 @@ from .spaces import (Filtration, VectorNorm, circle_space, discrete_space,
                      partition_at_level, product_space)
 
 VERSION = "0.1.0"
+
+# Verdict tolerance per check (its record's ``tolerance``), plus the second
+# allowances inside martingale_surrogate and me_em_coincidence.
+_TOLERANCES = {
+    **dict.fromkeys(("defining_property", "tower_idempotence",
+                     "functional_commutation", "commutation",
+                     "ergodic_envelope", "martingale_surrogate",
+                     "martingale_surrogate_slack", "submartingale_sup"), 1e-12),
+    **dict.fromkeys(("flow_isometry", "semigroup_law", "domination_chain",
+                     "me_em_coincidence"), 1e-10),
+    **dict.fromkeys(("contraction", "decomposition", "dominant_ineq_me",
+                     "dominant_ineq_em", "maximal_ineq_me", "maximal_ineq_em",
+                     "me_em_limit_gap"), 1e-9),
+}
+
+# offset keeps circle samples away from dyadic and shifted breakpoints
+_SAMPLE_OFFSET = 0.431
 
 
 # -- config -> objects ----------------------------------------------------------
@@ -97,23 +114,27 @@ class ScenarioContext:
     rng: object
     _cache: dict = field(default_factory=dict)
 
+    def _memo(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def me_grid(self):
-        if "me" not in self._cache:
-            self._cache["me"] = me_process(self.f, self.flow, self.filtration,
-                                           self.t_grid, self.s_grid)
-        return self._cache["me"]
+        return self._memo("me", lambda: me_process(
+            self.f, self.flow, self.filtration, self.t_grid, self.s_grid))
 
     def em_grid(self):
-        if "em" not in self._cache:
-            self._cache["em"] = em_process(self.f, self.flow, self.filtration,
-                                           self.t_grid, self.s_grid)
-        return self._cache["em"]
+        return self._memo("em", lambda: em_process(
+            self.f, self.flow, self.filtration, self.t_grid, self.s_grid))
 
     def proc_limits(self):
-        if "limits" not in self._cache:
-            self._cache["limits"] = limits(self.f, self.flow, self.filtration,
-                                           2.0 * float(self.t_grid[-1]))
-        return self._cache["limits"]
+        return self._memo("limits", lambda: limits(
+            self.f, self.flow, self.filtration, 2.0 * float(self.t_grid[-1])))
+
+    def me_table(self):
+        return self._memo("me_table", lambda: convergence_table(
+            self.me_grid(), self.proc_limits().me_limit, self.cfg.p,
+            self.vnorm, threshold=self.cfg.threshold))
 
 
 def build_context(cfg, rng):
@@ -143,15 +164,11 @@ class CheckRecord:
     plots: tuple = ()
 
 
-def _verdict(defect, tol):
-    return "PASS" if defect <= tol else "FAIL"
-
-
-def _sample_points(space, n=1000):
-    if space.kind == "circle":
-        # offset keeps samples away from dyadic and shifted breakpoints
-        return (np.arange(n) + 0.431) / n
-    return np.arange(space.natoms)
+def _defect_record(name, worst, rows):
+    """PASS when the worst defect is within tolerance; a NaN defect fails."""
+    tol = _TOLERANCES[name]
+    return CheckRecord(name, "PASS" if worst <= tol else "FAIL", worst,
+                       tolerance=tol, rows=tuple(rows))
 
 
 def _sample_defect(a, b, vnorm, pts):
@@ -174,12 +191,11 @@ def _chk_defining_property(ctx):
         d = float(defining_property_check(ctx.f, ctx.filtration.partition_at_level(lvl)))
         rows.append((None, float(lvl), "defect", d))
         worst = defect_max(worst, d)
-    return CheckRecord("defining_property", _verdict(worst, 1e-12), worst,
-                       tolerance=1e-12, rows=tuple(rows))
+    return _defect_record("defining_property", worst, rows)
 
 
 def _chk_tower_idempotence(ctx):
-    pts = _sample_points(ctx.space)
+    pts = ctx.space.sample_points(1000, _SAMPLE_OFFSET)
     worst = 0.0
     rows = []
     for lvl in _levels(ctx):
@@ -197,8 +213,7 @@ def _chk_tower_idempotence(ctx):
             d_tower = _sample_defect(through, once, ctx.vnorm, pts)
             worst = defect_max(worst, d_tower)
         rows.append((None, float(lvl), "tower_defect", worst))
-    return CheckRecord("tower_idempotence", _verdict(worst, 1e-12), worst,
-                       tolerance=1e-12, rows=tuple(rows))
+    return _defect_record("tower_idempotence", worst, rows)
 
 
 def _chk_functional_commutation(ctx):
@@ -211,8 +226,7 @@ def _chk_functional_commutation(ctx):
         d = float(functional_commutation_check(ctx.f, part, functional))
         rows.append((None, float(lvl), "defect", d))
         worst = defect_max(worst, d)
-    return CheckRecord("functional_commutation", _verdict(worst, 1e-12), worst,
-                       tolerance=1e-12, rows=tuple(rows))
+    return _defect_record("functional_commutation", worst, rows)
 
 
 def _chk_flow_isometry(ctx):
@@ -227,12 +241,11 @@ def _chk_flow_isometry(ctx):
         rows.append((t, None, "lp_defect", d_lp))
         rows.append((t, None, "sup_defect", d_sup))
         worst = defect_max(worst, d_lp, d_sup)
-    return CheckRecord("flow_isometry", _verdict(worst, 1e-10), worst,
-                       tolerance=1e-10, rows=tuple(rows))
+    return _defect_record("flow_isometry", worst, rows)
 
 
 def _chk_semigroup_law(ctx):
-    pts = _sample_points(ctx.space)
+    pts = ctx.space.sample_points(1000, _SAMPLE_OFFSET)
     worst = 0.0
     rows = []
     # a step evolution composes only on the lattice of step widths
@@ -244,21 +257,18 @@ def _chk_semigroup_law(ctx):
             d = _sample_defect(joint, nested, ctx.vnorm, pts)
             rows.append((t1 + t2, None, "defect", d))
             worst = defect_max(worst, d)
-    return CheckRecord("semigroup_law", _verdict(worst, 1e-10), worst,
-                       tolerance=1e-10, rows=tuple(rows))
+    return _defect_record("semigroup_law", worst, rows)
 
 
 def _chk_contraction(ctx):
     base = float(lp_norm(ctx.f, ctx.cfg.p, ctx.vnorm))
     worst = -np.inf
     rows = []
-    for t in ctx.t_grid:
-        avg = cesaro_average(ctx.flow, float(t), ctx.f)
+    for t, avg in ctx.me_grid().inner.items():
         excess = float(lp_norm(avg, ctx.cfg.p, ctx.vnorm)) - base
-        rows.append((float(t), None, "norm_excess", excess))
+        rows.append((t, None, "norm_excess", excess))
         worst = defect_max(worst, excess)
-    return CheckRecord("contraction", _verdict(worst, 1e-9), worst,
-                       tolerance=1e-9, rows=tuple(rows))
+    return _defect_record("contraction", worst, rows)
 
 
 def _probe_times(ctx, k, cap=None):
@@ -283,21 +293,19 @@ def _chk_decomposition(ctx):
         d = float(cesaro_decomposition_check(ctx.flow, ctx.f, t, ctx.vnorm))
         rows.append((t, None, "defect", d))
         worst = defect_max(worst, d)
-    return CheckRecord("decomposition", _verdict(worst, 1e-9), worst,
-                       tolerance=1e-9, rows=tuple(rows))
+    return _defect_record("decomposition", worst, rows)
 
 
 def _chk_commutation(ctx):
     part = ctx.filtration.partition_at_level(ctx.cfg.filtration_max_level)
     d = float(commutation_check(ctx.flow, ctx.f, part, vnorm=ctx.vnorm))
-    status = "PASS" if d <= 1e-12 else "DIAGNOSTIC"
-    return CheckRecord("commutation", status, d, tolerance=1e-12,
+    tol = _TOLERANCES["commutation"]
+    status = "PASS" if d <= tol else "DIAGNOSTIC"
+    return CheckRecord("commutation", status, d, tolerance=tol,
                        rows=((None, None, "defect", d),))
 
 
-def _convergence_record(ctx, name, grid, target):
-    table = convergence_table(grid, target, ctx.cfg.p, ctx.vnorm,
-                              threshold=ctx.cfg.threshold)
+def _convergence_record(ctx, name, table):
     rows = []
     for t, s, lp_err, sup_err in table:
         rows.append((t, s, "lp_error", lp_err))
@@ -316,27 +324,22 @@ def _convergence_record(ctx, name, grid, target):
 
 
 def _chk_me_convergence(ctx):
-    return _convergence_record(ctx, "me_convergence", ctx.me_grid(),
-                               ctx.proc_limits().me_limit)
+    return _convergence_record(ctx, "me_convergence", ctx.me_table())
 
 
 def _chk_em_convergence(ctx):
-    return _convergence_record(ctx, "em_convergence", ctx.em_grid(),
-                               ctx.proc_limits().em_limit)
+    table = convergence_table(ctx.em_grid(), ctx.proc_limits().em_limit,
+                              ctx.cfg.p, ctx.vnorm, threshold=ctx.cfg.threshold)
+    return _convergence_record(ctx, "em_convergence", table)
 
 
 def _chk_joint_vs_iterated(ctx):
-    grid = ctx.me_grid()
-    target = ctx.proc_limits().me_limit
-    table = convergence_table(grid, target, ctx.cfg.p, ctx.vnorm)
+    table = ctx.me_table()
     errs = {(t, s): sup_err for t, s, _, sup_err in table}
     s_last = float(ctx.s_grid[-1])
     rows = []
     plot_rows = []
-    k = min(len(ctx.t_grid), len(ctx.s_grid))
-    for i in range(k):
-        t, s = float(ctx.t_grid[i]), float(ctx.s_grid[i])
-        joint = errs[(t, s)]
+    for t, s, _, joint in table.diagonal:
         iterated = errs[(t, s_last)]
         rows.append((t, s, "joint_error", joint))
         rows.append((t, s_last, "iterated_error", iterated))
@@ -348,7 +351,7 @@ def _chk_joint_vs_iterated(ctx):
 
 
 def _chk_ergodic_envelope(ctx):
-    report = ergodic_envelope_check(ctx.flow, ctx.f, ctx.t_grid, ctx.vnorm)
+    report = ergodic_envelope_check(ctx.flow, ctx.f, ctx.me_grid().inner, ctx.vnorm)
     rows = []
     for t, err, bound in report.rows:
         rows.append((t, None, "sup_error", err))
@@ -359,7 +362,8 @@ def _chk_ergodic_envelope(ctx):
               "rows": [(t, b) for t, _, b in report.rows]})
     status = "PASS" if report.passed else "FAIL"
     return CheckRecord("ergodic_envelope", status, report.constant,
-                       tolerance=1e-12, rows=tuple(rows), plots=plots)
+                       tolerance=_TOLERANCES["ergodic_envelope"],
+                       rows=tuple(rows), plots=plots)
 
 
 # -- inequality checks -----------------------------------------------------------
@@ -369,7 +373,7 @@ def _ineq_record(name, rep, value):
     rows = tuple((None, None, metric, float(getattr(rep, metric)))
                  for metric in rep._fields if metric != "passed")
     return CheckRecord(name, "PASS" if rep.passed else "FAIL", value,
-                       bound=rep.bound, tolerance=1e-9, rows=rows)
+                       bound=rep.bound, tolerance=_TOLERANCES[name], rows=rows)
 
 
 def _chk_dominant_me(ctx):
@@ -396,19 +400,16 @@ def _chk_domination_chain(ctx):
     part = ctx.filtration.partition_at_level(ctx.cfg.filtration_max_level)
     d = float(domination_chain_check(ctx.f, ctx.flow, part,
                                      _probe_times(ctx, 6, cap=64.0), ctx.vnorm))
-    return CheckRecord("domination_chain", _verdict(d, 1e-10), d,
-                       tolerance=1e-10, rows=((None, None, "defect", d),))
+    return _defect_record("domination_chain", d, ((None, None, "defect", d),))
 
 
 def _chk_sup_integrability(ctx):
-    over_flow = float(sup_integrability_report(ctx.f, ctx.flow, ctx.t_grid,
-                                               ctx.vnorm))
-    over_filt = float(sup_integrability_report(ctx.f, ctx.filtration,
-                                               ctx.s_grid, ctx.vnorm))
+    over_flow, over_filt = (sup_integrability_report(g.inner.values(), ctx.vnorm)
+                            for g in (ctx.me_grid(), ctx.em_grid()))
     rows = ((None, None, "flow_sup_l1", over_flow),
             (None, None, "filtration_sup_l1", over_filt))
     return CheckRecord("sup_integrability", "DIAGNOSTIC",
-                       max(over_flow, over_filt), rows=rows)
+                       defect_max(over_flow, over_filt), rows=rows)
 
 
 # -- martingale-side checks ------------------------------------------------------
@@ -429,13 +430,14 @@ def _chk_martingale_surrogate(ctx):
         bound = lip * 2.0 ** (-lvl)
         rows.append((None, float(lvl), "l1_error", err))
         rows.append((None, float(lvl), "bound", bound))
-        ok = ok and err <= bound + 1e-12
+        ok = ok and err <= bound + _TOLERANCES["martingale_surrogate_slack"]
         if bound > 0.0:
             worst_ratio = defect_max(worst_ratio, err / bound)
     plots = ({"suffix": "errors", "columns": ("level", "error"),
               "rows": [(r[1], r[3]) for r in rows if r[2] == "l1_error"]},)
     return CheckRecord("martingale_surrogate", "PASS" if ok else "FAIL",
-                       worst_ratio, bound=1.0, tolerance=1e-12,
+                       worst_ratio, bound=1.0,
+                       tolerance=_TOLERANCES["martingale_surrogate"],
                        rows=tuple(rows), plots=plots)
 
 
@@ -450,24 +452,26 @@ def _chk_submartingale_sup(ctx):
             (None, None, "terminal_defect", rep.terminal_defect),
             (None, None, "positive_part_bound", rep.positive_part_bound))
     return CheckRecord("submartingale_sup", "PASS" if rep.passed else "FAIL",
-                       rep.sup_defect, tolerance=1e-12, rows=rows)
+                       rep.sup_defect, tolerance=_TOLERANCES["submartingale_sup"],
+                       rows=rows)
 
 
 def _chk_me_em_coincidence(ctx):
     me = ctx.me_grid()
     em = ctx.em_grid()
-    pts = _sample_points(ctx.space)
+    pts = ctx.space.sample_points(1000, _SAMPLE_OFFSET)
     worst = 0.0
     for (t, s), fn in me.items():
         d = _sample_defect(fn, em.entry(t, s), ctx.vnorm, pts)
         worst = defect_max(worst, d)
     lim = ctx.proc_limits()
     limit_gap = _sample_defect(lim.me_limit, lim.em_limit, ctx.vnorm, pts)
-    passed = worst <= 1e-10 and limit_gap <= 1e-9
+    tol = _TOLERANCES["me_em_coincidence"]
+    passed = worst <= tol and limit_gap <= _TOLERANCES["me_em_limit_gap"]
     rows = ((None, None, "entry_defect", worst),
             (None, None, "limit_defect", limit_gap))
     return CheckRecord("me_em_coincidence", "PASS" if passed else "DIAGNOSTIC",
-                       worst, tolerance=1e-10, rows=rows)
+                       worst, tolerance=tol, rows=rows)
 
 
 CHECKS = {

@@ -75,6 +75,12 @@ class MeasureSpace:
             return i * self.factor_weights.size + j
         return i
 
+    def sample_points(self, n, offset):
+        """(k + offset)/n for k < n on the circle; every atom index otherwise."""
+        if self.kind == "circle":
+            return (np.arange(n) + offset) / n
+        return np.arange(self.natoms)
+
     def __eq__(self, other):
         if not isinstance(other, MeasureSpace) or self.kind != other.kind:
             return False

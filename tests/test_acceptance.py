@@ -181,7 +181,9 @@ def test_criterion_4_ergodic_envelope(capsys, shipped):
             [np.asarray(cfg.t_grid, dtype=float),
              2.0 ** np.arange(14), [10_000.0]]))
         t_grid = t_grid[t_grid <= 10_000.0]
-        report = ergodic_envelope_check(ctx.flow, ctx.f, t_grid, ctx.vnorm)
+        averages = {float(t): cesaro_average(ctx.flow, float(t), ctx.f)
+                    for t in t_grid}
+        report = ergodic_envelope_check(ctx.flow, ctx.f, averages, ctx.vnorm)
         if not report.passed:
             ok = False
             details.append(cfg.name)

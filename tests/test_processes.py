@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from ergolab.condexp import cond_exp
 from ergolab.fields import grid_sup_field, pointwise_norm
 from ergolab.flows import (
     GOLDEN,
+    cesaro_average,
     identity_flow,
     rotation_flow,
     shift_perm,
@@ -89,12 +91,25 @@ def test_grid_entries_match_recompute():
     f, flow, filt = _golden_setup()
     t_grid = np.array([0.5, 1.0, 3.0])
     s_grid = np.array([0.0, 1.0, 2.0])
-    for grid in (me_process(f, flow, filt, t_grid, s_grid),
-                 em_process(f, flow, filt, t_grid, s_grid)):
+    me = me_process(f, flow, filt, t_grid, s_grid)
+    em = em_process(f, flow, filt, t_grid, s_grid)
+    for grid in (me, em):
         for (t, s), fn in grid.items():
             again = grid.recompute_entry(t, s)
             x = (np.arange(100) + 0.37) / 100
             assert np.max(np.abs(fn(x) - again(x))) < 1e-14
+
+    # each grid keeps its first operator's family, bit for bit, in grid order
+    def same(a, b):
+        return (a.breaks.tobytes() == b.breaks.tobytes()
+                and a.coeffs.tobytes() == b.coeffs.tobytes())
+
+    assert list(me.inner) == [0.5, 1.0, 3.0]
+    for t, avg in me.inner.items():
+        assert same(avg, cesaro_average(flow, t, f))
+    assert list(em.inner) == [0.0, 1.0, 2.0]
+    for s, proj in em.inner.items():
+        assert same(proj, cond_exp(f, filt.partition(s)))
 
 
 def test_norm_sup_is_memoised_per_norm():
@@ -222,7 +237,8 @@ def test_convergence_report_slack_rule():
 
 def test_sup_integrability_frozen():
     f, flow, filt = _golden_setup()
-    val = sup_integrability_report(f, flow, np.array([0.5, 1.0, 2.0, 4.0]))
+    val = sup_integrability_report(
+        [cesaro_average(flow, t, f) for t in (0.5, 1.0, 2.0, 4.0)])
     assert val == pytest.approx(0.19614198679505535, rel=1e-12)
     # dense reference: max of the closed-form averages, then quadrature
     pts = oracles.midpoints(200_001)
@@ -234,16 +250,14 @@ def test_sup_integrability_frozen():
     ref = float(np.mean(np.max(members, axis=0)))
     assert val == pytest.approx(ref, abs=1e-7)
 
-    sval = sup_integrability_report(f, filt, np.array([0.0, 1.0, 2.0, 3.0]))
+    sval = sup_integrability_report(
+        [cond_exp(f, filt.partition(s)) for s in (0.0, 1.0, 2.0, 3.0)])
     assert sval == pytest.approx(85.0 / 256.0, rel=1e-14)
 
 
 def test_sup_integrability_validation():
-    f, flow, filt = _golden_setup()
     with pytest.raises(ValueError):
-        sup_integrability_report(f, flow, np.array([]))
-    with pytest.raises(TypeError):
-        sup_integrability_report(f, "neither", np.array([1.0]))
+        sup_integrability_report([])
 
 
 def test_envelope_constant_rotation_exact():
@@ -264,8 +278,9 @@ def test_envelope_constant_step():
 
 def test_envelope_check_bounds_errors():
     f, flow, _ = _golden_setup()
-    t_grid = np.array([1.0, 3.0, 10.0, 100.0, 1000.0])
-    report = ergodic_envelope_check(flow, f, t_grid)
+    averages = {t: cesaro_average(flow, t, f)
+                for t in (1.0, 3.0, 10.0, 100.0, 1000.0)}
+    report = ergodic_envelope_check(flow, f, averages)
     assert report.passed
     for t, err, bound in report.rows:
         assert err <= bound + 1e-12

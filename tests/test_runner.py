@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ergolab import runner
+from ergolab import flows, runner
 from ergolab.cli import scenario_dir
 from ergolab.config import parse_config, parse_text
 from ergolab.runner import CHECK_NAMES, CHECKS, VERSION, run_scenario
@@ -125,30 +125,98 @@ def test_nan_defect_fails_its_check(monkeypatch):
     assert not report.passed
 
 
-def test_full_scenario_builds_each_grid_once(monkeypatch):
-    built = {"me": 0, "em": 0}
+def test_nan_on_filtration_side_reaches_sup_integrability(monkeypatch):
+    real = runner.sup_integrability_report
+    sides = []
 
-    def counting(key, build):
-        def wrapper(*args):
-            built[key] += 1
-            return build(*args)
+    def nan_for_conditionings(family, vnorm=None):
+        family = list(family)
+        sides.append(len(family))
+        # the second call reads the EM family, one E(f|F_s) per s-level
+        return float("nan") if len(sides) == 2 else real(family, vnorm)
+
+    monkeypatch.setattr(runner, "sup_integrability_report", nan_for_conditionings)
+    cfg = parse_text(SMALL.replace("checks = defining_property, decomposition, "
+                                   "contraction, dominant_ineq_me, me_convergence",
+                                   "checks = sup_integrability"))
+    rec = run_scenario(cfg).records[0]
+    assert sides == [len(cfg.t_grid), len(cfg.s_grid)]
+    assert rec.name == "sup_integrability"
+    assert rec.rows[0][3] > 0.0 and np.isnan(rec.rows[1][3])
+    assert np.isnan(rec.value)
+
+
+def _wrap_everywhere(monkeypatch, fn, wrapper):
+    """Replace fn in every ergolab module that binds it."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ergolab.") and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, wrapper)
+
+
+def _assert_families_built_once(monkeypatch, scenario, reader):
+    """Run a shipped scenario counting grid builds, convergence tables and
+    the time averages A_t f of the scenario's own f."""
+    calls = {"me_process": 0, "em_process": 0, "convergence_table": 0}
+    contexts = []
+    averages_of_f = []
+    excluded = [0]
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
         return wrapper
 
-    # count through every ergolab module binding of me_process and em_process
-    for key, build in (("me", runner.me_process), ("em", runner.em_process)):
-        wrapped = counting(key, build)
-        for name, mod in list(sys.modules.items()):
-            if (name.startswith("ergolab.")
-                    and getattr(mod, build.__name__, None) is build):
-                monkeypatch.setattr(mod, build.__name__, wrapped)
-    cfg = parse_config(os.path.join(scenario_dir(), "product_z8x2.cfg"))
-    grid_checks = {"me_convergence", "em_convergence", "joint_vs_iterated",
-                   "dominant_ineq_me", "dominant_ineq_em", "maximal_ineq_me",
-                   "maximal_ineq_em", "me_em_coincidence"}
-    assert grid_checks <= set(cfg.checks)
+    for fn in (runner.me_process, runner.em_process, runner.convergence_table):
+        _wrap_everywhere(monkeypatch, fn, counting(fn))
+
+    real_average = flows.cesaro_average
+
+    def average(flow, t, f):
+        if not excluded[0] and f is contexts[-1].f:
+            averages_of_f.append(t)
+        return real_average(flow, t, f)
+
+    _wrap_everywhere(monkeypatch, real_average, average)
+
+    # these probe their own times (or a limit horizon) by design
+    def excluding(fn):
+        def wrapper(*args, **kwargs):
+            excluded[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                excluded[0] -= 1
+        return wrapper
+
+    for name in ("cesaro_decomposition_check", "domination_chain_check", "limits"):
+        monkeypatch.setattr(runner, name, excluding(getattr(runner, name)))
+    real_build = runner.build_context
+
+    def build(cfg, rng):
+        contexts.append(real_build(cfg, rng))
+        return contexts[-1]
+
+    monkeypatch.setattr(runner, "build_context", build)
+    cfg = parse_config(os.path.join(scenario_dir(), f"{scenario}.cfg"))
+    family_checks = {"contraction", "me_convergence", "em_convergence",
+                     "joint_vs_iterated", "dominant_ineq_me", "dominant_ineq_em",
+                     "maximal_ineq_me", "maximal_ineq_em", "sup_integrability",
+                     reader}
+    assert family_checks <= set(cfg.checks)
     report = run_scenario(cfg)
     assert report.passed
-    assert built == {"me": 1, "em": 1}
+    assert calls == {"me_process": 1, "em_process": 1, "convergence_table": 2}
+    # A_t f is built once per t, by the ME grid, and read by every other check
+    assert sorted(averages_of_f) == sorted(float(t) for t in cfg.t_grid)
+
+
+def test_full_scenario_builds_each_grid_once(monkeypatch):
+    _assert_families_built_once(monkeypatch, "product_z8x2", "me_em_coincidence")
+
+
+def test_envelope_reads_the_me_grid_averages(monkeypatch):
+    _assert_families_built_once(monkeypatch, "step_z8", "ergodic_envelope")
 
 
 def test_artifacts_written_and_deterministic(tmp_path):
