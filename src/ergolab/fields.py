@@ -12,6 +12,13 @@ circle representations cover everything the lab produces:
 
 Atomic spaces use AtomField and stay exact throughout.  Quadrature is
 Gauss-Legendre with node doubling per piece and bisection fallback.
+
+Roots are batched across pieces: ``_piece_roots`` solves the companion
+matrices of all pieces of one stripped degree in one stacked eigenvalue
+call, and reproduces ``np.roots`` on each piece bit for bit.  Sup
+candidates, level crossings, sign changes and envelope crossings all go
+through it, and the values at the candidates are evaluated in stacks of
+equal shape, so every result matches a per-piece loop exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +31,16 @@ from .functions import CircleFunction, AtomFunction, _pad
 from .spaces import VectorNorm
 
 _GL_STABILITY = 1e-11
+# root isolation: an eigenvalue with |imag| up to _ROOT_IMAG_TOL is real; a
+# root within _ROOT_MARGIN of a piece end is not interior; a leading
+# coefficient up to _LEAD_TOL (envelope crossings) or _LEAD_FLOOR (linear
+# sign changes) counts as zero
 _ROOT_IMAG_TOL = 1e-9
+_ROOT_MARGIN = 1e-13
+_LEAD_TOL = 1e-14
+_LEAD_FLOOR = 1e-300
+# entries of one batch temporary (companion matrices, candidate powers)
+_BATCH_ENTRIES = 1 << 18
 _gl_cache = {}
 
 
@@ -56,15 +72,79 @@ def gl_integrate(fn, lo, hi, tol=_GL_STABILITY, depth=0):
             + gl_integrate(fn, mid, hi, tol, depth + 1))
 
 
-def real_roots_in(coef_ascending, lo, hi, margin=1e-13):
+def _batches(sizes, entries):
+    """(size, indices) batches of the items of equal size; entries(size)
+    per item keeps each batch within one temporary of _BATCH_ENTRIES."""
+    for n in np.unique(sizes):
+        group = np.flatnonzero(sizes == n)
+        width = max(_BATCH_ENTRIES // max(int(entries(n)), 1), 1)
+        for i in range(0, group.size, width):
+            yield n, group[i:i + width]
+
+
+def _sorted_unique(key, x):
+    """(key, x) pairs sorted by key, then x, with repeated pairs dropped."""
+    order = np.lexsort((x, key))
+    key, x = key[order], x[order]
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = (key[1:] != key[:-1]) | (x[1:] != x[:-1])
+    return key[new], x[new]
+
+
+def _segments(lo, hi, key, x):
+    """Intervals (lo[i], hi[i]) cut at the points x of interval key: the
+    (interval, start, end) of every segment, in order, each cut once."""
+    ends = np.arange(lo.size)
+    key, x = _sorted_unique(np.concatenate([ends, ends, key]),
+                            np.concatenate([lo, hi, x]))
+    seg = key[1:] == key[:-1]
+    return key[:-1][seg], x[:-1][seg], x[1:][seg]
+
+
+def _piece_roots(coeffs, lo, hi, margin=_ROOT_MARGIN):
+    """Real roots of many polynomials, each strictly inside its (lo, hi).
+
+    coeffs is (N, k1), ascending.  Returns (piece, root) arrays sorted by
+    piece, then root, unique within a piece.  Each piece gets exactly what
+    np.roots gives it: leading and trailing zeros are stripped, pieces of
+    one stripped degree share stacked eigvals calls on the same companion
+    matrices, and every stripped low-order zero is a root at 0.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    n_pieces, k1 = c.shape
+    if k1 < 2 or n_pieces == 0:
+        return np.empty(0, dtype=np.intp), np.empty(0)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), (n_pieces,))
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n_pieces,))
+    nonzero = c != 0.0
+    top = k1 - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    low = np.argmax(nonzero, axis=1)
+    # a piece that is constant after trimming its top zeros has no roots
+    solved = nonzero.any(axis=1) & (top > 0)
+    size = np.where(solved, top - low, 0)
+    pieces, roots = [], []
+    for n, idx in _batches(size, lambda n: n * n):
+        if n == 0:
+            continue
+        desc = c[idx[:, None], low[idx, None] + np.arange(n, -1, -1)]
+        comp = np.zeros((idx.size, n, n))
+        comp[:, 1:, :-1] = np.eye(n - 1)
+        comp[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+        w = np.linalg.eigvals(comp)
+        real = np.abs(w.imag) <= _ROOT_IMAG_TOL
+        pieces.append(np.broadcast_to(idx[:, None], w.shape)[real])
+        roots.append(w.real[real])
+    zeros = np.flatnonzero(solved & (low > 0))
+    piece = np.concatenate(pieces + [zeros])
+    root = np.concatenate(roots + [np.zeros(zeros.size)])
+    inside = (root > lo[piece] + margin) & (root < hi[piece] - margin)
+    return _sorted_unique(piece[inside], root[inside])
+
+
+def real_roots_in(coef_ascending, lo, hi, margin=_ROOT_MARGIN):
     """Real roots of a polynomial strictly inside (lo, hi)."""
-    c = np.trim_zeros(np.asarray(coef_ascending, dtype=float), "b")
-    if c.size <= 1:
-        return np.empty(0)
-    r = np.roots(c[::-1])
-    r = r[np.abs(r.imag) <= _ROOT_IMAG_TOL].real
-    r = r[(r > lo + margin) & (r < hi - margin)]
-    return np.unique(r)
+    coef = np.asarray(coef_ascending, dtype=float).reshape(1, -1)
+    return _piece_roots(coef, lo, hi, margin)[1]
 
 
 def _split_at_roots(fn):
@@ -77,19 +157,16 @@ def _split_at_roots(fn):
         c1 = fn.coeffs[:, 1, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             r = -c0 / c1
-        ok = ((np.abs(c1) > 1e-300)
-              & (r > fn.breaks[:-1] + 1e-13) & (r < fn.breaks[1:] - 1e-13))
+        ok = ((np.abs(c1) > _LEAD_FLOOR)
+              & (r > fn.breaks[:-1] + _ROOT_MARGIN)
+              & (r < fn.breaks[1:] - _ROOT_MARGIN))
         if not np.any(ok):
             return fn
         edges = np.unique(np.concatenate([fn.breaks, r[ok]]))
     else:
-        cuts = [fn.breaks]
-        for i in range(fn.npieces):
-            r = real_roots_in(fn.coeffs[i, :, 0],
-                              fn.breaks[i], fn.breaks[i + 1])
-            if r.size:
-                cuts.append(r)
-        edges = np.unique(np.concatenate(cuts))
+        roots = _piece_roots(fn.coeffs[:, :, 0], fn.breaks[:-1],
+                             fn.breaks[1:])[1]
+        edges = np.unique(np.concatenate([fn.breaks, roots]))
     return CircleFunction(edges, fn.coeffs_on(edges), fn.space)
 
 
@@ -142,18 +219,27 @@ class PolyField:
         return np.diff(vals) / np.diff(bounds)
 
     def sup(self):
-        best = -math.inf
         b = self.fn.breaks
-        k1 = self.fn.coeffs.shape[1]
-        der = self.fn.coeffs[:, 1:, 0] * np.arange(1, k1) if k1 > 1 else None
-        for i in range(self.fn.npieces):
-            cand = [b[i], b[i + 1]]
-            if der is not None:
-                cand.extend(real_roots_in(der[i], b[i], b[i + 1]).tolist())
-            xs = np.asarray(cand)
-            vals = xs[:, None] ** np.arange(k1) @ self.fn.coeffs[i, :, 0]
-            best = max(best, float(np.max(vals)))
-        return best
+        c = self.fn.coeffs[:, :, 0]
+        k1 = c.shape[1]
+        piece, root = _piece_roots(c[:, 1:] * np.arange(1, k1), b[:-1], b[1:])
+        counts = np.bincount(piece, minlength=self.fn.npieces)
+        first = np.cumsum(counts) - counts
+        piece_max = np.empty(self.fn.npieces)
+        # candidates b[i], b[i + 1], then the critical points, evaluated in
+        # stacks of equal count: a matrix-vector product per piece, as the
+        # per-piece form computes it
+        for r, idx in _batches(counts, lambda r: (r + 2) * k1):
+            xs = np.empty((idx.size, r + 2))
+            xs[:, 0], xs[:, 1] = b[idx], b[idx + 1]
+            xs[:, 2:] = root[first[idx, None] + np.arange(r)]
+            vals = np.matmul(xs[:, :, None] ** np.arange(k1), c[idx, :, None])
+            piece_max[idx] = np.max(vals[:, :, 0], axis=1)
+        # the first largest piece maximum; a NaN piece is passed over
+        piece_max = piece_max[~np.isnan(piece_max)]
+        if piece_max.size == 0:
+            return -math.inf
+        return float(piece_max[np.argmax(piece_max)])
 
     def lp(self, p):
         p = float(p)
@@ -179,17 +265,20 @@ class PolyField:
     def superlevel_measure(self, lam):
         """Exact Lebesgue measure of {x : field(x) >= lam}."""
         lam = float(lam)
-        total = 0.0
         b = self.fn.breaks
-        for i in range(self.fn.npieces):
-            shifted = self.fn.coeffs[i, :, 0].copy()
-            shifted[0] -= lam
-            cuts = np.concatenate(
-                [[b[i]], real_roots_in(shifted, b[i], b[i + 1]), [b[i + 1]]])
-            mids = 0.5 * (cuts[:-1] + cuts[1:])
-            above = self.fn(mids)[:, 0] >= lam
-            total += float(np.sum(np.diff(cuts)[above]))
-        return total
+        shifted = self.fn.coeffs[:, :, 0].copy()
+        shifted[:, 0] -= lam
+        piece, root = _piece_roots(shifted, b[:-1], b[1:])
+        owner, lo, hi = _segments(b[:-1], b[1:], piece, root)
+        above = self.fn(0.5 * (lo + hi))[:, 0] >= lam
+        owner = owner[above]
+        if owner.size == 0:
+            return 0.0
+        # each piece's widths are summed on their own, then added up piece
+        # by piece from 0.0, the order of the per-piece form
+        heads = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+        sums = np.add.reduceat((hi - lo)[above], heads)
+        return float(np.cumsum(np.r_[0.0, sums])[-1])
 
 
 class SqrtPolyField:
@@ -403,58 +492,55 @@ def upper_envelope(fields):
         coeffs = tabs[choice, np.arange(ne)][:, :, None]
         return PolyField(CircleFunction(edges, coeffs, space))
 
-    cuts_per = [[] for _ in range(ne)]
-    lo = edges[:-1][None, :]
-    hi = edges[1:][None, :]
-    if k1 == 2:
-        ii, jj = np.triu_indices(m, k=1)
-        c0 = tabs[ii, :, 0] - tabs[jj, :, 0]
-        c1 = tabs[ii, :, 1] - tabs[jj, :, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            roots = -c0 / c1
-        ok = (np.abs(c1) > 1e-14) & (roots > lo + 1e-13) & (roots < hi - 1e-13)
-        for pi, ei in zip(*np.nonzero(ok)):
-            cuts_per[ei].append(roots[pi, ei])
-    elif k1 == 3:
-        ii, jj = np.triu_indices(m, k=1)
-        c0 = tabs[ii, :, 0] - tabs[jj, :, 0]
-        c1 = tabs[ii, :, 1] - tabs[jj, :, 1]
-        c2 = tabs[ii, :, 2] - tabs[jj, :, 2]
+    ii, jj = np.triu_indices(m, k=1)
+    lo, hi = edges[:-1], edges[1:]
+    cut_e, cut_x = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    if k1 <= 3:
+        gap = tabs[ii] - tabs[jj]
+        c0, c1 = gap[:, :, 0], gap[:, :, 1]
         with np.errstate(divide="ignore", invalid="ignore"):
             lin = -c0 / c1
-            disc = c1 * c1 - 4.0 * c2 * c0
-            sq = np.sqrt(np.maximum(disc, 0.0))
-            qa = (-c1 - np.sign(c1 + (c1 == 0.0)) * sq) / 2.0
-            r1 = np.where(np.abs(qa) > 0.0, qa / c2, np.inf)
-            r2 = np.where(np.abs(qa) > 0.0, c0 / qa, np.inf)
-        quad = np.abs(c2) > 1e-14
-        for roots, valid in ((lin, ~quad & (np.abs(c1) > 1e-14)),
-                             (r1, quad & (disc > 0.0)),
-                             (r2, quad & (disc > 0.0))):
-            ok = valid & (roots > lo + 1e-13) & (roots < hi - 1e-13)
-            for pi, ei in zip(*np.nonzero(ok)):
-                cuts_per[ei].append(roots[pi, ei])
+        linear = np.abs(c1) > _LEAD_TOL
+        cands = [(lin, linear)]
+        if k1 == 3:
+            c2 = gap[:, :, 2]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                disc = c1 * c1 - 4.0 * c2 * c0
+                sq = np.sqrt(np.maximum(disc, 0.0))
+                qa = (-c1 - np.sign(c1 + (c1 == 0.0)) * sq) / 2.0
+                r1 = np.where(np.abs(qa) > 0.0, qa / c2, np.inf)
+                r2 = np.where(np.abs(qa) > 0.0, c0 / qa, np.inf)
+            quad = np.abs(c2) > _LEAD_TOL
+            cands = [(lin, ~quad & linear),
+                     (r1, quad & (disc > 0.0)), (r2, quad & (disc > 0.0))]
+        for roots, valid in cands:
+            ok = (valid & (roots > lo + _ROOT_MARGIN)
+                  & (roots < hi - _ROOT_MARGIN))
+            cut_e.append(np.nonzero(ok)[1])
+            cut_x.append(roots[ok])
     else:
-        for e in range(ne):
-            for a in range(m):
-                for b in range(a + 1, m):
-                    r = real_roots_in(tabs[a, e] - tabs[b, e],
-                                      edges[e], edges[e + 1])
-                    cuts_per[e].extend(r.tolist())
+        # pair by pair: one difference table at a time
+        for a, b in zip(ii, jj):
+            edge, x = _piece_roots(tabs[a] - tabs[b], lo, hi)
+            cut_e.append(edge)
+            cut_x.append(x)
 
-    out_edges = [0.0]
-    out_coeffs = []
-    for e in range(ne):
-        pts = np.unique(np.concatenate(
-            [[edges[e], edges[e + 1]], np.asarray(cuts_per[e], dtype=float)]))
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        vals = tabs[:, e, :] @ (mids[:, None] ** np.arange(k1)).T
-        pick = np.argmax(vals, axis=0)
-        for s in range(pts.size - 1):
-            out_edges.append(pts[s + 1])
-            out_coeffs.append(tabs[pick[s], e])
-    coeffs = np.asarray(out_coeffs)[:, :, None]
-    return PolyField(CircleFunction(np.asarray(out_edges), coeffs, space))
+    owner, seg_lo, seg_hi = _segments(lo, hi, np.concatenate(cut_e),
+                                      np.concatenate(cut_x))
+    mids = 0.5 * (seg_lo + seg_hi)
+    per_edge = np.bincount(owner, minlength=ne)
+    first = np.cumsum(per_edge) - per_edge
+    members = tabs.transpose(1, 0, 2)
+    coeffs = np.empty((mids.size, k1))
+    # the best member at each midpoint; edges with equally many segments
+    # are evaluated as one stack of (members x segments) products
+    for n, idx in _batches(per_edge, lambda n: (m + n) * k1 + m * n):
+        at = first[idx, None] + np.arange(n)
+        powers = mids[at][:, :, None] ** np.arange(k1)
+        vals = np.matmul(members[idx], powers.transpose(0, 2, 1))
+        coeffs[at] = members[idx[:, None], np.argmax(vals, axis=1)]
+    return PolyField(CircleFunction(np.r_[0.0, seg_hi], coeffs[:, :, None],
+                                    space))
 
 
 def grid_sup_field(fields):

@@ -20,9 +20,7 @@ from .condexp import cond_exp, cond_exp_dominant
 from .fields import defect_max, exceedance_measure, lp_norm, pointwise_norm
 from .flows import cesaro_average, dominant_cesaro
 from .functions import AtomFunction, CircleFunction
-
-_PASS_SLACK = 1e-9
-_SUBMART_TOL = 1e-12
+from .tolerances import TOLERANCES
 
 
 class DominantReport(NamedTuple):
@@ -55,7 +53,8 @@ def _dominant_report(grid, kind, p, vnorm):
     constant = (p / (p - 1.0)) ** 2
     bound = constant * float(lp_norm(grid.f, p, vnorm))
     ratio = lhs / bound if bound > 0.0 else 0.0
-    return DominantReport(lhs, bound, ratio, lhs <= bound + _PASS_SLACK)
+    slack = TOLERANCES[f"dominant_ineq_{kind.lower()}"]
+    return DominantReport(lhs, bound, ratio, lhs <= bound + slack)
 
 
 def _maximal_report(grid, kind, p, eps, vnorm):
@@ -64,7 +63,8 @@ def _maximal_report(grid, kind, p, eps, vnorm):
         raise ValueError("exceedance threshold must be positive")
     exc = float(exceedance_measure(grid.norm_sup(vnorm), eps))
     bound = (p / (p - 1.0)) * float(lp_norm(grid.f, p, vnorm)) / eps
-    return MaximalReport(exc, bound, exc <= bound + _PASS_SLACK)
+    slack = TOLERANCES[f"maximal_ineq_{kind.lower()}"]
+    return MaximalReport(exc, bound, exc <= bound + slack)
 
 
 def dominant_ineq_me(grid, p, vnorm):
@@ -109,7 +109,8 @@ def domination_chain_check(f, flow, partition, t_grid, vnorm, npoints=1000):
     For each grid time: ||A_t f||_X must not exceed the dominant average
     of ||f||_X anywhere, and ||E(A_t f|F)||_X must not exceed the
     dominant conditioning of that average.  Positive return values mean
-    the chain was violated by that amount; values <= 1e-10 are healthy.
+    the chain was violated by that amount; values within
+    ``TOLERANCES["domination_chain"]`` are healthy.
     """
     pts = f.space.sample_points(npoints, 0.5)
     norm_f = pointwise_norm(f, vnorm)
@@ -181,7 +182,7 @@ class SubmartingaleFamily:
                 part = self.filtration.partition(self.s_grid[k])
                 proj = cond_exp(g, part)
                 gap = np.max(np.abs(_values_at(g, pts) - _values_at(proj, pts)))
-                if gap > _SUBMART_TOL:
+                if gap > TOLERANCES["submartingale_input"]:
                     raise ValueError(
                         f"process {i} is not adapted at time {self.s_grid[k]} "
                         f"(defect {gap:.3e})")
@@ -189,7 +190,7 @@ class SubmartingaleFamily:
                 part = self.filtration.partition(self.s_grid[k])
                 e_next = cond_exp(slices[k + 1], part)
                 drop = np.max(_values_at(slices[k], pts) - _values_at(e_next, pts))
-                if drop > _SUBMART_TOL:
+                if drop > TOLERANCES["submartingale_input"]:
                     raise ValueError(
                         f"process {i} violates the submartingale property "
                         f"between times {self.s_grid[k]} and {self.s_grid[k + 1]} "
@@ -246,7 +247,7 @@ def submartingale_sup_check(family):
             cells = family.filtration.partition_at_level(family.filtration.max_level)
             widths = np.diff(np.asarray(cells.cell_bounds_float()))
             bound = defect_max(bound, np.sum(pos * widths))
-    passed = worst <= _SUBMART_TOL and term_defect == 0.0
+    passed = worst <= TOLERANCES["submartingale_sup"] and term_defect == 0.0
     return SubmartingaleReport(float(worst), term_defect, bound, passed)
 
 

@@ -17,6 +17,7 @@ from .fields import defect_max, grid_sup_field, pointwise_norm
 from .flows import apply_flow, cesaro_average
 from .functions import AtomFunction, CircleFunction, merge_sum
 from .spaces import VectorNorm
+from .tolerances import TOLERANCES
 
 # slack factor / floor for "errors do not grow along the diagonal"
 _DIAG_SLACK = 1.1
@@ -299,5 +300,5 @@ def ergodic_envelope_check(flow, f, averages, vnorm=None):
         err = _sup_defect(avg - mean_fn, vnorm)
         bound = constant / float(t)
         rows.append((float(t), err, bound))
-        ok = ok and err <= bound + 1e-12
+        ok = ok and err <= bound + TOLERANCES["ergodic_envelope"]
     return EnvelopeReport(constant, tuple(rows), ok)

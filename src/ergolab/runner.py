@@ -28,22 +28,9 @@ from .processes import (cesaro_decomposition_check, commutation_check,
                         sup_integrability_report)
 from .spaces import (Filtration, VectorNorm, circle_space, discrete_space,
                      partition_at_level, product_space)
+from .tolerances import TOLERANCES
 
 VERSION = "0.1.0"
-
-# Verdict tolerance per check (its record's ``tolerance``), plus the second
-# allowances inside martingale_surrogate and me_em_coincidence.
-_TOLERANCES = {
-    **dict.fromkeys(("defining_property", "tower_idempotence",
-                     "functional_commutation", "commutation",
-                     "ergodic_envelope", "martingale_surrogate",
-                     "martingale_surrogate_slack", "submartingale_sup"), 1e-12),
-    **dict.fromkeys(("flow_isometry", "semigroup_law", "domination_chain",
-                     "me_em_coincidence"), 1e-10),
-    **dict.fromkeys(("contraction", "decomposition", "dominant_ineq_me",
-                     "dominant_ineq_em", "maximal_ineq_me", "maximal_ineq_em",
-                     "me_em_limit_gap"), 1e-9),
-}
 
 # offset keeps circle samples away from dyadic and shifted breakpoints
 _SAMPLE_OFFSET = 0.431
@@ -166,7 +153,7 @@ class CheckRecord:
 
 def _defect_record(name, worst, rows):
     """PASS when the worst defect is within tolerance; a NaN defect fails."""
-    tol = _TOLERANCES[name]
+    tol = TOLERANCES[name]
     return CheckRecord(name, "PASS" if worst <= tol else "FAIL", worst,
                        tolerance=tol, rows=tuple(rows))
 
@@ -299,7 +286,7 @@ def _chk_decomposition(ctx):
 def _chk_commutation(ctx):
     part = ctx.filtration.partition_at_level(ctx.cfg.filtration_max_level)
     d = float(commutation_check(ctx.flow, ctx.f, part, vnorm=ctx.vnorm))
-    tol = _TOLERANCES["commutation"]
+    tol = TOLERANCES["commutation"]
     status = "PASS" if d <= tol else "DIAGNOSTIC"
     return CheckRecord("commutation", status, d, tolerance=tol,
                        rows=((None, None, "defect", d),))
@@ -362,7 +349,7 @@ def _chk_ergodic_envelope(ctx):
               "rows": [(t, b) for t, _, b in report.rows]})
     status = "PASS" if report.passed else "FAIL"
     return CheckRecord("ergodic_envelope", status, report.constant,
-                       tolerance=_TOLERANCES["ergodic_envelope"],
+                       tolerance=TOLERANCES["ergodic_envelope"],
                        rows=tuple(rows), plots=plots)
 
 
@@ -373,7 +360,7 @@ def _ineq_record(name, rep, value):
     rows = tuple((None, None, metric, float(getattr(rep, metric)))
                  for metric in rep._fields if metric != "passed")
     return CheckRecord(name, "PASS" if rep.passed else "FAIL", value,
-                       bound=rep.bound, tolerance=_TOLERANCES[name], rows=rows)
+                       bound=rep.bound, tolerance=TOLERANCES[name], rows=rows)
 
 
 def _chk_dominant_me(ctx):
@@ -430,14 +417,14 @@ def _chk_martingale_surrogate(ctx):
         bound = lip * 2.0 ** (-lvl)
         rows.append((None, float(lvl), "l1_error", err))
         rows.append((None, float(lvl), "bound", bound))
-        ok = ok and err <= bound + _TOLERANCES["martingale_surrogate_slack"]
+        ok = ok and err <= bound + TOLERANCES["martingale_surrogate_slack"]
         if bound > 0.0:
             worst_ratio = defect_max(worst_ratio, err / bound)
     plots = ({"suffix": "errors", "columns": ("level", "error"),
               "rows": [(r[1], r[3]) for r in rows if r[2] == "l1_error"]},)
     return CheckRecord("martingale_surrogate", "PASS" if ok else "FAIL",
                        worst_ratio, bound=1.0,
-                       tolerance=_TOLERANCES["martingale_surrogate"],
+                       tolerance=TOLERANCES["martingale_surrogate"],
                        rows=tuple(rows), plots=plots)
 
 
@@ -452,7 +439,7 @@ def _chk_submartingale_sup(ctx):
             (None, None, "terminal_defect", rep.terminal_defect),
             (None, None, "positive_part_bound", rep.positive_part_bound))
     return CheckRecord("submartingale_sup", "PASS" if rep.passed else "FAIL",
-                       rep.sup_defect, tolerance=_TOLERANCES["submartingale_sup"],
+                       rep.sup_defect, tolerance=TOLERANCES["submartingale_sup"],
                        rows=rows)
 
 
@@ -466,8 +453,8 @@ def _chk_me_em_coincidence(ctx):
         worst = defect_max(worst, d)
     lim = ctx.proc_limits()
     limit_gap = _sample_defect(lim.me_limit, lim.em_limit, ctx.vnorm, pts)
-    tol = _TOLERANCES["me_em_coincidence"]
-    passed = worst <= tol and limit_gap <= _TOLERANCES["me_em_limit_gap"]
+    tol = TOLERANCES["me_em_coincidence"]
+    passed = worst <= tol and limit_gap <= TOLERANCES["me_em_limit_gap"]
     rows = ((None, None, "entry_defect", worst),
             (None, None, "limit_defect", limit_gap))
     return CheckRecord("me_em_coincidence", "PASS" if passed else "DIAGNOSTIC",

@@ -95,6 +95,129 @@ def loop_discrete_average(values, perm, n, h):
     return loop_orbit_sum(values, step1, n)[0] / n
 
 
+def loop_real_roots(coeffs, lo, hi, margin=1e-13, imag_tol=1e-9):
+    """Real roots of each row's ascending polynomial strictly inside
+    (lo[i], hi[i]), one np.roots call per row: (row, root) arrays, sorted
+    and unique within a row."""
+    rows, roots = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for i, coef in enumerate(np.asarray(coeffs, dtype=float)):
+        c = np.trim_zeros(coef, "b")
+        if c.size <= 1:
+            continue
+        r = np.roots(c[::-1])
+        r = r[np.abs(r.imag) <= imag_tol].real
+        r = np.unique(r[(r > lo[i] + margin) & (r < hi[i] - margin)])
+        rows.append(np.full(r.size, i, dtype=np.intp))
+        roots.append(r)
+    return np.concatenate(rows), np.concatenate(roots)
+
+
+def loop_eval(breaks, coeffs, x):
+    """Piecewise polynomial (ascending (pieces, k1) coeffs) at circle points
+    x, evaluated as a table lookup and one einsum over the points."""
+    xm = np.mod(np.atleast_1d(np.asarray(x, dtype=float)), 1.0)
+    idx = np.clip(np.searchsorted(breaks, xm, side="right") - 1, 0,
+                  breaks.size - 2)
+    powers = xm[:, None] ** np.arange(coeffs.shape[1])
+    return np.einsum("nk,nkd->nd", powers, coeffs[idx][:, :, None])[:, 0]
+
+
+def loop_sup(breaks, coeffs):
+    """Largest value at the piece ends and interior critical points,
+    piece by piece."""
+    best = -np.inf
+    k1 = coeffs.shape[1]
+    der = coeffs[:, 1:] * np.arange(1, k1)
+    for i in range(coeffs.shape[0]):
+        cand = [breaks[i], breaks[i + 1]]
+        cand.extend(loop_real_roots(der[i:i + 1], breaks[i:i + 1],
+                                    breaks[i + 1:i + 2])[1].tolist())
+        xs = np.asarray(cand)
+        vals = xs[:, None] ** np.arange(k1) @ coeffs[i]
+        best = max(best, float(np.max(vals)))
+    return best
+
+
+def loop_superlevel(breaks, coeffs, lam):
+    """Measure of {p >= lam}, cutting each piece at its level crossings and
+    adding the widths piece by piece."""
+    total = 0.0
+    for i in range(coeffs.shape[0]):
+        shifted = coeffs[i:i + 1].copy()
+        shifted[0, 0] -= lam
+        roots = loop_real_roots(shifted, breaks[i:i + 1],
+                                breaks[i + 1:i + 2])[1]
+        cuts = np.concatenate([[breaks[i]], roots, [breaks[i + 1]]])
+        mids = 0.5 * (cuts[:-1] + cuts[1:])
+        above = loop_eval(breaks, coeffs, mids) >= lam
+        total += float(np.sum(np.diff(cuts)[above]))
+    return total
+
+
+def loop_split_edges(breaks, coeffs):
+    """Breaks refined at every piece's interior roots."""
+    cuts = [breaks]
+    for i in range(coeffs.shape[0]):
+        cuts.append(loop_real_roots(coeffs[i:i + 1], breaks[i:i + 1],
+                                    breaks[i + 1:i + 2])[1])
+    return np.unique(np.concatenate(cuts))
+
+
+def _closed_form_crossings(tabs, lo, hi, margin=1e-13, lead_tol=1e-14):
+    """Linear and quadratic crossings of every member pair on every edge,
+    as cuts_per[edge] lists (members of degree <= 2)."""
+    m, ne, k1 = tabs.shape
+    ii, jj = np.triu_indices(m, k=1)
+    c0 = tabs[ii, :, 0] - tabs[jj, :, 0]
+    c1 = tabs[ii, :, 1] - tabs[jj, :, 1]
+    c2 = tabs[ii, :, 2] - tabs[jj, :, 2] if k1 == 3 else np.zeros_like(c0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lin = -c0 / c1
+        disc = c1 * c1 - 4.0 * c2 * c0
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        qa = (-c1 - np.sign(c1 + (c1 == 0.0)) * sq) / 2.0
+        r1 = np.where(np.abs(qa) > 0.0, qa / c2, np.inf)
+        r2 = np.where(np.abs(qa) > 0.0, c0 / qa, np.inf)
+    quad = np.abs(c2) > lead_tol
+    cuts_per = [[] for _ in range(ne)]
+    for roots, valid in ((lin, ~quad & (np.abs(c1) > lead_tol)),
+                         (r1, quad & (disc > 0.0)),
+                         (r2, quad & (disc > 0.0))):
+        ok = valid & (roots > lo + margin) & (roots < hi - margin)
+        for pi, ei in zip(*np.nonzero(ok)):
+            cuts_per[ei].append(roots[pi, ei])
+    return cuts_per
+
+
+def loop_envelope(edges, tabs):
+    """Pointwise maximum of members given on common edges, tabs (members,
+    edges - 1, k1) ascending: crossings in closed form up to degree 2, else
+    pair by pair and edge by edge with np.roots; then edge by edge the best
+    member at each segment midpoint.  Returns (breaks, coeffs)."""
+    m, ne, k1 = tabs.shape
+    if k1 <= 3:
+        cuts_per = _closed_form_crossings(tabs, edges[:-1], edges[1:])
+    else:
+        cuts_per = [[] for _ in range(ne)]
+        for e in range(ne):
+            for a in range(m):
+                for b in range(a + 1, m):
+                    cuts_per[e].extend(loop_real_roots(
+                        (tabs[a, e] - tabs[b, e])[None, :], edges[e:e + 1],
+                        edges[e + 1:e + 2])[1].tolist())
+    out_edges, out_coeffs = [0.0], []
+    for e in range(ne):
+        pts = np.unique(np.concatenate(
+            [[edges[e], edges[e + 1]], np.asarray(cuts_per[e], dtype=float)]))
+        mids = 0.5 * (pts[:-1] + pts[1:])
+        vals = tabs[:, e, :] @ (mids[:, None] ** np.arange(k1)).T
+        pick = np.argmax(vals, axis=0)
+        for s in range(pts.size - 1):
+            out_edges.append(pts[s + 1])
+            out_coeffs.append(tabs[pick[s], e])
+    return np.asarray(out_edges), np.asarray(out_coeffs)
+
+
 def brute_cell_average(fn, lo, hi, n=200_001):
     """Mean of a callable over [lo, hi) by midpoint quadrature."""
     pts = lo + (hi - lo) * midpoints(n)

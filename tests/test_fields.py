@@ -8,6 +8,8 @@ from ergolab.fields import (
     GenericField,
     PolyField,
     SqrtPolyField,
+    _piece_roots,
+    _split_at_roots,
     abs_poly,
     exceedance_measure,
     gl_integrate,
@@ -43,6 +45,13 @@ def test_real_roots_in_quadratic():
     roots = real_roots_in(np.array([0.21, -1.0, 1.0]), 0.0, 1.0)
     assert np.allclose(np.sort(roots), [0.3, 0.7], atol=1e-12)
     assert real_roots_in(np.array([1.0, 0.0, 1.0]), 0.0, 1.0).size == 0
+    # zero top coefficients drop the degree: 0.4 - x is linear
+    assert np.allclose(real_roots_in(np.array([0.4, -1.0, 0.0, 0.0]), 0.0, 1.0),
+                       [0.4], atol=1e-15)
+    # a zero constant term is a root at 0: x (x - 0.25)
+    roots = real_roots_in(np.array([0.0, -0.25, 1.0]), -0.5, 0.5)
+    assert roots.tobytes() == np.array([0.0, 0.25]).tobytes()
+    assert real_roots_in(np.array([0.0, -0.25, 1.0]), 0.0, 0.5).tolist() == [0.25]
 
 
 def test_abs_poly_matches_abs():
@@ -239,3 +248,172 @@ def test_envelope_cubic_members_root_path(seed):
     x = _grid(997)
     ref = np.max([m.eval(x) for m in members], axis=0)
     assert np.max(np.abs(env.eval(x) - ref)) < 1e-9
+
+
+# -- batched roots against per-piece loops ------------------------------------
+
+
+def _breaks(rng, n):
+    inner = np.sort(rng.choice(np.arange(1, 8 * n), size=n - 1, replace=False))
+    return np.concatenate([[0.0], inner / (8.0 * n), [1.0]])
+
+
+def _from_roots(roots, lead=1.0):
+    """Ascending coefficients of lead * prod (x - r)."""
+    return (lead * np.atleast_1d(np.poly(roots)))[::-1].real
+
+
+def _root_cases(rng, breaks, k1):
+    """One coefficient row per piece: random rows with zero leading and
+    trailing coefficients mixed in, all-zero and constant rows, double
+    roots, complex pairs and roots just inside or outside the margin."""
+    n = breaks.size - 1
+    c = rng.uniform(-2.0, 2.0, (n, k1))
+    c[rng.random((n, k1)) < 0.2] = 0.0
+    lo, hi = breaks[:-1], breaks[1:]
+    for i in range(n):
+        kind = i % 8
+        mid = 0.5 * (lo[i] + hi[i])
+        deg = rng.integers(1, k1) if k1 > 1 else 0
+        if kind == 1:
+            c[i] = 0.0
+        elif kind == 2:
+            c[i] = 0.0
+            c[i, 0] = rng.uniform(-1.0, 1.0)
+        elif kind == 3 and deg >= 2:
+            roots = np.r_[mid, mid, rng.uniform(lo[i], hi[i], deg - 2)]
+            c[i] = 0.0
+            c[i, :deg + 1] = _from_roots(roots, rng.uniform(0.5, 2.0))
+        elif kind == 4 and deg >= 2:
+            pair = [mid + 1e-3j, mid - 1e-3j]
+            roots = np.r_[pair, rng.uniform(lo[i], hi[i], deg - 2)]
+            c[i] = 0.0
+            c[i, :deg + 1] = _from_roots(roots)
+        elif kind == 5 and deg >= 1:
+            edge = [lo[i] + 5e-14, hi[i] - 5e-14, lo[i] + 3e-13,
+                    hi[i] - 3e-13][i % 4]
+            roots = np.r_[edge, rng.uniform(lo[i], hi[i], deg - 1)]
+            c[i] = 0.0
+            c[i, :deg + 1] = _from_roots(roots)
+        elif kind == 6 and deg >= 1:
+            c[i] = 0.0
+            c[i, 1:deg + 1] = rng.uniform(-1.0, 1.0, deg)
+    return c
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+@pytest.mark.parametrize("k1", [1, 2, 3, 4, 5, 9])
+def test_piece_roots_matches_per_piece_np_roots(k1):
+    rng = np.random.default_rng(100 + k1)
+    breaks = _breaks(rng, 400)
+    coeffs = _root_cases(rng, breaks, k1)
+    # shifted intervals put x = 0 inside some pieces
+    lo, hi = breaks[:-1] - 0.5, breaks[1:] - 0.5
+    for a, b in ((breaks[:-1], breaks[1:]), (lo, hi)):
+        piece, root = _piece_roots(coeffs, a, b)
+        ref_piece, ref_root = oracles.loop_real_roots(coeffs, a, b)
+        assert _same(piece, ref_piece) and _same(root, ref_root)
+
+
+@pytest.mark.parametrize("k1", [1, 2, 3, 4, 5, 9])
+def test_sup_and_superlevel_match_per_piece_loops(k1):
+    rng = np.random.default_rng(200 + k1)
+    # many small fields: each sup is one value, so one field would see the
+    # rounding of only one candidate
+    for _ in range(30):
+        breaks = _breaks(rng, 12)
+        coeffs = _root_cases(rng, breaks, k1)
+        field = PolyField(CircleFunction(breaks, coeffs[:, :, None]))
+        assert _same(np.float64(field.sup()),
+                     np.float64(oracles.loop_sup(breaks, coeffs)))
+    breaks = _breaks(rng, 300)
+    coeffs = _root_cases(rng, breaks, k1)
+    field = PolyField(CircleFunction(breaks, coeffs[:, :, None]))
+    assert _same(np.float64(field.sup()),
+                 np.float64(oracles.loop_sup(breaks, coeffs)))
+    for lam in (-0.5, 0.0, 0.3, 1.1, 5.0):
+        got = field.superlevel_measure(lam)
+        ref = oracles.loop_superlevel(breaks, coeffs, lam)
+        assert _same(np.float64(got), np.float64(ref))
+
+
+@pytest.mark.parametrize("k1", [3, 4, 5, 9])
+def test_split_and_abs_match_per_piece_loops(k1):
+    rng = np.random.default_rng(300 + k1)
+    breaks = _breaks(rng, 300)
+    coeffs = _root_cases(rng, breaks, k1)
+    fn = CircleFunction(breaks, coeffs[:, :, None])
+    edges = oracles.loop_split_edges(breaks, coeffs)
+    assert _same(_split_at_roots(fn).breaks, edges)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    tab = coeffs[np.searchsorted(breaks, mids) - 1]
+    signs = np.where(oracles.loop_eval(edges, tab, mids) < 0.0, -1.0, 1.0)
+    got = abs_poly(fn)
+    assert _same(got.breaks, edges)
+    assert _same(got.coeffs[:, :, 0], tab * signs[:, None])
+
+
+def _envelope_members(rng, k1, nmembers, npieces):
+    members = []
+    for j in range(nmembers):
+        breaks = _breaks(rng, npieces + j)
+        coeffs = _root_cases(rng, breaks, rng.integers(1, k1) if j else k1)
+        members.append(PolyField(CircleFunction(breaks, coeffs[:, :, None])))
+    # a copy (all-zero differences), a copy one ulp higher (near ties at
+    # every midpoint, decided by the rounding of the evaluation) and a
+    # lifted copy (double crossings where the original has a double root)
+    base, other = members[0].fn, members[1].fn
+    members.append(PolyField(base * 1.0))
+    for fn, lift in ((base, np.nextafter(base.coeffs[:, 0, 0], np.inf)),
+                     (other, other.coeffs[:, 0, 0] + 1e-3)):
+        coeffs = fn.coeffs.copy()
+        coeffs[:, 0, 0] = lift
+        members.append(PolyField(CircleFunction(fn.breaks, coeffs)))
+    return members
+
+
+@pytest.mark.parametrize("k1", [2, 3, 4, 5])
+def test_upper_envelope_matches_per_edge_loop(k1):
+    rng = np.random.default_rng(400 + k1)
+    members = _envelope_members(rng, k1, 4, 40)
+    edges = np.unique(np.concatenate([f.breaks for f in members]))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    tabs = np.zeros((len(members), edges.size - 1, k1))
+    for j, f in enumerate(members):
+        at = np.searchsorted(f.breaks, mids) - 1
+        tabs[j, :, :f.fn.coeffs.shape[1]] = f.fn.coeffs[at, :, 0]
+    env = upper_envelope(members)
+    ref_edges, ref_coeffs = oracles.loop_envelope(edges, tabs)
+    assert _same(env.breaks, ref_edges)
+    assert _same(env.fn.coeffs[:, :, 0], ref_coeffs)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_root_work_is_one_solve_per_degree_group(monkeypatch, d):
+    # 4096 cubic pieces: a per-piece solve would make thousands of calls
+    rng = np.random.default_rng(5)
+    breaks = _breaks(rng, 4096)
+    coeffs = rng.uniform(-1.0, 1.0, (4096, 4, d))
+    calls = {"eigvals": 0, "roots": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        counted("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(np, "roots", counted("roots", np.roots))
+    fn = CircleFunction(breaks, coeffs)
+    field = pointwise_norm(fn, VectorNorm("euclidean", d))
+    field.sup()
+    field.superlevel_measure(0.5)
+    # three root searches (sign changes or radicand zeros, critical points,
+    # level crossings), each with at most one stacked solve per degree; the
+    # radicand of the d = 2 field has degree 6
+    assert calls["roots"] == 0
+    assert 0 < calls["eigvals"] <= 3 * (3 * d)

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 import os
 import sys
 
@@ -10,6 +11,7 @@ from ergolab import flows, runner
 from ergolab.cli import scenario_dir
 from ergolab.config import parse_config, parse_text
 from ergolab.runner import CHECK_NAMES, CHECKS, VERSION, run_scenario
+from ergolab.tolerances import TOLERANCES
 
 SMALL = """
 name = unit_small
@@ -144,6 +146,21 @@ def test_nan_on_filtration_side_reaches_sup_integrability(monkeypatch):
     assert rec.name == "sup_integrability"
     assert rec.rows[0][3] > 0.0 and np.isnan(rec.rows[1][3])
     assert np.isnan(rec.value)
+
+
+@pytest.mark.parametrize("name", ["ergodic_envelope", "dominant_ineq_me",
+                                  "dominant_ineq_em", "maximal_ineq_me",
+                                  "maximal_ineq_em", "submartingale_sup"])
+def test_tolerance_table_decides_the_verdict(monkeypatch, name):
+    # these verdicts are decided inside processes.py and inequalities.py;
+    # editing the shared table must move them, not just the reported value
+    cfg = parse_text(SMALL.replace(
+        "checks = defining_property, decomposition, contraction, "
+        "dominant_ineq_me, me_convergence", f"checks = {name}"))
+    assert run_scenario(cfg).records[0].status == "PASS"
+    monkeypatch.setitem(TOLERANCES, name, -math.inf)
+    rec = run_scenario(cfg).records[0]
+    assert (rec.status, rec.tolerance, rec.note) == ("FAIL", -math.inf, "")
 
 
 def _wrap_everywhere(monkeypatch, fn, wrapper):
