@@ -6,12 +6,14 @@ circle representations cover everything the lab produces:
 * PolyField     exact piecewise polynomial (absolute values, max and sum
                 norms, conditional expectations, grid envelopes)
 * SqrtPolyField euclidean norm of a vector piecewise polynomial, d >= 2;
-                integrals go through cached per-piece quadrature
+                integrals go through cached piece integrals
 * GenericField  evaluable closure with known kink locations, used for
                 time averages of non-polynomial fields
 
 Atomic spaces use AtomField and stay exact throughout.  Quadrature is
-Gauss-Legendre with node doubling per piece and bisection fallback.
+adaptive Gauss-Legendre on arrays of intervals: one ``gl_integrate`` call
+covers all pieces, points or cell segments of a field, bit for bit as a
+call per interval.
 
 Roots are batched across pieces: ``_piece_roots`` solves the companion
 matrices of all pieces of one stripped degree in one stacked eigenvalue
@@ -30,7 +32,12 @@ import numpy as np
 from .functions import CircleFunction, AtomFunction, _pad
 from .spaces import VectorNorm
 
+# quadrature: rules of _GL_LADDER nodes until two agree to _GL_STABILITY;
+# below width _GL_TINY the midpoint rule; no bisection past _GL_MAX_DEPTH
 _GL_STABILITY = 1e-11
+_GL_LADDER = (8, 16, 32, 64, 128, 256)
+_GL_TINY = 1e-15
+_GL_MAX_DEPTH = 24
 # root isolation: an eigenvalue with |imag| up to _ROOT_IMAG_TOL is real; a
 # root within _ROOT_MARGIN of a piece end is not interior; a leading
 # coefficient up to _LEAD_TOL (envelope crossings) or _LEAD_FLOOR (linear
@@ -51,25 +58,43 @@ def _gl_nodes(n):
 
 
 def gl_integrate(fn, lo, hi, tol=_GL_STABILITY, depth=0):
-    """Adaptive Gauss-Legendre on [lo, hi] for a vectorized integrand."""
+    """Adaptive Gauss-Legendre on each [lo[i], hi[i]] (a scalar call gives a
+    float).  Intervals whose rules never agree are bisected, all halves in
+    one call; each rule is one dot product per interval, so every interval
+    gets the bits of a call on it alone."""
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    lo, hi = (np.ravel(a) for a in np.broadcast_arrays(
+        np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)))
     width = hi - lo
-    if width <= 0.0:
-        return 0.0
-    if width < 1e-15:
-        return width * float(fn(np.array([0.5 * (lo + hi)]))[0])
+    out = np.where(np.isnan(width), np.nan, 0.0)
+    tiny = (width > 0.0) & (width < _GL_TINY)
+    if tiny.any():
+        out[tiny] = width[tiny] * np.asarray(
+            fn(0.5 * (lo[tiny] + hi[tiny])), dtype=float)
+    todo = np.flatnonzero(width >= _GL_TINY)
     prev = None
-    for n in (8, 16, 32, 64, 128, 256):
+    for n in _GL_LADDER:
         nodes, wts = _gl_nodes(n)
-        x = 0.5 * width * nodes + 0.5 * (lo + hi)
-        val = 0.5 * width * float(wts @ np.asarray(fn(x), dtype=float))
-        if prev is not None and abs(val - prev) <= max(tol, tol * abs(val)):
-            return val
+        val = np.empty(todo.size)
+        for _, idx in _batches(np.full(todo.size, n), lambda n: n):
+            i = todo[idx]
+            x = 0.5 * width[i, None] * nodes + 0.5 * (lo[i] + hi[i])[:, None]
+            fx = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+            val[idx] = 0.5 * width[i] * np.matmul(fx[:, None, :],
+                                                  wts[:, None])[:, 0, 0]
+        if prev is not None:
+            done = np.abs(val - prev) <= np.maximum(tol, tol * np.abs(val))
+            out[todo[done]] = val[done]
+            todo, val = todo[~done], val[~done]
         prev = val
-    if depth >= 24:
-        return prev
-    mid = 0.5 * (lo + hi)
-    return (gl_integrate(fn, lo, mid, tol, depth + 1)
-            + gl_integrate(fn, mid, hi, tol, depth + 1))
+    if todo.size and depth >= _GL_MAX_DEPTH:
+        out[todo] = prev
+    elif todo.size:
+        mid = 0.5 * (lo[todo] + hi[todo])
+        halves = gl_integrate(fn, np.r_[lo[todo], mid], np.r_[mid, hi[todo]],
+                              tol, depth + 1)
+        out[todo] = halves[:todo.size] + halves[todo.size:]
+    return float(out[0]) if scalar else out
 
 
 def _batches(sizes, entries):
@@ -80,6 +105,11 @@ def _batches(sizes, entries):
         width = max(_BATCH_ENTRIES // max(int(entries(n)), 1), 1)
         for i in range(0, group.size, width):
             yield n, group[i:i + width]
+
+
+def _running_sum(vals):
+    """Sum from 0.0 in order, as a loop of += adds."""
+    return float(np.cumsum(np.r_[0.0, vals])[-1])
 
 
 def _sorted_unique(key, x):
@@ -235,8 +265,7 @@ class PolyField:
             xs[:, 2:] = root[first[idx, None] + np.arange(r)]
             vals = np.matmul(xs[:, :, None] ** np.arange(k1), c[idx, :, None])
             piece_max[idx] = np.max(vals[:, :, 0], axis=1)
-        # the first largest piece maximum; a NaN piece is passed over
-        piece_max = piece_max[~np.isnan(piece_max)]
+        # the first largest piece maximum; a NaN piece makes it NaN
         if piece_max.size == 0:
             return -math.inf
         return float(piece_max[np.argmax(piece_max)])
@@ -255,12 +284,10 @@ class PolyField:
                 total += float(ad @ (b[i + 1] ** np.arange(1, pw.size + 1)
                                      - b[i] ** np.arange(1, pw.size + 1)))
             return total ** (1.0 / p)
-        total = 0.0
         b = self.fn.breaks
-        for i in range(self.fn.npieces):
-            total += gl_integrate(
-                lambda x: np.abs(self.fn(x)[:, 0]) ** p, b[i], b[i + 1])
-        return total ** (1.0 / p)
+        vals = gl_integrate(lambda x: np.abs(self.fn(x)[:, 0]) ** p,
+                            b[:-1], b[1:])
+        return _running_sum(vals) ** (1.0 / p)
 
     def superlevel_measure(self, lam):
         """Exact Lebesgue measure of {x : field(x) >= lam}."""
@@ -278,7 +305,7 @@ class PolyField:
         # by piece from 0.0, the order of the per-piece form
         heads = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
         sums = np.add.reduceat((hi - lo)[above], heads)
-        return float(np.cumsum(np.r_[0.0, sums])[-1])
+        return _running_sum(sums)
 
 
 class SqrtPolyField:
@@ -314,8 +341,7 @@ class SqrtPolyField:
     def _piece_integrals(self):
         if self._piece_ints is None:
             b = self.q.breaks
-            vals = [gl_integrate(lambda x: self.eval(x), b[i], b[i + 1])
-                    for i in range(self.q.npieces)]
+            vals = gl_integrate(self.eval, b[:-1], b[1:])
             self._piece_ints = np.concatenate([[0.0], np.cumsum(vals)])
         return self._piece_ints
 
@@ -324,20 +350,11 @@ class SqrtPolyField:
 
     def cumint(self, y):
         cum = self._piece_integrals()
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.empty(y.size)
-        for n, yy in enumerate(y):
-            yy = min(max(yy, 0.0), 1.0)
-            i = int(np.clip(np.searchsorted(self.q.breaks, yy, "right") - 1,
-                            0, self.q.npieces - 1))
-            out[n] = cum[i] + gl_integrate(lambda x: self.eval(x),
-                                           self.q.breaks[i], yy)
-        return out
+        y = np.clip(np.atleast_1d(np.asarray(y, dtype=float)), 0.0, 1.0)
+        i = self.q.piece_index(y)
+        return cum[i] + gl_integrate(self.eval, self.q.breaks[i], y)
 
-    def cell_averages(self, partition):
-        bounds = np.asarray(partition.cell_bounds_float())
-        vals = self.cumint(bounds)
-        return np.diff(vals) / np.diff(bounds)
+    cell_averages = PolyField.cell_averages
 
     def sup(self):
         return math.sqrt(max(PolyField(self.q).sup(), 0.0))
@@ -355,10 +372,8 @@ class SqrtPolyField:
         if p == 1.0:
             return self.integral()
         b = self.q.breaks
-        total = sum(gl_integrate(lambda x: self.eval(x) ** p,
-                                 b[i], b[i + 1])
-                    for i in range(self.q.npieces))
-        return total ** (1.0 / p)
+        vals = gl_integrate(lambda x: self.eval(x) ** p, b[:-1], b[1:])
+        return _running_sum(vals) ** (1.0 / p)
 
 
 class GenericField:
@@ -379,38 +394,37 @@ class GenericField:
         return np.asarray(self._eval(np.atleast_1d(
             np.asarray(x, dtype=float))), dtype=float)
 
-    def interval_integral(self, lo, hi):
-        inner = self.breaks[(self.breaks > lo) & (self.breaks < hi)]
-        pts = np.concatenate([[lo], inner, [hi]])
-        return sum(gl_integrate(self.eval, pts[i], pts[i + 1])
-                   for i in range(pts.size - 1))
+    def _cell_integrals(self, bounds):
+        """Integrals over the cells [bounds[i], bounds[i + 1]], each cut at
+        the kinks inside it; a cell's pieces are added in order from 0.0."""
+        lo, hi = bounds[:-1], bounds[1:]
+        cell = np.clip(np.searchsorted(bounds, self.breaks, "right") - 1,
+                       0, lo.size - 1)
+        inner = (self.breaks > lo[cell]) & (self.breaks < hi[cell])
+        owner, a, b = _segments(lo, hi, cell[inner], self.breaks[inner])
+        return np.bincount(owner, weights=gl_integrate(self.eval, a, b),
+                           minlength=lo.size)
 
     def integral(self):
         if self._exact_integral is not None:
             return float(self._exact_integral)
-        return self.interval_integral(0.0, 1.0)
+        return float(self._cell_integrals(np.array([0.0, 1.0]))[0])
 
     def cell_averages(self, partition):
         bounds = np.asarray(partition.cell_bounds_float())
-        return np.array([
-            self.interval_integral(bounds[i], bounds[i + 1])
-            / (bounds[i + 1] - bounds[i]) for i in range(bounds.size - 1)])
+        return self._cell_integrals(bounds) / np.diff(bounds)
 
     def sup(self, tol=1e-9):
-        best = 0.0
-        gap = math.inf
-        n = 64
+        width = np.max(np.diff(self.breaks))
+        gap, n = math.inf, 64
         while gap > tol and n <= 2 ** 22:
-            best = 0.0
-            gap = 0.0
-            for i in range(self.breaks.size - 1):
-                lo, hi = self.breaks[i], self.breaks[i + 1]
-                xs = np.linspace(lo, hi, n + 1)
-                best = max(best, float(np.max(self.eval(xs))))
-                if self.deriv_bound is not None:
-                    gap = max(gap, self.deriv_bound * (hi - lo) / (2 * n))
-                else:
-                    gap = 0.0 if n >= 2 ** 14 else math.inf
+            best = defect_max(0.0, *(
+                np.max(self.eval(np.linspace(lo, hi, n + 1)))
+                for lo, hi in zip(self.breaks[:-1], self.breaks[1:])))
+            if self.deriv_bound is None:
+                gap = 0.0 if n >= 2 ** 14 else math.inf
+            else:
+                gap = self.deriv_bound * width / (2 * n)
             n *= 4
         return best
 
@@ -418,11 +432,9 @@ class GenericField:
         p = float(p)
         if p == 1.0:
             return self.integral()
-        pts = self.breaks
-        total = sum(gl_integrate(lambda x: self.eval(x) ** p,
-                                 pts[i], pts[i + 1])
-                    for i in range(pts.size - 1))
-        return total ** (1.0 / p)
+        vals = gl_integrate(lambda x: self.eval(x) ** p, self.breaks[:-1],
+                            self.breaks[1:])
+        return _running_sum(vals) ** (1.0 / p)
 
 
 class AtomField:
@@ -636,7 +648,7 @@ def exceedance_measure(field, lam):
 
 
 def defect_max(*defects):
-    """Largest defect, NaN if any is NaN (the builtin max(0.0, nan) is 0.0,
-    which would let a NaN defect pass its check)."""
+    """Largest defect or value, NaN if any is NaN (the builtin
+    max(0.0, nan) is 0.0, which would let a NaN defect pass its check)."""
     defects = [float(d) for d in defects]
     return math.nan if any(map(math.isnan, defects)) else max(defects)

@@ -97,12 +97,6 @@ def maximal_ineq_em(grid, p, eps, vnorm):
     return _maximal_report(grid, "EM", p, eps, vnorm)
 
 
-def _norm_at(fn, vnorm, pts):
-    if isinstance(fn, AtomFunction):
-        return vnorm(fn.values)
-    return vnorm(fn(pts))
-
-
 def domination_chain_check(f, flow, partition, t_grid, vnorm, npoints=1000):
     """Worst signed defect of the two-step pointwise domination chain.
 
@@ -118,10 +112,10 @@ def domination_chain_check(f, flow, partition, t_grid, vnorm, npoints=1000):
     for t in np.asarray(t_grid, dtype=float):
         avg = cesaro_average(flow, float(t), f)
         dom = dominant_cesaro(flow, float(t), norm_f)
-        gap1 = _norm_at(avg, vnorm, pts) - dom.eval(pts)
+        gap1 = vnorm(avg(pts)) - dom.eval(pts)
         cavg = cond_exp(avg, partition)
         cdom = cond_exp_dominant(dom, partition)
-        gap2 = _norm_at(cavg, vnorm, pts) - cdom.eval(pts)
+        gap2 = vnorm(cavg(pts)) - cdom.eval(pts)
         worst = defect_max(worst, np.max(gap1), np.max(gap2))
     return worst
 
@@ -136,12 +130,6 @@ def _finest_points(filtration):
         bounds = np.asarray(cells.cell_bounds_float())
         return (bounds[:-1] + bounds[1:]) / 2.0
     return np.arange(space.natoms)
-
-
-def _values_at(fn, pts):
-    if isinstance(fn, AtomFunction):
-        return fn.values[:, 0]
-    return fn(pts)[:, 0]
 
 
 class SubmartingaleFamily:
@@ -181,7 +169,7 @@ class SubmartingaleFamily:
                                      "is not scalar")
                 part = self.filtration.partition(self.s_grid[k])
                 proj = cond_exp(g, part)
-                gap = np.max(np.abs(_values_at(g, pts) - _values_at(proj, pts)))
+                gap = np.max(np.abs(g(pts)[:, 0] - proj(pts)[:, 0]))
                 if gap > TOLERANCES["submartingale_input"]:
                     raise ValueError(
                         f"process {i} is not adapted at time {self.s_grid[k]} "
@@ -189,7 +177,7 @@ class SubmartingaleFamily:
             for k in range(len(slices) - 1):
                 part = self.filtration.partition(self.s_grid[k])
                 e_next = cond_exp(slices[k + 1], part)
-                drop = np.max(_values_at(slices[k], pts) - _values_at(e_next, pts))
+                drop = np.max(slices[k](pts)[:, 0] - e_next(pts)[:, 0])
                 if drop > TOLERANCES["submartingale_input"]:
                     raise ValueError(
                         f"process {i} violates the submartingale property "
@@ -203,7 +191,7 @@ class SubmartingaleFamily:
     def sup_slice(self, k):
         """Pointwise sup over the index set at grid time number k."""
         pts = self._pts
-        vals = np.max([_values_at(g[k], pts) for g in self.processes], axis=0)
+        vals = np.max([g[k](pts)[:, 0] for g in self.processes], axis=0)
         space = self.filtration.space
         if space.kind == "circle":
             cells = self.filtration.partition_at_level(self.filtration.max_level)
@@ -234,13 +222,13 @@ def submartingale_sup_check(family):
     for k in range(len(sups) - 1):
         part = family.filtration.partition(family.s_grid[k])
         e_next = cond_exp(sups[k + 1], part)
-        drop = np.max(_values_at(sups[k], pts) - _values_at(e_next, pts))
+        drop = np.max(sups[k](pts)[:, 0] - e_next(pts)[:, 0])
         worst = defect_max(worst, drop)
-    terminal = np.max([_values_at(g[-1], pts) for g in family.processes], axis=0)
-    term_defect = float(np.max(np.abs(_values_at(sups[-1], pts) - terminal)))
+    terminal = np.max([g[-1](pts)[:, 0] for g in family.processes], axis=0)
+    term_defect = float(np.max(np.abs(sups[-1](pts)[:, 0] - terminal)))
     bound = 0.0
     for g in sups:
-        pos = np.maximum(_values_at(g, pts), 0.0)
+        pos = np.maximum(g(pts)[:, 0], 0.0)
         if isinstance(g, AtomFunction):
             bound = defect_max(bound, np.sum(pos * g.space.weights))
         else:

@@ -159,8 +159,6 @@ def _defect_record(name, worst, rows):
 
 
 def _sample_defect(a, b, vnorm, pts):
-    if isinstance(a, AtomFunction):
-        return float(np.max(vnorm(a.values - b.values)))
     return float(np.max(vnorm(a(pts) - b(pts))))
 
 

@@ -95,6 +95,29 @@ def loop_discrete_average(values, perm, n, h):
     return loop_orbit_sum(values, step1, n)[0] / n
 
 
+def loop_gl_integrate(fn, lo, hi, tol=1e-11, depth=0):
+    """Adaptive Gauss-Legendre on one interval: rules of 8 to 256 nodes
+    until two agree, else bisection down to depth 24."""
+    width = hi - lo
+    if width <= 0.0:
+        return 0.0
+    if width < 1e-15:
+        return width * float(fn(np.array([0.5 * (lo + hi)]))[0])
+    prev = None
+    for n in (8, 16, 32, 64, 128, 256):
+        nodes, wts = np.polynomial.legendre.leggauss(n)
+        x = 0.5 * width * nodes + 0.5 * (lo + hi)
+        val = 0.5 * width * float(wts @ np.asarray(fn(x), dtype=float))
+        if prev is not None and abs(val - prev) <= max(tol, tol * abs(val)):
+            return val
+        prev = val
+    if depth >= 24:
+        return prev
+    mid = 0.5 * (lo + hi)
+    return (loop_gl_integrate(fn, lo, mid, tol, depth + 1)
+            + loop_gl_integrate(fn, mid, hi, tol, depth + 1))
+
+
 def loop_real_roots(coeffs, lo, hi, margin=1e-13, imag_tol=1e-9):
     """Real roots of each row's ascending polynomial strictly inside
     (lo[i], hi[i]), one np.roots call per row: (row, root) arrays, sorted

@@ -20,6 +20,7 @@ from ergolab.fields import (
     sup_norm,
     upper_envelope,
 )
+from ergolab import fields
 from ergolab.functions import AtomFunction, CircleFunction, hat, sawtooth
 from ergolab.spaces import (
     VectorNorm,
@@ -417,3 +418,170 @@ def test_root_work_is_one_solve_per_degree_group(monkeypatch, d):
     # radicand of the d = 2 field has degree 6
     assert calls["roots"] == 0
     assert 0 < calls["eigvals"] <= 3 * (3 * d)
+
+
+# -- quadrature: one array call against per-interval loops ---------------------
+
+
+def _integrands():
+    return {
+        "smooth": lambda x: np.sin(7.0 * x) ** 2,
+        # a cusp in the second derivative bisects a few times
+        "cusp": lambda x: np.abs(x - 0.3141) ** 1.5,
+        # a jump at an irrational point bisects down to the depth cap
+        "jump": lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0),
+    }
+
+
+def _depths(monkeypatch):
+    real = fields.gl_integrate
+    seen = []
+
+    def wrapper(fn, lo, hi, tol=fields._GL_STABILITY, depth=0):
+        seen.append(depth)
+        return real(fn, lo, hi, tol, depth)
+    monkeypatch.setattr(fields, "gl_integrate", wrapper)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["smooth", "cusp", "jump"])
+def test_gl_integrate_matches_one_interval_loop(monkeypatch, name):
+    fn = _integrands()[name]
+    rng = np.random.default_rng(7)
+    lo = rng.uniform(-0.2, 1.0, 200)
+    width = rng.choice([0.0, -1e-3, 1e-16, 3e-15, 1e-9, 1e-3, 0.2, 0.7], 200)
+    hi = lo + width
+    lo[:3], hi[:3] = 0.0, [0.0, -0.5, 1e-16]
+    lo[3], hi[3] = 0.0, 1.0
+    depths = _depths(monkeypatch)
+    got = fields.gl_integrate(fn, lo, hi)
+    ref = [oracles.loop_gl_integrate(fn, a, b) for a, b in zip(lo, hi)]
+    assert _same(got, np.array(ref))
+    assert depths.count(0) == 1
+    deepest, cap = max(depths), fields._GL_MAX_DEPTH
+    assert {"smooth": deepest == 0, "cusp": 0 < deepest < cap,
+            "jump": deepest == cap}[name]
+    one = gl_integrate(fn, lo[3], hi[3])
+    assert type(one) is float and one == ref[3]
+    assert np.isnan(gl_integrate(fn, 0.0, np.nan))
+
+
+def _loop_sum(vals):
+    total = 0.0
+    for v in vals:
+        total += v
+    return total
+
+
+def _loop_lp(fn, b, p):
+    total = _loop_sum(oracles.loop_gl_integrate(lambda x: fn(x) ** p,
+                                                b[i], b[i + 1])
+                      for i in range(b.size - 1))
+    return np.float64(total ** (1.0 / p))
+
+
+# the p-th root hides a last-bit change of the sum about half the time, so
+# each comparison runs on several fields
+
+
+def test_polyfield_fractional_lp_matches_per_piece_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        fn = CircleFunction(_breaks(rng, 30), rng.uniform(-1.0, 1.0, (30, 4, 1)))
+        field = pointwise_norm(fn, VectorNorm("euclidean", 1))
+        ref = _loop_lp(lambda x: np.abs(field.fn(x)[:, 0]), field.breaks, 1.5)
+        assert _same(np.float64(field.lp(1.5)), ref)
+
+
+def test_sqrt_field_quadrature_matches_per_piece_loops():
+    rng = np.random.default_rng(12)
+    for _ in range(8):
+        fn = CircleFunction(_breaks(rng, 20), rng.uniform(-1.0, 1.0, (20, 3, 2)))
+        field = pointwise_norm(fn, VectorNorm("euclidean", 2))
+        b = field.breaks
+        cum = np.concatenate([[0.0], np.cumsum(
+            [oracles.loop_gl_integrate(field.eval, b[i], b[i + 1])
+             for i in range(b.size - 1)])])
+        # points on breaks, inside pieces and outside [0, 1]
+        y = np.concatenate([b[::3], rng.uniform(-0.2, 1.2, 50), [-0.0, 1.0]])
+        ref = []
+        for yy in y:
+            yy = min(max(yy, 0.0), 1.0)
+            i = int(np.clip(np.searchsorted(b, yy, "right") - 1, 0, b.size - 2))
+            ref.append(cum[i] + oracles.loop_gl_integrate(field.eval, b[i], yy))
+        assert _same(field.cumint(y), np.array(ref))
+        assert _same(np.float64(field.integral()), cum[-1])
+        assert _same(np.float64(field.lp(3)), _loop_lp(field.eval, b, 3.0))
+
+
+class _Cells:
+    def __init__(self, bounds):
+        self.bounds = np.asarray(bounds, dtype=float)
+
+    def cell_bounds_float(self):
+        return self.bounds
+
+
+def _kinked_field(rate=9.0):
+    # |sin(37 pi x)| e^(rate x) has a kink at every k / 37
+    return GenericField(
+        circle_space(),
+        lambda x: np.abs(np.sin(37.0 * np.pi * x)) * np.exp(rate * x),
+        breaks=np.arange(1, 37) / 37.0)
+
+
+def _loop_cell_integral(field, lo, hi):
+    inner = field.breaks[(field.breaks > lo) & (field.breaks < hi)]
+    pts = np.concatenate([[lo], inner, [hi]])
+    return _loop_sum(oracles.loop_gl_integrate(field.eval, pts[i], pts[i + 1])
+                     for i in range(pts.size - 1))
+
+
+def test_generic_field_quadrature_matches_per_cell_loops():
+    field = _kinked_field()
+    # two cells of 19 kink segments each, where a pairwise sum would round
+    # differently; a zero-width cell; cells ending on kinks
+    for bounds in ([0.0, 0.5, 1.0], [0.0, 0.25, 0.25, 10 / 37, 0.9, 1.0],
+                   partition_at_level(circle_space(), 3).cell_bounds_float()):
+        bounds = np.asarray(bounds, dtype=float)
+        with np.errstate(invalid="ignore"):
+            ref = np.array([_loop_cell_integral(field, bounds[i], bounds[i + 1])
+                            / (bounds[i + 1] - bounds[i])
+                            for i in range(bounds.size - 1)])
+            got = field.cell_averages(_Cells(bounds))
+        assert _same(got, ref)
+    for rate in (3.0, 11.0):
+        field = _kinked_field(rate)
+        assert _same(np.float64(field.integral()),
+                     np.float64(_loop_cell_integral(field, 0.0, 1.0)))
+        for p in (1.5, 2.0):
+            assert _same(np.float64(field.lp(p)),
+                         _loop_lp(field.eval, field.breaks, p))
+
+
+def test_cumint_and_cell_averages_make_one_quadrature_call(monkeypatch):
+    f = sawtooth(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3])
+    sqrt_field = pointwise_norm(f, VectorNorm("euclidean", 2))
+    sqrt_field.integral()
+    generic = _kinked_field()
+    depths = _depths(monkeypatch)
+    sqrt_field.cumint(np.linspace(0.0, 1.0, 1000))
+    assert depths.count(0) == 1
+    depths.clear()
+    generic.cell_averages(partition_at_level(circle_space(), 6))
+    assert depths.count(0) == 1
+
+
+# -- NaN reaches every sup -------------------------------------------------------
+
+
+def test_nan_piece_makes_sup_nan():
+    coeffs = np.array([[[0.2], [1.0]], [[np.nan], [0.0]], [[1.0], [-0.5]]])
+    field = PolyField(CircleFunction(np.array([0.0, 0.3, 0.6, 1.0]), coeffs))
+    assert np.isnan(field.sup())
+    assert PolyField(CircleFunction(np.array([0.0, 0.3, 0.6, 1.0]),
+                                    np.nan_to_num(coeffs))).sup() == 0.7
+    generic = GenericField(circle_space(),
+                           lambda x: np.where(x > 0.7, np.nan, x),
+                           breaks=[0.5], deriv_bound=1.0)
+    assert np.isnan(generic.sup())

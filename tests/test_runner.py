@@ -7,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from ergolab import flows, runner
+from ergolab import flows, processes, runner
 from ergolab.cli import scenario_dir
 from ergolab.config import parse_config, parse_text
+from ergolab.fields import PolyField
+from ergolab.functions import CircleFunction
 from ergolab.runner import CHECK_NAMES, CHECKS, VERSION, run_scenario
 from ergolab.tolerances import TOLERANCES
 
@@ -146,6 +148,29 @@ def test_nan_on_filtration_side_reaches_sup_integrability(monkeypatch):
     assert rec.name == "sup_integrability"
     assert rec.rows[0][3] > 0.0 and np.isnan(rec.rows[1][3])
     assert np.isnan(rec.value)
+
+
+def test_nan_norm_field_fails_ergodic_envelope(monkeypatch):
+    # a norm field that is 0 except on one NaN piece: its sup is NaN, not 0
+    real = processes.pointwise_norm
+    calls = []
+
+    def nan_piece_at_second_time(diff, vnorm):
+        calls.append(vnorm)
+        if len(calls) != 2:
+            return real(diff, vnorm)
+        coeffs = np.array([[[0.0]], [[np.nan]]])
+        return PolyField(CircleFunction(np.array([0.0, 0.5, 1.0]), coeffs))
+
+    monkeypatch.setattr(processes, "pointwise_norm", nan_piece_at_second_time)
+    cfg = parse_text(SMALL.replace("checks = defining_property, decomposition, "
+                                   "contraction, dominant_ineq_me, me_convergence",
+                                   "checks = ergodic_envelope"))
+    rec = run_scenario(cfg).records[0]
+    errs = [v for _, _, metric, v in rec.rows if metric == "sup_error"]
+    assert len(calls) == len(errs) == len(cfg.t_grid)
+    assert errs[0] >= 0.0 and np.isnan(errs[1])
+    assert rec.status == "FAIL"
 
 
 @pytest.mark.parametrize("name", ["ergodic_envelope", "dominant_ineq_me",
