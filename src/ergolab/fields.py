@@ -21,6 +21,11 @@ call, and reproduces ``np.roots`` on each piece bit for bit.  Sup
 candidates, level crossings, sign changes and envelope crossings all go
 through it, and the values at the candidates are evaluated in stacks of
 equal shape, so every result matches a per-piece loop exactly.
+
+Products of coefficient tables are batched like roots: ``_product``
+multiplies two tables row by row, looping over the columns of one factor,
+never over pieces.  Integer powers |f|^k for exact L_k norms and the
+euclidean radicand sum_j f_j^2 (``_radicand``) are built from it.
 """
 
 from __future__ import annotations
@@ -40,12 +45,10 @@ _GL_TINY = 1e-15
 _GL_MAX_DEPTH = 24
 # root isolation: an eigenvalue with |imag| up to _ROOT_IMAG_TOL is real; a
 # root within _ROOT_MARGIN of a piece end is not interior; a leading
-# coefficient up to _LEAD_TOL (envelope crossings) or _LEAD_FLOOR (linear
-# sign changes) counts as zero
+# coefficient up to _LEAD_TOL counts as zero in envelope crossings
 _ROOT_IMAG_TOL = 1e-9
 _ROOT_MARGIN = 1e-13
 _LEAD_TOL = 1e-14
-_LEAD_FLOOR = 1e-300
 # entries of one batch temporary (companion matrices, candidate powers)
 _BATCH_ENTRIES = 1 << 18
 _gl_cache = {}
@@ -61,7 +64,8 @@ def gl_integrate(fn, lo, hi, tol=_GL_STABILITY, depth=0):
     """Adaptive Gauss-Legendre on each [lo[i], hi[i]] (a scalar call gives a
     float).  Intervals whose rules never agree are bisected, all halves in
     one call; each rule is one dot product per interval, so every interval
-    gets the bits of a call on it alone."""
+    gets the bits of a call on it alone.  An interval whose rule is NaN is
+    NaN at once."""
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = (np.ravel(a) for a in np.broadcast_arrays(
         np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)))
@@ -82,11 +86,11 @@ def gl_integrate(fn, lo, hi, tol=_GL_STABILITY, depth=0):
             fx = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
             val[idx] = 0.5 * width[i] * np.matmul(fx[:, None, :],
                                                   wts[:, None])[:, 0, 0]
+        done = np.isnan(val)
         if prev is not None:
-            done = np.abs(val - prev) <= np.maximum(tol, tol * np.abs(val))
-            out[todo[done]] = val[done]
-            todo, val = todo[~done], val[~done]
-        prev = val
+            done |= np.abs(val - prev) <= np.maximum(tol, tol * np.abs(val))
+        out[todo[done]] = val[done]
+        todo, prev = todo[~done], val[~done]
     if todo.size and depth >= _GL_MAX_DEPTH:
         out[todo] = prev
     elif todo.size:
@@ -110,6 +114,33 @@ def _batches(sizes, entries):
 def _running_sum(vals):
     """Sum from 0.0 in order, as a loop of += adds."""
     return float(np.cumsum(np.r_[0.0, vals])[-1])
+
+
+def _quadrature_lp(evaluate, breaks, p):
+    """(integral of |evaluate|^p) ** (1/p): one quadrature call over the
+    pieces, added piece by piece."""
+    vals = gl_integrate(lambda x: np.abs(evaluate(x)) ** p, breaks[:-1],
+                        breaks[1:])
+    return _running_sum(vals) ** (1.0 / p)
+
+
+def _product(a, b):
+    """Row-by-row product of ascending coefficient tables, (N, ka) x (N, kb)
+    -> (N, ka + kb - 1), one pass per column of b.  The passes run from the
+    top column down, so each coefficient adds its terms in the order of a
+    per-piece NumPy convolution (ascending in a)."""
+    ka = a.shape[1]
+    out = np.zeros((a.shape[0], ka + b.shape[1] - 1))
+    for j in range(b.shape[1] - 1, -1, -1):
+        out[:, j:j + ka] += a * b[:, j:j + 1]
+    return out
+
+
+def _radicand(fn):
+    """The scalar CircleFunction sum_j f_j^2 of a CircleFunction f."""
+    c = fn.coeffs
+    q = sum(_product(c[:, :, j], c[:, :, j]) for j in range(fn.d))
+    return CircleFunction(fn.breaks, q[:, :, None], fn.space)
 
 
 def _sorted_unique(key, x):
@@ -160,7 +191,8 @@ def _piece_roots(coeffs, lo, hi, margin=_ROOT_MARGIN):
         comp = np.zeros((idx.size, n, n))
         comp[:, 1:, :-1] = np.eye(n - 1)
         comp[:, 0, :] = -desc[:, 1:] / desc[:, :1]
-        w = np.linalg.eigvals(comp)
+        # a 1 x 1 companion is its own eigenvalue
+        w = np.linalg.eigvals(comp) if n > 1 else comp[:, 0]
         real = np.abs(w.imag) <= _ROOT_IMAG_TOL
         pieces.append(np.broadcast_to(idx[:, None], w.shape)[real])
         roots.append(w.real[real])
@@ -179,24 +211,10 @@ def real_roots_in(coef_ascending, lo, hi, margin=_ROOT_MARGIN):
 
 def _split_at_roots(fn):
     """Refine a scalar CircleFunction's breaks at its interior zeros."""
-    k1 = fn.coeffs.shape[1]
-    if k1 == 1:
+    roots = _piece_roots(fn.coeffs[:, :, 0], fn.breaks[:-1], fn.breaks[1:])[1]
+    if roots.size == 0:
         return fn
-    if k1 == 2:
-        c0 = fn.coeffs[:, 0, 0]
-        c1 = fn.coeffs[:, 1, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = -c0 / c1
-        ok = ((np.abs(c1) > _LEAD_FLOOR)
-              & (r > fn.breaks[:-1] + _ROOT_MARGIN)
-              & (r < fn.breaks[1:] - _ROOT_MARGIN))
-        if not np.any(ok):
-            return fn
-        edges = np.unique(np.concatenate([fn.breaks, r[ok]]))
-    else:
-        roots = _piece_roots(fn.coeffs[:, :, 0], fn.breaks[:-1],
-                             fn.breaks[1:])[1]
-        edges = np.unique(np.concatenate([fn.breaks, roots]))
+    edges = np.unique(np.concatenate([fn.breaks, roots]))
     return CircleFunction(edges, fn.coeffs_on(edges), fn.space)
 
 
@@ -209,13 +227,6 @@ def abs_poly(fn):
     signs = np.where(split._eval_unwrapped(mids)[:, 0] < 0.0, -1.0, 1.0)
     return CircleFunction(split.breaks, split.coeffs * signs[:, None, None],
                           fn.space)
-
-
-def _poly_pow(coeffs_piece, k):
-    out = np.array([1.0])
-    for _ in range(k):
-        out = np.convolve(out, coeffs_piece)
-    return out
 
 
 class PolyField:
@@ -274,20 +285,19 @@ class PolyField:
         p = float(p)
         if p == 1.0:
             return self.integral()
-        if p.is_integer() and p <= 16:
-            k = int(p)
-            total = 0.0
-            b = self.fn.breaks
-            for i in range(self.fn.npieces):
-                pw = _poly_pow(self.fn.coeffs[i, :, 0], k)
-                ad = pw / np.arange(1, pw.size + 1)
-                total += float(ad @ (b[i + 1] ** np.arange(1, pw.size + 1)
-                                     - b[i] ** np.arange(1, pw.size + 1)))
-            return total ** (1.0 / p)
-        b = self.fn.breaks
-        vals = gl_integrate(lambda x: np.abs(self.fn(x)[:, 0]) ** p,
-                            b[:-1], b[1:])
-        return _running_sum(vals) ** (1.0 / p)
+        if not (p.is_integer() and p <= 16):
+            return _quadrature_lp(self.eval, self.fn.breaks, p)
+        c = self.fn.coeffs[:, :, 0]
+        pw = np.ones((c.shape[0], 1))
+        for _ in range(int(p)):
+            pw = _product(pw, c)
+        # the integral of each piece is one dot product against the
+        # differences b[i + 1]^e - b[i]^e, the pieces added in order
+        e = np.arange(1, pw.shape[1] + 1)
+        b = self.fn.breaks[:, None]
+        vals = np.matmul((pw / e)[:, None, :],
+                         (b[1:] ** e - b[:-1] ** e)[:, :, None])
+        return _running_sum(vals[:, 0, 0]) ** (1.0 / p)
 
     def superlevel_measure(self, lam):
         """Exact Lebesgue measure of {x : field(x) >= lam}."""
@@ -318,17 +328,6 @@ class SqrtPolyField:
         self.q = _split_at_roots(q)
         self.space = q.space
         self._piece_ints = None
-
-    @classmethod
-    def from_vector(cls, fn):
-        k1 = fn.coeffs.shape[1]
-        qc = np.zeros((fn.npieces, 2 * k1 - 1, 1))
-        for i in range(fn.npieces):
-            acc = np.zeros(2 * k1 - 1)
-            for j in range(fn.d):
-                acc += np.convolve(fn.coeffs[i, :, j], fn.coeffs[i, :, j])
-            qc[i, :, 0] = acc
-        return cls(CircleFunction(fn.breaks, qc, fn.space))
 
     @property
     def breaks(self):
@@ -371,9 +370,7 @@ class SqrtPolyField:
             return math.sqrt(max(float(self.q.integral()[0]), 0.0))
         if p == 1.0:
             return self.integral()
-        b = self.q.breaks
-        vals = gl_integrate(lambda x: self.eval(x) ** p, b[:-1], b[1:])
-        return _running_sum(vals) ** (1.0 / p)
+        return _quadrature_lp(self.eval, self.q.breaks, p)
 
 
 class GenericField:
@@ -432,9 +429,7 @@ class GenericField:
         p = float(p)
         if p == 1.0:
             return self.integral()
-        vals = gl_integrate(lambda x: self.eval(x) ** p, self.breaks[:-1],
-                            self.breaks[1:])
-        return _running_sum(vals) ** (1.0 / p)
+        return _quadrature_lp(self.eval, self.breaks, p)
 
 
 class AtomField:
@@ -564,35 +559,20 @@ def grid_sup_field(fields):
     fields = list(fields)
     if len(fields) == 1:
         return fields[0]
-    if all(isinstance(f, AtomField) for f in fields):
-        return AtomField(fields[0].space,
-                         np.maximum.reduce([f.values for f in fields]))
-    if all(isinstance(f, PolyField) for f in fields):
+    if not any(isinstance(f, SqrtPolyField) for f in fields):
         return _envelope_reduce(fields)
-    rads = []
-    for f in fields:
-        if isinstance(f, SqrtPolyField):
-            rads.append(PolyField(f.q))
-        elif isinstance(f, PolyField):
-            rads.append(PolyField(_square_fn(f.fn)))
-        else:
-            raise ValueError("grid_sup_field needs polynomial-backed fields")
+    if not all(isinstance(f, (PolyField, SqrtPolyField)) for f in fields):
+        raise ValueError("grid_sup_field needs polynomial-backed fields")
+    rads = [PolyField(f.q if isinstance(f, SqrtPolyField) else _radicand(f.fn))
+            for f in fields]
     return SqrtPolyField(_envelope_reduce(rads).fn)
-
-
-def _square_fn(fn):
-    k1 = fn.coeffs.shape[1]
-    out = np.zeros((fn.npieces, 2 * k1 - 1, 1))
-    for i in range(fn.npieces):
-        out[i, :, 0] = np.convolve(fn.coeffs[i, :, 0], fn.coeffs[i, :, 0])
-    return CircleFunction(fn.breaks, out, fn.space)
 
 
 def _envelope_reduce(fields):
     # tournament reduction keeps intermediate break sets near the size of
-    # the final envelope instead of the full union
+    # the final envelope instead of the full union; atoms have no breaks
     members = list(fields)
-    while len(members) > 8:
+    while len(members) > 8 and not isinstance(members[0], AtomField):
         nxt = [upper_envelope(members[i:i + 2])
                for i in range(0, len(members), 2)]
         members = nxt
@@ -625,7 +605,7 @@ def pointwise_norm(f, vnorm):
                  for j in range(f.d)]
         from .functions import merge_sum
         return PolyField(merge_sum(parts, np.ones(len(parts))))
-    return SqrtPolyField.from_vector(f)
+    return SqrtPolyField(_radicand(f))
 
 
 def lp_norm(f, p, vnorm):

@@ -135,6 +135,40 @@ def loop_real_roots(coeffs, lo, hi, margin=1e-13, imag_tol=1e-9):
     return np.concatenate(rows), np.concatenate(roots)
 
 
+def loop_poly_pow(coeffs, k):
+    """k-th power of each row's ascending polynomial, one np.convolve per
+    row and factor."""
+    rows = []
+    for coef in np.asarray(coeffs, dtype=float):
+        pw = np.array([1.0])
+        for _ in range(k):
+            pw = np.convolve(pw, coef)
+        rows.append(pw)
+    return np.asarray(rows)
+
+
+def loop_radicand(coeffs):
+    """sum_j c_j^2 of each piece of an ascending (pieces, k1, d) table, one
+    np.convolve per piece and component, added from 0.0."""
+    n, k1, d = coeffs.shape
+    out = np.zeros((n, 2 * k1 - 1))
+    for i in range(n):
+        for j in range(d):
+            out[i] += np.convolve(coeffs[i, :, j], coeffs[i, :, j])
+    return out
+
+
+def loop_power_integral(breaks, coeffs, k):
+    """Integral of p^k over the circle for a piecewise polynomial with
+    ascending (pieces, k1) coeffs: exact on each piece, added piece by
+    piece."""
+    total = 0.0
+    for i, pw in enumerate(loop_poly_pow(coeffs, k)):
+        e = np.arange(1, pw.size + 1)
+        total += float(pw / e @ (breaks[i + 1] ** e - breaks[i] ** e))
+    return total
+
+
 def loop_eval(breaks, coeffs, x):
     """Piecewise polynomial (ascending (pieces, k1) coeffs) at circle points
     x, evaluated as a table lookup and one einsum over the points."""

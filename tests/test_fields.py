@@ -206,6 +206,12 @@ def test_atom_envelope():
     b = AtomField(sp, np.array([4.0, 0.0, 3.0]))
     env = upper_envelope([a, b])
     assert np.allclose(env.values, [4.0, 5.0, 3.0])
+    # more members than one envelope round takes; a NaN atom stays NaN
+    rng = np.random.default_rng(3)
+    vals = rng.uniform(0.0, 1.0, (12, 3))
+    vals[5, 1] = np.nan
+    env = grid_sup_field([AtomField(sp, v) for v in vals])
+    assert _same(env.values, np.maximum.reduce(vals))
 
 
 def _random_poly_members(rng, nmembers, degree):
@@ -342,7 +348,7 @@ def test_sup_and_superlevel_match_per_piece_loops(k1):
         assert _same(np.float64(got), np.float64(ref))
 
 
-@pytest.mark.parametrize("k1", [3, 4, 5, 9])
+@pytest.mark.parametrize("k1", [1, 2, 3, 4, 5, 9])
 def test_split_and_abs_match_per_piece_loops(k1):
     rng = np.random.default_rng(300 + k1)
     breaks = _breaks(rng, 300)
@@ -572,16 +578,130 @@ def test_cumint_and_cell_averages_make_one_quadrature_call(monkeypatch):
     assert depths.count(0) == 1
 
 
-# -- NaN reaches every sup -------------------------------------------------------
+# -- NaN reaches every sup and norm -------------------------------------------
+
+
+def _nan_piece_field():
+    coeffs = np.array([[[0.2], [1.0]], [[np.nan], [0.0]], [[1.0], [-0.5]]])
+    return PolyField(CircleFunction(np.array([0.0, 0.3, 0.6, 1.0]), coeffs))
 
 
 def test_nan_piece_makes_sup_nan():
-    coeffs = np.array([[[0.2], [1.0]], [[np.nan], [0.0]], [[1.0], [-0.5]]])
-    field = PolyField(CircleFunction(np.array([0.0, 0.3, 0.6, 1.0]), coeffs))
+    field = _nan_piece_field()
     assert np.isnan(field.sup())
-    assert PolyField(CircleFunction(np.array([0.0, 0.3, 0.6, 1.0]),
-                                    np.nan_to_num(coeffs))).sup() == 0.7
+    finite = np.nan_to_num(field.fn.coeffs)
+    assert PolyField(CircleFunction(field.breaks, finite)).sup() == 0.7
     generic = GenericField(circle_space(),
                            lambda x: np.where(x > 0.7, np.nan, x),
                            breaks=[0.5], deriv_bound=1.0)
     assert np.isnan(generic.sup())
+
+
+def _count_points(monkeypatch):
+    """Integrand points evaluated by every gl_integrate call from now on."""
+    real = fields.gl_integrate
+    points = [0]
+
+    def counted(fn):
+        def integrand(x):
+            points[0] += np.size(x)
+            return fn(x)
+        return integrand
+
+    def wrapper(fn, lo, hi, tol=fields._GL_STABILITY, depth=0):
+        # the recursion passes the counted integrand on; wrap it once
+        return real(counted(fn) if depth == 0 else fn, lo, hi, tol, depth)
+    monkeypatch.setattr(fields, "gl_integrate", wrapper)
+    return points
+
+
+def test_nan_integrand_stops_at_the_first_rule(monkeypatch):
+    # a NaN rule never agrees with the next one: bisecting such an interval
+    # to the cap costs 64,056 points at cap 6, doubling per level up to 24
+    monkeypatch.setattr(fields, "_GL_MAX_DEPTH", 6)
+    points = _count_points(monkeypatch)
+    field = _nan_piece_field()
+    assert np.isnan(field.lp(1.5))
+    assert 0 < points[0] <= 3 * sum(fields._GL_LADDER)
+    assert np.isnan(gl_integrate(lambda x: np.where(x < 0.5, np.nan, x),
+                                 0.0, 1.0))
+
+
+def test_nan_piece_makes_integer_lp_nan():
+    field = _nan_piece_field()
+    assert np.isnan(field.lp(2)) and np.isnan(field.lp(3))
+
+
+# -- coefficient products against per-piece np.convolve loops -----------------
+
+# np.convolve adds each coefficient's products inside one BLAS dot, whose
+# rounding no array sum reproduces: _product adds the same terms in the same
+# order, yet 32 % of random k1 = 3 cubes and 77 % of random k1 = 5 squares
+# differ from it in the last bit.  So these tests compare within a rounding
+# bound instead of by bytes.  A sum of n products rounds to within
+# n * eps / 2 of sum |a_i * b_j| (Higham, gamma_n), so two summation orders
+# differ by at most n * eps * sum |a_i * b_j| per coefficient, and a k-fold
+# product by at most k times that.
+
+_EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_radicand_matches_per_piece_convolve(d):
+    rng = np.random.default_rng(600 + d)
+    for k1 in range(1, 10):
+        coeffs = rng.uniform(-2.0, 2.0, (50, k1, d))
+        coeffs[rng.random(coeffs.shape) < 0.1] = 0.0
+        fn = CircleFunction(_breaks(rng, 50), coeffs)
+        got = fields._radicand(fn)
+        ref = oracles.loop_radicand(coeffs)
+        bound = k1 * d * _EPS * oracles.loop_radicand(np.abs(coeffs))
+        assert got.coeffs.shape == (50, 2 * k1 - 1, 1)
+        assert _same(got.breaks, fn.breaks)
+        assert np.all(np.abs(got.coeffs[:, :, 0] - ref) <= bound)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 16])
+def test_integer_lp_matches_per_piece_convolve(k):
+    rng = np.random.default_rng(700 + k)
+    for k1 in (1, 2, 4, 9):
+        n = 40
+        breaks = _breaks(rng, n)
+        # a dominant constant term keeps the field positive and sum |a * b|
+        # near the value itself, so the bound is tight
+        coeffs = rng.uniform(-0.2, 0.2, (n, k1))
+        coeffs[:, 0] = rng.uniform(1.0, 2.0, n)
+        field = PolyField(CircleFunction(breaks, coeffs[:, :, None]))
+        ref_total = oracles.loop_power_integral(breaks, coeffs, k)
+        scale = oracles.loop_power_integral(breaks, np.abs(coeffs), k)
+        # the power table, the per-piece dot of length size, the division by
+        # the exponents and the sum over the pieces
+        size = k * (k1 - 1) + 1
+        total_bound = (k * k1 + size + n + 1) * _EPS * scale
+        ref = ref_total ** (1.0 / k)
+        bound = (total_bound / k * (ref_total - total_bound) ** (1.0 / k - 1)
+                 + 2 * _EPS * ref)
+        assert bound <= 1e-12 * ref
+        assert abs(field.lp(k) - ref) <= bound
+
+
+def test_products_make_no_convolve_call(monkeypatch):
+    # 4096 cubic pieces: a per-piece product would make thousands of calls
+    rng = np.random.default_rng(8)
+    breaks = _breaks(rng, 4096)
+    fn = CircleFunction(breaks, rng.uniform(-1.0, 1.0, (4096, 4, 2)))
+    scalar = CircleFunction(breaks, fn.coeffs[:, :, :1])
+    calls = [0]
+    real = np.convolve
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np, "convolve", counted)
+    euclid = pointwise_norm(fn, VectorNorm("euclidean", 2))
+    absolute = pointwise_norm(scalar, VectorNorm("euclidean", 1))
+    absolute.lp(2)
+    absolute.lp(3)
+    env = grid_sup_field([euclid, absolute])
+    assert isinstance(env, SqrtPolyField)
+    assert calls[0] == 0
