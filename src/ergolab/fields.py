@@ -18,9 +18,10 @@ call per interval.
 Roots are batched across pieces: ``_piece_roots`` solves the companion
 matrices of all pieces of one stripped degree in one stacked eigenvalue
 call, and reproduces ``np.roots`` on each piece bit for bit.  Sup
-candidates, level crossings, sign changes and envelope crossings all go
-through it, and the values at the candidates are evaluated in stacks of
-equal shape, so every result matches a per-piece loop exactly.
+candidates, level crossings, sign changes (those of all components of a
+sum norm in one call) and envelope crossings all go through it, and the
+values at the candidates are evaluated in stacks of equal shape, so every
+result matches a per-piece loop exactly.
 
 Products of coefficient tables are batched like roots: ``_product``
 multiplies two tables row by row, looping over the columns of one factor,
@@ -34,7 +35,7 @@ import math
 
 import numpy as np
 
-from .functions import CircleFunction, AtomFunction, _pad
+from .functions import CircleFunction, AtomFunction, _pad, merge_sum
 from .spaces import VectorNorm
 
 # quadrature: rules of _GL_LADDER nodes until two agree to _GL_STABILITY;
@@ -209,24 +210,45 @@ def real_roots_in(coef_ascending, lo, hi, margin=_ROOT_MARGIN):
     return _piece_roots(coef, lo, hi, margin)[1]
 
 
-def _split_at_roots(fn):
-    """Refine a scalar CircleFunction's breaks at its interior zeros."""
-    roots = _piece_roots(fn.coeffs[:, :, 0], fn.breaks[:-1], fn.breaks[1:])[1]
+def _split_at(fn, roots):
+    """fn with its breaks refined at the points roots (fn if there are none)."""
     if roots.size == 0:
         return fn
     edges = np.unique(np.concatenate([fn.breaks, roots]))
     return CircleFunction(edges, fn.coeffs_on(edges), fn.space)
 
 
+def _split_at_roots(fn):
+    """Refine a scalar CircleFunction's breaks at its interior zeros."""
+    return _split_at(fn, _piece_roots(fn.coeffs[:, :, 0], fn.breaks[:-1],
+                                      fn.breaks[1:])[1])
+
+
+def _abs_components(fn):
+    """Exact |f_j| of every component of a CircleFunction, each split at its
+    own sign changes; the roots of all components are one _piece_roots call
+    on the stacked (pieces * d, k1) table."""
+    b, n = fn.breaks, fn.npieces
+    table = fn.coeffs.transpose(2, 0, 1).reshape(n * fn.d, -1)
+    piece, root = _piece_roots(table, np.tile(b[:-1], fn.d),
+                               np.tile(b[1:], fn.d))
+    parts = []
+    for j in range(fn.d):
+        comp = CircleFunction(b, fn.coeffs[:, :, j:j + 1], fn.space)
+        split = _split_at(comp, root[piece // n == j])
+        mids = 0.5 * (split.breaks[:-1] + split.breaks[1:])
+        signs = np.where(split._eval_unwrapped(mids)[:, 0] < 0.0, -1.0, 1.0)
+        parts.append(CircleFunction(split.breaks,
+                                    split.coeffs * signs[:, None, None],
+                                    fn.space))
+    return parts
+
+
 def abs_poly(fn):
     """Exact |f| for a scalar CircleFunction, splitting at sign changes."""
     if fn.d != 1:
         raise ValueError("abs_poly expects a scalar function")
-    split = _split_at_roots(fn)
-    mids = 0.5 * (split.breaks[:-1] + split.breaks[1:])
-    signs = np.where(split._eval_unwrapped(mids)[:, 0] < 0.0, -1.0, 1.0)
-    return CircleFunction(split.breaks, split.coeffs * signs[:, None, None],
-                          fn.space)
+    return _abs_components(fn)[0]
 
 
 class PolyField:
@@ -600,11 +622,7 @@ def pointwise_norm(f, vnorm):
             comps.append(PolyField(-comp))
         return upper_envelope(comps)
     if vnorm.selector == "sum":
-        parts = [abs_poly(CircleFunction(f.breaks, f.coeffs[:, :, j:j + 1],
-                                         f.space))
-                 for j in range(f.d)]
-        from .functions import merge_sum
-        return PolyField(merge_sum(parts, np.ones(len(parts))))
+        return PolyField(merge_sum(_abs_components(f), np.ones(f.d)))
     return SqrtPolyField(_radicand(f))
 
 

@@ -21,7 +21,8 @@ from ergolab.fields import (
     upper_envelope,
 )
 from ergolab import fields
-from ergolab.functions import AtomFunction, CircleFunction, hat, sawtooth
+from ergolab.functions import (AtomFunction, CircleFunction, hat, merge_sum,
+                               sawtooth)
 from ergolab.spaces import (
     VectorNorm,
     circle_space,
@@ -348,20 +349,60 @@ def test_sup_and_superlevel_match_per_piece_loops(k1):
         assert _same(np.float64(got), np.float64(ref))
 
 
+def _loop_abs(breaks, coeffs):
+    """Edges and signed coefficients of |p|, split piece by piece."""
+    edges = oracles.loop_split_edges(breaks, coeffs)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    tab = coeffs[np.searchsorted(breaks, mids) - 1]
+    signs = np.where(oracles.loop_eval(edges, tab, mids) < 0.0, -1.0, 1.0)
+    return edges, tab * signs[:, None]
+
+
 @pytest.mark.parametrize("k1", [1, 2, 3, 4, 5, 9])
 def test_split_and_abs_match_per_piece_loops(k1):
     rng = np.random.default_rng(300 + k1)
     breaks = _breaks(rng, 300)
     coeffs = _root_cases(rng, breaks, k1)
     fn = CircleFunction(breaks, coeffs[:, :, None])
-    edges = oracles.loop_split_edges(breaks, coeffs)
+    edges, signed = _loop_abs(breaks, coeffs)
     assert _same(_split_at_roots(fn).breaks, edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    tab = coeffs[np.searchsorted(breaks, mids) - 1]
-    signs = np.where(oracles.loop_eval(edges, tab, mids) < 0.0, -1.0, 1.0)
     got = abs_poly(fn)
     assert _same(got.breaks, edges)
-    assert _same(got.coeffs[:, :, 0], tab * signs[:, None])
+    assert _same(got.coeffs[:, :, 0], signed)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("k1", [1, 2, 3, 4, 5])
+def test_sum_norm_matches_per_component_loops(d, k1):
+    # one root solve for all components gives each component the bits of
+    # its own abs_poly call
+    rng = np.random.default_rng(800 + 10 * d + k1)
+    breaks = _breaks(rng, 300)
+    tab = np.stack([_root_cases(rng, breaks, k1) for _ in range(d)], axis=2)
+    fn = CircleFunction(breaks, tab)
+    parts = []
+    for j, part in enumerate(fields._abs_components(fn)):
+        edges, signed = _loop_abs(breaks, tab[:, :, j])
+        assert _same(part.breaks, edges)
+        assert _same(part.coeffs[:, :, 0], signed)
+        parts.append(abs_poly(CircleFunction(breaks, tab[:, :, j:j + 1])))
+    got = pointwise_norm(fn, VectorNorm("sum", d)).fn
+    ref = merge_sum(parts, np.ones(d))
+    assert _same(got.breaks, ref.breaks) and _same(got.coeffs, ref.coeffs)
+
+
+def test_sum_norm_makes_one_root_call(monkeypatch):
+    calls = []
+    real = fields._piece_roots
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(fields, "_piece_roots", counted)
+    rng = np.random.default_rng(9)
+    fn = CircleFunction(_breaks(rng, 64), rng.uniform(-1.0, 1.0, (64, 3, 3)))
+    pointwise_norm(fn, VectorNorm("sum", 3))
+    assert calls == [(3 * 64, 3)]
 
 
 def _envelope_members(rng, k1, nmembers, npieces):

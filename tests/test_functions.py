@@ -1,3 +1,8 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,6 +16,7 @@ from ergolab.functions import (
     merge_sum,
     sawtooth,
     taylor_shift,
+    _periodic_spline,
 )
 from ergolab.spaces import circle_space, discrete_space
 
@@ -132,6 +138,109 @@ def test_from_smooth_hits_target():
     assert np.max(np.abs(f(x) - exact)) <= 1e-6
     assert f.is_continuous(tol=1e-9)
     assert np.max(np.abs(f.mean())) < 1e-6
+
+
+def _scipy_periodic(x, y):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    cs = interpolate.CubicSpline(x, y, axis=0, bc_type="periodic")
+    return np.transpose(cs.c, (1, 0, 2))[:, ::-1, :]
+
+
+def _periodic_samples(rng, n, d):
+    y = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-4, 5)
+    y[-1] = y[0]
+    return y
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_periodic_spline_matches_cubic_spline_bytes(d):
+    # uniform knots, the only ones from_smooth passes: LAPACK's gtsv swaps
+    # no rows there, so the kernel reproduces scipy's arithmetic exactly
+    rng = np.random.default_rng(600 + d)
+    for n in (16, 17, 64, 100, 256, 1024, 4096):
+        x = np.linspace(0.0, 1.0, n + 1)
+        for _ in range(3):
+            y = _periodic_samples(rng, n + 1, d)
+            got, ref = _periodic_spline(x, y), _scipy_periodic(x, y)
+            assert got.shape == ref.shape == (n, 4, d)
+            assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_periodic_spline_matches_cubic_spline_on_nonuniform_knots(d):
+    # here gtsv may swap rows, so only rounding agreement is expected; a
+    # swapped pair of off-diagonals is off by orders of magnitude
+    rng = np.random.default_rng(700 + d)
+    for n in (4, 5, 17, 60, 300):
+        for _ in range(5):
+            inner = np.sort(rng.choice(np.arange(1, 16 * n), n - 2,
+                                       replace=False)) / (16.0 * n)
+            x = np.concatenate([[0.0], inner, [1.0]])
+            y = _periodic_samples(rng, n, d)
+            got, ref = _periodic_spline(x, y), _scipy_periodic(x, y)
+            assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_periodic_spline_rejects_non_finite_samples():
+    x = np.linspace(0.0, 1.0, 17)
+    for bad in (math.nan, math.inf):
+        y = np.zeros((17, 2))
+        y[5, 1] = bad
+        with pytest.raises(ValueError):
+            _periodic_spline(x, y)
+    gen = harmonic_generator(d=1)
+    with pytest.raises(ValueError):
+        from_smooth(lambda x: gen(x) if x != 0.5 else np.array([math.nan]), 1)
+
+
+def test_from_smooth_nan_probe_error_never_meets_target():
+    # finite at every knot, NaN only at the probes of the 4096-knot pass
+    # (odd multiples of 1/32768); at 2048 knots the error is about 2e-11
+    gen = harmonic_generator(d=1, harmonic=3)
+
+    def holey(x):
+        return np.array([math.nan]) if (x * 32768) % 2 == 1 else gen(x)
+
+    with pytest.raises(ValueError, match="missed target"):
+        from_smooth(holey, 1, target=1e-12)
+
+
+def _run_python(script):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.strip()
+
+
+def test_package_runs_without_scipy():
+    # with scipy blocked, importing it raises ModuleNotFoundError
+    assert _run_python(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import ergolab\n"
+        "from ergolab.cli import shipped_scenarios\n"
+        "from ergolab.config import parse_config\n"
+        "from ergolab.runner import run_scenario\n"
+        "gen = ergolab.harmonic_generator(d=2, phases=[0.0, 0.25])\n"
+        "assert ergolab.from_smooth(gen, 2, target=1e-6).npieces >= 16\n"
+        "path, = [p for p in shipped_scenarios('all')\n"
+        "         if p.endswith('smooth_rot1.cfg')]\n"
+        "report = run_scenario(parse_config(path))\n"
+        "assert report.records\n"
+        "assert all(r.status != 'FAIL' for r in report.records)\n"
+        "print('ok')\n") == "ok"
+
+
+def test_import_loads_no_scipy():
+    assert _run_python(
+        "import sys\n"
+        "import ergolab\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    ) == "[]"
 
 
 def test_cascade_profile_structure():
