@@ -15,13 +15,22 @@ adaptive Gauss-Legendre on arrays of intervals: one ``gl_integrate`` call
 covers all pieces, points or cell segments of a field, bit for bit as a
 call per interval.
 
+Norm fields are built family by family.  ``NormFamily`` stacks the
+coefficient tables of many functions (the entries of a process grid, say)
+into one table with an owner index per piece, subtracts a common target
+per owner if one is given, and runs the sign splits, radicands, root
+isolation, L_p integrals and sups once for the whole family.  Per-owner
+reductions (running sums in piece order, first-largest maxima) give each
+member exactly the bits of a family of its own, and ``pointwise_norm`` and
+the single-field ``lp`` and ``sup`` are the one-member case.  An atom
+family is one (members, atoms, d) value table.
+
 Roots are batched across pieces: ``_piece_roots`` solves the companion
 matrices of all pieces of one stripped degree in one stacked eigenvalue
 call, and reproduces ``np.roots`` on each piece bit for bit.  Sup
-candidates, level crossings, sign changes (those of all components of a
-sum norm in one call) and envelope crossings all go through it, and the
-values at the candidates are evaluated in stacks of equal shape, so every
-result matches a per-piece loop exactly.
+candidates, level crossings, sign changes and envelope crossings all go
+through it, and the values at the candidates are evaluated in stacks of
+equal shape, so every result matches a per-piece loop exactly.
 
 Products of coefficient tables are batched like roots: ``_product``
 multiplies two tables row by row, looping over the columns of one factor,
@@ -35,8 +44,7 @@ import math
 
 import numpy as np
 
-from .functions import CircleFunction, AtomFunction, _pad, merge_sum
-from .spaces import VectorNorm
+from .functions import CircleFunction, AtomFunction, _pad
 
 # quadrature: rules of _GL_LADDER nodes until two agree to _GL_STABILITY;
 # below width _GL_TINY the midpoint rule; no bisection past _GL_MAX_DEPTH
@@ -61,21 +69,36 @@ def _gl_nodes(n):
     return _gl_cache[n]
 
 
-def gl_integrate(fn, lo, hi, tol=_GL_STABILITY, depth=0):
+class _Nodes(np.ndarray):
+    """Quadrature nodes whose ``key`` holds the key of each node's interval."""
+
+
+def gl_integrate(fn, lo, hi, tol=_GL_STABILITY, depth=0, key=None):
     """Adaptive Gauss-Legendre on each [lo[i], hi[i]] (a scalar call gives a
     float).  Intervals whose rules never agree are bisected, all halves in
     one call; each rule is one dot product per interval, so every interval
     gets the bits of a call on it alone.  An interval whose rule is NaN is
-    NaN at once."""
+    NaN at once.  With ``key`` (an integer per interval, kept by both
+    halves of a bisection), fn receives nodes whose ``key`` attribute holds
+    the key of each node's interval."""
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = (np.ravel(a) for a in np.broadcast_arrays(
         np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)))
+    if key is not None:
+        key = np.broadcast_to(np.asarray(key), lo.shape)
+
+    def values(x, keys):
+        if key is not None:
+            x = x.view(_Nodes)
+            x.key = keys
+        return np.asarray(fn(x), dtype=float)
+
     width = hi - lo
     out = np.where(np.isnan(width), np.nan, 0.0)
     tiny = (width > 0.0) & (width < _GL_TINY)
     if tiny.any():
-        out[tiny] = width[tiny] * np.asarray(
-            fn(0.5 * (lo[tiny] + hi[tiny])), dtype=float)
+        out[tiny] = width[tiny] * values(0.5 * (lo[tiny] + hi[tiny]),
+                                         None if key is None else key[tiny])
     todo = np.flatnonzero(width >= _GL_TINY)
     prev = None
     for n in _GL_LADDER:
@@ -84,7 +107,8 @@ def gl_integrate(fn, lo, hi, tol=_GL_STABILITY, depth=0):
         for _, idx in _batches(np.full(todo.size, n), lambda n: n):
             i = todo[idx]
             x = 0.5 * width[i, None] * nodes + 0.5 * (lo[i] + hi[i])[:, None]
-            fx = np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+            fx = values(x.ravel(), None if key is None
+                        else np.repeat(key[i], n)).reshape(x.shape)
             val[idx] = 0.5 * width[i] * np.matmul(fx[:, None, :],
                                                   wts[:, None])[:, 0, 0]
         done = np.isnan(val)
@@ -97,7 +121,9 @@ def gl_integrate(fn, lo, hi, tol=_GL_STABILITY, depth=0):
     elif todo.size:
         mid = 0.5 * (lo[todo] + hi[todo])
         halves = gl_integrate(fn, np.r_[lo[todo], mid], np.r_[mid, hi[todo]],
-                              tol, depth + 1)
+                              tol, depth + 1,
+                              key=None if key is None else np.r_[key[todo],
+                                                                 key[todo]])
         out[todo] = halves[:todo.size] + halves[todo.size:]
     return float(out[0]) if scalar else out
 
@@ -117,14 +143,6 @@ def _running_sum(vals):
     return float(np.cumsum(np.r_[0.0, vals])[-1])
 
 
-def _quadrature_lp(evaluate, breaks, p):
-    """(integral of |evaluate|^p) ** (1/p): one quadrature call over the
-    pieces, added piece by piece."""
-    vals = gl_integrate(lambda x: np.abs(evaluate(x)) ** p, breaks[:-1],
-                        breaks[1:])
-    return _running_sum(vals) ** (1.0 / p)
-
-
 def _product(a, b):
     """Row-by-row product of ascending coefficient tables, (N, ka) x (N, kb)
     -> (N, ka + kb - 1), one pass per column of b.  The passes run from the
@@ -137,11 +155,15 @@ def _product(a, b):
     return out
 
 
+def _square_sum(c):
+    """The table of sum_j f_j^2 for a (N, k1, d) coefficient table."""
+    return sum(_product(c[:, :, j], c[:, :, j]) for j in range(c.shape[2]))
+
+
 def _radicand(fn):
     """The scalar CircleFunction sum_j f_j^2 of a CircleFunction f."""
-    c = fn.coeffs
-    q = sum(_product(c[:, :, j], c[:, :, j]) for j in range(fn.d))
-    return CircleFunction(fn.breaks, q[:, :, None], fn.space)
+    return CircleFunction(fn.breaks, _square_sum(fn.coeffs)[:, :, None],
+                          fn.space)
 
 
 def _sorted_unique(key, x):
@@ -153,14 +175,17 @@ def _sorted_unique(key, x):
     return key[new], x[new]
 
 
-def _segments(lo, hi, key, x):
-    """Intervals (lo[i], hi[i]) cut at the points x of interval key: the
-    (interval, start, end) of every segment, in order, each cut once."""
-    ends = np.arange(lo.size)
-    key, x = _sorted_unique(np.concatenate([ends, ends, key]),
-                            np.concatenate([lo, hi, x]))
-    seg = key[1:] == key[:-1]
-    return key[:-1][seg], x[:-1][seg], x[1:][seg]
+def _cut(lo, hi, key, x):
+    """Intervals (lo[i], hi[i]) cut at the points x of interval key (sorted
+    by key, then x, unique and strictly inside their interval): the
+    (interval, start, end) of every part, in order."""
+    src = np.repeat(np.arange(lo.size), np.bincount(key, minlength=lo.size) + 1)
+    start, end = lo[src], hi[src]
+    # the q-th point starts part key[q] + q + 1 and ends the one before
+    at = key + np.arange(x.size) + 1
+    start[at] = x
+    end[at - 1] = x
+    return src, start, end
 
 
 def _piece_roots(coeffs, lo, hi, margin=_ROOT_MARGIN):
@@ -170,7 +195,9 @@ def _piece_roots(coeffs, lo, hi, margin=_ROOT_MARGIN):
     piece, then root, unique within a piece.  Each piece gets exactly what
     np.roots gives it: leading and trailing zeros are stripped, pieces of
     one stripped degree share stacked eigvals calls on the same companion
-    matrices, and every stripped low-order zero is a root at 0.
+    matrices, and every stripped low-order zero is a root at 0.  A piece
+    with a non-finite coefficient has no roots, so one NaN piece cannot
+    stop the solve of the others.
     """
     c = np.asarray(coeffs, dtype=float)
     n_pieces, k1 = c.shape
@@ -182,7 +209,7 @@ def _piece_roots(coeffs, lo, hi, margin=_ROOT_MARGIN):
     top = k1 - 1 - np.argmax(nonzero[:, ::-1], axis=1)
     low = np.argmax(nonzero, axis=1)
     # a piece that is constant after trimming its top zeros has no roots
-    solved = nonzero.any(axis=1) & (top > 0)
+    solved = nonzero.any(axis=1) & (top > 0) & np.isfinite(c).all(axis=1)
     size = np.where(solved, top - low, 0)
     pieces, roots = [], []
     for n, idx in _batches(size, lambda n: n * n):
@@ -210,38 +237,286 @@ def real_roots_in(coef_ascending, lo, hi, margin=_ROOT_MARGIN):
     return _piece_roots(coef, lo, hi, margin)[1]
 
 
-def _split_at(fn, roots):
-    """fn with its breaks refined at the points roots (fn if there are none)."""
-    if roots.size == 0:
-        return fn
-    edges = np.unique(np.concatenate([fn.breaks, roots]))
-    return CircleFunction(edges, fn.coeffs_on(edges), fn.space)
+# -- stacked tables --------------------------------------------------------------
+
+
+class _Stack:
+    """The pieces of m piecewise polynomials, owner after owner and each in
+    order: piece i lies on [lo[i], hi[i]], belongs to owner[i] and has the
+    ascending coefficients c[i] (c is (pieces, k1, d), as in
+    CircleFunction).  Kernels on a stack pay each NumPy call once for all
+    owners; the reductions below give every owner the bits of a stack of
+    its own."""
+
+    def __init__(self, owner, lo, hi, c, m):
+        self.owner, self.lo, self.hi, self.c, self.m = owner, lo, hi, c, m
+        self.counts = np.bincount(owner, minlength=m)
+        self.start = np.cumsum(self.counts) - self.counts
+        self.rank = np.arange(owner.size) - self.start[owner]
+
+    @classmethod
+    def of(cls, fns, k1=0):
+        """The stack of CircleFunctions of one value dimension, their
+        coefficient tables padded to k1 columns if narrower."""
+        return cls(np.repeat(np.arange(len(fns)), [fn.npieces for fn in fns]),
+                   np.concatenate([fn.breaks[:-1] for fn in fns]),
+                   np.concatenate([fn.breaks[1:] for fn in fns]),
+                   np.concatenate([_pad(fn.coeffs, k1) for fn in fns]),
+                   len(fns))
+
+    def recoef(self, c):
+        """The same pieces with the coefficients c."""
+        return _Stack(self.owner, self.lo, self.hi, c, self.m)
+
+    def functions(self, space):
+        """Each owner's CircleFunction."""
+        ends = self.start + self.counts
+        return [CircleFunction(np.r_[self.lo[a:b], self.hi[b - 1]],
+                               self.c[a:b], space)
+                for a, b in zip(self.start, ends)]
+
+    def cumsums(self, vals, lead):
+        """Running sums of each owner's vals in piece order, one row per
+        owner, after ``lead`` columns of 0.0 (a padded table, so every row
+        adds from its own start and never subtracts another's)."""
+        table = np.zeros((self.m, lead + self.counts.max()))
+        table[self.owner, lead + self.rank] = vals
+        return np.cumsum(table, axis=1)
+
+    def sums(self, vals):
+        """Each owner's vals added in piece order from 0.0, as a loop of +=
+        adds (``_running_sum`` per owner)."""
+        return self.cumsums(vals, 1)[np.arange(self.m), self.counts]
+
+    def place(self, rows, x):
+        """The piece of its owner that piece_index finds for each x, searched
+        from its row: the row itself unless x rounds onto the row's hi (the
+        midpoint of a piece one ulp wide) or past an end (a quadrature
+        node on a tiny piece)."""
+        first = self.start[self.owner[rows]]
+        last = first + self.counts[self.owner[rows]] - 1
+        while True:
+            up = (rows < last) & (x >= self.hi[rows])
+            down = (rows > first) & (x < self.lo[rows])
+            if not (up.any() or down.any()):
+                return rows
+            rows = rows + up - down
+
+    def maxima(self, vals):
+        """Each owner's first largest value; a NaN value wins."""
+        table = np.full((self.m, self.counts.max()), -np.inf)
+        table[self.owner, self.rank] = vals
+        return table[np.arange(self.m), np.argmax(table, axis=1)]
+
+
+def _merged(sets, m):
+    """Per owner, the union of the breaks of several stacks with owners
+    0..m-1: the owner, lo and hi of each merged piece and, per stack, the
+    row of its piece at the merged piece's midpoint, as coeffs_on picks
+    it.  Rows come from counting each stack's breaks up to the merged
+    piece's start, never from comparing coordinates across owners."""
+    owner = np.concatenate([s.owner for s in sets] + [np.arange(m)] * len(sets))
+    x = np.concatenate([s.lo for s in sets]
+                       + [s.hi[s.start + s.counts - 1] for s in sets])
+    setid = np.concatenate([np.full(s.lo.size, j) for j, s in enumerate(sets)]
+                           + [np.full(m, j) for j in range(len(sets))])
+    order = np.lexsort((x, owner))
+    owner, x, setid = owner[order], x[order], setid[order]
+    keep = np.ones(x.size, dtype=bool)
+    keep[:-1] = (owner[1:] != owner[:-1]) | (x[1:] != x[:-1])
+    # a stack has start[o] + o breaks before owner o: pieces plus one end
+    below = [np.cumsum(setid == j)[keep] for j in range(len(sets))]
+    owner, x = owner[keep], x[keep]
+    seg = np.flatnonzero(owner[1:] == owner[:-1])
+    owner, lo, hi = owner[seg], x[seg], x[seg + 1]
+    mids = 0.5 * (lo + hi)
+    return owner, lo, hi, [s.place(b[seg] - owner - 1, mids)
+                           for s, b in zip(sets, below)]
+
+
+def _minus(st, target):
+    """Each owner's function minus target on the union of their breaks, as
+    CircleFunction.__sub__ builds it (st is padded to target's width)."""
+    tb, m = target.breaks, st.m
+    nt = tb.size - 1
+    tiled = _Stack(np.repeat(np.arange(m), nt), np.tile(tb[:-1], m),
+                   np.tile(tb[1:], m), None, m)
+    owner, lo, hi, (a, b) = _merged([st, tiled], m)
+    neg = _pad(target.coeffs * -1.0, st.c.shape[1])
+    return _Stack(owner, lo, hi, st.c[a] + neg[b - owner * nt], m)
+
+
+def _split(st, piece, root):
+    """The stack with each piece cut at its interior points root, as
+    _piece_roots gives them; every part keeps its piece's coefficients."""
+    src, lo, hi = _cut(st.lo, st.hi, piece, root)
+    return _Stack(st.owner[src], lo, hi, st.c[src], st.m)
+
+
+def _eval_rows(c, x):
+    """Each row's polynomial (c is (n, k1, 1)) at its point x, as
+    CircleFunction._eval_unwrapped evaluates it."""
+    powers = x[:, None] ** np.arange(c.shape[1])
+    return np.einsum("nk,nkd->nd", powers, c)[:, 0]
+
+
+def _abs(st):
+    """|p| of every piece of a scalar stack, split at its sign changes; one
+    _piece_roots call for the whole stack."""
+    split = _split(st, *_piece_roots(st.c[:, :, 0], st.lo, st.hi))
+    mids = 0.5 * (split.lo + split.hi)
+    at = split.place(np.arange(mids.size), mids)
+    signs = np.where(_eval_rows(split.c[at], mids) < 0.0, -1.0, 1.0)
+    return split.recoef(split.c * signs[:, None, None])
+
+
+def _components(st):
+    """The scalar stack of every owner's components: owner o * d + j holds
+    component j of owner o."""
+    d = st.c.shape[2]
+    sub = (st.owner[:, None] * d + np.arange(d)).ravel()
+    order = np.argsort(sub, kind="stable")
+    src, j = np.divmod(order, d)
+    return _Stack(sub[order], st.lo[src], st.hi[src],
+                  st.c[src, :, j][:, :, None], st.m * d)
+
+
+def _component_sum(parts, m, d):
+    """Per owner, the sum of its d component stacks (owners o * d + j of
+    parts) on the union of their breaks, added in component order from
+    zero with unit weights, as merge_sum adds them."""
+    rows = [np.flatnonzero(parts.owner % d == j) for j in range(d)]
+    sets = [_Stack(parts.owner[r] // d, parts.lo[r], parts.hi[r], None, m)
+            for r in rows]
+    owner, lo, hi, at = _merged(sets, m)
+    acc = np.zeros((lo.size,) + parts.c.shape[1:])
+    for r, a in zip(rows, at):
+        acc += 1.0 * parts.c[r[a]]
+    return _Stack(owner, lo, hi, acc, m)
+
+
+def _at_nodes(st, x):
+    """A scalar stack at quadrature nodes x (see gl_integrate's key), each
+    node on the piece of its key's owner that holds it, as the one-field
+    evaluation (which wraps x into [0, 1)) finds it."""
+    x, key = np.mod(np.asarray(x), 1.0), x.key
+    return _eval_rows(st.c[st.place(key, x)], x)
+
+
+def _sup(st):
+    """Each owner's sup of a scalar stack: the largest value at the piece
+    ends and interior critical points."""
+    c = st.c[:, :, 0]
+    k1 = c.shape[1]
+    piece, root = _piece_roots(c[:, 1:] * np.arange(1, k1), st.lo, st.hi)
+    counts = np.bincount(piece, minlength=st.lo.size)
+    first = np.cumsum(counts) - counts
+    piece_max = np.empty(st.lo.size)
+    # candidates lo, hi, then the critical points, evaluated in stacks of
+    # equal count: a matrix-vector product per piece, as the per-piece form
+    # computes it
+    for r, idx in _batches(counts, lambda r: (r + 2) * k1):
+        xs = np.empty((idx.size, r + 2))
+        xs[:, 0], xs[:, 1] = st.lo[idx], st.hi[idx]
+        xs[:, 2:] = root[first[idx, None] + np.arange(r)]
+        vals = np.matmul(xs[:, :, None] ** np.arange(k1), c[idx, :, None])
+        piece_max[idx] = np.max(vals[:, :, 0], axis=1)
+    return st.maxima(piece_max)
+
+
+def _integral(st):
+    """Each owner's integral over the circle, as CircleFunction.integral
+    computes it: the antiderivative's last piece at x = 1."""
+    k1 = st.c.shape[1]
+    e = np.arange(k1 + 1)
+    ad = np.zeros((st.lo.size, k1 + 1, 1))
+    ad[:, 1:] = st.c / np.arange(1, k1 + 1)[None, :, None]
+    vall = np.einsum("pk,pkd->pd", st.lo[:, None] ** e, ad)[:, 0]
+    valr = np.einsum("pk,pkd->pd", st.hi[:, None] ** e, ad)[:, 0]
+    # the last piece's offset adds the other pieces' gains from the first
+    cum = st.cumsums(valr - vall, 0)
+    own = np.arange(st.m)
+    offset = np.where(st.counts > 1, cum[own, np.maximum(st.counts - 2, 0)], 0.0)
+    last = st.start + st.counts - 1
+    head = ad[last]
+    head[:, 0, 0] += offset - vall[last]
+    return np.einsum("nk,nkd->nd", np.ones((st.m, k1 + 1)), head)[:, 0]
+
+
+def _root(sums, p):
+    """sum ** (1/p) per owner, in Python floats as the one-field form."""
+    return np.array([float(s) ** (1.0 / p) for s in sums])
+
+
+def _sqrt_each(vals):
+    """sqrt(max(v, 0)) per owner, in Python floats as the one-field form."""
+    return np.array([math.sqrt(max(float(v), 0.0)) for v in vals])
+
+
+def _sqrt_nonneg(v):
+    return np.sqrt(np.maximum(v, 0.0))
+
+
+def _piece_quadrature(st, fn):
+    """Each piece's integral of fn of the stack's values, in one keyed
+    gl_integrate call for all owners."""
+    return gl_integrate(lambda x: fn(_at_nodes(st, x)), st.lo, st.hi,
+                        key=np.arange(st.lo.size))
+
+
+def _lp(st, p):
+    """Each owner's L_p norm of a nonnegative scalar stack: exact for
+    integer p up to 16, quadrature otherwise."""
+    if p == 1.0:
+        return _integral(st)
+    if not (p.is_integer() and p <= 16):
+        return _root(st.sums(_piece_quadrature(st, lambda v: np.abs(v) ** p)),
+                     p)
+    c = st.c[:, :, 0]
+    pw = np.ones((c.shape[0], 1))
+    for _ in range(int(p)):
+        pw = _product(pw, c)
+    # the integral of each piece is one dot product against the
+    # differences hi^e - lo^e, the pieces added in order
+    e = np.arange(1, pw.shape[1] + 1)
+    vals = np.matmul((pw / e)[:, None, :],
+                     (st.hi[:, None] ** e - st.lo[:, None] ** e)[:, :, None])
+    return _root(st.sums(vals[:, 0, 0]), p)
+
+
+def _sqrt_lp(st, p):
+    """Each owner's L_p norm of sqrt(q) for a split radicand stack q."""
+    if p == 2.0:
+        return _sqrt_each(_integral(st))
+    if p == 1.0:
+        # the last of the running sums SqrtPolyField caches
+        cum = st.cumsums(_piece_quadrature(st, _sqrt_nonneg), 0)
+        return cum[np.arange(st.m), st.counts - 1]
+    return _root(st.sums(_piece_quadrature(
+        st, lambda v: np.abs(_sqrt_nonneg(v)) ** p)), p)
+
+
+def _sqrt_sup(st):
+    return _sqrt_each(_sup(st))
+
+
+def _atom_lp(values, weights, p):
+    """(sum_a w_a |v_a|^p) ** (1/p) for each row of an atom value table."""
+    return _root(np.matmul((np.abs(values) ** p)[:, None, :],
+                           weights[:, None])[:, 0, 0], p)
 
 
 def _split_at_roots(fn):
     """Refine a scalar CircleFunction's breaks at its interior zeros."""
-    return _split_at(fn, _piece_roots(fn.coeffs[:, :, 0], fn.breaks[:-1],
-                                      fn.breaks[1:])[1])
+    st = _Stack.of([fn])
+    return _split(st, *_piece_roots(st.c[:, :, 0], st.lo, st.hi)).functions(
+        fn.space)[0]
 
 
 def _abs_components(fn):
     """Exact |f_j| of every component of a CircleFunction, each split at its
-    own sign changes; the roots of all components are one _piece_roots call
-    on the stacked (pieces * d, k1) table."""
-    b, n = fn.breaks, fn.npieces
-    table = fn.coeffs.transpose(2, 0, 1).reshape(n * fn.d, -1)
-    piece, root = _piece_roots(table, np.tile(b[:-1], fn.d),
-                               np.tile(b[1:], fn.d))
-    parts = []
-    for j in range(fn.d):
-        comp = CircleFunction(b, fn.coeffs[:, :, j:j + 1], fn.space)
-        split = _split_at(comp, root[piece // n == j])
-        mids = 0.5 * (split.breaks[:-1] + split.breaks[1:])
-        signs = np.where(split._eval_unwrapped(mids)[:, 0] < 0.0, -1.0, 1.0)
-        parts.append(CircleFunction(split.breaks,
-                                    split.coeffs * signs[:, None, None],
-                                    fn.space))
-    return parts
+    own sign changes; one _piece_roots call for all components."""
+    return _abs(_components(_Stack.of([fn]))).functions(fn.space)
 
 
 def abs_poly(fn):
@@ -270,7 +545,7 @@ class PolyField:
         return self.fn(np.asarray(x, dtype=float))[..., 0]
 
     def integral(self):
-        return float(self.fn.integral()[0])
+        return float(_integral(_Stack.of([self.fn]))[0])
 
     def cumint(self, y):
         return self.fn.antiderivative()._eval_unwrapped(
@@ -282,44 +557,10 @@ class PolyField:
         return np.diff(vals) / np.diff(bounds)
 
     def sup(self):
-        b = self.fn.breaks
-        c = self.fn.coeffs[:, :, 0]
-        k1 = c.shape[1]
-        piece, root = _piece_roots(c[:, 1:] * np.arange(1, k1), b[:-1], b[1:])
-        counts = np.bincount(piece, minlength=self.fn.npieces)
-        first = np.cumsum(counts) - counts
-        piece_max = np.empty(self.fn.npieces)
-        # candidates b[i], b[i + 1], then the critical points, evaluated in
-        # stacks of equal count: a matrix-vector product per piece, as the
-        # per-piece form computes it
-        for r, idx in _batches(counts, lambda r: (r + 2) * k1):
-            xs = np.empty((idx.size, r + 2))
-            xs[:, 0], xs[:, 1] = b[idx], b[idx + 1]
-            xs[:, 2:] = root[first[idx, None] + np.arange(r)]
-            vals = np.matmul(xs[:, :, None] ** np.arange(k1), c[idx, :, None])
-            piece_max[idx] = np.max(vals[:, :, 0], axis=1)
-        # the first largest piece maximum; a NaN piece makes it NaN
-        if piece_max.size == 0:
-            return -math.inf
-        return float(piece_max[np.argmax(piece_max)])
+        return float(_sup(_Stack.of([self.fn]))[0])
 
     def lp(self, p):
-        p = float(p)
-        if p == 1.0:
-            return self.integral()
-        if not (p.is_integer() and p <= 16):
-            return _quadrature_lp(self.eval, self.fn.breaks, p)
-        c = self.fn.coeffs[:, :, 0]
-        pw = np.ones((c.shape[0], 1))
-        for _ in range(int(p)):
-            pw = _product(pw, c)
-        # the integral of each piece is one dot product against the
-        # differences b[i + 1]^e - b[i]^e, the pieces added in order
-        e = np.arange(1, pw.shape[1] + 1)
-        b = self.fn.breaks[:, None]
-        vals = np.matmul((pw / e)[:, None, :],
-                         (b[1:] ** e - b[:-1] ** e)[:, :, None])
-        return _running_sum(vals[:, 0, 0]) ** (1.0 / p)
+        return float(_lp(_Stack.of([self.fn]), float(p))[0])
 
     def superlevel_measure(self, lam):
         """Exact Lebesgue measure of {x : field(x) >= lam}."""
@@ -328,7 +569,7 @@ class PolyField:
         shifted = self.fn.coeffs[:, :, 0].copy()
         shifted[:, 0] -= lam
         piece, root = _piece_roots(shifted, b[:-1], b[1:])
-        owner, lo, hi = _segments(b[:-1], b[1:], piece, root)
+        owner, lo, hi = _cut(b[:-1], b[1:], piece, root)
         above = self.fn(0.5 * (lo + hi))[:, 0] >= lam
         owner = owner[above]
         if owner.size == 0:
@@ -346,8 +587,9 @@ class SqrtPolyField:
     kind = "sqrt"
 
     def __init__(self, q):
-        # q: scalar piecewise polynomial, nonnegative, breaks split at zeros
-        self.q = _split_at_roots(q)
+        # q: scalar piecewise polynomial, nonnegative, breaks already split
+        # at its interior zeros (_split_at_roots)
+        self.q = q
         self.space = q.space
         self._piece_ints = None
 
@@ -356,13 +598,11 @@ class SqrtPolyField:
         return self.q.breaks
 
     def eval(self, x):
-        return np.sqrt(np.maximum(self.q(np.asarray(x, dtype=float))[..., 0],
-                                  0.0))
+        return _sqrt_nonneg(self.q(np.asarray(x, dtype=float))[..., 0])
 
     def _piece_integrals(self):
         if self._piece_ints is None:
-            b = self.q.breaks
-            vals = gl_integrate(self.eval, b[:-1], b[1:])
+            vals = _piece_quadrature(_Stack.of([self.q]), _sqrt_nonneg)
             self._piece_ints = np.concatenate([[0.0], np.cumsum(vals)])
         return self._piece_ints
 
@@ -378,7 +618,7 @@ class SqrtPolyField:
     cell_averages = PolyField.cell_averages
 
     def sup(self):
-        return math.sqrt(max(PolyField(self.q).sup(), 0.0))
+        return float(_sqrt_sup(_Stack.of([self.q]))[0])
 
     def superlevel_measure(self, lam):
         lam = float(lam)
@@ -387,12 +627,7 @@ class SqrtPolyField:
         return PolyField(self.q).superlevel_measure(lam * lam)
 
     def lp(self, p):
-        p = float(p)
-        if p == 2.0:
-            return math.sqrt(max(float(self.q.integral()[0]), 0.0))
-        if p == 1.0:
-            return self.integral()
-        return _quadrature_lp(self.eval, self.q.breaks, p)
+        return float(_sqrt_lp(_Stack.of([self.q]), float(p))[0])
 
 
 class GenericField:
@@ -420,7 +655,7 @@ class GenericField:
         cell = np.clip(np.searchsorted(bounds, self.breaks, "right") - 1,
                        0, lo.size - 1)
         inner = (self.breaks > lo[cell]) & (self.breaks < hi[cell])
-        owner, a, b = _segments(lo, hi, cell[inner], self.breaks[inner])
+        owner, a, b = _cut(lo, hi, cell[inner], self.breaks[inner])
         return np.bincount(owner, weights=gl_integrate(self.eval, a, b),
                            minlength=lo.size)
 
@@ -451,7 +686,9 @@ class GenericField:
         p = float(p)
         if p == 1.0:
             return self.integral()
-        return _quadrature_lp(self.eval, self.breaks, p)
+        vals = gl_integrate(lambda x: np.abs(self.eval(x)) ** p,
+                            self.breaks[:-1], self.breaks[1:])
+        return _running_sum(vals) ** (1.0 / p)
 
 
 class AtomField:
@@ -484,8 +721,8 @@ class AtomField:
         return float(np.max(self.values))
 
     def lp(self, p):
-        p = float(p)
-        return float(self.space.weights @ np.abs(self.values) ** p) ** (1.0 / p)
+        return float(_atom_lp(self.values[None], self.space.weights,
+                              float(p))[0])
 
     def superlevel_measure(self, lam):
         return float(np.sum(self.space.weights[self.values >= float(lam)]))
@@ -527,19 +764,21 @@ def upper_envelope(fields):
     if k1 <= 3:
         gap = tabs[ii] - tabs[jj]
         c0, c1 = gap[:, :, 0], gap[:, :, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lin = -c0 / c1
+        # each quotient only where its divisor counts as nonzero; the
+        # others are never read
         linear = np.abs(c1) > _LEAD_TOL
+        lin = np.divide(-c0, c1, out=np.full(c0.shape, np.inf), where=linear)
         cands = [(lin, linear)]
         if k1 == 3:
             c2 = gap[:, :, 2]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                disc = c1 * c1 - 4.0 * c2 * c0
-                sq = np.sqrt(np.maximum(disc, 0.0))
-                qa = (-c1 - np.sign(c1 + (c1 == 0.0)) * sq) / 2.0
-                r1 = np.where(np.abs(qa) > 0.0, qa / c2, np.inf)
-                r2 = np.where(np.abs(qa) > 0.0, c0 / qa, np.inf)
             quad = np.abs(c2) > _LEAD_TOL
+            disc = c1 * c1 - 4.0 * c2 * c0
+            sq = np.sqrt(np.maximum(disc, 0.0))
+            qa = (-c1 - np.sign(c1 + (c1 == 0.0)) * sq) / 2.0
+            big = np.abs(qa) > 0.0
+            r1 = np.divide(qa, c2, out=np.full(qa.shape, np.inf),
+                           where=big & quad)
+            r2 = np.divide(c0, qa, out=np.full(qa.shape, np.inf), where=big)
             cands = [(lin, ~quad & linear),
                      (r1, quad & (disc > 0.0)), (r2, quad & (disc > 0.0))]
         for roots, valid in cands:
@@ -554,8 +793,8 @@ def upper_envelope(fields):
             cut_e.append(edge)
             cut_x.append(x)
 
-    owner, seg_lo, seg_hi = _segments(lo, hi, np.concatenate(cut_e),
-                                      np.concatenate(cut_x))
+    owner, seg_lo, seg_hi = _cut(lo, hi, *_sorted_unique(
+        np.concatenate(cut_e), np.concatenate(cut_x)))
     mids = 0.5 * (seg_lo + seg_hi)
     per_edge = np.bincount(owner, minlength=ne)
     first = np.cumsum(per_edge) - per_edge
@@ -587,7 +826,7 @@ def grid_sup_field(fields):
         raise ValueError("grid_sup_field needs polynomial-backed fields")
     rads = [PolyField(f.q if isinstance(f, SqrtPolyField) else _radicand(f.fn))
             for f in fields]
-    return SqrtPolyField(_envelope_reduce(rads).fn)
+    return SqrtPolyField(_split_at_roots(_envelope_reduce(rads).fn))
 
 
 def _envelope_reduce(fields):
@@ -604,26 +843,102 @@ def _envelope_reduce(fields):
 # -- public norm API -----------------------------------------------------------
 
 
+class NormFamily:
+    """The norm fields x -> ||g_i(x) - target(x)||_X of a family of
+    functions g_i (target None: the norms of the g_i), built in one
+    stacked pass.
+
+    Circle members are grouped by coefficient width (one group in
+    practice), each group stacked into one table; the target is
+    subtracted per owner on the union of the breaks.  The absolute values
+    (d = 1 and the sum norm), the radicands of the euclidean norm and all
+    their root searches, quadratures and reductions then run once per
+    group.  The max norm with d >= 2 keeps one ``upper_envelope`` per
+    member.  ``lp``, ``sup`` and ``fields`` give every member exactly what
+    a family of that member alone gives.
+    """
+
+    def __init__(self, members, vnorm, target=None):
+        members = list(members)
+        self.m = len(members)
+        self.space = members[0].space
+        if all(isinstance(g, AtomFunction) for g in members):
+            values = np.stack([g.values for g in members])
+            if target is not None:
+                values = values - target.values
+            self.values = vnorm(values)
+            return
+        self.values = None
+        for g in members:
+            if not isinstance(g, CircleFunction):
+                raise TypeError("pointwise_norm expects a function object")
+            if vnorm.dim != g.d:
+                raise ValueError("norm dimension does not match function")
+        k1t = 0 if target is None else target.coeffs.shape[1]
+        widths = np.array([max(g.coeffs.shape[1], k1t) for g in members])
+        self.groups = []
+        for k1 in np.unique(widths):
+            idx = np.flatnonzero(widths == k1)
+            st = _Stack.of([members[i] for i in idx], k1)
+            if target is not None:
+                st = _minus(st, target)
+            self.groups.append((idx,) + self._norms(st, vnorm))
+
+    def _norms(self, st, vnorm):
+        d = st.c.shape[2]
+        if d == 1:
+            return "poly", _abs(st)
+        if vnorm.selector == "sum":
+            return "poly", _component_sum(_abs(_components(st)), st.m, d)
+        if vnorm.selector == "euclidean":
+            q = _square_sum(st.c)
+            return "sqrt", _split(st.recoef(q[:, :, None]),
+                                  *_piece_roots(q, st.lo, st.hi))
+        envelopes = []
+        for fn in st.functions(self.space):
+            comps = []
+            for j in range(d):
+                comp = CircleFunction(fn.breaks, fn.coeffs[:, :, j:j + 1],
+                                      self.space)
+                comps += [PolyField(comp), PolyField(-comp)]
+            envelopes.append(upper_envelope(comps).fn)
+        return "poly", _Stack.of(envelopes)
+
+    def _per_member(self, poly, sqrt):
+        out = np.empty(self.m)
+        for idx, kind, st in self.groups:
+            out[idx] = (poly if kind == "poly" else sqrt)(st)
+        return out
+
+    def lp(self, p):
+        """Each member's Bochner norm (integral of ||g_i - target||^p)^(1/p)."""
+        p = float(p)
+        if self.values is not None:
+            return _atom_lp(self.values, self.space.weights, p)
+        return self._per_member(lambda st: _lp(st, p),
+                                lambda st: _sqrt_lp(st, p))
+
+    def sup(self):
+        """Each member's sup over the space of ||g_i - target||."""
+        if self.values is not None:
+            return np.max(self.values, axis=1)
+        return self._per_member(_sup, _sqrt_sup)
+
+    def fields(self):
+        """Each member's norm field."""
+        if self.values is not None:
+            return [AtomField(self.space, v) for v in self.values]
+        out = [None] * self.m
+        for idx, kind, st in self.groups:
+            cls = PolyField if kind == "poly" else SqrtPolyField
+            for i, fn in zip(idx, st.functions(self.space)):
+                out[i] = cls(fn)
+        return out
+
+
 def pointwise_norm(f, vnorm):
     """The scalar field x -> ||f(x)||_X."""
-    if isinstance(f, AtomFunction):
-        return AtomField(f.space, vnorm(f.values))
-    if not isinstance(f, CircleFunction):
-        raise TypeError("pointwise_norm expects a function object")
-    if vnorm.dim != f.d:
-        raise ValueError("norm dimension does not match function")
-    if f.d == 1:
-        return PolyField(abs_poly(f))
-    if vnorm.selector == "max":
-        comps = []
-        for j in range(f.d):
-            comp = CircleFunction(f.breaks, f.coeffs[:, :, j:j + 1], f.space)
-            comps.append(PolyField(comp))
-            comps.append(PolyField(-comp))
-        return upper_envelope(comps)
-    if vnorm.selector == "sum":
-        return PolyField(merge_sum(_abs_components(f), np.ones(f.d)))
-    return SqrtPolyField(_radicand(f))
+    return NormFamily([f], vnorm).fields()[0]
 
 
 def lp_norm(f, p, vnorm):

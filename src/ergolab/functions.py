@@ -109,8 +109,9 @@ class CircleFunction:
         return cls(bounds, v[:, None, :], space=space)
 
     def piece_index(self, x):
-        return np.clip(np.searchsorted(self.breaks, x, side="right") - 1,
-                       0, self.npieces - 1)
+        """The piece holding each x: the last piece starting at or below x,
+        the first piece below 0 and the last one from 1 on."""
+        return np.searchsorted(self.breaks[1:-1], x, side="right")
 
     # -- evaluation ---------------------------------------------------------
 

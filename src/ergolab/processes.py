@@ -6,6 +6,13 @@ averages the conditionings E(f|F_s).  Each grid keeps the family its
 first operator built (``ProcessGrid.inner``) for the diagnostics that
 read A_t f or E(f|F_s).  Entries are honest function objects, so every
 diagnostic below can recompute them from scratch and compare.
+
+Norms over a grid are taken family by family: ``convergence_table``, the
+member fields of ``ProcessGrid.norm_sup``, ``sup_integrability_report``
+and ``ergodic_envelope_check`` build the norm fields of all their members
+(minus the target, where there is one) in one stacked ``NormFamily``
+pass, so each kernel's fixed cost is paid once per family, not once per
+entry, and every entry keeps the bits of its own computation.
 """
 
 from dataclasses import dataclass
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .condexp import cond_exp
-from .fields import defect_max, grid_sup_field, pointwise_norm
+from .fields import NormFamily, defect_max, grid_sup_field, sup_norm
 from .flows import apply_flow, cesaro_average
 from .functions import AtomFunction, CircleFunction, merge_sum
 from .spaces import VectorNorm
@@ -43,9 +50,7 @@ def _sup_defect(diff, vnorm=None):
     """Sup over the space of the vector norm of a difference function."""
     if vnorm is None:
         vnorm = VectorNorm("max", diff.d)
-    if isinstance(diff, AtomFunction):
-        return float(np.max(vnorm(diff.values)))
-    return float(pointwise_norm(diff, vnorm).sup())
+    return float(sup_norm(diff, vnorm))
 
 
 def _check_grid(grid, name, positive):
@@ -100,8 +105,8 @@ class ProcessGrid:
     def norm_sup(self, vnorm):
         """Pointwise sup over the grid of ||entry(x)||_X, built once per norm."""
         if vnorm not in self._norm_sups:
-            self._norm_sups[vnorm] = grid_sup_field(
-                [pointwise_norm(fn, vnorm) for _, fn in self.items()])
+            self._norm_sups[vnorm] = grid_sup_field(NormFamily(
+                [fn for _, fn in self.items()], vnorm).fields())
         return self._norm_sups[vnorm]
 
     def __repr__(self):
@@ -238,15 +243,13 @@ class ConvergenceReport:
 
 
 def convergence_table(grid, target, p, vnorm, threshold=None):
-    """Per-entry errors of a process grid against a target function."""
-    rows = []
-    errs = {}
-    for (t, s), fn in grid.items():
-        nf = pointwise_norm(fn - target, vnorm)
-        lp = float(nf.lp(p))
-        sup = float(nf.sup())
-        rows.append((t, s, lp, sup))
-        errs[(t, s)] = (lp, sup)
+    """Per-entry errors of a process grid against a target function, the
+    norms of all entries minus the target built in one stacked pass."""
+    keys, entries = zip(*grid.items())
+    norms = NormFamily(entries, vnorm, target)
+    rows = [(t, s, float(lp), float(sup))
+            for (t, s), lp, sup in zip(keys, norms.lp(p), norms.sup())]
+    errs = {(t, s): (lp, sup) for t, s, lp, sup in rows}
     k = min(len(grid.t_grid), len(grid.s_grid))
     diagonal = []
     for i in range(k):
@@ -268,8 +271,7 @@ def sup_integrability_report(family, vnorm=None):
         raise ValueError("family must be nonempty")
     if vnorm is None:
         vnorm = VectorNorm("max", members[0].d)
-    fields = [pointwise_norm(g, vnorm) for g in members]
-    return float(grid_sup_field(fields).lp(1.0))
+    return float(grid_sup_field(NormFamily(members, vnorm).fields()).lp(1.0))
 
 
 def ergodic_envelope_constant(flow, f, vnorm=None):
@@ -293,11 +295,14 @@ def ergodic_envelope_check(flow, f, averages, vnorm=None):
     """Verify sup ||A_t f - mean||_X <= C/t on the times of ``averages``,
     a map t -> A_t f (``me_grid.inner``, say)."""
     constant = ergodic_envelope_constant(flow, f, vnorm)
-    mean_fn = _constant_like(f, f.mean())
+    if vnorm is None:
+        vnorm = VectorNorm("max", f.d)
+    errs = NormFamily(averages.values(), vnorm,
+                      _constant_like(f, f.mean())).sup()
     rows = []
     ok = True
-    for t, avg in averages.items():
-        err = _sup_defect(avg - mean_fn, vnorm)
+    for t, err in zip(averages, errs):
+        err = float(err)
         bound = constant / float(t)
         rows.append((float(t), err, bound))
         ok = ok and err <= bound + TOLERANCES["ergodic_envelope"]

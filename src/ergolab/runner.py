@@ -13,7 +13,7 @@ import numpy as np
 
 from .condexp import (LinearFunctional, cond_exp, defining_property_check,
                       functional_commutation_check)
-from .fields import defect_max, lp_norm, pointwise_norm, sup_norm
+from .fields import NormFamily, defect_max, lp_norm, pointwise_norm, sup_norm
 from .flows import (apply_flow, identity_flow, rotation_flow, shift_perm,
                     step_flow)
 from .functions import (AtomFunction, CircleFunction, from_smooth,
@@ -246,11 +246,13 @@ def _chk_semigroup_law(ctx):
 
 
 def _chk_contraction(ctx):
-    base = float(lp_norm(ctx.f, ctx.cfg.p, ctx.vnorm))
+    averages = ctx.me_grid().inner
+    norms = NormFamily([ctx.f, *averages.values()], ctx.vnorm).lp(ctx.cfg.p)
+    base = float(norms[0])
     worst = -np.inf
     rows = []
-    for t, avg in ctx.me_grid().inner.items():
-        excess = float(lp_norm(avg, ctx.cfg.p, ctx.vnorm)) - base
+    for t, norm in zip(averages, norms[1:]):
+        excess = float(norm) - base
         rows.append((t, None, "norm_excess", excess))
         worst = defect_max(worst, excess)
     return _defect_record("contraction", worst, rows)
@@ -507,6 +509,8 @@ def run_scenario(cfg, out_dir=None, seed=None):
     """Execute a scenario's checks in declaration order.
 
     Any exception in a check becomes its FAIL record (class in the note).
+    Checks run with floating-point faults raised, so a division by zero,
+    an invalid operation or an overflow is such an exception.
     """
     if seed is not None:
         cfg = replace(cfg, seed=int(seed))
@@ -516,7 +520,8 @@ def run_scenario(cfg, out_dir=None, seed=None):
     for name in cfg.checks:
         start = time.perf_counter()
         try:
-            rec = CHECKS[name](ctx)
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                rec = CHECKS[name](ctx)
         except Exception as exc:
             rec = CheckRecord(name, "FAIL", note=f"{type(exc).__name__}: {exc}")
         rec.wall_time = time.perf_counter() - start

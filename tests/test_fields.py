@@ -403,6 +403,15 @@ def test_sum_norm_makes_one_root_call(monkeypatch):
     fn = CircleFunction(_breaks(rng, 64), rng.uniform(-1.0, 1.0, (64, 3, 3)))
     pointwise_norm(fn, VectorNorm("sum", 3))
     assert calls == [(3 * 64, 3)]
+    # a family of 40 members: one call for every component of every member,
+    # and one for all their critical points
+    members = [CircleFunction(_breaks(rng, 5 + j % 7),
+                              rng.uniform(-1.0, 1.0, (5 + j % 7, 3, 2)))
+               for j in range(40)]
+    calls.clear()
+    fields.NormFamily(members, VectorNorm("sum", 2)).sup()
+    assert len(calls) == 2
+    assert calls[0] == (2 * sum(g.npieces for g in members), 3)
 
 
 def _envelope_members(rng, k1, nmembers, npieces):
@@ -484,9 +493,9 @@ def _depths(monkeypatch):
     real = fields.gl_integrate
     seen = []
 
-    def wrapper(fn, lo, hi, tol=fields._GL_STABILITY, depth=0):
+    def wrapper(fn, lo, hi, tol=fields._GL_STABILITY, depth=0, **kwargs):
         seen.append(depth)
-        return real(fn, lo, hi, tol, depth)
+        return real(fn, lo, hi, tol, depth, **kwargs)
     monkeypatch.setattr(fields, "gl_integrate", wrapper)
     return seen
 
@@ -649,9 +658,10 @@ def _count_points(monkeypatch):
             return fn(x)
         return integrand
 
-    def wrapper(fn, lo, hi, tol=fields._GL_STABILITY, depth=0):
+    def wrapper(fn, lo, hi, tol=fields._GL_STABILITY, depth=0, **kwargs):
         # the recursion passes the counted integrand on; wrap it once
-        return real(counted(fn) if depth == 0 else fn, lo, hi, tol, depth)
+        return real(counted(fn) if depth == 0 else fn, lo, hi, tol, depth,
+                    **kwargs)
     monkeypatch.setattr(fields, "gl_integrate", wrapper)
     return points
 
@@ -746,3 +756,126 @@ def test_products_make_no_convolve_call(monkeypatch):
     env = grid_sup_field([euclid, absolute])
     assert isinstance(env, SqrtPolyField)
     assert calls[0] == 0
+
+
+# -- floating-point faults ------------------------------------------------------
+
+
+@pytest.mark.parametrize("k1", [2, 3])
+def test_upper_envelope_crossings_raise_no_fault(k1):
+    # copies (zero differences), lifted copies (zero linear and quadratic
+    # gaps) and members of lower degree (zero leading gaps): every
+    # crossing quotient whose divisor vanishes is masked, not computed.
+    # Faults are raised as run_scenario raises them; a quotient of a one-ulp
+    # gap may underflow, which rounds and is no fault
+    rng = np.random.default_rng(450 + k1)
+    members = _envelope_members(rng, k1, 4, 40)
+    members.append(PolyField(members[2].fn * 1.0))
+    edges = np.unique(np.concatenate([f.breaks for f in members]))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    tabs = np.zeros((len(members), edges.size - 1, k1))
+    for j, f in enumerate(members):
+        at = np.searchsorted(f.breaks, mids) - 1
+        tabs[j, :, :f.fn.coeffs.shape[1]] = f.fn.coeffs[at, :, 0]
+    ref_edges, ref_coeffs = oracles.loop_envelope(edges, tabs)
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        env = upper_envelope(members)
+    assert _same(env.breaks, ref_edges)
+    assert _same(env.fn.coeffs[:, :, 0], ref_coeffs)
+
+
+def test_package_ignores_no_floating_point_fault():
+    import pathlib
+    import re
+    root = pathlib.Path(fields.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        text = path.read_text()
+        assert "seterr" not in text, path.name
+        for call in re.findall(r"errstate\([^)]*\)", text):
+            assert "ignore" not in call, (path.name, call)
+
+
+# -- stacked norm families against per-member loops ---------------------------
+
+
+def _family_members(rng, d, target):
+    """Circle members of different piece counts and widths, one with breaks
+    one ulp above the target's (pieces one ulp wide in the difference,
+    whose midpoints round onto an end), one equal to the target and one
+    with a NaN piece (last)."""
+    members = [CircleFunction(_breaks(rng, n), rng.uniform(-1.0, 1.0, (n, k1, d)))
+               for n, k1 in ((1, 1), (3, 2), (7, 3), (12, 2), (5, 4), (9, 3))]
+    nudged = target.breaks.copy()
+    nudged[1:-1] = np.nextafter(nudged[1:-1], 2.0)
+    members.append(CircleFunction(nudged, rng.uniform(-1.0, 1.0,
+                                                      (nudged.size - 1, 2, d))))
+    members.append(target * 1.0)
+    nan = rng.uniform(-1.0, 1.0, (6, 3, d))
+    nan[2, 0] = np.nan
+    members.append(CircleFunction(_breaks(rng, 6), nan))
+    return members
+
+
+def _atom_members(rng, d, target):
+    members = [AtomFunction(target.space, rng.uniform(-1.0, 1.0, (6, d)))
+               for _ in range(5)]
+    members.append(target * 1.0)
+    nan = rng.uniform(-1.0, 1.0, (6, d))
+    nan[4, 0] = np.nan
+    members.append(AtomFunction(target.space, nan))
+    return members
+
+
+def _field_bytes(field):
+    if isinstance(field, AtomField):
+        return (field.values.tobytes(),)
+    fn = field.q if isinstance(field, SqrtPolyField) else field.fn
+    return type(field), fn.breaks.tobytes(), fn.coeffs.shape, fn.coeffs.tobytes()
+
+
+_FAMILY_CASES = [("max", 1), ("max", 2), ("sum", 2), ("sum", 3),
+                 ("euclidean", 2), ("atoms", 2)]
+
+
+@pytest.mark.parametrize("selector,d", _FAMILY_CASES)
+def test_norm_family_matches_per_member_loops(selector, d):
+    rng = np.random.default_rng(900 + 10 * d + len(selector))
+    if selector == "atoms":
+        space = discrete_space(rng.uniform(0.5, 1.5, 6) / 6.0)
+        target = AtomFunction(space, rng.uniform(-1.0, 1.0, (6, d)))
+        members = _atom_members(rng, d, target)
+        vnorms = [VectorNorm(s, d) for s in ("max", "sum", "euclidean")]
+    else:
+        target = CircleFunction(_breaks(rng, 9), rng.uniform(-1.0, 1.0, (9, 3, d)))
+        members = _family_members(rng, d, target)
+        vnorms = [VectorNorm(selector, d)]
+    for vnorm in vnorms:
+        for tgt in (None, target):
+            diffs = members if tgt is None else [g - tgt for g in members]
+            ref = [pointwise_norm(g, vnorm) for g in diffs]
+            family = fields.NormFamily(members, vnorm, tgt)
+            assert ([_field_bytes(f) for f in family.fields()]
+                    == [_field_bytes(f) for f in ref])
+            sups = family.sup()
+            assert _same(sups, np.array([f.sup() for f in ref]))
+            for p in (1.0, 1.5, 2.0, 3.0):
+                lps = family.lp(p)
+                assert _same(lps, np.array([f.lp(p) for f in ref]))
+                assert np.isnan(lps[-1])
+            assert np.isnan(sups[-1])
+            if tgt is not None:
+                # the member equal to the target: +0.0, not -0.0
+                assert sups[-2] == 0.0 and not np.signbit(sups[-2])
+            # the NaN member leaves the others' bits alone
+            clean = fields.NormFamily(members[:-1], vnorm, tgt)
+            assert _same(clean.sup(), sups[:-1])
+            assert _same(clean.lp(1.5), family.lp(1.5)[:-1])
+
+
+def test_norm_family_rejects_mixed_members():
+    fn = CircleFunction(np.array([0.0, 0.5, 1.0]), np.ones((2, 2, 2)))
+    scalar = PolyField(CircleFunction(fn.breaks, fn.coeffs[:, :, :1]))
+    with pytest.raises(TypeError):
+        fields.NormFamily([fn, scalar], VectorNorm("max", 2))
+    with pytest.raises(ValueError):
+        fields.NormFamily([fn], VectorNorm("max", 3))

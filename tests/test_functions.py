@@ -284,3 +284,22 @@ def test_atom_spaces_mix_error():
     b = discrete_space(np.full(5, 0.2))
     with pytest.raises(ValueError):
         AtomFunction(a, np.zeros(4)) + AtomFunction(b, np.zeros(5))
+
+
+def test_piece_index_matches_clipped_search():
+    # one search in the interior breaks gives the clipped index of a
+    # search in all breaks, dtype included: below 0, on 0 and 1, past 1,
+    # +-inf, NaN, on every break and one ulp either side of it
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 17, 1000):
+        inner = np.sort(rng.choice(np.arange(1, 8 * n), n - 1, replace=False))
+        breaks = np.r_[0.0, inner / (8.0 * n), 1.0]
+        fn = CircleFunction(breaks, np.zeros((n, 1, 1)))
+        x = np.concatenate([[-1.0, -0.0, 0.0, 1.0, 2.0, np.inf, -np.inf,
+                             np.nan], breaks, np.nextafter(breaks, -np.inf),
+                            np.nextafter(breaks, np.inf)])
+        old = np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, n - 1)
+        new = fn.piece_index(x)
+        assert (new.dtype, new.tobytes()) == (old.dtype, old.tobytes())
+        for xi, oi in zip(x, old):
+            assert fn.piece_index(xi) == oi

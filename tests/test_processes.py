@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ergolab.condexp import cond_exp
+from ergolab import fields
 from ergolab.fields import grid_sup_field, pointwise_norm
 from ergolab.flows import (
     GOLDEN,
@@ -11,7 +12,7 @@ from ergolab.flows import (
     shift_perm,
     step_flow,
 )
-from ergolab.functions import AtomFunction, sawtooth
+from ergolab.functions import AtomFunction, CircleFunction, hat, sawtooth
 from ergolab.processes import (
     ConvergenceReport,
     cesaro_decomposition_check,
@@ -285,3 +286,104 @@ def test_envelope_check_bounds_errors():
     for t, err, bound in report.rows:
         assert err <= bound + 1e-12
         assert bound == pytest.approx(report.constant / t)
+
+
+# -- grid norms in one stacked pass against per-entry loops -------------------
+
+
+def _grid_cases():
+    """(f, flow, filtration, vnorm): each circle norm, and an atom grid with
+    each of its norms."""
+    circle = Filtration(circle_space(), "decreasing", max_level=3)
+    golden = rotation_flow(GOLDEN)
+    cases = [(sawtooth(d=1), "max"),
+             (hat(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3]), "max"),
+             (sawtooth(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3]), "sum"),
+             (hat(d=3, phases=[0.0, 0.2, 0.7]), "sum"),
+             (hat(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3]), "euclidean")]
+    out = [(f, golden, circle, VectorNorm(sel, f.d)) for f, sel in cases]
+    sp = discrete_space(np.full(8, 1.0 / 8.0))
+    values = np.random.default_rng(5).uniform(-1.0, 1.0, (8, 2))
+    steps = step_flow(sp, shift_perm(sp), h=1.0)
+    atoms = Filtration(sp, "decreasing", max_level=3)
+    out += [(AtomFunction(sp, values), steps, atoms, VectorNorm(sel, 2))
+            for sel in ("max", "sum", "euclidean")]
+    return out
+
+
+def _same_field(a, b):
+    if isinstance(a, fields.AtomField):
+        return a.values.tobytes() == b.values.tobytes()
+    fa = a.q if isinstance(a, fields.SqrtPolyField) else a.fn
+    fb = b.q if isinstance(b, fields.SqrtPolyField) else b.fn
+    return (type(a) is type(b) and fa.breaks.tobytes() == fb.breaks.tobytes()
+            and fa.coeffs.tobytes() == fb.coeffs.tobytes())
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_grid_norms_match_per_entry_loops(case):
+    f, flow, filt, vnorm = _grid_cases()[case]
+    t_grid, s_grid = np.array([1.0, 2.0, 3.5, 8.0]), np.array([0.0, 1.0, 2.0, 3.0])
+    lim = limits(f, flow, filt, t_max=16.0)
+    for grid, target in ((me_process(f, flow, filt, t_grid, s_grid), lim.me_limit),
+                         (em_process(f, flow, filt, t_grid, s_grid), lim.em_limit)):
+        entries = [fn for _, fn in grid.items()]
+        for p in (1.0, 1.5, 2.0, 3.0):
+            report = convergence_table(grid, target, p, vnorm)
+            ref = []
+            for ((t, s), fn) in grid.items():
+                field = pointwise_norm(fn - target, vnorm)
+                ref.append((t, s, field.lp(p), field.sup()))
+            assert np.array(report.rows).tobytes() == np.array(ref).tobytes()
+        env = grid_sup_field([pointwise_norm(fn, vnorm) for fn in entries])
+        assert _same_field(grid.norm_sup(vnorm), env)
+        members = list(grid.inner.values())
+        ref_l1 = float(grid_sup_field([pointwise_norm(g, vnorm)
+                                       for g in members]).lp(1.0))
+        got_l1 = sup_integrability_report(members, vnorm)
+        assert np.float64(got_l1).tobytes() == np.float64(ref_l1).tobytes()
+    if flow.ergodic:
+        averages = {t: cesaro_average(flow, t, f) for t in t_grid}
+        report = ergodic_envelope_check(flow, f, averages, vnorm)
+        const = (AtomFunction if isinstance(f, AtomFunction)
+                 else CircleFunction).constant(f.mean(), f.space)
+        ref = [pointwise_norm(avg - const, vnorm).sup()
+               for avg in averages.values()]
+        errs = [err for _, err, _ in report.rows]
+        assert np.array(errs).tobytes() == np.array(ref).tobytes()
+
+
+def test_convergence_table_work_does_not_grow_with_entries(monkeypatch):
+    # the root searches and the top-level quadrature calls of a 16 x 16
+    # table are as many as those of a 4 x 4 table: one per kernel, not one
+    # per entry
+    f = sawtooth(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3])
+    flow = rotation_flow(GOLDEN)
+    filt = Filtration(circle_space(), "decreasing", max_level=4)
+    vnorm = VectorNorm("sum", 2)
+    t_all = 2.0 ** np.arange(16)
+    s_all = np.arange(16.0)
+    target = limits(f, flow, filt, t_max=2.0 * t_all[-1]).em_limit
+    roots, quads = [0], [0]
+    real_roots, real_quad = fields._piece_roots, fields.gl_integrate
+
+    def counted_roots(*args, **kwargs):
+        roots[0] += 1
+        return real_roots(*args, **kwargs)
+
+    def counted_quad(fn, lo, hi, tol=fields._GL_STABILITY, depth=0, **kwargs):
+        quads[0] += depth == 0
+        return real_quad(fn, lo, hi, tol, depth, **kwargs)
+
+    counts = []
+    for n in (4, 16):
+        grid = em_process(f, flow, filt, t_all[:n], s_all[:n])
+        monkeypatch.setattr(fields, "_piece_roots", counted_roots)
+        monkeypatch.setattr(fields, "gl_integrate", counted_quad)
+        roots[0] = quads[0] = 0
+        report = convergence_table(grid, target, 1.5, vnorm)
+        monkeypatch.undo()
+        assert len(report) == n * n
+        counts.append((roots[0], quads[0]))
+    assert counts[0] == counts[1]
+    assert 0 < counts[1][0] <= 4 and 0 < counts[1][1] <= 2

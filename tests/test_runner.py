@@ -10,7 +10,7 @@ import pytest
 from ergolab import flows, processes, runner
 from ergolab.cli import scenario_dir
 from ergolab.config import parse_config, parse_text
-from ergolab.fields import PolyField
+from ergolab.fields import lp_norm
 from ergolab.functions import CircleFunction
 from ergolab.runner import CHECK_NAMES, CHECKS, VERSION, run_scenario
 from ergolab.tolerances import TOLERANCES
@@ -108,6 +108,36 @@ def test_unexpected_exception_becomes_fail(monkeypatch, exc):
     assert not report.passed
 
 
+def test_floating_point_fault_becomes_fail(monkeypatch):
+    # 0/0 on an array is a NaN and a warning outside checks; inside one it
+    # raises, and the handler turns the fault into that check's FAIL record
+    def zero_by_zero(ctx):
+        np.zeros(3) / np.zeros(3)
+        raise AssertionError("the fault did not raise")
+
+    monkeypatch.setitem(runner.CHECKS, "decomposition", zero_by_zero)
+    report = run_scenario(parse_text(SMALL))
+    by_name = {r.name: r for r in report.records}
+    assert by_name["decomposition"].status == "FAIL"
+    assert by_name["decomposition"].note.startswith("FloatingPointError:")
+    assert all(r.status == "PASS" for r in report.records
+               if r.name != "decomposition")
+
+
+@pytest.mark.parametrize("text", [SMALL, STEP_FAIL])
+def test_contraction_matches_per_average_loop(text):
+    # the norms of f and of every A_t f in one stacked pass, each with the
+    # bits of its own lp_norm call
+    cfg = parse_text(text)
+    ctx = runner.build_context(cfg, np.random.default_rng(cfg.seed))
+    base = lp_norm(ctx.f, cfg.p, ctx.vnorm)
+    ref = [lp_norm(avg, cfg.p, ctx.vnorm) - base
+           for avg in ctx.me_grid().inner.values()]
+    rows = runner.CHECKS["contraction"](ctx).rows
+    assert [r[0] for r in rows] == list(ctx.me_grid().inner)
+    assert np.array([r[3] for r in rows]).tobytes() == np.array(ref).tobytes()
+
+
 def test_nan_defect_fails_its_check(monkeypatch):
     real = runner.defining_property_check
     calls = []
@@ -151,25 +181,34 @@ def test_nan_on_filtration_side_reaches_sup_integrability(monkeypatch):
 
 
 def test_nan_norm_field_fails_ergodic_envelope(monkeypatch):
-    # a norm field that is 0 except on one NaN piece: its sup is NaN, not 0
-    real = processes.pointwise_norm
-    calls = []
-
-    def nan_piece_at_second_time(diff, vnorm):
-        calls.append(vnorm)
-        if len(calls) != 2:
-            return real(diff, vnorm)
-        coeffs = np.array([[[0.0]], [[np.nan]]])
-        return PolyField(CircleFunction(np.array([0.0, 0.5, 1.0]), coeffs))
-
-    monkeypatch.setattr(processes, "pointwise_norm", nan_piece_at_second_time)
+    # the average at the second time equals the mean except on one NaN
+    # piece: its norm field's sup is NaN, not 0, and the other times keep
+    # their values
     cfg = parse_text(SMALL.replace("checks = defining_property, decomposition, "
                                    "contraction, dominant_ineq_me, me_convergence",
                                    "checks = ergodic_envelope"))
+
+    def errors(rec):
+        return [v for _, _, metric, v in rec.rows if metric == "sup_error"]
+
+    clean = errors(run_scenario(cfg).records[0])
+    real = processes.NormFamily
+    calls = []
+
+    def nan_piece_at_second_time(members, vnorm, target=None):
+        members = list(members)
+        calls.append(len(members))
+        mean = target.coeffs[0]
+        coeffs = np.stack([mean, np.full_like(mean, np.nan)])
+        members[1] = CircleFunction(np.array([0.0, 0.5, 1.0]), coeffs)
+        return real(members, vnorm, target)
+
+    monkeypatch.setattr(processes, "NormFamily", nan_piece_at_second_time)
     rec = run_scenario(cfg).records[0]
-    errs = [v for _, _, metric, v in rec.rows if metric == "sup_error"]
-    assert len(calls) == len(errs) == len(cfg.t_grid)
+    errs = errors(rec)
+    assert calls == [len(cfg.t_grid)] and len(errs) == len(cfg.t_grid)
     assert errs[0] >= 0.0 and np.isnan(errs[1])
+    assert [errs[0]] + errs[2:] == [clean[0]] + clean[2:]
     assert rec.status == "FAIL"
 
 
