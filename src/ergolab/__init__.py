@@ -17,8 +17,7 @@ from .flows import (GOLDEN, Flow, rotation_flow, step_flow, identity_flow,
                     shift_perm, apply_flow, cesaro_average, discrete_average,
                     dominant_cesaro)
 from .condexp import (LinearFunctional, cond_exp, cond_exp_dominant,
-                      defining_property_check, functional_commutation_check,
-                      domination_defect)
+                      defining_property_check, functional_commutation_check)
 from .processes import (ProcessGrid, ProcessLimits, ConvergenceReport,
                         EnvelopeReport, me_process, em_process, limits,
                         cesaro_decomposition_check, commutation_check,

@@ -106,7 +106,7 @@ def domination_chain_check(f, flow, partition, t_grid, vnorm, npoints=1000):
     the chain was violated by that amount; values within
     ``TOLERANCES["domination_chain"]`` are healthy.
     """
-    pts = f.space.sample_points(npoints, 0.5)
+    pts = f.space.sample_points(npoints)
     norm_f = pointwise_norm(f, vnorm)
     worst = -np.inf
     for t in np.asarray(t_grid, dtype=float):

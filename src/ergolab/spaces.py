@@ -75,10 +75,11 @@ class MeasureSpace:
             return i * self.factor_weights.size + j
         return i
 
-    def sample_points(self, n, offset):
-        """(k + offset)/n for k < n on the circle; every atom index otherwise."""
+    def sample_points(self, n):
+        """Midpoints (k + 1/2)/n for k < n on the circle; every atom index
+        otherwise."""
         if self.kind == "circle":
-            return (np.arange(n) + offset) / n
+            return (np.arange(n) + 0.5) / n
         return np.arange(self.natoms)
 
     def __eq__(self, other):

@@ -26,6 +26,7 @@ from ergolab.fields import (
     grid_sup_field,
     lp_norm,
     pointwise_norm,
+    sup_norm,
 )
 from ergolab.flows import (
     apply_flow,
@@ -239,30 +240,20 @@ def _contract_case(rng):
     return space, f, flow, vnorm, p, fine, coarse, t
 
 
-def _sample(space, n=400):
-    if space.kind == "circle":
-        return (np.arange(n) + 0.431) / n
-    return np.arange(space.natoms)
-
-
 def test_criterion_6_operator_contracts(capsys):
     rng = np.random.default_rng(977)
     start = time.perf_counter()
     ok = True
     fails = []
     for case in range(500):
-        space, f, flow, vnorm, p, fine, coarse, t = _contract_case(rng)
-        pts = _sample(space)
-
-        def _defect(a, b):
-            return float(np.max(vnorm(a(pts) - b(pts))))
-
+        _, f, flow, vnorm, p, fine, coarse, t = _contract_case(rng)
         checks = {}
         checks["defining"] = defining_property_check(f, fine) <= 1e-12
         ef = cond_exp(f, fine)
-        checks["tower"] = _defect(cond_exp(ef, coarse),
-                                  cond_exp(f, coarse)) <= 1e-12
-        checks["idempotent"] = _defect(cond_exp(ef, fine), ef) <= 1e-12
+        checks["tower"] = sup_norm(cond_exp(ef, coarse) - cond_exp(f, coarse),
+                                   vnorm) <= 1e-12
+        checks["idempotent"] = sup_norm(cond_exp(ef, fine) - ef,
+                                        vnorm) <= 1e-12
         functional = LinearFunctional(rng.normal(size=f.d))
         checks["commutation"] = functional_commutation_check(
             f, fine, functional) <= 1e-11

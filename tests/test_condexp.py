@@ -6,11 +6,12 @@ from ergolab.condexp import (
     cond_exp,
     cond_exp_dominant,
     defining_property_check,
-    domination_defect,
     functional_commutation_check,
 )
 from ergolab.fields import pointwise_norm
+from ergolab.flows import identity_flow
 from ergolab.functions import AtomFunction, hat, sawtooth
+from ergolab.inequalities import domination_chain_check
 from ergolab.spaces import (
     Filtration,
     VectorNorm,
@@ -137,14 +138,21 @@ def test_dominant_accepts_circle_function():
     assert dom.eval(0.2) == pytest.approx(0.0, abs=1e-15)
 
 
+def _domination_defect(f, partition, vnorm):
+    # under the identity flow A_1 f = f, so the chain reduces to
+    # ||E(f|F)||_X <= E'(||f||_X|F)
+    return domination_chain_check(f, identity_flow(f.space), partition, [1.0],
+                                  vnorm)
+
+
 def test_domination_defect_nonpositive():
     vnorm = VectorNorm("euclidean", 2)
     f = sawtooth(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3])
-    assert domination_defect(f, make_dyadic_partition(3), vnorm) <= 1e-12
+    assert _domination_defect(f, make_dyadic_partition(3), vnorm) <= 1e-12
     sp = discrete_space(np.full(8, 0.125))
     rng = np.random.default_rng(5)
     g = AtomFunction(sp, rng.normal(size=(8, 2)))
-    assert domination_defect(g, partition_at_level(sp, 2), vnorm) <= 1e-12
+    assert _domination_defect(g, partition_at_level(sp, 2), vnorm) <= 1e-12
 
 
 def test_domination_collinear_values_touch():
@@ -153,5 +161,5 @@ def test_domination_collinear_values_touch():
     g = np.array([1.0, 0.5, -0.25, -0.75])
     f = AtomFunction(sp, np.column_stack([g, -g]))
     part = partition_at_level(sp, 2)  # atoms themselves
-    defect = domination_defect(f, part, VectorNorm("euclidean", 2))
+    defect = _domination_defect(f, part, VectorNorm("euclidean", 2))
     assert defect == pytest.approx(0.0, abs=1e-15)
