@@ -28,9 +28,20 @@ family is one (members, atoms, d) value table.
 Roots are batched across pieces: ``_piece_roots`` solves the companion
 matrices of all pieces of one stripped degree in one stacked eigenvalue
 call, and reproduces ``np.roots`` on each piece bit for bit.  Sup
-candidates, level crossings, sign changes and envelope crossings all go
-through it, and the values at the candidates are evaluated in stacks of
-equal shape, so every result matches a per-piece loop exactly.
+candidates, level crossings, sign changes and envelope crossings of
+degree 3 and up all go through it, and the values at the candidates are
+evaluated in stacks of equal shape, so every result matches a per-piece
+loop exactly.
+
+Envelopes are divide and conquer (Sharir & Agarwal, *Davenport-Schinzel
+Sequences and Their Geometric Applications*, 1995), one stack per round:
+``_envelope`` pairs members 2i and 2i + 1 of every run of owners, merges
+each pair's breaks, cuts at the crossings of their difference and keeps
+the larger member on each part, so m members take ceil(log2 m) rounds of
+one merge and one crossing call.  The max norm with d >= 2 is the
+envelope of the 2d signed components.  Crossings of degree 1 and 2 stay
+in closed form: on large stacks, a stacked eigenvalue call on 1 x 1 and
+2 x 2 companions costs more than the rest of a round.
 
 Products of coefficient tables are batched like roots: ``_product``
 multiplies two tables row by row, looping over the columns of one factor,
@@ -734,12 +745,67 @@ class AtomField:
 # -- envelopes ---------------------------------------------------------------
 
 
-def upper_envelope(fields):
-    """Exact pointwise maximum of PolyFields, as a PolyField.
+def _crossings(gap, lo, hi):
+    """Interior zeros of each row's polynomial gap (N, k1) in its (lo, hi),
+    as _piece_roots returns them: closed forms up to degree 2 (a coefficient
+    up to _LEAD_TOL counts as zero), the companion solve above."""
+    k1 = gap.shape[1]
+    if k1 > 3:
+        return _piece_roots(gap, lo, hi)
+    if k1 == 1:
+        return np.empty(0, dtype=np.intp), np.empty(0)
+    c0, c1 = gap[:, 0], gap[:, 1]
+    # each quotient only where its divisor counts as nonzero; the others
+    # are never read
+    linear = np.abs(c1) > _LEAD_TOL
+    lin = np.divide(-c0, c1, out=np.full(c0.shape, np.inf), where=linear)
+    cands = [(lin, linear)]
+    if k1 == 3:
+        c2 = gap[:, 2]
+        quad = np.abs(c2) > _LEAD_TOL
+        disc = c1 * c1 - 4.0 * c2 * c0
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        qa = (-c1 - np.sign(c1 + (c1 == 0.0)) * sq) / 2.0
+        big = np.abs(qa) > 0.0
+        r1 = np.divide(qa, c2, out=np.full(qa.shape, np.inf), where=big & quad)
+        r2 = np.divide(c0, qa, out=np.full(qa.shape, np.inf), where=big)
+        cands = [(lin, ~quad & linear),
+                 (r1, quad & (disc > 0.0)), (r2, quad & (disc > 0.0))]
+    piece, root = [], []
+    for roots, valid in cands:
+        ok = valid & (roots > lo + _ROOT_MARGIN) & (roots < hi - _ROOT_MARGIN)
+        piece.append(np.flatnonzero(ok))
+        root.append(roots[ok])
+    return _sorted_unique(np.concatenate(piece), np.concatenate(root))
 
-    Within each merged interval the crossing points of all member pairs are
-    located, so every output piece is a single member's polynomial.
-    """
+
+def _envelope(st, g):
+    """The pointwise maximum of each run of g consecutive owners of a scalar
+    stack, as one owner per run.  Each round pairs members 2i and 2i + 1 of
+    every run (an odd member out with itself), merges each pair's breaks,
+    cuts at the crossings of their difference and keeps, on every part,
+    the member larger at its midpoint (the first on a tie; a NaN value
+    wins, as argmax decides); one stack and one crossing call per round."""
+    while g > 1:
+        half = (g + 1) // 2
+        m = st.m // g * half
+        run, i = np.divmod(st.owner, g)
+        pair = run * half + i // 2
+        sides = [_Stack(pair[r], st.lo[r], st.hi[r], st.c[r], m)
+                 for r in (i % 2 == 0, (i % 2 == 1) | (i == g - 1))]
+        owner, lo, hi, (a, b) = _merged(sides, m)
+        ca, cb = sides[0].c[a], sides[1].c[b]
+        src, lo, hi = _cut(lo, hi, *_crossings((ca - cb)[:, :, 0], lo, hi))
+        ca, cb, mids = ca[src], cb[src], 0.5 * (lo + hi)
+        second = np.argmax([_eval_rows(ca, mids), _eval_rows(cb, mids)], 0)
+        st = _Stack(owner[src], lo, hi, np.where(second[:, None, None], cb, ca), m)
+        g = half
+    return st
+
+
+def upper_envelope(fields):
+    """Exact pointwise maximum of PolyFields, as a PolyField: every output
+    piece is one member's polynomial (see _envelope)."""
     fields = list(fields)
     if all(isinstance(f, AtomField) for f in fields):
         return AtomField(fields[0].space,
@@ -747,68 +813,8 @@ def upper_envelope(fields):
     if not all(isinstance(f, PolyField) for f in fields):
         raise ValueError("upper_envelope needs polynomial fields")
     fns = [f.fn for f in fields]
-    space = fns[0].space
-    k1 = max(fn.coeffs.shape[1] for fn in fns)
-    edges = np.unique(np.concatenate([fn.breaks for fn in fns]))
-    tabs = np.stack([_pad(fn.coeffs_on(edges), k1)[:, :, 0] for fn in fns])
-    m, ne = tabs.shape[0], edges.size - 1
-
-    if k1 == 1:
-        choice = np.argmax(tabs[:, :, 0], axis=0)
-        coeffs = tabs[choice, np.arange(ne)][:, :, None]
-        return PolyField(CircleFunction(edges, coeffs, space))
-
-    ii, jj = np.triu_indices(m, k=1)
-    lo, hi = edges[:-1], edges[1:]
-    cut_e, cut_x = [np.empty(0, dtype=np.intp)], [np.empty(0)]
-    if k1 <= 3:
-        gap = tabs[ii] - tabs[jj]
-        c0, c1 = gap[:, :, 0], gap[:, :, 1]
-        # each quotient only where its divisor counts as nonzero; the
-        # others are never read
-        linear = np.abs(c1) > _LEAD_TOL
-        lin = np.divide(-c0, c1, out=np.full(c0.shape, np.inf), where=linear)
-        cands = [(lin, linear)]
-        if k1 == 3:
-            c2 = gap[:, :, 2]
-            quad = np.abs(c2) > _LEAD_TOL
-            disc = c1 * c1 - 4.0 * c2 * c0
-            sq = np.sqrt(np.maximum(disc, 0.0))
-            qa = (-c1 - np.sign(c1 + (c1 == 0.0)) * sq) / 2.0
-            big = np.abs(qa) > 0.0
-            r1 = np.divide(qa, c2, out=np.full(qa.shape, np.inf),
-                           where=big & quad)
-            r2 = np.divide(c0, qa, out=np.full(qa.shape, np.inf), where=big)
-            cands = [(lin, ~quad & linear),
-                     (r1, quad & (disc > 0.0)), (r2, quad & (disc > 0.0))]
-        for roots, valid in cands:
-            ok = (valid & (roots > lo + _ROOT_MARGIN)
-                  & (roots < hi - _ROOT_MARGIN))
-            cut_e.append(np.nonzero(ok)[1])
-            cut_x.append(roots[ok])
-    else:
-        # pair by pair: one difference table at a time
-        for a, b in zip(ii, jj):
-            edge, x = _piece_roots(tabs[a] - tabs[b], lo, hi)
-            cut_e.append(edge)
-            cut_x.append(x)
-
-    owner, seg_lo, seg_hi = _cut(lo, hi, *_sorted_unique(
-        np.concatenate(cut_e), np.concatenate(cut_x)))
-    mids = 0.5 * (seg_lo + seg_hi)
-    per_edge = np.bincount(owner, minlength=ne)
-    first = np.cumsum(per_edge) - per_edge
-    members = tabs.transpose(1, 0, 2)
-    coeffs = np.empty((mids.size, k1))
-    # the best member at each midpoint; edges with equally many segments
-    # are evaluated as one stack of (members x segments) products
-    for n, idx in _batches(per_edge, lambda n: (m + n) * k1 + m * n):
-        at = first[idx, None] + np.arange(n)
-        powers = mids[at][:, :, None] ** np.arange(k1)
-        vals = np.matmul(members[idx], powers.transpose(0, 2, 1))
-        coeffs[at] = members[idx[:, None], np.argmax(vals, axis=1)]
-    return PolyField(CircleFunction(np.r_[0.0, seg_hi], coeffs[:, :, None],
-                                    space))
+    st = _Stack.of(fns, max(fn.coeffs.shape[1] for fn in fns))
+    return PolyField(_envelope(st, st.m).functions(fns[0].space)[0])
 
 
 def grid_sup_field(fields):
@@ -821,23 +827,12 @@ def grid_sup_field(fields):
     if len(fields) == 1:
         return fields[0]
     if not any(isinstance(f, SqrtPolyField) for f in fields):
-        return _envelope_reduce(fields)
+        return upper_envelope(fields)
     if not all(isinstance(f, (PolyField, SqrtPolyField)) for f in fields):
         raise ValueError("grid_sup_field needs polynomial-backed fields")
     rads = [PolyField(f.q if isinstance(f, SqrtPolyField) else _radicand(f.fn))
             for f in fields]
-    return SqrtPolyField(_split_at_roots(_envelope_reduce(rads).fn))
-
-
-def _envelope_reduce(fields):
-    # tournament reduction keeps intermediate break sets near the size of
-    # the final envelope instead of the full union; atoms have no breaks
-    members = list(fields)
-    while len(members) > 8 and not isinstance(members[0], AtomField):
-        nxt = [upper_envelope(members[i:i + 2])
-               for i in range(0, len(members), 2)]
-        members = nxt
-    return upper_envelope(members)
+    return SqrtPolyField(_split_at_roots(upper_envelope(rads).fn))
 
 
 # -- public norm API -----------------------------------------------------------
@@ -853,9 +848,10 @@ class NormFamily:
     subtracted per owner on the union of the breaks.  The absolute values
     (d = 1 and the sum norm), the radicands of the euclidean norm and all
     their root searches, quadratures and reductions then run once per
-    group.  The max norm with d >= 2 keeps one ``upper_envelope`` per
-    member.  ``lp``, ``sup`` and ``fields`` give every member exactly what
-    a family of that member alone gives.
+    group; the max norm with d >= 2 is one envelope of the signed
+    components of all members (``_envelope``), with no loop over members.
+    ``lp``, ``sup`` and ``fields`` give every member exactly what a family
+    of that member alone gives.
     """
 
     def __init__(self, members, vnorm, target=None):
@@ -894,15 +890,10 @@ class NormFamily:
             q = _square_sum(st.c)
             return "sqrt", _split(st.recoef(q[:, :, None]),
                                   *_piece_roots(q, st.lo, st.hi))
-        envelopes = []
-        for fn in st.functions(self.space):
-            comps = []
-            for j in range(d):
-                comp = CircleFunction(fn.breaks, fn.coeffs[:, :, j:j + 1],
-                                      self.space)
-                comps += [PolyField(comp), PolyField(-comp)]
-            envelopes.append(upper_envelope(comps).fn)
-        return "poly", _Stack.of(envelopes)
+        # the max of f_0, -f_0, f_1, -f_1, ... per member
+        signed = np.stack([st.c, st.c * -1.0], axis=3).reshape(
+            st.c.shape[:2] + (2 * d,))
+        return "poly", _envelope(_components(st.recoef(signed)), 2 * d)
 
     def _per_member(self, poly, sqrt):
         out = np.empty(self.m)

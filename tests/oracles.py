@@ -121,11 +121,12 @@ def loop_gl_integrate(fn, lo, hi, tol=1e-11, depth=0):
 def loop_real_roots(coeffs, lo, hi, margin=1e-13, imag_tol=1e-9):
     """Real roots of each row's ascending polynomial strictly inside
     (lo[i], hi[i]), one np.roots call per row: (row, root) arrays, sorted
-    and unique within a row."""
+    and unique within a row.  A row with a non-finite coefficient has no
+    roots."""
     rows, roots = [np.empty(0, dtype=np.intp)], [np.empty(0)]
     for i, coef in enumerate(np.asarray(coeffs, dtype=float)):
         c = np.trim_zeros(coef, "b")
-        if c.size <= 1:
+        if c.size <= 1 or not np.isfinite(c).all():
             continue
         r = np.roots(c[::-1])
         r = r[np.abs(r.imag) <= imag_tol].real
@@ -246,33 +247,53 @@ def _closed_form_crossings(tabs, lo, hi, margin=1e-13, lead_tol=1e-14):
     return cuts_per
 
 
-def loop_envelope(edges, tabs):
-    """Pointwise maximum of members given on common edges, tabs (members,
-    edges - 1, k1) ascending: crossings in closed form up to degree 2, else
-    pair by pair and edge by edge with np.roots; then edge by edge the best
-    member at each segment midpoint.  Returns (breaks, coeffs)."""
-    m, ne, k1 = tabs.shape
-    if k1 <= 3:
-        cuts_per = _closed_form_crossings(tabs, edges[:-1], edges[1:])
+def _loop_pair_max(left, right):
+    """Pointwise maximum of two (breaks, coeffs) members: the union of
+    their breaks, cut edge by edge at the crossings of left - right, and
+    on each segment the member larger at its midpoint (left on a tie or
+    NaN, as argmax picks)."""
+    edges = np.unique(np.concatenate([left[0], right[0]]))
+    lo, hi = edges[:-1], edges[1:]
+    mids = 0.5 * (lo + hi)
+    tabs = np.stack([c[np.clip(np.searchsorted(b, mids, side="right") - 1,
+                               0, b.size - 2)] for b, c in (left, right)])
+    k1 = tabs.shape[2]
+    if k1 == 1:
+        cuts_per = [[] for _ in lo]
+    elif k1 <= 3:
+        cuts_per = _closed_form_crossings(tabs, lo, hi)
     else:
-        cuts_per = [[] for _ in range(ne)]
-        for e in range(ne):
-            for a in range(m):
-                for b in range(a + 1, m):
-                    cuts_per[e].extend(loop_real_roots(
-                        (tabs[a, e] - tabs[b, e])[None, :], edges[e:e + 1],
-                        edges[e + 1:e + 2])[1].tolist())
+        cuts_per = [[] for _ in lo]
+        rows, roots = loop_real_roots(tabs[0] - tabs[1], lo, hi)
+        for e, x in zip(rows, roots):
+            cuts_per[e].append(x)
     out_edges, out_coeffs = [0.0], []
-    for e in range(ne):
+    for e in range(lo.size):
         pts = np.unique(np.concatenate(
-            [[edges[e], edges[e + 1]], np.asarray(cuts_per[e], dtype=float)]))
+            [[lo[e], hi[e]], np.asarray(cuts_per[e], dtype=float)]))
         mids = 0.5 * (pts[:-1] + pts[1:])
-        vals = tabs[:, e, :] @ (mids[:, None] ** np.arange(k1)).T
-        pick = np.argmax(vals, axis=0)
-        for s in range(pts.size - 1):
+        powers = mids[:, None] ** np.arange(k1)
+        vals = [np.einsum("nk,nkd->nd", powers,
+                          np.repeat(tab[e][None, :, None], mids.size, 0))[:, 0]
+                for tab in tabs]
+        for s in range(mids.size):
             out_edges.append(pts[s + 1])
-            out_coeffs.append(tabs[pick[s], e])
+            out_coeffs.append(tabs[int(np.argmax([vals[0][s], vals[1][s]])), e])
     return np.asarray(out_edges), np.asarray(out_coeffs)
+
+
+def loop_pair_envelope(members):
+    """Pointwise maximum of piecewise polynomials, members a list of
+    (breaks, coeffs) with ascending (pieces, k1) coeffs of one width: in
+    rounds, members 2i and 2i + 1 are replaced by their maximum (an odd
+    member out is paired with itself), one pair at a time.  Returns
+    (breaks, coeffs)."""
+    members = list(members)
+    while len(members) > 1:
+        last = len(members) - 1
+        members = [_loop_pair_max(members[i], members[min(i + 1, last)])
+                   for i in range(0, len(members), 2)]
+    return members[0]
 
 
 def brute_cell_average(fn, lo, hi, n=200_001):

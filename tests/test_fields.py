@@ -207,7 +207,8 @@ def test_atom_envelope():
     b = AtomField(sp, np.array([4.0, 0.0, 3.0]))
     env = upper_envelope([a, b])
     assert np.allclose(env.values, [4.0, 5.0, 3.0])
-    # more members than one envelope round takes; a NaN atom stays NaN
+    # a grid's family at once (atoms have no breaks, so one maximum over
+    # all members); a NaN atom stays NaN
     rng = np.random.default_rng(3)
     vals = rng.uniform(0.0, 1.0, (12, 3))
     vals[5, 1] = np.nan
@@ -421,8 +422,9 @@ def _envelope_members(rng, k1, nmembers, npieces):
         coeffs = _root_cases(rng, breaks, rng.integers(1, k1) if j else k1)
         members.append(PolyField(CircleFunction(breaks, coeffs[:, :, None])))
     # a copy (all-zero differences), a copy one ulp higher (near ties at
-    # every midpoint, decided by the rounding of the evaluation) and a
-    # lifted copy (double crossings where the original has a double root)
+    # every midpoint, decided by the rounding of the evaluation), a lifted
+    # copy (double crossings where the original has a double root) and a
+    # copy with one NaN piece (a NaN value wins)
     base, other = members[0].fn, members[1].fn
     members.append(PolyField(base * 1.0))
     for fn, lift in ((base, np.nextafter(base.coeffs[:, 0, 0], np.inf)),
@@ -430,21 +432,26 @@ def _envelope_members(rng, k1, nmembers, npieces):
         coeffs = fn.coeffs.copy()
         coeffs[:, 0, 0] = lift
         members.append(PolyField(CircleFunction(fn.breaks, coeffs)))
+    coeffs = members[2].fn.coeffs.copy()
+    coeffs[3, 0, 0] = np.nan
+    members.append(PolyField(CircleFunction(members[2].fn.breaks, coeffs)))
     return members
+
+
+def _pair_envelope(members, k1):
+    """The pairwise loop oracle on members padded to k1 columns."""
+    return oracles.loop_pair_envelope(
+        [(f.breaks, np.pad(f.fn.coeffs[:, :, 0],
+                           ((0, 0), (0, k1 - f.fn.coeffs.shape[1]))))
+         for f in members])
 
 
 @pytest.mark.parametrize("k1", [2, 3, 4, 5])
 def test_upper_envelope_matches_per_edge_loop(k1):
     rng = np.random.default_rng(400 + k1)
     members = _envelope_members(rng, k1, 4, 40)
-    edges = np.unique(np.concatenate([f.breaks for f in members]))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    tabs = np.zeros((len(members), edges.size - 1, k1))
-    for j, f in enumerate(members):
-        at = np.searchsorted(f.breaks, mids) - 1
-        tabs[j, :, :f.fn.coeffs.shape[1]] = f.fn.coeffs[at, :, 0]
     env = upper_envelope(members)
-    ref_edges, ref_coeffs = oracles.loop_envelope(edges, tabs)
+    ref_edges, ref_coeffs = _pair_envelope(members, k1)
     assert _same(env.breaks, ref_edges)
     assert _same(env.fn.coeffs[:, :, 0], ref_coeffs)
 
@@ -771,13 +778,7 @@ def test_upper_envelope_crossings_raise_no_fault(k1):
     rng = np.random.default_rng(450 + k1)
     members = _envelope_members(rng, k1, 4, 40)
     members.append(PolyField(members[2].fn * 1.0))
-    edges = np.unique(np.concatenate([f.breaks for f in members]))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    tabs = np.zeros((len(members), edges.size - 1, k1))
-    for j, f in enumerate(members):
-        at = np.searchsorted(f.breaks, mids) - 1
-        tabs[j, :, :f.fn.coeffs.shape[1]] = f.fn.coeffs[at, :, 0]
-    ref_edges, ref_coeffs = oracles.loop_envelope(edges, tabs)
+    ref_edges, ref_coeffs = _pair_envelope(members, k1)
     with np.errstate(divide="raise", invalid="raise", over="raise"):
         env = upper_envelope(members)
     assert _same(env.breaks, ref_edges)
@@ -879,3 +880,48 @@ def test_norm_family_rejects_mixed_members():
         fields.NormFamily([fn, scalar], VectorNorm("max", 2))
     with pytest.raises(ValueError):
         fields.NormFamily([fn], VectorNorm("max", 3))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_max_norm_family_matches_dense_envelope(d):
+    # the max norm is the envelope of f_j and -f_j over the components
+    rng = np.random.default_rng(70 + d)
+    members = [CircleFunction(_breaks(rng, n), rng.uniform(-1.0, 1.0, (n, 3, d)))
+               for n in range(1, 13)]
+    family = fields.NormFamily(members, VectorNorm("max", d))
+    for g, field, sup in zip(members, family.fields(), family.sup()):
+        parts = [lambda x, j=j, s=s: s * g(x)[:, j]
+                 for j in range(d) for s in (1.0, -1.0)]
+        pts, dense = oracles.dense_envelope(parts, n=20_001)
+        assert np.max(np.abs(field.eval(pts) - dense)) < 1e-12
+        assert sup == field.sup() and np.max(dense) <= sup + 1e-12
+
+
+def test_envelope_work_is_one_round_per_halving(monkeypatch):
+    # 256 members reduce in ceil(log2 256) = 8 stacked rounds, each with
+    # one break merge and one crossing call, not one per pair; the max
+    # norm of a whole family with d = 2 takes ceil(log2 4) = 2 rounds
+    rng = np.random.default_rng(12)
+    members = [CircleFunction(_breaks(rng, 4 + j % 5),
+                              rng.uniform(-1.0, 1.0, (4 + j % 5, 2, 2)))
+               for j in range(256)]
+    norms = fields.NormFamily(members, VectorNorm("euclidean", 2)).fields()
+    calls = {"_merged": 0, "_crossings": 0}
+
+    def counted(name):
+        real = getattr(fields, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+    for name in calls:
+        monkeypatch.setattr(fields, name, counted(name))
+    env = grid_sup_field(norms)
+    assert calls == {"_merged": 8, "_crossings": 8}
+    x = _grid()
+    ref = np.max([f.eval(x) for f in norms], axis=0)
+    assert np.max(np.abs(env.eval(x) - ref)) < 1e-12
+    calls.update(_merged=0, _crossings=0)
+    fields.NormFamily(members, VectorNorm("max", 2)).sup()
+    assert calls == {"_merged": 2, "_crossings": 2}

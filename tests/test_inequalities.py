@@ -173,6 +173,13 @@ def test_submartingale_family_rejects_bad_input():
     with pytest.raises(ValueError, match="not adapted"):
         SubmartingaleFamily(filt, s_grid,
                             [[lopsided, CircleFunction.constant(2.0, sp)]])
+    # slope 1 on each finest cell, 0 at every cell midpoint
+    quarters = np.linspace(0.0, 1.0, 5)
+    mids = 0.5 * (quarters[:-1] + quarters[1:])
+    ramp = CircleFunction(quarters, np.stack([-mids, np.ones(4)], 1)[:, :, None], sp)
+    with pytest.raises(ValueError, match="not adapted"):
+        SubmartingaleFamily(filt, s_grid,
+                            [[ramp, CircleFunction.constant(2.0, sp)]])
     with pytest.raises(ValueError, match="slices"):
         SubmartingaleFamily(filt, s_grid, [_const_slices([0.0], sp)])
     falling = Filtration(sp, "decreasing", max_level=2)

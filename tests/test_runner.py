@@ -2,6 +2,7 @@ import filecmp
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -11,7 +12,7 @@ from ergolab import condexp, flows, processes, runner
 from ergolab.cli import scenario_dir
 from ergolab.condexp import cond_exp
 from ergolab.config import parse_config, parse_text
-from ergolab.fields import lp_norm, sup_norm
+from ergolab.fields import defect_max, lp_norm, sup_norm
 from ergolab.functions import CircleFunction
 from ergolab.runner import CHECK_NAMES, CHECKS, VERSION, run_scenario
 from ergolab.tolerances import TOLERANCES
@@ -248,6 +249,33 @@ def test_tower_rows_hold_each_level_own_defect():
            for lvl, part in enumerate(parts)]
     assert tower == own
     assert tower[-1] == 0.0
+
+
+def test_me_em_coincidence_on_a_rotation_is_the_per_entry_sup():
+    # golden_hat1_dec's rotation, hat and filtration on a 4 x 4 grid; no
+    # shipped circle scenario runs this check
+    with open(os.path.join(scenario_dir(), "golden_hat1_dec.cfg")) as fh:
+        text = fh.read()
+    for key, value in (("t_grid.count", "4"), ("s_grid", "0, 1, 2, 3"),
+                       ("checks", "me_em_coincidence")):
+        text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text,
+                      flags=re.M)
+    cfg = parse_text(text)
+    ctx = runner.build_context(cfg, np.random.default_rng(cfg.seed))
+    rec = runner.CHECKS["me_em_coincidence"](ctx)
+    em, lim = ctx.em_grid(), ctx.proc_limits()
+    gaps = [fn - em.entry(t, s) for (t, s), fn in ctx.me_grid().items()]
+    assert len(gaps) == 16
+    entry = defect_max(0.0, *[sup_norm(g, ctx.vnorm) for g in gaps])
+    limit = sup_norm(lim.me_limit - lim.em_limit, ctx.vnorm)
+    rows = {metric: value for _, _, metric, value in rec.rows}
+    as_bytes = [np.float64(v).tobytes() for v in
+                (rec.value, rows["entry_defect"], entry, rows["limit_defect"],
+                 limit)]
+    assert as_bytes[0] == as_bytes[1] == as_bytes[2]
+    assert as_bytes[3] == as_bytes[4]
+    # a rotation does not commute with a decreasing filtration
+    assert rec.status == "DIAGNOSTIC" and entry > 0.01
 
 
 @pytest.mark.parametrize("name, fn", [("tower_idempotence", "cond_exp"),
