@@ -14,8 +14,7 @@ from .fields import (PolyField, SqrtPolyField, GenericField, AtomField,
                      pointwise_norm, lp_norm, sup_norm, exceedance_measure,
                      upper_envelope, grid_sup_field)
 from .flows import (GOLDEN, Flow, rotation_flow, step_flow, identity_flow,
-                    shift_perm, apply_flow, cesaro_average, discrete_average,
-                    dominant_cesaro)
+                    shift_perm, apply_flow, cesaro_average, dominant_cesaro)
 from .condexp import (LinearFunctional, cond_exp, cond_exp_dominant,
                       defining_property_check, functional_commutation_check)
 from .processes import (ProcessGrid, ProcessLimits, ConvergenceReport,

@@ -558,15 +558,6 @@ class PolyField:
     def integral(self):
         return float(_integral(_Stack.of([self.fn]))[0])
 
-    def cumint(self, y):
-        return self.fn.antiderivative()._eval_unwrapped(
-            np.atleast_1d(np.asarray(y, dtype=float)))[:, 0]
-
-    def cell_averages(self, partition):
-        bounds = np.asarray(partition.cell_bounds_float())
-        vals = self.cumint(bounds)
-        return np.diff(vals) / np.diff(bounds)
-
     def sup(self):
         return float(_sup(_Stack.of([self.fn]))[0])
 
@@ -626,7 +617,9 @@ class SqrtPolyField:
         i = self.q.piece_index(y)
         return cum[i] + gl_integrate(self.eval, self.q.breaks[i], y)
 
-    cell_averages = PolyField.cell_averages
+    def cell_averages(self, partition):
+        bounds = np.asarray(partition.cell_bounds_float())
+        return np.diff(self.cumint(bounds)) / np.diff(bounds)
 
     def sup(self):
         return float(_sqrt_sup(_Stack.of([self.q]))[0])
@@ -719,14 +712,6 @@ class AtomField:
 
     def integral(self):
         return float(self.space.weights @ self.values)
-
-    def cell_averages(self, partition):
-        out = np.empty(partition.ncells)
-        for i, cell in enumerate(partition.cells):
-            idx = np.asarray(cell, dtype=int)
-            w = self.space.weights[idx]
-            out[i] = (w @ self.values[idx]) / w.sum()
-        return out
 
     def sup(self):
         return float(np.max(self.values))

@@ -197,10 +197,6 @@ class Flow:
         """A'_t h for a scalar field h; positivity preserving."""
         return field
 
-    def discrete_average(self, n, f):
-        """Mean of f, T_1 f, ..., T_1^{n-1} f for an integer n >= 2."""
-        return f
-
     def lattice(self, t):
         """The nearest time to t at which the evolution composes exactly."""
         return t
@@ -238,10 +234,6 @@ class Rotation(Flow):
         if isinstance(field, PolyField):
             return PolyField(_rotation_average_fn(field.fn, t, self.theta))
         return _rotation_average_field(field, t, self.theta)
-
-    def discrete_average(self, n, f):
-        terms = [f.rotate(_split_product(i, self.theta)[1]) for i in range(n)]
-        return merge_sum(terms, np.full(n, 1.0 / n))
 
     def envelope_constant(self, centered, vnorm):
         """Twice the sup of the centered antiderivative over the angle."""
@@ -305,10 +297,6 @@ class Step(Flow):
                                     t, self.h)[:, 0]
         return AtomField(field.space, vals)
 
-    def discrete_average(self, n, f):
-        acc, _ = _orbit_sums(f.values, self._map(1.0), n)
-        return AtomFunction(f.space, acc / n)
-
     def envelope_constant(self, centered, vnorm):
         """One full period of worst-case deviation: h * natoms * max ||g||."""
         peak = float(np.max(vnorm(centered.values)))
@@ -360,16 +348,6 @@ def cesaro_average(flow, t, f):
     if t <= 0.0:
         raise ValueError("averaging time must be positive")
     return flow.average(t, f)
-
-
-def discrete_average(flow, n, f):
-    """Arithmetic mean of f, T_1 f, ..., T_1^{n-1} f."""
-    if n < 1 or int(n) != n:
-        raise ValueError("discrete averages need a positive integer count")
-    n = int(n)
-    if n == 1:
-        return f
-    return flow.discrete_average(n, f)
 
 
 def dominant_cesaro(flow, t, field):

@@ -195,16 +195,6 @@ class CircleFunction:
         """Integral over the whole circle, an R^d vector."""
         return self.antiderivative()._eval_unwrapped(np.array([1.0]))[0]
 
-    def integrate(self, lo, hi):
-        """Exact integral over [lo, hi] within [0, 1]."""
-        if hi <= lo:
-            return np.zeros(self.d)
-        if lo < 0.0 or hi > 1.0:
-            raise ValueError("integration interval must lie within [0, 1]")
-        af = self.antiderivative()
-        vals = af._eval_unwrapped(np.array([lo, hi]))
-        return vals[1] - vals[0]
-
     def mean(self):
         return self.integral() / self.space.mass
 

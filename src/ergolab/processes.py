@@ -7,6 +7,12 @@ first operator built (``ProcessGrid.inner``) for the diagnostics that
 read A_t f or E(f|F_s).  Entries are honest function objects, so every
 diagnostic below can recompute them from scratch and compare.
 
+An entry depends on s only through F_s, the partition at
+``filtration.level(s)``, so each grid builds one entry per (t, level):
+A_t f once per t and its conditioning once per level (ME), E(f|F_l) once
+per level and its averages once per t (EM).  Every s of one level shares
+that entry object, in ``table`` and in ``inner``.
+
 Norms over a grid are taken family by family: ``convergence_table``, the
 member fields of ``ProcessGrid.norm_sup``, ``sup_integrability_report``
 and ``ergodic_envelope_check`` build the norm fields of all their members
@@ -70,7 +76,8 @@ class ProcessGrid:
     """Rectangular table of process entries over (t, s) parameter grids,
     with the input f, flow and filtration that built it, and ``inner``,
     the first operator's family in grid order: t -> A_t f (ME) or
-    s -> E(f|F_s) (EM)."""
+    s -> E(f|F_s) (EM).  There is one entry object per (t, level): the s
+    of one filtration level share it."""
 
     def __init__(self, kind, f, flow, filtration, t_grid, s_grid, inner,
                  table):
@@ -114,15 +121,23 @@ class ProcessGrid:
                 f"{len(self.s_grid)})")
 
 
+def _levels(filtration, s_grid):
+    """s -> filtration level, in s order, and level -> partition for each
+    distinct level, in order of first appearance."""
+    levels = {float(s): filtration.level(float(s)) for s in s_grid}
+    return levels, {k: filtration.partition_at_level(k) for k in levels.values()}
+
+
 def me_process(f, flow, filtration, t_grid, s_grid):
     """Grid of conditioned averages: entry (t,s) conditions A_t f on F_s."""
     t_grid = _check_grid(t_grid, "t_grid", positive=True)
     s_grid = _check_grid(s_grid, "s_grid", positive=False)
+    levels, parts = _levels(filtration, s_grid)
     inner, table = {}, {}
     for t in t_grid:
         inner[float(t)] = avg = cesaro_average(flow, float(t), f)
-        for s in s_grid:
-            table[(float(t), float(s))] = cond_exp(avg, filtration.partition(float(s)))
+        cond = {k: cond_exp(avg, part) for k, part in parts.items()}
+        table.update({(float(t), s): cond[k] for s, k in levels.items()})
     return ProcessGrid("ME", f, flow, filtration, t_grid, s_grid, inner, table)
 
 
@@ -130,11 +145,13 @@ def em_process(f, flow, filtration, t_grid, s_grid):
     """Grid of averaged conditionings: entry (t,s) averages E(f|F_s) up to t."""
     t_grid = _check_grid(t_grid, "t_grid", positive=True)
     s_grid = _check_grid(s_grid, "s_grid", positive=False)
-    inner, table = {}, {}
-    for s in s_grid:
-        inner[float(s)] = proj = cond_exp(f, filtration.partition(float(s)))
-        for t in t_grid:
-            table[(float(t), float(s))] = cesaro_average(flow, float(t), proj)
+    levels, parts = _levels(filtration, s_grid)
+    proj = {k: cond_exp(f, part) for k, part in parts.items()}
+    inner = {s: proj[k] for s, k in levels.items()}
+    table = {}
+    for t in t_grid:
+        avg = {k: cesaro_average(flow, float(t), g) for k, g in proj.items()}
+        table.update({(float(t), s): avg[k] for s, k in levels.items()})
     return ProcessGrid("EM", f, flow, filtration, t_grid, s_grid, inner, table)
 
 

@@ -493,7 +493,8 @@ def run_scenario(cfg, out_dir=None, seed=None):
 
     Any exception in a check becomes its FAIL record (class in the note).
     Checks run with floating-point faults raised, so a division by zero,
-    an invalid operation or an overflow is such an exception.
+    an invalid operation or an overflow is such an exception.  A
+    DIAGNOSTIC record with a NaN value or row fails too.
     """
     if seed is not None:
         cfg = replace(cfg, seed=int(seed))
@@ -507,6 +508,10 @@ def run_scenario(cfg, out_dir=None, seed=None):
                 rec = CHECKS[name](ctx)
         except Exception as exc:
             rec = CheckRecord(name, "FAIL", note=f"{type(exc).__name__}: {exc}")
+        # NaN is the one value unequal to itself
+        if rec.status == "DIAGNOSTIC" and any(
+                v != v for v in [rec.value] + [row[3] for row in rec.rows]):
+            rec.status, rec.note = "FAIL", "NaN in a diagnostic value or row"
         rec.wall_time = time.perf_counter() - start
         records.append(rec)
     report = RunReport(cfg.name, cfg.seed, VERSION, records, cfg.echo())

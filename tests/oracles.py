@@ -89,12 +89,6 @@ def loop_step_average(values, perm, t, h):
     return acc / t
 
 
-def loop_discrete_average(values, perm, n, h):
-    """Mean of the values along n unit-time steps of a step flow of width h."""
-    step1 = loop_orbit_sum(values, perm, loop_split(1.0, h)[0])[1]
-    return loop_orbit_sum(values, step1, n)[0] / n
-
-
 def loop_gl_integrate(fn, lo, hi, tol=1e-11, depth=0):
     """Adaptive Gauss-Legendre on one interval: rules of 8 to 256 nodes
     until two agree, else bisection down to depth 24."""
@@ -294,6 +288,47 @@ def loop_pair_envelope(members):
         members = [_loop_pair_max(members[i], members[min(i + 1, last)])
                    for i in range(0, len(members), 2)]
     return members[0]
+
+
+def _poly_at(a, x):
+    """Ascending polynomial a at one point x: the power row and one einsum
+    dot, as loop_eval forms them."""
+    return np.einsum("k,k->", np.float64(x) ** np.arange(a.size), a)
+
+
+def loop_cell_averages(breaks, coeffs, bounds):
+    """Means over the cells [bounds[i], bounds[i + 1]] of a scalar piecewise
+    polynomial with ascending (pieces, k1) coeffs, one cell at a time: the
+    antiderivative is built piece by piece, continuous and 0 at x = 0, and
+    read at each cell's two ends (a break belongs to the piece it starts)."""
+    k1 = coeffs.shape[1]
+    prims, offset = [], 0.0
+    for i, coef in enumerate(np.asarray(coeffs, dtype=float)):
+        prim = np.concatenate([[0.0], coef / np.arange(1, k1 + 1)])
+        left, right = _poly_at(prim, breaks[i]), _poly_at(prim, breaks[i + 1])
+        prim[0] = 0.0 + (offset - left)
+        prims.append(prim)
+        offset = offset + (right - left)
+
+    def prim_at(x):
+        i = min(max(int(np.searchsorted(breaks, x, side="right")) - 1, 0),
+                len(prims) - 1)
+        return _poly_at(prims[i], x)
+
+    return np.array([(prim_at(hi) - prim_at(lo)) / (hi - lo)
+                     for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
+def loop_atom_cell_averages(weights, values, cells):
+    """Per-atom weighted means of scalar atom values over each cell of atom
+    indices, one cell at a time: the cell's weights times its values as a
+    column, over the cell's total weight."""
+    out = np.empty(len(values))
+    for cell in cells:
+        idx = np.asarray(cell, dtype=int)
+        w = weights[idx]
+        out[idx] = (w @ values[idx][:, None])[0] / w.sum()
+    return out
 
 
 def brute_cell_average(fn, lo, hi, n=200_001):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ergolab import condexp
 from ergolab.condexp import (
     LinearFunctional,
     cond_exp,
@@ -8,17 +9,20 @@ from ergolab.condexp import (
     defining_property_check,
     functional_commutation_check,
 )
-from ergolab.fields import pointwise_norm
+from ergolab.fields import AtomField, PolyField, pointwise_norm
 from ergolab.flows import identity_flow
-from ergolab.functions import AtomFunction, hat, sawtooth
+from ergolab.functions import AtomFunction, CircleFunction, hat, sawtooth
 from ergolab.inequalities import domination_chain_check
 from ergolab.spaces import (
     Filtration,
+    Partition,
     VectorNorm,
     circle_space,
     discrete_space,
     make_dyadic_partition,
+    make_factor_partition,
     partition_at_level,
+    product_space,
 )
 
 import oracles
@@ -120,6 +124,23 @@ def test_linear_functional_compose():
     assert np.allclose(g(x)[:, 0], f(x) @ np.array([2.0, -1.0]))
 
 
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+def _count_cond_exp(monkeypatch):
+    calls = []
+    real = condexp.cond_exp
+
+    def counted(f, partition):
+        calls.append(partition)
+        return real(f, partition)
+
+    monkeypatch.setattr(condexp, "cond_exp", counted)
+    return calls
+
+
 def test_dominant_cell_averages_polyfield():
     field = pointwise_norm(sawtooth(d=1), VectorNorm("euclidean", 1))
     part = make_dyadic_partition(2)
@@ -129,6 +150,104 @@ def test_dominant_cell_averages_polyfield():
         [0.375, 0.125, 0.125, 0.375])
     # averaging preserves the total integral
     assert dom.integral() == pytest.approx(field.integral(), abs=1e-15)
+
+
+def _ragged_poly(rng, npieces, k1):
+    inner = np.sort(rng.uniform(0.0, 1.0, npieces - 1))
+    # some breaks on dyadic cell bounds, so cells start on a piece's break
+    breaks = np.unique(np.r_[0.0, inner, rng.integers(1, 64, 4) / 64, 1.0])
+    return breaks, rng.uniform(0.0, 1.0, (breaks.size - 1, k1))
+
+
+@pytest.mark.parametrize("k1", [1, 2, 4, 6])
+def test_dominant_polyfield_is_cond_exp_bit_for_bit(monkeypatch, k1):
+    rng = np.random.default_rng(40 + k1)
+    calls = _count_cond_exp(monkeypatch)
+    for npieces in (1, 7, 45):
+        breaks, coeffs = _ragged_poly(rng, npieces, k1)
+        field = PolyField(CircleFunction(breaks, coeffs[:, :, None]))
+        for level in range(7):
+            part = make_dyadic_partition(level)
+            bounds = np.asarray(part.cell_bounds_float())
+            calls.clear()
+            dom = cond_exp_dominant(field, part)
+            assert len(calls) == 1
+            assert isinstance(dom, PolyField)
+            assert _same(dom.breaks, bounds)
+            assert _same(dom.fn.coeffs[:, 0, 0],
+                         oracles.loop_cell_averages(breaks, coeffs, bounds))
+
+
+def _random_cells(rng, n):
+    # up to 6 cells of scattered atoms
+    cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, 5),
+                              replace=False))
+    return np.split(rng.permutation(n), cuts)
+
+
+def test_dominant_atomfield_is_cond_exp_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(17)
+    calls = _count_cond_exp(monkeypatch)
+    cases = []
+    for n in (1, 3, 16, 57, 199):
+        sp = discrete_space(rng.uniform(0.01, 1.0, n))
+        cases += [(sp, partition_at_level(sp, lvl))
+                  for lvl in range(int(np.log2(n)) + 1)]
+        cases.append((sp, Partition(sp, cells=_random_cells(rng, n))))
+    for m2 in (2, 5, 8):
+        sp = product_space(3, rng.uniform(0.05, 1.0, m2) / 3.0)
+        cases += [(sp, make_factor_partition(sp, lvl))
+                  for lvl in range(int(np.log2(m2)) + 1)]
+    for sp, part in cases:
+        vals = rng.uniform(0.0, 2.0, sp.natoms)
+        calls.clear()
+        dom = cond_exp_dominant(AtomField(sp, vals), part)
+        assert len(calls) == 1
+        assert isinstance(dom, AtomField)
+        assert _same(dom.values, oracles.loop_atom_cell_averages(
+            sp.weights, vals, part.cells))
+
+
+def test_dominant_atom_cell_values():
+    sp = discrete_space(np.array([0.1, 0.2, 0.3, 0.4]))
+    dom = cond_exp_dominant(AtomField(sp, np.array([2.0, 0.0, 1.0, 3.0])),
+                            partition_at_level(sp, 1))
+    assert np.allclose(dom.values, [2.0 / 3.0, 2.0 / 3.0, 1.5 / 0.7, 1.5 / 0.7])
+
+
+def _loop_defining_defect(f, ef, bounds):
+    # one antiderivative read per cell and function, cells in order
+    worst = 0.0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        ends = np.array([lo, hi])
+        gap = (np.diff(ef.antiderivative()._eval_unwrapped(ends), axis=0)
+               - np.diff(f.antiderivative()._eval_unwrapped(ends), axis=0))
+        worst = max(worst, float(np.max(np.abs(gap))))
+    return worst
+
+
+def test_defining_property_reads_one_table_per_function(monkeypatch):
+    rng = np.random.default_rng(8)
+    breaks, coeffs = _ragged_poly(rng, 30, 4)
+    f = CircleFunction(breaks, rng.normal(size=(breaks.size - 1, 4, 2)))
+    reads = []
+    real = CircleFunction._eval_unwrapped
+
+    def counted(self, x):
+        reads.append(np.size(x))
+        return real(self, x)
+
+    for level in (0, 3, 6):
+        part = make_dyadic_partition(level)
+        bounds = np.asarray(part.cell_bounds_float())
+        ref = _loop_defining_defect(f, cond_exp(f, part), bounds)
+        monkeypatch.setattr(CircleFunction, "_eval_unwrapped", counted)
+        reads.clear()
+        got = defining_property_check(f, part)
+        monkeypatch.undo()
+        assert _same(np.float64(got), np.float64(ref))
+        # all cell bounds at once: cond_exp's read, then one per function
+        assert reads == [bounds.size] * 3
 
 
 def test_dominant_accepts_circle_function():

@@ -7,7 +7,6 @@ from ergolab.flows import (
     Flow,
     apply_flow,
     cesaro_average,
-    discrete_average,
     dominant_cesaro,
     identity_flow,
     rotation_flow,
@@ -159,35 +158,12 @@ def test_dominant_step_cesaro_bit_identical_to_loop():
         assert _same_bits(dom.values, ref[:, 0])
 
 
-@pytest.mark.parametrize("h", [1.0, 0.5, 0.3, 2.0])
-def test_discrete_average_step_bit_identical_to_loop(h):
-    perm = shift_perm(_Z8X2)
-    vals = np.random.default_rng(5).normal(size=(16, 2))
-    vals[3] = -0.0
-    f = AtomFunction(_Z8X2, vals)
-    flow = step_flow(_Z8X2, perm, h=h)
-    for n in (2, 7, 1000):
-        out = discrete_average(flow, n, f)
-        assert _same_bits(out.values,
-                          oracles.loop_discrete_average(vals, perm, n, h))
-
-
-def test_discrete_average_rotation():
-    f = sawtooth(d=1, phases=[0.15])
-    flow = rotation_flow(GOLDEN)
-    out = discrete_average(flow, 4, f)
-    x = (np.arange(200) + 0.37) / 200
-    ref = np.mean([f(x + k * GOLDEN) for k in range(4)], axis=0)
-    assert np.max(np.abs(out(x) - ref)) < 1e-12
-
-
 def test_identity_flow_passthrough():
     sp = _unit_space(3)
     f = AtomFunction(sp, np.array([1.0, 2.0, 3.0]))
     flow = identity_flow(sp)
     assert apply_flow(flow, 5.0, f) is f
     assert cesaro_average(flow, 5.0, f) is f
-    assert discrete_average(flow, 5, f) is f
 
 
 def test_flow_constructor_validation():

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ergolab.condexp import cond_exp
-from ergolab import fields
+from ergolab import fields, processes
 from ergolab.fields import grid_sup_field, pointwise_norm
 from ergolab.flows import (
     GOLDEN,
@@ -111,6 +113,58 @@ def test_grid_entries_match_recompute():
     assert list(em.inner) == [0.0, 1.0, 2.0]
     for s, proj in em.inner.items():
         assert same(proj, cond_exp(f, filt.partition(s)))
+
+
+@pytest.mark.parametrize("kind", ["rotation", "step"])
+def test_grids_build_one_entry_per_time_and_level(monkeypatch, kind):
+    # 8 values of s on 3 levels of a decreasing filtration: 2, 2, 1, 1, 0 ...
+    s_grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 7.0])
+    t_grid = np.array([1.0, 2.5, 6.0])
+    if kind == "rotation":
+        f, flow, filt = _golden_setup(max_level=2)
+    else:
+        sp = discrete_space(np.full(8, 1.0 / 8.0))
+        f = AtomFunction(sp, np.random.default_rng(3).normal(size=(8, 2)))
+        flow = step_flow(sp, shift_perm(sp), h=0.5)
+        filt = Filtration(sp, "decreasing", max_level=2)
+    levels = [filt.level(s) for s in s_grid]
+    assert len(set(levels)) == 3
+    calls = {"avg": 0, "cond": 0}
+    real_avg, real_cond = processes.cesaro_average, processes.cond_exp
+
+    def counted_avg(flow, t, g):
+        calls["avg"] += 1
+        return real_avg(flow, t, g)
+
+    def counted_cond(g, partition):
+        calls["cond"] += 1
+        return real_cond(g, partition)
+
+    monkeypatch.setattr(processes, "cesaro_average", counted_avg)
+    monkeypatch.setattr(processes, "cond_exp", counted_cond)
+    grids = {}
+    for build, want in ((me_process, {"avg": 3, "cond": 9}),
+                        (em_process, {"avg": 9, "cond": 3})):
+        calls.update(avg=0, cond=0)
+        grids[build] = grid = build(f, flow, filt, t_grid, s_grid)
+        assert calls == want
+    monkeypatch.undo()
+    me, em = grids[me_process], grids[em_process]
+    assert list(me.inner) == t_grid.tolist()
+    assert list(em.inner) == s_grid.tolist()
+    pairs = list(itertools.product(zip(s_grid, levels), repeat=2))
+    for (s1, k1), (s2, k2) in pairs:
+        assert (em.inner[s1] is em.inner[s2]) == (k1 == k2)
+        for grid in (me, em):
+            for t in t_grid:
+                assert (grid.entry(t, s1) is grid.entry(t, s2)) == (k1 == k2)
+
+    def bits(fn):
+        return (fn.values if kind == "step" else fn.coeffs).tobytes()
+
+    for grid in (me, em):
+        for (t, s), fn in grid.items():
+            assert bits(fn) == bits(grid.recompute_entry(t, s))
 
 
 def test_norm_sup_is_memoised_per_norm():

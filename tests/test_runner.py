@@ -4,6 +4,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,6 +219,36 @@ def test_nan_norm_field_fails_ergodic_envelope(monkeypatch):
     assert errs[0] >= 0.0 and np.isnan(errs[1])
     assert [errs[0]] + errs[2:] == [clean[0]] + clean[2:]
     assert rec.status == "FAIL"
+
+
+def test_nan_commutation_defect_fails_the_run(monkeypatch):
+    # a NaN defect may not pass as DIAGNOSTIC
+    monkeypatch.setattr(runner, "commutation_check",
+                        lambda *args, **kwargs: float("nan"))
+    cfg = parse_config(os.path.join(scenario_dir(), "product_z8x2.cfg"))
+    report = run_scenario(replace(cfg, checks=("commutation",)))
+    rec = report.records[0]
+    assert (rec.name, rec.status) == ("commutation", "FAIL")
+    assert np.isnan(rec.value) and "NaN" in rec.note
+    assert not report.passed
+
+
+def test_nan_limit_gap_fails_me_em_coincidence(monkeypatch):
+    # the entries coincide up to a finite defect, the limits differ by NaN
+    real = runner.limits
+
+    def nan_em_limit(*args):
+        lim = real(*args)
+        em = lim.em_limit + _thin_piece(lim.em_limit.d, np.nan)
+        return processes.ProcessLimits(lim.ergodic_limit, lim.me_limit, em)
+
+    monkeypatch.setattr(runner, "limits", nan_em_limit)
+    report = run_scenario(_only("me_em_coincidence"))
+    rec = report.records[0]
+    rows = {metric: value for _, _, metric, value in rec.rows}
+    assert np.isnan(rows["limit_defect"]) and not np.isnan(rec.value)
+    assert rec.status == "FAIL" and "NaN" in rec.note
+    assert not report.passed
 
 
 def _thin_piece(d, height):
