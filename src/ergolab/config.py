@@ -132,11 +132,20 @@ def _read_pairs(text):
     return dict(pairs)
 
 
-def _as_float(kv, key):
+def _number(key, tok):
+    """float(tok) if tok is a finite number, else a ConfigError naming key;
+    every real number in a scenario file is read here."""
     try:
-        return float(kv[key])
+        v = float(tok)
     except ValueError:
-        raise ConfigError(key, f"expected a number, got {kv[key]!r}") from None
+        raise ConfigError(key, f"expected a number, got {tok.strip()!r}") from None
+    if not math.isfinite(v):
+        raise ConfigError(key, f"expected a finite number, got {tok.strip()!r}")
+    return v
+
+
+def _as_float(kv, key):
+    return _number(key, kv[key])
 
 
 def _as_int(kv, key):
@@ -149,11 +158,7 @@ def _as_int(kv, key):
 
 
 def _as_floats(kv, key):
-    raw = kv[key]
-    try:
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(key, f"expected comma-separated numbers, got {raw!r}") from None
+    return tuple(_number(key, tok) for tok in kv[key].split(",") if tok.strip())
 
 
 def _as_choice(kv, key, choices):
@@ -187,7 +192,13 @@ def _grid(kv, prefix, positive):
             raise ConfigError(f"{prefix}.count", "count must be at least 1")
         if ratio <= 1.0:
             raise ConfigError(f"{prefix}.ratio", "ratio must exceed 1")
-        vals = tuple(start * ratio ** k for k in range(count))
+        try:
+            vals = tuple(start * ratio ** k for k in range(count))
+        except OverflowError:
+            vals = (math.inf,)
+        if not math.isfinite(vals[-1]):
+            raise ConfigError(prefix, "the geometric rule gives a value that "
+                                      "is not a finite number")
     else:
         raise ConfigError(prefix, "required key is missing")
     if len(vals) == 0:
@@ -306,11 +317,7 @@ def parse_text(text):
         for i, key in piece_keys:
             comps = []
             for comp in kv[key].split("|"):
-                try:
-                    comps.append(tuple(float(tok) for tok in comp.split(",")))
-                except ValueError:
-                    raise ConfigError(key, "expected comma-separated coefficient "
-                                           "lists joined by '|'") from None
+                comps.append(tuple(_number(key, tok) for tok in comp.split(",")))
             if len(comps) != function_d:
                 raise ConfigError(key, f"expected {function_d} components")
             plist.append(tuple(comps))
@@ -319,11 +326,8 @@ def parse_text(text):
         raw = kv[_need(kv, "function.values")]
         rows = []
         for row in raw.split(";"):
-            try:
-                rows.append(tuple(float(tok) for tok in row.split(",")))
-            except ValueError:
-                raise ConfigError("function.values",
-                                  "expected ';'-separated rows of numbers") from None
+            rows.append(tuple(_number("function.values", tok)
+                              for tok in row.split(",")))
             if len(rows[-1]) != function_d:
                 raise ConfigError("function.values",
                                   f"each row must have {function_d} entries")

@@ -524,23 +524,8 @@ def _split_at_roots(fn):
         fn.space)[0]
 
 
-def _abs_components(fn):
-    """Exact |f_j| of every component of a CircleFunction, each split at its
-    own sign changes; one _piece_roots call for all components."""
-    return _abs(_components(_Stack.of([fn]))).functions(fn.space)
-
-
-def abs_poly(fn):
-    """Exact |f| for a scalar CircleFunction, splitting at sign changes."""
-    if fn.d != 1:
-        raise ValueError("abs_poly expects a scalar function")
-    return _abs_components(fn)[0]
-
-
 class PolyField:
     """Nonnegative piecewise-polynomial scalar field on the circle."""
-
-    kind = "poly"
 
     def __init__(self, fn):
         if fn.d != 1:
@@ -585,8 +570,6 @@ class PolyField:
 
 class SqrtPolyField:
     """Euclidean norm sqrt(sum f_i^2) of a vector piecewise polynomial."""
-
-    kind = "sqrt"
 
     def __init__(self, q):
         # q: scalar piecewise polynomial, nonnegative, breaks already split
@@ -636,8 +619,6 @@ class SqrtPolyField:
 
 class GenericField:
     """Evaluable scalar field with known kink set; quadrature calculus."""
-
-    kind = "generic"
 
     def __init__(self, space, evaluator, breaks, deriv_bound=None,
                  exact_integral=None):
@@ -698,8 +679,6 @@ class GenericField:
 class AtomField:
     """Nonnegative scalar field on a discrete or product space."""
 
-    kind = "atom"
-
     def __init__(self, space, values):
         v = np.asarray(values, dtype=float).reshape(-1)
         if v.size != space.natoms:
@@ -722,9 +701,6 @@ class AtomField:
 
     def superlevel_measure(self, lam):
         return float(np.sum(self.space.weights[self.values >= float(lam)]))
-
-    def permute(self, perm):
-        return AtomField(self.space, self.values[np.asarray(perm, int)])
 
 
 # -- envelopes ---------------------------------------------------------------
@@ -868,22 +844,22 @@ class NormFamily:
     def _norms(self, st, vnorm):
         d = st.c.shape[2]
         if d == 1:
-            return "poly", _abs(st)
+            return PolyField, _abs(st)
         if vnorm.selector == "sum":
-            return "poly", _component_sum(_abs(_components(st)), st.m, d)
+            return PolyField, _component_sum(_abs(_components(st)), st.m, d)
         if vnorm.selector == "euclidean":
             q = _square_sum(st.c)
-            return "sqrt", _split(st.recoef(q[:, :, None]),
-                                  *_piece_roots(q, st.lo, st.hi))
+            return SqrtPolyField, _split(st.recoef(q[:, :, None]),
+                                         *_piece_roots(q, st.lo, st.hi))
         # the max of f_0, -f_0, f_1, -f_1, ... per member
         signed = np.stack([st.c, st.c * -1.0], axis=3).reshape(
             st.c.shape[:2] + (2 * d,))
-        return "poly", _envelope(_components(st.recoef(signed)), 2 * d)
+        return PolyField, _envelope(_components(st.recoef(signed)), 2 * d)
 
     def _per_member(self, poly, sqrt):
         out = np.empty(self.m)
-        for idx, kind, st in self.groups:
-            out[idx] = (poly if kind == "poly" else sqrt)(st)
+        for idx, cls, st in self.groups:
+            out[idx] = (poly if cls is PolyField else sqrt)(st)
         return out
 
     def lp(self, p):
@@ -905,8 +881,7 @@ class NormFamily:
         if self.values is not None:
             return [AtomField(self.space, v) for v in self.values]
         out = [None] * self.m
-        for idx, kind, st in self.groups:
-            cls = PolyField if kind == "poly" else SqrtPolyField
+        for idx, cls, st in self.groups:
             for i, fn in zip(idx, st.functions(self.space)):
                 out[i] = cls(fn)
         return out

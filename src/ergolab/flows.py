@@ -274,10 +274,6 @@ class Step(Flow):
         inv = 1.0 / self.h
         return abs(inv - np.rint(inv)) <= 1e-9
 
-    def orbit_period(self):
-        """Smallest n >= 1 with S^n = id."""
-        return math.lcm(*np.unique(_cycle_index(self.perm)[2]).tolist())
-
     def _map(self, t):
         """The time-t point map S^floor(t/h)."""
         order, start, length, pos = _cycle_index(self.perm)

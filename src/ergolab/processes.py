@@ -8,17 +8,19 @@ read A_t f or E(f|F_s).  Entries are honest function objects, so every
 diagnostic below can recompute them from scratch and compare.
 
 An entry depends on s only through F_s, the partition at
-``filtration.level(s)``, so each grid builds one entry per (t, level):
-A_t f once per t and its conditioning once per level (ME), E(f|F_l) once
-per level and its averages once per t (EM).  Every s of one level shares
-that entry object, in ``table`` and in ``inner``.
+``filtration.level(s)``, so each grid builds and stores one entry per
+(t, level): ``table`` is keyed by (t, level), and the EM ``inner`` by
+level.  A_t f is built once per t and conditioned once per level (ME);
+E(f|F_l) is built once per level and averaged once per t (EM).  The s of
+one level read that level's entry through ``entry`` and ``items``.
 
 Norms over a grid are taken family by family: ``convergence_table``, the
 member fields of ``ProcessGrid.norm_sup``, ``sup_integrability_report``
 and ``ergodic_envelope_check`` build the norm fields of all their members
 (minus the target, where there is one) in one stacked ``NormFamily``
 pass, so each kernel's fixed cost is paid once per family, not once per
-entry, and every entry keeps the bits of its own computation.
+entry, and every entry keeps the bits of its own computation.  A grid
+family has one member per distinct entry, i.e. per key of ``table``.
 """
 
 from dataclasses import dataclass
@@ -36,7 +38,7 @@ from .tolerances import TOLERANCES
 _DIAG_SLACK = 1.1
 _DIAG_FLOOR = 1e-12
 
-_DEFAULT_T_PROBES = (0.3, 0.7, 1.0, 1.9, 2.5, 4.0)
+_T_PROBES = (0.3, 0.7, 1.0, 1.9, 2.5, 4.0)
 
 
 def _constant_like(f, value):
@@ -73,11 +75,10 @@ def _check_grid(grid, name, positive):
 
 
 class ProcessGrid:
-    """Rectangular table of process entries over (t, s) parameter grids,
-    with the input f, flow and filtration that built it, and ``inner``,
-    the first operator's family in grid order: t -> A_t f (ME) or
-    s -> E(f|F_s) (EM).  There is one entry object per (t, level): the s
-    of one filtration level share it."""
+    """Process entries over (t, s) parameter grids, with the input f, flow
+    and filtration that built it.  ``table`` maps (t, level) to the entry,
+    one object per key; ``inner`` is the first operator's family in grid
+    order: t -> A_t f (ME) or level -> E(f|F_level) (EM)."""
 
     def __init__(self, kind, f, flow, filtration, t_grid, s_grid, inner,
                  table):
@@ -94,13 +95,23 @@ class ProcessGrid:
         self._norm_sups = {}
 
     def entry(self, t, s):
-        return self.table[(float(t), float(s))]
+        """The entry at (t, s), read through the level of s: an s off the
+        grid on a level the grid holds gets that level's entry, which is
+        exactly the (t, s) process value, since F_s depends on s only
+        through its level."""
+        return self.table[(float(t), self.filtration.level(float(s)))]
+
+    def _keys(self):
+        """((t, s), table key) in row-major order: t outer, s inner."""
+        for t in self.t_grid:
+            for s in self.s_grid:
+                yield (float(t), float(s)), (float(t),
+                                             self.filtration.level(float(s)))
 
     def items(self):
         """Entries in row-major order: t outer, s inner."""
-        for t in self.t_grid:
-            for s in self.s_grid:
-                yield (float(t), float(s)), self.table[(float(t), float(s))]
+        for ts, key in self._keys():
+            yield ts, self.table[key]
 
     def recompute_entry(self, t, s):
         """Rebuild one entry from scratch, bypassing the table."""
@@ -113,7 +124,7 @@ class ProcessGrid:
         """Pointwise sup over the grid of ||entry(x)||_X, built once per norm."""
         if vnorm not in self._norm_sups:
             self._norm_sups[vnorm] = grid_sup_field(NormFamily(
-                [fn for _, fn in self.items()], vnorm).fields())
+                self.table.values(), vnorm).fields())
         return self._norm_sups[vnorm]
 
     def __repr__(self):
@@ -122,22 +133,22 @@ class ProcessGrid:
 
 
 def _levels(filtration, s_grid):
-    """s -> filtration level, in s order, and level -> partition for each
-    distinct level, in order of first appearance."""
-    levels = {float(s): filtration.level(float(s)) for s in s_grid}
-    return levels, {k: filtration.partition_at_level(k) for k in levels.values()}
+    """Level -> partition for each distinct level of the s grid, in order
+    of first appearance."""
+    return {k: filtration.partition_at_level(k)
+            for k in (filtration.level(float(s)) for s in s_grid)}
 
 
 def me_process(f, flow, filtration, t_grid, s_grid):
     """Grid of conditioned averages: entry (t,s) conditions A_t f on F_s."""
     t_grid = _check_grid(t_grid, "t_grid", positive=True)
     s_grid = _check_grid(s_grid, "s_grid", positive=False)
-    levels, parts = _levels(filtration, s_grid)
+    parts = _levels(filtration, s_grid)
     inner, table = {}, {}
     for t in t_grid:
         inner[float(t)] = avg = cesaro_average(flow, float(t), f)
-        cond = {k: cond_exp(avg, part) for k, part in parts.items()}
-        table.update({(float(t), s): cond[k] for s, k in levels.items()})
+        table.update({(float(t), k): cond_exp(avg, part)
+                      for k, part in parts.items()})
     return ProcessGrid("ME", f, flow, filtration, t_grid, s_grid, inner, table)
 
 
@@ -145,13 +156,10 @@ def em_process(f, flow, filtration, t_grid, s_grid):
     """Grid of averaged conditionings: entry (t,s) averages E(f|F_s) up to t."""
     t_grid = _check_grid(t_grid, "t_grid", positive=True)
     s_grid = _check_grid(s_grid, "s_grid", positive=False)
-    levels, parts = _levels(filtration, s_grid)
-    proj = {k: cond_exp(f, part) for k, part in parts.items()}
-    inner = {s: proj[k] for s, k in levels.items()}
-    table = {}
-    for t in t_grid:
-        avg = {k: cesaro_average(flow, float(t), g) for k, g in proj.items()}
-        table.update({(float(t), s): avg[k] for s, k in levels.items()})
+    inner = {k: cond_exp(f, part)
+             for k, part in _levels(filtration, s_grid).items()}
+    table = {(float(t), k): cesaro_average(flow, float(t), g)
+             for t in t_grid for k, g in inner.items()}
     return ProcessGrid("EM", f, flow, filtration, t_grid, s_grid, inner, table)
 
 
@@ -210,18 +218,17 @@ def cesaro_decomposition_check(flow, g, t, vnorm=None):
     return _sup_defect(lhs - rhs, vnorm)
 
 
-def commutation_check(flow, f, partition, t_grid=None, vnorm=None):
-    """Worst defect of swapping the flow with conditioning over a t-grid.
+def commutation_check(flow, f, partition, vnorm=None):
+    """Worst defect of swapping the flow with conditioning over the times
+    ``_T_PROBES``.
 
     Zero (to roundoff) exactly when the flow maps partition cells onto
     partition cells; otherwise the returned size is a diagnostic, not a
     failure.
     """
-    if t_grid is None:
-        t_grid = _DEFAULT_T_PROBES
     ef = cond_exp(f, partition)
     worst = 0.0
-    for t in t_grid:
+    for t in _T_PROBES:
         moved = apply_flow(flow, float(t), f)
         lhs = apply_flow(flow, float(t), ef)
         rhs = cond_exp(moved, partition)
@@ -261,17 +268,14 @@ class ConvergenceReport:
 
 def convergence_table(grid, target, p, vnorm, threshold=None):
     """Per-entry errors of a process grid against a target function, the
-    norms of all entries minus the target built in one stacked pass."""
-    keys, entries = zip(*grid.items())
-    norms = NormFamily(entries, vnorm, target)
-    rows = [(t, s, float(lp), float(sup))
-            for (t, s), lp, sup in zip(keys, norms.lp(p), norms.sup())]
-    errs = {(t, s): (lp, sup) for t, s, lp, sup in rows}
+    norms of its distinct entries minus the target built in one stacked
+    pass; rows and diagonal read them in (t, s) order."""
+    norms = NormFamily(grid.table.values(), vnorm, target)
+    errs = {key: (float(lp), float(sup))
+            for key, lp, sup in zip(grid.table, norms.lp(p), norms.sup())}
+    rows = [ts + errs[key] for ts, key in grid._keys()]
     k = min(len(grid.t_grid), len(grid.s_grid))
-    diagonal = []
-    for i in range(k):
-        t, s = float(grid.t_grid[i]), float(grid.s_grid[i])
-        diagonal.append((t, s) + errs[(t, s)])
+    diagonal = [rows[i * len(grid.s_grid) + i] for i in range(k)]
     return ConvergenceReport(rows, diagonal, threshold)
 
 
@@ -279,8 +283,8 @@ def sup_integrability_report(family, vnorm=None):
     """L1 size of the pointwise sup of the norm over a finite family.
 
     ``family`` holds the member functions, e.g. the time averages A_t f
-    (``me_grid.inner.values()``) or the conditionings E(f|F_s)
-    (``em_grid.inner.values()``).  Always finite at desk scale; a lower
+    (``me_grid.inner.values()``) or the conditionings E(f|F_s), one per
+    filtration level (``em_grid.inner.values()``).  Always finite at desk scale; a lower
     bound for the true sup over all parameters.
     """
     members = list(family)

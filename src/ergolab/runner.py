@@ -432,7 +432,7 @@ def _chk_me_em_coincidence(ctx):
     me = ctx.me_grid()
     em = ctx.em_grid()
     lim = ctx.proc_limits()
-    gaps = [fn - em.entry(t, s) for (t, s), fn in me.items()]
+    gaps = [fn - em.table[key] for key, fn in me.table.items()]
     sups = NormFamily(gaps + [lim.me_limit - lim.em_limit], ctx.vnorm).sup()
     worst = defect_max(0.0, *sups[:-1])
     limit_gap = float(sups[-1])

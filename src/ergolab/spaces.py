@@ -30,7 +30,7 @@ class MeasureSpace:
     """A finite measure space: the circle, an atomic space, or a product."""
 
     def __init__(self, kind, weights=None, cyclic_size=None,
-                 atom_weights=None, mass=None):
+                 atom_weights=None):
         self.kind = kind
         if kind == "circle":
             self.mass = 1.0
@@ -39,29 +39,23 @@ class MeasureSpace:
             w = np.asarray(weights, dtype=float)
             if w.ndim != 1 or w.size == 0:
                 raise ValueError("discrete space needs a 1-d weight sequence")
-            if np.any(w <= 0):
+            if not np.all(w > 0):
                 raise ValueError("atom weights must be strictly positive")
-            declared = float(w.sum()) if mass is None else float(mass)
-            if abs(float(w.sum()) - declared) > 1e-12:
-                raise ValueError(
-                    f"weights sum to {w.sum()!r}, declared mass {declared!r}")
             self.weights = w
-            self.mass = declared
+            self.mass = float(w.sum())
         elif kind == "product":
             m1 = int(cyclic_size)
             if m1 < 1:
                 raise ValueError("cyclic factor must have at least one atom")
             w2 = np.asarray(atom_weights, dtype=float)
-            if np.any(w2 <= 0):
+            if not np.all(w2 > 0):
                 raise ValueError("atom weights must be strictly positive")
             self.cyclic_size = m1
             self.factor_weights = w2
             # product atom (i, j) has weight w1_i * w2_j with uniform w1
             w1 = np.full(m1, 1.0 / m1)
             self.weights = np.repeat(w1, w2.size) * np.tile(w2, m1)
-            self.mass = float(self.weights.sum()) if mass is None else float(mass)
-            if abs(float(self.weights.sum()) - self.mass) > 1e-12:
-                raise ValueError("product weights do not sum to declared mass")
+            self.mass = float(self.weights.sum())
         else:
             raise ValueError(f"unknown space kind {kind!r}")
 

@@ -60,6 +60,15 @@ def test_run_exit_two_on_config_error(tmp_path, capsys):
     assert "bogus_key" in err
 
 
+def test_run_exit_two_on_non_finite_number(tmp_path, capsys):
+    # a NaN step width is a config problem, not a traceback from the flow
+    with open(os.path.join(scenario_dir(), "step_z8.cfg"), encoding="utf-8") as fh:
+        text = fh.read().replace("flow.h = 1.0", "flow.h = nan")
+    cfg = _write(tmp_path, "nan_h.cfg", text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "flow.h" in capsys.readouterr().err
+
+
 def test_run_missing_file_is_config_error(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     assert main(["run", "--config", missing, "--out",

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from ergolab.cli import scenario_dir
 from ergolab.config import ConfigError, parse_config, parse_text
 
 MINIMAL = """
@@ -59,7 +60,8 @@ def test_missing_required_key():
 
 def test_bad_number_reports_key():
     broken = MINIMAL.replace("p = 2.0", "p = two")
-    _expect_key(broken, "p")
+    err = _expect_key(broken, "p")
+    assert "expected a number, got 'two'" in str(err)
 
 
 def test_p_must_exceed_one():
@@ -207,3 +209,38 @@ def test_shipped_scenarios_all_roundtrip():
     for path in paths:
         cfg = parse_config(path)
         assert parse_text(cfg.echo()) == cfg
+
+
+def _step_z8_text():
+    with open(os.path.join(scenario_dir(), "step_z8.cfg"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("threshold = 0.05", "threshold = inf", "threshold"),
+    ("flow.h = 1.0", "flow.h = nan", "flow.h"),
+    ("epsilon = 0.25", "epsilon = nan", "epsilon"),
+    ("p = 2\n", "p = inf\n", "p"),
+    ("function.values = 0.9, -0.3", "function.values = nan, -0.3",
+     "function.values"),
+    ("s_grid = 0, 1, 2,", "s_grid = 0, 1, inf,", "s_grid"),
+    ("t_grid.ratio = 1.5", "t_grid.ratio = inf", "t_grid.ratio"),
+    # finite inputs whose geometric rule overflows: ratio ** 15 and
+    # start * ratio ** 15 pass the float range
+    ("t_grid.ratio = 1.5", "t_grid.ratio = 1e300", "t_grid"),
+    ("t_grid.start = 1", "t_grid.start = 1e307", "t_grid"),
+])
+def test_non_finite_numbers_rejected_with_their_key(old, new, key):
+    text = _step_z8_text()
+    assert old in text
+    err = _expect_key(text.replace(old, new), key)
+    assert "finite number" in str(err)
+
+
+def test_non_finite_piece_coefficient_rejected():
+    text = MINIMAL.replace("function.kind = sawtooth",
+                           "function.kind = explicit\n"
+                           "function.breaks = 0.0, 1.0\n"
+                           "function.piece.0 = 1.0, -inf")
+    err = _expect_key(text, "function.piece.0")
+    assert "expected a finite number" in str(err)

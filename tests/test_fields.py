@@ -10,7 +10,6 @@ from ergolab.fields import (
     SqrtPolyField,
     _piece_roots,
     _split_at_roots,
-    abs_poly,
     exceedance_measure,
     gl_integrate,
     grid_sup_field,
@@ -57,9 +56,9 @@ def test_real_roots_in_quadratic():
     assert real_roots_in(np.array([0.0, -0.25, 1.0]), 0.0, 0.5).tolist() == [0.25]
 
 
-def test_abs_poly_matches_abs():
+def test_max_norm_of_scalar_is_abs():
     f = sawtooth(d=1, phases=[0.3])
-    g = abs_poly(f)
+    g = pointwise_norm(f, VectorNorm("max", 1)).fn
     x = _grid()
     assert np.allclose(g(x)[:, 0], np.abs(f(x)[:, 0]), atol=1e-14)
 
@@ -194,7 +193,6 @@ def test_atom_field_calculus():
     assert field.sup() == 3.0
     assert field.lp(2) == pytest.approx(np.sqrt(4.3))
     assert field.superlevel_measure(1.0) == pytest.approx(0.8)
-    assert np.allclose(field.permute([3, 2, 1, 0]).values, [3.0, 1.0, 0.0, 2.0])
 
 
 def test_atom_field_wrong_size():
@@ -369,7 +367,7 @@ def test_split_and_abs_match_per_piece_loops(k1):
     fn = CircleFunction(breaks, coeffs[:, :, None])
     edges, signed = _loop_abs(breaks, coeffs)
     assert _same(_split_at_roots(fn).breaks, edges)
-    got = abs_poly(fn)
+    got = pointwise_norm(fn, VectorNorm("max", 1)).fn
     assert _same(got.breaks, edges)
     assert _same(got.coeffs[:, :, 0], signed)
 
@@ -378,17 +376,19 @@ def test_split_and_abs_match_per_piece_loops(k1):
 @pytest.mark.parametrize("k1", [1, 2, 3, 4, 5])
 def test_sum_norm_matches_per_component_loops(d, k1):
     # one root solve for all components gives each component the bits of
-    # its own abs_poly call
+    # its own |f_j|
     rng = np.random.default_rng(800 + 10 * d + k1)
     breaks = _breaks(rng, 300)
     tab = np.stack([_root_cases(rng, breaks, k1) for _ in range(d)], axis=2)
     fn = CircleFunction(breaks, tab)
     parts = []
-    for j, part in enumerate(fields._abs_components(fn)):
+    for j in range(d):
+        part = pointwise_norm(CircleFunction(breaks, tab[:, :, j:j + 1]),
+                              VectorNorm("max", 1)).fn
         edges, signed = _loop_abs(breaks, tab[:, :, j])
         assert _same(part.breaks, edges)
         assert _same(part.coeffs[:, :, 0], signed)
-        parts.append(abs_poly(CircleFunction(breaks, tab[:, :, j:j + 1])))
+        parts.append(part)
     got = pointwise_norm(fn, VectorNorm("sum", d)).fn
     ref = merge_sum(parts, np.ones(d))
     assert _same(got.breaks, ref.breaks) and _same(got.coeffs, ref.coeffs)

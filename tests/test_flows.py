@@ -3,6 +3,7 @@ import pytest
 
 from ergolab.fields import AtomField, PolyField, pointwise_norm
 from ergolab.flows import (
+    _cycle_index,
     GOLDEN,
     Flow,
     apply_flow,
@@ -141,7 +142,7 @@ def test_step_average_gathers_cycles_longer_than_a_block():
     perm[order] = np.roll(order, -1)
     vals = np.random.default_rng(4).normal(size=(200, 1))
     flow = step_flow(sp, perm, h=1.0)
-    assert flow.orbit_period() == 200
+    assert _cycle_index(perm)[2].tolist() == [200] * 200
     for t in (1000.5, 333.0):
         out = cesaro_average(flow, t, AtomFunction(sp, vals))
         assert _same_bits(out.values,
@@ -224,15 +225,14 @@ def test_step_lattice_snaps_to_step_widths(h):
         assert other.lattice(3.14) == 3.14
 
 
-def test_orbit_period():
+def test_cycle_lengths():
+    # each atom's entry is the length of its cycle
     sp = _unit_space(6)
-    assert step_flow(sp, shift_perm(sp)).orbit_period() == 6
-    # cycles of length 2, 3 and 1: the period is their lcm
-    assert step_flow(sp, np.array([1, 0, 3, 4, 2, 5])).orbit_period() == 6
-    assert step_flow(sp, np.arange(6)).orbit_period() == 1
-    # only step flows have a finite orbit period
-    with pytest.raises(AttributeError):
-        rotation_flow(GOLDEN).orbit_period()
+    assert _cycle_index(shift_perm(sp))[2].tolist() == [6] * 6
+    # cycles (0 1), (2 3 4) and (5)
+    assert _cycle_index(np.array([1, 0, 3, 4, 2, 5]))[2].tolist() == \
+        [2, 2, 3, 3, 3, 1]
+    assert _cycle_index(np.arange(6))[2].tolist() == [1] * 6
 
 
 def test_shift_perm_product_moves_first_factor():

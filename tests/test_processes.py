@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ergolab.condexp import cond_exp
-from ergolab import fields, processes
+from ergolab import fields, processes, runner
 from ergolab.fields import grid_sup_field, pointwise_norm
 from ergolab.flows import (
     GOLDEN,
@@ -110,14 +110,15 @@ def test_grid_entries_match_recompute():
     assert list(me.inner) == [0.5, 1.0, 3.0]
     for t, avg in me.inner.items():
         assert same(avg, cesaro_average(flow, t, f))
-    assert list(em.inner) == [0.0, 1.0, 2.0]
-    for s, proj in em.inner.items():
-        assert same(proj, cond_exp(f, filt.partition(s)))
+    # s = 0, 1, 2 fall on levels 4, 3, 2 of the decreasing filtration
+    assert list(em.inner) == [4, 3, 2]
+    for k, proj in em.inner.items():
+        assert same(proj, cond_exp(f, filt.partition_at_level(k)))
 
 
-@pytest.mark.parametrize("kind", ["rotation", "step"])
-def test_grids_build_one_entry_per_time_and_level(monkeypatch, kind):
-    # 8 values of s on 3 levels of a decreasing filtration: 2, 2, 1, 1, 0 ...
+def _three_level_setup(kind):
+    """8 values of s on 3 levels of a decreasing filtration (2, 2, 1, 1, 0,
+    ...) and 3 values of t, on the circle or on 8 atoms."""
     s_grid = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 7.0])
     t_grid = np.array([1.0, 2.5, 6.0])
     if kind == "rotation":
@@ -127,8 +128,14 @@ def test_grids_build_one_entry_per_time_and_level(monkeypatch, kind):
         f = AtomFunction(sp, np.random.default_rng(3).normal(size=(8, 2)))
         flow = step_flow(sp, shift_perm(sp), h=0.5)
         filt = Filtration(sp, "decreasing", max_level=2)
+    return f, flow, filt, t_grid, s_grid
+
+
+@pytest.mark.parametrize("kind", ["rotation", "step"])
+def test_grids_build_one_entry_per_time_and_level(monkeypatch, kind):
+    f, flow, filt, t_grid, s_grid = _three_level_setup(kind)
     levels = [filt.level(s) for s in s_grid]
-    assert len(set(levels)) == 3
+    assert levels == [2, 2, 1, 1, 0, 0, 0, 0]
     calls = {"avg": 0, "cond": 0}
     real_avg, real_cond = processes.cesaro_average, processes.cond_exp
 
@@ -151,13 +158,17 @@ def test_grids_build_one_entry_per_time_and_level(monkeypatch, kind):
     monkeypatch.undo()
     me, em = grids[me_process], grids[em_process]
     assert list(me.inner) == t_grid.tolist()
-    assert list(em.inner) == s_grid.tolist()
-    pairs = list(itertools.product(zip(s_grid, levels), repeat=2))
-    for (s1, k1), (s2, k2) in pairs:
-        assert (em.inner[s1] is em.inner[s2]) == (k1 == k2)
-        for grid in (me, em):
-            for t in t_grid:
-                assert (grid.entry(t, s1) is grid.entry(t, s2)) == (k1 == k2)
+    # the EM family is keyed by level, in order of first appearance
+    assert list(em.inner) == [2, 1, 0]
+    for grid in (me, em):
+        # one table key per (t, level), one entry object per key
+        assert list(grid.table) == [(t, k) for t in t_grid for k in (2, 1, 0)]
+        assert len({id(fn) for fn in grid.table.values()}) == 9
+        for t in t_grid:
+            for s1, k1 in zip(s_grid, levels):
+                assert grid.entry(t, s1) is grid.table[(t, k1)]
+                for s2, k2 in zip(s_grid, levels):
+                    assert (grid.entry(t, s1) is grid.entry(t, s2)) == (k1 == k2)
 
     def bits(fn):
         return (fn.values if kind == "step" else fn.coeffs).tobytes()
@@ -165,6 +176,69 @@ def test_grids_build_one_entry_per_time_and_level(monkeypatch, kind):
     for grid in (me, em):
         for (t, s), fn in grid.items():
             assert bits(fn) == bits(grid.recompute_entry(t, s))
+
+
+@pytest.mark.parametrize("kind", ["rotation", "step"])
+def test_entry_off_the_s_grid_reads_its_level(kind):
+    # F_s depends on s only through its level, so an s between grid values
+    # reads the entry of its level, which is exactly the (t, s) value
+    f, flow, filt, t_grid, s_grid = _three_level_setup(kind)
+    for build in (me_process, em_process):
+        grid = build(f, flow, filt, t_grid, s_grid)
+        for t in t_grid:
+            for s in (0.25, 1.75, 2.5, 9.0):
+                assert float(s) not in s_grid
+                fn = grid.entry(t, s)
+                assert fn is grid.table[(t, filt.level(s))]
+                again = grid.recompute_entry(t, s)
+                if kind == "step":
+                    assert fn.values.tobytes() == again.values.tobytes()
+                else:
+                    assert fn.coeffs.tobytes() == again.coeffs.tobytes()
+
+
+def test_grid_families_take_one_member_per_distinct_entry(monkeypatch):
+    # 8 s values on 3 levels, 3 t values: every family read from a grid
+    # holds the 9 distinct entries (or the 3 EM conditionings), not 24 (or 8)
+    f, flow, filt, t_grid, s_grid = _three_level_setup("rotation")
+    vnorm = VectorNorm("max", 1)
+    ctx = runner.ScenarioContext(None, f.space, flow, f, filt, vnorm,
+                                 t_grid, s_grid, None)
+    me, em, lim = ctx.me_grid(), ctx.em_grid(), ctx.proc_limits()
+    sizes = []
+    real = fields.NormFamily
+
+    def recorded(members, *args):
+        members = list(members)
+        sizes.append(len(members))
+        return real(members, *args)
+
+    monkeypatch.setattr(processes, "NormFamily", recorded)
+    monkeypatch.setattr(runner, "NormFamily", recorded)
+    for grid, target in ((me, lim.me_limit), (em, lim.em_limit)):
+        grid.norm_sup(vnorm)
+        report = convergence_table(grid, target, 2.0, vnorm)
+        assert [row[:2] for row in report] == list(
+            itertools.product(t_grid.tolist(), s_grid.tolist()))
+    sup_integrability_report(em.inner.values(), vnorm)
+    runner.CHECKS["me_em_coincidence"](ctx)
+    # me_em_coincidence adds the limit gap as one more member
+    assert sizes == [9, 9, 9, 9, 3, 9 + 1]
+
+
+def test_grid_items_yield_each_time_and_s_once(monkeypatch):
+    f, flow, filt, t_grid, s_grid = _three_level_setup("step")
+    grid = em_process(f, flow, filt, t_grid, s_grid)
+
+    def no_entry(self, t, s):
+        raise AssertionError("items reads the table, not entry")
+
+    monkeypatch.setattr(processes.ProcessGrid, "entry", no_entry)
+    pairs = list(grid.items())
+    assert [ts for ts, _ in pairs] == list(
+        itertools.product(t_grid.tolist(), s_grid.tolist()))
+    for (t, s), fn in pairs:
+        assert fn is grid.table[(t, filt.level(s))]
 
 
 def test_norm_sup_is_memoised_per_norm():

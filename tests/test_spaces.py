@@ -28,6 +28,17 @@ def test_discrete_space_rejects_nonpositive_weights():
         discrete_space(np.array([[0.5, 0.5]]))
 
 
+@pytest.mark.parametrize("build", [
+    lambda w: discrete_space(np.array(w)),
+    lambda w: product_space(2, np.array(w)),
+])
+def test_spaces_reject_nan_weights(build):
+    # NaN <= 0 is False, so a NaN weight must fail the positivity rule itself
+    for w in ([np.nan, 0.5], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="strictly positive"):
+            build(w)
+
+
 def test_discrete_space_carries_total_mass():
     # the mass is whatever the weights sum to, not forced to 1
     assert discrete_space(np.array([0.7, 0.7])).mass == pytest.approx(1.4)
