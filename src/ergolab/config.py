@@ -3,20 +3,36 @@
 The format is line oriented: ``key = value`` with dotted key paths,
 ``#`` comments, and blank lines.  Chosen over nested formats so the
 parser stays dependency-free and the schema stays greppable.
+
+One ordered table, ``_SCHEMA``, gives each key's field, reader, the kinds
+that read it and its text form; parsing, the rejection of unknown keys and
+of keys the chosen kind does not read, and ``ScenarioConfig.echo`` all come
+from it.  Readers check the form of a value.  A rule about an object is
+checked once, by its constructor: ``parse_text`` builds the space, the flow
+and the filtration, ``runner.build_context`` the function, and each raises
+a constructor's ValueError as a ConfigError naming the key.
 """
 
-from dataclasses import dataclass, fields
+from contextlib import contextmanager
+from dataclasses import dataclass
 import math
+from typing import Callable, NamedTuple
 
-import numpy as np
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from .flows import GOLDEN
+from .functions import DEGREE_CAP
+from .processes import _check_grid
 
 _SPACE_KINDS = ("circle", "discrete", "product")
 _FLOW_KINDS = ("rotation", "step", "identity")
 _FUNCTION_KINDS = ("sawtooth", "hat", "smooth", "explicit", "atoms")
 _NORMS = ("euclidean", "max", "sum")
 _DIRECTIONS = ("increasing", "decreasing")
+
+_ATOMIC = ("discrete", "product")
+# the space kinds each flow and function kind lives on
+_LIVES_ON = dict.fromkeys(("rotation", "sawtooth", "hat", "smooth", "explicit"),
+                          ("circle",))
+_LIVES_ON.update(step=_ATOMIC, atoms=_ATOMIC, identity=_SPACE_KINDS)
 
 
 class ConfigError(ValueError):
@@ -25,6 +41,15 @@ class ConfigError(ValueError):
     def __init__(self, key, message):
         self.key = key
         super().__init__(f"config key {key!r}: {message}")
+
+
+@contextmanager
+def _as_config_error(key):
+    """Raise a constructor's ValueError as a ConfigError naming key."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -60,51 +85,13 @@ class ScenarioConfig:
 
     def echo(self):
         """Canonical text form; parsing it back yields an equal config."""
-        lines = [f"name = {self.name}", f"space.kind = {self.space_kind}"]
-        if self.space_atoms is not None:
-            lines.append(f"space.atoms = {self.space_atoms}")
-        if self.space_weights is not None:
-            lines.append("space.weights = " + _fmt_floats(self.space_weights))
-        if self.space_cyclic_size is not None:
-            lines.append(f"space.cyclic_size = {self.space_cyclic_size}")
-        if self.space_factor_weights is not None:
-            lines.append("space.factor_weights = "
-                         + _fmt_floats(self.space_factor_weights))
-        lines.append(f"flow.kind = {self.flow_kind}")
-        if self.flow_theta is not None:
-            lines.append(f"flow.theta = {self.flow_theta!r}")
-        if self.flow_h is not None:
-            lines.append(f"flow.h = {self.flow_h!r}")
-        if self.flow_map is not None:
-            lines.append(f"flow.map = {self.flow_map}")
-        lines.append(f"function.kind = {self.function_kind}")
-        lines.append(f"function.d = {self.function_d}")
-        if self.function_amplitudes is not None:
-            lines.append("function.amplitudes = "
-                         + _fmt_floats(self.function_amplitudes))
-        if self.function_phases is not None:
-            lines.append("function.phases = " + _fmt_floats(self.function_phases))
-        if self.function_harmonic is not None:
-            lines.append(f"function.harmonic = {self.function_harmonic}")
-        if self.function_breaks is not None:
-            lines.append("function.breaks = " + _fmt_floats(self.function_breaks))
-        if self.function_pieces is not None:
-            for i, piece in enumerate(self.function_pieces):
-                cols = " | ".join(_fmt_floats(comp) for comp in piece)
-                lines.append(f"function.piece.{i} = {cols}")
-        if self.function_values is not None:
-            rows = " ; ".join(_fmt_floats(row) for row in self.function_values)
-            lines.append(f"function.values = {rows}")
-        lines.append(f"vector_norm = {self.vector_norm}")
-        lines.append(f"filtration.direction = {self.filtration_direction}")
-        lines.append(f"filtration.max_level = {self.filtration_max_level}")
-        lines.append("t_grid = " + _fmt_floats(self.t_grid))
-        lines.append("s_grid = " + _fmt_floats(self.s_grid))
-        lines.append(f"p = {self.p!r}")
-        lines.append(f"epsilon = {self.epsilon!r}")
-        lines.append(f"threshold = {self.threshold!r}")
-        lines.append("checks = " + ", ".join(self.checks))
-        lines.append(f"seed = {self.seed}")
+        lines = []
+        for row in _SCHEMA:
+            v = getattr(self, row.field)
+            if v is not None and row.many:
+                lines += [f"{row.key}.{i} = {row.fmt(x)}" for i, x in enumerate(v)]
+            elif v is not None:
+                lines.append(f"{row.key} = {row.fmt(v)}")
         return "\n".join(lines) + "\n"
 
 
@@ -113,23 +100,25 @@ def _fmt_floats(vals):
 
 
 def _read_pairs(text):
-    pairs = []
-    seen = set()
+    kv = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, value = map(str.strip, line.partition("="))
+        if not eq or not key:
             raise ConfigError(f"<line {lineno}>", f"not a key = value line: {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"<line {lineno}>", "empty key")
-        if key in seen:
+        if key in kv:
             raise ConfigError(key, "duplicate key")
-        seen.add(key)
-        pairs.append((key, value.strip()))
-    return dict(pairs)
+        kv[key] = value
+    return kv
+
+
+# -- converters: (key, text) -> value --------------------------------------------
+
+
+def _text(key, raw):
+    return raw
 
 
 def _number(key, tok):
@@ -144,261 +133,250 @@ def _number(key, tok):
     return v
 
 
-def _as_float(kv, key):
-    return _number(key, kv[key])
-
-
-def _as_int(kv, key):
-    raw = kv[key]
+def _integer(key, raw):
     try:
-        v = int(raw)
+        return int(raw)
     except ValueError:
         raise ConfigError(key, f"expected an integer, got {raw!r}") from None
-    return v
 
 
-def _as_floats(kv, key):
-    return tuple(_number(key, tok) for tok in kv[key].split(",") if tok.strip())
+def _numbers(key, raw):
+    return tuple(_number(key, tok) for tok in raw.split(",") if tok.strip())
 
 
-def _as_choice(kv, key, choices):
-    v = kv[key]
-    if v not in choices:
-        raise ConfigError(key, f"expected one of {choices}, got {v!r}")
-    return v
+def _where(convert, ok, message):
+    """convert, then a ConfigError with message unless ok(value)."""
+    def check(key, raw):
+        v = convert(key, raw)
+        if not ok(v):
+            raise ConfigError(key, message.format(v))
+        return v
+    return check
 
 
-def _need(kv, key):
-    if key not in kv:
-        raise ConfigError(key, "required key is missing")
-    return key
+def _choice(*choices):
+    return _where(_text, choices.__contains__,
+                  f"expected one of {choices}, got {{!r}}")
 
 
-def _grid(kv, prefix, positive):
-    explicit = prefix in kv
-    geo = any(f"{prefix}.{part}" in kv for part in ("start", "ratio", "count"))
-    if explicit and geo:
-        raise ConfigError(prefix, "give either an explicit list or a geometric "
-                                   "rule, not both")
-    if explicit:
-        vals = _as_floats(kv, prefix)
-    elif geo:
-        for part in ("start", "ratio", "count"):
-            _need(kv, f"{prefix}.{part}")
-        start = _as_float(kv, f"{prefix}.start")
-        ratio = _as_float(kv, f"{prefix}.ratio")
-        count = _as_int(kv, f"{prefix}.count")
-        if count < 1:
-            raise ConfigError(f"{prefix}.count", "count must be at least 1")
-        if ratio <= 1.0:
-            raise ConfigError(f"{prefix}.ratio", "ratio must exceed 1")
-        try:
-            vals = tuple(start * ratio ** k for k in range(count))
-        except OverflowError:
-            vals = (math.inf,)
-        if not math.isfinite(vals[-1]):
-            raise ConfigError(prefix, "the geometric rule gives a value that "
-                                      "is not a finite number")
-    else:
-        raise ConfigError(prefix, "required key is missing")
-    if len(vals) == 0:
-        raise ConfigError(prefix, "grid must be nonempty")
-    if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise ConfigError(prefix, "grid must be strictly increasing")
-    if positive and vals[0] <= 0.0:
-        raise ConfigError(prefix, "grid values must be positive")
-    if not positive and vals[0] < 0.0:
-        raise ConfigError(prefix, "grid values must be nonnegative")
+_positive = _where(_number, lambda v: v > 0.0, "must be positive")
+_atoms = _where(_integer, lambda n: n >= 2, "need at least 2 atoms")
+_positive_int = _where(_integer, lambda v: v >= 1, "must be a positive integer")
+_above_one = _where(_number, lambda v: v > 1.0, "inequality checks require p > 1")
+_flow_map = _where(_text, lambda v: v == "shift" or v.startswith("perm:"),
+                   "expected 'shift' or 'perm:i0,i1,...'")
+
+
+def _angle(key, raw):
+    return GOLDEN if raw == "golden" else _number(key, raw)
+
+
+def _check_names(key, raw):
+    from .runner import CHECK_NAMES
+    checks = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+    for c in checks:
+        if c not in CHECK_NAMES:
+            raise ConfigError(key, f"unknown check {c!r}; run the list "
+                                   "command for valid names")
+    return checks
+
+
+# -- readers: (key = value pairs, key, fields read so far) -> value --------------
+
+_REQUIRED = object()
+
+
+def _value(convert, default=_REQUIRED):
+    """Reader of one key through convert; without the key, default, or a
+    ConfigError if the key is required."""
+    def read(kv, key, got):
+        if key in kv:
+            return convert(key, kv[key])
+        if default is _REQUIRED:
+            raise ConfigError(key, "required key is missing")
+        return default
+    return read
+
+
+def _kind(choices):
+    read_choice = _value(_choice(*choices))
+
+    def read(kv, key, got):
+        kind = read_choice(kv, key, got)
+        if got["space_kind"] not in _LIVES_ON[kind]:
+            raise ConfigError(key, f"{kind} needs space.kind = "
+                                   + " or ".join(_LIVES_ON[kind]))
+        return kind
+    return read
+
+
+def _atom_count(kv, key, got):
+    if "space.weights" not in kv:
+        return _value(_atoms)(kv, key, got)
+    # the weights give the count
+    if key in kv and _integer(key, kv[key]) != len(
+            _numbers("space.weights", kv["space.weights"])):
+        raise ConfigError(key, "contradicts space.weights length")
+    return None
+
+
+def _per_component(kv, key, got):
+    vals = _value(_numbers, None)(kv, key, got)
+    if vals is not None and len(vals) != got["function_d"]:
+        raise ConfigError(key, f"expected {got['function_d']} entries")
     return vals
 
 
-_KNOWN_SCALAR_KEYS = {
-    "name", "space.kind", "space.atoms", "space.weights", "space.cyclic_size",
-    "space.factor_weights", "flow.kind", "flow.theta", "flow.h", "flow.map",
-    "function.kind", "function.d", "function.amplitudes", "function.phases",
-    "function.harmonic", "function.breaks", "function.values", "vector_norm",
-    "filtration.direction", "filtration.max_level", "t_grid", "t_grid.start",
-    "t_grid.ratio", "t_grid.count", "s_grid", "s_grid.start", "s_grid.ratio",
-    "s_grid.count", "p", "epsilon", "threshold", "checks", "seed",
-}
+def _pieces(kv, key, got):
+    d, n = got["function_d"], len(got["function_breaks"]) - 1
+    piece_keys = sorted((int(k.rsplit(".", 1)[1]), k) for k in kv
+                        if _row_key(k) == key)
+    if [i for i, _ in piece_keys] != list(range(n)):
+        raise ConfigError("function.breaks",
+                          f"expected pieces 0..{n - 1} to be given")
+    pieces = []
+    for _, k in piece_keys:
+        comps = tuple(tuple(_number(k, tok) for tok in comp.split(","))
+                      for comp in kv[k].split("|"))
+        if len(comps) != d:
+            raise ConfigError(k, f"expected {d} components")
+        # read here, not by CircleFunction.from_pieces, so the error names the piece
+        degree = max(len(comp) for comp in comps) - 1
+        if degree > DEGREE_CAP:
+            raise ConfigError(k, f"degree {degree} exceeds cap {DEGREE_CAP}")
+        pieces.append(comps)
+    return tuple(pieces)
+
+
+def _value_rows(kv, key, got):
+    d = got["function_d"]
+    rows = tuple(tuple(_number(key, tok) for tok in row.split(","))
+                 for row in _value(_text)(kv, key, got).split(";"))
+    if any(len(row) != d for row in rows):
+        raise ConfigError(key, f"each row must have {d} entries")
+    return rows
+
+
+_GRID_PARTS = ("start", "ratio", "count")
+
+
+def _grid(positive):
+    """Reader of an explicit grid list or a geometric rule
+    (key.start * key.ratio ** k for k < key.count)."""
+    def read(kv, key, got):
+        geo = any(f"{key}.{part}" in kv for part in _GRID_PARTS)
+        if key in kv and geo:
+            raise ConfigError(key, "give either an explicit list or a "
+                                   "geometric rule, not both")
+        if not geo:
+            vals = _value(_numbers)(kv, key, got)
+        else:
+            start, ratio, count = (
+                _value(convert)(kv, f"{key}.{part}", got)
+                for part, convert in zip(_GRID_PARTS, (_number, _number, _integer)))
+            try:
+                vals = tuple(start * ratio ** k for k in range(count))
+            except OverflowError:
+                vals = (math.inf,)
+        with _as_config_error(key):
+            _check_grid(vals, key, positive)
+        return vals
+    return read
+
+
+class _Key(NamedTuple):
+    """One schema row.  ``kinds``: the space, flow or function kinds (by the
+    key's prefix) that read the key, empty for all.  A ``many`` row holds
+    key.0, key.1, ...; the reader may read key.part for each of ``parts``."""
+
+    key: str
+    field: str
+    read: Callable
+    kinds: tuple = ()
+    fmt: Callable = str
+    many: bool = False
+    parts: tuple = ()
+
+
+_SCHEMA = (
+    _Key("name", "name", _value(_text)),
+    _Key("space.kind", "space_kind", _value(_choice(*_SPACE_KINDS))),
+    _Key("space.atoms", "space_atoms", _atom_count, ("discrete",)),
+    _Key("space.weights", "space_weights", _value(_numbers, None),
+         ("discrete",), _fmt_floats),
+    _Key("space.cyclic_size", "space_cyclic_size", _value(_integer),
+         ("product",)),
+    _Key("space.factor_weights", "space_factor_weights", _value(_numbers),
+         ("product",), _fmt_floats),
+    _Key("flow.kind", "flow_kind", _kind(_FLOW_KINDS)),
+    _Key("flow.theta", "flow_theta", _value(_angle), ("rotation",), repr),
+    _Key("flow.h", "flow_h", _value(_positive), ("step",), repr),
+    _Key("flow.map", "flow_map", _value(_flow_map, "shift"), ("step",)),
+    _Key("function.kind", "function_kind", _kind(_FUNCTION_KINDS)),
+    _Key("function.d", "function_d", _value(_positive_int, 1)),
+    _Key("function.amplitudes", "function_amplitudes", _per_component,
+         ("sawtooth", "hat", "smooth"), _fmt_floats),
+    _Key("function.phases", "function_phases", _per_component,
+         ("sawtooth", "hat", "smooth"), _fmt_floats),
+    _Key("function.harmonic", "function_harmonic", _value(_positive_int, 1),
+         ("smooth",)),
+    _Key("function.breaks", "function_breaks", _value(_numbers),
+         ("explicit",), _fmt_floats),
+    _Key("function.piece", "function_pieces", _pieces, ("explicit",),
+         lambda piece: " | ".join(map(_fmt_floats, piece)), many=True),
+    _Key("function.values", "function_values", _value_rows, ("atoms",),
+         lambda rows: " ; ".join(map(_fmt_floats, rows))),
+    _Key("vector_norm", "vector_norm", _value(_choice(*_NORMS))),
+    _Key("filtration.direction", "filtration_direction",
+         _value(_choice(*_DIRECTIONS))),
+    _Key("filtration.max_level", "filtration_max_level", _value(_integer)),
+    _Key("t_grid", "t_grid", _grid(True), fmt=_fmt_floats, parts=_GRID_PARTS),
+    _Key("s_grid", "s_grid", _grid(False), fmt=_fmt_floats, parts=_GRID_PARTS),
+    _Key("p", "p", _value(_above_one), fmt=repr),
+    _Key("epsilon", "epsilon", _value(_positive), fmt=repr),
+    _Key("threshold", "threshold", _value(_positive, 0.05), fmt=repr),
+    _Key("checks", "checks", _value(_check_names), fmt=", ".join),
+    _Key("seed", "seed", _value(_integer)),
+)
+
+_ROWS = {row.key: row for row in _SCHEMA}
+
+
+def _row_key(key):
+    """The key of the schema row a file key belongs to; None if unknown."""
+    if key in _ROWS:
+        return None if _ROWS[key].many else key
+    head, _, tail = key.rpartition(".")
+    row = _ROWS.get(head)
+    if row is not None and (tail.isdigit() if row.many else tail in row.parts):
+        return head
+    return None
 
 
 def parse_text(text):
     kv = _read_pairs(text)
+    given = {}
     for key in kv:
-        if key in _KNOWN_SCALAR_KEYS:
-            continue
-        if key.startswith("function.piece."):
-            tail = key[len("function.piece."):]
-            if tail.isdigit():
-                continue
-        raise ConfigError(key, "unknown key")
-
-    name = kv[_need(kv, "name")]
-    space_kind = _as_choice(kv, _need(kv, "space.kind"), _SPACE_KINDS)
-    space_atoms = space_weights = space_cyclic = space_fw = None
-    if space_kind == "circle":
-        for bad in ("space.atoms", "space.weights", "space.cyclic_size",
-                    "space.factor_weights"):
-            if bad in kv:
-                raise ConfigError(bad, "not meaningful on the circle")
-    elif space_kind == "discrete":
-        if "space.weights" in kv:
-            space_weights = _as_floats(kv, "space.weights")
-            if "space.atoms" in kv and _as_int(kv, "space.atoms") != len(space_weights):
-                raise ConfigError("space.atoms", "contradicts space.weights length")
+        head = _row_key(key)
+        if head is None:
+            raise ConfigError(key, "unknown key")
+        given.setdefault(head, key)
+    got = {}
+    for row in _SCHEMA:
+        group = row.key.partition(".")[0]
+        if row.kinds and got[f"{group}_kind"] not in row.kinds:
+            if row.key in given:
+                raise ConfigError(given[row.key], "not read when "
+                                  f"{group}.kind = {got[f'{group}_kind']}")
+            got[row.field] = None
         else:
-            space_atoms = _as_int(kv, _need(kv, "space.atoms"))
-            if space_atoms < 2:
-                raise ConfigError("space.atoms", "need at least 2 atoms")
-    else:
-        space_cyclic = _as_int(kv, _need(kv, "space.cyclic_size"))
-        if space_cyclic < 1:
-            raise ConfigError("space.cyclic_size", "must be positive")
-        space_fw = _as_floats(kv, _need(kv, "space.factor_weights"))
-        if len(space_fw) < 1:
-            raise ConfigError("space.factor_weights", "must be nonempty")
-
-    flow_kind = _as_choice(kv, _need(kv, "flow.kind"), _FLOW_KINDS)
-    flow_theta = flow_h = flow_map = None
-    if flow_kind == "rotation":
-        if space_kind != "circle":
-            raise ConfigError("flow.kind", "rotation flows need space.kind = circle")
-        _need(kv, "flow.theta")
-        if kv["flow.theta"] == "golden":
-            flow_theta = _GOLDEN
-        else:
-            flow_theta = _as_float(kv, "flow.theta")
-        if not 0.0 < flow_theta < 1.0:
-            raise ConfigError("flow.theta", "angle must lie strictly between 0 and 1")
-    elif flow_kind == "step":
-        if space_kind == "circle":
-            raise ConfigError("flow.kind", "step flows need an atomic space")
-        flow_h = _as_float(kv, _need(kv, "flow.h"))
-        if flow_h <= 0.0:
-            raise ConfigError("flow.h", "step width must be positive")
-        flow_map = kv.get("flow.map", "shift")
-        if flow_map != "shift" and not flow_map.startswith("perm:"):
-            raise ConfigError("flow.map", "expected 'shift' or 'perm:i0,i1,...'")
-
-    function_kind = _as_choice(kv, _need(kv, "function.kind"), _FUNCTION_KINDS)
-    function_d = _as_int(kv, "function.d") if "function.d" in kv else 1
-    if function_d < 1:
-        raise ConfigError("function.d", "dimension must be positive")
-    amplitudes = phases = harmonic = breaks = pieces = values = None
-    if function_kind in ("sawtooth", "hat", "smooth"):
-        if space_kind != "circle":
-            raise ConfigError("function.kind",
-                              f"{function_kind} functions live on the circle")
-        if "function.amplitudes" in kv:
-            amplitudes = _as_floats(kv, "function.amplitudes")
-            if len(amplitudes) != function_d:
-                raise ConfigError("function.amplitudes",
-                                  f"expected {function_d} entries")
-        if "function.phases" in kv:
-            phases = _as_floats(kv, "function.phases")
-            if len(phases) != function_d:
-                raise ConfigError("function.phases", f"expected {function_d} entries")
-        if function_kind == "smooth":
-            harmonic = _as_int(kv, "function.harmonic") \
-                if "function.harmonic" in kv else 1
-            if harmonic < 1:
-                raise ConfigError("function.harmonic", "must be a positive integer")
-    elif function_kind == "explicit":
-        if space_kind != "circle":
-            raise ConfigError("function.kind", "explicit pieces live on the circle")
-        breaks = _as_floats(kv, _need(kv, "function.breaks"))
-        piece_keys = sorted((int(k.rsplit(".", 1)[1]), k) for k in kv
-                            if k.startswith("function.piece."))
-        if [i for i, _ in piece_keys] != list(range(len(breaks) - 1)):
-            raise ConfigError("function.breaks",
-                              f"expected pieces 0..{len(breaks) - 2} to be given")
-        plist = []
-        for i, key in piece_keys:
-            comps = []
-            for comp in kv[key].split("|"):
-                comps.append(tuple(_number(key, tok) for tok in comp.split(",")))
-            if len(comps) != function_d:
-                raise ConfigError(key, f"expected {function_d} components")
-            plist.append(tuple(comps))
-        pieces = tuple(plist)
-    else:
-        raw = kv[_need(kv, "function.values")]
-        rows = []
-        for row in raw.split(";"):
-            rows.append(tuple(_number("function.values", tok)
-                              for tok in row.split(",")))
-            if len(rows[-1]) != function_d:
-                raise ConfigError("function.values",
-                                  f"each row must have {function_d} entries")
-        values = tuple(rows)
-        if space_kind == "circle":
-            raise ConfigError("function.kind", "atom values need an atomic space")
-
-    vector_norm = _as_choice(kv, _need(kv, "vector_norm"), _NORMS)
-    direction = _as_choice(kv, _need(kv, "filtration.direction"), _DIRECTIONS)
-    max_level = _as_int(kv, _need(kv, "filtration.max_level"))
-    if max_level < 0:
-        raise ConfigError("filtration.max_level", "must be nonnegative")
-
-    t_grid = _grid(kv, "t_grid", positive=True)
-    s_grid = _grid(kv, "s_grid", positive=False)
-
-    p = _as_float(kv, _need(kv, "p"))
-    if not p > 1.0:
-        raise ConfigError("p", "inequality checks require p > 1")
-    epsilon = _as_float(kv, _need(kv, "epsilon"))
-    if epsilon <= 0.0:
-        raise ConfigError("epsilon", "must be positive")
-    threshold = _as_float(kv, "threshold") if "threshold" in kv else 0.05
-    if threshold <= 0.0:
-        raise ConfigError("threshold", "must be positive")
-
-    raw_checks = kv[_need(kv, "checks")]
-    checks = tuple(tok.strip() for tok in raw_checks.split(",") if tok.strip())
-    from .runner import CHECK_NAMES
-    for c in checks:
-        if c not in CHECK_NAMES:
-            raise ConfigError("checks", f"unknown check {c!r}; run the list "
-                                        "command for valid names")
-    seed = _as_int(kv, _need(kv, "seed"))
-
-    cfg = ScenarioConfig(
-        name=name, space_kind=space_kind, flow_kind=flow_kind,
-        function_kind=function_kind, vector_norm=vector_norm,
-        filtration_direction=direction, filtration_max_level=max_level,
-        t_grid=t_grid, s_grid=s_grid, p=p, epsilon=epsilon, threshold=threshold,
-        checks=checks, seed=seed, space_atoms=space_atoms,
-        space_weights=space_weights, space_cyclic_size=space_cyclic,
-        space_factor_weights=space_fw, flow_theta=flow_theta, flow_h=flow_h,
-        flow_map=flow_map, function_d=function_d, function_amplitudes=amplitudes,
-        function_phases=phases, function_harmonic=harmonic,
-        function_breaks=breaks, function_pieces=pieces, function_values=values)
-    _validate_built(cfg)
-    return cfg
-
-
-def _validate_built(cfg):
-    """Cross-field rules that need the concrete space."""
-    from .runner import build_space
+            got[row.field] = row.read(kv, row.key, got)
+    cfg = ScenarioConfig(**got)
+    from .runner import _filtration, build_flow, build_space
     space = build_space(cfg)
-    from .spaces import max_partition_level
-    cap = max_partition_level(space)
-    if cfg.filtration_max_level > cap:
-        raise ConfigError("filtration.max_level",
-                          f"this space supports at most level {cap}")
-    if cfg.function_kind == "atoms" and len(cfg.function_values) != space.natoms:
-        raise ConfigError("function.values",
-                          f"expected {space.natoms} rows, got "
-                          f"{len(cfg.function_values)}")
-    if cfg.flow_map is not None and cfg.flow_map.startswith("perm:"):
-        try:
-            perm = [int(tok) for tok in cfg.flow_map[5:].split(",")]
-        except ValueError:
-            raise ConfigError("flow.map", "perm entries must be integers") from None
-        if sorted(perm) != list(range(space.natoms)):
-            raise ConfigError("flow.map",
-                              f"perm must reorder 0..{space.natoms - 1}")
+    build_flow(cfg, space)
+    _filtration(cfg, space)
+    return cfg
 
 
 def parse_config(path):

@@ -88,10 +88,10 @@ def gl_integrate(fn, lo, hi, tol=_GL_STABILITY, depth=0, key=None):
     """Adaptive Gauss-Legendre on each [lo[i], hi[i]] (a scalar call gives a
     float).  Intervals whose rules never agree are bisected, all halves in
     one call; each rule is one dot product per interval, so every interval
-    gets the bits of a call on it alone.  An interval whose rule is NaN is
-    NaN at once.  With ``key`` (an integer per interval, kept by both
-    halves of a bisection), fn receives nodes whose ``key`` attribute holds
-    the key of each node's interval."""
+    gets the bits of a call on it alone.  An interval whose rule is NaN or
+    infinite (an overflow) takes that value at once.  With ``key`` (an
+    integer per interval, kept by both halves of a bisection), fn receives
+    nodes whose ``key`` attribute holds the key of each node's interval."""
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = (np.ravel(a) for a in np.broadcast_arrays(
         np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)))
@@ -122,7 +122,7 @@ def gl_integrate(fn, lo, hi, tol=_GL_STABILITY, depth=0, key=None):
                         else np.repeat(key[i], n)).reshape(x.shape)
             val[idx] = 0.5 * width[i] * np.matmul(fx[:, None, :],
                                                   wts[:, None])[:, 0, 0]
-        done = np.isnan(val)
+        done = ~np.isfinite(val)
         if prev is not None:
             done |= np.abs(val - prev) <= np.maximum(tol, tol * np.abs(val))
         out[todo[done]] = val[done]
@@ -475,6 +475,14 @@ def _piece_quadrature(st, fn):
                         key=np.arange(st.lo.size))
 
 
+def _exponent(p):
+    """p as a float if it is a finite number >= 1; every lp reads p here."""
+    p = float(p)
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be a finite number >= 1, got {p!r}")
+    return p
+
+
 def _lp(st, p):
     """Each owner's L_p norm of a nonnegative scalar stack: exact for
     integer p up to 16, quadrature otherwise."""
@@ -547,7 +555,7 @@ class PolyField:
         return float(_sup(_Stack.of([self.fn]))[0])
 
     def lp(self, p):
-        return float(_lp(_Stack.of([self.fn]), float(p))[0])
+        return float(_lp(_Stack.of([self.fn]), _exponent(p))[0])
 
     def superlevel_measure(self, lam):
         """Exact Lebesgue measure of {x : field(x) >= lam}."""
@@ -614,7 +622,7 @@ class SqrtPolyField:
         return PolyField(self.q).superlevel_measure(lam * lam)
 
     def lp(self, p):
-        return float(_sqrt_lp(_Stack.of([self.q]), float(p))[0])
+        return float(_sqrt_lp(_Stack.of([self.q]), _exponent(p))[0])
 
 
 class GenericField:
@@ -668,7 +676,7 @@ class GenericField:
         return best
 
     def lp(self, p):
-        p = float(p)
+        p = _exponent(p)
         if p == 1.0:
             return self.integral()
         vals = gl_integrate(lambda x: np.abs(self.eval(x)) ** p,
@@ -697,7 +705,7 @@ class AtomField:
 
     def lp(self, p):
         return float(_atom_lp(self.values[None], self.space.weights,
-                              float(p))[0])
+                              _exponent(p))[0])
 
     def superlevel_measure(self, lam):
         return float(np.sum(self.space.weights[self.values >= float(lam)]))
@@ -864,7 +872,7 @@ class NormFamily:
 
     def lp(self, p):
         """Each member's Bochner norm (integral of ||g_i - target||^p)^(1/p)."""
-        p = float(p)
+        p = _exponent(p)
         if self.values is not None:
             return _atom_lp(self.values, self.space.weights, p)
         return self._per_member(lambda st: _lp(st, p),
@@ -893,9 +901,7 @@ def pointwise_norm(f, vnorm):
 
 
 def lp_norm(f, p, vnorm):
-    """The Bochner norm (integral of ||f(x)||_X^p) ** (1/p), p >= 1."""
-    if p < 1.0:
-        raise ValueError("p must be at least 1")
+    """The Bochner norm (integral of ||f(x)||_X^p) ** (1/p), finite p >= 1."""
     return pointwise_norm(f, vnorm).lp(p)
 
 

@@ -21,6 +21,7 @@ from .fields import (NormFamily, defect_max, exceedance_measure, lp_norm,
                      pointwise_norm)
 from .flows import cesaro_average, dominant_cesaro
 from .functions import AtomFunction, CircleFunction
+from .processes import _check_grid
 from .spaces import VectorNorm
 from .tolerances import TOLERANCES
 
@@ -125,15 +126,6 @@ def domination_chain_check(f, flow, partition, t_grid, vnorm, npoints=1000):
 # -- submartingale families ----------------------------------------------------
 
 
-def _finest_points(filtration):
-    space = filtration.space
-    if space.kind == "circle":
-        cells = filtration.partition_at_level(filtration.max_level)
-        bounds = np.asarray(cells.cell_bounds_float())
-        return (bounds[:-1] + bounds[1:]) / 2.0
-    return np.arange(space.natoms)
-
-
 class SubmartingaleFamily:
     """Finite family of scalar submartingales on one increasing filtration.
 
@@ -146,9 +138,7 @@ class SubmartingaleFamily:
     def __init__(self, filtration, s_grid, processes):
         if filtration.direction != "increasing":
             raise ValueError("submartingale families need an increasing filtration")
-        s_grid = np.asarray(s_grid, dtype=float)
-        if s_grid.ndim != 1 or s_grid.size < 1 or np.any(np.diff(s_grid) <= 0.0):
-            raise ValueError("time grid must be nonempty and strictly increasing")
+        s_grid = _check_grid(s_grid, "s_grid", positive=False)
         processes = [list(slices) for slices in processes]
         if not processes:
             raise ValueError("family must contain at least one process")
@@ -159,7 +149,8 @@ class SubmartingaleFamily:
         self.filtration = filtration
         self.s_grid = s_grid
         self.processes = processes
-        self._pts = _finest_points(filtration)
+        # the midpoints of the finest cells on the circle, every atom otherwise
+        self._pts = filtration.space.sample_points(2 ** filtration.max_level)
         self._validate()
 
     def _validate(self):

@@ -62,14 +62,18 @@ def _sup_defect(diff, vnorm=None):
 
 
 def _check_grid(grid, name, positive):
+    """grid as floats: nonempty, finite, strictly increasing, > 0 or >= 0."""
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d grid")
-    if np.any(np.diff(g) <= 0.0):
+    if not np.isfinite(g).all():
+        raise ValueError(f"{name} values must be finite numbers")
+    v = g.tolist()  # plain floats: a short grid checks faster than in NumPy
+    if any(b <= a for a, b in zip(v, v[1:])):
         raise ValueError(f"{name} must be strictly increasing")
-    if positive and g[0] <= 0.0:
+    if positive and v[0] <= 0.0:
         raise ValueError(f"{name} values must be positive")
-    if not positive and g[0] < 0.0:
+    if not positive and v[0] < 0.0:
         raise ValueError(f"{name} values must be nonnegative")
     return g
 

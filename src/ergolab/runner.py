@@ -13,6 +13,7 @@ import numpy as np
 
 from .condexp import (LinearFunctional, cond_exp, defining_property_check,
                       functional_commutation_check)
+from .config import _as_config_error
 from .fields import NormFamily, defect_max, lp_norm, pointwise_norm, sup_norm
 from .flows import (apply_flow, identity_flow, rotation_flow, shift_perm,
                     step_flow)
@@ -40,25 +41,33 @@ def build_space(cfg):
     if cfg.space_kind == "circle":
         return circle_space()
     if cfg.space_kind == "discrete":
-        if cfg.space_weights is not None:
-            w = np.asarray(cfg.space_weights, dtype=float)
-        else:
-            w = np.full(cfg.space_atoms, 1.0 / cfg.space_atoms)
-        return discrete_space(w)
-    return product_space(cfg.space_cyclic_size,
-                         np.asarray(cfg.space_factor_weights, dtype=float))
+        if cfg.space_weights is None:
+            return discrete_space(np.full(cfg.space_atoms, 1.0 / cfg.space_atoms))
+        with _as_config_error("space.weights"):
+            return discrete_space(cfg.space_weights)
+    # the atomic factor is a discrete space; built first, its weights get their key
+    with _as_config_error("space.factor_weights"):
+        factor = discrete_space(cfg.space_factor_weights)
+    with _as_config_error("space.cyclic_size"):
+        return product_space(cfg.space_cyclic_size, factor.weights)
 
 
 def build_flow(cfg, space):
     if cfg.flow_kind == "rotation":
-        return rotation_flow(cfg.flow_theta, space)
+        with _as_config_error("flow.theta"):
+            return rotation_flow(cfg.flow_theta, space)
     if cfg.flow_kind == "identity":
         return identity_flow(space)
-    if cfg.flow_map is None or cfg.flow_map == "shift":
-        perm = shift_perm(space)
-    else:
-        perm = np.array([int(tok) for tok in cfg.flow_map[5:].split(",")])
-    return step_flow(space, perm, cfg.flow_h)
+    with _as_config_error("flow.map"):
+        perm = shift_perm(space) if cfg.flow_map in (None, "shift") else [
+            int(tok) for tok in cfg.flow_map[5:].split(",")]
+        return step_flow(space, perm, cfg.flow_h)
+
+
+def _filtration(cfg, space):
+    with _as_config_error("filtration.max_level"):
+        return Filtration(space, cfg.filtration_direction,
+                          cfg.filtration_max_level)
 
 
 def build_function(cfg, space):
@@ -73,16 +82,18 @@ def build_function(cfg, space):
         gen = harmonic_generator(cfg.function_d, cfg.function_amplitudes,
                                  cfg.function_phases, cfg.function_harmonic)
         # desk-scale fidelity; tighter targets just multiply pieces
-        return from_smooth(gen, cfg.function_d, target=2e-5, space=space)
+        with _as_config_error("function.harmonic"):
+            return from_smooth(gen, cfg.function_d, target=2e-5, space=space)
     if kind == "explicit":
         k1 = max(len(comp) for piece in cfg.function_pieces for comp in piece)
         coeffs = np.zeros((len(cfg.function_pieces), k1, cfg.function_d))
         for i, piece in enumerate(cfg.function_pieces):
             for j, comp in enumerate(piece):
                 coeffs[i, :len(comp), j] = comp
-        return CircleFunction.from_pieces(np.asarray(cfg.function_breaks),
-                                          coeffs, space)
-    return AtomFunction(space, np.asarray(cfg.function_values, dtype=float))
+        with _as_config_error("function.breaks"):
+            return CircleFunction(cfg.function_breaks, coeffs, space)
+    with _as_config_error("function.values"):
+        return AtomFunction(space, cfg.function_values)
 
 
 @dataclass
@@ -125,8 +136,7 @@ def build_context(cfg, rng):
     space = build_space(cfg)
     flow = build_flow(cfg, space)
     f = build_function(cfg, space)
-    filtration = Filtration(space, cfg.filtration_direction,
-                            cfg.filtration_max_level)
+    filtration = _filtration(cfg, space)
     vnorm = VectorNorm(cfg.vector_norm, f.d)
     return ScenarioContext(cfg, space, flow, f, filtration, vnorm,
                            np.asarray(cfg.t_grid), np.asarray(cfg.s_grid), rng)

@@ -26,6 +26,16 @@ def _is_dyadic(x: Fraction) -> bool:
     return d & (d - 1) == 0
 
 
+def _atom_weights(weights):
+    """weights as floats: a nonempty 1-d sequence, finite and positive."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError("atomic spaces need a nonempty 1-d weight sequence")
+    if not np.all((w > 0) & (w < np.inf)):
+        raise ValueError("atom weights must be finite and strictly positive")
+    return w
+
+
 class MeasureSpace:
     """A finite measure space: the circle, an atomic space, or a product."""
 
@@ -36,20 +46,14 @@ class MeasureSpace:
             self.mass = 1.0
             self.weights = None
         elif kind == "discrete":
-            w = np.asarray(weights, dtype=float)
-            if w.ndim != 1 or w.size == 0:
-                raise ValueError("discrete space needs a 1-d weight sequence")
-            if not np.all(w > 0):
-                raise ValueError("atom weights must be strictly positive")
+            w = _atom_weights(weights)
             self.weights = w
             self.mass = float(w.sum())
         elif kind == "product":
             m1 = int(cyclic_size)
             if m1 < 1:
                 raise ValueError("cyclic factor must have at least one atom")
-            w2 = np.asarray(atom_weights, dtype=float)
-            if not np.all(w2 > 0):
-                raise ValueError("atom weights must be strictly positive")
+            w2 = _atom_weights(atom_weights)
             self.cyclic_size = m1
             self.factor_weights = w2
             # product atom (i, j) has weight w1_i * w2_j with uniform w1

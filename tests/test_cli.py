@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -67,6 +69,47 @@ def test_run_exit_two_on_non_finite_number(tmp_path, capsys):
     cfg = _write(tmp_path, "nan_h.cfg", text)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "flow.h" in capsys.readouterr().err
+
+
+def _shipped_text(name):
+    with open(os.path.join(scenario_dir(), name + ".cfg"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("scenario, old, new, key", [
+    ("step_z8", "space.atoms = 8",
+     "space.weights = 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.0", "space.weights"),
+    # the default shift moves non-uniform weights
+    ("step_z8", "space.atoms = 8",
+     "space.weights = 0.2, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1", "flow.map"),
+    ("golden_hat1_dec", "function.kind = hat\nfunction.d = 1",
+     "function.kind = explicit\nfunction.breaks = 0.0, 0.5, 0.9\n"
+     "function.piece.0 = 1.0\nfunction.piece.1 = -1.0", "function.breaks"),
+    ("golden_hat1_dec", "flow.theta = golden",
+     "flow.theta = golden\nflow.h = 1.0", "flow.h"),
+    ("golden_hat1_dec", "function.d = 1",
+     "function.d = 1\nfunction.harmonic = 2", "function.harmonic"),
+])
+def test_run_exit_two_names_the_key(tmp_path, capsys, scenario, old, new, key):
+    # constructor rules (weights, a measure-preserving map, breaks that
+    # span [0, 1]) and keys the chosen kind does not read are config
+    # problems, not tracebacks or silently dropped keys
+    text = _shipped_text(scenario)
+    assert old in text
+    cfg = _write(tmp_path, "bad.cfg", text.replace(old, new))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config key '{key}'" in capsys.readouterr().err
+
+
+def test_python_m_ergolab_runs_the_cli():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-m", "ergolab", "list"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "decomposition" in done.stdout
 
 
 def test_run_missing_file_is_config_error(tmp_path, capsys):

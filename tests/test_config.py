@@ -1,10 +1,12 @@
 import glob
 import os
 
+import numpy as np
 import pytest
 
 from ergolab.cli import scenario_dir
 from ergolab.config import ConfigError, parse_config, parse_text
+from ergolab.runner import build_context
 
 MINIMAL = """
 name = tiny
@@ -156,7 +158,81 @@ epsilon = 0.5
 checks = contraction
 seed = 3
 """
-    _expect_key(text, "function.values")
+    # the row count is the function's rule, checked when the function is
+    # built, at run time
+    cfg = parse_text(text)
+    with pytest.raises(ConfigError) as err:
+        build_context(cfg, np.random.default_rng(cfg.seed))
+    assert err.value.key == "function.values"
+
+
+@pytest.mark.parametrize("extra, key", [
+    ("flow.h = 1.0", "flow.h"),
+    ("flow.map = shift", "flow.map"),
+    ("function.values = 1.0 ; 2.0", "function.values"),
+    ("function.harmonic = 2", "function.harmonic"),
+    ("function.breaks = 0.0, 1.0", "function.breaks"),
+    ("space.weights = 0.5, 0.5", "space.weights"),
+])
+def test_key_the_kind_does_not_read_is_rejected(extra, key):
+    # a rotation reads flow.theta only, a sawtooth neither values, harmonic
+    # nor breaks, the circle no atom keys: such a key is never silently
+    # dropped from the echo
+    err = _expect_key(MINIMAL + extra + "\n", key)
+    assert "not read when" in str(err)
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("space.atoms = 8",
+     "space.weights = 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, -0.5", "space.weights"),
+    # a shift on non-uniform weights does not preserve the measure
+    ("space.atoms = 8",
+     "space.weights = 0.2, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1", "flow.map"),
+    ("space.kind = discrete\nspace.atoms = 8",
+     "space.kind = product\nspace.cyclic_size = 0\n"
+     "space.factor_weights = 0.5, 0.5", "space.cyclic_size"),
+    ("space.kind = discrete\nspace.atoms = 8",
+     "space.kind = product\nspace.cyclic_size = 4\n"
+     "space.factor_weights = 0.5, 0.0", "space.factor_weights"),
+    ("flow.map = shift", "flow.map = perm:1, 2, x, 0", "flow.map"),
+    ("filtration.max_level = 3", "filtration.max_level = -1",
+     "filtration.max_level"),
+])
+def test_constructor_rules_are_config_errors(old, new, key):
+    # the space, the flow and the filtration are built at parse; each
+    # constructor's ValueError names the key it concerns
+    text = _step_z8_text()
+    assert old in text
+    _expect_key(text.replace(old, new), key)
+
+
+def test_rotation_angle_checked_by_the_flow():
+    _expect_key(MINIMAL.replace("flow.theta = golden", "flow.theta = 1.5"),
+                "flow.theta")
+
+
+def test_function_rules_are_config_errors_at_build():
+    # the function is built at run time; its constructor's ValueError
+    # names the key there
+    text = MINIMAL.replace("function.kind = sawtooth",
+                           "function.kind = explicit\n"
+                           "function.breaks = 0.0, 0.5, 0.9\n"
+                           "function.piece.0 = 1.0\n"
+                           "function.piece.1 = 2.0")
+    cfg = parse_text(text)
+    with pytest.raises(ConfigError) as err:
+        build_context(cfg, np.random.default_rng(cfg.seed))
+    assert err.value.key == "function.breaks"
+
+
+def test_piece_above_the_degree_cap_named():
+    text = MINIMAL.replace("function.kind = sawtooth",
+                           "function.kind = explicit\n"
+                           "function.breaks = 0.0, 0.5, 1.0\n"
+                           "function.piece.0 = 1.0\n"
+                           "function.piece.1 = " + ", ".join(["1.0"] * 10))
+    err = _expect_key(text, "function.piece.1")
+    assert "exceeds cap" in str(err)
 
 
 def test_max_level_capped_by_space():
@@ -209,6 +285,31 @@ def test_shipped_scenarios_all_roundtrip():
     for path in paths:
         cfg = parse_config(path)
         assert parse_text(cfg.echo()) == cfg
+
+
+def _file_pairs(path):
+    with open(path, encoding="utf-8") as fh:
+        lines = [raw.split("#", 1)[0].strip() for raw in fh]
+    return dict(tuple(part.strip() for part in line.split("=", 1))
+                for line in lines if line)
+
+
+def test_shipped_echo_lists_every_key_of_the_file():
+    for path in sorted(glob.glob(os.path.join(scenario_dir(), "*.cfg"))):
+        echo = dict(line.split(" = ", 1)
+                    for line in parse_config(path).echo().splitlines())
+        given = _file_pairs(path)
+        for key in given:
+            grid, _, part = key.rpartition(".")
+            if part in ("start", "ratio", "count"):
+                # a geometric rule is echoed as the explicit list it gives
+                start = float(given[f"{grid}.start"])
+                ratio = float(given[f"{grid}.ratio"])
+                count = int(given[f"{grid}.count"])
+                assert echo[grid] == ", ".join(
+                    repr(start * ratio ** k) for k in range(count)), path
+            else:
+                assert key in echo, (path, key)
 
 
 def _step_z8_text():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ergolab.fields import (
     AtomField,
     GenericField,
+    NormFamily,
     PolyField,
     SqrtPolyField,
     _piece_roots,
@@ -145,6 +146,43 @@ def test_lp_and_sup_norm_wrappers():
     assert lp_norm(f, 1, vnorm) == pytest.approx(0.25)
     with pytest.raises(ValueError):
         lp_norm(f, 0.5, vnorm)
+
+
+_BAD_EXPONENTS = (0.5, np.inf, np.nan, -np.inf)
+
+
+def _lp_fields():
+    saw2 = sawtooth(d=2, amplitudes=[1.0, 0.5])
+    return {
+        "poly": pointwise_norm(hat(d=1), VectorNorm("max", 1)),
+        "sqrt": pointwise_norm(saw2, VectorNorm("euclidean", 2)),
+        "generic": GenericField(circle_space(), lambda x: np.abs(x - 0.5),
+                                breaks=[0.5]),
+        "atom": AtomField(discrete_space(np.array([0.5, 0.5])),
+                          np.array([1.0, 2.0])),
+    }
+
+
+@pytest.mark.parametrize("kind", ["poly", "sqrt", "generic", "atom"])
+def test_field_lp_rejects_exponents_that_are_not_finite_and_at_least_one(kind):
+    field = _lp_fields()[kind]
+    assert field.lp(2) > 0.0
+    for p in _BAD_EXPONENTS:
+        with pytest.raises(ValueError, match="finite number >= 1"):
+            field.lp(p)
+
+
+@pytest.mark.parametrize("members", [
+    [hat(d=1), sawtooth(d=1)],
+    [AtomFunction(discrete_space(np.array([0.5, 0.5])), np.array([1.0, 2.0]))],
+])
+def test_norm_family_and_lp_norm_reject_bad_exponents(members):
+    vnorm = VectorNorm("max", 1)
+    for p in _BAD_EXPONENTS:
+        with pytest.raises(ValueError, match="finite number >= 1"):
+            NormFamily(members, vnorm).lp(p)
+        with pytest.raises(ValueError, match="finite number >= 1"):
+            lp_norm(members[0], p, vnorm)
 
 
 def test_upper_envelope_of_hats():
@@ -685,6 +723,19 @@ def test_nan_integrand_stops_at_the_first_rule(monkeypatch):
     assert 0 < points[0] <= 3 * sum(fields._GL_LADDER)
     assert np.isnan(gl_integrate(lambda x: np.where(x < 0.5, np.nan, x),
                                  0.0, 1.0))
+
+
+def test_overflowing_integrand_stops_at_the_first_rule(monkeypatch):
+    # |1000 * sawtooth|^150.5 overflows to inf on every piece; inf - inf
+    # never agrees either, so such an interval used to bisect to the cap
+    monkeypatch.setattr(fields, "_GL_MAX_DEPTH", 6)
+    points = _count_points(monkeypatch)
+    big = sawtooth(1) * 1000.0
+    with np.errstate(over="ignore"):
+        assert lp_norm(big, 150.5, VectorNorm("max", 1)) == np.inf
+    assert 0 < points[0] <= 3 * sum(fields._GL_LADDER)
+    assert gl_integrate(lambda x: np.where(x < 0.5, np.inf, x),
+                        0.0, 1.0) == np.inf
 
 
 def test_nan_piece_makes_integer_lp_nan():

@@ -187,6 +187,11 @@ def test_submartingale_family_rejects_bad_input():
         SubmartingaleFamily(falling, s_grid, [_const_slices([0.0, 0.0], sp)])
     with pytest.raises(ValueError):
         SubmartingaleFamily(filt, s_grid, [])
+    # the time grid follows the process grids' rule, non-finite values too
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="s_grid values must be finite"):
+            SubmartingaleFamily(filt, np.array([0.0, bad]),
+                                [_const_slices([0.0, 0.0], sp)])
 
 
 def test_random_family_passes_check():

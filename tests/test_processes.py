@@ -277,6 +277,17 @@ def test_grid_validation():
         em_process(f, flow, filt, np.array([1.0]), np.array([-1.0, 0.0]))
 
 
+@pytest.mark.parametrize("build", [me_process, em_process])
+def test_grids_reject_non_finite_values_naming_the_grid(build):
+    # NaN fails no comparison, so it must fail a finiteness rule of its own
+    f, flow, filt = _golden_setup()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="t_grid values must be finite"):
+            build(f, flow, filt, np.array([1.0, bad]), np.array([0.0]))
+        with pytest.raises(ValueError, match="s_grid values must be finite"):
+            build(f, flow, filt, np.array([1.0]), np.array([0.0, bad]))
+
+
 def test_limits_ergodic_rotation():
     f, flow, filt = _golden_setup()
     lim = limits(f, flow, filt, t_max=100.0)

@@ -39,6 +39,18 @@ def test_spaces_reject_nan_weights(build):
             build(w)
 
 
+@pytest.mark.parametrize("build", [
+    lambda w: discrete_space(np.array(w)),
+    lambda w: product_space(2, np.array(w)),
+])
+def test_spaces_reject_infinite_weights(build):
+    # inf > 0 holds, so an infinite weight must fail the rule on its own;
+    # it would give the space an infinite mass
+    for w in ([np.inf, 1.0], [1.0, -np.inf]):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            build(w)
+
+
 def test_discrete_space_carries_total_mass():
     # the mass is whatever the weights sum to, not forced to 1
     assert discrete_space(np.array([0.7, 0.7])).mass == pytest.approx(1.4)
