@@ -160,7 +160,6 @@ def _choice(*choices):
 
 
 _positive = _where(_number, lambda v: v > 0.0, "must be positive")
-_atoms = _where(_integer, lambda n: n >= 2, "need at least 2 atoms")
 _positive_int = _where(_integer, lambda v: v >= 1, "must be a positive integer")
 _above_one = _where(_number, lambda v: v > 1.0, "inequality checks require p > 1")
 _flow_map = _where(_text, lambda v: v == "shift" or v.startswith("perm:"),
@@ -212,7 +211,7 @@ def _kind(choices):
 
 def _atom_count(kv, key, got):
     if "space.weights" not in kv:
-        return _value(_atoms)(kv, key, got)
+        return _value(_positive_int)(kv, key, got)
     # the weights give the count
     if key in kv and _integer(key, kv[key]) != len(
             _numbers("space.weights", kv["space.weights"])):

@@ -303,10 +303,6 @@ class AtomFunction:
     def integral(self):
         return self.space.weights @ self.values
 
-    def integrate_atoms(self, atoms):
-        idx = np.asarray(atoms, dtype=int)
-        return self.space.weights[idx] @ self.values[idx]
-
     def mean(self):
         return self.integral() / self.space.mass
 

@@ -8,7 +8,9 @@ Three kinds of spaces are supported:
 
 Finite sigma-algebras are represented by partitions.  Circle partitions use
 dyadic-rational cell boundaries kept as exact ``Fraction`` values so that
-refinement tests never suffer from float rounding.
+refinement tests never suffer from float rounding.  Atomic partitions keep
+one label per atom, ``cell_of``; the atoms of each cell, grouped by cell
+size into index tables, are built once with the partition.
 """
 
 from __future__ import annotations
@@ -67,12 +69,6 @@ class MeasureSpace:
     def natoms(self):
         return None if self.kind == "circle" else self.weights.size
 
-    def atom_index(self, i, j=None):
-        """Flat index of atom i (discrete) or product atom (i, j)."""
-        if self.kind == "product":
-            return i * self.factor_weights.size + j
-        return i
-
     def sample_points(self, n):
         """Midpoints (k + 1/2)/n for k < n on the circle; every atom index
         otherwise."""
@@ -115,11 +111,14 @@ def product_space(cyclic_size, atom_weights):
 class Partition:
     """A finite partition of a measure space into positive-measure cells.
 
-    Circle cells are half-open dyadic intervals [a, b); discrete cells are
-    disjoint atom-index sets covering every atom.
+    Circle cells are half-open dyadic intervals [a, b).  An atomic partition
+    is ``cell_of``, one integer label per atom, the labels running over
+    0..k-1 with no gaps.  ``size_groups`` holds the same cells grouped by
+    size: one (cells, size) table of atom indices per distinct size, each
+    cell's atoms in increasing order, built once here.
     """
 
-    def __init__(self, space, boundaries=None, cells=None):
+    def __init__(self, space, boundaries=None, cell_of=None):
         self.space = space
         if space.kind == "circle":
             bounds = [Fraction(b) for b in boundaries]
@@ -134,57 +133,42 @@ class Partition:
                 if b.denominator > 2 ** MAX_DYADIC_LEVEL:
                     raise ValueError("boundary finer than the dyadic cap")
             self.boundaries = tuple(bounds)
-            self.cells = None
+            self.cell_of = None
         else:
-            seen = np.zeros(space.natoms, dtype=bool)
-            cleaned = []
-            for cell in cells:
-                idx = np.asarray(sorted(cell), dtype=int)
-                if idx.size == 0:
-                    raise ValueError("empty cell")
-                if np.any(seen[idx]):
-                    raise ValueError("cells overlap")
-                seen[idx] = True
-                cleaned.append(idx)
-            if not np.all(seen):
-                raise ValueError("cells do not cover the space")
+            labels = np.asarray(cell_of)
+            if labels.shape != (space.natoms,) or \
+                    labels.dtype.kind not in "iu":
+                raise ValueError("need one integer cell label per atom")
+            labels = labels.astype(np.intp)
+            # a label at or past the atom count leaves a gap below it
+            if not (labels.min() >= 0 and labels.max() < labels.size
+                    and (sizes := np.bincount(labels)).all()):
+                raise ValueError(
+                    "cell labels must run over 0..k-1 with no gaps")
+            labels.flags.writeable = False
             self.boundaries = None
-            self.cells = tuple(tuple(int(i) for i in c) for c in cleaned)
+            self.cell_of = labels
+            atoms = np.argsort(labels, kind="stable")
+            starts = np.cumsum(sizes) - sizes
+            self.size_groups = tuple(
+                atoms[starts[sizes == n][:, None] + np.arange(n)]
+                for n in np.unique(sizes))
 
     @property
     def ncells(self):
         if self.space.kind == "circle":
             return len(self.boundaries) - 1
-        return len(self.cells)
+        return int(self.cell_of.max()) + 1
 
     def cell_bounds_float(self):
         """Circle cell boundaries as floats (exact for dyadic <= 2^30)."""
         return np.array([float(b) for b in self.boundaries])
 
-    def cell_measure(self, i):
-        if self.space.kind == "circle":
-            return float(self.boundaries[i + 1] - self.boundaries[i])
-        return float(self.space.weights[list(self.cells[i])].sum())
-
-    def measures(self):
-        return np.array([self.cell_measure(i) for i in range(self.ncells)])
-
-    def refines(self, other):
-        """True when every cell of self lies inside a cell of other."""
-        if self.space != other.space:
-            return False
-        if self.space.kind == "circle":
-            return set(other.boundaries) <= set(self.boundaries)
-        owner = {}
-        for k, cell in enumerate(other.cells):
-            for a in cell:
-                owner[a] = k
-        return all(len({owner[a] for a in cell}) == 1 for cell in self.cells)
-
     def __eq__(self, other):
         if not isinstance(other, Partition) or self.space != other.space:
             return False
-        return self.boundaries == other.boundaries and self.cells == other.cells
+        return self.boundaries == other.boundaries and \
+            np.array_equal(self.cell_of, other.cell_of)
 
     def __repr__(self):
         return f"Partition({self.space.kind}, {self.ncells} cells)"
@@ -202,33 +186,29 @@ def make_dyadic_partition(level, space=None):
     return Partition(space, boundaries=[Fraction(k, n) for k in range(n + 1)])
 
 
-def _dyadic_index_blocks(n, level):
-    """Nested index blocks: level-k boundaries are ceil(j*n / 2**k)."""
-    k = 2 ** level
-    edges = sorted({-(-j * n // k) for j in range(k + 1)})
-    return [range(a, b) for a, b in zip(edges, edges[1:])]
+def _dyadic_labels(n, level):
+    """Nested index blocks of n atoms: the level-k blocks start at
+    ceil(j*n / 2**k), so atom a lies in block floor(a * 2**k / n); from
+    2**k >= n on, every atom is its own block."""
+    if level < 0:
+        raise ValueError("level must be nonnegative")
+    return np.arange(n) * min(2 ** level, n) // n
 
 
 def make_block_partition(space, level):
     """Dyadic-style partition of a discrete space into index blocks."""
     if space.kind != "discrete":
         raise ValueError("block partitions live on discrete spaces")
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    return Partition(space, cells=[list(b) for b in
-                                   _dyadic_index_blocks(space.natoms, level)])
+    return Partition(space, cell_of=_dyadic_labels(space.natoms, level))
 
 
 def make_factor_partition(space, level):
-    """Partition of a product space by blocks of the atomic factor."""
+    """Partition of a product space by blocks of the atomic factor: atom
+    (i, j), at i * m2 + j, takes the label of factor atom j."""
     if space.kind != "product":
         raise ValueError("factor partitions live on product spaces")
-    m2 = space.factor_weights.size
-    cells = []
-    for block in _dyadic_index_blocks(m2, level):
-        cells.append([space.atom_index(i, j)
-                      for i in range(space.cyclic_size) for j in block])
-    return Partition(space, cells=cells)
+    labels = _dyadic_labels(space.factor_weights.size, level)
+    return Partition(space, cell_of=np.tile(labels, space.cyclic_size))
 
 
 def partition_at_level(space, level):

@@ -319,16 +319,28 @@ def loop_cell_averages(breaks, coeffs, bounds):
                      for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
-def loop_atom_cell_averages(weights, values, cells):
-    """Per-atom weighted means of scalar atom values over each cell of atom
-    indices, one cell at a time: the cell's weights times its values as a
-    column, over the cell's total weight."""
-    out = np.empty(len(values))
+def loop_atom_cell_integrals(weights, values, cells):
+    """Weighted sums of atom values, scalar (n,) or vector (n, d), over each
+    cell of atom indices, one cell at a time: the cell's weights times its
+    value rows.  One (d,) row per cell, in the order of cells."""
+    rows = np.asarray(values, dtype=float).reshape(len(values), -1)
+    sums = []
     for cell in cells:
         idx = np.asarray(cell, dtype=int)
-        w = weights[idx]
-        out[idx] = (w @ values[idx][:, None])[0] / w.sum()
-    return out
+        sums.append(weights[idx] @ rows[idx])
+    return np.array(sums)
+
+
+def loop_atom_cell_averages(weights, values, cells):
+    """Per-atom weighted means of atom values, scalar (n,) or vector (n, d),
+    over each cell of atom indices, one cell at a time: the cell's weighted
+    sum over the cell's total weight."""
+    v = np.asarray(values, dtype=float)
+    out = np.empty_like(v.reshape(len(v), -1))
+    for cell, total in zip(cells, loop_atom_cell_integrals(weights, v, cells)):
+        idx = np.asarray(cell, dtype=int)
+        out[idx] = total / weights[idx].sum()
+    return out.reshape(v.shape)
 
 
 def brute_cell_average(fn, lo, hi, n=200_001):

@@ -77,6 +77,7 @@ def _shipped_text(name):
 
 
 @pytest.mark.parametrize("scenario, old, new, key", [
+    ("step_z8", "space.atoms = 8", "space.atoms = 0", "space.atoms"),
     ("step_z8", "space.atoms = 8",
      "space.weights = 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.0", "space.weights"),
     # the default shift moves non-uniform weights

@@ -178,34 +178,63 @@ def test_dominant_polyfield_is_cond_exp_bit_for_bit(monkeypatch, k1):
                          oracles.loop_cell_averages(breaks, coeffs, bounds))
 
 
-def _random_cells(rng, n):
-    # up to 6 cells of scattered atoms
+def _random_labels(rng, n):
+    # up to 6 cells of scattered atoms, of uneven sizes: the label array and
+    # the cells as plain index lists, each in increasing atom order
     cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, 5),
                               replace=False))
-    return np.split(rng.permutation(n), cuts)
+    cells = [np.sort(c) for c in np.split(rng.permutation(n), cuts)]
+    labels = np.empty(n, dtype=int)
+    for k, cell in enumerate(cells):
+        labels[cell] = k
+    return labels, cells
+
+
+def _atom_partition_cases(rng):
+    # (space, partition, its cells as index lists): block partitions with
+    # uneven cell sizes, random labels, and product factor partitions, whose
+    # cells are not contiguous
+    cases = []
+    for n in (1, 3, 16, 57, 199):
+        sp = discrete_space(rng.uniform(0.01, 1.0, n))
+        parts = [partition_at_level(sp, lvl)
+                 for lvl in range(int(np.log2(n)) + 1)]
+        cases += [(sp, part, [np.flatnonzero(part.cell_of == k)
+                              for k in range(part.ncells)]) for part in parts]
+        labels, cells = _random_labels(rng, n)
+        cases.append((sp, Partition(sp, cell_of=labels), cells))
+    for m2 in (2, 5, 6, 8):
+        sp = product_space(3, rng.uniform(0.05, 1.0, m2) / 3.0)
+        rows = np.arange(3)[:, None] * m2  # atom (i, j) sits at i * m2 + j
+        for lvl in range(int(np.log2(m2)) + 1):
+            # factor blocks start at ceil(j * m2 / 2**lvl)
+            edges = -(-np.arange(2 ** lvl + 1) * m2 // 2 ** lvl)
+            cases.append((sp, make_factor_partition(sp, lvl),
+                          [(rows + np.arange(a, b)).ravel()
+                           for a, b in zip(edges, edges[1:])]))
+    return cases
 
 
 def test_dominant_atomfield_is_cond_exp_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(17)
     calls = _count_cond_exp(monkeypatch)
-    cases = []
-    for n in (1, 3, 16, 57, 199):
-        sp = discrete_space(rng.uniform(0.01, 1.0, n))
-        cases += [(sp, partition_at_level(sp, lvl))
-                  for lvl in range(int(np.log2(n)) + 1)]
-        cases.append((sp, Partition(sp, cells=_random_cells(rng, n))))
-    for m2 in (2, 5, 8):
-        sp = product_space(3, rng.uniform(0.05, 1.0, m2) / 3.0)
-        cases += [(sp, make_factor_partition(sp, lvl))
-                  for lvl in range(int(np.log2(m2)) + 1)]
-    for sp, part in cases:
+    for sp, part, cells in _atom_partition_cases(rng):
         vals = rng.uniform(0.0, 2.0, sp.natoms)
         calls.clear()
         dom = cond_exp_dominant(AtomField(sp, vals), part)
         assert len(calls) == 1
         assert isinstance(dom, AtomField)
         assert _same(dom.values, oracles.loop_atom_cell_averages(
-            sp.weights, vals, part.cells))
+            sp.weights, vals, cells))
+        # vector data, and the defining-property defect per cell
+        f = AtomFunction(sp, rng.normal(size=(sp.natoms, 3)))
+        ef = condexp.cond_exp(f, part)
+        assert _same(ef.values, oracles.loop_atom_cell_averages(
+            sp.weights, f.values, cells))
+        ints = [oracles.loop_atom_cell_integrals(sp.weights, g.values, cells)
+                for g in (ef, f)]
+        assert _same(np.float64(defining_property_check(f, part)),
+                     np.max(np.abs(ints[0] - ints[1])))
 
 
 def test_dominant_atom_cell_values():

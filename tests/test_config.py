@@ -166,6 +166,37 @@ seed = 3
     assert err.value.key == "function.values"
 
 
+ONE_ATOM = """
+name = one
+space.kind = discrete
+{space}
+flow.kind = identity
+function.kind = atoms
+function.values = 2.0
+vector_norm = max
+filtration.direction = decreasing
+filtration.max_level = 0
+t_grid = 1.0
+s_grid = 0.0
+p = 2.0
+epsilon = 0.5
+checks = contraction
+seed = 3
+"""
+
+
+def _one_atom_space(line):
+    cfg = parse_text(ONE_ATOM.format(space=line))
+    return build_context(cfg, np.random.default_rng(cfg.seed)).space
+
+
+def test_one_atom_by_count_or_by_weights():
+    # one atom-count rule, a nonempty space, however the space is written
+    by_count = _one_atom_space("space.atoms = 1")
+    assert by_count.natoms == 1
+    assert by_count == _one_atom_space("space.weights = 1.0")
+
+
 @pytest.mark.parametrize("extra, key", [
     ("flow.h = 1.0", "flow.h"),
     ("flow.map = shift", "flow.map"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ergolab.spaces import (Filtration, VectorNorm, circle_space,
+from ergolab.spaces import (Filtration, Partition, VectorNorm, circle_space,
                             discrete_space, make_block_partition,
                             make_dyadic_partition, make_factor_partition,
                             max_partition_level, partition_at_level,
@@ -73,12 +73,6 @@ def test_dyadic_partition_bounds_are_exact_floats():
     assert list(bounds) == [k / 8 for k in range(9)]
 
 
-def test_dyadic_partition_measures():
-    part = make_dyadic_partition(5)
-    assert part.ncells == 32
-    assert np.allclose(part.measures(), 1 / 32)
-
-
 def test_block_partition_on_discrete():
     sp = discrete_space(np.full(8, 0.125))
     part = make_block_partition(sp, 2)
@@ -91,11 +85,32 @@ def test_factor_partition_groups_by_second_coordinate():
     sp = product_space(4, np.array([0.6, 0.4]))
     part = make_factor_partition(sp, 1)
     assert part.ncells == 2
-    sizes = [len(cell) for cell in part.cells]
-    assert sizes == [4, 4]
-    # every atom of a cell shares the factor coordinate
-    for cell in part.cells:
-        assert len({a % 2 for a in cell}) == 1
+    # atom (i, j) sits at i * 2 + j and takes the label of factor atom j
+    assert part.cell_of.tolist() == [0, 1] * 4
+    # one size group: two cells of four atoms each, in increasing order
+    assert [g.tolist() for g in part.size_groups] == [[[0, 2, 4, 6],
+                                                       [1, 3, 5, 7]]]
+
+
+def test_size_groups_hold_every_cell_once_by_size():
+    sp = discrete_space(np.full(7, 1 / 7))
+    part = Partition(sp, cell_of=np.array([2, 0, 2, 1, 0, 2, 3]))
+    assert part.ncells == 4
+    assert [g.tolist() for g in part.size_groups] == [[[3], [6]],
+                                                      [[1, 4]],
+                                                      [[0, 2, 5]]]
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([0, 1, 1], "one integer cell label per atom"),
+    ([0.0, 1.0, 1.0, 0.0], "one integer cell label per atom"),
+    ([0, -1, 1, 0], "no gaps"),
+    ([0, 2, 2, 0], "no gaps"),
+], ids=["wrong_length", "float_labels", "negative_label", "gap"])
+def test_partition_label_rules(labels, message):
+    # a wrong length, a non-integer array, a negative label, a gap
+    with pytest.raises(ValueError, match=message):
+        Partition(discrete_space(np.full(4, 0.25)), cell_of=np.array(labels))
 
 
 def test_max_partition_level():
@@ -105,11 +120,25 @@ def test_max_partition_level():
     assert max_partition_level(circle_space()) >= 12
 
 
-def test_partition_refines():
-    fine = make_dyadic_partition(4)
-    coarse = make_dyadic_partition(2)
-    assert fine.refines(coarse)
-    assert not coarse.refines(fine)
+@pytest.mark.parametrize("space", [
+    circle_space(),
+    discrete_space(np.linspace(0.5, 1.5, 57)),
+    product_space(3, np.linspace(0.1, 0.3, 11)),
+], ids=["circle", "discrete57", "product3x11"])
+def test_consecutive_levels_nest(space):
+    top = 8 if space.kind == "circle" else max_partition_level(space)
+    parts = [partition_at_level(space, k) for k in range(top + 1)]
+    assert parts[0].ncells == 1
+    for k, (coarse, fine) in enumerate(zip(parts, parts[1:])):
+        assert fine.ncells > coarse.ncells
+        if space.kind == "circle":
+            assert set(coarse.boundaries) <= set(fine.boundaries)
+            assert np.all(np.diff(fine.cell_bounds_float()) == 2.0 ** -(k + 1))
+        else:
+            # each fine cell lies in one coarse cell: its label fixes the
+            # coarse label
+            pairs = np.unique(np.c_[fine.cell_of, coarse.cell_of], axis=0)
+            assert len(pairs) == fine.ncells
 
 
 @pytest.mark.parametrize("direction,expected", [
