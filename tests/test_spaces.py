@@ -73,6 +73,12 @@ def test_dyadic_partition_bounds_are_exact_floats():
     assert list(bounds) == [k / 8 for k in range(9)]
 
 
+def test_dyadic_partition_measures():
+    part = make_dyadic_partition(5)
+    assert part.ncells == 32
+    assert np.allclose(np.diff(part.cell_bounds_float()), 1 / 32)
+
+
 def test_block_partition_on_discrete():
     sp = discrete_space(np.full(8, 0.125))
     part = make_block_partition(sp, 2)
@@ -118,6 +124,14 @@ def test_max_partition_level():
     assert max_partition_level(discrete_space(np.full(6, 1 / 6))) == 2
     assert max_partition_level(product_space(8, np.array([0.5, 0.5]))) == 1
     assert max_partition_level(circle_space()) >= 12
+
+
+def test_partition_refines():
+    # a partition refines another when it keeps every boundary of it
+    fine = set(make_dyadic_partition(4).boundaries)
+    coarse = set(make_dyadic_partition(2).boundaries)
+    assert coarse <= fine
+    assert not fine <= coarse
 
 
 @pytest.mark.parametrize("space", [
