@@ -6,14 +6,18 @@ circle representations cover everything the lab produces:
 * PolyField     exact piecewise polynomial (absolute values, max and sum
                 norms, conditional expectations, grid envelopes)
 * SqrtPolyField euclidean norm of a vector piecewise polynomial, d >= 2;
-                integrals go through cached piece integrals
+                F(y) = ∫_0^y h and G(y) = ∫_0^y F at many y come from
+                one cut of the pieces at every y: one keyed quadrature
+                for F, one more for G, and running sums
 * GenericField  evaluable closure with known kink locations, used for
-                time averages of non-polynomial fields
+                time averages of non-polynomial fields; with a primitive,
+                its cell integrals are differences of that primitive
 
 Atomic spaces use AtomField and stay exact throughout.  Quadrature is
 adaptive Gauss-Legendre on arrays of intervals: one ``gl_integrate`` call
 covers all pieces, points or cell segments of a field, bit for bit as a
-call per interval.
+call per interval, and climbs its node ladder only while some interval
+has not settled.
 
 Norm fields are built family by family.  ``NormFamily`` stacks the
 coefficient tables of many functions (the entries of a process grid, say)
@@ -113,6 +117,8 @@ def gl_integrate(fn, lo, hi, tol=_GL_STABILITY, depth=0, key=None):
     todo = np.flatnonzero(width >= _GL_TINY)
     prev = None
     for n in _GL_LADDER:
+        if not todo.size:
+            break
         nodes, wts = _gl_nodes(n)
         val = np.empty(todo.size)
         for _, idx in _batches(np.full(todo.size, n), lambda n: n):
@@ -508,7 +514,7 @@ def _sqrt_lp(st, p):
     if p == 2.0:
         return _sqrt_each(_integral(st))
     if p == 1.0:
-        # the last of the running sums SqrtPolyField caches
+        # the last of the running sums SqrtPolyField.cumint takes
         cum = st.cumsums(_piece_quadrature(st, _sqrt_nonneg), 0)
         return cum[np.arange(st.m), st.counts - 1]
     return _root(st.sums(_piece_quadrature(
@@ -584,7 +590,6 @@ class SqrtPolyField:
         # at its interior zeros (_split_at_roots)
         self.q = q
         self.space = q.space
-        self._piece_ints = None
 
     @property
     def breaks(self):
@@ -593,20 +598,37 @@ class SqrtPolyField:
     def eval(self, x):
         return _sqrt_nonneg(self.q(np.asarray(x, dtype=float))[..., 0])
 
-    def _piece_integrals(self):
-        if self._piece_ints is None:
-            vals = _piece_quadrature(_Stack.of([self.q]), _sqrt_nonneg)
-            self._piece_ints = np.concatenate([[0.0], np.cumsum(vals)])
-        return self._piece_ints
-
     def integral(self):
-        return float(self._piece_integrals()[-1])
+        return float(self.cumint(1.0)[0])
+
+    def _cut_at(self, y):
+        """The pieces of q cut at every y (clipped to [0, 1]), F = ∫_0 h at
+        each part end from one keyed quadrature and running sums, and the
+        index of each y among those ends."""
+        b = self.q.breaks
+        y = np.clip(np.atleast_1d(np.asarray(y, dtype=float)), 0.0, 1.0)
+        pts = np.unique(y)
+        piece = np.clip(np.searchsorted(b, pts, "right") - 1, 0, b.size - 2)
+        inner = (pts > b[piece]) & (pts < b[piece + 1])
+        parts = _split(_Stack.of([self.q]), piece[inner], pts[inner])
+        ends = np.r_[parts.lo, parts.hi[-1]]
+        cum = np.r_[0.0, np.cumsum(_piece_quadrature(parts, _sqrt_nonneg))]
+        return parts, cum, np.searchsorted(ends, y)
 
     def cumint(self, y):
-        cum = self._piece_integrals()
-        y = np.clip(np.atleast_1d(np.asarray(y, dtype=float)), 0.0, 1.0)
-        i = self.q.piece_index(y)
-        return cum[i] + gl_integrate(self.eval, self.q.breaks[i], y)
+        """F(y) = ∫_0^y h for each y."""
+        _, cum, at = self._cut_at(y)
+        return cum[at]
+
+    def _cumint2(self, y):
+        """G(y) = ∫_0^y (y - u) h(u) du = ∫_0^y F for each y: every part
+        [lo, hi] adds (hi - lo) F(lo) + ∫_lo^hi (hi - u) h(u) du."""
+        parts, cum, at = self._cut_at(y)
+        lo, hi = parts.lo, parts.hi
+        tails = gl_integrate(
+            lambda x: (hi[x.key] - x) * _sqrt_nonneg(_at_nodes(parts, x)),
+            lo, hi, key=np.arange(lo.size))
+        return np.r_[0.0, np.cumsum((hi - lo) * cum[:-1] + tails)][at]
 
     def cell_averages(self, partition):
         bounds = np.asarray(partition.cell_bounds_float())
@@ -629,21 +651,24 @@ class GenericField:
     """Evaluable scalar field with known kink set; quadrature calculus."""
 
     def __init__(self, space, evaluator, breaks, deriv_bound=None,
-                 exact_integral=None):
+                 primitive=None):
         self.space = space
         self._eval = evaluator
         self.breaks = np.unique(np.concatenate(
             [[0.0, 1.0], np.asarray(breaks, dtype=float)]))
         self.deriv_bound = deriv_bound
-        self._exact_integral = exact_integral
+        self._primitive = primitive
 
     def eval(self, x):
         return np.asarray(self._eval(np.atleast_1d(
             np.asarray(x, dtype=float))), dtype=float)
 
     def _cell_integrals(self, bounds):
-        """Integrals over the cells [bounds[i], bounds[i + 1]], each cut at
-        the kinks inside it; a cell's pieces are added in order from 0.0."""
+        """Integrals over the cells [bounds[i], bounds[i + 1]]: differences
+        of the primitive if there is one, else quadrature with each cell cut
+        at the kinks inside it, its pieces added in order from 0.0."""
+        if self._primitive is not None:
+            return np.diff(self._primitive(bounds))
         lo, hi = bounds[:-1], bounds[1:]
         cell = np.clip(np.searchsorted(bounds, self.breaks, "right") - 1,
                        0, lo.size - 1)
@@ -653,8 +678,6 @@ class GenericField:
                            minlength=lo.size)
 
     def integral(self):
-        if self._exact_integral is not None:
-            return float(self._exact_integral)
         return float(self._cell_integrals(np.array([0.0, 1.0]))[0])
 
     def cell_averages(self, partition):

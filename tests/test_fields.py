@@ -43,6 +43,17 @@ def test_gl_integrate_smooth():
     assert val == pytest.approx(0.5, abs=1e-13)
 
 
+def test_gl_ladder_stops_once_every_interval_settles(monkeypatch):
+    real, rules = fields._gl_nodes, []
+
+    def recorded(n):
+        rules.append(n)
+        return real(n)
+    monkeypatch.setattr(fields, "_gl_nodes", recorded)
+    assert gl_integrate(lambda x: x * x, 0.0, 1.0) == pytest.approx(1 / 3)
+    assert rules == [8, 16]
+
+
 def test_real_roots_in_quadratic():
     # (x - 0.3)(x - 0.7)
     roots = real_roots_in(np.array([0.21, -1.0, 1.0]), 0.0, 1.0)
@@ -605,14 +616,12 @@ def test_sqrt_field_quadrature_matches_per_piece_loops():
         cum = np.concatenate([[0.0], np.cumsum(
             [oracles.loop_gl_integrate(field.eval, b[i], b[i + 1])
              for i in range(b.size - 1)])])
-        # points on breaks, inside pieces and outside [0, 1]
-        y = np.concatenate([b[::3], rng.uniform(-0.2, 1.2, 50), [-0.0, 1.0]])
-        ref = []
-        for yy in y:
-            yy = min(max(yy, 0.0), 1.0)
-            i = int(np.clip(np.searchsorted(b, yy, "right") - 1, 0, b.size - 2))
-            ref.append(cum[i] + oracles.loop_gl_integrate(field.eval, b[i], yy))
-        assert _same(field.cumint(y), np.array(ref))
+        # points on breaks, inside pieces, repeated and outside [0, 1]
+        inside = rng.uniform(-0.2, 1.2, 50)
+        y = np.concatenate([b[::3], inside, inside[:7], [-0.0, 1.0]])
+        ref_f, ref_g = oracles.loop_cumints(field.eval, b, y)
+        assert _same(field.cumint(y), ref_f)
+        assert _same(field._cumint2(y), ref_g)
         assert _same(np.float64(field.integral()), cum[-1])
         assert _same(np.float64(field.lp(3)), _loop_lp(field.eval, b, 3.0))
 
@@ -665,11 +674,14 @@ def test_generic_field_quadrature_matches_per_cell_loops():
 def test_cumint_and_cell_averages_make_one_quadrature_call(monkeypatch):
     f = sawtooth(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3])
     sqrt_field = pointwise_norm(f, VectorNorm("euclidean", 2))
-    sqrt_field.integral()
     generic = _kinked_field()
     depths = _depths(monkeypatch)
     sqrt_field.cumint(np.linspace(0.0, 1.0, 1000))
     assert depths.count(0) == 1
+    depths.clear()
+    # G takes F's cut and one more call for the parts' (hi - u) h(u)
+    sqrt_field._cumint2(np.linspace(0.0, 1.0, 1000))
+    assert depths.count(0) == 2
     depths.clear()
     generic.cell_averages(partition_at_level(circle_space(), 6))
     assert depths.count(0) == 1

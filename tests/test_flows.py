@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ergolab import fields
+from ergolab.condexp import cond_exp_dominant
 from ergolab.fields import AtomField, PolyField, pointwise_norm
 from ergolab.flows import (
     _cycle_index,
@@ -15,7 +17,8 @@ from ergolab.flows import (
     step_flow,
 )
 from ergolab.functions import AtomFunction, hat, sawtooth
-from ergolab.spaces import VectorNorm, discrete_space, product_space
+from ergolab.spaces import (VectorNorm, discrete_space, partition_at_level,
+                            product_space)
 
 import oracles
 
@@ -273,6 +276,87 @@ def test_dominant_generic_path_for_sqrt_fields():
     for x in (0.1, 0.44, 0.9):
         brute = oracles.brute_rotation_average(fn, GOLDEN, 3.5, x)[0]
         assert out.eval(x)[0] == pytest.approx(brute, abs=5e-6)
+
+
+def _saw2_norm(u):
+    # |(saw(u), saw(u))| for sawtooth(d=2): a jump at 0, a kink at 1/2
+    return np.sqrt(2.0) * np.abs(np.mod(u, 1.0) - 0.5)
+
+
+def _quad_dominant_cell_average(integrate, theta, t, lo, hi):
+    """(1/(hi - lo)) ∫_lo^hi (1/t) ∫_0^t h(x + τθ) dτ dx by nested scipy
+    quad.  The inner integral over x + [0, tθ] takes its whole periods as
+    multiples of one quad over [0, 1]; at either level every kink of the
+    integrand is a break point (h kinks at k/2, and the inner integral as
+    a function of x where x or x + tθ meets one of those)."""
+    span = t * theta
+    whole, part = divmod(span, 1.0)
+
+    def quad(fn, a, b, shifts):
+        pts = set()
+        for s in shifts:
+            k = np.arange(np.ceil(2.0 * (a + s)), np.floor(2.0 * (b + s)) + 1)
+            pts.update(p for p in k / 2.0 - s if a < p < b)
+        return integrate.quad(fn, a, b, points=sorted(pts) or None,
+                              epsabs=1e-14, epsrel=1e-13)[0]
+
+    period = quad(_saw2_norm, 0.0, 1.0, [0.0])
+
+    def inner(x):
+        return (whole * period + quad(_saw2_norm, x, x + part, [0.0])) / span
+
+    return quad(inner, lo, hi, [0.0, span]) / (hi - lo)
+
+
+class _Cells:
+    def __init__(self, space, bounds):
+        self.space, self.bounds = space, np.asarray(bounds, dtype=float)
+
+    def cell_bounds_float(self):
+        return self.bounds
+
+
+@pytest.mark.parametrize("theta, t", [(GOLDEN, 0.8), (GOLDEN, 3.5),
+                                      (GOLDEN, 21.0), (0.25, 4.0)])
+def test_dominant_cell_averages_match_nested_quad(theta, t):
+    integrate = pytest.importorskip("scipy.integrate")
+    flow = rotation_flow(theta)
+    field = pointwise_norm(sawtooth(d=2), VectorNorm("euclidean", 2))
+    dom = dominant_cesaro(flow, t, field)
+    delta = (t * theta) % 1.0
+    # the dyadic levels, then a narrow cell across 1 - delta (delta = 0 for
+    # theta = 1/4 at t = 4, where the cell ends at 1)
+    edge = 1.0 - delta
+    cells = [partition_at_level(flow.space, level) for level in range(5)]
+    cells.append(_Cells(flow.space, np.unique(
+        [0.0, edge - 0.01, min(edge + 0.01, 1.0), 1.0])))
+    for part in cells:
+        bounds = part.cell_bounds_float()
+        got = cond_exp_dominant(dom, part).eval(0.5 * (bounds[:-1] + bounds[1:]))
+        ref = [_quad_dominant_cell_average(integrate, theta, t, a, b)
+               for a, b in zip(bounds[:-1], bounds[1:])]
+        assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_dominant_cell_averages_need_no_nested_quadrature(monkeypatch):
+    dom = dominant_cesaro(rotation_flow(GOLDEN), 3.5, pointwise_norm(
+        sawtooth(d=2), VectorNorm("euclidean", 2)))
+    real, calls, inside = fields.gl_integrate, [], [0]
+
+    def watched(fn, lo, hi, tol=fields._GL_STABILITY, depth=0, **kwargs):
+        calls.append((depth, inside[0]))
+
+        def integrand(x):
+            inside[0] += 1
+            try:
+                return fn(x)
+            finally:
+                inside[0] -= 1
+        return real(integrand, lo, hi, tol, depth, **kwargs)
+    monkeypatch.setattr(fields, "gl_integrate", watched)
+    cond_exp_dominant(dom, partition_at_level(dom.space, 4))
+    assert [d for d, _ in calls].count(0) <= 2
+    assert all(nested == 0 for _, nested in calls)
 
 
 def test_dominant_step_field():
