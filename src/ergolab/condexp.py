@@ -7,10 +7,11 @@ weighted sums on atoms).  On atoms the cells of each size form one table
 ``np.matmul``: still one dot product per cell, so the bits match a loop
 over the cells.  The scalar dominant conditions polynomial and atom fields
 through that same operator; only the quadrature fields (``SqrtPolyField``,
-``GenericField``) bring their own cell averages.  Those are differences of
-a primitive: F = ∫h for a ``SqrtPolyField``, and for a rotation's dominant
-average Φ, a second difference of G = ∫F (see
-``flows._rotation_average_field``), so no quadrature runs inside another.
+``GenericField``) bring their own cell averages: differences of F = ∫h for
+a ``SqrtPolyField``; for a rotation's dominant average, each cell's width
+times its value at the cell's left end plus one quadrature of its
+derivative (see ``GenericField._cell_integrals``), so no quadrature runs
+inside another.
 """
 
 from __future__ import annotations

@@ -136,44 +136,32 @@ def _rotation_average_fn(fn, t, theta):
 
 
 def _rotation_average_field(field, t, theta):
-    """(1/t)∫_0^t h(x+τθ)dτ for a field h with cumulative integrals F and
-    G = ∫F, as a GenericField evaluated through F.  Its primitive
-    Φ(x) = [𝔊(x+δ) − 𝔊(δ) + n₀·iv·x − 𝔊(x)] / (tθ), where 𝔊 is G continued
-    past 1 by 𝔊(1+r) = G(1) + iv·r + G(r), gives every cell integral as one
-    difference, with no quadrature inside quadrature."""
+    """(1/t)∫_0^t h(x+τθ)dτ for a field with cumulative integrals, as a
+    GenericField evaluated through them.  Its derivative is
+    (h(x+δ) − h(x)) / (tθ), so its cell integrals need no quadrature inside
+    quadrature."""
     total = float(np.longdouble(t) * np.longdouble(theta))
     n0, delta = _split_product(t, theta)
     iv = field.integral()
     if not hasattr(field, "cumint"):
         raise ValueError("field does not support cumulative integrals")
-
-    def shifted(x):
-        # x + δ wrapped into [0, 1), and whether it wrapped
-        end = x + delta
-        over = end >= 1.0
-        return np.where(over, end - 1.0, end), over
+    cum = field.cumint
 
     def evaluator(x):
         x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
-        end, over = shifted(x)
-        cum = field.cumint(np.r_[end, x])
+        end = x + delta
+        over = end >= 1.0
         wraps = np.where(over, n0 + 1.0, float(n0))
-        return (cum[:x.size] - cum[x.size:] + wraps * iv) / total
+        vals = cum(np.r_[np.where(over, end - 1.0, end), x])
+        return (vals[:x.size] - vals[x.size:] + wraps * iv) / total
 
-    def primitive(x):
-        x = np.asarray(x, dtype=float)
-        end, over = shifted(x)
-        g = field._cumint2(np.r_[end, x, delta, 1.0])
-        g_end, g_x, g_delta, g_one = g[:x.size], g[x.size:-2], g[-2], g[-1]
-        big = np.where(over, g_one + iv * end + g_end, g_end)
-        return (big - g_delta + n0 * iv * x - g_x) / total
+    def derivative(x):
+        return (field.eval((x + delta) % 1.0) - field.eval(x)) / total
 
     inner = np.concatenate([field.breaks,
                             (field.breaks - delta) % 1.0,
                             [(1.0 - delta) % 1.0]])
-    bound = 2.0 * field.sup() / total if hasattr(field, "sup") else None
-    return GenericField(field.space, evaluator, inner,
-                        deriv_bound=bound, primitive=primitive)
+    return GenericField(field.space, evaluator, inner, derivative)
 
 
 def _step_average_values(values, perm, t, h):

@@ -112,23 +112,18 @@ def loop_gl_integrate(fn, lo, hi, tol=1e-11, depth=0):
             + loop_gl_integrate(fn, mid, hi, tol, depth + 1))
 
 
-def loop_cumints(fn, breaks, y):
-    """F(y) = integral_0^y fn and G(y) = integral_0^y (y - u) fn(u) du at
-    each y, clipped to [0, 1]: the breaks are cut at every y, each segment
-    [lo, hi] is integrated on its own by loop_gl_integrate, and running
-    sums in segment order add fn's integral to F and
-    (hi - lo) * F(lo) + integral_lo^hi (hi - u) fn(u) du to G."""
+def loop_cumint(fn, breaks, y):
+    """F(y) = integral_0^y fn at each y, clipped to [0, 1]: the breaks are
+    cut at every y, each segment is integrated on its own by
+    loop_gl_integrate, and a running sum in segment order adds them up."""
     y = [min(max(float(v), 0.0), 1.0) for v in y]
     ends = sorted(set(float(b) for b in breaks) | set(y))
-    big_f, big_g = {ends[0]: 0.0}, {ends[0]: 0.0}
-    f = g = 0.0
+    big_f = {ends[0]: 0.0}
+    f = 0.0
     for lo, hi in zip(ends[:-1], ends[1:]):
-        gain = loop_gl_integrate(fn, lo, hi)
-        tail = loop_gl_integrate(lambda u: (hi - u) * fn(u), lo, hi)
-        g += (hi - lo) * f + tail
-        f += gain
-        big_f[hi], big_g[hi] = f, g
-    return (np.array([big_f[v] for v in y]), np.array([big_g[v] for v in y]))
+        f += loop_gl_integrate(fn, lo, hi)
+        big_f[hi] = f
+    return np.array([big_f[v] for v in y])
 
 
 def loop_real_roots(coeffs, lo, hi, margin=1e-13, imag_tol=1e-9):

@@ -168,7 +168,7 @@ def _lp_fields():
         "poly": pointwise_norm(hat(d=1), VectorNorm("max", 1)),
         "sqrt": pointwise_norm(saw2, VectorNorm("euclidean", 2)),
         "generic": GenericField(circle_space(), lambda x: np.abs(x - 0.5),
-                                breaks=[0.5]),
+                                [0.5], lambda x: np.sign(x - 0.5)),
         "atom": AtomField(discrete_space(np.array([0.5, 0.5])),
                           np.array([1.0, 2.0])),
     }
@@ -228,8 +228,8 @@ def test_generic_field_quadrature():
     field = GenericField(
         circle_space(),
         lambda x: np.abs(np.sin(2 * np.pi * x)),
-        breaks=[0.5],
-        deriv_bound=2 * np.pi)
+        [0.5],
+        lambda x: 2 * np.pi * np.cos(2 * np.pi * x) * np.sign(0.5 - x))
     assert field.integral() == pytest.approx(2 / np.pi, abs=1e-12)
     assert field.sup() == pytest.approx(1.0, abs=1e-9)
     assert field.lp(2) == pytest.approx(np.sqrt(0.5), abs=1e-12)
@@ -619,9 +619,7 @@ def test_sqrt_field_quadrature_matches_per_piece_loops():
         # points on breaks, inside pieces, repeated and outside [0, 1]
         inside = rng.uniform(-0.2, 1.2, 50)
         y = np.concatenate([b[::3], inside, inside[:7], [-0.0, 1.0]])
-        ref_f, ref_g = oracles.loop_cumints(field.eval, b, y)
-        assert _same(field.cumint(y), ref_f)
-        assert _same(field._cumint2(y), ref_g)
+        assert _same(field.cumint(y), oracles.loop_cumint(field.eval, b, y))
         assert _same(np.float64(field.integral()), cum[-1])
         assert _same(np.float64(field.lp(3)), _loop_lp(field.eval, b, 3.0))
 
@@ -636,17 +634,24 @@ class _Cells:
 
 def _kinked_field(rate=9.0):
     # |sin(37 pi x)| e^(rate x) has a kink at every k / 37
+    a = 37.0 * np.pi
     return GenericField(
         circle_space(),
-        lambda x: np.abs(np.sin(37.0 * np.pi * x)) * np.exp(rate * x),
-        breaks=np.arange(1, 37) / 37.0)
+        lambda x: np.abs(np.sin(a * x)) * np.exp(rate * x),
+        np.arange(1, 37) / 37.0,
+        lambda x: (a * np.cos(a * x) * np.sign(np.sin(a * x))
+                   + rate * np.abs(np.sin(a * x))) * np.exp(rate * x))
 
 
 def _loop_cell_integral(field, lo, hi):
+    # (hi - lo) f(lo) plus the kink segments' integrals of (hi - x) f'(x),
+    # each on its own, added in order from 0.0
     inner = field.breaks[(field.breaks > lo) & (field.breaks < hi)]
     pts = np.concatenate([[lo], inner, [hi]])
-    return _loop_sum(oracles.loop_gl_integrate(field.eval, pts[i], pts[i + 1])
-                     for i in range(pts.size - 1))
+    rest = _loop_sum(oracles.loop_gl_integrate(
+        lambda x: (hi - x) * field._derivative(x), pts[i], pts[i + 1])
+        for i in range(pts.size - 1))
+    return (hi - lo) * field.eval(lo)[0] + rest
 
 
 def test_generic_field_quadrature_matches_per_cell_loops():
@@ -666,6 +671,10 @@ def test_generic_field_quadrature_matches_per_cell_loops():
         field = _kinked_field(rate)
         assert _same(np.float64(field.integral()),
                      np.float64(_loop_cell_integral(field, 0.0, 1.0)))
+        # 37 kink intervals take three batches of evaluation
+        assert field.sup() == max(
+            np.max(field.eval(np.linspace(a, b, 2 ** 14 + 1)))
+            for a, b in zip(field.breaks[:-1], field.breaks[1:]))
         for p in (1.5, 2.0):
             assert _same(np.float64(field.lp(p)),
                          _loop_lp(field.eval, field.breaks, p))
@@ -678,10 +687,6 @@ def test_cumint_and_cell_averages_make_one_quadrature_call(monkeypatch):
     depths = _depths(monkeypatch)
     sqrt_field.cumint(np.linspace(0.0, 1.0, 1000))
     assert depths.count(0) == 1
-    depths.clear()
-    # G takes F's cut and one more call for the parts' (hi - u) h(u)
-    sqrt_field._cumint2(np.linspace(0.0, 1.0, 1000))
-    assert depths.count(0) == 2
     depths.clear()
     generic.cell_averages(partition_at_level(circle_space(), 6))
     assert depths.count(0) == 1
@@ -701,8 +706,8 @@ def test_nan_piece_makes_sup_nan():
     finite = np.nan_to_num(field.fn.coeffs)
     assert PolyField(CircleFunction(field.breaks, finite)).sup() == 0.7
     generic = GenericField(circle_space(),
-                           lambda x: np.where(x > 0.7, np.nan, x),
-                           breaks=[0.5], deriv_bound=1.0)
+                           lambda x: np.where(x > 0.7, np.nan, x), [0.5],
+                           lambda x: np.where(x > 0.7, np.nan, 1.0))
     assert np.isnan(generic.sup())
 
 

@@ -316,20 +316,26 @@ class _Cells:
         return self.bounds
 
 
-@pytest.mark.parametrize("theta, t", [(GOLDEN, 0.8), (GOLDEN, 3.5),
-                                      (GOLDEN, 21.0), (0.25, 4.0)])
+@pytest.mark.parametrize("theta, t", [(GOLDEN, 0.1), (GOLDEN, 0.8),
+                                      (GOLDEN, 3.5), (GOLDEN, 21.0),
+                                      (0.25, 4.0)])
 def test_dominant_cell_averages_match_nested_quad(theta, t):
     integrate = pytest.importorskip("scipy.integrate")
     flow = rotation_flow(theta)
     field = pointwise_norm(sawtooth(d=2), VectorNorm("euclidean", 2))
     dom = dominant_cesaro(flow, t, field)
     delta = (t * theta) % 1.0
-    # the dyadic levels, then a narrow cell across 1 - delta (delta = 0 for
-    # theta = 1/4 at t = 4, where the cell ends at 1)
+    # the dyadic levels, a narrow cell across 1 - delta (delta = 0 for
+    # theta = 1/4 at t = 4, where the cell ends at 1), and level-16 cells,
+    # where an average taken as a difference of values at the cell ends
+    # would lose digits in proportion to 2^16 / (t theta)
     edge = 1.0 - delta
     cells = [partition_at_level(flow.space, level) for level in range(5)]
     cells.append(_Cells(flow.space, np.unique(
         [0.0, edge - 0.01, min(edge + 0.01, 1.0), 1.0])))
+    fine = np.array([1, 9999, 21846, 32768, 40503, 65535]) / 2.0 ** 16
+    cells.append(_Cells(flow.space, np.unique(
+        np.r_[0.0, fine, fine + 2.0 ** -16, 1.0])))
     for part in cells:
         bounds = part.cell_bounds_float()
         got = cond_exp_dominant(dom, part).eval(0.5 * (bounds[:-1] + bounds[1:]))
