@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,8 @@ from ergolab.fields import (
 )
 from ergolab import fields
 from ergolab.condexp import cond_exp_dominant
-from ergolab.functions import (AtomFunction, CircleFunction, hat, merge_sum,
-                               sawtooth)
+from ergolab.functions import (AtomFunction, CircleFunction, from_smooth, hat,
+                               merge_sum, sawtooth)
 from ergolab.spaces import (
     VectorNorm,
     circle_space,
@@ -377,6 +378,143 @@ def test_piece_roots_matches_per_piece_np_roots(k1):
         assert _same(piece, ref_piece) and _same(root, ref_root)
 
 
+# -- root exclusion: rows on the edge of the Bernstein bound ------------------
+
+
+_EDGE_KINDS = ["tangent", "complex", "cluster", "scaled_end", "zero_inside",
+               "trailing_zeros", "tiny_lead", "nonfinite"]
+
+
+def _log_uniform(rng, lo_exp, hi_exp, size=None):
+    return 10.0 ** rng.uniform(lo_exp, hi_exp, size)
+
+
+def _rows_from_roots(roots, lead):
+    """Ascending coefficients of lead * prod (x - r) for each row of roots
+    (n, m), a NaN root standing for none: one pass per root column."""
+    c = np.zeros((roots.shape[0], roots.shape[1] + 1), dtype=complex)
+    c[:, 0] = lead
+    for r in roots.T:
+        has = ~np.isnan(r)
+        shifted = np.roll(c, 1, axis=1) - r[:, None] * c
+        c[has] = shifted[has]
+    return c.real
+
+
+def _edge_rows(rng, kind, n, k1):
+    """n rows of width k1 (degree 2 to k1 - 1, zero-padded on top) and their
+    intervals, of widths 1e-9 to 1e-1, placed on or beside a root feature:
+    tangent rows (x - a)^2 q +- delta with delta from 1e-30 to 1e-8;
+    complex pairs a +- iy with y from 1e-11 to 1e-7 (across _ROOT_IMAG_TOL);
+    root clusters; rows scaled by 1e6 with a root within 2e-13 of an end or
+    further out; intervals that hold 0 (with roots near 0); rows with
+    stripped low-order zeros; rows whose leading coefficient is tiny against
+    the others; and tangent rows with a NaN or infinite coefficient on every
+    third row."""
+    m = k1 - 1
+    deg = rng.integers(2, k1, n)
+    col = np.arange(m)
+    a = rng.uniform(-1.0, 1.0, n)
+    sign = rng.choice([-1.0, 1.0], (4, n))
+    # real roots far from every interval keep the feature the only one
+    roots = (rng.uniform(1.5, 4.0, (n, m))
+             * rng.choice([-1.0, 1.0], (n, m))).astype(complex)
+    lead = sign[0] * _log_uniform(rng, -2, 2, n)
+    width = _log_uniform(rng, -9, -1, n)
+    # the interval holds the feature, touches it or sits just beside it
+    at = a + sign[1] * _log_uniform(rng, -11, -1, n)
+    start = at - rng.uniform(-1.0, 2.0, n) * width
+    if kind in ("tangent", "nonfinite"):
+        roots[:, :2] = a[:, None]
+    elif kind == "complex":
+        y = _log_uniform(rng, -11, -7, n)
+        roots[:, 0], roots[:, 1] = a + 1j * y, a - 1j * y
+    elif kind == "cluster":
+        roots = a[:, None] + (_log_uniform(rng, -8, -3, n)[:, None]
+                              * rng.standard_normal((n, m)))
+    elif kind == "scaled_end":
+        # half of the roots within 2e-13 of an end, half further out
+        end = start + width * (np.arange(n) % 2)
+        gap = np.where(np.arange(n) % 4 < 2, rng.uniform(-2e-13, 2e-13, n),
+                       sign[2] * _log_uniform(rng, -13, -1, n))
+        roots[:, 0] = end + gap
+        lead = lead * 1e6
+    elif kind == "zero_inside":
+        start = -rng.uniform(0.0, 1.0, n) * width
+        roots[:, :2] = width[:, None] * rng.uniform(-2.0, 2.0, (n, 2))
+    elif kind == "trailing_zeros":
+        zeros = rng.integers(1, deg)
+        roots = np.where(col < zeros[:, None], 0.0,
+                         np.where(col == zeros[:, None], a[:, None], roots))
+        start = np.where(np.arange(n) % 2, -rng.uniform(0.0, 1.0, n) * width,
+                         start)
+    else:  # tiny_lead
+        roots[:, 0] = a
+    roots[col >= deg[:, None]] = np.nan
+    c = _rows_from_roots(roots, lead)
+    rows = np.arange(n)
+    if kind in ("tangent", "nonfinite"):
+        c[:, 0] += sign[3] * _log_uniform(rng, -30, -8, n)
+    elif kind == "trailing_zeros":
+        c[np.arange(k1) < zeros[:, None]] = 0.0
+    elif kind == "tiny_lead":
+        c[rows, deg] *= _log_uniform(rng, -17, -6, n)
+    if kind == "nonfinite":
+        bad = rows[::3]
+        c[bad, rng.integers(0, deg[bad] + 1)] = rng.choice(
+            [np.nan, np.inf, -np.inf], bad.size)
+    return c, start, start + width
+
+
+@pytest.mark.parametrize("kind", _EDGE_KINDS)
+def test_root_exclusion_keeps_np_roots_bits_on_edge_rows(monkeypatch, kind):
+    real_free = fields._root_free
+    dropped, rows = [], 0
+
+    def counted(c, a, b):
+        free = real_free(c, a, b)
+        dropped.append(int(free.sum()))
+        return free
+    for k1 in (3, 5, 9):
+        rng = np.random.default_rng([k1, _EDGE_KINDS.index(kind)])
+        coeffs, lo, hi = _edge_rows(rng, kind, 2500, k1)
+        rows += coeffs.shape[0]
+        monkeypatch.setattr(fields, "_root_free", counted)
+        piece, root = _piece_roots(coeffs, lo, hi)
+        ref_piece, ref_root = oracles.loop_real_roots(coeffs, lo, hi)
+        assert _same(piece, ref_piece) and _same(root, ref_root)
+        monkeypatch.setattr(fields, "_root_free",
+                            lambda c, a, b: np.zeros(c.shape[0], dtype=bool))
+        solved_piece, solved_root = _piece_roots(coeffs, lo, hi)
+        assert _same(piece, solved_piece) and _same(root, solved_root)
+    # the rows sit on both sides of the bound: some are dropped, some solved
+    assert 0 < sum(dropped) < rows
+
+
+def test_root_exclusion_skips_most_solves_of_a_smooth_field(monkeypatch):
+    f = from_smooth(lambda x: [1.5 + np.sin(2.0 * np.pi * x),
+                               np.cos(6.0 * np.pi * x)], 2)
+    real_free, real_eigvals = fields._root_free, np.linalg.eigvals
+    tested, companions = [0], [0]
+
+    def counted_free(c, a, b):
+        tested[0] += c.shape[0]
+        return real_free(c, a, b)
+
+    def counted_eigvals(m):
+        companions[0] += m.shape[0]
+        return real_eigvals(m)
+    monkeypatch.setattr(fields, "_root_free", counted_free)
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    for vnorm in (VectorNorm("euclidean", 2), VectorNorm("max", 2)):
+        field = pointwise_norm(f, vnorm)
+        field.sup()
+        field.superlevel_measure(1.2)
+    # every eigvals call is on pieces of degree >= 2 that the test kept
+    assert tested[0] > 1000
+    assert companions[0] <= 0.1 * tested[0]
+
+
 @pytest.mark.parametrize("k1", [1, 2, 3, 4, 5, 9])
 def test_sup_and_superlevel_match_per_piece_loops(k1):
     rng = np.random.default_rng(200 + k1)
@@ -513,6 +651,14 @@ def test_root_work_is_one_solve_per_degree_group(monkeypatch, d):
     rng = np.random.default_rng(5)
     breaks = _breaks(rng, 4096)
     coeffs = rng.uniform(-1.0, 1.0, (4096, 4, d))
+    # the d = 2 radicand of random components is positive on every piece,
+    # so the root exclusion would skip every solve; on every eighth piece
+    # all components vanish together at the midpoint, and those solves
+    # must run
+    for i in range(0, 4096, 8):
+        mid = 0.5 * (breaks[i] + breaks[i + 1])
+        for j in range(d):
+            coeffs[i, :, j] = _from_roots(np.r_[mid, rng.uniform(2.0, 3.0, 2)])
     calls = {"eigvals": 0, "roots": 0}
 
     def counted(name, fn):
@@ -690,6 +836,41 @@ def test_cumint_and_cell_averages_make_one_quadrature_call(monkeypatch):
     depths.clear()
     generic.cell_averages(partition_at_level(circle_space(), 6))
     assert depths.count(0) == 1
+    depths.clear()
+    sqrt_field.cell_averages(partition_at_level(circle_space(), 6))
+    assert depths.count(0) == 1
+
+
+def _mp_mean(field, lo, hi):
+    """The mean of sqrt(q) over [lo, hi] in 40-digit arithmetic, the cell
+    cut at the breaks of q."""
+    b, coeffs = field.q.breaks, field.q.coeffs[:, :, 0]
+    pts = [lo] + [x for x in b if lo < x < hi] + [hi]
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for a, c in zip(pts[:-1], pts[1:]):
+            row = coeffs[np.searchsorted(b, 0.5 * (a + c), "right") - 1]
+            total += mpmath.quad(lambda x: mpmath.sqrt(max(mpmath.polyval(
+                [mpmath.mpf(v) for v in row[::-1]], x), 0)),
+                [mpmath.mpf(a), mpmath.mpf(c)])
+        return float(total / (mpmath.mpf(hi) - mpmath.mpf(lo)))
+
+
+@pytest.mark.parametrize("level", [10, 16, 20])
+def test_sqrt_field_cell_averages_of_fine_cells_match_mpmath(level):
+    # a narrow cell late in [0, 1] must not lose digits to the integral
+    # before it, which a difference of running sums divided by the width
+    # does, doubling its error with every level
+    f = sawtooth(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3])
+    field = pointwise_norm(f, VectorNorm("euclidean", 2))
+    n = 2 ** level
+    cells = [int(frac * n) for frac in (0.137, 0.52, 0.7, 0.93, 0.999)]
+    bounds = np.unique(np.r_[0.0, [k / n for k in cells],
+                             [(k + 1) / n for k in cells], 1.0])
+    got = field.cell_averages(_Cells(bounds))
+    for k in cells:
+        i = np.searchsorted(bounds, k / n)
+        assert abs(got[i] - _mp_mean(field, k / n, (k + 1) / n)) <= 1e-13
 
 
 # -- NaN reaches every sup and norm -------------------------------------------
