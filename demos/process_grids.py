@@ -21,7 +21,6 @@ from ergolab import (
     product_space,
     rotation_flow,
     sawtooth,
-    shift_perm,
     step_flow,
 )
 
@@ -53,7 +52,7 @@ print(f"\nsample disagreement at x = {x}: ME(3,2) - EM(3,2) =",
 sp = product_space(8, np.array([0.6, 0.4]))
 rng = np.random.default_rng(0)
 g = AtomFunction(sp, rng.normal(size=(16, 2)))
-pflow = step_flow(sp, shift_perm(sp), h=1.0)
+pflow = step_flow(sp, sp.shift_perm(), h=1.0)
 pfilt = Filtration(sp, "decreasing", max_level=1)
 pme = me_process(g, pflow, pfilt, t_grid, np.arange(2.0))
 pem = em_process(g, pflow, pfilt, t_grid, np.arange(2.0))

@@ -3,18 +3,16 @@ conditional expectations, and the processes composed from them."""
 
 from .runner import VERSION as __version__
 
-from .spaces import (MeasureSpace, Partition, Filtration, VectorNorm,
-                     circle_space, discrete_space, product_space,
-                     make_dyadic_partition, make_block_partition,
-                     make_factor_partition, partition_at_level,
-                     max_partition_level)
+from .spaces import (Circle, Atoms, Product, Partition, Filtration,
+                     VectorNorm, circle_space, discrete_space, product_space,
+                     make_dyadic_partition)
 from .functions import (CircleFunction, AtomFunction, merge_sum, sawtooth,
                         hat, cascade, from_smooth, harmonic_generator)
 from .fields import (PolyField, SqrtPolyField, GenericField, AtomField,
                      pointwise_norm, lp_norm, sup_norm, exceedance_measure,
                      upper_envelope, grid_sup_field)
 from .flows import (GOLDEN, Flow, rotation_flow, step_flow, identity_flow,
-                    shift_perm, apply_flow, cesaro_average, dominant_cesaro)
+                    apply_flow, cesaro_average, dominant_cesaro)
 from .condexp import (LinearFunctional, cond_exp, cond_exp_dominant,
                       defining_property_check, functional_commutation_check)
 from .processes import (ProcessGrid, ProcessLimits, ConvergenceReport,

@@ -62,7 +62,7 @@ def cond_exp(f, partition):
         for atoms, w, sums in _cell_sums(partition, f.values):
             out[atoms] = (sums / w.sum(axis=1)[:, None])[:, None, :]
         return AtomFunction(f.space, out)
-    bounds = np.asarray(partition.cell_bounds_float())
+    bounds = partition.cell_bounds_float()
     ad = f.antiderivative()._eval_unwrapped(bounds)
     avgs = np.diff(ad, axis=0) / np.diff(bounds)[:, None]
     return CircleFunction(bounds, avgs[:, None, :], f.space)
@@ -79,7 +79,7 @@ def cond_exp_dominant(h, partition):
     if isinstance(h, AtomField):
         ef = cond_exp(AtomFunction(h.space, h.values), partition)
         return AtomField(h.space, ef.values)
-    bounds = np.asarray(partition.cell_bounds_float())
+    bounds = partition.cell_bounds_float()
     avgs = h.cell_averages(partition)
     return PolyField(CircleFunction(bounds, avgs[:, None, None], h.space))
 

@@ -694,7 +694,7 @@ class SqrtPolyField:
         """Each cell's mean from its own parts: a cut at the cell bounds and
         each cell's part integrals added, never a difference of running
         sums, so a narrow cell loses no digits to the integral before it."""
-        bounds = np.asarray(partition.cell_bounds_float())
+        bounds = partition.cell_bounds_float()
         ends, vals = self._part_integrals(bounds)
         return (np.add.reduceat(vals, np.searchsorted(ends, bounds[:-1]))
                 / np.diff(bounds))
@@ -748,7 +748,7 @@ class GenericField:
         return float(self._cell_integrals(np.array([0.0, 1.0]))[0])
 
     def cell_averages(self, partition):
-        bounds = np.asarray(partition.cell_bounds_float())
+        bounds = partition.cell_bounds_float()
         return self._cell_integrals(bounds) / np.diff(bounds)
 
     def sup(self):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .functions import CircleFunction, AtomFunction, merge_sum, DEGREE_CAP
 from .fields import PolyField, GenericField, AtomField, pointwise_norm
-from .spaces import circle_space
+from .spaces import Atoms, Circle
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -215,7 +215,7 @@ class Rotation(Flow):
     kind = "rotation"
 
     def __init__(self, space, theta):
-        if space.kind != "circle":
+        if not isinstance(space, Circle):
             raise ValueError("rotation flows live on the circle")
         if not (0.0 < theta < 1.0):
             raise ValueError("rotation angle must lie in (0, 1)")
@@ -254,7 +254,7 @@ class Step(Flow):
     kind = "step"
 
     def __init__(self, space, perm, h):
-        if space.kind == "circle":
+        if not isinstance(space, Atoms):
             raise ValueError("step flows need an atomic space")
         p = np.asarray(perm, dtype=int)
         if sorted(p.tolist()) != list(range(space.natoms)):
@@ -311,7 +311,7 @@ class Step(Flow):
 
 
 def rotation_flow(theta=GOLDEN, space=None):
-    return Rotation(space if space is not None else circle_space(), float(theta))
+    return Rotation(space if space is not None else Circle(), float(theta))
 
 
 def step_flow(space, perm, h=1.0):
@@ -320,18 +320,6 @@ def step_flow(space, perm, h=1.0):
 
 def identity_flow(space):
     return Flow(space)
-
-
-def shift_perm(space):
-    """Cyclic shift on a discrete space, or on the cyclic factor of a product."""
-    if space.kind == "discrete":
-        return (np.arange(space.natoms) + 1) % space.natoms
-    if space.kind == "product":
-        m1 = space.cyclic_size
-        m2 = space.factor_weights.size
-        i, j = np.divmod(np.arange(space.natoms), m2)
-        return ((i + 1) % m1) * m2 + j
-    raise ValueError("shift permutations need an atomic space")
 
 
 def apply_flow(flow, t, f):

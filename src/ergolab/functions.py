@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .spaces import MeasureSpace, circle_space
+from .spaces import Atoms, Circle
 
 DEGREE_CAP = 8
 
@@ -52,12 +52,13 @@ class CircleFunction:
     """Piecewise polynomial on the circle [0, 1) with values in R^d."""
 
     def __init__(self, breaks, coeffs, space=None):
-        self.space = space if space is not None else circle_space()
-        if self.space.kind != "circle":
+        self.space = space if space is not None else Circle()
+        if not isinstance(self.space, Circle):
             raise ValueError("CircleFunction lives on the circle")
         b = np.asarray(breaks, dtype=float)
         c = np.asarray(coeffs, dtype=float)
-        if b.ndim != 1 or b[0] != 0.0 or b[-1] != 1.0 or np.any(np.diff(b) <= 0):
+        if b.ndim != 1 or b[0] != 0.0 or b[-1] != 1.0 or \
+                not np.all(np.diff(b) > 0):
             raise ValueError("breaks must increase strictly from 0 to 1")
         if c.ndim != 3 or c.shape[0] != b.size - 1:
             raise ValueError("coeffs must have shape (pieces, degree+1, d)")
@@ -256,7 +257,7 @@ class AtomFunction:
     """Vector-valued function on a discrete or product space."""
 
     def __init__(self, space, values):
-        if space.kind == "circle":
+        if not isinstance(space, Atoms):
             raise ValueError("AtomFunction needs an atomic space")
         v = np.asarray(values, dtype=float)
         if v.ndim == 1:
@@ -278,15 +279,18 @@ class AtomFunction:
     def __call__(self, atoms):
         return self.values[np.asarray(atoms, dtype=int)]
 
-    def __add__(self, other):
+    def _other_values(self, other):
         if self.space != other.space:
             raise ValueError("operands live on different spaces")
-        return AtomFunction(self.space, self.values + other.values)
+        if self.d != other.d:
+            raise ValueError("value dimensions differ")
+        return other.values
+
+    def __add__(self, other):
+        return AtomFunction(self.space, self.values + self._other_values(other))
 
     def __sub__(self, other):
-        if self.space != other.space:
-            raise ValueError("operands live on different spaces")
-        return AtomFunction(self.space, self.values - other.values)
+        return AtomFunction(self.space, self.values - self._other_values(other))
 
     def __mul__(self, scalar):
         return AtomFunction(self.space, self.values * float(scalar))

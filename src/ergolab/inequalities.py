@@ -22,7 +22,7 @@ from .fields import (NormFamily, defect_max, exceedance_measure, lp_norm,
 from .flows import cesaro_average, dominant_cesaro
 from .functions import AtomFunction, CircleFunction
 from .processes import _check_grid
-from .spaces import VectorNorm
+from .spaces import Circle, VectorNorm
 from .tolerances import TOLERANCES
 
 
@@ -192,9 +192,8 @@ class SubmartingaleFamily:
         pts = self._pts
         vals = np.max([g[k](pts)[:, 0] for g in self.processes], axis=0)
         space = self.filtration.space
-        if space.kind == "circle":
-            cells = self.filtration.partition_at_level(self.filtration.max_level)
-            bounds = np.asarray(cells.cell_bounds_float())
+        if isinstance(space, Circle):
+            bounds = self.filtration.terminal().cell_bounds_float()
             return CircleFunction.piecewise_constant(bounds, vals[:, None], space)
         return AtomFunction(space, vals[:, None])
 
@@ -231,8 +230,7 @@ def submartingale_sup_check(family):
         if isinstance(g, AtomFunction):
             bound = defect_max(bound, np.sum(pos * g.space.weights))
         else:
-            cells = family.filtration.partition_at_level(family.filtration.max_level)
-            widths = np.diff(np.asarray(cells.cell_bounds_float()))
+            widths = np.diff(family.filtration.terminal().cell_bounds_float())
             bound = defect_max(bound, np.sum(pos * widths))
     passed = worst <= TOLERANCES["submartingale_sup"] and term_defect == 0.0
     return SubmartingaleReport(float(worst), term_defect, bound, passed)
@@ -243,7 +241,7 @@ def random_submartingale_family(filtration, s_grid, n_indices, rng, scale=1.0):
     nonnegative adapted bumps; the submartingale property is exact by
     construction.
     """
-    if filtration.space.kind != "circle":
+    if not isinstance(filtration.space, Circle):
         raise ValueError("random families are generated on circle filtrations")
     if filtration.direction != "increasing":
         raise ValueError("submartingale families need an increasing filtration")

@@ -15,8 +15,7 @@ from .condexp import (LinearFunctional, cond_exp, defining_property_check,
                       functional_commutation_check)
 from .config import _as_config_error
 from .fields import NormFamily, defect_max, lp_norm, pointwise_norm, sup_norm
-from .flows import (apply_flow, identity_flow, rotation_flow, shift_perm,
-                    step_flow)
+from .flows import apply_flow, identity_flow, rotation_flow, step_flow
 from .functions import (AtomFunction, CircleFunction, from_smooth,
                         harmonic_generator, hat, sawtooth)
 from .inequalities import (dominant_ineq_em, dominant_ineq_me,
@@ -27,8 +26,8 @@ from .processes import (cesaro_decomposition_check, commutation_check,
                         convergence_table, em_process, ergodic_envelope_check,
                         ergodic_envelope_constant, limits, me_process,
                         sup_integrability_report)
-from .spaces import (Filtration, VectorNorm, circle_space, discrete_space,
-                     partition_at_level, product_space)
+from .spaces import (Circle, Filtration, VectorNorm, circle_space,
+                     discrete_space, product_space)
 from .tolerances import TOLERANCES
 
 VERSION = "0.1.0"
@@ -59,7 +58,7 @@ def build_flow(cfg, space):
     if cfg.flow_kind == "identity":
         return identity_flow(space)
     with _as_config_error("flow.map"):
-        perm = shift_perm(space) if cfg.flow_map in (None, "shift") else [
+        perm = space.shift_perm() if cfg.flow_map in (None, "shift") else [
             int(tok) for tok in cfg.flow_map[5:].split(",")]
         return step_flow(space, perm, cfg.flow_h)
 
@@ -398,7 +397,7 @@ def _chk_sup_integrability(ctx):
 
 
 def _chk_martingale_surrogate(ctx):
-    if ctx.space.kind != "circle":
+    if not isinstance(ctx.space, Circle):
         raise ValueError("martingale surrogate needs a circle scenario")
     if not ctx.f.is_continuous():
         raise ValueError("martingale surrogate needs a continuous function")
@@ -407,7 +406,7 @@ def _chk_martingale_surrogate(ctx):
     ok = True
     rows = []
     for lvl in _levels(ctx):
-        part = partition_at_level(ctx.space, lvl)
+        part = ctx.space.partition(lvl)
         err = float(lp_norm(cond_exp(ctx.f, part) - ctx.f, 1.0, ctx.vnorm))
         bound = lip * 2.0 ** (-lvl)
         rows.append((None, float(lvl), "l1_error", err))
@@ -424,7 +423,7 @@ def _chk_martingale_surrogate(ctx):
 
 
 def _chk_submartingale_sup(ctx):
-    if ctx.space.kind != "circle":
+    if not isinstance(ctx.space, Circle):
         raise ValueError("submartingale families are generated on the circle")
     filt = Filtration(ctx.space, "increasing", ctx.cfg.filtration_max_level)
     times = np.arange(ctx.cfg.filtration_max_level + 1, dtype=float)

@@ -1,31 +1,35 @@
 """Measure spaces, finite partitions, filtrations, and vector norms.
 
-Three kinds of spaces are supported:
+One class per kind of space, each building its own nested partitions by
+level:
 
-* ``circle``   -- the unit circle [0, 1) with Lebesgue measure (mass 1),
-* ``discrete`` -- finitely many atoms with strictly positive weights,
-* ``product``  -- a uniform cyclic factor times a weighted atomic factor.
+* ``Circle``  -- the unit circle [0, 1) with Lebesgue measure (mass 1),
+* ``Atoms``   -- finitely many atoms with strictly positive weights,
+* ``Product`` -- a uniform cyclic factor times a weighted atomic factor.
 
-Finite sigma-algebras are represented by partitions.  Circle partitions use
-dyadic-rational cell boundaries kept as exact ``Fraction`` values so that
-refinement tests never suffer from float rounding.  Atomic partitions keep
-one label per atom, ``cell_of``; the atoms of each cell, grouped by cell
-size into index tables, are built once with the partition.
+Finite sigma-algebras are represented by partitions.  A circle partition is
+its dyadic level: 2**level equal cells whose bounds k / 2**level are exact
+in binary64.  Atomic partitions keep one label per atom, ``cell_of``; the
+atoms of each cell, grouped by cell size into index tables, are built once
+with the partition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
 MAX_DYADIC_LEVEL = 30
 
 
-def _is_dyadic(x: Fraction) -> bool:
-    d = x.denominator
-    return d & (d - 1) == 0
+def _integer(level, name="level"):
+    """level as an int; a float level would build non-dyadic cells."""
+    try:
+        return operator.index(level)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {level!r}") from None
 
 
 def _atom_weights(weights):
@@ -38,137 +42,162 @@ def _atom_weights(weights):
     return w
 
 
-class MeasureSpace:
-    """A finite measure space: the circle, an atomic space, or a product."""
+def _dyadic_labels(n, level):
+    """Nested index blocks of n atoms: the level-k blocks start at
+    ceil(j*n / 2**k), so atom a lies in block floor(a * 2**k / n); from
+    2**k >= n on, every atom is its own block."""
+    level = _integer(level)
+    if level < 0:
+        raise ValueError("level must be nonnegative")
+    return np.arange(n) * min(2 ** level, n) // n
 
-    def __init__(self, kind, weights=None, cyclic_size=None,
-                 atom_weights=None):
-        self.kind = kind
-        if kind == "circle":
-            self.mass = 1.0
-            self.weights = None
-        elif kind == "discrete":
-            w = _atom_weights(weights)
-            self.weights = w
-            self.mass = float(w.sum())
-        elif kind == "product":
-            m1 = int(cyclic_size)
-            if m1 < 1:
-                raise ValueError("cyclic factor must have at least one atom")
-            w2 = _atom_weights(atom_weights)
-            self.cyclic_size = m1
-            self.factor_weights = w2
-            # product atom (i, j) has weight w1_i * w2_j with uniform w1
-            w1 = np.full(m1, 1.0 / m1)
-            self.weights = np.repeat(w1, w2.size) * np.tile(w2, m1)
-            self.mass = float(self.weights.sum())
-        else:
-            raise ValueError(f"unknown space kind {kind!r}")
+
+class Circle:
+    """The unit circle [0, 1) with Lebesgue measure."""
+
+    kind = "circle"
+    mass = 1.0
+    max_level = MAX_DYADIC_LEVEL
+
+    def partition(self, level):
+        """2**level equal half-open cells."""
+        return Partition(self, level=level)
+
+    def sample_points(self, n):
+        """Midpoints (k + 1/2)/n for k < n."""
+        return (np.arange(n) + 0.5) / n
+
+    def __eq__(self, other):
+        return isinstance(other, Circle)
+
+    def __repr__(self):
+        return "Circle()"
+
+
+class Atoms:
+    """Finitely many atoms with finite, strictly positive weights."""
+
+    kind = "discrete"
+
+    def __init__(self, weights):
+        self.weights = _atom_weights(weights)
+        self.mass = float(self.weights.sum())
+        # finest level at which every index block still holds an atom
+        self.max_level = self.natoms.bit_length() - 1
 
     @property
     def natoms(self):
-        return None if self.kind == "circle" else self.weights.size
+        return self.weights.size
+
+    def partition(self, level):
+        """Nested index blocks of the atoms."""
+        return Partition(self, cell_of=_dyadic_labels(self.natoms, level))
 
     def sample_points(self, n):
-        """Midpoints (k + 1/2)/n for k < n on the circle; every atom index
-        otherwise."""
-        if self.kind == "circle":
-            return (np.arange(n) + 0.5) / n
+        """Every atom index, whatever n."""
         return np.arange(self.natoms)
 
+    def shift_perm(self):
+        """The cyclic shift a -> a + 1 mod natoms."""
+        return (np.arange(self.natoms) + 1) % self.natoms
+
     def __eq__(self, other):
-        if not isinstance(other, MeasureSpace) or self.kind != other.kind:
-            return False
-        if self.kind == "circle":
-            return True
-        if self.kind == "product" and self.cyclic_size != other.cyclic_size:
-            return False
-        return self.weights.shape == other.weights.shape and \
-            bool(np.all(self.weights == other.weights))
+        return type(other) is type(self) and \
+            np.array_equal(self.weights, other.weights)
 
     def __repr__(self):
-        if self.kind == "circle":
-            return "MeasureSpace(circle)"
-        if self.kind == "discrete":
-            return f"MeasureSpace(discrete, {self.natoms} atoms)"
-        return (f"MeasureSpace(product, {self.cyclic_size} x "
-                f"{self.factor_weights.size})")
+        return f"Atoms({self.natoms} atoms)"
 
 
-def circle_space():
-    return MeasureSpace("circle")
+class Product(Atoms):
+    """A uniform cyclic factor of m1 atoms times a weighted atomic factor of
+    m2 atoms; atom (i, j) sits at i * m2 + j with weight w2_j / m1."""
+
+    kind = "product"
+
+    def __init__(self, cyclic_size, atom_weights):
+        m1 = int(cyclic_size)
+        if m1 < 1:
+            raise ValueError("cyclic factor must have at least one atom")
+        w2 = _atom_weights(atom_weights)
+        super().__init__(np.repeat(np.full(m1, 1.0 / m1), w2.size)
+                         * np.tile(w2, m1))
+        self.cyclic_size = m1
+        self.factor_weights = w2
+        self.max_level = w2.size.bit_length() - 1
+
+    def partition(self, level):
+        """Blocks of the atomic factor: atom (i, j) takes the label of
+        factor atom j."""
+        labels = _dyadic_labels(self.factor_weights.size, level)
+        return Partition(self, cell_of=np.tile(labels, self.cyclic_size))
+
+    def shift_perm(self):
+        """The cyclic shift (i, j) -> (i + 1 mod m1, j) of the first factor."""
+        i, j = np.divmod(np.arange(self.natoms), self.factor_weights.size)
+        return ((i + 1) % self.cyclic_size) * self.factor_weights.size + j
+
+    def __eq__(self, other):
+        return super().__eq__(other) and self.cyclic_size == other.cyclic_size
+
+    def __repr__(self):
+        return f"Product({self.cyclic_size} x {self.factor_weights.size})"
 
 
-def discrete_space(weights):
-    return MeasureSpace("discrete", weights=weights)
-
-
-def product_space(cyclic_size, atom_weights):
-    return MeasureSpace("product", cyclic_size=cyclic_size,
-                        atom_weights=atom_weights)
+circle_space = Circle
+discrete_space = Atoms
+product_space = Product
 
 
 class Partition:
     """A finite partition of a measure space into positive-measure cells.
 
-    Circle cells are half-open dyadic intervals [a, b).  An atomic partition
-    is ``cell_of``, one integer label per atom, the labels running over
-    0..k-1 with no gaps.  ``size_groups`` holds the same cells grouped by
-    size: one (cells, size) table of atom indices per distinct size, each
-    cell's atoms in increasing order, built once here.
+    A circle partition is its ``level``: 2**level half-open cells [a, b) of
+    equal length.  An atomic partition is ``cell_of``, one integer label
+    per atom, the labels running over 0..k-1 with no gaps.  ``size_groups``
+    holds the same cells grouped by size: one (cells, size) table of atom
+    indices per distinct size, each cell's atoms in increasing order, built
+    once here.
     """
 
-    def __init__(self, space, boundaries=None, cell_of=None):
+    def __init__(self, space, cell_of=None, level=None):
         self.space = space
-        if space.kind == "circle":
-            bounds = [Fraction(b) for b in boundaries]
-            if bounds[0] != 0 or bounds[-1] != 1:
-                raise ValueError("circle partition must span [0, 1)")
-            for a, b in zip(bounds, bounds[1:]):
-                if b <= a:
-                    raise ValueError("boundaries must be strictly increasing")
-            for b in bounds:
-                if not _is_dyadic(b):
-                    raise ValueError(f"boundary {b} is not dyadic")
-                if b.denominator > 2 ** MAX_DYADIC_LEVEL:
-                    raise ValueError("boundary finer than the dyadic cap")
-            self.boundaries = tuple(bounds)
-            self.cell_of = None
-        else:
-            labels = np.asarray(cell_of)
-            if labels.shape != (space.natoms,) or \
-                    labels.dtype.kind not in "iu":
-                raise ValueError("need one integer cell label per atom")
-            labels = labels.astype(np.intp)
-            # a label at or past the atom count leaves a gap below it
-            if not (labels.min() >= 0 and labels.max() < labels.size
-                    and (sizes := np.bincount(labels)).all()):
-                raise ValueError(
-                    "cell labels must run over 0..k-1 with no gaps")
-            labels.flags.writeable = False
-            self.boundaries = None
-            self.cell_of = labels
-            atoms = np.argsort(labels, kind="stable")
-            starts = np.cumsum(sizes) - sizes
-            self.size_groups = tuple(
-                atoms[starts[sizes == n][:, None] + np.arange(n)]
-                for n in np.unique(sizes))
-
-    @property
-    def ncells(self):
-        if self.space.kind == "circle":
-            return len(self.boundaries) - 1
-        return int(self.cell_of.max()) + 1
+        self.level = self.cell_of = None
+        if isinstance(space, Circle):
+            level = _integer(level)
+            if not 0 <= level <= MAX_DYADIC_LEVEL:
+                raise ValueError(f"level must lie in [0, {MAX_DYADIC_LEVEL}]"
+                                 " (measure underflow)")
+            self.level = level
+            self.ncells = n = 2 ** level
+            self._bounds = np.arange(n + 1) / n
+            self._bounds.flags.writeable = False
+            return
+        labels = np.asarray(cell_of)
+        if labels.shape != (space.natoms,) or labels.dtype.kind not in "iu":
+            raise ValueError("need one integer cell label per atom")
+        labels = labels.astype(np.intp)
+        # a label at or past the atom count leaves a gap below it
+        if not (labels.min() >= 0 and labels.max() < labels.size
+                and (sizes := np.bincount(labels)).all()):
+            raise ValueError("cell labels must run over 0..k-1 with no gaps")
+        labels.flags.writeable = False
+        self.cell_of = labels
+        self.ncells = sizes.size
+        atoms = np.argsort(labels, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        self.size_groups = tuple(
+            atoms[starts[sizes == n][:, None] + np.arange(n)]
+            for n in np.unique(sizes))
 
     def cell_bounds_float(self):
-        """Circle cell boundaries as floats (exact for dyadic <= 2^30)."""
-        return np.array([float(b) for b in self.boundaries])
+        """Circle cell boundaries k / 2**level, read-only."""
+        return self._bounds
 
     def __eq__(self, other):
-        if not isinstance(other, Partition) or self.space != other.space:
-            return False
-        return self.boundaries == other.boundaries and \
-            np.array_equal(self.cell_of, other.cell_of)
+        return isinstance(other, Partition) and self.space == other.space \
+            and self.level == other.level \
+            and np.array_equal(self.cell_of, other.cell_of)
 
     def __repr__(self):
         return f"Partition({self.space.kind}, {self.ncells} cells)"
@@ -176,55 +205,10 @@ class Partition:
 
 def make_dyadic_partition(level, space=None):
     """Split the circle into 2**level equal half-open cells."""
-    if level < 0 or level > MAX_DYADIC_LEVEL:
-        raise ValueError(
-            f"level must lie in [0, {MAX_DYADIC_LEVEL}] (measure underflow)")
-    space = space if space is not None else circle_space()
-    if space.kind != "circle":
+    space = space if space is not None else Circle()
+    if not isinstance(space, Circle):
         raise ValueError("dyadic partitions live on the circle")
-    n = 2 ** level
-    return Partition(space, boundaries=[Fraction(k, n) for k in range(n + 1)])
-
-
-def _dyadic_labels(n, level):
-    """Nested index blocks of n atoms: the level-k blocks start at
-    ceil(j*n / 2**k), so atom a lies in block floor(a * 2**k / n); from
-    2**k >= n on, every atom is its own block."""
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    return np.arange(n) * min(2 ** level, n) // n
-
-
-def make_block_partition(space, level):
-    """Dyadic-style partition of a discrete space into index blocks."""
-    if space.kind != "discrete":
-        raise ValueError("block partitions live on discrete spaces")
-    return Partition(space, cell_of=_dyadic_labels(space.natoms, level))
-
-
-def make_factor_partition(space, level):
-    """Partition of a product space by blocks of the atomic factor: atom
-    (i, j), at i * m2 + j, takes the label of factor atom j."""
-    if space.kind != "product":
-        raise ValueError("factor partitions live on product spaces")
-    labels = _dyadic_labels(space.factor_weights.size, level)
-    return Partition(space, cell_of=np.tile(labels, space.cyclic_size))
-
-
-def partition_at_level(space, level):
-    if space.kind == "circle":
-        return make_dyadic_partition(level, space)
-    if space.kind == "discrete":
-        return make_block_partition(space, level)
-    return make_factor_partition(space, level)
-
-
-def max_partition_level(space):
-    """Finest level at which every cell still has positive measure."""
-    if space.kind == "circle":
-        return MAX_DYADIC_LEVEL
-    n = space.natoms if space.kind == "discrete" else space.factor_weights.size
-    return int(np.floor(np.log2(n))) if n > 1 else 0
+    return space.partition(level)
 
 
 class Filtration:
@@ -238,12 +222,13 @@ class Filtration:
     def __init__(self, space, direction, max_level):
         if direction not in ("increasing", "decreasing"):
             raise ValueError(f"unknown direction {direction!r}")
-        cap = max_partition_level(space)
-        if max_level < 0 or max_level > cap:
+        cap = space.max_level
+        max_level = _integer(max_level, "max_level")
+        if not 0 <= max_level <= cap:
             raise ValueError(f"max_level must lie in [0, {cap}] on this space")
         self.space = space
         self.direction = direction
-        self.max_level = int(max_level)
+        self.max_level = max_level
         self._cache = {}
 
     def level(self, s):
@@ -256,7 +241,7 @@ class Filtration:
 
     def partition_at_level(self, k):
         if k not in self._cache:
-            self._cache[k] = partition_at_level(self.space, k)
+            self._cache[k] = self.space.partition(k)
         return self._cache[k]
 
     def partition(self, s):

@@ -59,7 +59,6 @@ from ergolab.spaces import (
     circle_space,
     discrete_space,
     make_dyadic_partition,
-    partition_at_level,
 )
 
 
@@ -234,8 +233,8 @@ def _contract_case(rng):
         cap = int(np.log2(n))
     fine_level = int(rng.integers(1, cap + 1))
     coarse_level = int(rng.integers(0, fine_level))
-    fine = partition_at_level(space, fine_level)
-    coarse = partition_at_level(space, coarse_level)
+    fine = space.partition(fine_level)
+    coarse = space.partition(coarse_level)
     t = float(rng.uniform(0.1, 8.0))
     return space, f, flow, vnorm, p, fine, coarse, t
 

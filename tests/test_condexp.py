@@ -20,8 +20,6 @@ from ergolab.spaces import (
     circle_space,
     discrete_space,
     make_dyadic_partition,
-    make_factor_partition,
-    partition_at_level,
     product_space,
 )
 
@@ -64,7 +62,7 @@ def test_cond_exp_trivial_partition_is_mean():
 def test_cond_exp_atoms_weighted():
     sp = discrete_space(np.array([0.1, 0.2, 0.3, 0.4]))
     f = AtomFunction(sp, np.array([2.0, 0.0, 1.0, 3.0]))
-    part = partition_at_level(sp, 1)
+    part = sp.partition(1)
     ef = cond_exp(f, part)
     assert np.allclose(ef.values[:, 0],
                        [2.0 / 3, 2.0 / 3, 1.5 / 0.7, 1.5 / 0.7])
@@ -103,7 +101,7 @@ def test_defining_property_check_is_tiny():
     sp = discrete_space(np.array([0.1, 0.2, 0.3, 0.4]))
     g = AtomFunction(sp, np.array([[2.0, 1.0], [0.0, -1.0],
                                    [1.0, 0.5], [3.0, -2.0]]))
-    assert defining_property_check(g, partition_at_level(sp, 1)) < 1e-15
+    assert defining_property_check(g, sp.partition(1)) < 1e-15
 
 
 def test_functional_commutation_exact():
@@ -197,7 +195,7 @@ def _atom_partition_cases(rng):
     cases = []
     for n in (1, 3, 16, 57, 199):
         sp = discrete_space(rng.uniform(0.01, 1.0, n))
-        parts = [partition_at_level(sp, lvl)
+        parts = [sp.partition(lvl)
                  for lvl in range(int(np.log2(n)) + 1)]
         cases += [(sp, part, [np.flatnonzero(part.cell_of == k)
                               for k in range(part.ncells)]) for part in parts]
@@ -209,7 +207,7 @@ def _atom_partition_cases(rng):
         for lvl in range(int(np.log2(m2)) + 1):
             # factor blocks start at ceil(j * m2 / 2**lvl)
             edges = -(-np.arange(2 ** lvl + 1) * m2 // 2 ** lvl)
-            cases.append((sp, make_factor_partition(sp, lvl),
+            cases.append((sp, sp.partition(lvl),
                           [(rows + np.arange(a, b)).ravel()
                            for a, b in zip(edges, edges[1:])]))
     return cases
@@ -240,7 +238,7 @@ def test_dominant_atomfield_is_cond_exp_bit_for_bit(monkeypatch):
 def test_dominant_atom_cell_values():
     sp = discrete_space(np.array([0.1, 0.2, 0.3, 0.4]))
     dom = cond_exp_dominant(AtomField(sp, np.array([2.0, 0.0, 1.0, 3.0])),
-                            partition_at_level(sp, 1))
+                            sp.partition(1))
     assert np.allclose(dom.values, [2.0 / 3.0, 2.0 / 3.0, 1.5 / 0.7, 1.5 / 0.7])
 
 
@@ -300,7 +298,7 @@ def test_domination_defect_nonpositive():
     sp = discrete_space(np.full(8, 0.125))
     rng = np.random.default_rng(5)
     g = AtomFunction(sp, rng.normal(size=(8, 2)))
-    assert _domination_defect(g, partition_at_level(sp, 2), vnorm) <= 1e-12
+    assert _domination_defect(g, sp.partition(2), vnorm) <= 1e-12
 
 
 def test_domination_collinear_values_touch():
@@ -308,6 +306,6 @@ def test_domination_collinear_values_touch():
     sp = discrete_space(np.full(4, 0.25))
     g = np.array([1.0, 0.5, -0.25, -0.75])
     f = AtomFunction(sp, np.column_stack([g, -g]))
-    part = partition_at_level(sp, 2)  # atoms themselves
+    part = sp.partition(2)  # atoms themselves
     defect = _domination_defect(f, part, VectorNorm("euclidean", 2))
     assert defect == pytest.approx(0.0, abs=1e-15)

@@ -29,7 +29,6 @@ from ergolab.spaces import (
     VectorNorm,
     circle_space,
     discrete_space,
-    partition_at_level,
 )
 
 import oracles
@@ -106,10 +105,10 @@ def test_polyfield_cumint_and_cells():
     # the cell averages of a PolyField come from cond_exp_dominant; their
     # running sums are the running integrals at the dyadic bounds
     field = pointwise_norm(sawtooth(d=1), VectorNorm("euclidean", 1))
-    halves = cond_exp_dominant(field, partition_at_level(circle_space(), 1))
+    halves = cond_exp_dominant(field, circle_space().partition(1))
     cum = np.r_[0.0, np.cumsum(halves.eval(np.array([0.25, 0.75])) * 0.5)]
     assert np.allclose(cum, [0.0, 0.125, 0.25])
-    part = partition_at_level(circle_space(), 2)
+    part = circle_space().partition(2)
     cells = cond_exp_dominant(field, part).eval(np.array([0.1, 0.3, 0.6, 0.9]))
     assert np.allclose(cells, [0.375, 0.125, 0.125, 0.375])
 
@@ -805,7 +804,7 @@ def test_generic_field_quadrature_matches_per_cell_loops():
     # two cells of 19 kink segments each, where a pairwise sum would round
     # differently; a zero-width cell; cells ending on kinks
     for bounds in ([0.0, 0.5, 1.0], [0.0, 0.25, 0.25, 10 / 37, 0.9, 1.0],
-                   partition_at_level(circle_space(), 3).cell_bounds_float()):
+                   circle_space().partition(3).cell_bounds_float()):
         bounds = np.asarray(bounds, dtype=float)
         with np.errstate(invalid="ignore"):
             ref = np.array([_loop_cell_integral(field, bounds[i], bounds[i + 1])
@@ -834,10 +833,10 @@ def test_cumint_and_cell_averages_make_one_quadrature_call(monkeypatch):
     sqrt_field.cumint(np.linspace(0.0, 1.0, 1000))
     assert depths.count(0) == 1
     depths.clear()
-    generic.cell_averages(partition_at_level(circle_space(), 6))
+    generic.cell_averages(circle_space().partition(6))
     assert depths.count(0) == 1
     depths.clear()
-    sqrt_field.cell_averages(partition_at_level(circle_space(), 6))
+    sqrt_field.cell_averages(circle_space().partition(6))
     assert depths.count(0) == 1
 
 

@@ -13,12 +13,10 @@ from ergolab.flows import (
     dominant_cesaro,
     identity_flow,
     rotation_flow,
-    shift_perm,
     step_flow,
 )
 from ergolab.functions import AtomFunction, hat, sawtooth
-from ergolab.spaces import (VectorNorm, discrete_space, partition_at_level,
-                            product_space)
+from ergolab.spaces import VectorNorm, discrete_space, product_space
 
 import oracles
 
@@ -77,21 +75,21 @@ def test_rotation_average_rejects_nonpositive_time():
 def test_step_average_frozen_values():
     sp = _unit_space(4)
     f = AtomFunction(sp, np.array([0.8, -0.35, 0.55, -0.9]))
-    flow = step_flow(sp, shift_perm(sp), h=0.5)
+    flow = step_flow(sp, sp.shift_perm(), h=0.5)
     out = cesaro_average(flow, 2.7, f)
     assert np.allclose(out.values[:, 0],
                        [0.14074074074074072, -0.005555555555555493,
                         0.05370370370370366, -0.08888888888888882],
                        atol=1e-15)
     brute = oracles.brute_step_average(
-        f.values, shift_perm(sp), 2.7, 0.5)
+        f.values, sp.shift_perm(), 2.7, 0.5)
     assert np.allclose(out.values, brute, atol=1e-15)
 
 
 def test_step_average_short_time_is_identity():
     sp = _unit_space(5)
     f = AtomFunction(sp, np.arange(5.0))
-    flow = step_flow(sp, shift_perm(sp), h=2.0)
+    flow = step_flow(sp, sp.shift_perm(), h=2.0)
     out = cesaro_average(flow, 1.3, f)
     assert np.allclose(out.values, f.values)
 
@@ -100,10 +98,10 @@ def test_step_average_matches_brute_on_product():
     sp = product_space(8, np.array([0.6, 0.4]))
     rng = np.random.default_rng(7)
     f = AtomFunction(sp, rng.normal(size=(16, 2)))
-    flow = step_flow(sp, shift_perm(sp), h=1.0)
+    flow = step_flow(sp, sp.shift_perm(), h=1.0)
     for t in (0.4, 3.0, 11.75):
         out = cesaro_average(flow, t, f)
-        brute = oracles.brute_step_average(f.values, shift_perm(sp), t, 1.0)
+        brute = oracles.brute_step_average(f.values, sp.shift_perm(), t, 1.0)
         assert np.allclose(out.values, brute, atol=1e-13)
 
 
@@ -114,9 +112,9 @@ def _same_bits(a, b):
 _Z8X2 = product_space(8, np.array([0.6, 0.4]))
 STEP_CASES = [
     # (space, perm, h, times)
-    (_unit_space(8), shift_perm(_unit_space(8)), 1.0, (0.4, 7.0, 1e5 + 0.3)),
+    (_unit_space(8), _unit_space(8).shift_perm(), 1.0, (0.4, 7.0, 1e5 + 0.3)),
     (_unit_space(4), np.array([1, 0, 3, 2]), 0.5, (2.7, 9.25, 1e5)),
-    (_Z8X2, shift_perm(_Z8X2), 0.5, (3.0, 11.75, 4099.9)),
+    (_Z8X2, _Z8X2.shift_perm(), 0.5, (3.0, 11.75, 4099.9)),
 ]
 
 
@@ -155,10 +153,10 @@ def test_step_average_gathers_cycles_longer_than_a_block():
 def test_dominant_step_cesaro_bit_identical_to_loop():
     sp = _unit_space(4)
     vals = np.array([0.8, 0.35, 0.0, 0.9])
-    flow = step_flow(sp, shift_perm(sp), h=0.5)
+    flow = step_flow(sp, sp.shift_perm(), h=0.5)
     for t in (2.7, 1e5 + 0.25):
         dom = dominant_cesaro(flow, t, AtomField(sp, vals))
-        ref = oracles.loop_step_average(vals[:, None], shift_perm(sp), t, 0.5)
+        ref = oracles.loop_step_average(vals[:, None], sp.shift_perm(), t, 0.5)
         assert _same_bits(dom.values, ref[:, 0])
 
 
@@ -179,22 +177,22 @@ def test_flow_constructor_validation():
     with pytest.raises(ValueError):
         step_flow(sp, np.array([0, 1, 1, 3]))
     with pytest.raises(ValueError):
-        step_flow(sp, shift_perm(sp), h=0.0)
+        step_flow(sp, sp.shift_perm(), h=0.0)
     skew = discrete_space(np.array([0.1, 0.2, 0.3, 0.4]))
     with pytest.raises(ValueError):
-        step_flow(skew, shift_perm(skew))
+        step_flow(skew, skew.shift_perm())
 
 
 def test_ergodicity_classification():
     assert rotation_flow(GOLDEN).ergodic
     assert not rotation_flow(0.25).ergodic
     sp = _unit_space(8)
-    assert step_flow(sp, shift_perm(sp)).ergodic
+    assert step_flow(sp, sp.shift_perm()).ergodic
     # a 2+2 cycle split never mixes the halves
     assert not step_flow(_unit_space(4), np.array([1, 0, 3, 2])).ergodic
     # the product shift never moves the second factor
     uniform = product_space(4, np.array([0.5, 0.5]))
-    assert not step_flow(uniform, shift_perm(uniform)).ergodic
+    assert not step_flow(uniform, uniform.shift_perm()).ergodic
     assert not identity_flow(sp).ergodic
 
 
@@ -202,7 +200,7 @@ def test_constructors_name_their_kind():
     # the benchmark tracer splits cesaro_average spans by ``kind``
     sp = _unit_space(4)
     flows = {"rotation": rotation_flow(GOLDEN),
-             "step": step_flow(sp, shift_perm(sp), h=0.5),
+             "step": step_flow(sp, sp.shift_perm(), h=0.5),
              "identity": identity_flow(sp)}
     for kind, flow in flows.items():
         assert isinstance(flow, Flow)
@@ -212,7 +210,7 @@ def test_constructors_name_their_kind():
 @pytest.mark.parametrize("h", [1.0, 0.5, 0.3, 2.0])
 def test_step_lattice_snaps_to_step_widths(h):
     sp = _unit_space(4)
-    flow = step_flow(sp, shift_perm(sp), h=h)
+    flow = step_flow(sp, sp.shift_perm(), h=h)
     for t in (0.1, 0.7, 1.0, 2.5, 3.14, 16.0, 37.9):
         # nearest positive multiple of h, as the semigroup probes snap
         assert flow.lattice(t) == max(h, h * round(t / h))
@@ -231,7 +229,7 @@ def test_step_lattice_snaps_to_step_widths(h):
 def test_cycle_lengths():
     # each atom's entry is the length of its cycle
     sp = _unit_space(6)
-    assert _cycle_index(shift_perm(sp))[2].tolist() == [6] * 6
+    assert _cycle_index(sp.shift_perm())[2].tolist() == [6] * 6
     # cycles (0 1), (2 3 4) and (5)
     assert _cycle_index(np.array([1, 0, 3, 4, 2, 5]))[2].tolist() == \
         [2, 2, 3, 3, 3, 1]
@@ -240,7 +238,7 @@ def test_cycle_lengths():
 
 def test_shift_perm_product_moves_first_factor():
     sp = product_space(3, np.array([0.5, 0.5]))
-    perm = shift_perm(sp)
+    perm = sp.shift_perm()
     # atom (i, j) sits at flat index i * 2 + j
     assert perm.tolist() == [2, 3, 4, 5, 0, 1]
 
@@ -330,7 +328,7 @@ def test_dominant_cell_averages_match_nested_quad(theta, t):
     # where an average taken as a difference of values at the cell ends
     # would lose digits in proportion to 2^16 / (t theta)
     edge = 1.0 - delta
-    cells = [partition_at_level(flow.space, level) for level in range(5)]
+    cells = [flow.space.partition(level) for level in range(5)]
     cells.append(_Cells(flow.space, np.unique(
         [0.0, edge - 0.01, min(edge + 0.01, 1.0), 1.0])))
     fine = np.array([1, 9999, 21846, 32768, 40503, 65535]) / 2.0 ** 16
@@ -360,7 +358,7 @@ def test_dominant_cell_averages_need_no_nested_quadrature(monkeypatch):
                 inside[0] -= 1
         return real(integrand, lo, hi, tol, depth, **kwargs)
     monkeypatch.setattr(fields, "gl_integrate", watched)
-    cond_exp_dominant(dom, partition_at_level(dom.space, 4))
+    cond_exp_dominant(dom, dom.space.partition(4))
     assert [d for d, _ in calls].count(0) <= 2
     assert all(nested == 0 for _, nested in calls)
 
@@ -369,8 +367,8 @@ def test_dominant_step_field():
     sp = _unit_space(4)
     f = AtomFunction(sp, np.array([0.8, -0.35, 0.55, -0.9]))
     vnorm = VectorNorm("euclidean", 1)
-    flow = step_flow(sp, shift_perm(sp), h=0.5)
+    flow = step_flow(sp, sp.shift_perm(), h=0.5)
     dom = dominant_cesaro(flow, 2.7, pointwise_norm(f, vnorm))
     brute = oracles.brute_step_average(
-        np.abs(f.values), shift_perm(sp), 2.7, 0.5)
+        np.abs(f.values), sp.shift_perm(), 2.7, 0.5)
     assert np.allclose(dom.values, brute[:, 0], atol=1e-15)

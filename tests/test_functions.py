@@ -129,6 +129,9 @@ def test_breaks_must_span_unit_interval():
         CircleFunction([0.0, 0.5], np.zeros((1, 1, 1)))
     with pytest.raises(ValueError):
         CircleFunction([0.0, 0.5, 0.4, 1.0], np.zeros((3, 1, 1)))
+    # NaN <= 0 is False, so a NaN break must fail the increase rule itself
+    with pytest.raises(ValueError, match="increase strictly"):
+        CircleFunction([0.0, np.nan, 1.0], np.zeros((2, 1, 1)))
 
 
 def test_from_smooth_hits_target():
@@ -285,6 +288,13 @@ def test_atom_spaces_mix_error():
     b = discrete_space(np.full(5, 0.2))
     with pytest.raises(ValueError):
         AtomFunction(a, np.zeros(4)) + AtomFunction(b, np.zeros(5))
+    # one space but d = 1 against d = 3 must not broadcast to (4, 3)
+    one, three = AtomFunction(a, np.zeros(4)), AtomFunction(a, np.zeros((4, 3)))
+    for x, y in ((one, three), (three, one)):
+        with pytest.raises(ValueError, match="value dimensions differ"):
+            x + y
+        with pytest.raises(ValueError, match="value dimensions differ"):
+            x - y
 
 
 def test_piece_index_matches_clipped_search():

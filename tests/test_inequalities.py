@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ergolab.flows import GOLDEN, rotation_flow
-from ergolab.functions import CircleFunction, sawtooth
+from ergolab.functions import AtomFunction, CircleFunction, sawtooth
 from ergolab.inequalities import (
     SubmartingaleFamily,
     domination_chain_check,
@@ -15,6 +15,7 @@ from ergolab.inequalities import (
 )
 from ergolab.processes import em_process, me_process
 from ergolab.spaces import (
+    Circle,
     Filtration,
     VectorNorm,
     circle_space,
@@ -140,7 +141,9 @@ def test_domination_chain_healthy_and_tight():
 
 
 def _const_slices(values, space):
-    return [CircleFunction.constant(v, space) for v in values]
+    if isinstance(space, Circle):
+        return [CircleFunction.constant(v, space) for v in values]
+    return [AtomFunction.constant(v, space) for v in values]
 
 
 def test_manual_submartingale_family():
@@ -159,6 +162,15 @@ def test_manual_submartingale_family():
     # sup slices are the pointwise maxima of the constants
     assert family.sup_slice(0)(0.4)[0] == pytest.approx(0.3)
     assert family.sup_slice(2)(0.4)[0] == pytest.approx(0.5)
+    # on an atomic space the sup slices are atom functions
+    atoms = discrete_space(np.full(4, 0.25))
+    family = SubmartingaleFamily(
+        Filtration(atoms, "increasing", max_level=2), s_grid,
+        [_const_slices([0.0, 0.25, 0.5], atoms),
+         _const_slices([0.3, 0.3, 0.3], atoms)])
+    assert submartingale_sup_check(family).passed
+    top = family.sup_slice(0)
+    assert isinstance(top, AtomFunction) and np.all(top.values == 0.3)
 
 
 def test_submartingale_family_rejects_bad_input():

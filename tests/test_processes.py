@@ -11,7 +11,6 @@ from ergolab.flows import (
     cesaro_average,
     identity_flow,
     rotation_flow,
-    shift_perm,
     step_flow,
 )
 from ergolab.functions import AtomFunction, CircleFunction, hat, sawtooth
@@ -32,7 +31,6 @@ from ergolab.spaces import (
     VectorNorm,
     circle_space,
     discrete_space,
-    make_factor_partition,
     make_dyadic_partition,
     product_space,
 )
@@ -126,7 +124,7 @@ def _three_level_setup(kind):
     else:
         sp = discrete_space(np.full(8, 1.0 / 8.0))
         f = AtomFunction(sp, np.random.default_rng(3).normal(size=(8, 2)))
-        flow = step_flow(sp, shift_perm(sp), h=0.5)
+        flow = step_flow(sp, sp.shift_perm(), h=0.5)
         filt = Filtration(sp, "decreasing", max_level=2)
     return f, flow, filt, t_grid, s_grid
 
@@ -321,10 +319,10 @@ def test_decomposition_identity_rotation():
 def test_decomposition_identity_step():
     sp = discrete_space(np.full(4, 0.25))
     g = AtomFunction(sp, np.array([0.8, -0.35, 0.55, -0.9]))
-    flow = step_flow(sp, shift_perm(sp), h=0.5)
+    flow = step_flow(sp, sp.shift_perm(), h=0.5)
     for t in (1.0, 2.7, 6.25):
         assert cesaro_decomposition_check(flow, g, t) <= 1e-12
-    bad = step_flow(sp, shift_perm(sp), h=0.3)
+    bad = step_flow(sp, sp.shift_perm(), h=0.3)
     with pytest.raises(ValueError):
         cesaro_decomposition_check(bad, g, 2.0)
     with pytest.raises(ValueError):
@@ -335,8 +333,8 @@ def test_commutation_zero_for_factor_partition():
     sp = product_space(8, np.array([0.6, 0.4]))
     rng = np.random.default_rng(3)
     f = AtomFunction(sp, rng.normal(size=(16, 2)))
-    flow = step_flow(sp, shift_perm(sp), h=1.0)
-    part = make_factor_partition(sp, 1)
+    flow = step_flow(sp, sp.shift_perm(), h=1.0)
+    part = sp.partition(1)
     assert commutation_check(flow, f, part) <= 1e-12
 
 
@@ -412,7 +410,7 @@ def test_envelope_constant_rotation_exact():
 def test_envelope_constant_step():
     sp = discrete_space(np.full(4, 0.25))
     f = AtomFunction(sp, np.array([1.0, 0.0, 0.0, -1.0]))
-    flow = step_flow(sp, shift_perm(sp), h=0.5)
+    flow = step_flow(sp, sp.shift_perm(), h=0.5)
     assert ergodic_envelope_constant(flow, f) == pytest.approx(2.0)
 
 
@@ -443,7 +441,7 @@ def _grid_cases():
     out = [(f, golden, circle, VectorNorm(sel, f.d)) for f, sel in cases]
     sp = discrete_space(np.full(8, 1.0 / 8.0))
     values = np.random.default_rng(5).uniform(-1.0, 1.0, (8, 2))
-    steps = step_flow(sp, shift_perm(sp), h=1.0)
+    steps = step_flow(sp, sp.shift_perm(), h=1.0)
     atoms = Filtration(sp, "decreasing", max_level=3)
     out += [(AtomFunction(sp, values), steps, atoms, VectorNorm(sel, 2))
             for sel in ("max", "sum", "euclidean")]

@@ -282,6 +282,17 @@ def test_tower_rows_hold_each_level_own_defect():
     assert tower[-1] == 0.0
 
 
+@pytest.mark.parametrize("check, message", [
+    ("martingale_surrogate", "martingale surrogate needs a circle scenario"),
+    ("submartingale_sup", "submartingale families are generated on the circle"),
+])
+def test_circle_only_checks_reject_atomic_scenarios(check, message):
+    cfg = parse_text(STEP_FAIL)
+    ctx = runner.build_context(cfg, np.random.default_rng(cfg.seed))
+    with pytest.raises(ValueError, match=message):
+        runner.CHECKS[check](ctx)
+
+
 def test_me_em_coincidence_on_a_rotation_is_the_per_entry_sup():
     # golden_hat1_dec's rotation, hat and filtration on a 4 x 4 grid; no
     # shipped circle scenario runs this check
