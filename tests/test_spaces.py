@@ -133,6 +133,21 @@ def test_partition_label_rules(labels, message):
         Partition(discrete_space(np.full(4, 0.25)), cell_of=np.array(labels))
 
 
+def test_partition_at_level_dispatch():
+    # each space class builds its own level-k partition
+    assert circle_space().partition(2).ncells == 4
+    assert discrete_space(np.full(4, 0.25)).partition(1).ncells == 2
+    assert product_space(4, np.array([0.5, 0.5])).partition(1).ncells == 2
+
+
+def test_partition_refines():
+    # a partition refines another when it keeps every boundary of it
+    fine = set(make_dyadic_partition(4).cell_bounds_float().tolist())
+    coarse = set(make_dyadic_partition(2).cell_bounds_float().tolist())
+    assert coarse <= fine
+    assert not fine <= coarse
+
+
 _SPACES = {
     "circle": (circle_space, 30),
     "discrete57": (lambda: discrete_space(np.linspace(0.5, 1.5, 57)), 5),
