@@ -54,7 +54,7 @@ in closed form: on large stacks, a stacked eigenvalue call on 1 x 1 and
 Products of coefficient tables are batched like roots: ``_product``
 multiplies two tables row by row, looping over the columns of one factor,
 never over pieces.  Integer powers |f|^k for exact L_k norms and the
-euclidean radicand sum_j f_j^2 (``_radicand``) are built from it.
+euclidean radicand sum_j f_j^2 (``_square_sum``) are built from it.
 """
 
 from __future__ import annotations
@@ -197,12 +197,6 @@ def _product(a, b):
 def _square_sum(c):
     """The table of sum_j f_j^2 for a (N, k1, d) coefficient table."""
     return sum(_product(c[:, :, j], c[:, :, j]) for j in range(c.shape[2]))
-
-
-def _radicand(fn):
-    """The scalar CircleFunction sum_j f_j^2 of a CircleFunction f."""
-    return CircleFunction(fn.breaks, _square_sum(fn.coeffs)[:, :, None],
-                          fn.space)
 
 
 def _sorted_unique(key, x):
@@ -448,10 +442,15 @@ def _eval_rows(c, x):
     return np.einsum("nk,nkd->nd", powers, c)[:, 0]
 
 
-def _abs(st):
-    """|p| of every piece of a scalar stack, split at its sign changes; one
+def _split_at_roots(st):
+    """A scalar stack with each piece cut at its interior zeros; one
     _piece_roots call for the whole stack."""
-    split = _split(st, *_piece_roots(st.c[:, :, 0], st.lo, st.hi))
+    return _split(st, *_piece_roots(st.c[:, :, 0], st.lo, st.hi))
+
+
+def _abs(st):
+    """|p| of every piece of a scalar stack, split at its sign changes."""
+    split = _split_at_roots(st)
     mids = 0.5 * (split.lo + split.hi)
     at = split.place(np.arange(mids.size), mids)
     signs = np.where(_eval_rows(split.c[at], mids) < 0.0, -1.0, 1.0)
@@ -584,10 +583,6 @@ def _sqrt_lp(st, p):
     """Each owner's L_p norm of sqrt(q) for a split radicand stack q."""
     if p == 2.0:
         return _sqrt_each(_integral(st))
-    if p == 1.0:
-        # the last of the running sums SqrtPolyField.cumint takes
-        cum = st.cumsums(_piece_quadrature(st, _sqrt_nonneg), 0)
-        return cum[np.arange(st.m), st.counts - 1]
     return _root(st.sums(_piece_quadrature(
         st, lambda v: np.abs(_sqrt_nonneg(v)) ** p)), p)
 
@@ -600,13 +595,6 @@ def _atom_lp(values, weights, p):
     """(sum_a w_a |v_a|^p) ** (1/p) for each row of an atom value table."""
     return _root(np.matmul((np.abs(values) ** p)[:, None, :],
                            weights[:, None])[:, 0, 0], p)
-
-
-def _split_at_roots(fn):
-    """Refine a scalar CircleFunction's breaks at its interior zeros."""
-    st = _Stack.of([fn])
-    return _split(st, *_piece_roots(st.c[:, :, 0], st.lo, st.hi)).functions(
-        fn.space)[0]
 
 
 class PolyField:
@@ -876,19 +864,18 @@ def upper_envelope(fields):
 def grid_sup_field(fields):
     """Pointwise supremum of a family of norm fields, kept exact.
 
-    Square-root fields reduce through their radicands: sup_i sqrt(q_i)
-    equals sqrt of the polynomial upper envelope of the q_i.
+    The fields are one family's (``NormFamily.fields``), so all of one
+    kind.  Square-root fields reduce through their radicands: sup_i
+    sqrt(q_i) equals sqrt of the polynomial upper envelope of the q_i.
     """
     fields = list(fields)
     if len(fields) == 1:
         return fields[0]
-    if not any(isinstance(f, SqrtPolyField) for f in fields):
+    if not all(isinstance(f, SqrtPolyField) for f in fields):
         return upper_envelope(fields)
-    if not all(isinstance(f, (PolyField, SqrtPolyField)) for f in fields):
-        raise ValueError("grid_sup_field needs polynomial-backed fields")
-    rads = [PolyField(f.q if isinstance(f, SqrtPolyField) else _radicand(f.fn))
-            for f in fields]
-    return SqrtPolyField(_split_at_roots(upper_envelope(rads).fn))
+    env = upper_envelope([PolyField(f.q) for f in fields]).fn
+    return SqrtPolyField(
+        _split_at_roots(_Stack.of([env])).functions(env.space)[0])
 
 
 # -- public norm API -----------------------------------------------------------
@@ -943,9 +930,8 @@ class NormFamily:
         if vnorm.selector == "sum":
             return PolyField, _component_sum(_abs(_components(st)), st.m, d)
         if vnorm.selector == "euclidean":
-            q = _square_sum(st.c)
-            return SqrtPolyField, _split(st.recoef(q[:, :, None]),
-                                         *_piece_roots(q, st.lo, st.hi))
+            return SqrtPolyField, _split_at_roots(
+                st.recoef(_square_sum(st.c)[:, :, None]))
         # the max of f_0, -f_0, f_1, -f_1, ... per member
         signed = np.stack([st.c, st.c * -1.0], axis=3).reshape(
             st.c.shape[:2] + (2 * d,))

@@ -16,6 +16,8 @@ Wrap counts floor(t*theta) and floor(t/h) are taken in extended precision:
 a double-precision product can land on the wrong side of an integer and
 misassign every piece of the result.
 
+A ``Step`` builds the cycle layout of S and its period once, when it is
+constructed; its averages, shifts and ``ergodic`` all read that layout.
 Step averages add the terms values[S^k(i)] of each atom one at a time in
 increasing k, from +0.0, so they carry the bits of a plain per-step loop.
 The orbit-sum kernel keeps that order in blocks: a sequential ``np.cumsum``
@@ -69,9 +71,10 @@ _ORBIT_BLOCK = 1 << 14
 
 
 def _cycle_index(perm):
-    """Cycle layout (order, start, length, pos) of a permutation: the orbit
-    of atom i runs through order[start[i] + (pos[i] + k) % length[i]],
-    k = 0, 1, 2, ..., and length[i] is the length of its cycle."""
+    """Cycle layout (order, start, length, pos, period) of a permutation:
+    the orbit of atom i runs through order[start[i] + (pos[i] + k) %
+    length[i]], k = 0, 1, 2, ..., length[i] is the length of its cycle and
+    period the lcm of the lengths."""
     nxt = np.asarray(perm).tolist()
     leader = [-1] * len(nxt)
     order = []
@@ -86,18 +89,19 @@ def _cycle_index(perm):
     where[order] = np.arange(order.size)
     leader = np.asarray(leader, dtype=np.intp)
     start = where[leader]
-    return order, start, np.bincount(leader)[leader], where - start
+    length = np.bincount(leader)[leader]
+    return order, start, length, where - start, math.lcm(*set(length.tolist()))
 
 
-def _orbit_sums(values, perm, n):
-    """Sum_{k<n} values[perm^k(i)] for every atom i, and the map perm^n.
+def _orbit_sums(values, cycles, n):
+    """Sum_{k<n} values[perm^k(i)] for every atom i, and the map perm^n,
+    for the permutation whose layout _cycle_index gives as cycles.
 
     Terms are added per atom in increasing k from +0.0, exactly as a
     per-step loop adds them, so the sums carry the loop's bits.
     """
-    order, start, length, pos = _cycle_index(perm)
+    order, start, length, pos, period = cycles
     rows = max(1, _ORBIT_BLOCK // values.size)
-    period = math.lcm(*np.unique(length).tolist())
     if period <= rows:
         rows -= rows % period
     buf = np.empty((min(rows, n) + 1,) + values.shape, dtype=values.dtype)
@@ -164,9 +168,9 @@ def _rotation_average_field(field, t, theta):
     return GenericField(field.space, evaluator, inner, derivative)
 
 
-def _step_average_values(values, perm, t, h):
+def _step_average_values(values, cycles, t, h):
     n, rem = _split_ratio(t, h)
-    acc, cur = _orbit_sums(values, perm, n)
+    acc, cur = _orbit_sums(values, cycles, n)
     acc *= h
     if rem > 0.0:
         acc += rem * values[cur]
@@ -256,21 +260,24 @@ class Step(Flow):
     def __init__(self, space, perm, h):
         if not isinstance(space, Atoms):
             raise ValueError("step flows need an atomic space")
-        p = np.asarray(perm, dtype=int)
-        if sorted(p.tolist()) != list(range(space.natoms)):
+        p = np.asarray(perm)
+        # an entry that is not an integer is refused, never truncated
+        if p.dtype.kind not in "iu" or \
+                sorted(p.tolist()) != list(range(space.natoms)):
             raise ValueError("base map must be a permutation of the atoms")
         if np.max(np.abs(space.weights[p] - space.weights)) > 1e-12:
             raise ValueError("base map must preserve atom weights")
         if not (h is not None and h > 0.0):
             raise ValueError("step width must be positive")
         super().__init__(space)
-        self.perm = p
+        self.perm = p.astype(int)
         self.h = h
+        self._cycles = _cycle_index(self.perm)
 
     @property
     def ergodic(self):
         """One cycle through all atoms of a uniformly weighted space."""
-        one_cycle = _cycle_index(self.perm)[2][0] == self.space.natoms
+        one_cycle = self._cycles[2][0] == self.space.natoms
         return bool(one_cycle) and np.ptp(self.space.weights) == 0.0
 
     @property
@@ -280,7 +287,7 @@ class Step(Flow):
 
     def _map(self, t):
         """The time-t point map S^floor(t/h)."""
-        order, start, length, pos = _cycle_index(self.perm)
+        order, start, length, pos, _ = self._cycles
         return order[start + (pos + _split_ratio(t, self.h)[0]) % length]
 
     def shift(self, t, f):
@@ -288,12 +295,12 @@ class Step(Flow):
 
     def average(self, t, f):
         return AtomFunction(f.space,
-                            _step_average_values(f.values, self.perm, t, self.h))
+                            _step_average_values(f.values, self._cycles, t, self.h))
 
     def dominant_average(self, t, field):
         if not isinstance(field, AtomField):
             raise ValueError("step dominants act on atomic fields")
-        vals = _step_average_values(field.values[:, None], self.perm,
+        vals = _step_average_values(field.values[:, None], self._cycles,
                                     t, self.h)[:, 0]
         return AtomField(field.space, vals)
 

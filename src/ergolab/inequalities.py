@@ -149,8 +149,12 @@ class SubmartingaleFamily:
         self.filtration = filtration
         self.s_grid = s_grid
         self.processes = processes
-        # the midpoints of the finest cells on the circle, every atom otherwise
-        self._pts = filtration.space.sample_points(2 ** filtration.max_level)
+        # the midpoints of the finest cells and their widths on the circle,
+        # every atom and its weight otherwise
+        space = filtration.space
+        self._pts = space.sample_points(2 ** filtration.max_level)
+        self._mass = (np.diff(filtration.terminal().cell_bounds_float())
+                      if isinstance(space, Circle) else space.weights)
         self._validate()
 
     def _validate(self):
@@ -171,17 +175,20 @@ class SubmartingaleFamily:
                 raise ValueError(
                     f"process {i} is not adapted at time {self.s_grid[k]} "
                     f"(defect {gap:.3e})")
-        pts = self._pts
         for i, slices in enumerate(self.processes):
-            for k in range(len(slices) - 1):
-                part = self.filtration.partition(self.s_grid[k])
-                e_next = cond_exp(slices[k + 1], part)
-                drop = np.max(slices[k](pts)[:, 0] - e_next(pts)[:, 0])
+            for k, drop in enumerate(self._drops(slices)):
                 if drop > TOLERANCES["submartingale_input"]:
                     raise ValueError(
                         f"process {i} violates the submartingale property "
                         f"between times {self.s_grid[k]} and {self.s_grid[k + 1]} "
                         f"(drop {drop:.3e})")
+
+    def _drops(self, slices):
+        """max(g_k - E(g_(k+1)|F_(s_k))) of each pair of consecutive slices,
+        read at the finest cells' midpoints (every atom off the circle)."""
+        pts, part = self._pts, self.filtration.partition
+        return [np.max(g(pts)[:, 0] - cond_exp(nxt, part(s))(pts)[:, 0])
+                for g, nxt, s in zip(slices, slices[1:], self.s_grid)]
 
     @property
     def n_indices(self):
@@ -216,22 +223,11 @@ def submartingale_sup_check(family):
     """
     pts = family._pts
     sups = [family.sup_slice(k) for k in range(family.s_grid.size)]
-    worst = 0.0
-    for k in range(len(sups) - 1):
-        part = family.filtration.partition(family.s_grid[k])
-        e_next = cond_exp(sups[k + 1], part)
-        drop = np.max(sups[k](pts)[:, 0] - e_next(pts)[:, 0])
-        worst = defect_max(worst, drop)
+    worst = defect_max(0.0, *family._drops(sups))
     terminal = np.max([g[-1](pts)[:, 0] for g in family.processes], axis=0)
     term_defect = float(np.max(np.abs(sups[-1](pts)[:, 0] - terminal)))
-    bound = 0.0
-    for g in sups:
-        pos = np.maximum(g(pts)[:, 0], 0.0)
-        if isinstance(g, AtomFunction):
-            bound = defect_max(bound, np.sum(pos * g.space.weights))
-        else:
-            widths = np.diff(family.filtration.terminal().cell_bounds_float())
-            bound = defect_max(bound, np.sum(pos * widths))
+    bound = defect_max(0.0, *[np.sum(np.maximum(g(pts)[:, 0], 0.0) * family._mass)
+                              for g in sups])
     passed = worst <= TOLERANCES["submartingale_sup"] and term_defect == 0.0
     return SubmartingaleReport(float(worst), term_defect, bound, passed)
 
@@ -243,11 +239,9 @@ def random_submartingale_family(filtration, s_grid, n_indices, rng, scale=1.0):
     """
     if not isinstance(filtration.space, Circle):
         raise ValueError("random families are generated on circle filtrations")
-    if filtration.direction != "increasing":
-        raise ValueError("submartingale families need an increasing filtration")
     s_grid = np.asarray(s_grid, dtype=float)
     n_fine = 2 ** filtration.max_level
-    bounds = np.linspace(0.0, 1.0, n_fine + 1)
+    bounds = filtration.partition_at_level(filtration.max_level).cell_bounds_float()
     processes = []
     for _ in range(n_indices):
         level = filtration.level(s_grid[0])

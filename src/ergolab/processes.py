@@ -30,7 +30,7 @@ import numpy as np
 from .condexp import cond_exp
 from .fields import NormFamily, defect_max, grid_sup_field, sup_norm
 from .flows import apply_flow, cesaro_average
-from .functions import AtomFunction, CircleFunction, merge_sum
+from .functions import AtomFunction, merge_sum
 from .spaces import VectorNorm
 from .tolerances import TOLERANCES
 
@@ -39,12 +39,6 @@ _DIAG_SLACK = 1.1
 _DIAG_FLOOR = 1e-12
 
 _T_PROBES = (0.3, 0.7, 1.0, 1.9, 2.5, 4.0)
-
-
-def _constant_like(f, value):
-    if isinstance(f, AtomFunction):
-        return AtomFunction.constant(value, f.space)
-    return CircleFunction.constant(value, f.space)
 
 
 def _combine(funcs, weights):
@@ -187,7 +181,7 @@ def limits(f, flow, filtration, t_max):
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     if flow.ergodic:
-        ergodic_limit = _constant_like(f, f.mean())
+        ergodic_limit = type(f).constant(f.mean(), f.space)
     else:
         ergodic_limit = cesaro_average(flow, float(t_max), f)
     terminal = filtration.terminal()
@@ -306,7 +300,7 @@ def ergodic_envelope_constant(flow, f, vnorm=None):
         raise ValueError("envelope constant needs an ergodic flow")
     if vnorm is None:
         vnorm = VectorNorm("max", f.d)
-    return flow.envelope_constant(f - _constant_like(f, f.mean()), vnorm)
+    return flow.envelope_constant(f - type(f).constant(f.mean(), f.space), vnorm)
 
 
 @dataclass(frozen=True)
@@ -323,7 +317,7 @@ def ergodic_envelope_check(flow, f, averages, vnorm=None):
     if vnorm is None:
         vnorm = VectorNorm("max", f.d)
     errs = NormFamily(averages.values(), vnorm,
-                      _constant_like(f, f.mean())).sup()
+                      type(f).constant(f.mean(), f.space)).sup()
     rows = []
     ok = True
     for t, err in zip(averages, errs):

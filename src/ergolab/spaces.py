@@ -25,7 +25,7 @@ MAX_DYADIC_LEVEL = 30
 
 
 def _integer(level, name="level"):
-    """level as an int; a float level would build non-dyadic cells."""
+    """level as an int; a float level or cyclic size is refused, not cut."""
     try:
         return operator.index(level)
     except TypeError:
@@ -116,7 +116,7 @@ class Product(Atoms):
     kind = "product"
 
     def __init__(self, cyclic_size, atom_weights):
-        m1 = int(cyclic_size)
+        m1 = _integer(cyclic_size, "cyclic_size")
         if m1 < 1:
             raise ValueError("cyclic factor must have at least one atom")
         w2 = _atom_weights(atom_weights)

@@ -224,6 +224,17 @@ def test_grid_sup_field_singleton_passthrough():
     assert grid_sup_field([field]) is field
 
 
+def test_grid_sup_field_rejects_a_mixed_family():
+    # one NormFamily's fields are all of one kind; a PolyField among
+    # square-root fields is refused, not squared into a radicand
+    f = sawtooth(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3])
+    mixed = [pointwise_norm(f, VectorNorm("euclidean", 2)),
+             pointwise_norm(f, VectorNorm("max", 2))]
+    for members in (mixed, mixed[::-1]):
+        with pytest.raises(ValueError):
+            grid_sup_field(members)
+
+
 def test_generic_field_quadrature():
     field = GenericField(
         circle_space(),
@@ -552,7 +563,8 @@ def test_split_and_abs_match_per_piece_loops(k1):
     coeffs = _root_cases(rng, breaks, k1)
     fn = CircleFunction(breaks, coeffs[:, :, None])
     edges, signed = _loop_abs(breaks, coeffs)
-    assert _same(_split_at_roots(fn).breaks, edges)
+    split = _split_at_roots(fields._Stack.of([fn]))
+    assert _same(np.r_[split.lo, split.hi[-1]], edges)
     got = pointwise_norm(fn, VectorNorm("max", 1)).fn
     assert _same(got.breaks, edges)
     assert _same(got.coeffs[:, :, 0], signed)
@@ -960,13 +972,11 @@ def test_radicand_matches_per_piece_convolve(d):
     for k1 in range(1, 10):
         coeffs = rng.uniform(-2.0, 2.0, (50, k1, d))
         coeffs[rng.random(coeffs.shape) < 0.1] = 0.0
-        fn = CircleFunction(_breaks(rng, 50), coeffs)
-        got = fields._radicand(fn)
+        got = fields._square_sum(coeffs)
         ref = oracles.loop_radicand(coeffs)
         bound = k1 * d * _EPS * oracles.loop_radicand(np.abs(coeffs))
-        assert got.coeffs.shape == (50, 2 * k1 - 1, 1)
-        assert _same(got.breaks, fn.breaks)
-        assert np.all(np.abs(got.coeffs[:, :, 0] - ref) <= bound)
+        assert got.shape == (50, 2 * k1 - 1)
+        assert np.all(np.abs(got - ref) <= bound)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 16])
@@ -999,6 +1009,7 @@ def test_products_make_no_convolve_call(monkeypatch):
     breaks = _breaks(rng, 4096)
     fn = CircleFunction(breaks, rng.uniform(-1.0, 1.0, (4096, 4, 2)))
     scalar = CircleFunction(breaks, fn.coeffs[:, :, :1])
+    other = CircleFunction(breaks, rng.uniform(-1.0, 1.0, (4096, 4, 2)))
     calls = [0]
     real = np.convolve
 
@@ -1010,7 +1021,8 @@ def test_products_make_no_convolve_call(monkeypatch):
     absolute = pointwise_norm(scalar, VectorNorm("euclidean", 1))
     absolute.lp(2)
     absolute.lp(3)
-    env = grid_sup_field([euclid, absolute])
+    env = grid_sup_field([euclid,
+                          pointwise_norm(other, VectorNorm("euclidean", 2))])
     assert isinstance(env, SqrtPolyField)
     assert calls[0] == 0
 

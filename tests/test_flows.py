@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ergolab import fields
+from ergolab import fields, flows
 from ergolab.condexp import cond_exp_dominant
 from ergolab.fields import AtomField, PolyField, pointwise_norm
 from ergolab.flows import (
@@ -234,6 +234,39 @@ def test_cycle_lengths():
     assert _cycle_index(np.array([1, 0, 3, 4, 2, 5]))[2].tolist() == \
         [2, 2, 3, 3, 3, 1]
     assert _cycle_index(np.arange(6))[2].tolist() == [1] * 6
+    # the period is the lcm of the cycle lengths
+    assert [_cycle_index(p)[4] for p in (sp.shift_perm(), np.arange(6),
+                                         np.array([1, 0, 3, 4, 2, 5]))] == [6, 1, 6]
+
+
+def test_step_builds_its_cycle_layout_once(monkeypatch):
+    calls = [0]
+    real = flows._cycle_index
+
+    def counted(perm):
+        calls[0] += 1
+        return real(perm)
+    monkeypatch.setattr(flows, "_cycle_index", counted)
+    sp = _unit_space(6)
+    flow = step_flow(sp, np.array([1, 0, 3, 4, 2, 5]), h=0.5)
+    f = AtomFunction(sp, np.arange(6.0))
+    for t in (0.7, 3.0, 1e4 + 0.25):
+        cesaro_average(flow, t, f)
+        dominant_cesaro(flow, t, AtomField(sp, np.arange(6.0)))
+        apply_flow(flow, t, f)
+    assert not flow.ergodic
+    assert calls[0] == 1
+
+
+def test_step_map_entries_must_be_integers():
+    # a float entry is refused with the permutation message, never truncated
+    # (1.7 and 0.2 would read as the swap [1, 0])
+    sp = discrete_space([0.5, 0.5])
+    for perm in ([1.7, 0.2], [1.0, 0.0], np.array([np.nan, 0.0])):
+        with pytest.raises(ValueError,
+                           match="base map must be a permutation of the atoms"):
+            step_flow(sp, perm)
+    assert step_flow(sp, np.array([1, 0], dtype=np.uint8)).perm.tolist() == [1, 0]
 
 
 def test_shift_perm_product_moves_first_factor():

@@ -209,6 +209,14 @@ def test_levels_must_be_integers(name):
     assert Filtration(space, "increasing", np.int64(2)).max_level == 2
 
 
+def test_cyclic_size_must_be_an_integer():
+    # 2.7 was once floored to a 2 x 2 product
+    for size in (2.7, 2.0, "2"):
+        with pytest.raises(ValueError, match="cyclic_size must be an integer"):
+            product_space(size, [0.5, 0.5])
+    assert product_space(np.int64(2), [0.5, 0.5]) == product_space(2, [0.5, 0.5])
+
+
 def test_levels_outside_the_range_are_rejected():
     with pytest.raises(ValueError, match="measure underflow"):
         circle_space().partition(31)
