@@ -9,8 +9,8 @@ from .spaces import (Circle, Atoms, Product, Partition, Filtration,
 from .functions import (CircleFunction, AtomFunction, merge_sum, sawtooth,
                         hat, cascade, from_smooth, harmonic_generator)
 from .fields import (PolyField, SqrtPolyField, GenericField, AtomField,
-                     pointwise_norm, lp_norm, sup_norm, exceedance_measure,
-                     upper_envelope, grid_sup_field)
+                     pointwise_norm, lp_norm, sup_norm, upper_envelope,
+                     grid_sup_field)
 from .flows import (GOLDEN, Flow, rotation_flow, step_flow, identity_flow,
                     apply_flow, cesaro_average, dominant_cesaro)
 from .condexp import (LinearFunctional, cond_exp, cond_exp_dominant,

@@ -1,17 +1,16 @@
 """Conditional expectation on finite partitions and its positive dominant.
 
 For a finite partition every conditional expectation is a cell average, so
-the vector operator is exact (antiderivative differences on the circle,
-weighted sums on atoms).  On atoms the cells of each size form one table
-(``Partition.size_groups``), so each table's weighted sums are one stacked
-``np.matmul``: still one dot product per cell, so the bits match a loop
-over the cells.  The scalar dominant conditions polynomial and atom fields
-through that same operator; only the quadrature fields (``SqrtPolyField``,
-``GenericField``) bring their own cell averages: differences of F = ∫h for
-a ``SqrtPolyField``; for a rotation's dominant average, each cell's width
-times its value at the cell's left end plus one quadrature of its
-derivative (see ``GenericField._cell_integrals``), so no quadrature runs
-inside another.
+the vector operator is exact.  ``_cell_integrals`` takes each cell's
+integral in the layout of ``Partition.masses``, one array per size group:
+antiderivative differences on the circle (one group of equal cells), and
+on atoms one stacked ``np.matmul`` per ``Partition.size_groups`` table,
+one dot product per cell, so the bits match a loop over the cells.
+``cond_exp`` divides them by the masses; ``defining_property_check``
+compares those of E(f|F) and f.  The scalar dominant conditions polynomial
+and atom fields through that same operator; only the quadrature fields
+(``SqrtPolyField``, ``GenericField``) bring their own ``cell_averages``,
+each cell from its own parts, and no quadrature runs inside another.
 """
 
 from __future__ import annotations
@@ -46,26 +45,28 @@ def _check_space(f, partition):
         raise ValueError("function and partition live on different spaces")
 
 
-def _cell_sums(partition, values):
-    """Per size group: the (cells, size) atom table, its weights, and each
-    cell's weights @ values rows, as one stacked matmul."""
-    for atoms in partition.size_groups:
-        w = partition.space.weights[atoms]
-        yield atoms, w, np.matmul(w[:, None, :], values[atoms])[:, 0]
+def _cell_integrals(f, partition):
+    """Each cell's integral of f: one (cells, d) array per size group."""
+    if isinstance(f, AtomFunction):
+        return [np.matmul(partition.space.weights[atoms][:, None, :],
+                          f.values[atoms])[:, 0]
+                for atoms in partition.size_groups]
+    bounds = partition.cell_bounds_float()
+    return [np.diff(f.antiderivative()._eval_unwrapped(bounds), axis=0)]
 
 
 def cond_exp(f, partition):
     """Cell-average conditional expectation; exact, piecewise constant."""
     _check_space(f, partition)
+    avgs = [s / m[:, None] for s, m in zip(_cell_integrals(f, partition),
+                                           partition.masses)]
     if isinstance(f, AtomFunction):
         out = np.empty_like(f.values)
-        for atoms, w, sums in _cell_sums(partition, f.values):
-            out[atoms] = (sums / w.sum(axis=1)[:, None])[:, None, :]
+        for atoms, a in zip(partition.size_groups, avgs):
+            out[atoms] = a[:, None, :]
         return AtomFunction(f.space, out)
-    bounds = partition.cell_bounds_float()
-    ad = f.antiderivative()._eval_unwrapped(bounds)
-    avgs = np.diff(ad, axis=0) / np.diff(bounds)[:, None]
-    return CircleFunction(bounds, avgs[:, None, :], f.space)
+    return CircleFunction(partition.cell_bounds_float(), avgs[0][:, None],
+                          f.space)
 
 
 def cond_exp_dominant(h, partition):
@@ -88,15 +89,8 @@ def defining_property_check(f, partition):
     """Max over cells of the averaging defect |∫_B E f − ∫_B f| (max norm)."""
     _check_space(f, partition)
     ef = cond_exp(f, partition)
-    if isinstance(f, AtomFunction):
-        gaps = [np.max(np.abs(e - g)) for (_, _, e), (_, _, g) in
-                zip(_cell_sums(partition, ef.values),
-                    _cell_sums(partition, f.values))]
-        return defect_max(0.0, *gaps)
-    bounds = partition.cell_bounds_float()
-    ints = [np.diff(g.antiderivative()._eval_unwrapped(bounds), axis=0)
-            for g in (ef, f)]
-    return defect_max(0.0, *np.max(np.abs(ints[0] - ints[1]), axis=1))
+    return defect_max(0.0, *(np.max(np.abs(e - g)) for e, g in zip(
+        _cell_integrals(ef, partition), _cell_integrals(f, partition))))
 
 
 def functional_commutation_check(f, partition, functional):

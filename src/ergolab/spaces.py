@@ -156,8 +156,9 @@ class Partition:
     equal length.  An atomic partition is ``cell_of``, one integer label
     per atom, the labels running over 0..k-1 with no gaps.  ``size_groups``
     holds the same cells grouped by size: one (cells, size) table of atom
-    indices per distinct size, each cell's atoms in increasing order, built
-    once here.
+    indices per distinct size, each cell's atoms in increasing order.
+    ``masses`` holds one array of cell measures per size group; the circle's
+    equal cells make one group.  Both are built once here.
     """
 
     def __init__(self, space, cell_of=None, level=None):
@@ -172,6 +173,7 @@ class Partition:
             self.ncells = n = 2 ** level
             self._bounds = np.arange(n + 1) / n
             self._bounds.flags.writeable = False
+            self.masses = (np.diff(self._bounds),)
             return
         labels = np.asarray(cell_of)
         if labels.shape != (space.natoms,) or labels.dtype.kind not in "iu":
@@ -189,6 +191,8 @@ class Partition:
         self.size_groups = tuple(
             atoms[starts[sizes == n][:, None] + np.arange(n)]
             for n in np.unique(sizes))
+        self.masses = tuple(space.weights[group].sum(axis=1)
+                            for group in self.size_groups)
 
     def cell_bounds_float(self):
         """Circle cell boundaries k / 2**level, read-only."""

@@ -12,7 +12,6 @@ from ergolab.fields import (
     SqrtPolyField,
     _piece_roots,
     _split_at_roots,
-    exceedance_measure,
     gl_integrate,
     grid_sup_field,
     lp_norm,
@@ -98,7 +97,7 @@ def test_polyfield_superlevel_measure():
     assert field.superlevel_measure(0.75) == 0.0
     ref = oracles.riemann_measure(
         lambda x: np.abs(oracles.sawtooth_vals(x)), 0.25)
-    assert exceedance_measure(field, 0.25) == pytest.approx(ref, abs=1e-4)
+    assert field.superlevel_measure(0.25) == pytest.approx(ref, abs=1e-4)
 
 
 def test_polyfield_cumint_and_cells():

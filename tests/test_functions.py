@@ -119,6 +119,25 @@ def test_arithmetic_and_merge_sum():
     assert np.allclose(m(x), 0.5 * f(x) - 1.5 * g(x))
 
 
+def test_merge_sum_checks_its_operands_as_addition_does():
+    # d = 1 against d = 2 must not broadcast into both components
+    two, one = sawtooth(d=2), hat(d=1)
+    for funcs in ([two, one], [one, two]):
+        with pytest.raises(ValueError, match="value dimensions differ"):
+            merge_sum(funcs, [1.0, 1.0])
+        with pytest.raises(ValueError, match="value dimensions differ"):
+            funcs[0] + funcs[1]
+    atoms = AtomFunction(discrete_space(np.full(2, 0.5)), np.zeros(2))
+    with pytest.raises(ValueError, match="same circle space"):
+        merge_sum([one, atoms], [1.0, 1.0])
+    with pytest.raises(ValueError, match="same circle space"):
+        one - atoms
+    # one weight per operand: a short or long list is not cut to fit
+    for weights in ([1.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError):
+            merge_sum([one, hat(d=1)], weights)
+
+
 def test_from_pieces_rejects_high_degree():
     with pytest.raises(ValueError):
         CircleFunction.from_pieces([0.0, 1.0], [np.ones((10, 1))])
@@ -140,7 +159,7 @@ def test_from_smooth_hits_target():
     x = (np.arange(1000) + 0.5) / 1000
     exact = np.array([gen(float(t)) for t in x])
     assert np.max(np.abs(f(x) - exact)) <= 1e-6
-    assert f.is_continuous(tol=1e-9)
+    assert f.is_continuous()
     assert np.max(np.abs(f.mean())) < 1e-6
 
 

@@ -312,21 +312,23 @@ def test_limits_identity_flow_surrogate():
 def test_decomposition_identity_rotation():
     flow = rotation_flow(GOLDEN)
     g = sawtooth(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3])
+    vnorm = VectorNorm("max", 2)
     for t in (1.0, 2.5, 7.25, 33.0):
-        assert cesaro_decomposition_check(flow, g, t) <= 1e-10
+        assert cesaro_decomposition_check(flow, g, t, vnorm) <= 1e-10
 
 
 def test_decomposition_identity_step():
     sp = discrete_space(np.full(4, 0.25))
     g = AtomFunction(sp, np.array([0.8, -0.35, 0.55, -0.9]))
     flow = step_flow(sp, sp.shift_perm(), h=0.5)
+    vnorm = VectorNorm("max", 1)
     for t in (1.0, 2.7, 6.25):
-        assert cesaro_decomposition_check(flow, g, t) <= 1e-12
+        assert cesaro_decomposition_check(flow, g, t, vnorm) <= 1e-12
     bad = step_flow(sp, sp.shift_perm(), h=0.3)
     with pytest.raises(ValueError):
-        cesaro_decomposition_check(bad, g, 2.0)
+        cesaro_decomposition_check(bad, g, 2.0, vnorm)
     with pytest.raises(ValueError):
-        cesaro_decomposition_check(flow, g, 0.5)
+        cesaro_decomposition_check(flow, g, 0.5, vnorm)
 
 
 def test_commutation_zero_for_factor_partition():
@@ -335,7 +337,7 @@ def test_commutation_zero_for_factor_partition():
     f = AtomFunction(sp, rng.normal(size=(16, 2)))
     flow = step_flow(sp, sp.shift_perm(), h=1.0)
     part = sp.partition(1)
-    assert commutation_check(flow, f, part) <= 1e-12
+    assert commutation_check(flow, f, part, VectorNorm("max", 2)) <= 1e-12
 
 
 def test_commutation_nonzero_for_rotation():
@@ -343,7 +345,7 @@ def test_commutation_nonzero_for_rotation():
     part = make_dyadic_partition(2)
     # rotations smear cells across cell boundaries; the defect is a
     # diagnostic size, not a roundoff artifact
-    assert commutation_check(flow, f, part) > 1e-3
+    assert commutation_check(flow, f, part, VectorNorm("max", 1)) > 1e-3
 
 
 def test_convergence_table_me():
@@ -353,10 +355,10 @@ def test_convergence_table_me():
     grid = me_process(f, flow, filt, t_grid, s_grid)
     lim = limits(f, flow, filt, t_max=16.0)
     report = convergence_table(grid, lim.me_limit, 2.0,
-                               VectorNorm("euclidean", 1), threshold=0.05)
+                               VectorNorm("euclidean", 1))
     assert len(report) == 25
     assert len(report.diagonal) == 5
-    assert report.passed
+    assert report.monotone and report.final_sup_error <= 0.05
     # terminal diagonal entry conditions on the trivial partition, so the
     # error is exactly zero there
     assert report.diagonal[-1][3] == 0.0
@@ -364,19 +366,16 @@ def test_convergence_table_me():
 
 def test_convergence_report_slack_rule():
     rows = [(1.0, 0.0, 0.1, 0.1), (2.0, 1.0, 0.2, 0.2)]
-    report = ConvergenceReport(rows, rows, threshold=0.5)
-    assert not report.monotone and not report.passed
+    assert not ConvergenceReport(rows, rows).monotone
     rows2 = [(1.0, 0.0, 0.1, 0.1), (2.0, 1.0, 0.105, 0.105)]
-    report2 = ConvergenceReport(rows2, rows2, threshold=0.5)
-    assert report2.monotone and report2.passed
-    report3 = ConvergenceReport(rows2, rows2, threshold=None)
-    assert report3.passed is None
+    assert ConvergenceReport(rows2, rows2).monotone
 
 
 def test_sup_integrability_frozen():
     f, flow, filt = _golden_setup()
+    vnorm = VectorNorm("max", 1)
     val = sup_integrability_report(
-        [cesaro_average(flow, t, f) for t in (0.5, 1.0, 2.0, 4.0)])
+        [cesaro_average(flow, t, f) for t in (0.5, 1.0, 2.0, 4.0)], vnorm)
     assert val == pytest.approx(0.19614198679505535, rel=1e-12)
     # dense reference: max of the closed-form averages, then quadrature
     pts = oracles.midpoints(200_001)
@@ -389,36 +388,38 @@ def test_sup_integrability_frozen():
     assert val == pytest.approx(ref, abs=1e-7)
 
     sval = sup_integrability_report(
-        [cond_exp(f, filt.partition(s)) for s in (0.0, 1.0, 2.0, 3.0)])
+        [cond_exp(f, filt.partition(s)) for s in (0.0, 1.0, 2.0, 3.0)], vnorm)
     assert sval == pytest.approx(85.0 / 256.0, rel=1e-14)
 
 
 def test_sup_integrability_validation():
     with pytest.raises(ValueError):
-        sup_integrability_report([])
+        sup_integrability_report([], VectorNorm("max", 1))
 
 
 def test_envelope_constant_rotation_exact():
     f, flow, _ = _golden_setup()
     # centered antiderivative of the sawtooth peaks at 1/8
-    assert ergodic_envelope_constant(flow, f) == pytest.approx(
+    vnorm = VectorNorm("max", 1)
+    assert ergodic_envelope_constant(flow, f, vnorm) == pytest.approx(
         0.25 / GOLDEN, rel=1e-14)
     with pytest.raises(ValueError):
-        ergodic_envelope_constant(rotation_flow(0.25), f)
+        ergodic_envelope_constant(rotation_flow(0.25), f, vnorm)
 
 
 def test_envelope_constant_step():
     sp = discrete_space(np.full(4, 0.25))
     f = AtomFunction(sp, np.array([1.0, 0.0, 0.0, -1.0]))
     flow = step_flow(sp, sp.shift_perm(), h=0.5)
-    assert ergodic_envelope_constant(flow, f) == pytest.approx(2.0)
+    assert ergodic_envelope_constant(flow, f, VectorNorm("max", 1)) \
+        == pytest.approx(2.0)
 
 
 def test_envelope_check_bounds_errors():
     f, flow, _ = _golden_setup()
     averages = {t: cesaro_average(flow, t, f)
                 for t in (1.0, 3.0, 10.0, 100.0, 1000.0)}
-    report = ergodic_envelope_check(flow, f, averages)
+    report = ergodic_envelope_check(flow, f, averages, VectorNorm("max", 1))
     assert report.passed
     for t, err, bound in report.rows:
         assert err <= bound + 1e-12

@@ -392,6 +392,21 @@ def test_tolerance_table_decides_the_verdict(monkeypatch, name):
     assert (rec.status, rec.tolerance, rec.note) == ("FAIL", -math.inf, "")
 
 
+@pytest.mark.parametrize("errors, status", [
+    ((0.1, 0.08, 0.05), "PASS"),      # within the threshold, inclusive
+    ((0.1, 0.08, 0.0500001), "FAIL"),  # monotone, but over the threshold
+    ((0.01, 0.03, 0.02), "FAIL"),     # within the threshold, but it grew
+])
+def test_convergence_verdict_reads_diagonal_and_threshold(errors, status):
+    cfg = replace(parse_text(SMALL), threshold=0.05)
+    ctx = runner.build_context(cfg, np.random.default_rng(cfg.seed))
+    diagonal = [(t, t - 1.0, e, e) for t, e in zip((1.0, 2.0, 3.0), errors)]
+    table = processes.ConvergenceReport(diagonal, diagonal)
+    rec = runner._convergence_record(ctx, "em_convergence", table)
+    assert (rec.status, rec.value, rec.bound) == (status, errors[-1], 0.05)
+    assert (rec.note == "") == table.monotone
+
+
 def _wrap_everywhere(monkeypatch, fn, wrapper):
     """Replace fn in every ergolab module that binds it."""
     for name, mod in list(sys.modules.items()):
