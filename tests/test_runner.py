@@ -141,9 +141,9 @@ def test_contraction_matches_per_average_loop(text):
     ctx = runner.build_context(cfg, np.random.default_rng(cfg.seed))
     base = lp_norm(ctx.f, cfg.p, ctx.vnorm)
     ref = [lp_norm(avg, cfg.p, ctx.vnorm) - base
-           for avg in ctx.me_grid().inner.values()]
+           for avg in ctx.grid("me").inner.values()]
     rows = runner.CHECKS["contraction"](ctx).rows
-    assert [r[0] for r in rows] == list(ctx.me_grid().inner)
+    assert [r[0] for r in rows] == list(ctx.grid("me").inner)
     assert np.array([r[3] for r in rows]).tobytes() == np.array(ref).tobytes()
 
 
@@ -305,8 +305,8 @@ def test_me_em_coincidence_on_a_rotation_is_the_per_entry_sup():
     cfg = parse_text(text)
     ctx = runner.build_context(cfg, np.random.default_rng(cfg.seed))
     rec = runner.CHECKS["me_em_coincidence"](ctx)
-    em, lim = ctx.em_grid(), ctx.proc_limits()
-    gaps = [fn - em.entry(t, s) for (t, s), fn in ctx.me_grid().items()]
+    em, lim = ctx.grid("em"), ctx.proc_limits()
+    gaps = [fn - em.entry(t, s) for (t, s), fn in ctx.grid("me").items()]
     assert len(gaps) == 16
     entry = defect_max(0.0, *[sup_norm(g, ctx.vnorm) for g in gaps])
     limit = sup_norm(lim.me_limit - lim.em_limit, ctx.vnorm)
@@ -381,7 +381,7 @@ def test_defect_on_one_thin_piece_is_seen(monkeypatch, name, module, fn, arg):
                                   "dominant_ineq_em", "maximal_ineq_me",
                                   "maximal_ineq_em", "submartingale_sup"])
 def test_tolerance_table_decides_the_verdict(monkeypatch, name):
-    # these verdicts are decided inside processes.py and inequalities.py;
+    # the runner decides these verdicts from the library reports' numbers;
     # editing the shared table must move them, not just the reported value
     cfg = parse_text(SMALL.replace(
         "checks = defining_property, decomposition, contraction, "
@@ -392,19 +392,35 @@ def test_tolerance_table_decides_the_verdict(monkeypatch, name):
     assert (rec.status, rec.tolerance, rec.note) == ("FAIL", -math.inf, "")
 
 
-@pytest.mark.parametrize("errors, status", [
-    ((0.1, 0.08, 0.05), "PASS"),      # within the threshold, inclusive
-    ((0.1, 0.08, 0.0500001), "FAIL"),  # monotone, but over the threshold
-    ((0.01, 0.03, 0.02), "FAIL"),     # within the threshold, but it grew
-])
-def test_convergence_verdict_reads_diagonal_and_threshold(errors, status):
+DIAGONALS = [
+    ((0.1, 0.08, 0.05), "PASS", False),       # within the threshold, inclusive
+    ((0.1, 0.08, 0.0500001), "FAIL", False),  # monotone, over the threshold
+    ((0.01, 0.03, 0.02), "FAIL", True),       # within the threshold, it grew
+    ((0.1, 0.2), "FAIL", True),               # grew beyond the 1.1 slack
+    ((0.1, 0.105), "FAIL", False),            # within the slack, over threshold
+]
+
+
+@pytest.mark.parametrize("errors, status, grew", DIAGONALS, ids=[
+    f"errors{i}-{status}" for i, (_, status, _) in enumerate(DIAGONALS)])
+def test_convergence_verdict_reads_diagonal_and_threshold(errors, status, grew):
     cfg = replace(parse_text(SMALL), threshold=0.05)
     ctx = runner.build_context(cfg, np.random.default_rng(cfg.seed))
     diagonal = [(t, t - 1.0, e, e) for t, e in zip((1.0, 2.0, 3.0), errors)]
     table = processes.ConvergenceReport(diagonal, diagonal)
     rec = runner._convergence_record(ctx, "em_convergence", table)
     assert (rec.status, rec.value, rec.bound) == (status, errors[-1], 0.05)
-    assert (rec.note == "") == table.monotone
+    assert rec.note == ("diagonal errors grew beyond slack" if grew else "")
+
+
+def test_decomposition_with_no_probe_fails():
+    # a grid that ends below t = 1 leaves no probe with 1 <= t <= t_max
+    text = SMALL.replace(SMALL_CHECKS, "checks = decomposition")
+    cfg = parse_text(text.replace("t_grid = 1.0, 2.0, 3.0, 5.0",
+                                  "t_grid = 0.25, 0.5"))
+    (rec,) = run_scenario(cfg).records
+    assert (rec.status, rec.value, rec.rows) == ("FAIL", None, ())
+    assert rec.note == "ValueError: decomposition has no probe to measure"
 
 
 def _wrap_everywhere(monkeypatch, fn, wrapper):
