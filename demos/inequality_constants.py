@@ -13,9 +13,9 @@ from ergolab import (
     VectorNorm,
     circle_space,
     dominant_ineq_me,
-    lp_norm,
     maximal_ineq_me,
     me_process,
+    pointwise_norm,
     rotation_flow,
     sawtooth,
 )
@@ -49,4 +49,4 @@ for eps in (0.05, 0.10, 0.15, 0.25):
 # the p = 2 strong-type coefficient is exactly 4
 assert (2.0 / (2.0 - 1.0)) ** 2 == 4.0
 print("\np = 2 coefficient:", (2.0 / 1.0) ** 2)
-print("||f||_2 =", lp_norm(f, 2.0, vnorm))
+print("||f||_2 =", pointwise_norm(f, vnorm).lp(2.0))

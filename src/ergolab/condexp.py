@@ -7,10 +7,12 @@ antiderivative differences on the circle (one group of equal cells), and
 on atoms one stacked ``np.matmul`` per ``Partition.size_groups`` table,
 one dot product per cell, so the bits match a loop over the cells.
 ``cond_exp`` divides them by the masses; ``defining_property_check``
-compares those of E(f|F) and f.  The scalar dominant conditions polynomial
-and atom fields through that same operator; only the quadrature fields
-(``SqrtPolyField``, ``GenericField``) bring their own ``cell_averages``,
-each cell from its own parts, and no quadrature runs inside another.
+compares those of E(f|F) and f.  ``functional_commutation_check`` takes
+its gaps on all partitions in one max-norm ``NormFamily``.  The scalar
+dominant conditions polynomial and atom fields through that same
+operator; only the quadrature fields (``SqrtPolyField``, ``GenericField``)
+bring their own ``cell_averages``, each cell from its own parts, and no
+quadrature runs inside another.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .functions import CircleFunction, AtomFunction
-from .fields import PolyField, AtomField, defect_max, sup_norm
+from .fields import NormFamily, PolyField, AtomField, defect_max
 from .spaces import VectorNorm
 
 
@@ -93,15 +95,18 @@ def defining_property_check(f, partition):
         _cell_integrals(ef, partition), _cell_integrals(f, partition))))
 
 
-def functional_commutation_check(f, partition, functional):
-    """Exact sup over the space of |g(E(f|F)) − E(g(f)|F)|.
+def functional_commutation_check(f, partitions, functional):
+    """Exact sup over the space of |g(E(f|F)) − E(g(f)|F)|, one per
+    partition F of ``partitions``, from one max-norm family.
 
     Both sides are piecewise constant (per atom on atom spaces), so the
     sup of their difference is read from its pieces, not from samples.
     """
-    _check_space(f, partition)
+    for part in partitions:
+        _check_space(f, part)
     if functional.dim != f.d:
         raise ValueError("functional dimension does not match function")
-    lhs = functional.compose(cond_exp(f, partition))
-    rhs = cond_exp(functional.compose(f), partition)
-    return float(sup_norm(lhs - rhs, VectorNorm("max", 1)))
+    gf = functional.compose(f)
+    return NormFamily([functional.compose(cond_exp(f, part))
+                       - cond_exp(gf, part) for part in partitions],
+                      VectorNorm("max", 1)).sup()

@@ -239,7 +239,7 @@ def _pieces(kv, key, got):
                       for comp in kv[k].split("|"))
         if len(comps) != d:
             raise ConfigError(k, f"expected {d} components")
-        # read here, not by CircleFunction.from_pieces, so the error names the piece
+        # the degree cap is read here, so the error names the piece
         degree = max(len(comp) for comp in comps) - 1
         if degree > DEGREE_CAP:
             raise ConfigError(k, f"degree {degree} exceeds cap {DEGREE_CAP}")

@@ -110,7 +110,7 @@ class _Nodes(np.ndarray):
     """Quadrature nodes whose ``key`` holds the key of each node's interval."""
 
 
-def gl_integrate(fn, lo, hi, tol=_GL_STABILITY, depth=0, key=None):
+def gl_integrate(fn, lo, hi, depth=0, key=None):
     """Adaptive Gauss-Legendre on each [lo[i], hi[i]] (a scalar call gives a
     float).  Intervals whose rules never agree are bisected, all halves in
     one call; each rule is one dot product per interval, so every interval
@@ -152,7 +152,8 @@ def gl_integrate(fn, lo, hi, tol=_GL_STABILITY, depth=0, key=None):
                                                   wts[:, None])[:, 0, 0]
         done = ~np.isfinite(val)
         if prev is not None:
-            done |= np.abs(val - prev) <= np.maximum(tol, tol * np.abs(val))
+            done |= np.abs(val - prev) <= np.maximum(
+                _GL_STABILITY, _GL_STABILITY * np.abs(val))
         out[todo[done]] = val[done]
         todo, prev = todo[~done], val[~done]
     if todo.size and depth >= _GL_MAX_DEPTH:
@@ -160,7 +161,7 @@ def gl_integrate(fn, lo, hi, tol=_GL_STABILITY, depth=0, key=None):
     elif todo.size:
         mid = 0.5 * (lo[todo] + hi[todo])
         halves = gl_integrate(fn, np.r_[lo[todo], mid], np.r_[mid, hi[todo]],
-                              tol, depth + 1,
+                              depth=depth + 1,
                               key=None if key is None else np.r_[key[todo],
                                                                  key[todo]])
         out[todo] = halves[:todo.size] + halves[todo.size:]
@@ -899,6 +900,8 @@ class NormFamily:
 
     def __init__(self, members, vnorm, target=None):
         members = list(members)
+        if not members:
+            raise ValueError("a norm family needs at least one member")
         self.m = len(members)
         self.space = members[0].space
         if all(isinstance(g, AtomFunction) for g in members):
@@ -971,16 +974,6 @@ class NormFamily:
 def pointwise_norm(f, vnorm):
     """The scalar field x -> ||f(x)||_X."""
     return NormFamily([f], vnorm).fields()[0]
-
-
-def lp_norm(f, p, vnorm):
-    """The Bochner norm (integral of ||f(x)||_X^p) ** (1/p), finite p >= 1."""
-    return pointwise_norm(f, vnorm).lp(p)
-
-
-def sup_norm(f, vnorm):
-    """Essential sup of ||f(x)||_X over the space."""
-    return pointwise_norm(f, vnorm).sup()
 
 
 def defect_max(*defects):

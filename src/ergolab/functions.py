@@ -84,22 +84,6 @@ class CircleFunction:
         return self.breaks.size - 1
 
     @classmethod
-    def from_pieces(cls, breaks, piece_coeffs, space=None):
-        """Public constructor; enforces the degree cap."""
-        coeff_list = [np.atleast_2d(np.asarray(p, dtype=float))
-                      for p in piece_coeffs]
-        k1 = max(p.shape[0] for p in coeff_list)
-        if k1 - 1 > DEGREE_CAP:
-            raise ValueError(f"degree {k1 - 1} exceeds cap {DEGREE_CAP}")
-        d = coeff_list[0].shape[1]
-        stacked = np.zeros((len(coeff_list), k1, d))
-        for i, p in enumerate(coeff_list):
-            if p.shape[1] != d:
-                raise ValueError("inconsistent value dimension across pieces")
-            stacked[i, :p.shape[0]] = p
-        return cls(breaks, stacked, space=space)
-
-    @classmethod
     def constant(cls, value, space=None):
         v = np.atleast_1d(np.asarray(value, dtype=float))
         return cls([0.0, 1.0], v.reshape(1, 1, -1), space=space)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .condexp import cond_exp, cond_exp_dominant
-from .fields import NormFamily, defect_max, lp_norm, pointwise_norm
+from .fields import NormFamily, defect_max, pointwise_norm
 from .flows import cesaro_average, dominant_cesaro
 from .functions import AtomFunction, CircleFunction
 from .processes import _check_grid
@@ -51,7 +51,7 @@ def _dominant_report(grid, kind, p, vnorm):
     _require(grid, kind, p)
     lhs = float(grid.norm_sup(vnorm).lp(p))
     constant = (p / (p - 1.0)) ** 2
-    bound = constant * float(lp_norm(grid.f, p, vnorm))
+    bound = constant * float(pointwise_norm(grid.f, vnorm).lp(p))
     return DominantReport(lhs, bound, lhs / bound if bound > 0.0 else 0.0)
 
 
@@ -60,7 +60,7 @@ def _maximal_report(grid, kind, p, eps, vnorm):
     if eps <= 0.0:
         raise ValueError("exceedance threshold must be positive")
     exc = float(grid.norm_sup(vnorm).superlevel_measure(eps))
-    bound = (p / (p - 1.0)) * float(lp_norm(grid.f, p, vnorm)) / eps
+    bound = (p / (p - 1.0)) * float(pointwise_norm(grid.f, vnorm).lp(p)) / eps
     return MaximalReport(exc, bound)
 
 

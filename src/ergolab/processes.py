@@ -14,13 +14,15 @@ level.  A_t f is built once per t and conditioned once per level (ME);
 E(f|F_l) is built once per level and averaged once per t (EM).  The s of
 one level read that level's entry through ``entry`` and ``items``.
 
-Norms over a grid are taken family by family: ``convergence_table``, the
-member fields of ``ProcessGrid.norm_sup``, ``sup_integrability_report``
-and ``ergodic_envelope_check`` build the norm fields of all their members
-(minus the target, where there is one) in one stacked ``NormFamily``
-pass, so each kernel's fixed cost is paid once per family, not once per
-entry, and every entry keeps the bits of its own computation.  A grid
-family has one member per distinct entry, i.e. per key of ``table``.
+Norms are taken family by family: ``convergence_table``, the member
+fields of ``ProcessGrid.norm_sup``, ``sup_integrability_report``,
+``ergodic_envelope_check``, ``cesaro_decomposition_check`` (one gap per
+t) and ``commutation_check`` (one per probe time) build the norm fields
+of all their members (minus the target, where there is one) in one
+stacked ``NormFamily`` pass, so each kernel's fixed cost is paid once per
+family, not once per entry, and every member keeps the bits of its own
+computation.  A grid family has one member per distinct entry, i.e. per
+key of ``table``.
 Every check takes its vector norm; none picks one.  Reports carry
 numbers, never a verdict: the runner's records compare them with the
 threshold and the tolerance table.
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .condexp import cond_exp
-from .fields import NormFamily, defect_max, grid_sup_field, sup_norm
+from .fields import NormFamily, defect_max, grid_sup_field
 from .flows import apply_flow, cesaro_average
 from .functions import AtomFunction, merge_sum
 
@@ -180,48 +182,46 @@ def limits(f, flow, filtration, t_max):
     return ProcessLimits(ergodic_limit, me_limit, em_limit)
 
 
-def cesaro_decomposition_check(flow, g, t, vnorm):
-    """Defect of regrouping A_t into unit-time block averages.
+def cesaro_decomposition_check(flow, g, times, vnorm):
+    """Defect of regrouping A_t into unit-time blocks, one per t in ``times``.
 
     A_t g is reassembled as an average of shifted copies of A_1 g plus a
     fractional tail, each side computed by an independent path.  The
     identity is purely algebraic, so it holds for any flow and any g.
     """
-    if t < 1.0:
+    if any(t < 1.0 for t in times):
         raise ValueError("regrouping needs t >= 1")
     if not flow.unit_blocks:
         raise ValueError("unit-time blocks need 1/h to be an integer")
-    n = int(np.floor(t + 1e-12))
-    alpha = t - n
-    if alpha < 1e-12:
-        alpha = 0.0
-    lhs = cesaro_average(flow, float(t), g)
     unit = cesaro_average(flow, 1.0, g)
-    terms = [apply_flow(flow, float(k), unit) for k in range(n)]
-    weights = [1.0 / t] * n
-    if alpha > 0.0:
-        terms.append(apply_flow(flow, float(n), cesaro_average(flow, alpha, g)))
-        weights.append(alpha / t)
-    rhs = _combine(terms, weights)
-    return float(sup_norm(lhs - rhs, vnorm))
+    gaps = []
+    for t in times:
+        n = int(np.floor(t + 1e-12))
+        alpha = t - n if t - n >= 1e-12 else 0.0
+        terms = [apply_flow(flow, float(k), unit) for k in range(n)]
+        weights = [1.0 / t] * n
+        if alpha > 0.0:
+            terms.append(apply_flow(flow, float(n),
+                                    cesaro_average(flow, alpha, g)))
+            weights.append(alpha / t)
+        gaps.append(cesaro_average(flow, float(t), g)
+                    - _combine(terms, weights))
+    return NormFamily(gaps, vnorm).sup()
 
 
 def commutation_check(flow, f, partition, vnorm):
     """Worst defect of swapping the flow with conditioning over the times
-    ``_T_PROBES``.
+    ``_T_PROBES``, all their gaps in one norm family.
 
     Zero (to roundoff) exactly when the flow maps partition cells onto
     partition cells; otherwise the returned size is a diagnostic, not a
     failure.
     """
     ef = cond_exp(f, partition)
-    worst = 0.0
-    for t in _T_PROBES:
-        moved = apply_flow(flow, float(t), f)
-        lhs = apply_flow(flow, float(t), ef)
-        rhs = cond_exp(moved, partition)
-        worst = defect_max(worst, sup_norm(lhs - rhs, vnorm))
-    return worst
+    sups = NormFamily([apply_flow(flow, float(t), ef)
+                       - cond_exp(apply_flow(flow, float(t), f), partition)
+                       for t in _T_PROBES], vnorm).sup()
+    return defect_max(0.0, *sups)
 
 
 class ConvergenceReport:
@@ -265,10 +265,7 @@ def sup_integrability_report(family, vnorm):
     per filtration level (the EM grid's).  Always finite at desk scale;
     a lower bound for the true sup over all parameters.
     """
-    members = list(family)
-    if not members:
-        raise ValueError("family must be nonempty")
-    return float(grid_sup_field(NormFamily(members, vnorm).fields()).lp(1.0))
+    return float(grid_sup_field(NormFamily(family, vnorm).fields()).lp(1.0))
 
 
 def ergodic_envelope_constant(flow, f, vnorm):

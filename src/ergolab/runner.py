@@ -15,7 +15,7 @@ import numpy as np
 from .condexp import (LinearFunctional, cond_exp, defining_property_check,
                       functional_commutation_check)
 from .config import _as_config_error
-from .fields import NormFamily, defect_max, lp_norm, pointwise_norm, sup_norm
+from .fields import NormFamily, defect_max, pointwise_norm
 from .flows import apply_flow, identity_flow, rotation_flow, step_flow
 from .functions import (AtomFunction, CircleFunction, from_smooth,
                         harmonic_generator, hat, sawtooth)
@@ -200,13 +200,13 @@ def _levels(ctx):
     return range(ctx.cfg.filtration_max_level + 1)
 
 
-def _scan(name, keys, defect, at_t=False):
-    """One defect row per key: a level in the s column or, ``at_t``, a
-    time in the t column.  The worst defect decides; with no key there is
-    nothing to measure, which raises instead of passing."""
+def _scan(name, keys, measure, at_t=False):
+    """One defect row per key from one ``measure(keys)`` call: a level in
+    the s column or, ``at_t``, a time in the t column.  The worst defect
+    decides; with no key there is nothing to measure, which raises."""
     if not keys:
         raise ValueError(f"{name} has no probe to measure")
-    defects = [float(defect(k)) for k in keys]
+    defects = [float(d) for d in measure(keys)]
     rows = [((float(k), None) if at_t else (None, float(k))) + ("defect", d)
             for k, d in zip(keys, defects)]
     return _defect_record(name, defect_max(0.0, *defects), rows)
@@ -216,9 +216,9 @@ def _scan(name, keys, defect, at_t=False):
 
 
 def _chk_defining_property(ctx):
-    return _scan("defining_property", _levels(ctx), lambda lvl:
-                 defining_property_check(
-                     ctx.f, ctx.filtration.partition_at_level(lvl)))
+    return _scan("defining_property", _levels(ctx), lambda levels: [
+        defining_property_check(ctx.f, ctx.filtration.partition_at_level(lvl))
+        for lvl in levels])
 
 
 def _chk_tower_idempotence(ctx):
@@ -239,23 +239,23 @@ def _chk_tower_idempotence(ctx):
 
 def _chk_functional_commutation(ctx):
     functional = LinearFunctional(ctx.rng.normal(size=ctx.f.d))
-    return _scan("functional_commutation", _levels(ctx), lambda lvl:
-                 functional_commutation_check(
-                     ctx.f, ctx.filtration.partition_at_level(lvl), functional))
+    return _scan("functional_commutation", _levels(ctx), lambda levels:
+                 functional_commutation_check(ctx.f, [
+                     ctx.filtration.partition_at_level(lvl) for lvl in levels],
+                     functional))
 
 
 def _chk_flow_isometry(ctx):
-    base_lp = float(lp_norm(ctx.f, ctx.cfg.p, ctx.vnorm))
-    base_sup = float(sup_norm(ctx.f, ctx.vnorm))
-    worst = 0.0
+    probes = _probe_times(ctx, 6)
+    # member 0 is f, then T_t f for each probe t
+    norms = NormFamily([ctx.f] + [apply_flow(ctx.flow, t, ctx.f)
+                                  for t in probes], ctx.vnorm)
+    lp, sup = norms.lp(ctx.cfg.p), norms.sup()
     rows = []
-    for t in _probe_times(ctx, 6):
-        moved = apply_flow(ctx.flow, t, ctx.f)
-        d_lp = abs(float(lp_norm(moved, ctx.cfg.p, ctx.vnorm)) - base_lp)
-        d_sup = abs(float(sup_norm(moved, ctx.vnorm)) - base_sup)
-        rows.append((t, None, "lp_defect", d_lp))
-        rows.append((t, None, "sup_defect", d_sup))
-        worst = defect_max(worst, d_lp, d_sup)
+    for i, t in enumerate(probes, 1):
+        rows.append((t, None, "lp_defect", float(abs(lp[i] - lp[0]))))
+        rows.append((t, None, "sup_defect", float(abs(sup[i] - sup[0]))))
+    worst = defect_max(0.0, *(row[3] for row in rows))
     return _defect_record("flow_isometry", worst, rows)
 
 
@@ -298,8 +298,8 @@ def _chk_decomposition(ctx):
     t_max = min(float(ctx.t_grid[-1]), 64.0)
     probes = sorted({1.0, 2.5, min(7.5, t_max), t_max})
     return _scan("decomposition", [t for t in probes if 1.0 <= t <= t_max],
-                 lambda t: cesaro_decomposition_check(ctx.flow, ctx.f, t,
-                                                      ctx.vnorm), at_t=True)
+                 lambda times: cesaro_decomposition_check(
+                     ctx.flow, ctx.f, times, ctx.vnorm), at_t=True)
 
 
 def _chk_commutation(ctx):
@@ -403,12 +403,12 @@ def _chk_martingale_surrogate(ctx):
     if not ctx.f.is_continuous():
         raise ValueError("martingale surrogate needs a continuous function")
     lip = float(pointwise_norm(ctx.f.derivative(), ctx.vnorm).sup())
+    errs = NormFamily([cond_exp(ctx.f, ctx.space.partition(lvl))
+                       for lvl in _levels(ctx)], ctx.vnorm, ctx.f).lp(1.0)
     worst_ratio = 0.0
     ok = True
     rows = []
-    for lvl in _levels(ctx):
-        part = ctx.space.partition(lvl)
-        err = float(lp_norm(cond_exp(ctx.f, part) - ctx.f, 1.0, ctx.vnorm))
+    for lvl, err in zip(_levels(ctx), errs.tolist()):
         bound = lip * 2.0 ** (-lvl)
         rows.append((None, float(lvl), "l1_error", err))
         rows.append((None, float(lvl), "bound", bound))

@@ -108,10 +108,12 @@ def test_functional_commutation_exact():
     f = sawtooth(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3])
     func = LinearFunctional([0.3, -1.7])
     assert functional_commutation_check(
-        f, make_dyadic_partition(3), func) < 1e-14
+        f, [make_dyadic_partition(3)], func)[0] < 1e-14
     with pytest.raises(ValueError):
         functional_commutation_check(
-            f, make_dyadic_partition(3), LinearFunctional([1.0]))
+            f, [make_dyadic_partition(3)], LinearFunctional([1.0]))
+    with pytest.raises(ValueError, match="at least one member"):
+        functional_commutation_check(f, [], func)
 
 
 def test_linear_functional_compose():

@@ -14,10 +14,8 @@ from ergolab.fields import (
     _split_at_roots,
     gl_integrate,
     grid_sup_field,
-    lp_norm,
     pointwise_norm,
     real_roots_in,
-    sup_norm,
     upper_envelope,
 )
 from ergolab import fields
@@ -152,10 +150,10 @@ def test_sqrt_field_superlevel():
 def test_lp_and_sup_norm_wrappers():
     f = hat(d=1)
     vnorm = VectorNorm("euclidean", 1)
-    assert sup_norm(f, vnorm) == pytest.approx(0.5)
-    assert lp_norm(f, 1, vnorm) == pytest.approx(0.25)
+    assert pointwise_norm(f, vnorm).sup() == pytest.approx(0.5)
+    assert pointwise_norm(f, vnorm).lp(1) == pytest.approx(0.25)
     with pytest.raises(ValueError):
-        lp_norm(f, 0.5, vnorm)
+        pointwise_norm(f, vnorm).lp(0.5)
 
 
 _BAD_EXPONENTS = (0.5, np.inf, np.nan, -np.inf)
@@ -192,7 +190,7 @@ def test_norm_family_and_lp_norm_reject_bad_exponents(members):
         with pytest.raises(ValueError, match="finite number >= 1"):
             NormFamily(members, vnorm).lp(p)
         with pytest.raises(ValueError, match="finite number >= 1"):
-            lp_norm(members[0], p, vnorm)
+            pointwise_norm(members[0], vnorm).lp(p)
 
 
 def test_upper_envelope_of_hats():
@@ -707,9 +705,9 @@ def _depths(monkeypatch):
     real = fields.gl_integrate
     seen = []
 
-    def wrapper(fn, lo, hi, tol=fields._GL_STABILITY, depth=0, **kwargs):
+    def wrapper(fn, lo, hi, depth=0, **kwargs):
         seen.append(depth)
-        return real(fn, lo, hi, tol, depth, **kwargs)
+        return real(fn, lo, hi, depth, **kwargs)
     monkeypatch.setattr(fields, "gl_integrate", wrapper)
     return seen
 
@@ -913,10 +911,9 @@ def _count_points(monkeypatch):
             return fn(x)
         return integrand
 
-    def wrapper(fn, lo, hi, tol=fields._GL_STABILITY, depth=0, **kwargs):
+    def wrapper(fn, lo, hi, depth=0, **kwargs):
         # the recursion passes the counted integrand on; wrap it once
-        return real(counted(fn) if depth == 0 else fn, lo, hi, tol, depth,
-                    **kwargs)
+        return real(counted(fn) if depth == 0 else fn, lo, hi, depth, **kwargs)
     monkeypatch.setattr(fields, "gl_integrate", wrapper)
     return points
 
@@ -940,7 +937,7 @@ def test_overflowing_integrand_stops_at_the_first_rule(monkeypatch):
     points = _count_points(monkeypatch)
     big = sawtooth(1) * 1000.0
     with np.errstate(over="ignore"):
-        assert lp_norm(big, 150.5, VectorNorm("max", 1)) == np.inf
+        assert pointwise_norm(big, VectorNorm("max", 1)).lp(150.5) == np.inf
     assert 0 < points[0] <= 3 * sum(fields._GL_LADDER)
     assert gl_integrate(lambda x: np.where(x < 0.5, np.inf, x),
                         0.0, 1.0) == np.inf

@@ -380,7 +380,7 @@ def test_dominant_cell_averages_need_no_nested_quadrature(monkeypatch):
         sawtooth(d=2), VectorNorm("euclidean", 2)))
     real, calls, inside = fields.gl_integrate, [], [0]
 
-    def watched(fn, lo, hi, tol=fields._GL_STABILITY, depth=0, **kwargs):
+    def watched(fn, lo, hi, depth=0, **kwargs):
         calls.append((depth, inside[0]))
 
         def integrand(x):
@@ -389,7 +389,7 @@ def test_dominant_cell_averages_need_no_nested_quadrature(monkeypatch):
                 return fn(x)
             finally:
                 inside[0] -= 1
-        return real(integrand, lo, hi, tol, depth, **kwargs)
+        return real(integrand, lo, hi, depth, **kwargs)
     monkeypatch.setattr(fields, "gl_integrate", watched)
     cond_exp_dominant(dom, dom.space.partition(4))
     assert [d for d, _ in calls].count(0) <= 2

@@ -138,11 +138,6 @@ def test_merge_sum_checks_its_operands_as_addition_does():
             merge_sum([one, hat(d=1)], weights)
 
 
-def test_from_pieces_rejects_high_degree():
-    with pytest.raises(ValueError):
-        CircleFunction.from_pieces([0.0, 1.0], [np.ones((10, 1))])
-
-
 def test_breaks_must_span_unit_interval():
     with pytest.raises(ValueError):
         CircleFunction([0.0, 0.5], np.zeros((1, 1, 1)))

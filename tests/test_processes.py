@@ -312,8 +312,9 @@ def test_decomposition_identity_rotation():
     flow = rotation_flow(GOLDEN)
     g = sawtooth(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3])
     vnorm = VectorNorm("max", 2)
-    for t in (1.0, 2.5, 7.25, 33.0):
-        assert cesaro_decomposition_check(flow, g, t, vnorm) <= 1e-10
+    times = (1.0, 2.5, 7.25, 33.0)
+    defects = cesaro_decomposition_check(flow, g, times, vnorm)
+    assert len(defects) == len(times) and np.all(defects <= 1e-10)
 
 
 def test_decomposition_identity_step():
@@ -321,13 +322,16 @@ def test_decomposition_identity_step():
     g = AtomFunction(sp, np.array([0.8, -0.35, 0.55, -0.9]))
     flow = step_flow(sp, sp.shift_perm(), h=0.5)
     vnorm = VectorNorm("max", 1)
-    for t in (1.0, 2.7, 6.25):
-        assert cesaro_decomposition_check(flow, g, t, vnorm) <= 1e-12
+    times = (1.0, 2.7, 6.25)
+    defects = cesaro_decomposition_check(flow, g, times, vnorm)
+    assert len(defects) == len(times) and np.all(defects <= 1e-12)
     bad = step_flow(sp, sp.shift_perm(), h=0.3)
-    with pytest.raises(ValueError):
-        cesaro_decomposition_check(bad, g, 2.0, vnorm)
-    with pytest.raises(ValueError):
-        cesaro_decomposition_check(flow, g, 0.5, vnorm)
+    with pytest.raises(ValueError, match="1/h to be an integer"):
+        cesaro_decomposition_check(bad, g, [2.0], vnorm)
+    with pytest.raises(ValueError, match="t >= 1"):
+        cesaro_decomposition_check(flow, g, [2.0, 0.5], vnorm)
+    with pytest.raises(ValueError, match="at least one member"):
+        cesaro_decomposition_check(flow, g, [], vnorm)
 
 
 def test_commutation_zero_for_factor_partition():
@@ -387,7 +391,7 @@ def test_sup_integrability_frozen():
 
 
 def test_sup_integrability_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one member"):
         sup_integrability_report([], VectorNorm("max", 1))
 
 
@@ -502,9 +506,9 @@ def test_convergence_table_work_does_not_grow_with_entries(monkeypatch):
         roots[0] += 1
         return real_roots(*args, **kwargs)
 
-    def counted_quad(fn, lo, hi, tol=fields._GL_STABILITY, depth=0, **kwargs):
+    def counted_quad(fn, lo, hi, depth=0, **kwargs):
         quads[0] += depth == 0
-        return real_quad(fn, lo, hi, tol, depth, **kwargs)
+        return real_quad(fn, lo, hi, depth, **kwargs)
 
     counts = []
     for n in (4, 16):

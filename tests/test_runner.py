@@ -1,3 +1,4 @@
+import copy
 import filecmp
 import json
 import math
@@ -9,13 +10,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ergolab import condexp, flows, processes, runner
+from ergolab import condexp, fields, flows, processes, runner
 from ergolab.cli import scenario_dir
 from ergolab.condexp import cond_exp
 from ergolab.config import parse_config, parse_text
-from ergolab.fields import defect_max, lp_norm, sup_norm
+from ergolab.fields import defect_max, pointwise_norm
 from ergolab.functions import CircleFunction
 from ergolab.runner import CHECK_NAMES, CHECKS, VERSION, run_scenario
+from ergolab.spaces import VectorNorm
 from ergolab.tolerances import TOLERANCES
 
 SMALL = """
@@ -136,15 +138,129 @@ def test_floating_point_fault_becomes_fail(monkeypatch):
 @pytest.mark.parametrize("text", [SMALL, STEP_FAIL])
 def test_contraction_matches_per_average_loop(text):
     # the norms of f and of every A_t f in one stacked pass, each with the
-    # bits of its own lp_norm call
+    # bits of its own pointwise_norm call
     cfg = parse_text(text)
     ctx = runner.build_context(cfg, np.random.default_rng(cfg.seed))
-    base = lp_norm(ctx.f, cfg.p, ctx.vnorm)
-    ref = [lp_norm(avg, cfg.p, ctx.vnorm) - base
+    base = pointwise_norm(ctx.f, ctx.vnorm).lp(cfg.p)
+    ref = [pointwise_norm(avg, ctx.vnorm).lp(cfg.p) - base
            for avg in ctx.grid("me").inner.values()]
     rows = runner.CHECKS["contraction"](ctx).rows
     assert [r[0] for r in rows] == list(ctx.grid("me").inner)
     assert np.array([r[3] for r in rows]).tobytes() == np.array(ref).tobytes()
+
+
+# the continuous hat, since martingale_surrogate refuses a sawtooth
+SMALL_HAT = SMALL.replace("function.kind = sawtooth", "function.kind = hat")
+
+
+def _loop_flow_isometry(ctx):
+    base_lp = pointwise_norm(ctx.f, ctx.vnorm).lp(ctx.cfg.p)
+    base_sup = pointwise_norm(ctx.f, ctx.vnorm).sup()
+    rows = []
+    for t in runner._probe_times(ctx, 6):
+        moved = pointwise_norm(flows.apply_flow(ctx.flow, t, ctx.f), ctx.vnorm)
+        rows.append((t, None, "lp_defect", abs(moved.lp(ctx.cfg.p) - base_lp)))
+        rows.append((t, None, "sup_defect", abs(moved.sup() - base_sup)))
+    return rows
+
+
+def _loop_martingale_surrogate(ctx):
+    lip = pointwise_norm(ctx.f.derivative(), ctx.vnorm).sup()
+    rows = []
+    for lvl in range(ctx.cfg.filtration_max_level + 1):
+        gap = cond_exp(ctx.f, ctx.space.partition(lvl)) - ctx.f
+        rows.append((None, float(lvl), "l1_error",
+                     pointwise_norm(gap, ctx.vnorm).lp(1.0)))
+        rows.append((None, float(lvl), "bound", lip * 2.0 ** (-lvl)))
+    return rows
+
+
+def _loop_commutation(ctx):
+    part = ctx.filtration.partition_at_level(ctx.cfg.filtration_max_level)
+    ef = cond_exp(ctx.f, part)
+    sups = []
+    for t in processes._T_PROBES:
+        lhs = flows.apply_flow(ctx.flow, t, ef)
+        rhs = cond_exp(flows.apply_flow(ctx.flow, t, ctx.f), part)
+        sups.append(pointwise_norm(lhs - rhs, ctx.vnorm).sup())
+    return [(None, None, "defect", defect_max(0.0, *sups))]
+
+
+def _loop_decomposition(ctx):
+    # A_t f against 1/t times the shifted unit averages plus the tail, at
+    # the check's probes: 1, 2.5, 7.5 and the last grid time, up to it
+    flow, f, t_max = ctx.flow, ctx.f, float(ctx.t_grid[-1])
+    unit = flows.cesaro_average(flow, 1.0, f)
+    rows = []
+    for t in sorted({t for t in (1.0, 2.5, 7.5, t_max) if t <= t_max}):
+        n = int(np.floor(t))
+        terms = [flows.apply_flow(flow, float(k), unit) for k in range(n)]
+        weights = [1.0 / t] * n
+        if t > n:
+            tail = flows.cesaro_average(flow, t - n, f)
+            terms.append(flows.apply_flow(flow, float(n), tail))
+            weights.append((t - n) / t)
+        gap = flows.cesaro_average(flow, t, f) - processes._combine(terms,
+                                                                    weights)
+        rows.append((t, None, "defect", pointwise_norm(gap, ctx.vnorm).sup()))
+    return rows
+
+
+def _loop_functional_commutation(ctx):
+    # the check's functional is the context generator's first draw
+    functional = condexp.LinearFunctional(
+        copy.deepcopy(ctx.rng).normal(size=ctx.f.d))
+    rows = []
+    for lvl in range(ctx.cfg.filtration_max_level + 1):
+        part = ctx.filtration.partition_at_level(lvl)
+        gap = (functional.compose(cond_exp(ctx.f, part))
+               - cond_exp(functional.compose(ctx.f), part))
+        rows.append((None, float(lvl), "defect",
+                     pointwise_norm(gap, VectorNorm("max", 1)).sup()))
+    return rows
+
+
+# check -> (per-probe reference, NormFamily constructions of the check)
+FAMILY_CHECKS = {
+    "flow_isometry": (_loop_flow_isometry, 1),
+    "martingale_surrogate": (_loop_martingale_surrogate, 2),
+    "commutation": (_loop_commutation, 1),
+    "decomposition": (_loop_decomposition, 1),
+    "functional_commutation": (_loop_functional_commutation, 1),
+}
+SCENARIOS = {"circle": SMALL, "atoms": STEP_FAIL, "circle_hat": SMALL_HAT}
+FAMILY_CASES = [(name, scenario) for name in FAMILY_CHECKS
+                for scenario in (("circle_hat",)
+                                 if name == "martingale_surrogate"
+                                 else ("circle", "atoms"))]
+
+
+@pytest.mark.parametrize("name, scenario", FAMILY_CASES)
+def test_family_checks_match_per_probe_loop(name, scenario):
+    # every probe's norm in one stacked family, each with the bits of its
+    # own pointwise_norm call
+    cfg = parse_text(SCENARIOS[scenario])
+    ctx = runner.build_context(cfg, np.random.default_rng(cfg.seed))
+    ref = FAMILY_CHECKS[name][0](ctx)
+    rows = runner.CHECKS[name](ctx).rows
+    assert [r[:3] for r in rows] == [r[:3] for r in ref]
+    assert (np.array([r[3] for r in rows]).tobytes()
+            == np.array([r[3] for r in ref]).tobytes())
+
+
+@pytest.mark.parametrize("name, scenario", FAMILY_CASES)
+def test_family_checks_build_one_norm_family(monkeypatch, name, scenario):
+    cfg = parse_text(SCENARIOS[scenario])
+    ctx = runner.build_context(cfg, np.random.default_rng(cfg.seed))
+    real, built = fields.NormFamily.__init__, [0]
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(fields.NormFamily, "__init__", counted)
+    runner.CHECKS[name](ctx)
+    assert built[0] == FAMILY_CHECKS[name][1]
 
 
 def test_nan_defect_fails_its_check(monkeypatch):
@@ -274,8 +390,8 @@ def test_tower_rows_hold_each_level_own_defect():
     parts = [ctx.filtration.partition_at_level(k)
              for k in range(cfg.filtration_max_level + 1)]
     once = [cond_exp(ctx.f, part) for part in parts]
-    own = [max([0.0] + [float(sup_norm(cond_exp(finer, part) - once[lvl],
-                                       ctx.vnorm))
+    own = [max([0.0] + [float(pointwise_norm(cond_exp(finer, part) - once[lvl],
+                                             ctx.vnorm).sup())
                         for finer in once[lvl + 1:]])
            for lvl, part in enumerate(parts)]
     assert tower == own
@@ -308,8 +424,8 @@ def test_me_em_coincidence_on_a_rotation_is_the_per_entry_sup():
     em, lim = ctx.grid("em"), ctx.proc_limits()
     gaps = [fn - em.entry(t, s) for (t, s), fn in ctx.grid("me").items()]
     assert len(gaps) == 16
-    entry = defect_max(0.0, *[sup_norm(g, ctx.vnorm) for g in gaps])
-    limit = sup_norm(lim.me_limit - lim.em_limit, ctx.vnorm)
+    entry = defect_max(0.0, *[pointwise_norm(g, ctx.vnorm).sup() for g in gaps])
+    limit = pointwise_norm(lim.me_limit - lim.em_limit, ctx.vnorm).sup()
     rows = {metric: value for _, _, metric, value in rec.rows}
     as_bytes = [np.float64(v).tobytes() for v in
                 (rec.value, rows["entry_defect"], entry, rows["limit_defect"],
