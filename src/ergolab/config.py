@@ -239,10 +239,12 @@ def _pieces(kv, key, got):
                       for comp in kv[k].split("|"))
         if len(comps) != d:
             raise ConfigError(k, f"expected {d} components")
-        # the degree cap is read here, so the error names the piece
+        # the degree cap is read here, so the error names the piece; time
+        # averages integrate, so a piece keeps one degree below the cap
         degree = max(len(comp) for comp in comps) - 1
-        if degree > DEGREE_CAP:
-            raise ConfigError(k, f"degree {degree} exceeds cap {DEGREE_CAP}")
+        if degree >= DEGREE_CAP:
+            raise ConfigError(k, f"degree {degree} exceeds cap "
+                                 f"{DEGREE_CAP - 1} for explicit pieces")
         pieces.append(comps)
     return tuple(pieces)
 

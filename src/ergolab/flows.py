@@ -10,7 +10,11 @@ One class per flow kind; ``Flow`` itself is the identity T_t = id:
                 average is a finite sum.
 
 Callers use the module functions (``apply_flow``, ``cesaro_average``,
-...), which check the time argument and hand off to the flow's method.
+``cesaro_averages``, ...), which check the time arguments and hand off to
+the flow's method.  ``cesaro_averages`` takes a whole increasing list of
+times: a ``Step`` serves all of them from one orbit pass and a
+``Rotation`` from one antiderivative, each average with the bits of its
+one-time call, which is the one-element case of the same path.
 
 Wrap counts floor(t*theta) and floor(t/h) are taken in extended precision:
 a double-precision product can land on the wrong side of an integer and
@@ -21,9 +25,12 @@ constructed; its averages, shifts and ``ergodic`` all read that layout.
 Step averages add the terms values[S^k(i)] of each atom one at a time in
 increasing k, from +0.0, so they carry the bits of a plain per-step loop.
 The orbit-sum kernel keeps that order in blocks: a sequential ``np.cumsum``
-down the time axis of gathered orbit rows, the running total in row 0.  The
-cycle closed form q*cycle_sum + partial_sum is O(natoms) but rounds
-differently and would move artifact values, so it is not used.
+down the time axis of gathered orbit rows, the running total in row 0.  One
+pass up to the largest step count serves every time of a batch: the sum
+after n steps is the cumsum's row at n, the same row a pass that stopped
+at n would end on.  The cycle closed form q*cycle_sum + partial_sum is
+O(natoms) but rounds differently and would move artifact values, so it is
+not used.
 """
 
 from __future__ import annotations
@@ -93,50 +100,64 @@ def _cycle_index(perm):
     return order, start, length, where - start, math.lcm(*set(length.tolist()))
 
 
-def _orbit_sums(values, cycles, n):
-    """Sum_{k<n} values[perm^k(i)] for every atom i, and the map perm^n,
-    for the permutation whose layout _cycle_index gives as cycles.
+def _orbit_sums(values, cycles, ns):
+    """Sum_{k<n} values[perm^k(i)] for every atom i, and the map perm^n, for
+    each n of the nondecreasing list ns, for the permutation whose layout
+    _cycle_index gives as cycles.  One pass up to ns[-1] serves every n.
 
     Terms are added per atom in increasing k from +0.0, exactly as a
     per-step loop adds them, so the sums carry the loop's bits.
     """
     order, start, length, pos, period = cycles
+    last = ns[-1] if ns else 0
     rows = max(1, _ORBIT_BLOCK // values.size)
     if period <= rows:
         rows -= rows % period
-    buf = np.empty((min(rows, n) + 1,) + values.shape, dtype=values.dtype)
+    buf = np.empty((min(rows, last) + 1,) + values.shape, dtype=values.dtype)
     out = np.empty_like(buf)
     total = np.zeros_like(values)
-    for done in range(0, n, rows):
-        m = min(rows, n - done)
+    sums = []
+    for done in range(0, last, rows):
+        m = min(rows, last - done)
         if done == 0 or period > rows:
             k = np.arange(done, done + m)[:, None]
             buf[1:m + 1] = values[order[start + (pos + k) % length]]
         buf[0] = total
         np.cumsum(buf[:m + 1], axis=0, out=out[:m + 1])
+        # the running row at n, copied before the next block reuses out
+        while len(sums) < len(ns) and ns[len(sums)] <= done + m:
+            sums.append(out[ns[len(sums)] - done].copy())
         total = out[m]
-    return total.copy(), order[start + (pos + n) % length]
+    # no block ran when every n is 0: each sum is the empty one, +0.0
+    sums += [total.copy() for _ in ns[len(sums):]]
+    return [(acc, order[start + (pos + n) % length])
+            for acc, n in zip(sums, ns)]
 
 
-def _rotation_average_fn(fn, t, theta):
-    """Closed-form (1/t)∫_0^t f(x+τθ)dτ for a CircleFunction."""
+def _rotation_averages(fn, times, theta):
+    """Closed-form (1/t)∫_0^t f(x+τθ)dτ of a CircleFunction for each t in
+    times, from one antiderivative and one integral."""
     if fn.degree + 1 > DEGREE_CAP:
         raise ValueError(
             f"averaging degree-{fn.degree} input exceeds the degree cap")
-    total = np.longdouble(t) * np.longdouble(theta)
-    n0, delta = _split_product(t, theta)
     big_f = fn.antiderivative()
     iv = fn.integral()
-    shifted = big_f.rotate(delta)
-    if delta == 0.0:
-        wrap = CircleFunction.constant(float(n0) * iv, fn.space)
-    else:
-        wedge = np.array([0.0, 1.0 - delta, 1.0])
-        counts = np.array([float(n0), float(n0 + 1)])
-        wrap = CircleFunction(wedge, counts[:, None, None] * iv[None, None, :],
-                              fn.space)
-    comb = merge_sum([shifted, big_f, wrap], [1.0, -1.0, 1.0])
-    return comb * float(1.0 / total)
+    out = []
+    for t in times:
+        total = np.longdouble(t) * np.longdouble(theta)
+        n0, delta = _split_product(t, theta)
+        shifted = big_f.rotate(delta)
+        if delta == 0.0:
+            wrap = CircleFunction.constant(float(n0) * iv, fn.space)
+        else:
+            wedge = np.array([0.0, 1.0 - delta, 1.0])
+            counts = np.array([float(n0), float(n0 + 1)])
+            wrap = CircleFunction(wedge,
+                                  counts[:, None, None] * iv[None, None, :],
+                                  fn.space)
+        comb = merge_sum([shifted, big_f, wrap], [1.0, -1.0, 1.0])
+        out.append(comb * float(1.0 / total))
+    return out
 
 
 def _rotation_average_field(field, t, theta):
@@ -168,13 +189,18 @@ def _rotation_average_field(field, t, theta):
     return GenericField(field.space, evaluator, inner, derivative)
 
 
-def _step_average_values(values, cycles, t, h):
-    n, rem = _split_ratio(t, h)
-    acc, cur = _orbit_sums(values, cycles, n)
-    acc *= h
-    if rem > 0.0:
-        acc += rem * values[cur]
-    return acc / t
+def _step_average_values(values, cycles, times, h):
+    """The step averages of values for each t of the increasing times,
+    from one orbit pass."""
+    splits = [_split_ratio(t, h) for t in times]
+    sums = _orbit_sums(values, cycles, [n for n, _ in splits])
+    out = []
+    for t, (_, rem), (acc, cur) in zip(times, splits, sums):
+        acc *= h
+        if rem > 0.0:
+            acc += rem * values[cur]
+        out.append(acc / t)
+    return out
 
 
 class Flow:
@@ -199,7 +225,11 @@ class Flow:
 
     def average(self, t, f):
         """A_t f = (1/t)∫_0^t T_τ f dτ for t > 0."""
-        return f
+        return self.averages([t], f)[0]
+
+    def averages(self, times, f):
+        """[A_t f for t in times], for increasing positive times."""
+        return [f for _ in times]
 
     def dominant_average(self, t, field):
         """A'_t h for a scalar field h; positivity preserving."""
@@ -235,12 +265,12 @@ class Rotation(Flow):
     def shift(self, t, f):
         return f.rotate(_split_product(t, self.theta)[1])
 
-    def average(self, t, f):
-        return _rotation_average_fn(f, t, self.theta)
+    def averages(self, times, f):
+        return _rotation_averages(f, times, self.theta)
 
     def dominant_average(self, t, field):
         if isinstance(field, PolyField):
-            return PolyField(_rotation_average_fn(field.fn, t, self.theta))
+            return PolyField(_rotation_averages(field.fn, [t], self.theta)[0])
         return _rotation_average_field(field, t, self.theta)
 
     def envelope_constant(self, centered, vnorm):
@@ -293,16 +323,16 @@ class Step(Flow):
     def shift(self, t, f):
         return f.permute(self._map(t))
 
-    def average(self, t, f):
-        return AtomFunction(f.space,
-                            _step_average_values(f.values, self._cycles, t, self.h))
+    def averages(self, times, f):
+        return [AtomFunction(f.space, vals) for vals in
+                _step_average_values(f.values, self._cycles, times, self.h)]
 
     def dominant_average(self, t, field):
         if not isinstance(field, AtomField):
             raise ValueError("step dominants act on atomic fields")
-        vals = _step_average_values(field.values[:, None], self._cycles,
-                                    t, self.h)[:, 0]
-        return AtomField(field.space, vals)
+        (vals,) = _step_average_values(field.values[:, None], self._cycles,
+                                       [t], self.h)
+        return AtomField(field.space, vals[:, 0])
 
     def envelope_constant(self, centered, vnorm):
         """One full period of worst-case deviation: h * natoms * max ||g||."""
@@ -343,6 +373,18 @@ def cesaro_average(flow, t, f):
     if t <= 0.0:
         raise ValueError("averaging time must be positive")
     return flow.average(t, f)
+
+
+def cesaro_averages(flow, times, f):
+    """[A_t f for t in times] for strictly increasing positive times; a step
+    flow serves every time from one orbit pass, with the bits of
+    ``cesaro_average`` at each t."""
+    times = [float(t) for t in times]
+    if any(t <= 0.0 for t in times):
+        raise ValueError("averaging time must be positive")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("averaging times must be strictly increasing")
+    return flow.averages(times, f)
 
 
 def dominant_cesaro(flow, t, field):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .condexp import cond_exp, cond_exp_dominant
 from .fields import NormFamily, defect_max, pointwise_norm
-from .flows import cesaro_average, dominant_cesaro
+from .flows import cesaro_averages, dominant_cesaro
 from .functions import AtomFunction, CircleFunction
 from .processes import _check_grid
 from .spaces import Circle, VectorNorm
@@ -106,9 +106,9 @@ def domination_chain_check(f, flow, partition, t_grid, vnorm, npoints=1000):
     pts = f.space.sample_points(npoints)
     norm_f = pointwise_norm(f, vnorm)
     worst = -np.inf
-    for t in np.asarray(t_grid, dtype=float):
-        avg = cesaro_average(flow, float(t), f)
-        dom = dominant_cesaro(flow, float(t), norm_f)
+    times = np.asarray(t_grid, dtype=float).tolist()
+    for t, avg in zip(times, cesaro_averages(flow, times, f)):
+        dom = dominant_cesaro(flow, t, norm_f)
         gap1 = vnorm(avg(pts)) - dom.eval(pts)
         cavg = cond_exp(avg, partition)
         cdom = cond_exp_dominant(dom, partition)

@@ -10,9 +10,11 @@ diagnostic below can recompute them from scratch and compare.
 An entry depends on s only through F_s, the partition at
 ``filtration.level(s)``, so each grid builds and stores one entry per
 (t, level): ``table`` is keyed by (t, level), and the EM ``inner`` by
-level.  A_t f is built once per t and conditioned once per level (ME);
-E(f|F_l) is built once per level and averaged once per t (EM).  The s of
-one level read that level's entry through ``entry`` and ``items``.
+level.  The averages come from one ``cesaro_averages`` call over the whole
+t grid per input: of f, then each A_t f is conditioned once per level
+(ME); of each E(f|F_l), one call per level (EM).  A step flow thus walks
+each input's orbit once, up to the largest t.  The s of one level read
+that level's entry through ``entry`` and ``items``.
 
 Norms are taken family by family: ``convergence_table``, the member
 fields of ``ProcessGrid.norm_sup``, ``sup_integrability_report``,
@@ -34,7 +36,7 @@ import numpy as np
 
 from .condexp import cond_exp
 from .fields import NormFamily, defect_max, grid_sup_field
-from .flows import apply_flow, cesaro_average
+from .flows import apply_flow, cesaro_average, cesaro_averages
 from .functions import AtomFunction, merge_sum
 
 _T_PROBES = (0.3, 0.7, 1.0, 1.9, 2.5, 4.0)
@@ -134,11 +136,9 @@ def me_process(f, flow, filtration, t_grid, s_grid):
     t_grid = _check_grid(t_grid, "t_grid", positive=True)
     s_grid = _check_grid(s_grid, "s_grid", positive=False)
     parts = _levels(filtration, s_grid)
-    inner, table = {}, {}
-    for t in t_grid:
-        inner[float(t)] = avg = cesaro_average(flow, float(t), f)
-        table.update({(float(t), k): cond_exp(avg, part)
-                      for k, part in parts.items()})
+    inner = dict(zip(t_grid.tolist(), cesaro_averages(flow, t_grid, f)))
+    table = {(t, k): cond_exp(avg, part)
+             for t, avg in inner.items() for k, part in parts.items()}
     return ProcessGrid("ME", f, flow, filtration, t_grid, s_grid, inner, table)
 
 
@@ -148,8 +148,9 @@ def em_process(f, flow, filtration, t_grid, s_grid):
     s_grid = _check_grid(s_grid, "s_grid", positive=False)
     inner = {k: cond_exp(f, part)
              for k, part in _levels(filtration, s_grid).items()}
-    table = {(float(t), k): cesaro_average(flow, float(t), g)
-             for t in t_grid for k, g in inner.items()}
+    averaged = {k: cesaro_averages(flow, t_grid, g) for k, g in inner.items()}
+    table = {(t, k): averaged[k][i]
+             for i, t in enumerate(t_grid.tolist()) for k in inner}
     return ProcessGrid("EM", f, flow, filtration, t_grid, s_grid, inner, table)
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from ergolab.cli import scenario_dir
 from ergolab.config import ConfigError, parse_config, parse_text
-from ergolab.runner import build_context
+from ergolab.functions import DEGREE_CAP
+from ergolab.runner import build_context, run_scenario
 
 MINIMAL = """
 name = tiny
@@ -264,6 +265,19 @@ def test_piece_above_the_degree_cap_named():
                            "function.piece.1 = " + ", ".join(["1.0"] * 10))
     err = _expect_key(text, "function.piece.1")
     assert "exceeds cap" in str(err)
+    # a degree-8 piece would leave its time average above the cap, so the
+    # parser refuses it instead of every averaging check failing later
+    one_piece = MINIMAL.replace("function.kind = sawtooth",
+                                "function.kind = explicit\n"
+                                "function.breaks = 0.0, 1.0\n"
+                                "function.piece.0 = " + ", ".join(
+                                    ["0"] * DEGREE_CAP + ["1"]))
+    err = _expect_key(one_piece, "function.piece.0")
+    assert f"degree {DEGREE_CAP} exceeds cap" in str(err)
+    # one degree lower parses, and its averaging checks run and pass
+    below = parse_text(one_piece.replace(", 0, 1", ", 1"))
+    assert len(below.function_pieces[0][0]) == DEGREE_CAP
+    assert run_scenario(below).passed
 
 
 def test_max_level_capped_by_space():

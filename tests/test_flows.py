@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ergolab import fields, flows
 from ergolab.condexp import cond_exp_dominant
@@ -10,12 +12,13 @@ from ergolab.flows import (
     Flow,
     apply_flow,
     cesaro_average,
+    cesaro_averages,
     dominant_cesaro,
     identity_flow,
     rotation_flow,
     step_flow,
 )
-from ergolab.functions import AtomFunction, hat, sawtooth
+from ergolab.functions import AtomFunction, CircleFunction, hat, sawtooth
 from ergolab.spaces import VectorNorm, discrete_space, product_space
 
 import oracles
@@ -135,12 +138,18 @@ def test_step_average_bit_identical_to_loop(sp, perm, h, times):
         assert not np.signbit(out.values[0]).any()
 
 
+def _one_cycle(n, seed):
+    """A permutation of n atoms that is a single n-cycle in random order."""
+    perm = np.empty(n, dtype=int)
+    order = np.random.default_rng(seed).permutation(n)
+    perm[order] = np.roll(order, -1)
+    return perm
+
+
 def test_step_average_gathers_cycles_longer_than_a_block():
     # a 200-cycle on 200 scalars does not fit one 2^14-element block
     sp = _unit_space(200)
-    perm = np.empty(200, dtype=int)
-    order = np.random.default_rng(3).permutation(200)
-    perm[order] = np.roll(order, -1)
+    perm = _one_cycle(200, 3)
     vals = np.random.default_rng(4).normal(size=(200, 1))
     flow = step_flow(sp, perm, h=1.0)
     assert _cycle_index(perm)[2].tolist() == [200] * 200
@@ -148,6 +157,82 @@ def test_step_average_gathers_cycles_longer_than_a_block():
         out = cesaro_average(flow, t, AtomFunction(sp, vals))
         assert _same_bits(out.values,
                           oracles.loop_step_average(vals, perm, t, 1.0))
+
+
+# (space, perm, h): one block; blocks that reuse one gather (period 8 in
+# 512-row blocks); a 200-cycle gathered again in every 81-row block
+BATCH_CASES = [
+    (_unit_space(8), _unit_space(8).shift_perm(), 1.0),
+    (_Z8X2, _Z8X2.shift_perm(), 0.5),
+    (_unit_space(200), _one_cycle(200, 3), 0.37),
+]
+
+# whole steps n, each with one or more fractions of a step: t < h (n = 0),
+# exact multiples of h (fraction 0) and several t in one floor(t/h)
+_STEPS = st.lists(st.tuples(
+    st.integers(0, 1200),
+    st.lists(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True),
+             min_size=1, max_size=3)), min_size=1, max_size=6)
+
+
+@pytest.mark.parametrize("case", range(len(BATCH_CASES)))
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(steps=_STEPS)
+@example(steps=[(0, [0.25, 0.5]), (1, [0.0]), (3, [0.0, 0.1, 0.9]),
+                (1100, [0.0, 0.3])])
+def test_step_averages_bit_identical_to_loop(case, steps):
+    sp, perm, h = BATCH_CASES[case]
+    times = sorted({(n + frac) * h for n, fracs in steps for frac in fracs}
+                   - {0.0})
+    if not times:
+        return
+    vals = np.random.default_rng(sp.natoms).normal(size=(sp.natoms, 2))
+    out = cesaro_averages(step_flow(sp, perm, h=h), times, AtomFunction(sp, vals))
+    assert len(out) == len(times)
+    for t, avg in zip(times, out):
+        assert _same_bits(avg.values,
+                          oracles.loop_step_average(vals, perm, t, h)), t
+
+
+@pytest.mark.parametrize("theta, times", [
+    (GOLDEN, (0.3, 1.0, 2.5, 7.75, 100.0)),
+    # t*theta a whole number at t = 4 and 8: the average has no wedge
+    (0.25, (0.5, 4.0, 6.3, 8.0)),
+])
+def test_rotation_averages_bit_identical_per_time(theta, times):
+    flow = rotation_flow(theta)
+    f = hat(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3])
+    for t, avg in zip(times, cesaro_averages(flow, times, f)):
+        one = cesaro_average(flow, t, f)
+        assert _same_bits(avg.breaks, one.breaks)
+        assert _same_bits(avg.coeffs, one.coeffs)
+
+
+def test_rotation_averages_share_one_antiderivative(monkeypatch):
+    # four times cost the antiderivative and integral calls of one
+    calls = []
+    for name in ("antiderivative", "integral"):
+        real = getattr(CircleFunction, name)
+
+        def counted(fn, real=real, name=name):
+            calls.append(name)
+            return real(fn)
+        monkeypatch.setattr(CircleFunction, name, counted)
+    flow = rotation_flow(GOLDEN)
+    cesaro_average(flow, 0.5, sawtooth())
+    one = sorted(calls)
+    calls.clear()
+    cesaro_averages(flow, [0.5, 1.0, 3.0, 9.5], sawtooth())
+    assert sorted(calls) == one
+
+
+@pytest.mark.parametrize("times", [[2.0, 1.0], [1.0, 1.0], [0.0, 1.0],
+                                   [-1.0], [1.0, 3.0, 2.0]])
+def test_averages_refuse_times_not_positive_and_increasing(times):
+    sp = _unit_space(4)
+    with pytest.raises(ValueError):
+        cesaro_averages(step_flow(sp, sp.shift_perm()), times,
+                        AtomFunction(sp, np.arange(4.0)))
 
 
 def test_dominant_step_cesaro_bit_identical_to_loop():

@@ -134,24 +134,30 @@ def test_grids_build_one_entry_per_time_and_level(monkeypatch, kind):
     levels = [filt.level(s) for s in s_grid]
     assert levels == [2, 2, 1, 1, 0, 0, 0, 0]
     calls = {"avg": 0, "cond": 0}
-    real_avg, real_cond = processes.cesaro_average, processes.cond_exp
+    averaged_times = []
+    real_avg, real_cond = processes.cesaro_averages, processes.cond_exp
 
-    def counted_avg(flow, t, g):
+    def counted_avg(flow, times, g):
         calls["avg"] += 1
-        return real_avg(flow, t, g)
+        averaged_times.append(list(times))
+        return real_avg(flow, times, g)
 
     def counted_cond(g, partition):
         calls["cond"] += 1
         return real_cond(g, partition)
 
-    monkeypatch.setattr(processes, "cesaro_average", counted_avg)
+    monkeypatch.setattr(processes, "cesaro_averages", counted_avg)
     monkeypatch.setattr(processes, "cond_exp", counted_cond)
     grids = {}
-    for build, want in ((me_process, {"avg": 3, "cond": 9}),
-                        (em_process, {"avg": 9, "cond": 3})):
+    # one batched average over the whole t grid: of f (ME), of each level's
+    # conditioning (EM)
+    for build, want in ((me_process, {"avg": 1, "cond": 9}),
+                        (em_process, {"avg": 3, "cond": 3})):
         calls.update(avg=0, cond=0)
+        averaged_times.clear()
         grids[build] = grid = build(f, flow, filt, t_grid, s_grid)
         assert calls == want
+        assert averaged_times == [t_grid.tolist()] * want["avg"]
     monkeypatch.undo()
     me, em = grids[me_process], grids[em_process]
     assert list(me.inner) == t_grid.tolist()
@@ -173,6 +179,31 @@ def test_grids_build_one_entry_per_time_and_level(monkeypatch, kind):
     for grid in (me, em):
         for (t, s), fn in grid.items():
             assert bits(fn) == bits(grid.recompute_entry(t, s))
+
+
+def test_grids_on_a_dense_step_lattice():
+    # every whole t up to one full period of a 512-atom shift, 10 levels:
+    # one orbit pass per input serves all 512 times
+    sp = discrete_space(np.full(512, 1.0 / 512))
+    f = AtomFunction(sp, np.random.default_rng(11).normal(size=(512, 2)))
+    flow = step_flow(sp, sp.shift_perm(), h=1.0)
+    filt = Filtration(sp, "decreasing", max_level=9)
+    t_grid = np.arange(1.0, 513.0)
+    s_grid = np.arange(10.0)
+    me, em = (build(f, flow, filt, t_grid, s_grid)
+              for build in (me_process, em_process))
+    for grid in (me, em):
+        assert len(grid.table) == 512 * 10
+        for t in (1.0, 257.0, 512.0):
+            for s in s_grid:
+                assert (grid.entry(t, s).values.tobytes()
+                        == grid.recompute_entry(t, s).values.tobytes())
+    # and the EM batch carries the bits of a per-step loop
+    for (t, level), entry in em.table.items():
+        if t in (1.0, 257.0, 512.0):
+            loop = oracles.loop_step_average(em.inner[level].values,
+                                             sp.shift_perm(), t, 1.0)
+            assert entry.values.tobytes() == loop.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["rotation", "step"])
