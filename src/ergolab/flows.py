@@ -30,7 +30,13 @@ pass up to the largest step count serves every time of a batch: the sum
 after n steps is the cumsum's row at n, the same row a pass that stopped
 at n would end on.  The cycle closed form q*cycle_sum + partial_sum is
 O(natoms) but rounds differently and would move artifact values, so it is
-not used.
+not used.  Nor is A_t v = v for an input v that S leaves invariant, exact
+only in real arithmetic.  Such an input (values == values[S] entry by
+entry with no tolerance, so a NaN never qualifies) is constant on every
+cycle: each atom adds n copies of its own value from +0.0, the additions
+of its cycle's other atoms.  (A cycle may mix +0.0 and -0.0; both sum to
++0.0.)  The pass then runs on one row per cycle and every atom takes its
+cycle's row, the loop's bits at a fraction of the work.
 """
 
 from __future__ import annotations
@@ -46,16 +52,28 @@ from .spaces import Atoms, Circle
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# a fractional part of t*theta within _WRAP_SNAP of 0 or 1 is a whole
+# wrap; a leftover of t/h within _STEP_SNAP*h of 0 or h is a whole step
+_WRAP_SNAP = 1e-14
+_STEP_SNAP = 1e-13
+# an angle within _RATIONAL_GAP of a fraction with denominator <= 64 is
+# not ergodic; atom weights a step map moves by more than _WEIGHT_TOL are
+# not preserved; 1/h within _UNIT_BLOCK_TOL of an integer makes unit time
+# a whole number of steps
+_RATIONAL_GAP = 1e-12
+_WEIGHT_TOL = 1e-12
+_UNIT_BLOCK_TOL = 1e-9
+
 
 def _split_product(a, b):
     """floor and fractional part of a*b computed in extended precision."""
     prod = np.longdouble(a) * np.longdouble(b)
     n = int(np.floor(prod))
     frac = float(prod - n)
-    if frac >= 1.0 - 1e-14:
+    if frac >= 1.0 - _WRAP_SNAP:
         n += 1
         frac = 0.0
-    elif frac < 1e-14:
+    elif frac < _WRAP_SNAP:
         frac = 0.0
     return n, frac
 
@@ -65,10 +83,10 @@ def _split_ratio(t, h):
     ratio = np.longdouble(t) / np.longdouble(h)
     n = int(np.floor(ratio))
     rem = float((np.longdouble(t) - np.longdouble(n) * np.longdouble(h)))
-    if rem >= h * (1.0 - 1e-13):
+    if rem >= h * (1.0 - _STEP_SNAP):
         n += 1
         rem = 0.0
-    elif rem < h * 1e-13:
+    elif rem < h * _STEP_SNAP:
         rem = 0.0
     return n, rem
 
@@ -78,10 +96,11 @@ _ORBIT_BLOCK = 1 << 14
 
 
 def _cycle_index(perm):
-    """Cycle layout (order, start, length, pos, period) of a permutation:
-    the orbit of atom i runs through order[start[i] + (pos[i] + k) %
-    length[i]], k = 0, 1, 2, ..., length[i] is the length of its cycle and
-    period the lcm of the lengths."""
+    """Cycle layout (order, start, length, pos, period, cycle) of a
+    permutation: the orbit of atom i runs through order[start[i] + (pos[i]
+    + k) % length[i]], k = 0, 1, 2, ..., length[i] is the length of its
+    cycle, period the lcm of the lengths and cycle[i] the number of its
+    cycle, cycles numbered by their least atom."""
     nxt = np.asarray(perm).tolist()
     leader = [-1] * len(nxt)
     order = []
@@ -97,7 +116,9 @@ def _cycle_index(perm):
     leader = np.asarray(leader, dtype=np.intp)
     start = where[leader]
     length = np.bincount(leader)[leader]
-    return order, start, length, where - start, math.lcm(*set(length.tolist()))
+    cycle = np.unique(leader, return_inverse=True)[1]
+    return (order, start, length, where - start,
+            math.lcm(*set(length.tolist())), cycle)
 
 
 def _orbit_sums(values, cycles, ns):
@@ -106,9 +127,30 @@ def _orbit_sums(values, cycles, ns):
     _cycle_index gives as cycles.  One pass up to ns[-1] serves every n.
 
     Terms are added per atom in increasing k from +0.0, exactly as a
-    per-step loop adds them, so the sums carry the loop's bits.
+    per-step loop adds them, so the sums carry the loop's bits.  An input
+    that perm leaves invariant (values == values[perm], compared exactly)
+    is constant on every cycle, so each atom's sum is n copies of its own
+    value: the pass then runs on one row per cycle, each row its own
+    1-cycle, and every atom takes its cycle's row -- the same additions.
     """
-    order, start, length, pos, period = cycles
+    order, start, length, pos, period, cycle = cycles
+    if np.array_equal(values, values[order[start + (pos + 1) % length]]):
+        # the rows of cycle leaders (pos 0) come in cycle-number order
+        heads = values[pos == 0]
+        own = np.arange(len(heads))
+        sums = [acc[cycle] for acc in
+                _blocked_sums(heads, (own, own, 1, 0, 1), ns)]
+    else:
+        sums = _blocked_sums(values, cycles[:5], ns)
+    return [(acc, order[start + (pos + n) % length])
+            for acc, n in zip(sums, ns)]
+
+
+def _blocked_sums(values, layout, ns):
+    """The orbit sums of _orbit_sums for the layout (order, start, length,
+    pos, period): a sequential np.cumsum down the time axis of gathered
+    orbit rows, block by block, the running total in row 0."""
+    order, start, length, pos, period = layout
     last = ns[-1] if ns else 0
     rows = max(1, _ORBIT_BLOCK // values.size)
     if period <= rows:
@@ -119,9 +161,14 @@ def _orbit_sums(values, cycles, ns):
     sums = []
     for done in range(0, last, rows):
         m = min(rows, last - done)
-        if done == 0 or period > rows:
+        if period > rows:
             k = np.arange(done, done + m)[:, None]
             buf[1:m + 1] = values[order[start + (pos + k) % length]]
+        elif done == 0:
+            # a block is whole periods, so every block repeats one period
+            k = np.arange(min(period, m))[:, None]
+            one = values[order[start + (pos + k) % length]]
+            buf[1:m + 1] = one[np.arange(m) % period]
         buf[0] = total
         np.cumsum(buf[:m + 1], axis=0, out=out[:m + 1])
         # the running row at n, copied before the next block reuses out
@@ -129,9 +176,7 @@ def _orbit_sums(values, cycles, ns):
             sums.append(out[ns[len(sums)] - done].copy())
         total = out[m]
     # no block ran when every n is 0: each sum is the empty one, +0.0
-    sums += [total.copy() for _ in ns[len(sums):]]
-    return [(acc, order[start + (pos + n) % length])
-            for acc, n in zip(sums, ns)]
+    return sums + [total.copy() for _ in ns[len(sums):]]
 
 
 def _rotation_averages(fn, times, theta):
@@ -260,7 +305,7 @@ class Rotation(Flow):
     def ergodic(self):
         """Angles not close to a small-denominator rational count as ergodic."""
         approx = Fraction(self.theta).limit_denominator(64)
-        return abs(float(approx) - self.theta) > 1e-12
+        return abs(float(approx) - self.theta) > _RATIONAL_GAP
 
     def shift(self, t, f):
         return f.rotate(_split_product(t, self.theta)[1])
@@ -295,7 +340,7 @@ class Step(Flow):
         if p.dtype.kind not in "iu" or \
                 sorted(p.tolist()) != list(range(space.natoms)):
             raise ValueError("base map must be a permutation of the atoms")
-        if np.max(np.abs(space.weights[p] - space.weights)) > 1e-12:
+        if np.max(np.abs(space.weights[p] - space.weights)) > _WEIGHT_TOL:
             raise ValueError("base map must preserve atom weights")
         if not (h is not None and h > 0.0):
             raise ValueError("step width must be positive")
@@ -313,11 +358,11 @@ class Step(Flow):
     @property
     def unit_blocks(self):
         inv = 1.0 / self.h
-        return abs(inv - np.rint(inv)) <= 1e-9
+        return abs(inv - np.rint(inv)) <= _UNIT_BLOCK_TOL
 
     def _map(self, t):
         """The time-t point map S^floor(t/h)."""
-        order, start, length, pos, _ = self._cycles
+        order, start, length, pos, _, _ = self._cycles
         return order[start + (pos + _split_ratio(t, self.h)[0]) % length]
 
     def shift(self, t, f):

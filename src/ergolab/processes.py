@@ -40,6 +40,9 @@ from .flows import apply_flow, cesaro_average, cesaro_averages
 from .functions import AtomFunction, merge_sum
 
 _T_PROBES = (0.3, 0.7, 1.0, 1.9, 2.5, 4.0)
+# a t within _BLOCK_SNAP below a whole number counts as that many unit
+# blocks; a fractional tail shorter than _BLOCK_SNAP is dropped
+_BLOCK_SNAP = 1e-12
 
 
 def _combine(funcs, weights):
@@ -197,8 +200,8 @@ def cesaro_decomposition_check(flow, g, times, vnorm):
     unit = cesaro_average(flow, 1.0, g)
     gaps = []
     for t in times:
-        n = int(np.floor(t + 1e-12))
-        alpha = t - n if t - n >= 1e-12 else 0.0
+        n = int(np.floor(t + _BLOCK_SNAP))
+        alpha = t - n if t - n >= _BLOCK_SNAP else 0.0
         terms = [apply_flow(flow, float(k), unit) for k in range(n)]
         weights = [1.0 / t] * n
         if alpha > 0.0:

@@ -159,13 +159,62 @@ def test_step_average_gathers_cycles_longer_than_a_block():
                           oracles.loop_step_average(vals, perm, t, 1.0))
 
 
-# (space, perm, h): one block; blocks that reuse one gather (period 8 in
-# 512-row blocks); a 200-cycle gathered again in every 81-row block
-BATCH_CASES = [
-    (_unit_space(8), _unit_space(8).shift_perm(), 1.0),
-    (_Z8X2, _Z8X2.shift_perm(), 0.5),
-    (_unit_space(200), _one_cycle(200, 3), 0.37),
+# fixed points 0 and 3, 2-cycles (1 4) and (2 10), the 5-cycle (5 7 9 6 8)
+_MIXED_CYCLES = [[0], [3], [1, 4], [2, 10], [5, 7, 9, 6, 8]]
+_MIXED_PERM = np.array([0, 4, 10, 3, 1, 7, 8, 9, 5, 6, 2])
+
+
+def _cycle_constant(cycles, natoms, seed):
+    """Values with one random (2,) row on all atoms of each listed cycle."""
+    rng = np.random.default_rng(seed)
+    vals = np.empty((natoms, 2))
+    for cyc in cycles:
+        vals[cyc] = rng.normal(size=2)
+    return vals
+
+
+def _signed_zeros():
+    """A (8, 2) input the 8-atom shift leaves invariant: +0.0 and -0.0
+    alternate in the first column, the second is one constant."""
+    vals = np.full((8, 2), 2.5)
+    vals[:, 0] = np.where(np.arange(8) % 2 == 0, 0.0, -0.0)
+    return vals
+
+
+def _one_ulp_off():
+    """A constant input with one atom moved up by one ulp: not invariant."""
+    vals = np.full((8, 2), 0.3)
+    vals[5, 1] = np.nextafter(0.3, 1.0)
+    return vals
+
+
+# (space, perm, h, values, rows each cumsum block sees): inputs the step
+# map leaves invariant sum one row per cycle; the last is one ulp short of
+# invariant and sums every atom
+INVARIANT_CASES = [
+    (_unit_space(8), _unit_space(8).shift_perm(), 1.0,
+     np.tile([0.3, -1.7], (8, 1)), 1),
+    (_Z8X2, _Z8X2.shift_perm(), 0.5,
+     np.tile(np.random.default_rng(5).normal(size=(2, 2)), (8, 1)), 2),
+    (_unit_space(11), _MIXED_PERM, 0.37,
+     _cycle_constant(_MIXED_CYCLES, 11, 6), 5),
+    (_unit_space(8), _unit_space(8).shift_perm(), 1.0, _signed_zeros(), 1),
+    (_unit_space(8), _unit_space(8).shift_perm(), 1.0, _one_ulp_off(), 8),
 ]
+
+
+def _normal(n):
+    return np.random.default_rng(n).normal(size=(n, 2))
+
+
+# (space, perm, h, values): one block; blocks that reuse one gather (period
+# 8 in 512-row blocks); a 200-cycle gathered again in every 81-row block;
+# then the invariant inputs and the one an ulp short of invariant
+BATCH_CASES = [
+    (_unit_space(8), _unit_space(8).shift_perm(), 1.0, _normal(8)),
+    (_Z8X2, _Z8X2.shift_perm(), 0.5, _normal(16)),
+    (_unit_space(200), _one_cycle(200, 3), 0.37, _normal(200)),
+] + [case[:4] for case in INVARIANT_CASES]
 
 # whole steps n, each with one or more fractions of a step: t < h (n = 0),
 # exact multiples of h (fraction 0) and several t in one floor(t/h)
@@ -181,17 +230,34 @@ _STEPS = st.lists(st.tuples(
 @example(steps=[(0, [0.25, 0.5]), (1, [0.0]), (3, [0.0, 0.1, 0.9]),
                 (1100, [0.0, 0.3])])
 def test_step_averages_bit_identical_to_loop(case, steps):
-    sp, perm, h = BATCH_CASES[case]
+    sp, perm, h, vals = BATCH_CASES[case]
     times = sorted({(n + frac) * h for n, fracs in steps for frac in fracs}
                    - {0.0})
     if not times:
         return
-    vals = np.random.default_rng(sp.natoms).normal(size=(sp.natoms, 2))
     out = cesaro_averages(step_flow(sp, perm, h=h), times, AtomFunction(sp, vals))
     assert len(out) == len(times)
     for t, avg in zip(times, out):
         assert _same_bits(avg.values,
                           oracles.loop_step_average(vals, perm, t, h)), t
+
+
+@pytest.mark.parametrize("sp, perm, h, vals, rows", INVARIANT_CASES)
+def test_invariant_input_sums_one_row_per_cycle(monkeypatch, sp, perm, h,
+                                                vals, rows):
+    flow, f = step_flow(sp, perm, h=h), AtomFunction(sp, vals)
+    seen = []
+    real = np.cumsum
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.shape[1])
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(flows.np, "cumsum", spy)
+    out = cesaro_averages(flow, [0.3, 5.0, 2000.5], f)
+    monkeypatch.undo()
+    assert seen and set(seen) == {rows}
+    # a cycle of mixed signed zeros sums to +0.0 on every atom
+    assert not np.signbit(out[-1].values[vals == 0.0]).any()
 
 
 @pytest.mark.parametrize("theta, times", [

@@ -1,9 +1,12 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
 
+from ergolab.cli import scenario_dir
 from ergolab.condexp import cond_exp
+from ergolab.config import parse_text
 from ergolab import fields, processes, runner
 from ergolab.fields import grid_sup_field, pointwise_norm
 from ergolab.flows import (
@@ -204,6 +207,47 @@ def test_grids_on_a_dense_step_lattice():
             loop = oracles.loop_step_average(em.inner[level].values,
                                              sp.shift_perm(), t, 1.0)
             assert entry.values.tobytes() == loop.tobytes()
+
+
+def _stretched_scenario(name):
+    """A shipped step scenario with its t grid 1, 2, 4, ..., 2**14."""
+    with open(os.path.join(scenario_dir(), name + ".cfg"), encoding="utf-8") as fh:
+        text = fh.read()
+    for old, new in (("t_grid.ratio = 1.5", "t_grid.ratio = 2"),
+                     ("t_grid.count = 16", "t_grid.count = 15")):
+        assert old in text
+        text = text.replace(old, new)
+    cfg = parse_text(text)
+    return runner.build_context(cfg, np.random.default_rng(cfg.seed))
+
+
+@pytest.mark.parametrize("name", ["step_z4_half", "product_z8x2"])
+def test_long_horizon_step_grids_match_the_loop(name):
+    # t = 2**14 on the grid and 2**15 for the limits: up to 65,536 steps
+    ctx = _stretched_scenario(name)
+    flow, f = ctx.flow, ctx.f
+    t = float(ctx.t_grid[-1])
+    assert t == 2.0 ** 14
+
+    def loop(values, time):
+        return oracles.loop_step_average(values, flow.perm, time, flow.h)
+
+    def cond(values, part):
+        cells = [np.flatnonzero(part.cell_of == k) for k in range(part.ncells)]
+        return oracles.loop_atom_cell_averages(f.space.weights, values, cells)
+    me, em, lim = ctx.grid("me"), ctx.grid("em"), ctx.proc_limits()
+    avg = loop(f.values, t)
+    for level in em.inner:
+        part = ctx.filtration.partition_at_level(level)
+        assert me.table[(t, level)].values.tobytes() == cond(avg, part).tobytes()
+        assert em.table[(t, level)].values.tobytes() == \
+            loop(cond(f.values, part), t).tobytes()
+    terminal = cond(f.values, ctx.filtration.terminal())
+    assert lim.em_limit.values.tobytes() == loop(terminal, 2.0 * t).tobytes()
+    if not flow.ergodic:
+        assert lim.ergodic_limit.values.tobytes() == \
+            loop(f.values, 2.0 * t).tobytes()
+    assert flow.ergodic == (name == "step_z4_half")
 
 
 @pytest.mark.parametrize("kind", ["rotation", "step"])
