@@ -27,5 +27,4 @@ from .inequalities import (DominantReport, MaximalReport, SubmartingaleFamily,
                            random_submartingale_family)
 from .config import ScenarioConfig, ConfigError, parse_config, parse_text
 from .runner import (CheckRecord, RunReport, CHECK_NAMES, run_scenario,
-                     build_space, build_flow, build_function, build_context,
-                     write_csv, write_json, emit_plot_data)
+                     build_context, write_csv, write_json, emit_plot_data)

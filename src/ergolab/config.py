@@ -5,34 +5,39 @@ The format is line oriented: ``key = value`` with dotted key paths,
 parser stays dependency-free and the schema stays greppable.
 
 One ordered table, ``_SCHEMA``, gives each key's field, reader, the kinds
-that read it and its text form; parsing, the rejection of unknown keys and
-of keys the chosen kind does not read, and ``ScenarioConfig.echo`` all come
-from it.  Readers check the form of a value.  A rule about an object is
-checked once, by its constructor: ``parse_text`` builds the space, the flow
-and the filtration, ``runner.build_context`` the function, and each raises
-a constructor's ValueError as a ConfigError naming the key.
+that read it and its text form; ``ScenarioConfig``'s fields, parsing, the
+rejection of unknown keys and of keys the chosen kind does not read, and
+``echo`` all come from it.  ``_SPACE_KINDS``, ``_FLOW_KINDS`` and
+``_FUNCTION_KINDS`` list each kind once, with the space kinds it lives on.
+Readers check the form of a value.  A rule about an object is checked
+once, by its constructor: the builders below raise a constructor's
+ValueError as a ConfigError naming the key.  ``parse_text`` builds the
+space, the flow and the filtration, ``runner.build_context`` the function.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 import math
 from typing import Callable, NamedTuple
 
-from .flows import GOLDEN
-from .functions import DEGREE_CAP
-from .processes import _check_grid
+import numpy as np
 
-_SPACE_KINDS = ("circle", "discrete", "product")
-_FLOW_KINDS = ("rotation", "step", "identity")
-_FUNCTION_KINDS = ("sawtooth", "hat", "smooth", "explicit", "atoms")
+from .flows import GOLDEN, identity_flow, rotation_flow, step_flow
+from .functions import (DEGREE_CAP, AtomFunction, CircleFunction, from_smooth,
+                        harmonic_generator, hat, sawtooth)
+from .processes import _check_grid
+from .spaces import Filtration, circle_space, discrete_space, product_space
+
 _NORMS = ("euclidean", "max", "sum")
 _DIRECTIONS = ("increasing", "decreasing")
 
-_ATOMIC = ("discrete", "product")
-# the space kinds each flow and function kind lives on
-_LIVES_ON = dict.fromkeys(("rotation", "sawtooth", "hat", "smooth", "explicit"),
-                          ("circle",))
-_LIVES_ON.update(step=_ATOMIC, atoms=_ATOMIC, identity=_SPACE_KINDS)
+# each kind, in listing order, mapped to the space kinds it lives on
+_SPACE_KINDS = {kind: (kind,) for kind in ("circle", "discrete", "product")}
+_FLOW_KINDS = {"rotation": ("circle",), "step": ("discrete", "product"),
+               "identity": tuple(_SPACE_KINDS)}
+_FUNCTION_KINDS = {**dict.fromkeys(("sawtooth", "hat", "smooth", "explicit"),
+                                   ("circle",)),
+                   "atoms": ("discrete", "product")}
 
 
 class ConfigError(ValueError):
@@ -52,47 +57,16 @@ def _as_config_error(key):
         raise ConfigError(key, str(exc)) from None
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    name: str
-    space_kind: str
-    flow_kind: str
-    function_kind: str
-    vector_norm: str
-    filtration_direction: str
-    filtration_max_level: int
-    t_grid: tuple
-    s_grid: tuple
-    p: float
-    epsilon: float
-    threshold: float
-    checks: tuple
-    seed: int
-    space_atoms: int = None
-    space_weights: tuple = None
-    space_cyclic_size: int = None
-    space_factor_weights: tuple = None
-    flow_theta: float = None
-    flow_h: float = None
-    flow_map: str = None
-    function_d: int = 1
-    function_amplitudes: tuple = None
-    function_phases: tuple = None
-    function_harmonic: int = None
-    function_breaks: tuple = None
-    function_pieces: tuple = None
-    function_values: tuple = None
-
-    def echo(self):
-        """Canonical text form; parsing it back yields an equal config."""
-        lines = []
-        for row in _SCHEMA:
-            v = getattr(self, row.field)
-            if v is not None and row.many:
-                lines += [f"{row.key}.{i} = {row.fmt(x)}" for i, x in enumerate(v)]
-            elif v is not None:
-                lines.append(f"{row.key} = {row.fmt(v)}")
-        return "\n".join(lines) + "\n"
+def _echo(self):
+    """Canonical text form; parsing it back yields an equal config."""
+    lines = []
+    for row in _SCHEMA:
+        v = getattr(self, row.field)
+        if v is not None and row.many:
+            lines += [f"{row.key}.{i} = {row.fmt(x)}" for i, x in enumerate(v)]
+        elif v is not None:
+            lines.append(f"{row.key} = {row.fmt(v)}")
+    return "\n".join(lines) + "\n"
 
 
 def _fmt_floats(vals):
@@ -162,8 +136,13 @@ def _choice(*choices):
 _positive = _where(_number, lambda v: v > 0.0, "must be positive")
 _positive_int = _where(_integer, lambda v: v >= 1, "must be a positive integer")
 _above_one = _where(_number, lambda v: v > 1.0, "inequality checks require p > 1")
+_non_negative_int = _where(_integer, lambda v: v >= 0,
+                           "must be a non-negative integer")
 _flow_map = _where(_text, lambda v: v == "shift" or v.startswith("perm:"),
                    "expected 'shift' or 'perm:i0,i1,...'")
+# the name is the stem of every artifact file, so it must stay in --out
+_file_stem = _where(_text, lambda v: v and "/" not in v and "\\" not in v,
+                    "expected a nonempty file stem without '/' or '\\'")
 
 
 def _angle(key, raw):
@@ -173,10 +152,14 @@ def _angle(key, raw):
 def _check_names(key, raw):
     from .runner import CHECK_NAMES
     checks = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-    for c in checks:
+    for i, c in enumerate(checks):
         if c not in CHECK_NAMES:
             raise ConfigError(key, f"unknown check {c!r}; run the list "
                                    "command for valid names")
+        if c in checks[:i]:
+            raise ConfigError(key, f"check {c!r} is listed twice")
+    if not checks:
+        raise ConfigError(key, "expected at least one check")
     return checks
 
 
@@ -197,14 +180,14 @@ def _value(convert, default=_REQUIRED):
     return read
 
 
-def _kind(choices):
-    read_choice = _value(_choice(*choices))
+def _kind(kinds):
+    read_choice = _value(_choice(*kinds))
 
     def read(kv, key, got):
         kind = read_choice(kv, key, got)
-        if got["space_kind"] not in _LIVES_ON[kind]:
+        if got["space_kind"] not in kinds[kind]:
             raise ConfigError(key, f"{kind} needs space.kind = "
-                                   + " or ".join(_LIVES_ON[kind]))
+                                   + " or ".join(kinds[kind]))
         return kind
     return read
 
@@ -300,7 +283,7 @@ class _Key(NamedTuple):
 
 
 _SCHEMA = (
-    _Key("name", "name", _value(_text)),
+    _Key("name", "name", _value(_file_stem)),
     _Key("space.kind", "space_kind", _value(_choice(*_SPACE_KINDS))),
     _Key("space.atoms", "space_atoms", _atom_count, ("discrete",)),
     _Key("space.weights", "space_weights", _value(_numbers, None),
@@ -337,10 +320,78 @@ _SCHEMA = (
     _Key("epsilon", "epsilon", _value(_positive), fmt=repr),
     _Key("threshold", "threshold", _value(_positive, 0.05), fmt=repr),
     _Key("checks", "checks", _value(_check_names), fmt=", ".join),
-    _Key("seed", "seed", _value(_integer)),
+    _Key("seed", "seed", _value(_non_negative_int)),
 )
 
+ScenarioConfig = make_dataclass(
+    "ScenarioConfig", [row.field for row in _SCHEMA], frozen=True,
+    namespace={"__doc__": "A parsed scenario; its fields are _SCHEMA's "
+                          "field column, in row order.",
+               "__module__": __name__, "echo": _echo})
+
 _ROWS = {row.key: row for row in _SCHEMA}
+
+
+# -- config -> objects -----------------------------------------------------------
+
+
+def build_space(cfg):
+    if cfg.space_kind == "circle":
+        return circle_space()
+    if cfg.space_kind == "discrete":
+        if cfg.space_weights is None:
+            return discrete_space(np.full(cfg.space_atoms, 1.0 / cfg.space_atoms))
+        with _as_config_error("space.weights"):
+            return discrete_space(cfg.space_weights)
+    # the atomic factor is a discrete space; built first, its weights get their key
+    with _as_config_error("space.factor_weights"):
+        factor = discrete_space(cfg.space_factor_weights)
+    with _as_config_error("space.cyclic_size"):
+        return product_space(cfg.space_cyclic_size, factor.weights)
+
+
+def build_flow(cfg, space):
+    if cfg.flow_kind == "rotation":
+        with _as_config_error("flow.theta"):
+            return rotation_flow(cfg.flow_theta, space)
+    if cfg.flow_kind == "identity":
+        return identity_flow(space)
+    with _as_config_error("flow.map"):
+        perm = space.shift_perm() if cfg.flow_map in (None, "shift") else [
+            int(tok) for tok in cfg.flow_map[5:].split(",")]
+        return step_flow(space, perm, cfg.flow_h)
+
+
+def _filtration(cfg, space):
+    with _as_config_error("filtration.max_level"):
+        return Filtration(space, cfg.filtration_direction,
+                          cfg.filtration_max_level)
+
+
+def build_function(cfg, space):
+    kind = cfg.function_kind
+    if kind == "sawtooth":
+        return sawtooth(cfg.function_d, cfg.function_amplitudes,
+                        cfg.function_phases, space)
+    if kind == "hat":
+        return hat(cfg.function_d, cfg.function_amplitudes,
+                   cfg.function_phases, space)
+    if kind == "smooth":
+        gen = harmonic_generator(cfg.function_d, cfg.function_amplitudes,
+                                 cfg.function_phases, cfg.function_harmonic)
+        # desk-scale fidelity; tighter targets just multiply pieces
+        with _as_config_error("function.harmonic"):
+            return from_smooth(gen, cfg.function_d, target=2e-5, space=space)
+    if kind == "explicit":
+        k1 = max(len(comp) for piece in cfg.function_pieces for comp in piece)
+        coeffs = np.zeros((len(cfg.function_pieces), k1, cfg.function_d))
+        for i, piece in enumerate(cfg.function_pieces):
+            for j, comp in enumerate(piece):
+                coeffs[i, :len(comp), j] = comp
+        with _as_config_error("function.breaks"):
+            return CircleFunction(cfg.function_breaks, coeffs, space)
+    with _as_config_error("function.values"):
+        return AtomFunction(space, cfg.function_values)
 
 
 def _row_key(key):
@@ -373,7 +424,6 @@ def parse_text(text):
         else:
             got[row.field] = row.read(kv, row.key, got)
     cfg = ScenarioConfig(**got)
-    from .runner import _filtration, build_flow, build_space
     space = build_space(cfg)
     build_flow(cfg, space)
     _filtration(cfg, space)

@@ -446,24 +446,22 @@ def cascade(levels=14, ramp_exp=20, space=None):
     w = 1.0 / ncell
     if wr >= w:
         raise ValueError("ramp width must stay below the cell width")
-    edges = []
-    coeffs = []
-    for j in range(ncell):
-        b = j * w
-        prev = vals[j - 1]
-        cur = vals[j]
-        if prev != cur:
-            slope = (cur - prev) / wr
-            edges.append(b)
-            coeffs.append([prev - slope * b, slope])
-            edges.append(b + wr)
-            coeffs.append([cur, 0.0])
-        else:
-            edges.append(b)
-            coeffs.append([cur, 0.0])
-    edges.append(1.0)
-    return CircleFunction(np.asarray(edges),
-                          np.asarray(coeffs)[:, :, None], space=space)
+    # a cell where the value changes opens with the ramp piece [b, b + wr)
+    # from the previous value; every cell then holds its flat piece
+    b = idx * w
+    prev = np.roll(vals, 1)
+    ramp = prev != vals
+    flat = np.cumsum(1 + ramp) - 1
+    edges = np.empty(flat[-1] + 2)
+    coeffs = np.zeros((flat[-1] + 1, 2, 1))
+    edges[flat] = np.where(ramp, b + wr, b)
+    coeffs[flat, 0, 0] = vals
+    slope = (vals[ramp] - prev[ramp]) / wr
+    edges[flat[ramp] - 1] = b[ramp]
+    coeffs[flat[ramp] - 1, :, 0] = np.column_stack(
+        (prev[ramp] - slope * b[ramp], slope))
+    edges[-1] = 1.0
+    return CircleFunction(edges, coeffs, space=space)
 
 
 def harmonic_generator(d=1, amplitudes=None, phases=None, harmonic=1):

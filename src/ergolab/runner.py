@@ -14,11 +14,10 @@ import numpy as np
 
 from .condexp import (LinearFunctional, cond_exp, defining_property_check,
                       functional_commutation_check)
-from .config import _as_config_error
+from .config import (_filtration, _non_negative_int, build_flow,
+                     build_function, build_space)
 from .fields import NormFamily, defect_max, pointwise_norm
-from .flows import apply_flow, identity_flow, rotation_flow, step_flow
-from .functions import (AtomFunction, CircleFunction, from_smooth,
-                        harmonic_generator, hat, sawtooth)
+from .flows import apply_flow
 from .inequalities import (dominant_ineq_em, dominant_ineq_me,
                            domination_chain_check, maximal_ineq_em,
                            maximal_ineq_me, random_submartingale_family,
@@ -27,73 +26,10 @@ from .processes import (cesaro_decomposition_check, commutation_check,
                         convergence_table, em_process, ergodic_envelope_check,
                         ergodic_envelope_constant, limits, me_process,
                         sup_integrability_report)
-from .spaces import (Circle, Filtration, VectorNorm, circle_space,
-                     discrete_space, product_space)
+from .spaces import Circle, Filtration, VectorNorm
 from .tolerances import TOLERANCES
 
 VERSION = "0.1.0"
-
-
-# -- config -> objects ----------------------------------------------------------
-
-
-def build_space(cfg):
-    if cfg.space_kind == "circle":
-        return circle_space()
-    if cfg.space_kind == "discrete":
-        if cfg.space_weights is None:
-            return discrete_space(np.full(cfg.space_atoms, 1.0 / cfg.space_atoms))
-        with _as_config_error("space.weights"):
-            return discrete_space(cfg.space_weights)
-    # the atomic factor is a discrete space; built first, its weights get their key
-    with _as_config_error("space.factor_weights"):
-        factor = discrete_space(cfg.space_factor_weights)
-    with _as_config_error("space.cyclic_size"):
-        return product_space(cfg.space_cyclic_size, factor.weights)
-
-
-def build_flow(cfg, space):
-    if cfg.flow_kind == "rotation":
-        with _as_config_error("flow.theta"):
-            return rotation_flow(cfg.flow_theta, space)
-    if cfg.flow_kind == "identity":
-        return identity_flow(space)
-    with _as_config_error("flow.map"):
-        perm = space.shift_perm() if cfg.flow_map in (None, "shift") else [
-            int(tok) for tok in cfg.flow_map[5:].split(",")]
-        return step_flow(space, perm, cfg.flow_h)
-
-
-def _filtration(cfg, space):
-    with _as_config_error("filtration.max_level"):
-        return Filtration(space, cfg.filtration_direction,
-                          cfg.filtration_max_level)
-
-
-def build_function(cfg, space):
-    kind = cfg.function_kind
-    if kind == "sawtooth":
-        return sawtooth(cfg.function_d, cfg.function_amplitudes,
-                        cfg.function_phases, space)
-    if kind == "hat":
-        return hat(cfg.function_d, cfg.function_amplitudes,
-                   cfg.function_phases, space)
-    if kind == "smooth":
-        gen = harmonic_generator(cfg.function_d, cfg.function_amplitudes,
-                                 cfg.function_phases, cfg.function_harmonic)
-        # desk-scale fidelity; tighter targets just multiply pieces
-        with _as_config_error("function.harmonic"):
-            return from_smooth(gen, cfg.function_d, target=2e-5, space=space)
-    if kind == "explicit":
-        k1 = max(len(comp) for piece in cfg.function_pieces for comp in piece)
-        coeffs = np.zeros((len(cfg.function_pieces), k1, cfg.function_d))
-        for i, piece in enumerate(cfg.function_pieces):
-            for j, comp in enumerate(piece):
-                coeffs[i, :len(comp), j] = comp
-        with _as_config_error("function.breaks"):
-            return CircleFunction(cfg.function_breaks, coeffs, space)
-    with _as_config_error("function.values"):
-        return AtomFunction(space, cfg.function_values)
 
 
 @dataclass
@@ -495,7 +431,8 @@ class RunReport:
 
 
 def run_scenario(cfg, out_dir=None, seed=None):
-    """Execute a scenario's checks in declaration order.
+    """Execute a scenario's checks in declaration order; a negative seed
+    override is a ConfigError naming ``seed``, as in a scenario file.
 
     Any exception in a check becomes its FAIL record (class in the note).
     Checks run with floating-point faults raised, so a division by zero,
@@ -503,7 +440,7 @@ def run_scenario(cfg, out_dir=None, seed=None):
     DIAGNOSTIC record with a NaN value or row fails too.
     """
     if seed is not None:
-        cfg = replace(cfg, seed=int(seed))
+        cfg = replace(cfg, seed=_non_negative_int("seed", seed))
     rng = np.random.default_rng(cfg.seed)
     ctx = build_context(cfg, rng)
     records = []

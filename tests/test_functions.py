@@ -271,6 +271,26 @@ def test_cascade_profile_structure():
         2.0 * (2.0 - 2.0 ** -4) * 2.0 ** 20)
 
 
+@pytest.mark.parametrize("levels, ramp_exp", [(3, 20), (8, 20), (8, 30)])
+def test_cascade_pieces_match_a_cell_by_cell_build(levels, ramp_exp):
+    f = cascade(levels=levels, ramp_exp=ramp_exp)
+    ncell, wr = 2 ** (levels + 1), 2.0 ** -ramp_exp
+    vals = [sum(2.0 ** -k * (-1.0 if (j >> (levels - k)) & 1 else 1.0)
+                for k in range(levels + 1)) for j in range(ncell)]
+    edges, coeffs = [], []
+    for j in range(ncell):
+        b, prev, cur = j / ncell, vals[j - 1], vals[j]
+        if prev != cur:
+            slope = (cur - prev) / wr
+            edges.append(b)
+            coeffs.append([prev - slope * b, slope])
+            b += wr
+        edges.append(b)
+        coeffs.append([cur, 0.0])
+    assert f.breaks.tolist() == edges + [1.0]
+    assert f.coeffs[:, :, 0].tolist() == coeffs
+
+
 def test_cascade_rejects_wide_ramp():
     with pytest.raises(ValueError):
         cascade(levels=6, ramp_exp=5)
