@@ -347,6 +347,12 @@ class _Stack:
                    np.concatenate([_pad(fn.coeffs, k1) for fn in fns]),
                    len(fns))
 
+    @classmethod
+    def tiled(cls, breaks, m):
+        """m owners, each holding the pieces of breaks; no coefficients."""
+        return cls(np.repeat(np.arange(m), breaks.size - 1),
+                   np.tile(breaks[:-1], m), np.tile(breaks[1:], m), None, m)
+
     def recoef(self, c):
         """The same pieces with the coefficients c."""
         return _Stack(self.owner, self.lo, self.hi, c, self.m)
@@ -354,7 +360,7 @@ class _Stack:
     def functions(self, space):
         """Each owner's CircleFunction."""
         ends = self.start + self.counts
-        return [CircleFunction(np.r_[self.lo[a:b], self.hi[b - 1]],
+        return [CircleFunction(np.append(self.lo[a:b], self.hi[b - 1]),
                                self.c[a:b], space)
                 for a, b in zip(self.start, ends)]
 
@@ -420,11 +426,8 @@ def _merged(sets, m):
 def _minus(st, target):
     """Each owner's function minus target on the union of their breaks, as
     CircleFunction.__sub__ builds it (st is padded to target's width)."""
-    tb, m = target.breaks, st.m
-    nt = tb.size - 1
-    tiled = _Stack(np.repeat(np.arange(m), nt), np.tile(tb[:-1], m),
-                   np.tile(tb[1:], m), None, m)
-    owner, lo, hi, (a, b) = _merged([st, tiled], m)
+    m, nt = st.m, target.npieces
+    owner, lo, hi, (a, b) = _merged([st, _Stack.tiled(target.breaks, m)], m)
     neg = _pad(target.coeffs * -1.0, st.c.shape[1])
     return _Stack(owner, lo, hi, st.c[a] + neg[b - owner * nt], m)
 

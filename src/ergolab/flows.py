@@ -13,8 +13,10 @@ Callers use the module functions (``apply_flow``, ``cesaro_average``,
 ``cesaro_averages``, ...), which check the time arguments and hand off to
 the flow's method.  ``cesaro_averages`` takes a whole increasing list of
 times: a ``Step`` serves all of them from one orbit pass and a
-``Rotation`` from one antiderivative, each average with the bits of its
-one-time call, which is the one-element case of the same path.
+``Rotation`` from one antiderivative and one stacked rotate-and-merge, each
+average with the bits of its one-time call, which is the one-element case
+of the same path.  Every time must be finite; a NaN or infinite t is
+refused by name before it reaches a flow.
 
 Wrap counts floor(t*theta) and floor(t/h) are taken in extended precision:
 a double-precision product can land on the wrong side of an integer and
@@ -46,8 +48,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .functions import CircleFunction, AtomFunction, merge_sum, DEGREE_CAP
-from .fields import PolyField, GenericField, AtomField, pointwise_norm
+from .functions import (AtomFunction, DEGREE_CAP, _pad, _rotated_pieces,
+                        taylor_shift)
+from .fields import (PolyField, GenericField, AtomField, pointwise_norm,
+                     _Stack, _merged)
 from .spaces import Atoms, Circle
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -181,28 +185,38 @@ def _blocked_sums(values, layout, ns):
 
 def _rotation_averages(fn, times, theta):
     """Closed-form (1/t)∫_0^t f(x+τθ)dτ of a CircleFunction for each t in
-    times, from one antiderivative and one integral."""
+    times from one stacked rotate-and-merge of its antiderivative F, with the
+    bits of merge_sum([F.rotate(δ), F, wrap], [1, −1, 1]) * (1/(tθ)) per t."""
     if fn.degree + 1 > DEGREE_CAP:
         raise ValueError(
             f"averaging degree-{fn.degree} input exceeds the degree cap")
-    big_f = fn.antiderivative()
-    iv = fn.integral()
-    out = []
-    for t in times:
-        total = np.longdouble(t) * np.longdouble(theta)
-        n0, delta = _split_product(t, theta)
-        shifted = big_f.rotate(delta)
-        if delta == 0.0:
-            wrap = CircleFunction.constant(float(n0) * iv, fn.space)
-        else:
-            wedge = np.array([0.0, 1.0 - delta, 1.0])
-            counts = np.array([float(n0), float(n0 + 1)])
-            wrap = CircleFunction(wedge,
-                                  counts[:, None, None] * iv[None, None, :],
-                                  fn.space)
-        comb = merge_sum([shifted, big_f, wrap], [1.0, -1.0, 1.0])
-        out.append(comb * float(1.0 / total))
-    return out
+    big_f, iv = fn.antiderivative(), fn.integral()
+    m, nf, k1 = len(times), big_f.npieces, big_f.coeffs.shape[1]
+    splits = [_split_product(t, theta) for t in times]
+    delta = np.array([dl for _, dl in splits])
+    own, lo, hi, src, which, shifts = _rotated_pieces(big_f.breaks, delta)
+    c = big_f.coeffs[src]
+    # rotate returns F itself at δ == 0, so those owners keep F's pieces
+    moved = delta[own] > 0.0
+    c[moved] = taylor_shift(c[moved], shifts, which[moved])
+    shifted = _Stack(own, lo, hi, c, m)
+    # the whole turns: n0·∫f on [0, 1 − δ) and (n0 + 1)·∫f on [1 − δ, 1)
+    ends = [(0.0, 1.0 - dl, 1.0) if dl else (0.0, 1.0) for _, dl in splits]
+    turns = [float(n + k) for (n, _), e in zip(splits, ends)
+             for k in range(len(e) - 1)]
+    wrap = _Stack(np.repeat(np.arange(m), [len(e) - 1 for e in ends]),
+                  np.array([x for e in ends for x in e[:-1]]),
+                  np.array([x for e in ends for x in e[1:]]),
+                  np.array(turns)[:, None, None] * iv, m)
+    tiled = _Stack.tiled(big_f.breaks, m)
+    owner, lo, hi, (a, b, w) = _merged([shifted, tiled, wrap], m)
+    acc = np.zeros((lo.size, k1, fn.d))
+    acc += 1.0 * shifted.c[a]
+    acc += -1.0 * big_f.coeffs[b - owner * nf]
+    acc += 1.0 * _pad(wrap.c, k1)[w]
+    scale = np.array([float(1.0 / (np.longdouble(t) * theta)) for t in times])
+    return _Stack(owner, lo, hi, acc * scale[owner, None, None],
+                  m).functions(fn.space)
 
 
 def _rotation_average_field(field, t, theta):
@@ -404,10 +418,19 @@ def identity_flow(space):
     return Flow(space)
 
 
+def _times(times, zero_ok=False):
+    """The times as floats; each must be finite and > 0 (>= 0 if zero_ok)."""
+    times = [float(t) for t in times]
+    for t in times:
+        if not math.isfinite(t) or t < 0.0 or (t == 0.0 and not zero_ok):
+            raise ValueError(f"time t = {t} must be finite and "
+                             f"{'nonnegative' if zero_ok else 'positive'}")
+    return times
+
+
 def apply_flow(flow, t, f):
-    """T_t f = f composed with the time-t point map."""
-    if t < 0.0:
-        raise ValueError("the flow is one-sided: t must be nonnegative")
+    """T_t f = f composed with the time-t point map (the flow is one-sided)."""
+    (t,) = _times([t], zero_ok=True)
     if t == 0.0:
         return f
     return flow.shift(t, f)
@@ -415,18 +438,15 @@ def apply_flow(flow, t, f):
 
 def cesaro_average(flow, t, f):
     """Time average A_t f = (1/t)∫_0^t T_τ f dτ, exact for every flow."""
-    if t <= 0.0:
-        raise ValueError("averaging time must be positive")
+    (t,) = _times([t])
     return flow.average(t, f)
 
 
 def cesaro_averages(flow, times, f):
     """[A_t f for t in times] for strictly increasing positive times; a step
-    flow serves every time from one orbit pass, with the bits of
-    ``cesaro_average`` at each t."""
-    times = [float(t) for t in times]
-    if any(t <= 0.0 for t in times):
-        raise ValueError("averaging time must be positive")
+    flow serves every time from one orbit pass and a rotation from one
+    stacked rotate-and-merge, with the bits of ``cesaro_average`` at each t."""
+    times = _times(times)
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("averaging times must be strictly increasing")
     return flow.averages(times, f)
@@ -435,6 +455,5 @@ def cesaro_averages(flow, times, f):
 def dominant_cesaro(flow, t, field):
     """A'_t h = (1/t)∫_0^t P_τ h dτ for a scalar field h under the same
     point map; positivity preserving."""
-    if t <= 0.0:
-        raise ValueError("averaging time must be positive")
+    (t,) = _times([t])
     return flow.dominant_average(t, field)

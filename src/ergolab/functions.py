@@ -11,6 +11,7 @@ Discrete functions are plain per-atom value tables.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -23,32 +24,52 @@ _CONTINUITY_TOL = 1e-9
 _MAX_KNOTS = 4096
 
 
+@functools.lru_cache(maxsize=None)
 def _binom_matrix(n):
-    m = np.zeros((n, n))
-    for j in range(n):
-        for k in range(j + 1):
-            m[k, j] = math.comb(j, k)
-    return m
+    """The (n, n) table C(j, k) at row k and column j."""
+    return np.array([[math.comb(j, k) for j in range(n)] for k in range(n)],
+                    dtype=float)
 
 
-def taylor_shift(coeffs, sigma):
+def taylor_shift(coeffs, sigma, which=None):
     """Coefficients of p(x + sigma) for p given by ascending ``coeffs``.
 
     coeffs has shape (..., K+1, d); sigma is scalar or matches the leading
-    axes of coeffs.
+    axes of coeffs, or with ``which`` (an index per polynomial) lists the
+    distinct shifts.  One matrix is built per distinct shift, and each
+    polynomial gets the bits of a call on it alone.
     """
     c = np.asarray(coeffs, dtype=float)
-    k1 = c.shape[-2]
-    comb = _binom_matrix(k1)
-    j = np.arange(k1)
-    powdiff = j[None, :] - j[:, None]          # j - k
-    mask = powdiff >= 0
     sig = np.asarray(sigma, dtype=float)
-    base = np.where(sig == 0.0, 0.0, sig)[..., None, None] ** np.where(
-        mask, powdiff, 0)
-    m = np.where(mask, comb * base, 0.0)
-    # sigma == 0 must give the identity even though 0**0 == 1 fills row 0
-    return np.einsum("...kj,...jd->...kd", m, c)
+    if which is None:
+        sig, which = np.unique(sig, return_inverse=True, equal_nan=False)
+    k1 = c.shape[-2]
+    j = np.arange(k1)
+    # below the diagonal sigma ** 0 == 1 (even 0, inf, NaN) times C(j, k) == 0
+    base = np.where(sig == 0.0, 0.0, sig)[..., None, None] ** np.maximum(
+        j[None, :] - j[:, None], 0)
+    m = _binom_matrix(k1) * base
+    return np.einsum("...kj,...jd->...kd", m[which], c)
+
+
+def _rotated_pieces(breaks, deltas):
+    """Each delta's pieces of a function on breaks precomposed with
+    x -> (x + delta) mod 1, delta in [0, 1): owner, lo, hi and source piece,
+    the index into shifts (delta_0, delta_0 - 1, delta_1, ...; delta - 1 if
+    the source wraps past 1), and shifts.  A zero delta keeps the pieces."""
+    deltas = np.asarray(deltas, dtype=float)
+    ends = np.broadcast_to((0.0, 1.0), (deltas.size, 2))
+    pts = np.sort(np.hstack([ends, (breaks[:-1] - deltas[:, None]) % 1.0]))
+    # pieces between consecutive distinct points: each row's np.unique
+    piece = pts[:, 1:] > pts[:, :-1]
+    owner, lo, hi = np.nonzero(piece)[0], pts[:, :-1][piece], pts[:, 1:][piece]
+    # a midpoint may round onto hi; a kept piece is found from its lo
+    y = np.where(deltas[owner] == 0.0, lo, 0.5 * (lo + hi) + deltas[owner])
+    wrapped = y >= 1.0
+    y = np.where(wrapped, y - 1.0, y)
+    src = np.searchsorted(breaks[1:-1], y, side="right")
+    shifts = np.column_stack((deltas, deltas - 1.0)).ravel()
+    return owner, lo, hi, src, 2 * owner + wrapped, shifts
 
 
 class CircleFunction:
@@ -178,19 +199,16 @@ class CircleFunction:
     # -- flow support ----------------------------------------------------------
 
     def rotate(self, delta):
-        """Precompose with x -> (x + delta) mod 1 (exact piece reindexing)."""
+        """Precompose with x -> (x + delta) mod 1.  Every piece is
+        reindexed and Taylor-shifted in the global basis: exact in real
+        arithmetic, rounded in floating point."""
         delta = float(delta) % 1.0
         if delta == 0.0:
             return self
-        inner = (self.breaks[:-1] - delta) % 1.0
-        edges = np.unique(np.concatenate([[0.0, 1.0], inner]))
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        y = mids + delta
-        wrapped = y >= 1.0
-        y = np.where(wrapped, y - 1.0, y)
-        src = self.coeffs[self.piece_index(y)]
-        sigma = np.where(wrapped, delta - 1.0, delta)
-        return CircleFunction(edges, taylor_shift(src, sigma), self.space)
+        _, lo, hi, src, which, shifts = _rotated_pieces(self.breaks, [delta])
+        return CircleFunction(np.append(lo, hi[-1]),
+                              taylor_shift(self.coeffs[src], shifts, which),
+                              self.space)
 
     # -- diagnostics -------------------------------------------------------------
 

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ergolab import fields, flows
-from ergolab.condexp import cond_exp_dominant
+from ergolab import fields, flows, functions
+from ergolab.cli import shipped_scenarios
+from ergolab.condexp import cond_exp, cond_exp_dominant
+from ergolab.config import parse_config
 from ergolab.fields import AtomField, PolyField, pointwise_norm
 from ergolab.flows import (
     _cycle_index,
@@ -18,7 +21,9 @@ from ergolab.flows import (
     rotation_flow,
     step_flow,
 )
-from ergolab.functions import AtomFunction, CircleFunction, hat, sawtooth
+from ergolab.functions import (AtomFunction, CircleFunction, cascade, hat,
+                               merge_sum, sawtooth)
+from ergolab.runner import build_context
 from ergolab.spaces import VectorNorm, discrete_space, product_space
 
 import oracles
@@ -292,6 +297,114 @@ def test_rotation_averages_share_one_antiderivative(monkeypatch):
     assert sorted(calls) == one
 
 
+def _loop_average(fn, t, theta):
+    """A_t fn under the rotation by theta, one t at a time from public
+    methods: merge_sum([F.rotate(δ), F, wrap], [1, -1, 1]) * (1/(tθ)), F
+    the antiderivative and wrap the whole turns n0 or n0 + 1 times ∫fn."""
+    big_f, iv = fn.antiderivative(), fn.integral()
+    n0, delta = flows._split_product(t, theta)
+    if delta == 0.0:
+        wrap = CircleFunction.constant(float(n0) * iv, fn.space)
+    else:
+        counts = np.array([float(n0), float(n0 + 1)])
+        wrap = CircleFunction([0.0, 1.0 - delta, 1.0],
+                              counts[:, None, None] * iv[None, None, :],
+                              fn.space)
+    total = np.longdouble(t) * np.longdouble(theta)
+    return merge_sum([big_f.rotate(delta), big_f, wrap],
+                     [1.0, -1.0, 1.0]) * float(1.0 / total)
+
+
+def _assert_same_function(got, want):
+    assert _same_bits(got.breaks, want.breaks)
+    assert _same_bits(got.coeffs, want.coeffs)
+
+
+@st.composite
+def _circle_functions(draw):
+    """A circle function of degree 0 to 6 with 1 to 8 pieces, d = 1 or 2."""
+    cuts = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True,
+                                   exclude_max=True), max_size=7, unique=True))
+    breaks = np.r_[0.0, sorted(cuts), 1.0]
+    shape = (breaks.size - 1, draw(st.integers(1, 7)), draw(st.integers(1, 2)))
+    coeffs = draw(arrays(np.float64, shape, elements=st.floats(-10.0, 10.0)))
+    return CircleFunction(breaks, coeffs)
+
+
+_SNAP_TIMES = (0.25, (0.5, 4.0 - 8e-15, 4.0, 6.3, 8.0 + 2e-14))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(fn=_circle_functions(), theta=st.floats(0.01, 0.99),
+       times=st.lists(st.floats(0.01, 60.0), min_size=1, max_size=6,
+                      unique=True).map(sorted))
+# t·θ a whole number (t = 4) and within _WRAP_SNAP of one on either side
+@example(fn=hat(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3]),
+         theta=_SNAP_TIMES[0], times=list(_SNAP_TIMES[1]))
+# pieces one ulp wide whose midpoints round onto their right ends, 1 last
+@example(fn=CircleFunction([0.0, 0.5 + 2.0 ** -53, 0.5 + 2.0 ** -52,
+                            1.0 - 2.0 ** -53, 1.0],
+                           np.arange(28.0).reshape(4, 7, 1) - 6.0),
+         theta=_SNAP_TIMES[0], times=list(_SNAP_TIMES[1]))
+# an infinite coefficient: a shift by δ == 0 would turn F's finite
+# coefficients into NaN, where rotate keeps F itself
+@example(fn=CircleFunction([0.0, 0.4, 1.0], [[[1.0], [np.inf]],
+                                             [[2.0], [3.0]]]),
+         theta=_SNAP_TIMES[0], times=list(_SNAP_TIMES[1]))
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_stacked_rotation_averages_have_the_bytes_of_the_per_time_loop(
+        fn, theta, times):
+    for t, avg in zip(times, flows._rotation_averages(fn, times, theta)):
+        _assert_same_function(avg, _loop_average(fn, t, theta))
+
+
+def test_snap_times_land_on_whole_turns():
+    theta, times = _SNAP_TIMES
+    whole = [flows._split_product(t, theta)[1] == 0.0 for t in times]
+    assert whole == [False, True, True, False, True]
+
+
+@pytest.mark.parametrize("name", ["golden_saw2", "smooth_rot1"])
+def test_scenario_grids_have_the_bytes_of_the_per_time_loop(name):
+    # a tripwire at scenario scale: every ME and EM entry as the loop builds it
+    (cfg,) = [c for c in map(parse_config, shipped_scenarios("all"))
+              if c.name == name]
+    ctx = build_context(cfg, np.random.default_rng(cfg.seed))
+    theta = ctx.flow.theta
+    me, em = ctx.grid("me"), ctx.grid("em")
+    for t, avg in me.inner.items():
+        _assert_same_function(avg, _loop_average(ctx.f, t, theta))
+    for (t, level), entry in me.table.items():
+        part = ctx.filtration.partition_at_level(level)
+        _assert_same_function(
+            entry, cond_exp(_loop_average(ctx.f, t, theta), part))
+    for (t, level), entry in em.table.items():
+        _assert_same_function(
+            entry, _loop_average(em.inner[level], t, theta))
+
+
+def test_rotations_build_one_shift_matrix_per_shift(monkeypatch):
+    # the shift matrices C(j, k) sigma^(j - k) are built by multiplying the
+    # binomial table: count the matrices each product holds
+    built = []
+    real = functions._binom_matrix
+
+    class Counted(np.ndarray):
+        def __mul__(self, other):
+            out = np.asarray(self) * other
+            built.append(out.size // self.size)
+            return out
+    monkeypatch.setattr(functions, "_binom_matrix",
+                        lambda n: real(n).view(Counted))
+    f = cascade(levels=5)
+    f.rotate(0.3)
+    assert 0 < sum(built) <= 2
+    built.clear()
+    times = [0.5, 1.0, 2.5, 4.0 / GOLDEN, 7.75]
+    cesaro_averages(rotation_flow(GOLDEN), times, f)
+    assert 0 < sum(built) <= 2 * len(times)
+
+
 @pytest.mark.parametrize("times", [[2.0, 1.0], [1.0, 1.0], [0.0, 1.0],
                                    [-1.0], [1.0, 3.0, 2.0]])
 def test_averages_refuse_times_not_positive_and_increasing(times):
@@ -299,6 +412,33 @@ def test_averages_refuse_times_not_positive_and_increasing(times):
     with pytest.raises(ValueError):
         cesaro_averages(step_flow(sp, sp.shift_perm()), times,
                         AtomFunction(sp, np.arange(4.0)))
+
+
+def _flow_cases():
+    circle, atoms = hat(d=2).space, _unit_space(4)
+    return {
+        "identity": (identity_flow(atoms), AtomFunction(atoms, np.arange(4.0)),
+                     AtomField(atoms, np.arange(4.0))),
+        "rotation": (rotation_flow(GOLDEN), hat(d=2),
+                     PolyField(CircleFunction.constant(1.0, circle))),
+        "step": (step_flow(atoms, atoms.shift_perm(), h=0.5),
+                 AtomFunction(atoms, np.arange(4.0)),
+                 AtomField(atoms, np.arange(4.0))),
+    }
+
+
+@pytest.mark.parametrize("kind", ["identity", "rotation", "step"])
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_flow_entry_points_refuse_times_that_are_not_finite(kind, t):
+    flow, f, field = _flow_cases()[kind]
+    calls = [lambda: apply_flow(flow, t, f),
+             lambda: cesaro_average(flow, t, f),
+             lambda: cesaro_averages(flow, [0.5, t, 2.0], f),
+             lambda: cesaro_averages(flow, [1.0, t], f),
+             lambda: dominant_cesaro(flow, t, field)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"t = {t}"):
+            call()
 
 
 def test_dominant_step_cesaro_bit_identical_to_loop():

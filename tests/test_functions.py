@@ -5,6 +5,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ergolab.functions import (
     AtomFunction,
@@ -32,6 +35,38 @@ def test_taylor_shift_recenters_polynomial():
     re = shifted[0, 0, 0] + shifted[0, 1, 0] * (x - 0.5) \
         + shifted[0, 2, 0] * (x - 0.5) ** 2
     assert np.allclose(orig, re)
+
+
+_COEFF = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_SHIFT = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@st.composite
+def _shift_cases(draw):
+    """A (n, k1, d) coefficient table, one NaN row or none, and one shift
+    per row (repeats likely, +0.0 and -0.0 among them)."""
+    n, k1, d = draw(st.integers(1, 12)), draw(st.integers(1, 9)), \
+        draw(st.integers(1, 2))
+    c = draw(arrays(np.float64, (n, k1, d), elements=_COEFF))
+    nan_row = draw(st.none() | st.integers(0, n - 1))
+    if nan_row is not None:
+        c[nan_row, draw(st.integers(0, k1 - 1))] = np.nan
+    shifts = draw(st.lists(st.sampled_from(draw(st.lists(
+        _SHIFT, min_size=1, max_size=3))), min_size=n, max_size=n))
+    return c, np.array(shifts)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_shift_cases())
+def test_taylor_shift_per_row_shifts_have_the_bytes_of_one_call_per_row(
+        case):
+    c, shifts = case
+    uniq, which = np.unique(shifts, return_inverse=True)
+    for got in (taylor_shift(c, shifts), taylor_shift(c, uniq, which)):
+        for i in range(c.shape[0]):
+            one = taylor_shift(c[i:i + 1], shifts[i:i + 1])
+            assert got[i:i + 1].tobytes() == one.tobytes(), i
 
 
 def test_sawtooth_values_and_mean():
