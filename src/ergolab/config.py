@@ -30,6 +30,9 @@ from .spaces import Filtration, circle_space, discrete_space, product_space
 
 _NORMS = ("euclidean", "max", "sum")
 _DIRECTIONS = ("increasing", "decreasing")
+# the finest circle filtration a scenario may ask for (the space allows 30):
+# time and memory about triple every two levels (level 14: 3.8 s, 409 MB)
+CIRCLE_LEVEL_CAP = 16
 
 # each kind, in listing order, mapped to the space kinds it lives on
 _SPACE_KINDS = {kind: (kind,) for kind in ("circle", "discrete", "product")}
@@ -232,6 +235,14 @@ def _pieces(kv, key, got):
     return tuple(pieces)
 
 
+def _max_level(kv, key, got):
+    level = _value(_integer)(kv, key, got)
+    if got["space_kind"] == "circle" and level > CIRCLE_LEVEL_CAP:
+        raise ConfigError(key, f"level {level} exceeds the circle cap "
+                               f"{CIRCLE_LEVEL_CAP}")
+    return level
+
+
 def _value_rows(kv, key, got):
     d = got["function_d"]
     rows = tuple(tuple(_number(key, tok) for tok in row.split(","))
@@ -313,7 +324,7 @@ _SCHEMA = (
     _Key("vector_norm", "vector_norm", _value(_choice(*_NORMS))),
     _Key("filtration.direction", "filtration_direction",
          _value(_choice(*_DIRECTIONS))),
-    _Key("filtration.max_level", "filtration_max_level", _value(_integer)),
+    _Key("filtration.max_level", "filtration_max_level", _max_level),
     _Key("t_grid", "t_grid", _grid(True), fmt=_fmt_floats, parts=_GRID_PARTS),
     _Key("s_grid", "s_grid", _grid(False), fmt=_fmt_floats, parts=_GRID_PARTS),
     _Key("p", "p", _value(_above_one), fmt=repr),

@@ -55,7 +55,12 @@ Products of coefficient tables are batched like roots: ``_product``
 multiplies two tables row by row, looping over the columns of one factor,
 never over pieces.  Integer powers |f|^k for exact L_k norms and the
 euclidean radicand sum_j f_j^2 (``_square_sum``) are built from it.
-"""
+
+Gathers copy whole rows: coefficient rows go through ``_rows`` (np.take),
+the bytes of fancy indexing at a fraction of its cost.  Nodes strictly in
+(0, 1) skip the wrap, a node wrapped from 1 starts at its owner's first
+piece (never a walk down the owner), and ``place`` returns at once when
+every point lies in [lo, hi) of its row."""
 
 from __future__ import annotations
 
@@ -64,7 +69,7 @@ import math
 
 import numpy as np
 
-from .functions import CircleFunction, AtomFunction, _pad
+from .functions import CircleFunction, AtomFunction, _pad, _rows
 
 # quadrature: rules of _GL_LADDER nodes until two agree to _GL_STABILITY;
 # below width _GL_TINY the midpoint rule; no bisection past _GL_MAX_DEPTH
@@ -382,6 +387,8 @@ class _Stack:
         from its row: the row itself unless x rounds onto the row's hi (the
         midpoint of a piece one ulp wide) or past an end (a quadrature
         node on a tiny piece)."""
+        if ((x >= self.lo[rows]) & (x < self.hi[rows])).all():
+            return rows
         first = self.start[self.owner[rows]]
         last = first + self.counts[self.owner[rows]] - 1
         while True:
@@ -429,14 +436,14 @@ def _minus(st, target):
     m, nt = st.m, target.npieces
     owner, lo, hi, (a, b) = _merged([st, _Stack.tiled(target.breaks, m)], m)
     neg = _pad(target.coeffs * -1.0, st.c.shape[1])
-    return _Stack(owner, lo, hi, st.c[a] + neg[b - owner * nt], m)
+    return _Stack(owner, lo, hi, _rows(st.c, a) + _rows(neg, b - owner * nt), m)
 
 
 def _split(st, piece, root):
     """The stack with each piece cut at its interior points root, as
     _piece_roots gives them; every part keeps its piece's coefficients."""
     src, lo, hi = _cut(st.lo, st.hi, piece, root)
-    return _Stack(st.owner[src], lo, hi, st.c[src], st.m)
+    return _Stack(st.owner[src], lo, hi, _rows(st.c, src), st.m)
 
 
 def _eval_rows(c, x):
@@ -457,7 +464,7 @@ def _abs(st):
     split = _split_at_roots(st)
     mids = 0.5 * (split.lo + split.hi)
     at = split.place(np.arange(mids.size), mids)
-    signs = np.where(_eval_rows(split.c[at], mids) < 0.0, -1.0, 1.0)
+    signs = np.where(_eval_rows(_rows(split.c, at), mids) < 0.0, -1.0, 1.0)
     return split.recoef(split.c * signs[:, None, None])
 
 
@@ -482,7 +489,7 @@ def _component_sum(parts, m, d):
     owner, lo, hi, at = _merged(sets, m)
     acc = np.zeros((lo.size,) + parts.c.shape[1:])
     for r, a in zip(rows, at):
-        acc += 1.0 * parts.c[r[a]]
+        acc += 1.0 * _rows(parts.c, r[a])
     return _Stack(owner, lo, hi, acc, m)
 
 
@@ -490,8 +497,11 @@ def _at_nodes(st, x):
     """A scalar stack at quadrature nodes x (see gl_integrate's key), each
     node on the piece of its key's owner that holds it, as the one-field
     evaluation (which wraps x into [0, 1)) finds it."""
-    x, key = np.mod(np.asarray(x), 1.0), x.key
-    return _eval_rows(st.c[st.place(key, x)], x)
+    x, rows = np.asarray(x), x.key
+    if not ((x > 0.0) & (x < 1.0)).all():
+        rows = np.where(x >= 1.0, st.start[st.owner[rows]], rows)
+        x = np.mod(x, 1.0)
+    return _eval_rows(_rows(st.c, st.place(rows, x)), x)
 
 
 def _sup(st):
@@ -839,12 +849,13 @@ def _envelope(st, g):
         m = st.m // g * half
         run, i = np.divmod(st.owner, g)
         pair = run * half + i // 2
-        sides = [_Stack(pair[r], st.lo[r], st.hi[r], st.c[r], m)
-                 for r in (i % 2 == 0, (i % 2 == 1) | (i == g - 1))]
+        sides = [_Stack(pair[r], st.lo[r], st.hi[r], _rows(st.c, r), m)
+                 for r in map(np.flatnonzero,
+                              (i % 2 == 0, (i % 2 == 1) | (i == g - 1)))]
         owner, lo, hi, (a, b) = _merged(sides, m)
-        ca, cb = sides[0].c[a], sides[1].c[b]
+        ca, cb = _rows(sides[0].c, a), _rows(sides[1].c, b)
         src, lo, hi = _cut(lo, hi, *_crossings((ca - cb)[:, :, 0], lo, hi))
-        ca, cb, mids = ca[src], cb[src], 0.5 * (lo + hi)
+        ca, cb, mids = _rows(ca, src), _rows(cb, src), 0.5 * (lo + hi)
         second = np.argmax([_eval_rows(ca, mids), _eval_rows(cb, mids)], 0)
         st = _Stack(owner[src], lo, hi, np.where(second[:, None, None], cb, ca), m)
         g = half

@@ -49,7 +49,7 @@ from fractions import Fraction
 import numpy as np
 
 from .functions import (AtomFunction, DEGREE_CAP, _pad, _rotated_pieces,
-                        taylor_shift)
+                        _rows, taylor_shift)
 from .fields import (PolyField, GenericField, AtomField, pointwise_norm,
                      _Stack, _merged)
 from .spaces import Atoms, Circle
@@ -195,10 +195,10 @@ def _rotation_averages(fn, times, theta):
     splits = [_split_product(t, theta) for t in times]
     delta = np.array([dl for _, dl in splits])
     own, lo, hi, src, which, shifts = _rotated_pieces(big_f.breaks, delta)
-    c = big_f.coeffs[src]
+    c = _rows(big_f.coeffs, src)
     # rotate returns F itself at δ == 0, so those owners keep F's pieces
-    moved = delta[own] > 0.0
-    c[moved] = taylor_shift(c[moved], shifts, which[moved])
+    moved = np.flatnonzero(delta[own] > 0.0)
+    c[moved] = taylor_shift(_rows(c, moved), shifts, which[moved])
     shifted = _Stack(own, lo, hi, c, m)
     # the whole turns: n0·∫f on [0, 1 − δ) and (n0 + 1)·∫f on [1 − δ, 1)
     ends = [(0.0, 1.0 - dl, 1.0) if dl else (0.0, 1.0) for _, dl in splits]
@@ -211,9 +211,9 @@ def _rotation_averages(fn, times, theta):
     tiled = _Stack.tiled(big_f.breaks, m)
     owner, lo, hi, (a, b, w) = _merged([shifted, tiled, wrap], m)
     acc = np.zeros((lo.size, k1, fn.d))
-    acc += 1.0 * shifted.c[a]
-    acc += -1.0 * big_f.coeffs[b - owner * nf]
-    acc += 1.0 * _pad(wrap.c, k1)[w]
+    acc += 1.0 * _rows(shifted.c, a)
+    acc += -1.0 * _rows(big_f.coeffs, b - owner * nf)
+    acc += 1.0 * _rows(_pad(wrap.c, k1), w)
     scale = np.array([float(1.0 / (np.longdouble(t) * theta)) for t in times])
     return _Stack(owner, lo, hi, acc * scale[owner, None, None],
                   m).functions(fn.space)

@@ -24,6 +24,15 @@ _CONTINUITY_TOL = 1e-9
 _MAX_KNOTS = 4096
 
 
+def _rows(table, idx):
+    """table[idx] for integer row indices, copied whole by np.take at a
+    fraction of fancy indexing's cost; a mask (which np.take would read as
+    the rows 0 and 1) is refused."""
+    if np.asarray(idx).dtype == bool:
+        raise TypeError("_rows takes integer row indices, not a mask")
+    return np.take(table, idx, axis=0)
+
+
 @functools.lru_cache(maxsize=None)
 def _binom_matrix(n):
     """The (n, n) table C(j, k) at row k and column j."""
@@ -49,7 +58,7 @@ def taylor_shift(coeffs, sigma, which=None):
     base = np.where(sig == 0.0, 0.0, sig)[..., None, None] ** np.maximum(
         j[None, :] - j[:, None], 0)
     m = _binom_matrix(k1) * base
-    return np.einsum("...kj,...jd->...kd", m[which], c)
+    return np.einsum("...kj,...jd->...kd", _rows(m, which), c)
 
 
 def _rotated_pieces(breaks, deltas):
@@ -136,14 +145,14 @@ class CircleFunction:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         idx = self.piece_index(x)
         powers = x[:, None] ** np.arange(self.coeffs.shape[1])
-        return np.einsum("nk,nkd->nd", powers, self.coeffs[idx])
+        return np.einsum("nk,nkd->nd", powers, _rows(self.coeffs, idx))
 
     # -- arithmetic ----------------------------------------------------------
 
     def coeffs_on(self, edges):
         """Coefficients of this function re-tabulated on refined edges."""
         mids = 0.5 * (edges[:-1] + edges[1:])
-        return self.coeffs[self.piece_index(mids)]
+        return _rows(self.coeffs, self.piece_index(mids))
 
     def __add__(self, other):
         return _merge_sum([self, other], (1.0, 1.0))
@@ -206,9 +215,8 @@ class CircleFunction:
         if delta == 0.0:
             return self
         _, lo, hi, src, which, shifts = _rotated_pieces(self.breaks, [delta])
-        return CircleFunction(np.append(lo, hi[-1]),
-                              taylor_shift(self.coeffs[src], shifts, which),
-                              self.space)
+        c = taylor_shift(_rows(self.coeffs, src), shifts, which)
+        return CircleFunction(np.append(lo, hi[-1]), c, self.space)
 
     # -- diagnostics -------------------------------------------------------------
 

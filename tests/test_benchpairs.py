@@ -1,0 +1,59 @@
+"""The summary arithmetic of tools/benchpairs.py; no benchmark is run."""
+
+import importlib.util
+import os
+
+import numpy as np
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                     "benchpairs.py")
+_spec = importlib.util.spec_from_file_location("benchpairs", _PATH)
+benchpairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(benchpairs)
+
+
+def test_quartiles_follow_numpys_percentile_rule():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 7, 10, 11):
+        runs = list(rng.uniform(0.1, 0.5, n))
+        ref = np.percentile(runs, [25, 50, 75])
+        assert benchpairs.quartiles(runs) == pytest.approx(ref, rel=1e-14)
+    assert benchpairs.quartiles([0.25]) == (0.25, 0.25, 0.25)
+
+
+def test_summary_counts_pairs_won_and_the_median_gain_against_the_iqr():
+    parent = [0.30, 0.31, 0.29, 0.32, 0.30]
+    change = [0.20, 0.35, 0.21, 0.22, 0.30]
+    s = benchpairs.summarize(parent, change)
+    assert s["parent"] == {"median": 0.30, "q1": 0.30, "q3": 0.31, "n": 5,
+                           "runs": parent}
+    assert s["change"]["median"] == 0.22 and s["change"]["runs"] == change
+    # pair 1 lost, pair 4 tied: a tie is no win
+    assert s["change_better_pairs"] == 3 and s["pairs"] == 5
+    assert s["median_ratio_change_over_parent"] == pytest.approx(0.22 / 0.30)
+    # gain 0.08 against a parent IQR of 0.01
+    assert s["median_gain_exceeds_parent_iqr"] is True
+
+
+def test_summary_reads_the_better_direction():
+    parent, change = [1.0, 2.0, 3.0], [1.5, 2.5, 3.5]
+    lower = benchpairs.summarize(parent, change, "lower")
+    higher = benchpairs.summarize(parent, change, "higher")
+    assert (lower["change_better_pairs"], higher["change_better_pairs"]) == (0, 3)
+    # a gain of 0.5 against a parent IQR of 1.0 is not enough either way
+    assert not lower["median_gain_exceeds_parent_iqr"]
+    assert not higher["median_gain_exceeds_parent_iqr"]
+    assert benchpairs.summarize([1.0, 1.0], [3.0, 3.0], "higher")[
+        "median_gain_exceeds_parent_iqr"]
+
+
+def test_summary_needs_one_run_per_side_per_pair():
+    for parent, change in (([], []), ([1.0, 2.0], [1.0])):
+        with pytest.raises(ValueError, match="one parent and one change run"):
+            benchpairs.summarize(parent, change)
+
+
+def test_seed_lists_take_ranges():
+    assert benchpairs.parse_seeds("11-14,41") == [11, 12, 13, 14, 41]
+    assert benchpairs.parse_seeds("7") == [7]

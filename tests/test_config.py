@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from ergolab.cli import scenario_dir
-from ergolab.config import ConfigError, parse_config, parse_text
+from ergolab.config import (CIRCLE_LEVEL_CAP, ConfigError, parse_config,
+                            parse_text)
 from ergolab.functions import DEGREE_CAP
 from ergolab.runner import build_context, run_scenario
 
@@ -284,6 +285,18 @@ def test_max_level_capped_by_space():
     text = MINIMAL.replace("filtration.max_level = 3",
                            "filtration.max_level = 99")
     _expect_key(text, "filtration.max_level")
+
+
+@pytest.mark.parametrize("level", [CIRCLE_LEVEL_CAP + 1, 30])
+def test_circle_level_above_the_desk_cap_named(level):
+    # parsed only: time and memory about triple every two levels, so such
+    # a scenario would run for minutes in gigabytes; the space allows 30
+    text = MINIMAL.replace("filtration.max_level = 3",
+                           f"filtration.max_level = {level}")
+    err = _expect_key(text, "filtration.max_level")
+    assert f"level {level} exceeds the circle cap {CIRCLE_LEVEL_CAP}" in str(err)
+    at_cap = parse_text(text.replace(f"= {level}", f"= {CIRCLE_LEVEL_CAP}"))
+    assert at_cap.filtration_max_level == CIRCLE_LEVEL_CAP
 
 
 def test_explicit_pieces():

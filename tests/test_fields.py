@@ -1,3 +1,5 @@
+import copy
+
 import mpmath
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from ergolab.fields import (
 )
 from ergolab import fields
 from ergolab.condexp import cond_exp_dominant
-from ergolab.functions import (AtomFunction, CircleFunction, from_smooth, hat,
-                               merge_sum, sawtooth)
+from ergolab.functions import (AtomFunction, CircleFunction, _rows,
+                               from_smooth, hat, merge_sum, sawtooth)
 from ergolab.spaces import (
     VectorNorm,
     circle_space,
@@ -1183,3 +1185,144 @@ def test_envelope_work_is_one_round_per_halving(monkeypatch):
     calls.update(_merged=0, _crossings=0)
     fields.NormFamily(members, VectorNorm("max", 2)).sup()
     assert calls == {"_merged": 2, "_crossings": 2}
+
+
+# -- whole-row gathers and the one-pass node lookup ----------------------------
+
+
+_ODD_FLOATS = [np.nan, np.copysign(np.nan, -1.0), 0.0, -0.0, np.inf, -np.inf,
+               5e-324, -1.0]
+
+
+@st.composite
+def _gather_cases(draw):
+    n, k1, d = (draw(st.integers(lo, hi)) for lo, hi in ((0, 9), (1, 4), (1, 3)))
+    vals = draw(st.lists(st.sampled_from(_ODD_FLOATS) | st.floats(),
+                         min_size=n * k1 * d, max_size=n * k1 * d))
+    idx = draw(st.lists(st.integers(-n, n - 1), max_size=12)) if n else []
+    return np.array(vals, dtype=float).reshape(n, k1, d), np.array(idx, np.intp)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(_gather_cases(), st.booleans())
+def test_rows_gives_the_bytes_of_fancy_indexing(case, strided):
+    table, idx = case
+    if strided:
+        table = table[:, ::-1]
+    for index in (idx, idx.reshape(1, -1)):
+        got, ref = _rows(table, index), table[index]
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.flags.c_contiguous == ref.flags.c_contiguous
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_rows_refuses_a_mask():
+    # np.take would read the mask as the row indices 0 and 1
+    table = np.arange(6.0).reshape(3, 2, 1)
+    for mask in (np.array([True, False, True]), [False, True, True]):
+        with pytest.raises(TypeError, match="not a mask"):
+            _rows(table, mask)
+
+
+def _walk(stack, rows, x):
+    """The piece search from each row, one piece per pass, with no shortcut."""
+    first = stack.start[stack.owner[rows]]
+    last = first + stack.counts[stack.owner[rows]] - 1
+    while True:
+        up = (rows < last) & (x >= stack.hi[rows])
+        down = (rows > first) & (x < stack.lo[rows])
+        if not (up.any() or down.any()):
+            return rows
+        rows = rows + up - down
+
+
+def _walk_at_nodes(stack, x):
+    """Every node wrapped by np.mod and walked from its key's row."""
+    xm = np.mod(np.asarray(x), 1.0)
+    return fields._eval_rows(stack.c[_walk(stack, x.key, xm)], xm)
+
+
+@st.composite
+def _node_stacks(draw):
+    """A stack of owners covering [0, 1] with one-ulp pieces, and nodes
+    keyed by piece: Gauss-Legendre nodes of every piece and, if drawn,
+    nodes at 1.0, past 1.0, at +-0.0, NaN, on every piece's hi and at the
+    midpoints of one-ulp pieces (which round onto an end)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bounds = []
+    for _ in range(draw(st.integers(1, 3))):
+        pts = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True,
+                                      exclude_max=True), max_size=6))
+        ulp = [np.nextafter(x, 1.0) for x in pts if rng.random() < 0.5]
+        ends = [np.nextafter(1.0, 0.0)] * draw(st.booleans())
+        bounds.append(np.unique(np.r_[0.0, pts, ulp, ends, 1.0]))
+    stack = fields._Stack(
+        np.repeat(np.arange(len(bounds)), [b.size - 1 for b in bounds]),
+        np.concatenate([b[:-1] for b in bounds]),
+        np.concatenate([b[1:] for b in bounds]), None, len(bounds))
+    stack = stack.recoef(rng.uniform(-2.0, 2.0,
+                                     (stack.lo.size, draw(st.integers(1, 3)), 1)))
+    gl = fields._gl_nodes(8)[0]
+    x = (0.5 * (stack.hi - stack.lo)[:, None] * gl
+         + 0.5 * (stack.lo + stack.hi)[:, None]).ravel()
+    key = np.repeat(np.arange(stack.lo.size), gl.size)
+    if draw(st.booleans()):
+        last = stack.start + stack.counts - 1
+        n = stack.lo.size
+        x = np.r_[x, [1.0] * stack.m, [np.nextafter(1.0, 2.0)] * stack.m,
+                  [0.0, -0.0] * stack.m, np.nan, stack.hi,
+                  0.5 * (stack.lo + stack.hi)]
+        key = np.r_[key, last, last, np.repeat(stack.start, 2),
+                    rng.integers(n), np.arange(n), np.arange(n)]
+    nodes = x.view(fields._Nodes)
+    nodes.key = key
+    return stack, nodes
+
+
+@settings(derandomize=True, max_examples=150)
+@given(_node_stacks())
+def test_node_lookup_gives_the_bits_of_mod_and_walk(case):
+    stack, nodes = case
+    ref = _walk_at_nodes(stack, nodes)
+    assert fields._at_nodes(stack, nodes).tobytes() == ref.tobytes()
+    inside = np.mod(np.asarray(nodes), 1.0)
+    assert np.array_equal(stack.place(nodes.key, inside),
+                          _walk(stack, nodes.key, inside))
+
+
+def test_wrapped_nodes_take_at_most_two_place_passes(monkeypatch):
+    # an 8-point node of the last piece, 4e-15 wide, rounds onto 1.0 and
+    # wraps to 0.0; walked down from the last piece it would take a pass
+    # per piece, started at its owner's first piece it takes one
+    n = 1000
+    breaks = np.append(np.linspace(0.0, 1.0 - 4e-15, n), 1.0)
+    coeffs = np.random.default_rng(5).uniform(0.5, 1.5, (n, 3, 1))
+    field = PolyField(CircleFunction(breaks, coeffs))
+
+    class Reads:
+        """A stack's hi that counts its reads: place reads it once a pass."""
+
+        def __init__(self, hi):
+            self.hi, self.n = hi, 0
+
+        def __getitem__(self, rows):
+            self.n += 1
+            return self.hi[rows]
+    passes, tops, place, at_nodes = [], [], fields._Stack.place, fields._at_nodes
+
+    def counted(self, rows, x):
+        view = copy.copy(self)
+        view.hi = Reads(self.hi)
+        out = place(view, rows, x)
+        passes.append(view.hi.n)
+        return out
+
+    def seen(stack, x):
+        tops.append(np.max(x))
+        return at_nodes(stack, x)
+    monkeypatch.setattr(fields._Stack, "place", counted)
+    monkeypatch.setattr(fields, "_at_nodes", seen)
+    got = field.lp(1.5)
+    assert max(tops) == 1.0 and 0 < max(passes) <= 2
+    monkeypatch.setattr(fields, "_at_nodes", _walk_at_nodes)
+    assert field.lp(1.5) == got
