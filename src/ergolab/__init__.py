@@ -11,7 +11,7 @@ from .functions import (CircleFunction, AtomFunction, merge_sum, sawtooth,
 from .fields import (PolyField, SqrtPolyField, GenericField, AtomField,
                      pointwise_norm, upper_envelope, grid_sup_field)
 from .flows import (GOLDEN, Flow, rotation_flow, step_flow, identity_flow,
-                    apply_flow, cesaro_average, cesaro_averages,
+                    apply_flow, apply_flows, cesaro_average, cesaro_averages,
                     dominant_cesaro)
 from .condexp import (LinearFunctional, cond_exp, cond_exp_dominant,
                       defining_property_check, functional_commutation_check)

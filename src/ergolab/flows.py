@@ -9,14 +9,16 @@ One class per flow kind; ``Flow`` itself is the identity T_t = id:
                 S; the integrand is piecewise constant in time, so the
                 average is a finite sum.
 
-Callers use the module functions (``apply_flow``, ``cesaro_average``,
-``cesaro_averages``, ...), which check the time arguments and hand off to
-the flow's method.  ``cesaro_averages`` takes a whole increasing list of
-times: a ``Step`` serves all of them from one orbit pass and a
-``Rotation`` from one antiderivative and one stacked rotate-and-merge, each
-average with the bits of its one-time call, which is the one-element case
-of the same path.  Every time must be finite; a NaN or infinite t is
-refused by name before it reaches a flow.
+Callers use the module functions (``apply_flows``, ``cesaro_averages``,
+...), which check the time arguments and hand off to the flow's method.
+``cesaro_averages`` takes a whole increasing list of times: a ``Step``
+serves all of them from one orbit pass and a ``Rotation`` from one
+antiderivative and one stacked rotate-and-merge.  Shifts are stacked the
+same way: ``apply_flows`` takes times in any order, and a ``Rotation``
+serves them from one ``CircleFunction.rotations`` call.  Each result has
+the bits of its one-time call (``apply_flow``, ``cesaro_average``), the
+one-element case of the same path.  Every time must be finite; a NaN or
+infinite t is refused by name before it reaches a flow.
 
 Wrap counts floor(t*theta) and floor(t/h) are taken in extended precision:
 a double-precision product can land on the wrong side of an integer and
@@ -278,9 +280,9 @@ class Flow:
     def __init__(self, space):
         self.space = space
 
-    def shift(self, t, f):
-        """T_t f for t > 0."""
-        return f
+    def shifts(self, times, f):
+        """[T_t f for t in times], for positive times."""
+        return [f for _ in times]
 
     def average(self, t, f):
         """A_t f = (1/t)∫_0^t T_τ f dτ for t > 0."""
@@ -321,8 +323,8 @@ class Rotation(Flow):
         approx = Fraction(self.theta).limit_denominator(64)
         return abs(float(approx) - self.theta) > _RATIONAL_GAP
 
-    def shift(self, t, f):
-        return f.rotate(_split_product(t, self.theta)[1])
+    def shifts(self, times, f):
+        return f.rotations([_split_product(t, self.theta)[1] for t in times])
 
     def averages(self, times, f):
         return _rotation_averages(f, times, self.theta)
@@ -379,8 +381,8 @@ class Step(Flow):
         order, start, length, pos, _, _ = self._cycles
         return order[start + (pos + _split_ratio(t, self.h)[0]) % length]
 
-    def shift(self, t, f):
-        return f.permute(self._map(t))
+    def shifts(self, times, f):
+        return [f.permute(self._map(t)) for t in times]
 
     def averages(self, times, f):
         return [AtomFunction(f.space, vals) for vals in
@@ -430,10 +432,15 @@ def _times(times, zero_ok=False):
 
 def apply_flow(flow, t, f):
     """T_t f = f composed with the time-t point map (the flow is one-sided)."""
-    (t,) = _times([t], zero_ok=True)
-    if t == 0.0:
-        return f
-    return flow.shift(t, f)
+    return apply_flows(flow, [t], f)[0]
+
+
+def apply_flows(flow, times, f):
+    """[T_t f for t in times], times >= 0 in any order, f itself at t = 0;
+    one stacked shift serves them all, with the bits of ``apply_flow``."""
+    times = _times(times, zero_ok=True)
+    moved = iter(flow.shifts([t for t in times if t > 0.0], f))
+    return [next(moved) if t > 0.0 else f for t in times]
 
 
 def cesaro_average(flow, t, f):

@@ -211,12 +211,27 @@ class CircleFunction:
         """Precompose with x -> (x + delta) mod 1.  Every piece is
         reindexed and Taylor-shifted in the global basis: exact in real
         arithmetic, rounded in floating point."""
-        delta = float(delta) % 1.0
-        if delta == 0.0:
-            return self
-        _, lo, hi, src, which, shifts = _rotated_pieces(self.breaks, [delta])
-        c = taylor_shift(_rows(self.coeffs, src), shifts, which)
-        return CircleFunction(np.append(lo, hi[-1]), c, self.space)
+        return self.rotations([delta])[0]
+
+    def rotations(self, deltas):
+        """[self.rotate(delta) for delta in deltas] from one piece rule and
+        one Taylor shift over the distinct deltas mod 1, each with the bits
+        of a call on it alone; self where delta mod 1 is 0."""
+        deltas = np.asarray(deltas, dtype=float)
+        bad = deltas[~np.isfinite(deltas)]
+        if bad.size:
+            raise ValueError(f"rotation delta {bad[0]} must be finite")
+        uniq, inv = np.unique(deltas % 1.0, return_inverse=True)
+        moved = uniq[uniq != 0.0]
+        out = [self] * (uniq.size - moved.size)
+        if moved.size:
+            _, lo, hi, src, which, shifts = _rotated_pieces(self.breaks, moved)
+            c = taylor_shift(_rows(self.coeffs, src), shifts, which)
+            # each delta's pieces run from lo == 0 to the one with hi == 1
+            ends = np.flatnonzero(hi == 1.0) + 1
+            out += [CircleFunction(np.append(lo[a:b], 1.0), c[a:b], self.space)
+                    for a, b in zip(np.r_[0, ends[:-1]], ends)]
+        return [out[i] for i in inv]
 
     # -- diagnostics -------------------------------------------------------------
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .condexp import cond_exp
 from .fields import NormFamily, defect_max, grid_sup_field
-from .flows import apply_flow, cesaro_average, cesaro_averages
+from .flows import apply_flows, cesaro_average, cesaro_averages
 from .functions import AtomFunction, merge_sum
 
 _T_PROBES = (0.3, 0.7, 1.0, 1.9, 2.5, 4.0)
@@ -197,19 +197,21 @@ def cesaro_decomposition_check(flow, g, times, vnorm):
         raise ValueError("regrouping needs t >= 1")
     if not flow.unit_blocks:
         raise ValueError("unit-time blocks need 1/h to be an integer")
-    unit = cesaro_average(flow, 1.0, g)
-    gaps = []
-    for t in times:
-        n = int(np.floor(t + _BLOCK_SNAP))
-        alpha = t - n if t - n >= _BLOCK_SNAP else 0.0
-        terms = [apply_flow(flow, float(k), unit) for k in range(n)]
-        weights = [1.0 / t] * n
-        if alpha > 0.0:
-            terms.append(apply_flow(flow, float(n),
-                                    cesaro_average(flow, alpha, g)))
-            weights.append(alpha / t)
-        gaps.append(cesaro_average(flow, float(t), g)
-                    - _combine(terms, weights))
+    times = [float(t) for t in times]
+    ns = [int(np.floor(t + _BLOCK_SNAP)) for t in times]
+    alphas = [t - n if t - n >= _BLOCK_SNAP else 0.0 for t, n in zip(times, ns)]
+    # A_1 g, each A_t g and each distinct tail A_a g from one batch; A_1 g
+    # shifted once per k < max n, each tail once over all of its n
+    ts = sorted({1.0, *times, *filter(None, alphas)})
+    avg = dict(zip(ts, cesaro_averages(flow, ts, g)))
+    units = apply_flows(flow, range(max(ns, default=0)), avg[1.0])
+    tails = {}
+    for a in set(alphas) - {0.0}:
+        tn = [n for n, b in zip(ns, alphas) if b == a]
+        tails[a] = dict(zip(tn, apply_flows(flow, tn, avg[a])))
+    gaps = [avg[t] - _combine(units[:n] + ([tails[a][n]] if a else []),
+                              [1.0 / t] * n + ([a / t] if a else []))
+            for t, n, a in zip(times, ns, alphas)]
     return NormFamily(gaps, vnorm).sup()
 
 
@@ -221,10 +223,10 @@ def commutation_check(flow, f, partition, vnorm):
     partition cells; otherwise the returned size is a diagnostic, not a
     failure.
     """
-    ef = cond_exp(f, partition)
-    sups = NormFamily([apply_flow(flow, float(t), ef)
-                       - cond_exp(apply_flow(flow, float(t), f), partition)
-                       for t in _T_PROBES], vnorm).sup()
+    moved = zip(apply_flows(flow, _T_PROBES, cond_exp(f, partition)),
+                apply_flows(flow, _T_PROBES, f))
+    sups = NormFamily([a - cond_exp(b, partition) for a, b in moved],
+                      vnorm).sup()
     return defect_max(0.0, *sups)
 
 

@@ -1,7 +1,10 @@
-"""The summary arithmetic of tools/benchpairs.py; no benchmark is run."""
+"""The summary arithmetic and run settings of tools/benchpairs.py; no
+benchmark is run."""
 
 import importlib.util
+import json
 import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -57,3 +60,22 @@ def test_summary_needs_one_run_per_side_per_pair():
 def test_seed_lists_take_ranges():
     assert benchpairs.parse_seeds("11-14,41") == [11, 12, 13, 14, 41]
     assert benchpairs.parse_seeds("7") == [7]
+
+
+def test_runs_write_no_bytecode(monkeypatch):
+    # each run compiles the package, as a fresh checkout does: none reads
+    # __pycache__ that an earlier run of the same tree wrote
+    seen = []
+
+    def fake_run(cmd, **kwargs):
+        seen.append(kwargs)
+        out = json.dumps({"correct": True, "failed": 0, "metrics": {}})
+        return subprocess.CompletedProcess(cmd, 0, stdout=out + "\n")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
+    assert benchpairs._run("tree", "corpus", 3, 1.0)["correct"] is True
+    (kwargs,) = seen
+    assert kwargs["cwd"] == "tree"
+    assert kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert kwargs["env"]["PATH"] == os.environ["PATH"]

@@ -14,6 +14,7 @@ from ergolab.flows import (
     GOLDEN,
     Flow,
     apply_flow,
+    apply_flows,
     cesaro_average,
     cesaro_averages,
     dominant_cesaro,
@@ -358,10 +359,104 @@ def test_stacked_rotation_averages_have_the_bytes_of_the_per_time_loop(
         _assert_same_function(avg, _loop_average(fn, t, theta))
 
 
+def _one_rotation(fn, delta):
+    """fn precomposed with x -> x + delta, one delta per call: the piece rule
+    and Taylor shift of a single rotation, fn itself at delta mod 1 == 0."""
+    delta = float(delta) % 1.0
+    if delta == 0.0:
+        return fn
+    _, lo, hi, src, which, shifts = functions._rotated_pieces(fn.breaks,
+                                                              [delta])
+    c = functions.taylor_shift(np.take(fn.coeffs, src, axis=0), shifts,
+                               which)
+    return CircleFunction(np.append(lo, hi[-1]), c, fn.space)
+
+
+# pieces one ulp wide whose midpoints round onto their right ends, 1 last
+_ULP_PIECES = CircleFunction([0.0, 0.5 + 2.0 ** -53, 0.5 + 2.0 ** -52,
+                              1.0 - 2.0 ** -53, 1.0],
+                             np.arange(28.0).reshape(4, 7, 1) - 6.0)
+# repeats, whole turns, -0.0, a delta whose mod 1 rounds to 1.0, one ulp
+_DELTAS = [0.25, -0.0, 3.0, 0.25, -1e-300, 0.5 - 2.0 ** -53, 2.0 ** -52, 0.0]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(fn=_circle_functions(),
+       deltas=st.lists(st.sampled_from(_DELTAS) | st.floats(-5.0, 5.0),
+                       max_size=8))
+@example(fn=_ULP_PIECES, deltas=_DELTAS)
+@example(fn=hat(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3]),
+         deltas=_DELTAS[::-1])
+def test_rotations_have_the_bytes_of_one_delta_calls(fn, deltas):
+    got = fn.rotations(deltas)
+    assert len(got) == len(deltas)
+    for delta, g in zip(deltas, got):
+        want = _one_rotation(fn, delta)
+        assert (g is fn) == (want is fn)
+        _assert_same_function(g, want)
+        _assert_same_function(fn.rotate(delta), want)
+
+
+def _assert_shifts_match(flow, times, f, ref=None):
+    """apply_flows against apply_flow (and ref(t), given) at every time,
+    f itself at t = 0."""
+    got = apply_flows(flow, times, f)
+    assert len(got) == len(times)
+    for t, g in zip(times, got):
+        for want in [apply_flow(flow, t, f)] + ([ref(t)] if ref else []):
+            assert (g is f) == (want is f)
+            if isinstance(f, AtomFunction):
+                assert _same_bits(g.values, want.values)
+            else:
+                _assert_same_function(g, want)
+        assert t != 0.0 or g is f
+
+
+# repeats and any order; kθ within _WRAP_SNAP above (θ = 0.1) or below
+# (θ = 0.3) a whole number at k = 10, 20, 30
+_FLOW_TIMES = st.lists(st.sampled_from([0.0, 1.0, 3.0, 10.0, 20.0, 30.0])
+                       | st.floats(0.0, 64.0), min_size=1, max_size=8)
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.3, GOLDEN])
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(fn=_circle_functions(), times=_FLOW_TIMES)
+@example(fn=_ULP_PIECES, times=[10.0, 0.0, 10.0, 3.0, 20.0, 1.0, 30.0])
+def test_rotation_shifts_have_the_bytes_of_apply_flow(theta, fn, times):
+    _assert_shifts_match(rotation_flow(theta), times, fn, lambda t: (
+        _one_rotation(fn, flows._split_product(t, theta)[1]) if t else fn))
+
+
+@pytest.mark.parametrize("kind", ["identity", "step"])
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(values=arrays(np.float64, (4, 2), elements=st.floats(-10.0, 10.0)),
+       times=_FLOW_TIMES)
+@example(values=np.arange(8.0).reshape(4, 2), times=[2.0, 0.0, 0.5, 2.0, 0.7])
+def test_atom_shifts_have_the_bytes_of_apply_flow(kind, values, times):
+    flow = _flow_cases()[kind][0]
+    _assert_shifts_match(flow, times, AtomFunction(flow.space, values))
+
+
+@pytest.mark.parametrize("kind", ["identity", "rotation", "step"])
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, -0.5])
+def test_apply_flows_refuses_times_by_name(kind, t):
+    flow, f, _ = _flow_cases()[kind]
+    with pytest.raises(ValueError, match=f"t = {t}"):
+        apply_flows(flow, [1.0, t, 0.0], f)
+
+
 def test_snap_times_land_on_whole_turns():
     theta, times = _SNAP_TIMES
     whole = [flows._split_product(t, theta)[1] == 0.0 for t in times]
     assert whole == [False, True, True, False, True]
+    # the shift tests' integer times: kθ off a whole number by under
+    # _WRAP_SNAP, above it for θ = 0.1 and below it for θ = 0.3
+    for theta, side in ((0.1, 0.0), (0.3, 1.0)):
+        for k in (10.0, 20.0, 30.0):
+            prod = np.longdouble(k) * np.longdouble(theta)
+            off = abs(float(prod - np.floor(prod)) - side)
+            assert 0.0 < off < flows._WRAP_SNAP
+            assert flows._split_product(k, theta)[1] == 0.0
 
 
 @pytest.mark.parametrize("name", ["golden_saw2", "smooth_rot1"])

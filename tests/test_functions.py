@@ -143,6 +143,25 @@ def test_rotate_zero_is_identity():
     assert f.rotate(3.0) is f
 
 
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+def test_rotate_refuses_a_delta_that_is_not_finite(delta):
+    f = sawtooth()
+    for call in (lambda: f.rotate(delta),
+                 lambda: f.rotations([0.25, delta, 0.0])):
+        with pytest.raises(ValueError, match=f"rotation delta {delta} "):
+            call()
+
+
+def test_rotate_by_whole_turns_keeps_the_values():
+    f = sawtooth(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3])
+    x = (np.arange(300) + 0.123) / 300
+    # -1e-300 % 1.0 rounds to 1.0: a shift by one whole turn
+    assert (-1e-300) % 1.0 == 1.0
+    for delta in (-0.0, 3.0, -1e-300):
+        assert np.array_equal(f.rotate(delta)(x), f(x))
+    assert f.rotate(-0.0) is f and f.rotations([3.0, -0.0]) == [f, f]
+
+
 def test_arithmetic_and_merge_sum():
     f = sawtooth(d=1, phases=[0.2])
     g = hat(d=1, phases=[0.7])

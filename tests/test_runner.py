@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ergolab import condexp, fields, flows, processes, runner
+from ergolab import condexp, fields, flows, functions, processes, runner
 from ergolab.cli import scenario_dir
 from ergolab.condexp import cond_exp
 from ergolab.config import parse_config, parse_text
@@ -206,6 +206,21 @@ def _loop_decomposition(ctx):
     return rows
 
 
+def _loop_semigroup_law(ctx):
+    # T_{t1+t2} f - T_t1(T_t2 f) per pair of lattice probes, one
+    # apply_flow call per shift
+    probes = sorted({ctx.flow.lattice(t) for t in runner._probe_times(ctx, 3)})
+    rows = []
+    for t1 in probes:
+        for t2 in probes:
+            gap = (flows.apply_flow(ctx.flow, t1 + t2, ctx.f)
+                   - flows.apply_flow(ctx.flow, t1,
+                                      flows.apply_flow(ctx.flow, t2, ctx.f)))
+            rows.append((t1 + t2, None, "defect",
+                         pointwise_norm(gap, ctx.vnorm).sup()))
+    return rows
+
+
 def _loop_functional_commutation(ctx):
     # the check's functional is the context generator's first draw
     functional = condexp.LinearFunctional(
@@ -226,6 +241,7 @@ FAMILY_CHECKS = {
     "martingale_surrogate": (_loop_martingale_surrogate, 2),
     "commutation": (_loop_commutation, 1),
     "decomposition": (_loop_decomposition, 1),
+    "semigroup_law": (_loop_semigroup_law, 1),
     "functional_commutation": (_loop_functional_commutation, 1),
 }
 SCENARIOS = {"circle": SMALL, "atoms": STEP_FAIL, "circle_hat": SMALL_HAT}
@@ -246,6 +262,27 @@ def test_family_checks_match_per_probe_loop(name, scenario):
     assert [r[:3] for r in rows] == [r[:3] for r in ref]
     assert (np.array([r[3] for r in rows]).tobytes()
             == np.array([r[3] for r in ref]).tobytes())
+
+
+def test_flow_law_checks_shift_each_input_once_per_family(monkeypatch):
+    # count the rotated-piece rules behind every shift each check takes:
+    # one per stacked rotations call
+    cfg = parse_text(SMALL)
+    ctx = runner.build_context(cfg, np.random.default_rng(cfg.seed))
+    real, calls = functions._rotated_pieces, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(functions, "_rotated_pieces", counted)
+    probes = {ctx.flow.lattice(t) for t in runner._probe_times(ctx, 3)}
+    # the decomposition probes 1, 2.5 and 5 have one distinct tail, 0.5
+    bounds = {"flow_isometry": (1, 1), "commutation": (2, 2),
+              "semigroup_law": (1, 1 + len(probes)), "decomposition": (1, 2)}
+    for name, (least, most) in bounds.items():
+        calls.clear()
+        runner.CHECKS[name](ctx)
+        assert least <= len(calls) <= most, name
 
 
 @pytest.mark.parametrize("name, scenario", FAMILY_CASES)
@@ -437,17 +474,21 @@ def test_me_em_coincidence_on_a_rotation_is_the_per_entry_sup():
 
 
 @pytest.mark.parametrize("name, fn", [("tower_idempotence", "cond_exp"),
-                                      ("semigroup_law", "apply_flow")])
+                                      ("semigroup_law", "apply_flows")])
 def test_nan_member_fails_stacked_defect(monkeypatch, name, fn):
-    # the second result carries a NaN piece, so one member of the stacked
-    # defect family has NaN coefficients
+    # the second result carries a NaN piece (every function of it, for a
+    # list), so members of the stacked defect family have NaN coefficients
     real = getattr(runner, fn)
     calls = []
 
     def nan_on_second_call(*args):
         calls.append(fn)
         out = real(*args)
-        return out + _thin_piece(out.d, np.nan) if len(calls) == 2 else out
+        if len(calls) != 2:
+            return out
+        if isinstance(out, list):
+            return [g + _thin_piece(g.d, np.nan) for g in out]
+        return out + _thin_piece(out.d, np.nan)
 
     monkeypatch.setattr(runner, fn, nan_on_second_call)
     rec = run_scenario(_only(name)).records[0]
@@ -459,14 +500,14 @@ def test_nan_member_fails_stacked_defect(monkeypatch, name, fn):
 @pytest.mark.parametrize("name, module, fn, arg", [
     ("tower_idempotence", runner, "cond_exp", 0),
     ("functional_commutation", condexp, "cond_exp", 0),
-    ("semigroup_law", runner, "apply_flow", 2),
+    ("semigroup_law", runner, "apply_flows", 2),
     ("me_em_coincidence", processes, "cesaro_averages", 2),
 ])
 def test_defect_on_one_thin_piece_is_seen(monkeypatch, name, module, fn, arg):
     # every result not built from f itself is off by 1 on one 2^-20-wide
-    # piece: E(E f|F), E(g(f)|F), T_t1 T_t2 f and A_t E(f|F_s) (each
-    # average of the EM grid's batch), while E f, g(E f), T_t f and
-    # E(A_t f|F_s) stay exact.  ME and EM coincide
+    # piece: E(E f|F), E(g(f)|F), T_t1 T_t2 f (each shift of a batch) and
+    # A_t E(f|F_s) (each average of the EM grid's batch), while E f,
+    # g(E f), T_t f and E(A_t f|F_s) stay exact.  ME and EM coincide
     # exactly only under the identity flow, and a gap there is reported as
     # a DIAGNOSTIC, not a FAIL.
     coincidence = name == "me_em_coincidence"

@@ -8,7 +8,9 @@ revision ``worktree`` is the tracked files as they stand, staged or not
 (``git stash create``; files git does not track are left out, so stage new
 ones first).  Pair k runs ``perfbench/run.py --trace 0`` at the k-th seed
 on both sides, one run after the other: the parent first in even pairs,
-the change first in odd ones.  The file holds, per workload and
+the change first in odd ones.  Runs set PYTHONDONTWRITEBYTECODE=1, so each
+one's ``setup_s`` compiles the package rather than reading an earlier
+run's ``__pycache__``.  The file holds, per workload and
 end-to-end metric, each side's runs, median and quartiles, the pairs the
 change won and whether its median gain exceeds the parent's IQR.
 """
@@ -89,10 +91,12 @@ def _checkout(commit, where):
 
 
 def _run(tree, workload, seed, seconds):
+    # no run writes __pycache__, so every run's setup_s compiles the package
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True)
+        cwd=tree, capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -122,7 +126,9 @@ def main(argv=None):
         "change": f"{args.change} ({commits['change']})",
         "design": "alternating pairs at one seed each; even pairs run the "
                   "parent first, odd ones the change first; each side runs "
-                  "from a git archive copy of its revision",
+                  "from a git archive copy of its revision, with "
+                  "PYTHONDONTWRITEBYTECODE=1 so that no run reads bytecode "
+                  "an earlier run cached",
         "workloads": {}}
     work = tempfile.mkdtemp(prefix="benchpairs-")
     try:
