@@ -46,10 +46,12 @@ Sequences and Their Geometric Applications*, 1995), one stack per round:
 ``_envelope`` pairs members 2i and 2i + 1 of every run of owners, merges
 each pair's breaks, cuts at the crossings of their difference and keeps
 the larger member on each part, so m members take ceil(log2 m) rounds of
-one merge and one crossing call.  The max norm with d >= 2 is the
-envelope of the 2d signed components.  Crossings of degree 1 and 2 stay
-in closed form: on large stacks, a stacked eigenvalue call on 1 x 1 and
-2 x 2 companions costs more than the rest of a round.
+one merge and one crossing call.  Rounds carry each piece's row of the
+input table, and both members of a pair share one power table.  The max
+norm with d >= 2 is the envelope of the 2d signed components.  Crossings
+of degree 1 and 2 stay in closed form: on large stacks, a stacked
+eigenvalue call on 1 x 1 and 2 x 2 companions costs more than the rest
+of a round.
 
 Products of coefficient tables are batched like roots: ``_product``
 multiplies two tables row by row, looping over the columns of one factor,
@@ -57,10 +59,12 @@ never over pieces.  Integer powers |f|^k for exact L_k norms and the
 euclidean radicand sum_j f_j^2 (``_square_sum``) are built from it.
 
 Gathers copy whole rows: coefficient rows go through ``_rows`` (np.take),
-the bytes of fancy indexing at a fraction of its cost.  Nodes strictly in
-(0, 1) skip the wrap, a node wrapped from 1 starts at its owner's first
-piece (never a walk down the owner), and ``place`` returns at once when
-every point lies in [lo, hi) of its row."""
+the bytes of fancy indexing at a fraction of its cost.  Every evaluation
+reads one ``_powers`` table, the bytes of x[..., None] ** np.arange(k1)
+with no pow on x^0 and x^1.  Nodes strictly in (0, 1) skip the wrap, a
+node wrapped from 1 starts at its owner's first piece (never a walk down
+the owner), and ``place`` returns at once when every point lies in
+[lo, hi) of its row."""
 
 from __future__ import annotations
 
@@ -69,7 +73,7 @@ import math
 
 import numpy as np
 
-from .functions import CircleFunction, AtomFunction, _pad, _rows
+from .functions import CircleFunction, AtomFunction, _pad, _powers, _rows
 
 # quadrature: rules of _GL_LADDER nodes until two agree to _GL_STABILITY;
 # below width _GL_TINY the midpoint rule; no bisection past _GL_MAX_DEPTH
@@ -420,8 +424,11 @@ def _merged(sets, m):
     owner, x, setid = owner[order], x[order], setid[order]
     keep = np.ones(x.size, dtype=bool)
     keep[:-1] = (owner[1:] != owner[:-1]) | (x[1:] != x[:-1])
-    # a stack has start[o] + o breaks before owner o: pieces plus one end
-    below = [np.cumsum(setid == j)[keep] for j in range(len(sets))]
+    # a stack has start[o] + o breaks before owner o: pieces plus one end;
+    # the first stack's count is what the others leave
+    kept = np.flatnonzero(keep)
+    below = [np.cumsum(setid == j)[kept] for j in range(1, len(sets))]
+    below.insert(0, kept + 1 - sum(below))
     owner, x = owner[keep], x[keep]
     seg = np.flatnonzero(owner[1:] == owner[:-1])
     owner, lo, hi = owner[seg], x[seg], x[seg + 1]
@@ -449,8 +456,7 @@ def _split(st, piece, root):
 def _eval_rows(c, x):
     """Each row's polynomial (c is (n, k1, 1)) at its point x, as
     CircleFunction._eval_unwrapped evaluates it."""
-    powers = x[:, None] ** np.arange(c.shape[1])
-    return np.einsum("nk,nkd->nd", powers, c)[:, 0]
+    return np.einsum("nk,nkd->nd", _powers(x, c.shape[1]), c)[:, 0]
 
 
 def _split_at_roots(st):
@@ -520,7 +526,7 @@ def _sup(st):
         xs = np.empty((idx.size, r + 2))
         xs[:, 0], xs[:, 1] = st.lo[idx], st.hi[idx]
         xs[:, 2:] = root[first[idx, None] + np.arange(r)]
-        vals = np.matmul(xs[:, :, None] ** np.arange(k1), c[idx, :, None])
+        vals = np.matmul(_powers(xs, k1), c[idx, :, None])
         piece_max[idx] = np.max(vals[:, :, 0], axis=1)
     return st.maxima(piece_max)
 
@@ -529,11 +535,10 @@ def _integral(st):
     """Each owner's integral over the circle, as CircleFunction.integral
     computes it: the antiderivative's last piece at x = 1."""
     k1 = st.c.shape[1]
-    e = np.arange(k1 + 1)
     ad = np.zeros((st.lo.size, k1 + 1, 1))
     ad[:, 1:] = st.c / np.arange(1, k1 + 1)[None, :, None]
-    vall = np.einsum("pk,pkd->pd", st.lo[:, None] ** e, ad)[:, 0]
-    valr = np.einsum("pk,pkd->pd", st.hi[:, None] ** e, ad)[:, 0]
+    vall = np.einsum("pk,pkd->pd", _powers(st.lo, k1 + 1), ad)[:, 0]
+    valr = np.einsum("pk,pkd->pd", _powers(st.hi, k1 + 1), ad)[:, 0]
     # the last piece's offset adds the other pieces' gains from the first
     cum = st.cumsums(valr - vall, 0)
     own = np.arange(st.m)
@@ -587,9 +592,9 @@ def _lp(st, p):
         pw = _product(pw, c)
     # the integral of each piece is one dot product against the
     # differences hi^e - lo^e, the pieces added in order
-    e = np.arange(1, pw.shape[1] + 1)
-    vals = np.matmul((pw / e)[:, None, :],
-                     (st.hi[:, None] ** e - st.lo[:, None] ** e)[:, :, None])
+    k1 = pw.shape[1] + 1
+    gain = _powers(st.hi, k1)[:, 1:] - _powers(st.lo, k1)[:, 1:]
+    vals = np.matmul((pw / np.arange(1, k1))[:, None, :], gain[:, :, None])
     return _root(st.sums(vals[:, 0, 0]), p)
 
 
@@ -671,8 +676,13 @@ class SqrtPolyField:
     def eval(self, x):
         return _sqrt_nonneg(self.q(np.asarray(x, dtype=float))[..., 0])
 
-    def integral(self):
+    @functools.cached_property
+    def _whole(self):
+        # one quadrature per field, as CircleFunction keeps its antiderivative
         return float(self.cumint(1.0)[0])
+
+    def integral(self):
+        return self._whole
 
     def _part_integrals(self, pts):
         """The pieces of q cut at the sorted, unique points pts of [0, 1]:
@@ -806,33 +816,31 @@ class AtomField:
 def _crossings(gap, lo, hi):
     """Interior zeros of each row's polynomial gap (N, k1) in its (lo, hi),
     as _piece_roots returns them: closed forms up to degree 2 (a coefficient
-    up to _LEAD_TOL counts as zero), the companion solve above."""
-    k1 = gap.shape[1]
-    if k1 > 3:
+    up to _LEAD_TOL counts as zero) on just the rows they apply to, element
+    by element as a pass over all rows, and the companion solve above."""
+    if gap.shape[1] > 3:
         return _piece_roots(gap, lo, hi)
-    if k1 == 1:
-        return np.empty(0, dtype=np.intp), np.empty(0)
-    c0, c1 = gap[:, 0], gap[:, 1]
-    # each quotient only where its divisor counts as nonzero; the others
-    # are never read
-    linear = np.abs(c1) > _LEAD_TOL
-    lin = np.divide(-c0, c1, out=np.full(c0.shape, np.inf), where=linear)
-    cands = [(lin, linear)]
-    if k1 == 3:
-        c2 = gap[:, 2]
-        quad = np.abs(c2) > _LEAD_TOL
-        disc = c1 * c1 - 4.0 * c2 * c0
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        qa = (-c1 - np.sign(c1 + (c1 == 0.0)) * sq) / 2.0
-        big = np.abs(qa) > 0.0
-        r1 = np.divide(qa, c2, out=np.full(qa.shape, np.inf), where=big & quad)
-        r2 = np.divide(c0, qa, out=np.full(qa.shape, np.inf), where=big)
-        cands = [(lin, ~quad & linear),
-                 (r1, quad & (disc > 0.0)), (r2, quad & (disc > 0.0))]
+    # contiguous columns, zero above the gap's degree
+    cols = np.zeros((3, gap.shape[0]))
+    cols[:gap.shape[1]] = gap.T
+    c0, c1, c2 = cols
+    quad = np.abs(c2) > _LEAD_TOL
+    lin = np.flatnonzero(~quad & (np.abs(c1) > _LEAD_TOL))
+    cands = [(lin, -c0[lin] / c1[lin])]
+    q = np.flatnonzero(quad)
+    a, b, c = c2[q], c1[q], c0[q]
+    disc = b * b - 4.0 * a * c
+    two = np.flatnonzero(disc > 0.0)
+    q, a, b, c = q[two], a[two], b[two], c[two]
+    qa = (-b - np.sign(b + (b == 0.0)) * np.sqrt(disc[two])) / 2.0
+    big = np.flatnonzero(np.abs(qa) > 0.0)
+    q, a, c, qa = q[big], a[big], c[big], qa[big]
+    cands += [(q, qa / a), (q, c / qa)]
     piece, root = [], []
-    for roots, valid in cands:
-        ok = valid & (roots > lo + _ROOT_MARGIN) & (roots < hi - _ROOT_MARGIN)
-        piece.append(np.flatnonzero(ok))
+    for rows, roots in cands:
+        ok = ((roots > lo[rows] + _ROOT_MARGIN)
+              & (roots < hi[rows] - _ROOT_MARGIN))
+        piece.append(rows[ok])
         root.append(roots[ok])
     return _sorted_unique(np.concatenate(piece), np.concatenate(root))
 
@@ -844,28 +852,37 @@ def _envelope(st, g):
     cuts at the crossings of their difference and keeps, on every part,
     the member larger at its midpoint (the first on a tie; a NaN value
     wins, as argmax decides); one stack and one crossing call per round."""
+    owner, lo, hi, m = st.owner, st.lo, st.hi, st.m
+    rows = np.arange(lo.size)
     while g > 1:
         half = (g + 1) // 2
-        m = st.m // g * half
-        run, i = np.divmod(st.owner, g)
-        pair = run * half + i // 2
-        sides = [_Stack(pair[r], st.lo[r], st.hi[r], _rows(st.c, r), m)
-                 for r in map(np.flatnonzero,
-                              (i % 2 == 0, (i % 2 == 1) | (i == g - 1)))]
-        owner, lo, hi, (a, b) = _merged(sides, m)
-        ca, cb = _rows(sides[0].c, a), _rows(sides[1].c, b)
-        src, lo, hi = _cut(lo, hi, *_crossings((ca - cb)[:, :, 0], lo, hi))
-        ca, cb, mids = _rows(ca, src), _rows(cb, src), 0.5 * (lo + hi)
-        second = np.argmax([_eval_rows(ca, mids), _eval_rows(cb, mids)], 0)
-        st = _Stack(owner[src], lo, hi, np.where(second[:, None, None], cb, ca), m)
+        run, i = np.divmod(np.arange(m), g)
+        pair = _rows(run * half + i // 2, owner)
+        sides = [np.flatnonzero(_rows(side, owner))
+                 for side in (i % 2 == 0, (i % 2 == 1) | (i == g - 1))]
+        m = m // g * half
+        owner, lo, hi, (a, b) = _merged(
+            [_Stack(_rows(pair, r), _rows(lo, r), _rows(hi, r), None, m)
+             for r in sides], m)
+        ra, rb = rows[sides[0][a]], rows[sides[1][b]]
+        gap = _rows(st.c[:, :, 0], ra) - _rows(st.c[:, :, 0], rb)
+        src, lo, hi = _cut(lo, hi, *_crossings(gap, lo, hi))
+        owner, ra, rb = owner[src], ra[src], rb[src]
+        powers = _powers(0.5 * (lo + hi), st.c.shape[1])
+        ea, eb = (np.einsum("nk,nkd->nd", powers, _rows(st.c, r))[:, 0]
+                  for r in (ra, rb))
+        # as np.argmax([ea, eb], 0): eb if larger, or NaN where ea is not
+        rows = np.where((ea == ea) & ~(eb <= ea), rb, ra)
         g = half
-    return st
+    return _Stack(owner, lo, hi, _rows(st.c, rows), m)
 
 
 def upper_envelope(fields):
     """Exact pointwise maximum of PolyFields, as a PolyField: every output
     piece is one member's polynomial (see _envelope)."""
     fields = list(fields)
+    if not fields:
+        raise ValueError("an envelope needs at least one field, got none")
     if all(isinstance(f, AtomField) for f in fields):
         return AtomField(fields[0].space,
                          np.maximum.reduce([f.values for f in fields]))

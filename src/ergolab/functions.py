@@ -33,6 +33,22 @@ def _rows(table, idx):
     return np.take(table, idx, axis=0)
 
 
+def _powers(x, k1):
+    """The bytes of x[..., None] ** np.arange(k1), with no pow for x^0 (1.0)
+    or x^1 (x * 1.0, which quiets a signaling NaN as pow does).  Higher
+    columns take pow with an exponent array of nonzero stride: a scalar 2.0
+    takes NumPy's squaring fast path, whose bits differ."""
+    out = np.empty(x.shape + (k1,))
+    out[..., 0] = 1.0
+    if k1 > 1:
+        np.multiply(x, 1.0, out=out[..., 1])
+    e = np.empty(x.shape)
+    for j in range(2, k1):
+        e.fill(j)
+        np.power(x, e, out=out[..., j])
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _binom_matrix(n):
     """The (n, n) table C(j, k) at row k and column j."""
@@ -91,7 +107,7 @@ class CircleFunction:
         b = np.asarray(breaks, dtype=float)
         c = np.asarray(coeffs, dtype=float)
         if b.ndim != 1 or b[0] != 0.0 or b[-1] != 1.0 or \
-                not np.all(np.diff(b) > 0):
+                not (b[1:] > b[:-1]).all():
             raise ValueError("breaks must increase strictly from 0 to 1")
         if c.ndim != 3 or c.shape[0] != b.size - 1:
             raise ValueError("coeffs must have shape (pieces, degree+1, d)")
@@ -144,8 +160,8 @@ class CircleFunction:
         """Evaluate without periodic wrap; x = 1 uses the last piece."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         idx = self.piece_index(x)
-        powers = x[:, None] ** np.arange(self.coeffs.shape[1])
-        return np.einsum("nk,nkd->nd", powers, _rows(self.coeffs, idx))
+        return np.einsum("nk,nkd->nd", _powers(x, self.coeffs.shape[1]),
+                         _rows(self.coeffs, idx))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -178,10 +194,8 @@ class CircleFunction:
         k1 = self.coeffs.shape[1]
         ad = np.zeros((self.npieces, k1 + 1, self.d))
         ad[:, 1:] = self.coeffs / np.arange(1, k1 + 1)[None, :, None]
-        powl = self.breaks[:-1, None] ** np.arange(k1 + 1)
-        powr = self.breaks[1:, None] ** np.arange(k1 + 1)
-        vall = np.einsum("pk,pkd->pd", powl, ad)
-        valr = np.einsum("pk,pkd->pd", powr, ad)
+        vall = np.einsum("pk,pkd->pd", _powers(self.breaks[:-1], k1 + 1), ad)
+        valr = np.einsum("pk,pkd->pd", _powers(self.breaks[1:], k1 + 1), ad)
         gains = valr - vall
         offsets = np.concatenate(
             [np.zeros((1, self.d)), np.cumsum(gains, axis=0)[:-1]], axis=0)
@@ -238,8 +252,7 @@ class CircleFunction:
     def is_continuous(self):
         """Continuity across interior breakpoints and the wrap point."""
         pts = self.breaks[1:]
-        left = np.einsum("pk,pkd->pd",
-                         pts[:, None] ** np.arange(self.coeffs.shape[1]),
+        left = np.einsum("pk,pkd->pd", _powers(pts, self.coeffs.shape[1]),
                          self.coeffs)
         right = np.vstack([self._eval_unwrapped(self.breaks[1:-1]),
                            self._eval_unwrapped(np.array([0.0]))])

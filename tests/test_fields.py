@@ -1,4 +1,5 @@
 import copy
+import math
 
 import mpmath
 import numpy as np
@@ -1185,6 +1186,142 @@ def test_envelope_work_is_one_round_per_halving(monkeypatch):
     calls.update(_merged=0, _crossings=0)
     fields.NormFamily(members, VectorNorm("max", 2)).sup()
     assert calls == {"_merged": 2, "_crossings": 2}
+
+
+def test_envelopes_of_no_fields_are_refused():
+    # an IndexError from fields[0] before
+    for envelope in (upper_envelope, grid_sup_field):
+        for empty in ([], iter(())):
+            with pytest.raises(ValueError, match="an envelope needs at least "
+                                                 "one field, got none"):
+                envelope(empty)
+
+
+@pytest.mark.parametrize("nmembers, degree", [(2, 1), (3, 2), (5, 2), (16, 2),
+                                              (6, 3)])
+def test_envelope_builds_one_power_table_per_round(monkeypatch, nmembers,
+                                                    degree):
+    # both members of every pair are evaluated at the round's midpoints on
+    # one shared table; the crossings (closed form or companion solve) and
+    # the merge build none
+    members = _random_poly_members(np.random.default_rng(nmembers), nmembers,
+                                   degree)
+    real, tables = fields._powers, []
+
+    def counted(x, k1):
+        tables.append(k1)
+        return real(x, k1)
+    monkeypatch.setattr(fields, "_powers", counted)
+    upper_envelope(members)
+    assert tables == [degree + 1] * math.ceil(math.log2(nmembers))
+
+
+def _parent_crossings(gap, lo, hi):
+    """_crossings as it stood before it read contiguous columns."""
+    k1 = gap.shape[1]
+    if k1 > 3:
+        return _piece_roots(gap, lo, hi)
+    if k1 == 1:
+        return np.empty(0, dtype=np.intp), np.empty(0)
+    c0, c1 = gap[:, 0], gap[:, 1]
+    linear = np.abs(c1) > fields._LEAD_TOL
+    lin = np.divide(-c0, c1, out=np.full(c0.shape, np.inf), where=linear)
+    cands = [(lin, linear)]
+    if k1 == 3:
+        c2 = gap[:, 2]
+        quad = np.abs(c2) > fields._LEAD_TOL
+        disc = c1 * c1 - 4.0 * c2 * c0
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        qa = (-c1 - np.sign(c1 + (c1 == 0.0)) * sq) / 2.0
+        big = np.abs(qa) > 0.0
+        r1 = np.divide(qa, c2, out=np.full(qa.shape, np.inf), where=big & quad)
+        r2 = np.divide(c0, qa, out=np.full(qa.shape, np.inf), where=big)
+        cands = [(lin, ~quad & linear),
+                 (r1, quad & (disc > 0.0)), (r2, quad & (disc > 0.0))]
+    piece, root = [], []
+    for roots, valid in cands:
+        ok = (valid & (roots > lo + fields._ROOT_MARGIN)
+              & (roots < hi - fields._ROOT_MARGIN))
+        piece.append(np.flatnonzero(ok))
+        root.append(roots[ok])
+    return fields._sorted_unique(np.concatenate(piece), np.concatenate(root))
+
+
+def _parent_envelope(stack, g):
+    """The envelope rounds as they stood before pieces carried rows: each
+    side copies its coefficients, each side is evaluated on a power table
+    of its own and np.argmax picks the member."""
+    def eval_rows(c, x):
+        return np.einsum("nk,nkd->nd", x[:, None] ** np.arange(c.shape[1]),
+                         c)[:, 0]
+
+    while g > 1:
+        half = (g + 1) // 2
+        m = stack.m // g * half
+        run, i = np.divmod(stack.owner, g)
+        pair = run * half + i // 2
+        sides = [fields._Stack(pair[r], stack.lo[r], stack.hi[r],
+                               stack.c[r], m)
+                 for r in map(np.flatnonzero,
+                              (i % 2 == 0, (i % 2 == 1) | (i == g - 1)))]
+        owner, lo, hi, (a, b) = fields._merged(sides, m)
+        ca, cb = sides[0].c[a], sides[1].c[b]
+        src, lo, hi = fields._cut(lo, hi, *_parent_crossings(
+            (ca - cb)[:, :, 0], lo, hi))
+        ca, cb, mids = ca[src], cb[src], 0.5 * (lo + hi)
+        second = np.argmax([eval_rows(ca, mids), eval_rows(cb, mids)], 0)
+        stack = fields._Stack(owner[src], lo, hi,
+                              np.where(second[:, None, None], cb, ca), m)
+        g = half
+    return stack
+
+
+@st.composite
+def _envelope_families(draw):
+    """1 to 5 members of up to five coefficients (degree 0 to 4, the
+    companion path from 3 on), on breaks with one-ulp pieces; a member
+    after the first may be a copy of an earlier one (ties everywhere), a
+    copy one ulp higher, a copy with one NaN piece, or a copy tilted about
+    one of its breaks (crossings at piece ends)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k1 = draw(st.integers(1, 5))
+    members = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["random", "copy", "ulp", "nan", "tilt"])
+                    if members else st.just("random"))
+        if kind == "random":
+            pts = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True,
+                                          exclude_max=True), max_size=5))
+            ulp = [np.nextafter(x, 1.0) for x in pts if draw(st.booleans())]
+            breaks = np.unique(np.r_[0.0, pts, ulp, 1.0])
+            width = draw(st.integers(1, k1))
+            members.append(CircleFunction(
+                breaks, rng.uniform(-2.0, 2.0, (breaks.size - 1, width, 1))))
+            continue
+        base = members[draw(st.integers(0, len(members) - 1))]
+        c = base.coeffs.copy()
+        if kind == "ulp":
+            c[:, 0, 0] = np.nextafter(c[:, 0, 0], np.inf)
+        elif kind == "nan":
+            c[draw(st.integers(0, base.npieces - 1)), 0, 0] = np.nan
+        elif kind == "tilt" and k1 > 1 and base.npieces > 1:
+            at = base.breaks[draw(st.integers(1, base.npieces - 1))]
+            c = np.pad(c, ((0, 0), (0, max(2 - c.shape[1], 0)), (0, 0)))
+            c[:, 0, 0] -= 0.5 * at
+            c[:, 1, 0] += 0.5
+        members.append(CircleFunction(base.breaks, c))
+    return [PolyField(fn) for fn in members]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_envelope_families())
+def test_envelope_rounds_give_the_bytes_of_the_copying_rule(members):
+    fns = [f.fn for f in members]
+    stack = fields._Stack.of(fns, max(fn.coeffs.shape[1] for fn in fns))
+    ref = _parent_envelope(stack, stack.m).functions(fns[0].space)[0]
+    env = upper_envelope(members).fn
+    assert _same(env.breaks, ref.breaks)
+    assert _same(env.coeffs, ref.coeffs)
 
 
 # -- whole-row gathers and the one-pass node lookup ----------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ergolab.functions import (
+    DEGREE_CAP,
     AtomFunction,
     CircleFunction,
     cascade,
@@ -20,6 +21,7 @@ from ergolab.functions import (
     sawtooth,
     taylor_shift,
     _periodic_spline,
+    _powers,
 )
 from ergolab.spaces import circle_space, discrete_space
 
@@ -402,3 +404,50 @@ def test_piece_index_matches_clipped_search():
         assert (new.dtype, new.tobytes()) == (old.dtype, old.tobytes())
         for xi, oi in zip(x, old):
             assert fn.piece_index(xi) == oi
+
+
+# -- power tables ------------------------------------------------------------------
+
+
+# bit patterns: +-0.0, +-inf, quiet and signaling NaNs of both signs, the
+# smallest and largest subnormals, 1.0 and the largest finite double
+_POWER_BITS = [0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+               0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+               0xFFF0000000000001, 0x7FF4000000000000, 0xFFF7FFFFFFFFFFFF,
+               0x1, 0x800FFFFFFFFFFFFF, 0x3FF0000000000000, 0x7FEFFFFFFFFFFFFF]
+# an L_16 norm of a degree-DEGREE_CAP piece: |f|^16 has 16 * DEGREE_CAP + 1
+# columns and its integral one more
+_WIDEST_TABLE = 16 * DEGREE_CAP + 2
+
+
+@st.composite
+def _power_inputs(draw):
+    shape = draw(st.sampled_from([(0,), (1,), (7,), (40,), (0, 3), (3, 0),
+                                  (2, 5), (6, 4)]))
+    n = int(np.prod(shape))
+    floats = st.floats(width=64) | st.floats(-2.0, 2.0) | st.floats(-1e-300, 1e-300)
+    bits = st.sampled_from(_POWER_BITS) | floats.map(
+        lambda v: int(np.float64(v).view(np.uint64)))
+    vals = draw(st.lists(bits, min_size=n, max_size=n))
+    x = np.array(vals, dtype=np.uint64).view(np.float64).reshape(shape)
+    return x, draw(st.integers(1, _WIDEST_TABLE))
+
+
+@settings(derandomize=True, max_examples=400)
+@given(_power_inputs())
+def test_powers_give_the_bytes_of_the_power_table(case):
+    x, k1 = case
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got, ref = _powers(x, k1), x[..., None] ** np.arange(k1)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.flags.c_contiguous
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_powers_keep_squares_off_the_squaring_fast_path():
+    # a scalar exponent 2.0 squares, and x * x differs from pow in the last
+    # bit on some draws; every width must give pow's bits, three columns too
+    x = np.random.default_rng(5).uniform(0.0, 1.0, 20_000)
+    assert (x * x != (x[:, None] ** np.arange(3))[:, 2]).any()
+    for k1 in (3, 4, 9):
+        assert _powers(x, k1).tobytes() == (x[:, None] ** np.arange(k1)).tobytes()

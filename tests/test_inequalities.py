@@ -141,6 +141,27 @@ def test_domination_chain_healthy_and_tight():
     assert worst_mixed == pytest.approx(-0.03451719083080568, rel=1e-10)
 
 
+def test_domination_chain_integrates_the_norm_field_once(monkeypatch):
+    # the dominant average of every grid time reads the same integral of
+    # the euclidean norm field; one whole-circle quadrature serves them all
+    from ergolab import fields
+    real, whole = fields.SqrtPolyField.cumint, []
+
+    def counted(self, y):
+        if np.ndim(y) == 0:
+            whole.append(float(y))
+        return real(self, y)
+    monkeypatch.setattr(fields.SqrtPolyField, "cumint", counted)
+    f = sawtooth(d=2, amplitudes=[1.0, 1.0], phases=[0.0, 0.3])
+    worst = domination_chain_check(f, rotation_flow(GOLDEN),
+                                   make_dyadic_partition(2),
+                                   np.array([0.5, 0.7, 2.0, 5.0]),
+                                   VectorNorm("euclidean", 2))
+    assert whole == [1.0]
+    # the value of four quadratures, one per time, bit for bit
+    assert worst == -0.009585512569577737
+
+
 def _const_slices(values, space):
     if isinstance(space, Circle):
         return [CircleFunction.constant(v, space) for v in values]
