@@ -1,25 +1,27 @@
 """Conditional expectation on finite partitions and its positive dominant.
 
 For a finite partition every conditional expectation is a cell average, so
-the vector operator is exact.  ``_cell_integrals`` takes each cell's
-integral in the layout of ``Partition.masses``, one array per size group:
-antiderivative differences on the circle (one group of equal cells), and
-on atoms one stacked ``np.matmul`` per ``Partition.size_groups`` table,
-one dot product per cell, so the bits match a loop over the cells.
-``cond_exp`` divides them by the masses; ``defining_property_check``
-compares those of E(f|F) and f.  ``functional_commutation_check`` takes
-its gaps on all partitions in one max-norm ``NormFamily``.  The scalar
-dominant conditions polynomial and atom fields through that same
-operator; only the quadrature fields (``SqrtPolyField``, ``GenericField``)
-bring their own ``cell_averages``, each cell from its own parts, and no
-quadrature runs inside another.
+the vector operator is exact.  ``cond_exps`` conditions (function,
+partition) pairs in one pass, each result with the bits of its own
+``cond_exp`` call.  ``_cell_integrals`` takes each pair's cell integrals
+in the layout of ``Partition.masses``: on atoms one stacked ``np.matmul``
+per size group, one dot product per cell; on the circle antiderivative
+differences, each function's antiderivative evaluated once at the bounds
+of its finest level, as ``_eval_unwrapped`` evaluates it, from one power
+table per coefficient width and level; antiderivatives not yet cached
+come from one stacked pass per coefficient shape.  A level l reads every
+2**(L-l)-th level-L value: k/2**l and k 2**(L-l)/2**L are the same
+double.  The scalar dominant conditions polynomial and atom fields
+through that operator; only the quadrature fields bring their own
+``cell_averages``, and no quadrature runs inside another.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .functions import CircleFunction, AtomFunction
+from .functions import (CircleFunction, AtomFunction, _antiderivative_table,
+                        _powers, _rows, _sums_before)
 from .fields import NormFamily, PolyField, AtomField, defect_max
 from .spaces import VectorNorm
 
@@ -47,28 +49,69 @@ def _check_space(f, partition):
         raise ValueError("function and partition live on different spaces")
 
 
-def _cell_integrals(f, partition):
-    """Each cell's integral of f: one (cells, d) array per size group."""
-    if isinstance(f, AtomFunction):
-        return [np.matmul(partition.space.weights[atoms][:, None, :],
-                          f.values[atoms])[:, 0]
-                for atoms in partition.size_groups]
-    bounds = partition.cell_bounds_float()
-    return [np.diff(f.antiderivative()._eval_unwrapped(bounds), axis=0)]
+def _cell_integrals(fns, partitions):
+    """Each pair's cell integrals: one (cells, d) array per size group."""
+    if len(fns) != len(partitions):
+        raise ValueError(f"need one partition per function, got {len(fns)} "
+                         f"functions and {len(partitions)} partitions")
+    out, pairs, shapes, powers = [None] * len(fns), {}, {}, {}
+    for i, (f, part) in enumerate(zip(fns, partitions)):
+        _check_space(f, part)
+        if not isinstance(f, CircleFunction):
+            out[i] = [np.matmul(part.space.weights[atoms][:, None, :],
+                                f.values[atoms])[:, 0]
+                      for atoms in part.size_groups]
+            continue
+        if f._antideriv is None and f not in pairs:
+            shapes.setdefault(f.coeffs.shape[1:], []).append(f)
+        pairs.setdefault(f, []).append(i)
+    for new in shapes.values():  # CircleFunction.antiderivative, stacked
+        cut = np.cumsum([f.npieces for f in new[:-1]]).tolist()
+        ad, vall, gains = _antiderivative_table(*map(np.concatenate, zip(*(
+            (f.breaks[:-1], f.breaks[1:], f.coeffs) for f in new))))
+        ad[:, 0] += np.concatenate([_sums_before(g)
+                                    for g in np.split(gains, cut)]) - vall
+        for f, a in zip(new, np.split(ad, cut)):
+            f._antideriv = CircleFunction(f.breaks, a, f.space)
+    for f, idx in pairs.items():
+        fine = max((partitions[i] for i in idx), key=lambda p: p.level)
+        ad, x = f.antiderivative(), fine.cell_bounds_float()
+        key = (ad.coeffs.shape[1], fine.level)  # equal levels, equal bounds
+        if key not in powers:
+            powers[key] = _powers(x, key[0])
+        at = np.einsum("nk,nkd->nd", powers[key],
+                       _rows(ad.coeffs, ad.piece_index(x)))
+        for i in idx:
+            # np.diff's subtraction, on every 2**(L - l)-th value
+            v = at[::2 ** (fine.level - partitions[i].level)]
+            out[i] = [v[1:] - v[:-1]]
+    return out
+
+
+def cond_exps(fns, partitions):
+    """[cond_exp(f, P) for each pair (f, P)], each with the bits of its own
+    call, from one ``_cell_integrals`` pass (divided in place, so no copy
+    of the integrals outlives it)."""
+    fns, partitions = list(fns), list(partitions)
+    out = []
+    for f, part, sums in zip(fns, partitions,
+                             _cell_integrals(fns, partitions)):
+        for s, m in zip(sums, part.masses):
+            np.divide(s, m[:, None], out=s)
+        if isinstance(f, CircleFunction):
+            out.append(CircleFunction(part.cell_bounds_float(),
+                                      sums[0][:, None], f.space))
+            continue
+        vals = np.empty_like(f.values)
+        for atoms, a in zip(part.size_groups, sums):
+            vals[atoms] = a[:, None, :]
+        out.append(AtomFunction(f.space, vals))
+    return out
 
 
 def cond_exp(f, partition):
     """Cell-average conditional expectation; exact, piecewise constant."""
-    _check_space(f, partition)
-    avgs = [s / m[:, None] for s, m in zip(_cell_integrals(f, partition),
-                                           partition.masses)]
-    if isinstance(f, AtomFunction):
-        out = np.empty_like(f.values)
-        for atoms, a in zip(partition.size_groups, avgs):
-            out[atoms] = a[:, None, :]
-        return AtomFunction(f.space, out)
-    return CircleFunction(partition.cell_bounds_float(), avgs[0][:, None],
-                          f.space)
+    return cond_exps([f], [partition])[0]
 
 
 def cond_exp_dominant(h, partition):
@@ -89,10 +132,8 @@ def cond_exp_dominant(h, partition):
 
 def defining_property_check(f, partition):
     """Max over cells of the averaging defect |∫_B E f − ∫_B f| (max norm)."""
-    _check_space(f, partition)
-    ef = cond_exp(f, partition)
-    return defect_max(0.0, *(np.max(np.abs(e - g)) for e, g in zip(
-        _cell_integrals(ef, partition), _cell_integrals(f, partition))))
+    got, want = _cell_integrals([cond_exp(f, partition), f], [partition] * 2)
+    return defect_max(0.0, *(np.max(np.abs(e - g)) for e, g in zip(got, want)))
 
 
 def functional_commutation_check(f, partitions, functional):
@@ -102,11 +143,11 @@ def functional_commutation_check(f, partitions, functional):
     Both sides are piecewise constant (per atom on atom spaces), so the
     sup of their difference is read from its pieces, not from samples.
     """
-    for part in partitions:
-        _check_space(f, part)
     if functional.dim != f.d:
         raise ValueError("functional dimension does not match function")
-    gf = functional.compose(f)
-    return NormFamily([functional.compose(cond_exp(f, part))
-                       - cond_exp(gf, part) for part in partitions],
+    partitions = list(partitions)
+    n = len(partitions)
+    both = cond_exps([f] * n + [functional.compose(f)] * n, partitions * 2)
+    return NormFamily([functional.compose(ef) - egf
+                       for ef, egf in zip(both[:n], both[n:])],
                       VectorNorm("max", 1)).sup()

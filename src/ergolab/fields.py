@@ -27,8 +27,10 @@ per owner if one is given, and runs the sign splits, radicands, root
 isolation, L_p integrals and sups once for the whole family.  Per-owner
 reductions (running sums in piece order, first-largest maxima) give each
 member exactly the bits of a family of its own, and ``pointwise_norm`` and
-the single-field ``lp`` and ``sup`` are the one-member case.  An atom
-family is one (members, atoms, d) value table.
+the single-field ``lp`` and ``sup`` are the one-member case, and
+``sup_field`` is one envelope of the stack with the bits of
+``grid_sup_field(family.fields())``.  An atom family is one (members,
+atoms, d) value table.
 
 Roots are batched across pieces: ``_piece_roots`` solves the companion
 matrices of all pieces of one stripped degree in one stacked eigenvalue
@@ -73,7 +75,8 @@ import math
 
 import numpy as np
 
-from .functions import CircleFunction, AtomFunction, _pad, _powers, _rows
+from .functions import (CircleFunction, AtomFunction, _antiderivative_table,
+                        _eval_rows, _pad, _powers, _rows)
 
 # quadrature: rules of _GL_LADDER nodes until two agree to _GL_STABILITY;
 # below width _GL_TINY the midpoint rule; no bisection past _GL_MAX_DEPTH
@@ -453,12 +456,6 @@ def _split(st, piece, root):
     return _Stack(st.owner[src], lo, hi, _rows(st.c, src), st.m)
 
 
-def _eval_rows(c, x):
-    """Each row's polynomial (c is (n, k1, 1)) at its point x, as
-    CircleFunction._eval_unwrapped evaluates it."""
-    return np.einsum("nk,nkd->nd", _powers(x, c.shape[1]), c)[:, 0]
-
-
 def _split_at_roots(st):
     """A scalar stack with each piece cut at its interior zeros; one
     _piece_roots call for the whole stack."""
@@ -470,7 +467,8 @@ def _abs(st):
     split = _split_at_roots(st)
     mids = 0.5 * (split.lo + split.hi)
     at = split.place(np.arange(mids.size), mids)
-    signs = np.where(_eval_rows(_rows(split.c, at), mids) < 0.0, -1.0, 1.0)
+    signs = np.where(_eval_rows(_rows(split.c, at), mids)[:, 0] < 0.0,
+                     -1.0, 1.0)
     return split.recoef(split.c * signs[:, None, None])
 
 
@@ -507,7 +505,7 @@ def _at_nodes(st, x):
     if not ((x > 0.0) & (x < 1.0)).all():
         rows = np.where(x >= 1.0, st.start[st.owner[rows]], rows)
         x = np.mod(x, 1.0)
-    return _eval_rows(_rows(st.c, st.place(rows, x)), x)
+    return _eval_rows(_rows(st.c, st.place(rows, x)), x)[:, 0]
 
 
 def _sup(st):
@@ -534,19 +532,15 @@ def _sup(st):
 def _integral(st):
     """Each owner's integral over the circle, as CircleFunction.integral
     computes it: the antiderivative's last piece at x = 1."""
-    k1 = st.c.shape[1]
-    ad = np.zeros((st.lo.size, k1 + 1, 1))
-    ad[:, 1:] = st.c / np.arange(1, k1 + 1)[None, :, None]
-    vall = np.einsum("pk,pkd->pd", _powers(st.lo, k1 + 1), ad)[:, 0]
-    valr = np.einsum("pk,pkd->pd", _powers(st.hi, k1 + 1), ad)[:, 0]
+    ad, vall, gains = _antiderivative_table(st.lo, st.hi, st.c)
     # the last piece's offset adds the other pieces' gains from the first
-    cum = st.cumsums(valr - vall, 0)
+    cum = st.cumsums(gains[:, 0], 0)
     own = np.arange(st.m)
     offset = np.where(st.counts > 1, cum[own, np.maximum(st.counts - 2, 0)], 0.0)
     last = st.start + st.counts - 1
-    head = ad[last]
-    head[:, 0, 0] += offset - vall[last]
-    return np.einsum("nk,nkd->nd", np.ones((st.m, k1 + 1)), head)[:, 0]
+    head = _rows(ad, last)
+    head[:, 0, 0] += offset - vall[last, 0]
+    return _eval_rows(head, np.ones(st.m))[:, 0]
 
 
 def _root(sums, p):
@@ -990,6 +984,25 @@ class NormFamily:
         if self.values is not None:
             return np.max(self.values, axis=1)
         return self._per_member(_sup, _sqrt_sup)
+
+    def sup_field(self):
+        """grid_sup_field(self.fields()) from the family's own stacks: one
+        envelope of all members in family order (a tie keeps the first),
+        euclidean ones through their radicands."""
+        if self.values is not None:
+            return AtomField(self.space, np.maximum.reduce(self.values))
+        if self.m == 1:
+            return self.fields()[0]
+        k1 = max(st.c.shape[1] for _, _, st in self.groups)
+        owner, lo, hi, c = (np.concatenate(col) for col in zip(*(
+            (idx[st.owner], st.lo, st.hi, _pad(st.c, k1))
+            for idx, _, st in self.groups)))
+        order = np.argsort(owner, kind="stable")
+        env = _envelope(_Stack(owner[order], lo[order], hi[order],
+                               _rows(c, order), self.m), self.m)
+        if self.groups[0][1] is SqrtPolyField:
+            env = _split_at_roots(env)
+        return self.groups[0][1](env.functions(self.space)[0])
 
     def fields(self):
         """Each member's norm field."""

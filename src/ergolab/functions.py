@@ -49,6 +49,12 @@ def _powers(x, k1):
     return out
 
 
+def _eval_rows(c, x):
+    """Each row's polynomial c[i] ((n, k1, d)) at its point x[i], from one
+    power table."""
+    return np.einsum("nk,nkd->nd", _powers(x, c.shape[1]), c)
+
+
 @functools.lru_cache(maxsize=None)
 def _binom_matrix(n):
     """The (n, n) table C(j, k) at row k and column j."""
@@ -75,6 +81,25 @@ def taylor_shift(coeffs, sigma, which=None):
         j[None, :] - j[:, None], 0)
     m = _binom_matrix(k1) * base
     return np.einsum("...kj,...jd->...kd", _rows(m, which), c)
+
+
+def _sums_before(gains):
+    """Each row's running sum of the rows before it: 0.0 on the first row,
+    which is never added to 0.0."""
+    return np.concatenate([np.zeros((1,) + gains.shape[1:]),
+                           np.cumsum(gains, axis=0)[:-1]])
+
+
+def _antiderivative_table(lo, hi, c):
+    """The pieces c[i] on [lo[i], hi[i]] integrated from lo[i], their
+    values at lo[i] and their gains over the pieces.  Adding sums - vall
+    to column 0, sums being each piece's sum of its function's earlier
+    gains (0.0 on a first piece), gives the antiderivative with F(0) = 0."""
+    k1 = c.shape[1]
+    ad = np.zeros((lo.size, k1 + 1, c.shape[2]))
+    ad[:, 1:] = c / np.arange(1, k1 + 1)[None, :, None]
+    vall = _eval_rows(ad, lo)
+    return ad, vall, _eval_rows(ad, hi) - vall
 
 
 def _rotated_pieces(breaks, deltas):
@@ -159,9 +184,7 @@ class CircleFunction:
     def _eval_unwrapped(self, x):
         """Evaluate without periodic wrap; x = 1 uses the last piece."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = self.piece_index(x)
-        return np.einsum("nk,nkd->nd", _powers(x, self.coeffs.shape[1]),
-                         _rows(self.coeffs, idx))
+        return _eval_rows(_rows(self.coeffs, self.piece_index(x)), x)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -189,18 +212,11 @@ class CircleFunction:
 
     def antiderivative(self):
         """F with F' = f piecewise and F(0) = 0, continuous on [0, 1]."""
-        if self._antideriv is not None:
-            return self._antideriv
-        k1 = self.coeffs.shape[1]
-        ad = np.zeros((self.npieces, k1 + 1, self.d))
-        ad[:, 1:] = self.coeffs / np.arange(1, k1 + 1)[None, :, None]
-        vall = np.einsum("pk,pkd->pd", _powers(self.breaks[:-1], k1 + 1), ad)
-        valr = np.einsum("pk,pkd->pd", _powers(self.breaks[1:], k1 + 1), ad)
-        gains = valr - vall
-        offsets = np.concatenate(
-            [np.zeros((1, self.d)), np.cumsum(gains, axis=0)[:-1]], axis=0)
-        ad[:, 0] += offsets - vall
-        self._antideriv = CircleFunction(self.breaks, ad, self.space)
+        if self._antideriv is None:
+            ad, vall, gains = _antiderivative_table(
+                self.breaks[:-1], self.breaks[1:], self.coeffs)
+            ad[:, 0] += _sums_before(gains) - vall
+            self._antideriv = CircleFunction(self.breaks, ad, self.space)
         return self._antideriv
 
     def derivative(self):
@@ -251,9 +267,7 @@ class CircleFunction:
 
     def is_continuous(self):
         """Continuity across interior breakpoints and the wrap point."""
-        pts = self.breaks[1:]
-        left = np.einsum("pk,pkd->pd", _powers(pts, self.coeffs.shape[1]),
-                         self.coeffs)
+        left = _eval_rows(self.coeffs, self.breaks[1:])
         right = np.vstack([self._eval_unwrapped(self.breaks[1:-1]),
                            self._eval_unwrapped(np.array([0.0]))])
         return float(np.max(np.abs(left - right))) <= _CONTINUITY_TOL

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .condexp import cond_exp, cond_exp_dominant
+from .condexp import cond_exp_dominant, cond_exps
 from .fields import NormFamily, defect_max, pointwise_norm
 from .flows import cesaro_averages, dominant_cesaro
 from .functions import AtomFunction, CircleFunction
@@ -51,7 +51,7 @@ def _dominant_report(grid, kind, p, vnorm):
     _require(grid, kind, p)
     lhs = float(grid.norm_sup(vnorm).lp(p))
     constant = (p / (p - 1.0)) ** 2
-    bound = constant * float(pointwise_norm(grid.f, vnorm).lp(p))
+    bound = constant * grid.f_lp(vnorm, p)
     return DominantReport(lhs, bound, lhs / bound if bound > 0.0 else 0.0)
 
 
@@ -60,7 +60,7 @@ def _maximal_report(grid, kind, p, eps, vnorm):
     if eps <= 0.0:
         raise ValueError("exceedance threshold must be positive")
     exc = float(grid.norm_sup(vnorm).superlevel_measure(eps))
-    bound = (p / (p - 1.0)) * float(pointwise_norm(grid.f, vnorm).lp(p)) / eps
+    bound = (p / (p - 1.0)) * grid.f_lp(vnorm, p) / eps
     return MaximalReport(exc, bound)
 
 
@@ -107,10 +107,11 @@ def domination_chain_check(f, flow, partition, t_grid, vnorm, npoints=1000):
     norm_f = pointwise_norm(f, vnorm)
     worst = -np.inf
     times = np.asarray(t_grid, dtype=float).tolist()
-    for t, avg in zip(times, cesaro_averages(flow, times, f)):
+    avgs = cesaro_averages(flow, times, f)
+    cavgs = cond_exps(avgs, [partition] * len(avgs))
+    for t, avg, cavg in zip(times, avgs, cavgs):
         dom = dominant_cesaro(flow, t, norm_f)
         gap1 = vnorm(avg(pts)) - dom.eval(pts)
-        cavg = cond_exp(avg, partition)
         cdom = cond_exp_dominant(dom, partition)
         gap2 = vnorm(cavg(pts)) - cdom.eval(pts)
         worst = defect_max(worst, np.max(gap1), np.max(gap2))
@@ -155,14 +156,15 @@ class SubmartingaleFamily:
         # adaptedness is the exact sup of |g - E(g|F_s)|, one family for all
         # slices; adapted slices are constant on the finest cells, so the
         # midpoint reads below are exact
-        gaps = []
         for i, slices in enumerate(self.processes):
             for k, g in enumerate(slices):
                 if g.d != 1:
                     raise ValueError(f"process {i} at time {self.s_grid[k]} "
                                      "is not scalar")
-                gaps.append(g - cond_exp(g, self.filtration.partition(
-                    self.s_grid[k])))
+        slices = [g for gs in self.processes for g in gs]
+        parts = [self.filtration.partition(s) for s in self.s_grid]
+        gaps = [g - e for g, e in zip(slices, cond_exps(
+            slices, parts * len(self.processes)))]
         for n, gap in enumerate(NormFamily(gaps, VectorNorm("max", 1)).sup()):
             if not gap <= TOLERANCES["submartingale_input"]:
                 i, k = divmod(n, self.s_grid.size)
@@ -180,9 +182,10 @@ class SubmartingaleFamily:
     def _drops(self, slices):
         """max(g_k - E(g_(k+1)|F_(s_k))) of each pair of consecutive slices,
         read at the finest cells' midpoints (every atom off the circle)."""
-        pts, part = self._pts, self.filtration.partition
-        return [np.max(g(pts)[:, 0] - cond_exp(nxt, part(s))(pts)[:, 0])
-                for g, nxt, s in zip(slices, slices[1:], self.s_grid)]
+        pts = self._pts
+        parts = map(self.filtration.partition, self.s_grid[:len(slices) - 1])
+        return [np.max(g(pts)[:, 0] - e(pts)[:, 0])
+                for g, e in zip(slices, cond_exps(slices[1:], parts))]
 
     @property
     def n_indices(self):

@@ -11,20 +11,20 @@ An entry depends on s only through F_s, the partition at
 ``filtration.level(s)``, so each grid builds and stores one entry per
 (t, level): ``table`` is keyed by (t, level), and the EM ``inner`` by
 level.  The averages come from one ``cesaro_averages`` call over the whole
-t grid per input: of f, then each A_t f is conditioned once per level
-(ME); of each E(f|F_l), one call per level (EM).  A step flow thus walks
-each input's orbit once, up to the largest t.  The s of one level read
-that level's entry through ``entry`` and ``items``.
+t grid per input (f, or each E(f|F_l)), and the conditionings from one
+``cond_exps`` call per grid.  A step flow thus walks each input's orbit
+once, up to the largest t.  The s of one level read that level's entry
+through ``entry`` and ``items``.
 
-Norms are taken family by family: ``convergence_table``, the member
-fields of ``ProcessGrid.norm_sup``, ``sup_integrability_report``,
+Norms are taken family by family: ``convergence_table``,
+``ProcessGrid.norm_sup``, ``sup_integrability_report``,
 ``ergodic_envelope_check``, ``cesaro_decomposition_check`` (one gap per
 t) and ``commutation_check`` (one per probe time) build the norm fields
 of all their members (minus the target, where there is one) in one
 stacked ``NormFamily`` pass, so each kernel's fixed cost is paid once per
 family, not once per entry, and every member keeps the bits of its own
-computation.  A grid family has one member per distinct entry, i.e. per
-key of ``table``.
+computation; a grid's pointwise sup is ``NormFamily.sup_field``.  A grid
+family has one member per distinct entry, i.e. per key of ``table``.
 Every check takes its vector norm; none picks one.  Reports carry
 numbers, never a verdict: the runner's records compare them with the
 threshold and the tolerance table.
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condexp import cond_exp
-from .fields import NormFamily, defect_max, grid_sup_field
+from .condexp import cond_exp, cond_exps
+from .fields import NormFamily, defect_max, pointwise_norm
 from .flows import apply_flows, cesaro_average, cesaro_averages
 from .functions import AtomFunction, merge_sum
 
@@ -87,14 +87,19 @@ class ProcessGrid:
         self.f = f
         self.flow = flow
         self.filtration = filtration
-        self._norm_sups = {}
+        self._norms = {}
 
     def entry(self, t, s):
         """The entry at (t, s), read through the level of s: an s off the
         grid on a level the grid holds gets that level's entry, which is
         exactly the (t, s) process value, since F_s depends on s only
         through its level."""
-        return self.table[(float(t), self.filtration.level(float(s)))]
+        key = (float(t), self.filtration.level(float(s)))
+        if key not in self.table:
+            raise ValueError(f"t = {t} is not on the grid's t grid"
+                             if key[0] not in self.t_grid else
+                             f"s = {s} is on level {key[1]}, off the grid")
+        return self.table[key]
 
     def _keys(self):
         """((t, s), table key) in row-major order: t outer, s inner."""
@@ -117,10 +122,16 @@ class ProcessGrid:
 
     def norm_sup(self, vnorm):
         """Pointwise sup over the grid of ||entry(x)||_X, built once per norm."""
-        if vnorm not in self._norm_sups:
-            self._norm_sups[vnorm] = grid_sup_field(NormFamily(
-                self.table.values(), vnorm).fields())
-        return self._norm_sups[vnorm]
+        if vnorm not in self._norms:
+            self._norms[vnorm] = NormFamily(self.table.values(),
+                                            vnorm).sup_field()
+        return self._norms[vnorm]
+
+    def f_lp(self, vnorm, p):
+        """||f||_p in the vector norm vnorm, computed once per (vnorm, p)."""
+        if (vnorm, p) not in self._norms:
+            self._norms[vnorm, p] = float(pointwise_norm(self.f, vnorm).lp(p))
+        return self._norms[vnorm, p]
 
     def __repr__(self):
         return (f"ProcessGrid({self.kind}, {len(self.t_grid)}x"
@@ -140,8 +151,9 @@ def me_process(f, flow, filtration, t_grid, s_grid):
     s_grid = _check_grid(s_grid, "s_grid", positive=False)
     parts = _levels(filtration, s_grid)
     inner = dict(zip(t_grid.tolist(), cesaro_averages(flow, t_grid, f)))
-    table = {(t, k): cond_exp(avg, part)
-             for t, avg in inner.items() for k, part in parts.items()}
+    keys = [(t, k) for t in inner for k in parts]
+    table = dict(zip(keys, cond_exps([inner[t] for t, _ in keys],
+                                     [parts[k] for _, k in keys])))
     return ProcessGrid("ME", f, flow, filtration, t_grid, s_grid, inner, table)
 
 
@@ -149,8 +161,8 @@ def em_process(f, flow, filtration, t_grid, s_grid):
     """Grid of averaged conditionings: entry (t,s) averages E(f|F_s) up to t."""
     t_grid = _check_grid(t_grid, "t_grid", positive=True)
     s_grid = _check_grid(s_grid, "s_grid", positive=False)
-    inner = {k: cond_exp(f, part)
-             for k, part in _levels(filtration, s_grid).items()}
+    parts = _levels(filtration, s_grid)
+    inner = dict(zip(parts, cond_exps([f] * len(parts), parts.values())))
     averaged = {k: cesaro_averages(flow, t_grid, g) for k, g in inner.items()}
     table = {(t, k): averaged[k][i]
              for i, t in enumerate(t_grid.tolist()) for k in inner}
@@ -223,10 +235,10 @@ def commutation_check(flow, f, partition, vnorm):
     partition cells; otherwise the returned size is a diagnostic, not a
     failure.
     """
-    moved = zip(apply_flows(flow, _T_PROBES, cond_exp(f, partition)),
-                apply_flows(flow, _T_PROBES, f))
-    sups = NormFamily([a - cond_exp(b, partition) for a, b in moved],
-                      vnorm).sup()
+    moved = apply_flows(flow, _T_PROBES, f)
+    ef, *emoved = cond_exps([f, *moved], [partition] * (1 + len(moved)))
+    sups = NormFamily([a - b for a, b in zip(
+        apply_flows(flow, _T_PROBES, ef), emoved)], vnorm).sup()
     return defect_max(0.0, *sups)
 
 
@@ -271,7 +283,7 @@ def sup_integrability_report(family, vnorm):
     per filtration level (the EM grid's).  Always finite at desk scale;
     a lower bound for the true sup over all parameters.
     """
-    return float(grid_sup_field(NormFamily(family, vnorm).fields()).lp(1.0))
+    return float(NormFamily(family, vnorm).sup_field().lp(1.0))
 
 
 def ergodic_envelope_constant(flow, f, vnorm):

@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from .condexp import (LinearFunctional, cond_exp, defining_property_check,
+from .condexp import (LinearFunctional, cond_exps, defining_property_check,
                       functional_commutation_check)
 from .config import (_filtration, _non_negative_int, build_flow,
                      build_function, build_space)
@@ -161,11 +161,13 @@ def _chk_tower_idempotence(ctx):
     worst = 0.0
     rows = []
     parts = [ctx.filtration.partition_at_level(lvl) for lvl in _levels(ctx)]
-    once = [cond_exp(ctx.f, part) for part in parts]
-    for lvl, part in enumerate(parts):
+    once = cond_exps([ctx.f] * len(parts), parts)
+    twice = iter(cond_exps(*zip(*[(g, part) for lvl, part in enumerate(parts)
+                                  for g in once[lvl:]])))
+    for lvl in range(len(parts)):
         # member 0 is E(E f|F_l), then E(E(f|F_k)|F_l) for each finer k
-        sups = NormFamily([cond_exp(g, part) for g in once[lvl:]],
-                          ctx.vnorm, target=once[lvl]).sup()
+        sups = NormFamily([next(twice) for _ in once[lvl:]], ctx.vnorm,
+                          target=once[lvl]).sup()
         d_tower = defect_max(0.0, *sups[1:])
         rows.append((None, float(lvl), "idempotence_defect", float(sups[0])))
         rows.append((None, float(lvl), "tower_defect", d_tower))
@@ -343,8 +345,9 @@ def _chk_martingale_surrogate(ctx):
     if not ctx.f.is_continuous():
         raise ValueError("martingale surrogate needs a continuous function")
     lip = float(pointwise_norm(ctx.f.derivative(), ctx.vnorm).sup())
-    errs = NormFamily([cond_exp(ctx.f, ctx.space.partition(lvl))
-                       for lvl in _levels(ctx)], ctx.vnorm, ctx.f).lp(1.0)
+    parts = [ctx.space.partition(lvl) for lvl in _levels(ctx)]
+    errs = NormFamily(cond_exps([ctx.f] * len(parts), parts), ctx.vnorm,
+                      ctx.f).lp(1.0)
     worst_ratio = 0.0
     ok = True
     rows = []

@@ -236,8 +236,9 @@ class Filtration:
         self._cache = {}
 
     def level(self, s):
-        if s < 0:
-            raise ValueError("filtration parameter must be nonnegative")
+        if not 0.0 <= s < np.inf:
+            raise ValueError(f"filtration parameter s = {s} must be finite "
+                             "and nonnegative")
         k = int(np.floor(s))
         if self.direction == "increasing":
             return min(k, self.max_level)

@@ -79,3 +79,49 @@ def test_runs_write_no_bytecode(monkeypatch):
     assert kwargs["cwd"] == "tree"
     assert kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
     assert kwargs["env"]["PATH"] == os.environ["PATH"]
+
+
+def test_gain_is_claimed_on_nine_of_ten_pairs_beyond_the_iqr():
+    parent = [1.0, 1.01, 0.99, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0, 1.0]
+    change = [0.9] * 9 + [1.05]
+    s = benchpairs.summarize(parent, change)
+    assert (s["change_better_pairs"], s["gain_claimed"]) == (9, True)
+    # eight wins and a tie: a tie counts for neither side
+    s = benchpairs.summarize(parent, [0.9] * 8 + [1.0, 1.05])
+    assert (s["change_better_pairs"], s["gain_claimed"]) == (8, False)
+    # every pair won, but the median gain (0.005) is inside the IQR (0.01)
+    s = benchpairs.summarize(parent, [p - 0.005 for p in parent])
+    assert s["change_better_pairs"] == 10
+    assert not s["median_gain_exceeds_parent_iqr"] and not s["gain_claimed"]
+    # the higher-is-better direction mirrors it
+    s = benchpairs.summarize([1.0] * 10, [1.1] * 9 + [0.9], "higher")
+    assert s["gain_claimed"]
+
+
+def test_worse_beyond_bound_is_a_relative_change_of_the_median():
+    parent = [1.0, 1.0, 1.0]
+    for change, better, worse in (([1.25] * 3, "lower", True),
+                                  ([1.2] * 3, "lower", False),
+                                  ([0.7] * 3, "lower", False),
+                                  ([0.75] * 3, "higher", True),
+                                  ([0.8] * 3, "higher", False),
+                                  ([1.5] * 3, "higher", False)):
+        s = benchpairs.summarize(parent, change, better, bound=0.24)
+        assert s["worse_beyond_bound"] is worse
+    assert benchpairs.summarize(parent, [9.0] * 3)["worse_beyond_bound"] is None
+
+
+def test_directions_read_each_metric_bound_from_the_benchmark_file():
+    with open(os.path.join(benchpairs.ROOT, "BENCHMARK.json"),
+              encoding="utf-8") as fh:
+        metrics = json.load(fh)["end_to_end"]
+    assert benchpairs._directions() == {
+        m["name"]: (m["better"], m["bound"]) for m in metrics}
+
+
+def test_wall_pass_time_is_read_from_the_run_printout():
+    printout = ("  pass_s             0.1559 s   median of 150 passes; p90 = 0.17 s\n"
+                "                 (wall 0.1632 s; times are host-speed adjusted,"
+                " see hostclock.py)\n{\"correct\": true}\n")
+    assert benchpairs.wall_pass_s(printout) == 0.1632
+    assert benchpairs.wall_pass_s("{\"correct\": true}") is None

@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab import condexp
 from ergolab.condexp import (
     LinearFunctional,
     cond_exp,
     cond_exp_dominant,
+    cond_exps,
     defining_property_check,
     functional_commutation_check,
 )
-from ergolab.fields import AtomField, PolyField, pointwise_norm
+from ergolab.fields import (AtomField, PolyField, _integral, _Stack,
+                            pointwise_norm)
 from ergolab.flows import identity_flow
-from ergolab.functions import AtomFunction, CircleFunction, hat, sawtooth
+from ergolab.functions import (DEGREE_CAP, AtomFunction, CircleFunction,
+                               _antiderivative_table, _powers, hat, sawtooth)
 from ergolab.inequalities import domination_chain_check
 from ergolab.spaces import (
     Filtration,
@@ -260,22 +265,23 @@ def test_defining_property_reads_one_table_per_function(monkeypatch):
     breaks, coeffs = _ragged_poly(rng, 30, 4)
     f = CircleFunction(breaks, rng.normal(size=(breaks.size - 1, 4, 2)))
     reads = []
-    real = CircleFunction._eval_unwrapped
+    real = condexp._powers
 
-    def counted(self, x):
+    def counted(x, k1):
         reads.append(np.size(x))
-        return real(self, x)
+        return real(x, k1)
 
     for level in (0, 3, 6):
         part = make_dyadic_partition(level)
         bounds = np.asarray(part.cell_bounds_float())
         ref = _loop_defining_defect(f, cond_exp(f, part), bounds)
-        monkeypatch.setattr(CircleFunction, "_eval_unwrapped", counted)
+        monkeypatch.setattr(condexp, "_powers", counted)
         reads.clear()
         got = defining_property_check(f, part)
         monkeypatch.undo()
         assert _same(np.float64(got), np.float64(ref))
-        # all cell bounds at once: cond_exp's read, then one per function
+        # all cell bounds at once: cond_exp's table, then one per function
+        # (f and E f differ in coefficient shape)
         assert reads == [bounds.size] * 3
 
 
@@ -311,3 +317,182 @@ def test_domination_collinear_values_touch():
     part = sp.partition(2)  # atoms themselves
     defect = _domination_defect(f, part, VectorNorm("euclidean", 2))
     assert defect == pytest.approx(0.0, abs=1e-15)
+
+
+# -- one conditioning pass per family --------------------------------------------
+
+
+def _parent_antiderivative(f):
+    """CircleFunction.antiderivative's formula before the stacked kernel."""
+    k1 = f.coeffs.shape[1]
+    ad = np.zeros((f.npieces, k1 + 1, f.d))
+    ad[:, 1:] = f.coeffs / np.arange(1, k1 + 1)[None, :, None]
+    vall = np.einsum("pk,pkd->pd", _powers(f.breaks[:-1], k1 + 1), ad)
+    valr = np.einsum("pk,pkd->pd", _powers(f.breaks[1:], k1 + 1), ad)
+    gains = valr - vall
+    offsets = np.concatenate(
+        [np.zeros((1, f.d)), np.cumsum(gains, axis=0)[:-1]], axis=0)
+    ad[:, 0] += offsets - vall
+    return CircleFunction(f.breaks, ad, f.space)
+
+
+def _parent_cond_exp(f, partition):
+    """cond_exp's body before cond_exps, one pair per call."""
+    if isinstance(f, AtomFunction):
+        sums = [np.matmul(partition.space.weights[atoms][:, None, :],
+                          f.values[atoms])[:, 0]
+                for atoms in partition.size_groups]
+    else:
+        bounds = partition.cell_bounds_float()
+        sums = [np.diff(_parent_antiderivative(f)._eval_unwrapped(bounds),
+                        axis=0)]
+    avgs = [s / m[:, None] for s, m in zip(sums, partition.masses)]
+    if isinstance(f, AtomFunction):
+        out = np.empty_like(f.values)
+        for atoms, a in zip(partition.size_groups, avgs):
+            out[atoms] = a[:, None, :]
+        return AtomFunction(f.space, out)
+    return CircleFunction(partition.cell_bounds_float(), avgs[0][:, None],
+                          f.space)
+
+
+def _same_function(a, b):
+    if isinstance(a, AtomFunction):
+        return type(b) is AtomFunction and _same(a.values, b.values)
+    return _same(a.breaks, b.breaks) and _same(a.coeffs, b.coeffs)
+
+
+def _fresh(f):
+    """A copy of f with no cached antiderivative."""
+    if isinstance(f, AtomFunction):
+        return AtomFunction(f.space, f.values.copy())
+    return CircleFunction(f.breaks.copy(), f.coeffs.copy(), f.space)
+
+
+@st.composite
+def _circle_functions(draw):
+    """A piecewise polynomial of value dimension 1 to 3 and degree 0 to
+    DEGREE_CAP, on breaks with one-ulp pieces and breaks on cell bounds;
+    some coefficients are +-0.0, and one piece may be NaN."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True,
+                                  exclude_max=True), max_size=6))
+    ulp = [np.nextafter(x, 1.0) for x in pts if draw(st.booleans())]
+    dyadic = [k / 2 ** j for j, k in draw(st.lists(
+        st.integers(1, 16).flatmap(lambda j: st.tuples(
+            st.just(j), st.integers(1, 2 ** j - 1))), max_size=3))]
+    breaks = np.unique(np.r_[0.0, pts, ulp, dyadic, 1.0])
+    shape = (breaks.size - 1, draw(st.integers(1, DEGREE_CAP + 1)),
+             draw(st.integers(1, 3)))
+    c = rng.uniform(-2.0, 2.0, shape)
+    zeros = rng.uniform(size=shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    c[zeros] = np.where(rng.uniform(size=shape) < 0.5, 0.0, -0.0)[zeros]
+    if draw(st.booleans()) and draw(st.booleans()):
+        c[draw(st.integers(0, shape[0] - 1))] = np.nan
+    return CircleFunction(breaks, c)
+
+
+@st.composite
+def _pair_lists(draw):
+    """Pairs of 1 to 4 circle functions (each possibly with a cached
+    antiderivative) on levels 0 to 16 in any order, a function repeated
+    across pairs, mixed with pairs of atom functions."""
+    fns = draw(st.lists(_circle_functions(), min_size=1, max_size=4))
+    for f in fns:
+        if draw(st.booleans()):
+            f.antiderivative()
+    sp = discrete_space(np.random.default_rng(len(fns)).uniform(0.1, 1.0, 7))
+    atoms = [AtomFunction(sp, np.random.default_rng(k).normal(size=(7, 2)))
+             for k in range(2)]
+    atoms[1].values[3, 0] = np.nan
+    picks = draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(fns), st.integers(0, 16).map(
+            lambda lvl: make_dyadic_partition(lvl))),
+        st.tuples(st.sampled_from(atoms), st.integers(0, 2).map(
+            sp.partition))), min_size=1, max_size=8))
+    return [f for f, _ in picks], [p for _, p in picks]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_pair_lists())
+def test_cond_exps_give_the_bytes_of_one_call_per_pair(pairs):
+    fns, parts = pairs
+    # the references condition copies, so the cache state under test stays
+    ref = [_parent_cond_exp(_fresh(f), p) for f, p in zip(fns, parts)]
+    single = [cond_exp(_fresh(f), p) for f, p in zip(fns, parts)]
+    got = cond_exps(fns, parts)
+    assert len(got) == len(fns)
+    for g, a, b in zip(got, ref, single):
+        assert _same_function(g, a)
+        assert _same_function(g, b)
+
+
+def test_cond_exps_refuse_unequal_lengths():
+    f, part = hat(), make_dyadic_partition(2)
+    for fns, parts in (([f, f], [part]), ([f], [part, part]), ([], [part])):
+        with pytest.raises(ValueError, match="one partition per function"):
+            cond_exps(fns, parts)
+    assert cond_exps([], []) == []
+
+
+@st.composite
+def _same_shape_families(draw):
+    """1 to 5 functions of one coefficient shape (ragged breaks, +-0.0
+    gains, one-piece members)."""
+    k1, d = draw(st.integers(1, DEGREE_CAP + 1)), draw(st.integers(1, 3))
+    fns = []
+    for _ in range(draw(st.integers(1, 5))):
+        f = draw(_circle_functions())
+        c = np.resize(f.coeffs, (f.npieces, k1, d))
+        fns.append(CircleFunction(f.breaks, c))
+    return fns
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_same_shape_families())
+def test_stacked_antiderivatives_give_the_bytes_of_one_call_each(fns):
+    for f in fns:
+        assert _same(_fresh(f).antiderivative().coeffs,
+                     _parent_antiderivative(f).coeffs)
+    # cond_exps makes the missing antiderivatives in one stacked pass and
+    # caches them on the functions
+    cond_exps(fns, [make_dyadic_partition(1)] * len(fns))
+    for f in fns:
+        assert _same(f._antideriv.coeffs, _parent_antiderivative(f).coeffs)
+    # fields._integral runs the same formula on a stack of scalar owners
+    scalar = [CircleFunction(f.breaks, f.coeffs[:, :, :1]) for f in fns]
+    want = [_parent_antiderivative(f)._eval_unwrapped(np.array([1.0]))[0, 0]
+            for f in scalar]
+    assert _same(_integral(_Stack.of(scalar)), np.array(want))
+
+
+def test_me_process_builds_one_power_table_per_shape(monkeypatch):
+    from ergolab.flows import rotation_flow
+    from ergolab.processes import me_process
+
+    f = sawtooth(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3])
+    filt = Filtration(circle_space(), "decreasing", max_level=4)
+    tables, stacks = [], []
+    real, real_table = condexp._powers, condexp._antiderivative_table
+
+    def tabled(x, k1):
+        tables.append((x.size, k1))
+        return real(x, k1)
+
+    def integrated(lo, hi, c):
+        stacks.append(lo.size)
+        return real_table(lo, hi, c)
+
+    monkeypatch.setattr(condexp, "_powers", tabled)
+    monkeypatch.setattr(condexp, "_antiderivative_table", integrated)
+    grid = me_process(f, rotation_flow(0.5 * (np.sqrt(5.0) - 1.0)), filt,
+                      [1.0, 2.5, 4.0, 9.0], [0.0, 1.0, 2.0, 3.5])
+    monkeypatch.undo()
+    (shape,) = {avg.coeffs.shape[1:] for avg in grid.inner.values()}
+    # one stacked antiderivative of all averages, then one power table for
+    # all of them, at the bounds of the finest level (4)
+    assert stacks == [sum(avg.npieces for avg in grid.inner.values())]
+    assert tables == [(2 ** 4 + 1, shape[0] + 1)]
+    for (t, k), fn in grid.table.items():
+        assert _same_function(fn, _parent_cond_exp(
+            grid.inner[t], filt.partition_at_level(k)))

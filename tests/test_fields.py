@@ -1463,3 +1463,85 @@ def test_wrapped_nodes_take_at_most_two_place_passes(monkeypatch):
     assert max(tops) == 1.0 and 0 < max(passes) <= 2
     monkeypatch.setattr(fields, "_at_nodes", _walk_at_nodes)
     assert field.lp(1.5) == got
+
+
+# -- sup fields from the family's own stack ------------------------------------
+
+
+def _same_norm_field(a, b):
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, AtomField):
+        return _same(a.values, b.values)
+    fa, fb = (f.q if isinstance(f, SqrtPolyField) else f.fn for f in (a, b))
+    return _same(fa.breaks, fb.breaks) and _same(fa.coeffs, fb.coeffs)
+
+
+@st.composite
+def _norm_families(draw):
+    """A vector norm and 1 to 5 members of dimension d and coefficient
+    widths 1 to 4; a member may copy an earlier one with zero columns on
+    top (a wider member equal to it: ties across widths), or with a NaN
+    piece.  Sometimes a target; sometimes atom members instead."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.integers(1, 3))
+    vnorm = VectorNorm(draw(st.sampled_from(["max", "sum", "euclidean"])), d)
+    n = draw(st.integers(1, 5))
+    if draw(st.integers(0, 4)) == 0:
+        sp = discrete_space(rng.uniform(0.1, 1.0, 6))
+        vals = rng.normal(size=(n, 6, d))
+        if n > 1 and draw(st.booleans()):
+            vals[-1] = vals[0]
+        return [AtomFunction(sp, v) for v in vals], vnorm, None
+    members = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["random", "wider", "nan"])
+                    if members else st.just("random"))
+        if kind == "random":
+            pts = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True,
+                                          exclude_max=True), max_size=4))
+            breaks = np.unique(np.r_[0.0, pts, 1.0])
+            members.append(CircleFunction(breaks, rng.uniform(
+                -2.0, 2.0, (breaks.size - 1, draw(st.integers(1, 4)), d))))
+            continue
+        base = members[draw(st.integers(0, len(members) - 1))]
+        c = base.coeffs.copy()
+        if kind == "wider":
+            c = np.pad(c, ((0, 0), (0, draw(st.integers(1, 2))), (0, 0)))
+        else:
+            c[draw(st.integers(0, base.npieces - 1)), 0, 0] = np.nan
+        members.append(CircleFunction(base.breaks, c))
+    target = None
+    if draw(st.booleans()):
+        target = CircleFunction([0.0, 0.375, 1.0],
+                                rng.uniform(-1.0, 1.0, (2, 2, d)))
+    return members, vnorm, target
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_norm_families())
+def test_sup_field_gives_the_bytes_of_the_fields_envelope(case):
+    members, vnorm, target = case
+    family = NormFamily(members, vnorm, target)
+    want = grid_sup_field(NormFamily(members, vnorm, target).fields())
+    assert _same_norm_field(family.sup_field(), want)
+
+
+def test_sup_field_keeps_the_first_of_tied_members_of_two_widths():
+    # a copy one column wider, the column -0.0: equal values everywhere, so
+    # the envelope keeps the first member in family order; under the max
+    # norm a -0.0 top column shows a piece of the copy's (a component's
+    # negation turns it to +0.0)
+    f = hat(d=2, phases=[0.0, 0.3])
+    wide = CircleFunction(f.breaks, np.pad(
+        f.coeffs, ((0, 0), (0, 1), (0, 0)), constant_values=-0.0))
+    for vnorm in (VectorNorm("max", 2), VectorNorm("sum", 2),
+                  VectorNorm("euclidean", 2)):
+        for members in ([f, wide], [wide, f], [wide, f, wide]):
+            family = NormFamily(members, vnorm)
+            assert len(family.groups) == 2
+            env = family.sup_field()
+            assert _same_norm_field(env, grid_sup_field(family.fields()))
+            if vnorm.selector == "max":
+                top = np.signbit(env.fn.coeffs[:, -1, 0])
+                assert top.any() == (members[0] is wide)

@@ -69,6 +69,34 @@ def test_dominant_ineq_me_frozen():
                                        abs=1e-9)
 
 
+def test_norm_of_f_is_computed_once_per_norm_and_p(monkeypatch):
+    from ergolab import processes
+
+    f = sawtooth(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3])
+    _, flow, filt, _, t_grid, s_grid = _setup()
+    grid = me_process(f, flow, filt, t_grid, s_grid)
+    real = processes.pointwise_norm
+    calls = []
+
+    def counted(g, vnorm):
+        calls.append((g, vnorm))
+        return real(g, vnorm)
+
+    monkeypatch.setattr(processes, "pointwise_norm", counted)
+    euclid, biggest = VectorNorm("euclidean", 2), VectorNorm("max", 2)
+    for vnorm, p in ((euclid, 1.5), (euclid, 1.5), (euclid, 3.0),
+                     (biggest, 1.5)):
+        dom = dominant_ineq_me(grid, p, vnorm)
+        mx = maximal_ineq_me(grid, p, 0.1, vnorm)
+        norm = float(real(f, vnorm).lp(p))
+        assert np.float64(dom.bound).tobytes() == np.float64(
+            (p / (p - 1.0)) ** 2 * norm).tobytes()
+        assert np.float64(mx.bound).tobytes() == np.float64(
+            (p / (p - 1.0)) * norm / 0.1).tobytes()
+    # one quadrature of ||f|| per (norm, p), shared by both bounds
+    assert calls == [(f, euclid), (f, euclid), (f, biggest)]
+
+
 def test_dominant_ineq_em_frozen():
     f, flow, filt, vnorm, t_grid, s_grid = _setup()
     grid = em_process(f, flow, filt, t_grid, s_grid)

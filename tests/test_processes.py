@@ -136,27 +136,30 @@ def test_grids_build_one_entry_per_time_and_level(monkeypatch, kind):
     f, flow, filt, t_grid, s_grid = _three_level_setup(kind)
     levels = [filt.level(s) for s in s_grid]
     assert levels == [2, 2, 1, 1, 0, 0, 0, 0]
-    calls = {"avg": 0, "cond": 0}
+    calls = {"avg": 0, "cond": 0, "pairs": 0}
     averaged_times = []
-    real_avg, real_cond = processes.cesaro_averages, processes.cond_exp
+    real_avg, real_cond = processes.cesaro_averages, processes.cond_exps
 
     def counted_avg(flow, times, g):
         calls["avg"] += 1
         averaged_times.append(list(times))
         return real_avg(flow, times, g)
 
-    def counted_cond(g, partition):
+    def counted_cond(fns, partitions):
+        fns = list(fns)
         calls["cond"] += 1
-        return real_cond(g, partition)
+        calls["pairs"] += len(fns)
+        return real_cond(fns, partitions)
 
     monkeypatch.setattr(processes, "cesaro_averages", counted_avg)
-    monkeypatch.setattr(processes, "cond_exp", counted_cond)
+    monkeypatch.setattr(processes, "cond_exps", counted_cond)
     grids = {}
     # one batched average over the whole t grid: of f (ME), of each level's
-    # conditioning (EM)
-    for build, want in ((me_process, {"avg": 1, "cond": 9}),
-                        (em_process, {"avg": 3, "cond": 3})):
-        calls.update(avg=0, cond=0)
+    # conditioning (EM); one batched conditioning of every (t, level) (ME)
+    # or of f on every level (EM)
+    for build, want in ((me_process, {"avg": 1, "cond": 1, "pairs": 9}),
+                        (em_process, {"avg": 3, "cond": 1, "pairs": 3})):
+        calls.update(avg=0, cond=0, pairs=0)
         averaged_times.clear()
         grids[build] = grid = build(f, flow, filt, t_grid, s_grid)
         assert calls == want
@@ -311,6 +314,20 @@ def test_grid_items_yield_each_time_and_s_once(monkeypatch):
         itertools.product(t_grid.tolist(), s_grid.tolist()))
     for (t, s), fn in pairs:
         assert fn is grid.table[(t, filt.level(s))]
+
+
+def test_entry_off_the_grid_names_t_or_s():
+    grid = me_process(hat(), rotation_flow(GOLDEN),
+                      Filtration(circle_space(), "decreasing", 3), [1, 2],
+                      [0, 1])
+    with pytest.raises(ValueError, match=r"t = 3.0 is not on the grid's t "
+                                         "grid"):
+        grid.entry(3.0, 0.0)
+    # s = 2.5 is on level 1, which neither s = 0 (3) nor s = 1 (2) reaches
+    with pytest.raises(ValueError, match=r"s = 2.5 is on level 1, off the "
+                                         "grid"):
+        grid.entry(1.0, 2.5)
+    assert grid.entry(2, 0.5) is grid.table[(2.0, 3)]
 
 
 def test_norm_sup_is_memoised_per_norm():

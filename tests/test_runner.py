@@ -473,7 +473,7 @@ def test_me_em_coincidence_on_a_rotation_is_the_per_entry_sup():
     assert rec.status == "DIAGNOSTIC" and entry > 0.01
 
 
-@pytest.mark.parametrize("name, fn", [("tower_idempotence", "cond_exp"),
+@pytest.mark.parametrize("name, fn", [("tower_idempotence", "cond_exps"),
                                       ("semigroup_law", "apply_flows")])
 def test_nan_member_fails_stacked_defect(monkeypatch, name, fn):
     # the second result carries a NaN piece (every function of it, for a
@@ -492,14 +492,16 @@ def test_nan_member_fails_stacked_defect(monkeypatch, name, fn):
 
     monkeypatch.setattr(runner, fn, nan_on_second_call)
     rec = run_scenario(_only(name)).records[0]
-    assert len(calls) > 2
+    # the tower check conditions in two batches, E(f|F_l) and then every
+    # E(E(f|F_k)|F_l); the semigroup law shifts in more than two calls
+    assert len(calls) == 2 if fn == "cond_exps" else len(calls) > 2
     assert rec.status == "FAIL"
     assert np.isnan(rec.value)
 
 
 @pytest.mark.parametrize("name, module, fn, arg", [
-    ("tower_idempotence", runner, "cond_exp", 0),
-    ("functional_commutation", condexp, "cond_exp", 0),
+    ("tower_idempotence", runner, "cond_exps", 0),
+    ("functional_commutation", condexp, "cond_exps", 0),
     ("semigroup_law", runner, "apply_flows", 2),
     ("me_em_coincidence", processes, "cesaro_averages", 2),
 ])
@@ -526,6 +528,10 @@ def test_defect_on_one_thin_piece_is_seen(monkeypatch, name, module, fn, arg):
         out = real(*args)
         if args[arg] is contexts[-1].f:
             return out
+        if fn == "cond_exps":
+            # one result per pair: only those of f itself stay exact
+            return [g if a is contexts[-1].f else g + _thin_piece(g.d, 1.0)
+                    for a, g in zip(args[arg], out)]
         if isinstance(out, list):
             return [g + _thin_piece(g.d, 1.0) for g in out]
         return out + _thin_piece(out.d, 1.0)

@@ -268,6 +268,17 @@ def test_filtration_fractional_parameter_floors():
     assert filt.partition(2.999).ncells == 4
 
 
+@pytest.mark.parametrize("direction", ["increasing", "decreasing"])
+@pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf, -0.5])
+def test_filtration_refuses_a_non_finite_or_negative_parameter(direction, s):
+    filt = Filtration(circle_space(), direction, 3)
+    with pytest.raises(ValueError, match=rf"s = {s} must be finite and "
+                                         "nonnegative"):
+        filt.level(s)
+    with pytest.raises(ValueError, match=rf"s = {s} must be finite"):
+        filt.partition(s)
+
+
 def test_filtration_terminal():
     inc = Filtration(circle_space(), "increasing", 4)
     assert inc.terminal().ncells == 16

@@ -10,15 +10,22 @@ ones first).  Pair k runs ``perfbench/run.py --trace 0`` at the k-th seed
 on both sides, one run after the other: the parent first in even pairs,
 the change first in odd ones.  Runs set PYTHONDONTWRITEBYTECODE=1, so each
 one's ``setup_s`` compiles the package rather than reading an earlier
-run's ``__pycache__``.  The file holds, per workload and
-end-to-end metric, each side's runs, median and quartiles, the pairs the
-change won and whether its median gain exceeds the parent's IQR.
+run's ``__pycache__``.  The file holds, per workload and end-to-end
+metric (and for ``wall_pass_s``, the unadjusted wall time of a pass that
+``run.py`` prints, which is no metric), each side's runs, median and
+quartiles, the pairs the change won and whether its median gain exceeds
+the parent's IQR, and two verdicts, which the script also prints: ``gain_claimed`` (the change won
+at least 9 of 10 pairs, ties counting for neither, and its median gain
+exceeds the parent's IQR) and ``worse_beyond_bound`` (the change's median
+is worse than the parent's by more than the metric's ``bound`` in
+BENCHMARK.json, a relative change).
 """
 
 import argparse
 import io
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -38,11 +45,12 @@ def quartiles(runs):
     return q1, med, q3
 
 
-def summarize(parent, change, better="lower"):
+def summarize(parent, change, better="lower", bound=None):
     """One metric's pairs, parent[k] and change[k] from pair k: each side's
     runs, median and quartiles, the pairs the change won (strictly better),
-    and whether the change's median is better than the parent's by more
-    than the parent's IQR."""
+    whether the change's median is better than the parent's by more than
+    the parent's IQR, and the verdicts ``gain_claimed`` and, with a
+    relative ``bound``, ``worse_beyond_bound``."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need one parent and one change run per pair")
     sign = 1.0 if better == "lower" else -1.0
@@ -53,14 +61,17 @@ def summarize(parent, change, better="lower"):
                        "runs": list(runs)}
     gain = sign * (sides["parent"]["median"] - sides["change"]["median"])
     base = sides["parent"]["median"]
+    won = sum(sign * (p - c) > 0.0 for p, c in zip(parent, change))
+    beyond_iqr = gain > sides["parent"]["q3"] - sides["parent"]["q1"]
     return {**sides,
-            "change_better_pairs": sum(sign * (p - c) > 0.0
-                                       for p, c in zip(parent, change)),
+            "change_better_pairs": won,
             "pairs": len(parent),
             "median_ratio_change_over_parent":
                 sides["change"]["median"] / base if base else None,
-            "median_gain_exceeds_parent_iqr":
-                gain > sides["parent"]["q3"] - sides["parent"]["q1"]}
+            "median_gain_exceeds_parent_iqr": beyond_iqr,
+            "gain_claimed": 10 * won >= 9 * len(parent) and beyond_iqr,
+            "worse_beyond_bound":
+                None if bound is None else -gain > bound * abs(base)}
 
 
 def parse_seeds(text):
@@ -90,6 +101,13 @@ def _checkout(commit, where):
     return where
 
 
+def wall_pass_s(stdout):
+    """The median unadjusted wall time of a pass that ``perfbench/run.py``
+    prints beside ``pass_s`` ("(wall 0.1234 s; ..."), or None."""
+    match = re.search(r"\(wall ([0-9.]+) s;", stdout)
+    return float(match.group(1)) if match else None
+
+
 def _run(tree, workload, seed, seconds):
     # no run writes __pycache__, so every run's setup_s compiles the package
     proc = subprocess.run(
@@ -97,13 +115,17 @@ def _run(tree, workload, seed, seconds):
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["wall_pass_s"] = wall_pass_s(proc.stdout)
+    return result
 
 
 def _directions():
-    """Each end-to-end metric's better direction, from BENCHMARK.json."""
+    """Each end-to-end metric's better direction and bound, from
+    BENCHMARK.json."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        return {m["name"]: (m["better"], m["bound"])
+                for m in json.load(fh)["end_to_end"]}
 
 
 def main(argv=None):
@@ -151,8 +173,20 @@ def main(argv=None):
                     for side in runs.values() for r in side),
                 "summary": {name: summarize(
                     *[[r["metrics"][name]["value"] for r in runs[side]]
-                      for side in ("parent", "change")], better)
-                    for name, better in directions.items()}}
+                      for side in ("parent", "change")], better, bound)
+                    for name, (better, bound) in directions.items()},
+                "wall_pass_s": summarize(*[[r["wall_pass_s"] for r in runs[side]]
+                                           for side in ("parent", "change")])}
+            w = report["workloads"][workload]["wall_pass_s"]
+            print(f"{workload} wall_pass_s (unadjusted, not a metric): median "
+                  f"{w['parent']['median']:.6g} -> {w['change']['median']:.6g}"
+                  f", won {w['change_better_pairs']}/{w['pairs']}")
+            for name, s in report["workloads"][workload]["summary"].items():
+                print(f"{workload} {name}: gain_claimed {s['gain_claimed']}, "
+                      f"worse_beyond_bound {s['worse_beyond_bound']} (median "
+                      f"{s['parent']['median']:.6g} -> "
+                      f"{s['change']['median']:.6g}, won "
+                      f"{s['change_better_pairs']}/{s['pairs']})")
     finally:
         shutil.rmtree(work, ignore_errors=True)
     with open(args.out, "w", encoding="utf-8") as fh:
