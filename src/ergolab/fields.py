@@ -20,17 +20,18 @@ covers all pieces, points or cell segments of a field, bit for bit as a
 call per interval, and climbs its node ladder only while some interval
 has not settled.
 
-Norm fields are built family by family.  ``NormFamily`` stacks the
-coefficient tables of many functions (the entries of a process grid, say)
-into one table with an owner index per piece, subtracts a common target
-per owner if one is given, and runs the sign splits, radicands, root
-isolation, L_p integrals and sups once for the whole family.  Per-owner
-reductions (running sums in piece order, first-largest maxima) give each
-member exactly the bits of a family of its own, and ``pointwise_norm`` and
-the single-field ``lp`` and ``sup`` are the one-member case, and
-``sup_field`` is one envelope of the stack with the bits of
-``grid_sup_field(family.fields())``.  An atom family is one (members,
-atoms, d) value table.
+Norm fields are built family by family on the ``_Stack`` of functions.py
+(a lone function is its own stack).  ``NormFamily`` stacks the
+coefficient tables of many functions (the entries of a process grid,
+say), subtracts a target per owner (a common one, or one per member)
+with ``_weighted_sum``, the kernel behind ``-``, and runs the sign
+splits, radicands, root isolation, L_p integrals and sups once for the
+whole family.  Per-owner reductions (running sums in piece order,
+first-largest maxima) give each member exactly the bits of a family of
+its own.  The single-field ``lp``, ``sup`` and ``integral`` run the same
+kernels on the field's own stack, ``pointwise_norm`` is a family of one,
+and ``sup_field`` is ``grid_sup_field(family.fields())``.  An atom family
+is one (members, atoms, d) value table.
 
 Roots are batched across pieces: ``_piece_roots`` solves the companion
 matrices of all pieces of one stripped degree in one stacked eigenvalue
@@ -65,8 +66,8 @@ the bytes of fancy indexing at a fraction of its cost.  Every evaluation
 reads one ``_powers`` table, the bytes of x[..., None] ** np.arange(k1)
 with no pow on x^0 and x^1.  Nodes strictly in (0, 1) skip the wrap, a
 node wrapped from 1 starts at its owner's first piece (never a walk down
-the owner), and ``place`` returns at once when every point lies in
-[lo, hi) of its row."""
+the owner), and ``_Stack.place`` returns at once when every point lies
+in [lo, hi) of its row."""
 
 from __future__ import annotations
 
@@ -75,8 +76,8 @@ import math
 
 import numpy as np
 
-from .functions import (CircleFunction, AtomFunction, _antiderivative_table,
-                        _eval_rows, _pad, _powers, _rows)
+from .functions import (CircleFunction, AtomFunction, _Stack, _antiderivative,
+                        _eval_rows, _merged, _powers, _rows, _weighted_sum)
 
 # quadrature: rules of _GL_LADDER nodes until two agree to _GL_STABILITY;
 # below width _GL_TINY the midpoint rule; no bisection past _GL_MAX_DEPTH
@@ -100,13 +101,11 @@ _ROOT_FREE_DEGREE = 2
 _ROOT_ROUNDING = 256.0
 # entries of one batch temporary (companion matrices, candidate powers)
 _BATCH_ENTRIES = 1 << 18
-_gl_cache = {}
 
 
+@functools.lru_cache(maxsize=None)
 def _gl_nodes(n):
-    if n not in _gl_cache:
-        _gl_cache[n] = np.polynomial.legendre.leggauss(n)
-    return _gl_cache[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -332,121 +331,7 @@ def real_roots_in(coef_ascending, lo, hi):
     return _piece_roots(coef, lo, hi)[1]
 
 
-# -- stacked tables --------------------------------------------------------------
-
-
-class _Stack:
-    """The pieces of m piecewise polynomials, owner after owner and each in
-    order: piece i lies on [lo[i], hi[i]], belongs to owner[i] and has the
-    ascending coefficients c[i] (c is (pieces, k1, d), as in
-    CircleFunction).  Kernels on a stack pay each NumPy call once for all
-    owners; the reductions below give every owner the bits of a stack of
-    its own."""
-
-    def __init__(self, owner, lo, hi, c, m):
-        self.owner, self.lo, self.hi, self.c, self.m = owner, lo, hi, c, m
-        self.counts = np.bincount(owner, minlength=m)
-        self.start = np.cumsum(self.counts) - self.counts
-        self.rank = np.arange(owner.size) - self.start[owner]
-
-    @classmethod
-    def of(cls, fns, k1=0):
-        """The stack of CircleFunctions of one value dimension, their
-        coefficient tables padded to k1 columns if narrower."""
-        return cls(np.repeat(np.arange(len(fns)), [fn.npieces for fn in fns]),
-                   np.concatenate([fn.breaks[:-1] for fn in fns]),
-                   np.concatenate([fn.breaks[1:] for fn in fns]),
-                   np.concatenate([_pad(fn.coeffs, k1) for fn in fns]),
-                   len(fns))
-
-    @classmethod
-    def tiled(cls, breaks, m):
-        """m owners, each holding the pieces of breaks; no coefficients."""
-        return cls(np.repeat(np.arange(m), breaks.size - 1),
-                   np.tile(breaks[:-1], m), np.tile(breaks[1:], m), None, m)
-
-    def recoef(self, c):
-        """The same pieces with the coefficients c."""
-        return _Stack(self.owner, self.lo, self.hi, c, self.m)
-
-    def functions(self, space):
-        """Each owner's CircleFunction."""
-        ends = self.start + self.counts
-        return [CircleFunction(np.append(self.lo[a:b], self.hi[b - 1]),
-                               self.c[a:b], space)
-                for a, b in zip(self.start, ends)]
-
-    def cumsums(self, vals, lead):
-        """Running sums of each owner's vals in piece order, one row per
-        owner, after ``lead`` columns of 0.0 (a padded table, so every row
-        adds from its own start and never subtracts another's)."""
-        table = np.zeros((self.m, lead + self.counts.max()))
-        table[self.owner, lead + self.rank] = vals
-        return np.cumsum(table, axis=1)
-
-    def sums(self, vals):
-        """Each owner's vals added in piece order from 0.0, as a loop of +=
-        adds (``_running_sum`` per owner)."""
-        return self.cumsums(vals, 1)[np.arange(self.m), self.counts]
-
-    def place(self, rows, x):
-        """The piece of its owner that piece_index finds for each x, searched
-        from its row: the row itself unless x rounds onto the row's hi (the
-        midpoint of a piece one ulp wide) or past an end (a quadrature
-        node on a tiny piece)."""
-        if ((x >= self.lo[rows]) & (x < self.hi[rows])).all():
-            return rows
-        first = self.start[self.owner[rows]]
-        last = first + self.counts[self.owner[rows]] - 1
-        while True:
-            up = (rows < last) & (x >= self.hi[rows])
-            down = (rows > first) & (x < self.lo[rows])
-            if not (up.any() or down.any()):
-                return rows
-            rows = rows + up - down
-
-    def maxima(self, vals):
-        """Each owner's first largest value; a NaN value wins."""
-        table = np.full((self.m, self.counts.max()), -np.inf)
-        table[self.owner, self.rank] = vals
-        return table[np.arange(self.m), np.argmax(table, axis=1)]
-
-
-def _merged(sets, m):
-    """Per owner, the union of the breaks of several stacks with owners
-    0..m-1: the owner, lo and hi of each merged piece and, per stack, the
-    row of its piece at the merged piece's midpoint, as coeffs_on picks
-    it.  Rows come from counting each stack's breaks up to the merged
-    piece's start, never from comparing coordinates across owners."""
-    owner = np.concatenate([s.owner for s in sets] + [np.arange(m)] * len(sets))
-    x = np.concatenate([s.lo for s in sets]
-                       + [s.hi[s.start + s.counts - 1] for s in sets])
-    setid = np.concatenate([np.full(s.lo.size, j) for j, s in enumerate(sets)]
-                           + [np.full(m, j) for j in range(len(sets))])
-    order = np.lexsort((x, owner))
-    owner, x, setid = owner[order], x[order], setid[order]
-    keep = np.ones(x.size, dtype=bool)
-    keep[:-1] = (owner[1:] != owner[:-1]) | (x[1:] != x[:-1])
-    # a stack has start[o] + o breaks before owner o: pieces plus one end;
-    # the first stack's count is what the others leave
-    kept = np.flatnonzero(keep)
-    below = [np.cumsum(setid == j)[kept] for j in range(1, len(sets))]
-    below.insert(0, kept + 1 - sum(below))
-    owner, x = owner[keep], x[keep]
-    seg = np.flatnonzero(owner[1:] == owner[:-1])
-    owner, lo, hi = owner[seg], x[seg], x[seg + 1]
-    mids = 0.5 * (lo + hi)
-    return owner, lo, hi, [s.place(b[seg] - owner - 1, mids)
-                           for s, b in zip(sets, below)]
-
-
-def _minus(st, target):
-    """Each owner's function minus target on the union of their breaks, as
-    CircleFunction.__sub__ builds it (st is padded to target's width)."""
-    m, nt = st.m, target.npieces
-    owner, lo, hi, (a, b) = _merged([st, _Stack.tiled(target.breaks, m)], m)
-    neg = _pad(target.coeffs * -1.0, st.c.shape[1])
-    return _Stack(owner, lo, hi, _rows(st.c, a) + _rows(neg, b - owner * nt), m)
+# -- stack kernels ---------------------------------------------------------------
 
 
 def _split(st, piece, root):
@@ -483,27 +368,13 @@ def _components(st):
                   st.c[src, :, j][:, :, None], st.m * d)
 
 
-def _component_sum(parts, m, d):
-    """Per owner, the sum of its d component stacks (owners o * d + j of
-    parts) on the union of their breaks, added in component order from
-    zero with unit weights, as merge_sum adds them."""
-    rows = [np.flatnonzero(parts.owner % d == j) for j in range(d)]
-    sets = [_Stack(parts.owner[r] // d, parts.lo[r], parts.hi[r], None, m)
-            for r in rows]
-    owner, lo, hi, at = _merged(sets, m)
-    acc = np.zeros((lo.size,) + parts.c.shape[1:])
-    for r, a in zip(rows, at):
-        acc += 1.0 * _rows(parts.c, r[a])
-    return _Stack(owner, lo, hi, acc, m)
-
-
 def _at_nodes(st, x):
     """A scalar stack at quadrature nodes x (see gl_integrate's key), each
     node on the piece of its key's owner that holds it, as the one-field
     evaluation (which wraps x into [0, 1)) finds it."""
     x, rows = np.asarray(x), x.key
     if not ((x > 0.0) & (x < 1.0)).all():
-        rows = np.where(x >= 1.0, st.start[st.owner[rows]], rows)
+        rows = np.where(x >= 1.0, st.ends[st.owner[rows]], rows)
         x = np.mod(x, 1.0)
     return _eval_rows(_rows(st.c, st.place(rows, x)), x)[:, 0]
 
@@ -514,16 +385,16 @@ def _sup(st):
     c = st.c[:, :, 0]
     k1 = c.shape[1]
     piece, root = _piece_roots(c[:, 1:] * np.arange(1, k1), st.lo, st.hi)
-    counts = np.bincount(piece, minlength=st.lo.size)
-    first = np.cumsum(counts) - counts
+    # piece i holds the roots ends[i] to ends[i + 1] - 1
+    ends = np.searchsorted(piece, np.arange(st.lo.size + 1))
     piece_max = np.empty(st.lo.size)
     # candidates lo, hi, then the critical points, evaluated in stacks of
     # equal count: a matrix-vector product per piece, as the per-piece form
     # computes it
-    for r, idx in _batches(counts, lambda r: (r + 2) * k1):
+    for r, idx in _batches(np.diff(ends), lambda r: (r + 2) * k1):
         xs = np.empty((idx.size, r + 2))
         xs[:, 0], xs[:, 1] = st.lo[idx], st.hi[idx]
-        xs[:, 2:] = root[first[idx, None] + np.arange(r)]
+        xs[:, 2:] = root[ends[idx, None] + np.arange(r)]
         vals = np.matmul(_powers(xs, k1), c[idx, :, None])
         piece_max[idx] = np.max(vals[:, :, 0], axis=1)
     return st.maxima(piece_max)
@@ -532,15 +403,8 @@ def _sup(st):
 def _integral(st):
     """Each owner's integral over the circle, as CircleFunction.integral
     computes it: the antiderivative's last piece at x = 1."""
-    ad, vall, gains = _antiderivative_table(st.lo, st.hi, st.c)
-    # the last piece's offset adds the other pieces' gains from the first
-    cum = st.cumsums(gains[:, 0], 0)
-    own = np.arange(st.m)
-    offset = np.where(st.counts > 1, cum[own, np.maximum(st.counts - 2, 0)], 0.0)
-    last = st.start + st.counts - 1
-    head = _rows(ad, last)
-    head[:, 0, 0] += offset - vall[last, 0]
-    return _eval_rows(head, np.ones(st.m))[:, 0]
+    ad = _antiderivative(st)
+    return _eval_rows(_rows(ad.c, st.ends[1:] - 1), np.ones(st.m))[:, 0]
 
 
 def _root(sums, p):
@@ -600,10 +464,6 @@ def _sqrt_lp(st, p):
         st, lambda v: np.abs(_sqrt_nonneg(v)) ** p)), p)
 
 
-def _sqrt_sup(st):
-    return _sqrt_each(_sup(st))
-
-
 def _atom_lp(values, weights, p):
     """(sum_a w_a |v_a|^p) ** (1/p) for each row of an atom value table."""
     return _root(np.matmul((np.abs(values) ** p)[:, None, :],
@@ -627,22 +487,21 @@ class PolyField:
         return self.fn(np.asarray(x, dtype=float))[..., 0]
 
     def integral(self):
-        return float(_integral(_Stack.of([self.fn]))[0])
+        return float(_integral(self.fn._stack)[0])
 
     def sup(self):
-        return float(_sup(_Stack.of([self.fn]))[0])
+        return float(_sup(self.fn._stack)[0])
 
     def lp(self, p):
-        return float(_lp(_Stack.of([self.fn]), _exponent(p))[0])
+        return float(_lp(self.fn._stack, _exponent(p))[0])
 
     def superlevel_measure(self, lam):
         """Exact Lebesgue measure of {x : field(x) >= lam}."""
         lam = float(lam)
-        b = self.fn.breaks
-        shifted = self.fn.coeffs[:, :, 0].copy()
+        st = self.fn._stack
+        shifted = st.c[:, :, 0].copy()
         shifted[:, 0] -= lam
-        piece, root = _piece_roots(shifted, b[:-1], b[1:])
-        owner, lo, hi = _cut(b[:-1], b[1:], piece, root)
+        owner, lo, hi = _cut(st.lo, st.hi, *_piece_roots(shifted, st.lo, st.hi))
         above = self.fn(0.5 * (lo + hi))[:, 0] >= lam
         owner = owner[above]
         if owner.size == 0:
@@ -683,9 +542,9 @@ class SqrtPolyField:
         the ends of the parts and each part's integral of h, in one keyed
         quadrature."""
         b = self.q.breaks
-        piece = np.clip(np.searchsorted(b, pts, "right") - 1, 0, b.size - 2)
+        piece = self.q.piece_index(pts)
         inner = (pts > b[piece]) & (pts < b[piece + 1])
-        parts = _split(_Stack.of([self.q]), piece[inner], pts[inner])
+        parts = _split(self.q._stack, piece[inner], pts[inner])
         return (np.r_[parts.lo, parts.hi[-1]],
                 _piece_quadrature(parts, _sqrt_nonneg))
 
@@ -706,7 +565,7 @@ class SqrtPolyField:
                 / np.diff(bounds))
 
     def sup(self):
-        return float(_sqrt_sup(_Stack.of([self.q]))[0])
+        return float(_sqrt_each(_sup(self.q._stack))[0])
 
     def superlevel_measure(self, lam):
         lam = float(lam)
@@ -715,7 +574,7 @@ class SqrtPolyField:
         return PolyField(self.q).superlevel_measure(lam * lam)
 
     def lp(self, p):
-        return float(_sqrt_lp(_Stack.of([self.q]), _exponent(p))[0])
+        return float(_sqrt_lp(self.q._stack, _exponent(p))[0])
 
 
 class GenericField:
@@ -741,8 +600,7 @@ class GenericField:
         cell, so a narrow cell's average loses no digits to a difference of
         values at its ends."""
         lo, hi = bounds[:-1], bounds[1:]
-        cell = np.clip(np.searchsorted(bounds, self.breaks, "right") - 1,
-                       0, lo.size - 1)
+        cell = np.searchsorted(bounds[1:-1], self.breaks, "right")
         inner = (self.breaks > lo[cell]) & (self.breaks < hi[cell])
         owner, a, b = _cut(lo, hi, cell[inner], self.breaks[inner])
         rest = gl_integrate(lambda x: (hi[x.key] - x) * self._derivative(x),
@@ -900,27 +758,27 @@ def grid_sup_field(fields):
     if not all(isinstance(f, SqrtPolyField) for f in fields):
         return upper_envelope(fields)
     env = upper_envelope([PolyField(f.q) for f in fields]).fn
-    return SqrtPolyField(
-        _split_at_roots(_Stack.of([env])).functions(env.space)[0])
+    return SqrtPolyField(_split_at_roots(env._stack).functions(env.space)[0])
 
 
 # -- public norm API -----------------------------------------------------------
 
 
 class NormFamily:
-    """The norm fields x -> ||g_i(x) - target(x)||_X of a family of
-    functions g_i (target None: the norms of the g_i), built in one
-    stacked pass.
+    """The norm fields x -> ||g_i(x) - t_i(x)||_X of a family of functions
+    g_i, built in one stacked pass: t_i is ``target`` itself, or its i-th
+    entry if it is a list (target None: the norms of the g_i).  So a
+    family of differences needs no ``-`` per member.
 
     Circle members are grouped by coefficient width (one group in
-    practice), each group stacked into one table; the target is
-    subtracted per owner on the union of the breaks.  The absolute values
-    (d = 1 and the sum norm), the radicands of the euclidean norm and all
-    their root searches, quadratures and reductions then run once per
-    group; the max norm with d >= 2 is one envelope of the signed
-    components of all members (``_envelope``), with no loop over members.
-    ``lp``, ``sup`` and ``fields`` give every member exactly what a family
-    of that member alone gives.
+    practice), each group stacked into one table; the targets are
+    subtracted per owner on the union of the breaks, as ``-`` does.  The
+    absolute values (d = 1 and the sum norm), the radicands of the
+    euclidean norm and all their root searches, quadratures and reductions
+    then run once per group; the max norm with d >= 2 is one envelope of
+    the signed components of all members (``_envelope``), with no loop
+    over members.  ``lp``, ``sup`` and ``fields`` give every member
+    exactly what a family of that member alone gives.
     """
 
     def __init__(self, members, vnorm, target=None):
@@ -929,26 +787,32 @@ class NormFamily:
             raise ValueError("a norm family needs at least one member")
         self.m = len(members)
         self.space = members[0].space
+        if target is not None and not isinstance(target, list):
+            target = [target] * self.m
+        if target is not None and len(target) != self.m:
+            raise ValueError(f"{len(target)} targets for {self.m} members")
         if all(isinstance(g, AtomFunction) for g in members):
             values = np.stack([g.values for g in members])
             if target is not None:
-                values = values - target.values
+                values = values - np.stack([t.values for t in target])
             self.values = vnorm(values)
             return
         self.values = None
-        for g in members:
+        for g in members + (target or []):
             if not isinstance(g, CircleFunction):
                 raise TypeError("pointwise_norm expects a function object")
             if vnorm.dim != g.d:
                 raise ValueError("norm dimension does not match function")
-        k1t = 0 if target is None else target.coeffs.shape[1]
-        widths = np.array([max(g.coeffs.shape[1], k1t) for g in members])
+        widths = np.array([g.coeffs.shape[1] for g in members])
+        if target is not None:
+            widths = np.maximum(widths, [t.coeffs.shape[1] for t in target])
         self.groups = []
         for k1 in np.unique(widths):
             idx = np.flatnonzero(widths == k1)
             st = _Stack.of([members[i] for i in idx], k1)
             if target is not None:
-                st = _minus(st, target)
+                st = _weighted_sum([st, _Stack.of([target[i] for i in idx],
+                                                  k1)], (1.0, -1.0), st.m)
             self.groups.append((idx,) + self._norms(st, vnorm))
 
     def _norms(self, st, vnorm):
@@ -956,7 +820,13 @@ class NormFamily:
         if d == 1:
             return PolyField, _abs(st)
         if vnorm.selector == "sum":
-            return PolyField, _component_sum(_abs(_components(st)), st.m, d)
+            # |f_j| of all components in one stack, added in component order
+            parts = _abs(_components(st))
+            rows = [np.flatnonzero(parts.owner % d == j) for j in range(d)]
+            return PolyField, _weighted_sum(
+                [_Stack(parts.owner[r] // d, parts.lo[r], parts.hi[r],
+                        _rows(parts.c, r), st.m) for r in rows],
+                [1.0] * d, st.m)
         if vnorm.selector == "euclidean":
             return SqrtPolyField, _split_at_roots(
                 st.recoef(_square_sum(st.c)[:, :, None]))
@@ -983,26 +853,14 @@ class NormFamily:
         """Each member's sup over the space of ||g_i - target||."""
         if self.values is not None:
             return np.max(self.values, axis=1)
-        return self._per_member(_sup, _sqrt_sup)
+        return self._per_member(_sup, lambda st: _sqrt_each(_sup(st)))
 
     def sup_field(self):
-        """grid_sup_field(self.fields()) from the family's own stacks: one
-        envelope of all members in family order (a tie keeps the first),
-        euclidean ones through their radicands."""
+        """The pointwise sup of the members' norm fields: an atom family's
+        from its value table, a circle family's as grid_sup_field."""
         if self.values is not None:
             return AtomField(self.space, np.maximum.reduce(self.values))
-        if self.m == 1:
-            return self.fields()[0]
-        k1 = max(st.c.shape[1] for _, _, st in self.groups)
-        owner, lo, hi, c = (np.concatenate(col) for col in zip(*(
-            (idx[st.owner], st.lo, st.hi, _pad(st.c, k1))
-            for idx, _, st in self.groups)))
-        order = np.argsort(owner, kind="stable")
-        env = _envelope(_Stack(owner[order], lo[order], hi[order],
-                               _rows(c, order), self.m), self.m)
-        if self.groups[0][1] is SqrtPolyField:
-            env = _split_at_roots(env)
-        return self.groups[0][1](env.functions(self.space)[0])
+        return grid_sup_field(self.fields())
 
     def fields(self):
         """Each member's norm field."""

@@ -50,10 +50,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .functions import (AtomFunction, DEGREE_CAP, _pad, _rotated_pieces,
-                        _rows, taylor_shift)
-from .fields import (PolyField, GenericField, AtomField, pointwise_norm,
-                     _Stack, _merged)
+from .functions import (AtomFunction, DEGREE_CAP, _Stack, _rotated,
+                        _weighted_sum)
+from .fields import PolyField, GenericField, AtomField, pointwise_norm
 from .spaces import Atoms, Circle
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -193,15 +192,9 @@ def _rotation_averages(fn, times, theta):
         raise ValueError(
             f"averaging degree-{fn.degree} input exceeds the degree cap")
     big_f, iv = fn.antiderivative(), fn.integral()
-    m, nf, k1 = len(times), big_f.npieces, big_f.coeffs.shape[1]
+    m = len(times)
     splits = [_split_product(t, theta) for t in times]
-    delta = np.array([dl for _, dl in splits])
-    own, lo, hi, src, which, shifts = _rotated_pieces(big_f.breaks, delta)
-    c = _rows(big_f.coeffs, src)
-    # rotate returns F itself at δ == 0, so those owners keep F's pieces
-    moved = np.flatnonzero(delta[own] > 0.0)
-    c[moved] = taylor_shift(_rows(c, moved), shifts, which[moved])
-    shifted = _Stack(own, lo, hi, c, m)
+    shifted = _rotated(big_f, [dl for _, dl in splits])
     # the whole turns: n0·∫f on [0, 1 − δ) and (n0 + 1)·∫f on [1 − δ, 1)
     ends = [(0.0, 1.0 - dl, 1.0) if dl else (0.0, 1.0) for _, dl in splits]
     turns = [float(n + k) for (n, _), e in zip(splits, ends)
@@ -210,15 +203,11 @@ def _rotation_averages(fn, times, theta):
                   np.array([x for e in ends for x in e[:-1]]),
                   np.array([x for e in ends for x in e[1:]]),
                   np.array(turns)[:, None, None] * iv, m)
-    tiled = _Stack.tiled(big_f.breaks, m)
-    owner, lo, hi, (a, b, w) = _merged([shifted, tiled, wrap], m)
-    acc = np.zeros((lo.size, k1, fn.d))
-    acc += 1.0 * _rows(shifted.c, a)
-    acc += -1.0 * _rows(big_f.coeffs, b - owner * nf)
-    acc += 1.0 * _rows(_pad(wrap.c, k1), w)
+    total = _weighted_sum([shifted, _Stack.of([big_f] * m), wrap],
+                          (1.0, -1.0, 1.0), m)
     scale = np.array([float(1.0 / (np.longdouble(t) * theta)) for t in times])
-    return _Stack(owner, lo, hi, acc * scale[owner, None, None],
-                  m).functions(fn.space)
+    return total.recoef(total.c * scale[total.owner, None, None]).functions(
+        fn.space)
 
 
 def _rotation_average_field(field, t, theta):
@@ -283,10 +272,6 @@ class Flow:
     def shifts(self, times, f):
         """[T_t f for t in times], for positive times."""
         return [f for _ in times]
-
-    def average(self, t, f):
-        """A_t f = (1/t)∫_0^t T_τ f dτ for t > 0."""
-        return self.averages([t], f)[0]
 
     def averages(self, times, f):
         """[A_t f for t in times], for increasing positive times."""
@@ -445,8 +430,7 @@ def apply_flows(flow, times, f):
 
 def cesaro_average(flow, t, f):
     """Time average A_t f = (1/t)∫_0^t T_τ f dτ, exact for every flow."""
-    (t,) = _times([t])
-    return flow.average(t, f)
+    return flow.averages(_times([t]), f)[0]
 
 
 def cesaro_averages(flow, times, f):
@@ -456,7 +440,7 @@ def cesaro_averages(flow, times, f):
     times = _times(times)
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("averaging times must be strictly increasing")
-    return flow.averages(times, f)
+    return flow.averages(times, f) if times else []
 
 
 def dominant_cesaro(flow, t, field):

@@ -6,6 +6,16 @@ All structural operations (sums, antiderivatives, rotations, definite
 integrals) are closed-form; only norms of genuinely non-polynomial
 compositions fall back to quadrature (see fields.py).
 
+Every piece kernel takes a ``_Stack``: the pieces of m functions, owner
+after owner.  A CircleFunction is a stack of one (``_stack``, built on
+first use), so one body serves one function and many: ``_antiderivative``
+(per-owner running sums of the gains), ``_weighted_sum`` on the
+``_merged`` breaks (``merge_sum``, ``+``, ``-``, a norm family's targets)
+and ``_rotated``.  ``_Stack.of`` stacks functions, a lone one as its own
+stack, and ``_Stack.functions`` hands each owner back as a CircleFunction:
+the one path that skips the constructor's checks, for breaks that a
+kernel has just built.
+
 Discrete functions are plain per-atom value tables.
 """
 
@@ -83,43 +93,172 @@ def taylor_shift(coeffs, sigma, which=None):
     return np.einsum("...kj,...jd->...kd", _rows(m, which), c)
 
 
-def _sums_before(gains):
-    """Each row's running sum of the rows before it: 0.0 on the first row,
-    which is never added to 0.0."""
-    return np.concatenate([np.zeros((1,) + gains.shape[1:]),
-                           np.cumsum(gains, axis=0)[:-1]])
+# -- stacks: the pieces of many functions, and the kernels on them ---------------
 
 
-def _antiderivative_table(lo, hi, c):
-    """The pieces c[i] on [lo[i], hi[i]] integrated from lo[i], their
-    values at lo[i] and their gains over the pieces.  Adding sums - vall
-    to column 0, sums being each piece's sum of its function's earlier
-    gains (0.0 on a first piece), gives the antiderivative with F(0) = 0."""
-    k1 = c.shape[1]
-    ad = np.zeros((lo.size, k1 + 1, c.shape[2]))
-    ad[:, 1:] = c / np.arange(1, k1 + 1)[None, :, None]
-    vall = _eval_rows(ad, lo)
-    return ad, vall, _eval_rows(ad, hi) - vall
+class _Stack:
+    """The pieces of m piecewise polynomials, owner after owner and each in
+    order: piece i lies on [lo[i], hi[i]], belongs to owner[i] and has the
+    ascending coefficients c[i] (c is (pieces, k1, d), as in
+    CircleFunction).  Kernels on a stack pay each NumPy call once for all
+    owners; the reductions below give every owner the bits of a stack of
+    its own."""
+
+    def __init__(self, owner, lo, hi, c, m):
+        self.owner, self.lo, self.hi, self.c, self.m = owner, lo, hi, c, m
+
+    @functools.cached_property
+    def ends(self):
+        """Each owner's first piece, then the stack's size: owner o holds
+        the pieces ends[o] to ends[o + 1] - 1."""
+        return np.searchsorted(self.owner, np.arange(self.m + 1))
+
+    @classmethod
+    def of(cls, fns, k1=0):
+        """The stack of CircleFunctions of one value dimension, their
+        coefficient tables padded to k1 columns if narrower; a lone
+        function that needs no padding is its own stack."""
+        if len(fns) == 1 and fns[0].coeffs.shape[1] >= k1:
+            return fns[0]._stack
+        return cls(np.repeat(np.arange(len(fns)), [fn.npieces for fn in fns]),
+                   np.concatenate([fn.breaks[:-1] for fn in fns]),
+                   np.concatenate([fn.breaks[1:] for fn in fns]),
+                   np.concatenate([_pad(fn.coeffs, k1) for fn in fns]),
+                   len(fns))
+
+    def recoef(self, c):
+        """The same pieces with the coefficients c."""
+        return _Stack(self.owner, self.lo, self.hi, c, self.m)
+
+    def functions(self, space):
+        """Each owner's CircleFunction, without the constructor's checks (a
+        kernel's pieces run in order from 0 to 1)."""
+        out = []
+        for a, b in zip(self.ends[:-1], self.ends[1:]):
+            fn = object.__new__(CircleFunction)
+            fn.breaks = np.concatenate((self.lo[a:b], self.hi[b - 1:b]))
+            fn.coeffs, fn.space, fn._antideriv = self.c[a:b], space, None
+            out.append(fn)
+        return out
+
+    def _table(self, vals, fill):
+        """Each owner's vals in one row, in piece order after one column of
+        fill and padded with it, and each piece's flat position before its
+        value's."""
+        width = 1 + np.diff(self.ends).max()
+        at = (self.owner * width + np.arange(self.owner.size)
+              - self.ends[self.owner])
+        table = np.full((self.m * width,) + vals.shape[1:], fill)
+        table[at + 1] = vals
+        return table.reshape((self.m, width) + vals.shape[1:]), at
+
+    def sums(self, vals):
+        """Each owner's vals added in piece order from 0.0, as a loop of +=
+        adds (``_running_sum`` per owner)."""
+        table, _ = self._table(vals, 0.0)
+        return np.cumsum(table, axis=1)[np.arange(self.m), np.diff(self.ends)]
+
+    def sums_before(self, vals):
+        """Each piece's running sum of its owner's earlier vals (rows of
+        vals), added in piece order from 0.0."""
+        table, at = self._table(vals, 0.0)
+        return _rows(np.cumsum(table, axis=1).reshape(-1, *vals.shape[1:]), at)
+
+    def place(self, rows, x):
+        """The piece of its owner that piece_index finds for each x, searched
+        from its row: the row itself unless x rounds onto the row's hi (the
+        midpoint of a piece one ulp wide) or past an end (a quadrature
+        node on a tiny piece)."""
+        if ((x >= self.lo[rows]) & (x < self.hi[rows])).all():
+            return rows
+        own = self.owner[rows]
+        first, last = self.ends[own], self.ends[own + 1] - 1
+        while True:
+            up = (rows < last) & (x >= self.hi[rows])
+            down = (rows > first) & (x < self.lo[rows])
+            if not (up.any() or down.any()):
+                return rows
+            rows = rows + up - down
+
+    def maxima(self, vals):
+        """Each owner's first largest value; a NaN value wins."""
+        table, _ = self._table(vals, -np.inf)
+        return table[np.arange(self.m), np.argmax(table, axis=1)]
 
 
-def _rotated_pieces(breaks, deltas):
-    """Each delta's pieces of a function on breaks precomposed with
-    x -> (x + delta) mod 1, delta in [0, 1): owner, lo, hi and source piece,
-    the index into shifts (delta_0, delta_0 - 1, delta_1, ...; delta - 1 if
-    the source wraps past 1), and shifts.  A zero delta keeps the pieces."""
+def _merged(sets, m):
+    """Per owner, the union of the breaks of several stacks with owners
+    0..m-1: the owner, lo and hi of each merged piece and, per stack, the
+    row of its piece at the merged piece's midpoint, as coeffs_on picks
+    it.  Rows come from counting each stack's breaks up to the merged
+    piece's start, never from comparing coordinates across owners."""
+    k = len(sets)
+    owner = np.concatenate([s.owner for s in sets] + [np.arange(m)] * k)
+    x = np.concatenate([s.lo for s in sets]
+                       + [s.hi[s.ends[1:] - 1] for s in sets])
+    setid = np.repeat(np.arange(2 * k) % k,
+                      [s.lo.size for s in sets] + [m] * k)
+    order = np.lexsort((x, owner))
+    owner, x, setid = owner[order], x[order], setid[order]
+    keep = np.ones(x.size, dtype=bool)
+    keep[:-1] = (owner[1:] != owner[:-1]) | (x[1:] != x[:-1])
+    kept = np.flatnonzero(keep)
+    owner, x = owner[kept], x[kept]
+    seg = np.flatnonzero(owner[1:] == owner[:-1])
+    owner, lo, hi, at = owner[seg], x[seg], x[seg + 1], kept[seg]
+    # a stack has ends[o] + o breaks before owner o: pieces plus one end
+    rows = [np.cumsum(setid == j)[at] - (owner + 1) for j in range(k)]
+    mids = 0.5 * (lo + hi)
+    if (mids < hi).all():  # then each midpoint lies in its row's piece
+        return owner, lo, hi, rows
+    return owner, lo, hi, [s.place(r, mids) for s, r in zip(sets, rows)]
+
+
+def _weighted_sum(stacks, weights, m):
+    """Per owner, the sum of weights[j] times stack j on the union of their
+    breaks: each stack's rows padded to the widest table and added in order
+    to zeros (so -0.0 terms sum to 0.0)."""
+    owner, lo, hi, rows = _merged(stacks, m)
+    k1 = max(s.c.shape[1] for s in stacks)
+    acc = np.zeros((lo.size, k1, stacks[0].c.shape[2]))
+    for s, w, r in zip(stacks, weights, rows, strict=True):
+        acc += float(w) * _pad(_rows(s.c, r), k1)
+    return _Stack(owner, lo, hi, acc, m)
+
+
+def _rotated(fn, deltas):
+    """The stack of fn precomposed with x -> (x + delta) mod 1, one owner
+    per delta in [0, 1): each piece reindexed and Taylor-shifted by delta,
+    or by delta - 1 if its source wraps past 1.  A zero delta keeps fn's
+    pieces and coefficients."""
     deltas = np.asarray(deltas, dtype=float)
     ends = np.broadcast_to((0.0, 1.0), (deltas.size, 2))
-    pts = np.sort(np.hstack([ends, (breaks[:-1] - deltas[:, None]) % 1.0]))
+    pts = np.sort(np.hstack([ends, (fn.breaks[:-1] - deltas[:, None]) % 1.0]))
     # pieces between consecutive distinct points: each row's np.unique
     piece = pts[:, 1:] > pts[:, :-1]
     owner, lo, hi = np.nonzero(piece)[0], pts[:, :-1][piece], pts[:, 1:][piece]
     # a midpoint may round onto hi; a kept piece is found from its lo
     y = np.where(deltas[owner] == 0.0, lo, 0.5 * (lo + hi) + deltas[owner])
     wrapped = y >= 1.0
-    y = np.where(wrapped, y - 1.0, y)
-    src = np.searchsorted(breaks[1:-1], y, side="right")
-    shifts = np.column_stack((deltas, deltas - 1.0)).ravel()
-    return owner, lo, hi, src, 2 * owner + wrapped, shifts
+    c = _rows(fn.coeffs, fn.piece_index(np.where(wrapped, y - 1.0, y)))
+    moved = np.flatnonzero(deltas[owner] > 0.0)
+    c[moved] = taylor_shift(_rows(c, moved),
+                            np.column_stack((deltas, deltas - 1.0)).ravel(),
+                            (2 * owner + wrapped)[moved])
+    return _Stack(owner, lo, hi, c, deltas.size)
+
+
+def _antiderivative(st):
+    """Each owner's F with F' = f piecewise and F(0) = 0: every piece
+    integrated from lo, less its value at lo, plus the running sum of its
+    owner's earlier gains (column 0 starts at +0.0, so no zero's sign in
+    that sum can show)."""
+    k1 = st.c.shape[1]
+    ad = np.zeros((st.lo.size, k1 + 1, st.c.shape[2]))
+    ad[:, 1:] = st.c / np.arange(1, k1 + 1)[None, :, None]
+    vall = _eval_rows(ad, st.lo)
+    ad[:, 0] += st.sums_before(_eval_rows(ad, st.hi) - vall) - vall
+    return st.recoef(ad)
 
 
 class CircleFunction:
@@ -131,10 +270,10 @@ class CircleFunction:
             raise ValueError("CircleFunction lives on the circle")
         b = np.asarray(breaks, dtype=float)
         c = np.asarray(coeffs, dtype=float)
-        if b.ndim != 1 or b[0] != 0.0 or b[-1] != 1.0 or \
+        if b.ndim != 1 or b.size < 2 or b[0] != 0.0 or b[-1] != 1.0 or \
                 not (b[1:] > b[:-1]).all():
             raise ValueError("breaks must increase strictly from 0 to 1")
-        if c.ndim != 3 or c.shape[0] != b.size - 1:
+        if c.ndim != 3 or c.shape[0] != b.size - 1 or c.shape[1] == 0:
             raise ValueError("coeffs must have shape (pieces, degree+1, d)")
         self.breaks = b
         self.coeffs = c
@@ -153,6 +292,14 @@ class CircleFunction:
     @property
     def npieces(self):
         return self.breaks.size - 1
+
+    @functools.cached_property
+    def _stack(self):
+        """This function as a stack of one owner, for the piece kernels:
+        views of its breaks and coefficients, and owners from np.zeros,
+        whose pages reads leave unallocated."""
+        return _Stack(np.zeros(self.npieces, dtype=np.intp), self.breaks[:-1],
+                      self.breaks[1:], self.coeffs, 1)
 
     @classmethod
     def constant(cls, value, space=None):
@@ -197,7 +344,7 @@ class CircleFunction:
         return _merge_sum([self, other], (1.0, 1.0))
 
     def __sub__(self, other):
-        return self + (other * -1.0)
+        return _merge_sum([self, other], (1.0, -1.0))
 
     def __mul__(self, scalar):
         return CircleFunction(self.breaks, self.coeffs * float(scalar),
@@ -213,20 +360,14 @@ class CircleFunction:
     def antiderivative(self):
         """F with F' = f piecewise and F(0) = 0, continuous on [0, 1]."""
         if self._antideriv is None:
-            ad, vall, gains = _antiderivative_table(
-                self.breaks[:-1], self.breaks[1:], self.coeffs)
-            ad[:, 0] += _sums_before(gains) - vall
-            self._antideriv = CircleFunction(self.breaks, ad, self.space)
+            self._antideriv = _antiderivative(self._stack).functions(
+                self.space)[0]
         return self._antideriv
 
     def derivative(self):
-        k1 = self.coeffs.shape[1]
-        if k1 == 1:
-            return CircleFunction(self.breaks,
-                                  np.zeros((self.npieces, 1, self.d)),
-                                  self.space)
-        der = self.coeffs[:, 1:] * np.arange(1, k1)[None, :, None]
-        return CircleFunction(self.breaks, der, self.space)
+        der = self.coeffs[:, 1:] * np.arange(1, self.coeffs.shape[1])[:, None]
+        # a constant's derivative is one column of zeros
+        return CircleFunction(self.breaks, _pad(der, 1), self.space)
 
     def integral(self):
         """Integral over the whole circle, an R^d vector."""
@@ -253,14 +394,8 @@ class CircleFunction:
             raise ValueError(f"rotation delta {bad[0]} must be finite")
         uniq, inv = np.unique(deltas % 1.0, return_inverse=True)
         moved = uniq[uniq != 0.0]
-        out = [self] * (uniq.size - moved.size)
-        if moved.size:
-            _, lo, hi, src, which, shifts = _rotated_pieces(self.breaks, moved)
-            c = taylor_shift(_rows(self.coeffs, src), shifts, which)
-            # each delta's pieces run from lo == 0 to the one with hi == 1
-            ends = np.flatnonzero(hi == 1.0) + 1
-            out += [CircleFunction(np.append(lo[a:b], 1.0), c[a:b], self.space)
-                    for a, b in zip(np.r_[0, ends[:-1]], ends)]
+        out = ([self] * (uniq.size - moved.size)
+               + _rotated(self, moved).functions(self.space))
         return [out[i] for i in inv]
 
     # -- diagnostics -------------------------------------------------------------
@@ -268,8 +403,7 @@ class CircleFunction:
     def is_continuous(self):
         """Continuity across interior breakpoints and the wrap point."""
         left = _eval_rows(self.coeffs, self.breaks[1:])
-        right = np.vstack([self._eval_unwrapped(self.breaks[1:-1]),
-                           self._eval_unwrapped(np.array([0.0]))])
+        right = self._eval_unwrapped(np.r_[self.breaks[1:-1], 0.0])
         return float(np.max(np.abs(left - right))) <= _CONTINUITY_TOL
 
     def __repr__(self):
@@ -293,18 +427,16 @@ def _merge_sum(funcs, weights):
     """merge_sum's body; ``+`` and ``-`` call it by this name, which the
     benchmark's layer tracer does not wrap.  One weight per operand, each a
     circle function of the first one's space and value dimension."""
+    if not funcs:
+        raise ValueError("a sum needs at least one function, got none")
     first = funcs[0]
     for f in funcs:
         if not isinstance(f, CircleFunction) or f.space != first.space:
             raise ValueError("operands must live on the same circle space")
         if f.d != first.d:
             raise ValueError("value dimensions differ")
-    edges = np.unique(np.concatenate([f.breaks for f in funcs]))
-    k1 = max(f.coeffs.shape[1] for f in funcs)
-    acc = np.zeros((edges.size - 1, k1, first.d))
-    for f, w in zip(funcs, weights, strict=True):
-        acc += float(w) * _pad(f.coeffs_on(edges), k1)
-    return CircleFunction(edges, acc, first.space)
+    return _weighted_sum([f._stack for f in funcs], weights,
+                         1).functions(first.space)[0]
 
 
 class AtomFunction:
@@ -371,47 +503,37 @@ class AtomFunction:
 # -- builtin test functions ------------------------------------------------------
 
 
-def _component_breaks(phases):
-    pts = [(-p) % 1.0 for p in phases]
-    return pts
+def _linear_pieces(d, amplitudes, phases, kinks, line, space):
+    """Component i, of amplitude a and phase p, kinked at (k - p) mod 1 for
+    each k of kinks and with the (intercept, slope) line(a, p, mids,
+    floor(mids + p)) on the pieces around mids."""
+    amplitudes = [1.0] * d if amplitudes is None else list(amplitudes)
+    phases = [0.0] * d if phases is None else list(phases)
+    edges = np.unique(np.concatenate(
+        [[0.0, 1.0], [(k - p) % 1.0 for p in phases for k in kinks]]))
+    coeffs = np.zeros((edges.size - 1, 2, d))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    for i, (a, p) in enumerate(zip(amplitudes, phases)):
+        coeffs[:, 0, i], coeffs[:, 1, i] = line(a, p, mids, np.floor(mids + p))
+    return CircleFunction(edges, coeffs, space=space)
 
 
 def sawtooth(d=1, amplitudes=None, phases=None, space=None):
     """Mean-zero sawtooth per component: a * (frac(x + phase) - 1/2)."""
-    amplitudes = [1.0] * d if amplitudes is None else list(amplitudes)
-    phases = [0.0] * d if phases is None else list(phases)
-    edges = np.unique(np.concatenate(
-        [[0.0, 1.0], _component_breaks(phases)]))
-    coeffs = np.zeros((edges.size - 1, 2, d))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    for i, (a, p) in enumerate(zip(amplitudes, phases)):
-        # frac(x + p) = x + p - floor(mid + p) on each piece
-        off = np.floor(mids + p)
-        coeffs[:, 0, i] = a * (p - off - 0.5)
-        coeffs[:, 1, i] = a
-    return CircleFunction(edges, coeffs, space=space)
+    # frac(x + p) = x + p - floor(mid + p) on each piece
+    return _linear_pieces(d, amplitudes, phases, [0.0], lambda a, p, x, off:
+                          (a * (p - off - 0.5), a), space)
 
 
 def hat(d=1, amplitudes=None, phases=None, space=None):
     """Mean-zero continuous tent per component, slope +-2a, period 1."""
-    amplitudes = [1.0] * d if amplitudes is None else list(amplitudes)
-    phases = [0.0] * d if phases is None else list(phases)
-    pts = []
-    for p in phases:
-        pts.extend([(-p) % 1.0, (0.5 - p) % 1.0])
-    edges = np.unique(np.concatenate([[0.0, 1.0], pts]))
-    coeffs = np.zeros((edges.size - 1, 2, d))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    for i, (a, p) in enumerate(zip(amplitudes, phases)):
-        u = (mids + p) % 1.0
-        rising = u < 0.5
-        off = np.floor(mids + p)
+    def line(a, p, x, off):
+        rising = (x + p) % 1.0 < 0.5
         # rising: 2(x + p - off) - 1/2 ... values in [-1/2, 1/2], mean zero
-        coeffs[:, 0, i] = np.where(rising,
-                                   a * (2.0 * (p - off) - 0.5),
-                                   a * (1.5 - 2.0 * (p - off)))
-        coeffs[:, 1, i] = np.where(rising, 2.0 * a, -2.0 * a)
-    return CircleFunction(edges, coeffs, space=space)
+        return (np.where(rising, a * (2.0 * (p - off) - 0.5),
+                         a * (1.5 - 2.0 * (p - off))),
+                np.where(rising, 2.0 * a, -2.0 * a))
+    return _linear_pieces(d, amplitudes, phases, [0.0, 0.5], line, space)
 
 
 def _periodic_spline(x, y):

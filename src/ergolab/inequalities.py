@@ -163,9 +163,9 @@ class SubmartingaleFamily:
                                      "is not scalar")
         slices = [g for gs in self.processes for g in gs]
         parts = [self.filtration.partition(s) for s in self.s_grid]
-        gaps = [g - e for g, e in zip(slices, cond_exps(
-            slices, parts * len(self.processes)))]
-        for n, gap in enumerate(NormFamily(gaps, VectorNorm("max", 1)).sup()):
+        conds = cond_exps(slices, parts * len(self.processes))
+        for n, gap in enumerate(NormFamily(slices, VectorNorm("max", 1),
+                                           conds).sup()):
             if not gap <= TOLERANCES["submartingale_input"]:
                 i, k = divmod(n, self.s_grid.size)
                 raise ValueError(

@@ -221,10 +221,10 @@ def cesaro_decomposition_check(flow, g, times, vnorm):
     for a in set(alphas) - {0.0}:
         tn = [n for n, b in zip(ns, alphas) if b == a]
         tails[a] = dict(zip(tn, apply_flows(flow, tn, avg[a])))
-    gaps = [avg[t] - _combine(units[:n] + ([tails[a][n]] if a else []),
-                              [1.0 / t] * n + ([a / t] if a else []))
-            for t, n, a in zip(times, ns, alphas)]
-    return NormFamily(gaps, vnorm).sup()
+    blocks = [_combine(units[:n] + ([tails[a][n]] if a else []),
+                       [1.0 / t] * n + ([a / t] if a else []))
+              for t, n, a in zip(times, ns, alphas)]
+    return NormFamily([avg[t] for t in times], vnorm, blocks).sup()
 
 
 def commutation_check(flow, f, partition, vnorm):
@@ -237,8 +237,7 @@ def commutation_check(flow, f, partition, vnorm):
     """
     moved = apply_flows(flow, _T_PROBES, f)
     ef, *emoved = cond_exps([f, *moved], [partition] * (1 + len(moved)))
-    sups = NormFamily([a - b for a, b in zip(
-        apply_flows(flow, _T_PROBES, ef), emoved)], vnorm).sup()
+    sups = NormFamily(apply_flows(flow, _T_PROBES, ef), vnorm, emoved).sup()
     return defect_max(0.0, *sups)
 
 

@@ -207,8 +207,8 @@ def _chk_semigroup_law(ctx):
     once = dict(zip(times, apply_flows(ctx.flow, times, ctx.f)))
     twice = {t2: dict(zip(probes, apply_flows(ctx.flow, probes, once[t2])))
              for t2 in probes}
-    gaps = [once[t1 + t2] - twice[t2][t1] for t1, t2 in pairs]
-    sups = NormFamily(gaps, ctx.vnorm).sup()
+    sups = NormFamily([once[t1 + t2] for t1, t2 in pairs], ctx.vnorm,
+                      [twice[t2][t1] for t1, t2 in pairs]).sup()
     rows = [(t1 + t2, None, "defect", float(d))
             for (t1, t2), d in zip(pairs, sups)]
     return _defect_record("semigroup_law", defect_max(0.0, *sups), rows)
@@ -381,8 +381,8 @@ def _chk_submartingale_sup(ctx):
 
 def _chk_me_em_coincidence(ctx):
     me, em, lim = ctx.grid("me"), ctx.grid("em"), ctx.proc_limits()
-    gaps = [fn - em.table[key] for key, fn in me.table.items()]
-    sups = NormFamily(gaps + [lim.me_limit - lim.em_limit], ctx.vnorm).sup()
+    sups = NormFamily([*me.table.values(), lim.me_limit], ctx.vnorm, [
+        em.table[key] for key in me.table] + [lim.em_limit]).sup()
     worst = defect_max(0.0, *sups[:-1])
     limit_gap = float(sups[-1])
     tol = TOLERANCES["me_em_coincidence"]

@@ -16,7 +16,7 @@ from ergolab.fields import (AtomField, PolyField, _integral, _Stack,
                             pointwise_norm)
 from ergolab.flows import identity_flow
 from ergolab.functions import (DEGREE_CAP, AtomFunction, CircleFunction,
-                               _antiderivative_table, _powers, hat, sawtooth)
+                               _powers, hat, sawtooth)
 from ergolab.inequalities import domination_chain_check
 from ergolab.spaces import (
     Filtration,
@@ -473,18 +473,18 @@ def test_me_process_builds_one_power_table_per_shape(monkeypatch):
     f = sawtooth(d=2, amplitudes=[1.0, 0.5], phases=[0.0, 0.3])
     filt = Filtration(circle_space(), "decreasing", max_level=4)
     tables, stacks = [], []
-    real, real_table = condexp._powers, condexp._antiderivative_table
+    real, real_antiderivative = condexp._powers, condexp._antiderivative
 
     def tabled(x, k1):
         tables.append((x.size, k1))
         return real(x, k1)
 
-    def integrated(lo, hi, c):
-        stacks.append(lo.size)
-        return real_table(lo, hi, c)
+    def integrated(st):
+        stacks.append(st.lo.size)
+        return real_antiderivative(st)
 
     monkeypatch.setattr(condexp, "_powers", tabled)
-    monkeypatch.setattr(condexp, "_antiderivative_table", integrated)
+    monkeypatch.setattr(condexp, "_antiderivative", integrated)
     grid = me_process(f, rotation_flow(0.5 * (np.sqrt(5.0) - 1.0)), filt,
                       [1.0, 2.5, 4.0, 9.0], [0.0, 1.0, 2.0, 3.5])
     monkeypatch.undo()

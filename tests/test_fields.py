@@ -1134,6 +1134,50 @@ def test_norm_family_matches_per_member_loops(selector, d):
             assert _same(clean.lp(1.5), family.lp(1.5)[:-1])
 
 
+@pytest.mark.parametrize("selector,d", [("max", 1), ("max", 2), ("sum", 2),
+                                        ("euclidean", 2)])
+def test_norm_family_target_subtracts_as_minus_does_signed_zeros_too(
+        selector, d):
+    # f is -0.0 on its first piece and g is +0.0 there: f - g adds both to
+    # zeros and gives +0.0, where a bare f + (-g) would keep -0.0
+    c = np.zeros((2, 2, d))
+    c[0] = -0.0
+    c[1, 1] = np.arange(1.0, d + 1.0)
+    f = CircleFunction([0.0, 0.25, 1.0], c)
+    g = CircleFunction([0.0, 0.5, 1.0], np.zeros((2, 1, d)))
+    vnorm = VectorNorm(selector, d)
+    got = NormFamily([f], vnorm, target=g).fields()
+    want = NormFamily([f - g], vnorm).fields()
+    assert [_field_bytes(x) for x in got] == [_field_bytes(x) for x in want]
+
+
+@pytest.mark.parametrize("selector,d", _FAMILY_CASES)
+def test_norm_family_with_one_target_per_member_gives_each_difference(
+        selector, d):
+    # members and targets of different widths and piece counts, so the
+    # differences fall into several width groups; NaN and equal pairs too
+    rng = np.random.default_rng(700 + 10 * d + len(selector))
+    if selector == "atoms":
+        space = discrete_space(rng.uniform(0.5, 1.5, 6) / 6.0)
+        base = AtomFunction(space, rng.uniform(-1.0, 1.0, (6, d)))
+        members = _atom_members(rng, d, base)
+        targets = _atom_members(rng, d, base)[::-1]
+        vnorm = VectorNorm("euclidean", d)
+    else:
+        base = CircleFunction(_breaks(rng, 9), rng.uniform(-1.0, 1.0, (9, 3, d)))
+        members = _family_members(rng, d, base)
+        targets = _family_members(rng, d, base)[::-1]
+        vnorm = VectorNorm(selector, d)
+    family = fields.NormFamily(members, vnorm, targets)
+    want = [fields.NormFamily([g - h], vnorm) for g, h in zip(members, targets)]
+    assert ([_field_bytes(f) for f in family.fields()]
+            == [_field_bytes(w.fields()[0]) for w in want])
+    assert _same(family.sup(), np.array([w.sup()[0] for w in want]))
+    assert _same(family.lp(1.5), np.array([w.lp(1.5)[0] for w in want]))
+    with pytest.raises(ValueError, match="targets for"):
+        fields.NormFamily(members, vnorm, targets[1:])
+
+
 def test_norm_family_rejects_mixed_members():
     fn = CircleFunction(np.array([0.0, 0.5, 1.0]), np.ones((2, 2, 2)))
     scalar = PolyField(CircleFunction(fn.breaks, fn.coeffs[:, :, :1]))
@@ -1363,8 +1407,8 @@ def test_rows_refuses_a_mask():
 
 def _walk(stack, rows, x):
     """The piece search from each row, one piece per pass, with no shortcut."""
-    first = stack.start[stack.owner[rows]]
-    last = first + stack.counts[stack.owner[rows]] - 1
+    own = stack.owner[rows]
+    first, last = stack.ends[own], stack.ends[own + 1] - 1
     while True:
         up = (rows < last) & (x >= stack.hi[rows])
         down = (rows > first) & (x < stack.lo[rows])
@@ -1404,12 +1448,12 @@ def _node_stacks(draw):
          + 0.5 * (stack.lo + stack.hi)[:, None]).ravel()
     key = np.repeat(np.arange(stack.lo.size), gl.size)
     if draw(st.booleans()):
-        last = stack.start + stack.counts - 1
+        last = stack.ends[1:] - 1
         n = stack.lo.size
         x = np.r_[x, [1.0] * stack.m, [np.nextafter(1.0, 2.0)] * stack.m,
                   [0.0, -0.0] * stack.m, np.nan, stack.hi,
                   0.5 * (stack.lo + stack.hi)]
-        key = np.r_[key, last, last, np.repeat(stack.start, 2),
+        key = np.r_[key, last, last, np.repeat(stack.ends[:-1], 2),
                     rng.integers(n), np.arange(n), np.arange(n)]
     nodes = x.view(fields._Nodes)
     nodes.key = key

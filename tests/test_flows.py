@@ -278,6 +278,7 @@ def test_rotation_averages_bit_identical_per_time(theta, times):
         one = cesaro_average(flow, t, f)
         assert _same_bits(avg.breaks, one.breaks)
         assert _same_bits(avg.coeffs, one.coeffs)
+    assert cesaro_averages(flow, [], f) == []
 
 
 def test_rotation_averages_share_one_antiderivative(monkeypatch):
@@ -361,14 +362,22 @@ def test_stacked_rotation_averages_have_the_bytes_of_the_per_time_loop(
 
 def _one_rotation(fn, delta):
     """fn precomposed with x -> x + delta, one delta per call: the piece rule
-    and Taylor shift of a single rotation, fn itself at delta mod 1 == 0."""
+    and Taylor shift of a single rotation, written out here on their own,
+    fn itself at delta mod 1 == 0."""
     delta = float(delta) % 1.0
     if delta == 0.0:
         return fn
-    _, lo, hi, src, which, shifts = functions._rotated_pieces(fn.breaks,
-                                                              [delta])
-    c = functions.taylor_shift(np.take(fn.coeffs, src, axis=0), shifts,
-                               which)
+    pts = np.sort(np.r_[0.0, 1.0, (fn.breaks[:-1] - delta) % 1.0])
+    # pieces between consecutive distinct points
+    piece = pts[1:] > pts[:-1]
+    lo, hi = pts[:-1][piece], pts[1:][piece]
+    # the source piece at the midpoint, shifted by delta - 1 if it wraps
+    y = 0.5 * (lo + hi) + delta
+    wrapped = y >= 1.0
+    src = np.searchsorted(fn.breaks[1:-1], np.where(wrapped, y - 1.0, y),
+                          side="right")
+    c = functions.taylor_shift(np.take(fn.coeffs, src, axis=0),
+                               [delta, delta - 1.0], wrapped.astype(int))
     return CircleFunction(np.append(lo, hi[-1]), c, fn.space)
 
 

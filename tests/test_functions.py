@@ -192,6 +192,9 @@ def test_merge_sum_checks_its_operands_as_addition_does():
     for weights in ([1.0], [1.0, 1.0, 1.0]):
         with pytest.raises(ValueError):
             merge_sum([one, hat(d=1)], weights)
+    # an IndexError from funcs[0] before
+    with pytest.raises(ValueError, match="a sum needs at least one function"):
+        merge_sum([], [])
 
 
 def test_breaks_must_span_unit_interval():
@@ -202,6 +205,12 @@ def test_breaks_must_span_unit_interval():
     # NaN <= 0 is False, so a NaN break must fail the increase rule itself
     with pytest.raises(ValueError, match="increase strictly"):
         CircleFunction([0.0, np.nan, 1.0], np.zeros((2, 1, 1)))
+    # no breaks at all: an IndexError from b[0] before
+    with pytest.raises(ValueError, match="increase strictly"):
+        CircleFunction([], np.zeros((1, 1, 1)))
+    # a table of zero columns: an IndexError at the first evaluation before
+    with pytest.raises(ValueError, match="coeffs must have shape"):
+        CircleFunction([0.0, 1.0], np.zeros((1, 0, 1)))
 
 
 def test_from_smooth_hits_target():

@@ -269,12 +269,12 @@ def test_flow_law_checks_shift_each_input_once_per_family(monkeypatch):
     # one per stacked rotations call
     cfg = parse_text(SMALL)
     ctx = runner.build_context(cfg, np.random.default_rng(cfg.seed))
-    real, calls = functions._rotated_pieces, []
+    real, calls = functions._rotated, []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
-    monkeypatch.setattr(functions, "_rotated_pieces", counted)
+    monkeypatch.setattr(functions, "_rotated", counted)
     probes = {ctx.flow.lattice(t) for t in runner._probe_times(ctx, 3)}
     # the decomposition probes 1, 2.5 and 5 have one distinct tail, 0.5
     bounds = {"flow_isometry": (1, 1), "commutation": (2, 2),

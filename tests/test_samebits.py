@@ -91,3 +91,48 @@ def test_verify_runs_pin_blas_and_share_a_failed_check(monkeypatch):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         assert kwargs["env"][var] == "1"
     assert kwargs["env"]["PYTHONPATH"] == "src"
+
+
+def test_every_run_repeats_under_the_alternate_kernels(monkeypatch, tmp_path,
+                                                      capsys):
+    # both sides run under each setting, set in the child's environment
+    # only; a summary that moves under one setting alone is named with it
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    assert "OPENBLAS_CORETYPE" not in samebits._env()
+    assert samebits._env(samebits.KERNELS["openblas_nehalem"])[
+        "OPENBLAS_CORETYPE"] == "Nehalem"
+    assert samebits._env(samebits.KERNELS["numpy_baseline"])[
+        "NPY_DISABLE_CPU_FEATURES"] == "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+    runs = []
+
+    def fake_verify(tree, out, args, kernels):
+        runs.append(("verify", os.path.basename(tree), kernels))
+        os.makedirs(out)
+        return 0
+
+    def fake_summaries(tree, kernels):
+        side = os.path.basename(tree)
+        runs.append(("summaries", side, kernels))
+        moved = side == "change" and "OPENBLAS_CORETYPE" in kernels
+        return {"fine_pieces seed 1 lp.3": "[1.7694988]" if moved
+                else "[1.7694778]"}
+
+    monkeypatch.setattr(samebits.benchpairs, "_commit", lambda rev: rev)
+    monkeypatch.setattr(samebits.benchpairs, "_checkout",
+                        lambda commit, where: where)
+    monkeypatch.setattr(samebits, "_verify", fake_verify)
+    monkeypatch.setattr(samebits, "_summaries", fake_summaries)
+    monkeypatch.setattr(samebits.tempfile, "mkdtemp",
+                        lambda prefix: str(tmp_path))
+    assert samebits.main([]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "openblas_nehalem: job summary differs: fine_pieces seed 1 lp.3",
+        "1 differences"]
+    for kernels in samebits.KERNELS.values():
+        for side in ("parent", "change"):
+            assert runs.count(("verify", side, kernels)) == len(
+                samebits.VERIFY_RUNS)
+            assert runs.count(("summaries", side, kernels)) == 1
+    assert len(runs) == len(samebits.KERNELS) * 2 * (
+        len(samebits.VERIFY_RUNS) + 1)
+    assert os.environ["OPENBLAS_CORETYPE"] == "Haswell"

@@ -9,10 +9,15 @@ they stand; stage new files first).  On each side the script runs
 ``ergolab verify --suite all`` at seed 1234 and at the scenario seeds, and
 every benchmark workload of ``perfbench/workloads.py`` (read as it is, never
 edited) at seeds 1 to 3, with BLAS and OpenMP pools pinned to one thread.
-It then compares the two sides: every artifact file byte for byte, and
-every job summary, without its wall times, as the JSON text of its
-floats' round-trip reprs.  It prints each difference and exits 1 if there
-is any, 0 if there is none.
+Every run is made three times, under each of the ``KERNELS`` settings:
+the host's default kernels, NumPy with its AVX2 and AVX-512 loops disabled
+and OpenBLAS on its Nehalem kernels.  A reroute that swaps ``matmul`` for
+``einsum``, or reorders a product, can keep its bits on one set of kernels
+and move them on another.  The settings go into the children's
+environment only.  The script then compares the two sides under each
+setting: every artifact file byte for byte, and every job summary, without
+its wall times, as the JSON text of its floats' round-trip reprs.  It
+prints each difference and exits 1 if there is any, 0 if there is none.
 """
 
 import argparse
@@ -34,6 +39,14 @@ TIMING_KEYS = ("check_s",)
 PINNED = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                 "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
                                 "NUMEXPR_NUM_THREADS")}
+# the CPU kernels each run is repeated under, as child environment settings;
+# "default" clears both variables
+KERNELS = {
+    "default": {},
+    "numpy_baseline": {"NPY_DISABLE_CPU_FEATURES":
+                       "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+    "openblas_nehalem": {"OPENBLAS_CORETYPE": "Nehalem"},
+}
 
 # run in a side's tree: every job summary of every workload and seed, as JSON
 _SUMMARIES = """
@@ -78,16 +91,18 @@ def diff_summaries(parent, change):
                   if parent.get(k) != change.get(k))
 
 
-def _env():
-    return {**os.environ, **PINNED, "PYTHONPATH": "src",
+def _env(kernels=None):
+    keep = {k: v for k, v in os.environ.items()
+            if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+    return {**keep, **PINNED, **(kernels or {}), "PYTHONPATH": "src",
             "PYTHONDONTWRITEBYTECODE": "1"}
 
 
-def _verify(tree, out, args):
+def _verify(tree, out, args, kernels=None):
     proc = subprocess.run(
         [sys.executable, "-m", "ergolab", "verify", "--suite", "all",
-         "--out", out, *args], cwd=tree, env=_env(), capture_output=True,
-        text=True)
+         "--out", out, *args], cwd=tree, env=_env(kernels),
+        capture_output=True, text=True)
     # exit 1 is a check that failed, which both sides must then share
     if proc.returncode not in (0, 1):
         raise RuntimeError(f"verify in {tree} exited {proc.returncode}:\n"
@@ -95,12 +110,31 @@ def _verify(tree, out, args):
     return proc.returncode
 
 
-def _summaries(tree):
+def _summaries(tree, kernels=None):
     proc = subprocess.run(
         [sys.executable, "-c", _SUMMARIES,
          json.dumps([WORKLOADS, SEEDS, TIMING_KEYS])],
-        cwd=tree, env=_env(), capture_output=True, text=True, check=True)
+        cwd=tree, env=_env(kernels), capture_output=True, text=True,
+        check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _compare(trees, out, kernels, name):
+    """The differences between the two sides' verify artifacts and job
+    summaries under one kernel setting."""
+    problems = []
+    for run, extra in VERIFY_RUNS.items():
+        outs = {side: os.path.join(out, side, run) for side in trees}
+        codes = {side: _verify(tree, outs[side], extra, kernels)
+                 for side, tree in trees.items()}
+        if codes["parent"] != codes["change"]:
+            problems.append(f"{name}: verify {run}: exit {codes['parent']} "
+                            f"-> {codes['change']}")
+        problems += [f"{name}: verify {run}: {rel} differs"
+                     for rel in diff_trees(outs["parent"], outs["change"])]
+    sums = {side: _summaries(tree, kernels) for side, tree in trees.items()}
+    return problems + [f"{name}: job summary differs: {key}" for key in
+                       diff_summaries(sums["parent"], sums["change"])]
 
 
 def main(argv=None):
@@ -115,22 +149,13 @@ def main(argv=None):
     try:
         trees = {side: benchpairs._checkout(c, os.path.join(work, side))
                  for side, c in commits.items()}
-        for run, extra in VERIFY_RUNS.items():
-            outs = {side: os.path.join(work, "out", side, run)
-                    for side in trees}
-            codes = {side: _verify(tree, outs[side], extra)
-                     for side, tree in trees.items()}
-            if codes["parent"] != codes["change"]:
-                problems.append(f"verify {run}: exit {codes['parent']} -> "
-                                f"{codes['change']}")
-            problems += [f"verify {run}: {rel} differs"
-                         for rel in diff_trees(outs["parent"], outs["change"])]
-        sums = {side: _summaries(tree) for side, tree in trees.items()}
-        problems += [f"job summary differs: {key}"
-                     for key in diff_summaries(sums["parent"], sums["change"])]
+        for name, kernels in KERNELS.items():
+            problems += _compare(trees, os.path.join(work, "out", name),
+                                 kernels, name)
         print(f"parent {args.parent} ({commits['parent']}), change "
               f"{args.change} ({commits['change']}): {len(VERIFY_RUNS)} "
-              f"verify runs, {len(sums['parent'])} job summaries compared")
+              f"verify runs and the job summaries under {len(KERNELS)} "
+              f"kernel settings compared")
     finally:
         shutil.rmtree(work, ignore_errors=True)
     for line in problems:
