@@ -18,7 +18,8 @@ Atomic spaces use AtomField and stay exact throughout.  Quadrature is
 adaptive Gauss-Legendre on arrays of intervals: one ``gl_integrate`` call
 covers all pieces, points or cell segments of a field, bit for bit as a
 call per interval, and climbs its node ladder only while some interval
-has not settled.
+has not settled.  A keyed integrand gets one row of ascending nodes and
+one key per interval, so it reads one coefficient row per interval.
 
 Norm fields are built family by family on the ``_Stack`` of functions.py
 (a lone function is its own stack).  ``NormFamily`` stacks the
@@ -50,7 +51,8 @@ Sequences and Their Geometric Applications*, 1995), one stack per round:
 each pair's breaks, cuts at the crossings of their difference and keeps
 the larger member on each part, so m members take ceil(log2 m) rounds of
 one merge and one crossing call.  Rounds carry each piece's row of the
-input table, and both members of a pair share one power table.  The max
+input table, both members of a pair share one power table, and a
+round releases its temporaries before the next round's merge.  The max
 norm with d >= 2 is the envelope of the 2d signed components.  Crossings
 of degree 1 and 2 stay in closed form: on large stacks, a stacked
 eigenvalue call on 1 x 1 and 2 x 2 companions costs more than the rest
@@ -64,10 +66,11 @@ euclidean radicand sum_j f_j^2 (``_square_sum``) are built from it.
 Gathers copy whole rows: coefficient rows go through ``_rows`` (np.take),
 the bytes of fancy indexing at a fraction of its cost.  Every evaluation
 reads one ``_powers`` table, the bytes of x[..., None] ** np.arange(k1)
-with no pow on x^0 and x^1.  Nodes strictly in (0, 1) skip the wrap, a
-node wrapped from 1 starts at its owner's first piece (never a walk down
-the owner), and ``_Stack.place`` returns at once when every point lies
-in [lo, hi) of its row."""
+with no pow on x^0 and x^1.  A node row inside its key's piece takes
+that piece's one coefficient row; the nodes of any other row are wrapped
+and walked, a node wrapped from 1 starting at its owner's first piece,
+and ``_Stack.place`` returns at once when every point lies in [lo, hi)
+of its row."""
 
 from __future__ import annotations
 
@@ -118,7 +121,7 @@ def _bernstein(k1):
 
 
 class _Nodes(np.ndarray):
-    """Quadrature nodes whose ``key`` holds the key of each node's interval."""
+    """Rows of quadrature nodes whose ``key`` holds each row's key."""
 
 
 def gl_integrate(fn, lo, hi, depth=0, key=None):
@@ -126,27 +129,29 @@ def gl_integrate(fn, lo, hi, depth=0, key=None):
     float).  Intervals whose rules never agree are bisected, all halves in
     one call; each rule is one dot product per interval, so every interval
     gets the bits of a call on it alone.  An interval whose rule is NaN or
-    infinite (an overflow) takes that value at once.  With ``key`` (an
-    integer per interval, kept by both halves of a bisection), fn receives
-    nodes whose ``key`` attribute holds the key of each node's interval."""
+    infinite (an overflow) takes that value at once.  fn receives flat
+    nodes, or with ``key`` (an integer per interval, kept by both halves of
+    a bisection) rows of each interval's ascending nodes, (intervals, n),
+    whose ``key`` attribute holds each row's key."""
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = (np.ravel(a) for a in np.broadcast_arrays(
         np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)))
     if key is not None:
         key = np.broadcast_to(np.asarray(key), lo.shape)
 
-    def values(x, keys):
-        if key is not None:
-            x = x.view(_Nodes)
-            x.key = keys
+    def values(x, idx):
+        if key is None:
+            return np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+        x = x.view(_Nodes)
+        x.key = key[idx]
         return np.asarray(fn(x), dtype=float)
 
     width = hi - lo
     out = np.where(np.isnan(width), np.nan, 0.0)
     tiny = (width > 0.0) & (width < _GL_TINY)
     if tiny.any():
-        out[tiny] = width[tiny] * values(0.5 * (lo[tiny] + hi[tiny]),
-                                         None if key is None else key[tiny])
+        out[tiny] = width[tiny] * values(
+            0.5 * (lo[tiny] + hi[tiny])[:, None], tiny)[:, 0]
     todo = np.flatnonzero(width >= _GL_TINY)
     prev = None
     for n in _GL_LADDER:
@@ -156,9 +161,8 @@ def gl_integrate(fn, lo, hi, depth=0, key=None):
         val = np.empty(todo.size)
         for _, idx in _batches(np.full(todo.size, n), lambda n: n):
             i = todo[idx]
-            x = 0.5 * width[i, None] * nodes + 0.5 * (lo[i] + hi[i])[:, None]
-            fx = values(x.ravel(), None if key is None
-                        else np.repeat(key[i], n)).reshape(x.shape)
+            fx = values(0.5 * width[i, None] * nodes
+                        + 0.5 * (lo[i] + hi[i])[:, None], i)
             val[idx] = 0.5 * width[i] * np.matmul(fx[:, None, :],
                                                   wts[:, None])[:, 0, 0]
         done = ~np.isfinite(val)
@@ -369,14 +373,23 @@ def _components(st):
 
 
 def _at_nodes(st, x):
-    """A scalar stack at quadrature nodes x (see gl_integrate's key), each
-    node on the piece of its key's owner that holds it, as the one-field
-    evaluation (which wraps x into [0, 1)) finds it."""
-    x, rows = np.asarray(x), x.key
-    if not ((x > 0.0) & (x < 1.0)).all():
-        rows = np.where(x >= 1.0, st.ends[st.owner[rows]], rows)
-        x = np.mod(x, 1.0)
-    return _eval_rows(_rows(st.c, st.place(rows, x)), x)[:, 0]
+    """A scalar stack at node rows x (see gl_integrate's key), each node on
+    the piece of its row key's owner that holds it, as the one-field
+    evaluation (which wraps x into [0, 1)) finds it.  Each row is read with
+    its key's coefficient row, exact where the row's ends lie in that piece
+    (nodes ascend; a sum of products from +0.0 has the bits at -0.0 and
+    +0.0); the nodes of other rows are wrapped and walked one by one."""
+    x, key = np.asarray(x), x.key
+    out = np.einsum("npk,nkd->npd", _powers(x, st.c.shape[1]),
+                    _rows(st.c, key))[:, :, 0]
+    part = np.flatnonzero(~((x[:, 0] >= st.lo[key])
+                            & (x[:, -1] < st.hi[key])))
+    rows, x = np.repeat(key[part], x.shape[1]), x[part].ravel()
+    rows = np.where(x >= 1.0, st.ends[st.owner[rows]], rows)
+    x = np.mod(x, 1.0)
+    out[part] = _eval_rows(_rows(st.c, st.place(rows, x)), x).reshape(
+        -1, out.shape[1])
+    return out
 
 
 def _sup(st):
@@ -603,8 +616,8 @@ class GenericField:
         cell = np.searchsorted(bounds[1:-1], self.breaks, "right")
         inner = (self.breaks > lo[cell]) & (self.breaks < hi[cell])
         owner, a, b = _cut(lo, hi, cell[inner], self.breaks[inner])
-        rest = gl_integrate(lambda x: (hi[x.key] - x) * self._derivative(x),
-                            a, b, key=owner)
+        rest = gl_integrate(lambda x: (hi[x.key, None] - x) * self._derivative(
+            x.ravel()).reshape(x.shape), a, b, key=owner)
         return ((hi - lo) * self.eval(lo)
                 + np.bincount(owner, weights=rest, minlength=lo.size))
 
@@ -665,17 +678,20 @@ class AtomField:
 # -- envelopes ---------------------------------------------------------------
 
 
-def _crossings(gap, lo, hi):
-    """Interior zeros of each row's polynomial gap (N, k1) in its (lo, hi),
-    as _piece_roots returns them: closed forms up to degree 2 (a coefficient
-    up to _LEAD_TOL counts as zero) on just the rows they apply to, element
-    by element as a pass over all rows, and the companion solve above."""
+def _crossings(st, ra, rb, lo, hi):
+    """Interior zeros of the difference of rows ra and rb of a scalar stack
+    in each (lo, hi), as _piece_roots returns them: closed forms up to
+    degree 2 (a coefficient up to _LEAD_TOL counts as zero) on just the
+    differences they apply to, element by element as a pass over all, and
+    the companion solve above.  The difference, subtracted in place, dies
+    here."""
+    gap = _rows(st.c[:, :, 0], ra)
+    gap -= _rows(st.c[:, :, 0], rb)
     if gap.shape[1] > 3:
         return _piece_roots(gap, lo, hi)
     # contiguous columns, zero above the gap's degree
-    cols = np.zeros((3, gap.shape[0]))
-    cols[:gap.shape[1]] = gap.T
-    c0, c1, c2 = cols
+    gap = np.ascontiguousarray(gap.T)
+    c0, c1, c2 = *gap, *np.zeros((3 - gap.shape[0], gap.shape[1]))
     quad = np.abs(c2) > _LEAD_TOL
     lin = np.flatnonzero(~quad & (np.abs(c1) > _LEAD_TOL))
     cands = [(lin, -c0[lin] / c1[lin])]
@@ -703,7 +719,10 @@ def _envelope(st, g):
     every run (an odd member out with itself), merges each pair's breaks,
     cuts at the crossings of their difference and keeps, on every part,
     the member larger at its midpoint (the first on a tie; a NaN value
-    wins, as argmax decides); one stack and one crossing call per round."""
+    wins, as argmax decides); one stack and one crossing call per round.
+    A round hands the next only its parts' owners, bounds and rows of st:
+    its pair map, merge rows, cuts, power table and values are released
+    before the next round's merge."""
     owner, lo, hi, m = st.owner, st.lo, st.hi, st.m
     rows = np.arange(lo.size)
     while g > 1:
@@ -717,14 +736,15 @@ def _envelope(st, g):
             [_Stack(_rows(pair, r), _rows(lo, r), _rows(hi, r), None, m)
              for r in sides], m)
         ra, rb = rows[sides[0][a]], rows[sides[1][b]]
-        gap = _rows(st.c[:, :, 0], ra) - _rows(st.c[:, :, 0], rb)
-        src, lo, hi = _cut(lo, hi, *_crossings(gap, lo, hi))
+        del pair, sides, a, b, rows
+        src, lo, hi = _cut(lo, hi, *_crossings(st, ra, rb, lo, hi))
         owner, ra, rb = owner[src], ra[src], rb[src]
         powers = _powers(0.5 * (lo + hi), st.c.shape[1])
         ea, eb = (np.einsum("nk,nkd->nd", powers, _rows(st.c, r))[:, 0]
                   for r in (ra, rb))
         # as np.argmax([ea, eb], 0): eb if larger, or NaN where ea is not
         rows = np.where((ea == ea) & ~(eb <= ea), rb, ra)
+        del src, ra, rb, powers, ea, eb
         g = half
     return _Stack(owner, lo, hi, _rows(st.c, rows), m)
 

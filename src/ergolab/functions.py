@@ -118,6 +118,8 @@ class _Stack:
         """The stack of CircleFunctions of one value dimension, their
         coefficient tables padded to k1 columns if narrower; a lone
         function that needs no padding is its own stack."""
+        if not fns:
+            raise ValueError("a stack needs at least one function, got none")
         if len(fns) == 1 and fns[0].coeffs.shape[1] >= k1:
             return fns[0]._stack
         return cls(np.repeat(np.arange(len(fns)), [fn.npieces for fn in fns]),
@@ -191,21 +193,23 @@ def _merged(sets, m):
     0..m-1: the owner, lo and hi of each merged piece and, per stack, the
     row of its piece at the merged piece's midpoint, as coeffs_on picks
     it.  Rows come from counting each stack's breaks up to the merged
-    piece's start, never from comparing coordinates across owners."""
+    piece's start, never from comparing coordinates across owners.  The
+    sorted columns are gathered once; the sort order and the sorted
+    coordinates are released before the row counts, which read only the
+    set ids, held in the smallest unsigned type that fits them."""
     k = len(sets)
     owner = np.concatenate([s.owner for s in sets] + [np.arange(m)] * k)
     x = np.concatenate([s.lo for s in sets]
                        + [s.hi[s.ends[1:] - 1] for s in sets])
-    setid = np.repeat(np.arange(2 * k) % k,
-                      [s.lo.size for s in sets] + [m] * k)
     order = np.lexsort((x, owner))
-    owner, x, setid = owner[order], x[order], setid[order]
-    keep = np.ones(x.size, dtype=bool)
-    keep[:-1] = (owner[1:] != owner[:-1]) | (x[1:] != x[:-1])
-    kept = np.flatnonzero(keep)
-    owner, x = owner[kept], x[kept]
-    seg = np.flatnonzero(owner[1:] == owner[:-1])
-    owner, lo, hi, at = owner[seg], x[seg], x[seg + 1], kept[seg]
+    ids = (np.arange(2 * k) % k).astype(np.min_scalar_type(k - 1))
+    setid = _rows(np.repeat(ids, [s.lo.size for s in sets] + [m] * k), order)
+    owner, x = _rows(owner, order), _rows(x, order)
+    del order
+    # the last of equal breaks starts a piece if the next break is its owner's
+    at = np.flatnonzero((owner[1:] == owner[:-1]) & (x[1:] != x[:-1]))
+    owner, lo, hi = owner[at], x[at], x[at + 1]
+    del x
     # a stack has ends[o] + o breaks before owner o: pieces plus one end
     rows = [np.cumsum(setid == j)[at] - (owner + 1) for j in range(k)]
     mids = 0.5 * (lo + hi)

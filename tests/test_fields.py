@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -21,9 +22,9 @@ from ergolab.fields import (
     real_roots_in,
     upper_envelope,
 )
-from ergolab import fields
+from ergolab import fields, flows
 from ergolab.condexp import cond_exp_dominant
-from ergolab.functions import (AtomFunction, CircleFunction, _rows,
+from ergolab.functions import (AtomFunction, CircleFunction, _rows, cascade,
                                from_smooth, hat, merge_sum, sawtooth)
 from ergolab.spaces import (
     VectorNorm,
@@ -613,6 +614,24 @@ def test_sum_norm_makes_one_root_call(monkeypatch):
     fields.NormFamily(members, VectorNorm("sum", 2)).sup()
     assert len(calls) == 2
     assert calls[0] == (2 * sum(g.npieces for g in members), 3)
+
+
+def test_sum_norm_of_many_components_gives_the_bits_of_a_fold():
+    # one merge of 70 component stacks: an IndexError with int8 set ids
+    rng = np.random.default_rng(3)
+    d = 70
+    members = [sawtooth(d=d, amplitudes=rng.uniform(-1.0, 1.0, d),
+                        phases=rng.uniform(0.0, 1.0, d)) for _ in range(2)]
+    norm1 = VectorNorm("sum", 1)
+    for g, got in zip(members, NormFamily(members, VectorNorm("sum", d))
+                      .fields()):
+        ref = pointwise_norm(CircleFunction(g.breaks, g.coeffs[:, :, :1]),
+                             norm1).fn
+        for j in range(1, d):
+            ref = ref + pointwise_norm(
+                CircleFunction(g.breaks, g.coeffs[:, :, j:j + 1]), norm1).fn
+        assert got.fn.breaks.tobytes() == ref.breaks.tobytes()
+        assert got.fn.coeffs.tobytes() == ref.coeffs.tobytes()
 
 
 def _envelope_members(rng, k1, nmembers, npieces):
@@ -1418,18 +1437,17 @@ def _walk(stack, rows, x):
 
 
 def _walk_at_nodes(stack, x):
-    """Every node wrapped by np.mod and walked from its key's row."""
-    xm = np.mod(np.asarray(x), 1.0)
-    return fields._eval_rows(stack.c[_walk(stack, x.key, xm)], xm)
+    """Every node of the rows x wrapped by np.mod and walked from its row's
+    key."""
+    xm = np.mod(np.asarray(x), 1.0).ravel()
+    rows = np.repeat(x.key, x.shape[1])
+    return fields._eval_rows(stack.c[_walk(stack, rows, xm)], xm).reshape(
+        x.shape)
 
 
-@st.composite
-def _node_stacks(draw):
-    """A stack of owners covering [0, 1] with one-ulp pieces, and nodes
-    keyed by piece: Gauss-Legendre nodes of every piece and, if drawn,
-    nodes at 1.0, past 1.0, at +-0.0, NaN, on every piece's hi and at the
-    midpoints of one-ulp pieces (which round onto an end)."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+def _ulp_stack(draw, rng):
+    """A stack of one to three owners covering [0, 1], with pieces one ulp
+    wide, one of them maybe last."""
     bounds = []
     for _ in range(draw(st.integers(1, 3))):
         pts = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True,
@@ -1441,8 +1459,24 @@ def _node_stacks(draw):
         np.repeat(np.arange(len(bounds)), [b.size - 1 for b in bounds]),
         np.concatenate([b[:-1] for b in bounds]),
         np.concatenate([b[1:] for b in bounds]), None, len(bounds))
-    stack = stack.recoef(rng.uniform(-2.0, 2.0,
-                                     (stack.lo.size, draw(st.integers(1, 3)), 1)))
+    return stack.recoef(rng.uniform(-2.0, 2.0,
+                                    (stack.lo.size, draw(st.integers(1, 3)), 1)))
+
+
+def _keyed(x, key):
+    nodes = x.view(fields._Nodes)
+    nodes.key = key
+    return nodes
+
+
+@st.composite
+def _node_stacks(draw):
+    """A stack of owners covering [0, 1] with one-ulp pieces, and rows of
+    one node keyed by piece: Gauss-Legendre nodes of every piece and, if
+    drawn, nodes at 1.0, past 1.0, at +-0.0, NaN, on every piece's hi and
+    at the midpoints of one-ulp pieces (which round onto an end)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = _ulp_stack(draw, rng)
     gl = fields._gl_nodes(8)[0]
     x = (0.5 * (stack.hi - stack.lo)[:, None] * gl
          + 0.5 * (stack.lo + stack.hi)[:, None]).ravel()
@@ -1455,9 +1489,42 @@ def _node_stacks(draw):
                   0.5 * (stack.lo + stack.hi)]
         key = np.r_[key, last, last, np.repeat(stack.ends[:-1], 2),
                     rng.integers(n), np.arange(n), np.arange(n)]
-    nodes = x.view(fields._Nodes)
-    nodes.key = key
-    return stack, nodes
+    return stack, _keyed(x[:, None], key)
+
+
+@st.composite
+def _node_rows(draw):
+    """A stack as _ulp_stack draws it and ascending rows of n nodes, one key
+    per row: every piece's Gauss-Legendre nodes (n = 1: the midpoint),
+    which round onto an end on a one-ulp piece, and if drawn rows that
+    fail the whole-row test: each piece's nodes keyed to its owner's next
+    piece, rows at 1.0 and past it, rows of signed zeros, of each piece's
+    hi, rows ending in NaN or running past 1.0; then each owner's first
+    piece is -0.0 + 0.0 x + ..., whose sum of products from +0.0 is +0.0
+    at a node of -0.0 and at the +0.0 that a wrap makes of it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = _ulp_stack(draw, rng)
+    gl = fields._gl_nodes(draw(st.sampled_from([1, 8, 16])))[0]
+    n, pieces = gl.size, np.arange(stack.lo.size)
+    x = (0.5 * (stack.hi - stack.lo)[:, None] * gl
+         + 0.5 * (stack.lo + stack.hi)[:, None])
+    key = pieces
+    if draw(st.booleans()):
+        first, last = stack.ends[:-1], stack.ends[1:] - 1
+        rows = np.ones((stack.m, 1))
+        nan_row = x[rng.integers(pieces.size)].copy()
+        nan_row[-1] = np.nan
+        x = np.concatenate([x, x, rows * np.ones(n),
+                            rows * np.full(n, np.nextafter(1.0, 2.0)),
+                            rows * np.where(np.arange(n) % 2, 0.0, -0.0),
+                            nan_row[None], 1.0 + 0.1 * gl * rows,
+                            np.repeat(stack.hi[:, None], n, axis=1)])
+        key = np.concatenate([key, np.minimum(pieces + 1, last[stack.owner]),
+                              last, last, first,
+                              rng.integers(pieces.size, size=1), last, pieces])
+        stack.c[first] = 0.0
+        stack.c[first, 0] = -0.0
+    return stack, _keyed(x, key)
 
 
 @settings(derandomize=True, max_examples=150)
@@ -1466,9 +1533,76 @@ def test_node_lookup_gives_the_bits_of_mod_and_walk(case):
     stack, nodes = case
     ref = _walk_at_nodes(stack, nodes)
     assert fields._at_nodes(stack, nodes).tobytes() == ref.tobytes()
-    inside = np.mod(np.asarray(nodes), 1.0)
+    inside = np.mod(np.asarray(nodes), 1.0)[:, 0]
     assert np.array_equal(stack.place(nodes.key, inside),
                           _walk(stack, nodes.key, inside))
+
+
+@settings(derandomize=True, max_examples=150)
+@given(_node_rows())
+def test_node_rows_give_the_bytes_of_the_per_node_walk(case):
+    stack, nodes = case
+    got = fields._at_nodes(stack, nodes)
+    assert got.shape == nodes.shape
+    assert got.tobytes() == _walk_at_nodes(stack, nodes).tobytes()
+
+
+def test_gauss_legendre_rows_ascend_on_every_rung():
+    # _at_nodes reads a row's first and last nodes as its ends
+    rng = np.random.default_rng(9)
+    lo = rng.uniform(-0.1, 1.0, 300)
+    hi = lo + rng.choice([1e-15, 3e-15, 1e-12, 1e-6, 1e-3, 0.3], 300)
+    for n in fields._GL_LADDER:
+        nodes = fields._gl_nodes(n)[0]
+        assert (np.diff(nodes) > 0.0).all()
+        x = 0.5 * (hi - lo)[:, None] * nodes + 0.5 * (lo + hi)[:, None]
+        assert (np.diff(x, axis=1) >= 0.0).all()
+
+
+# -- memory: traced peaks in units of the input stack's bytes ---------------
+
+
+def _cascade_norm():
+    """The scalar norm field of a golden-rotation average of
+    cascade(levels=10): 8,194 quadratic pieces."""
+    g = flows.cesaro_average(flows.rotation_flow(flows.GOLDEN), 3.7,
+                             cascade(levels=10))
+    return pointwise_norm(g, VectorNorm("euclidean", 1))
+
+
+def _stack_bytes(stack):
+    return sum(a.nbytes for a in (stack.owner, stack.lo, stack.hi, stack.c))
+
+
+def _traced_peak(call):
+    """The largest traced allocation total above the start while call
+    runs, in bytes; tracemalloc counts every NumPy buffer."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_envelope_rounds_hold_at_most_five_input_stacks():
+    # each round's merge, gaps, crossings, cuts and power table are freed
+    # before the next round's merge: 3.7 input stacks; 6.7 when round 0's
+    # temporaries stayed alive through round 1
+    n1 = _cascade_norm()
+    copies = [PolyField(n1.fn.rotate((0.3 + i * (2.0 ** 0.5 - 1.0)) % 1.0))
+              for i in range(4)]
+    size = _stack_bytes(fields._Stack.of([c.fn for c in copies], 3))
+    assert _traced_peak(lambda: upper_envelope(copies)) < 5.0 * size
+
+
+def test_fractional_lp_reads_one_coefficient_row_per_interval():
+    # 16.9 input stacks; 26.9 when each node gathered a coefficient row
+    n1 = _cascade_norm()
+    size = _stack_bytes(n1.fn._stack)
+    assert _traced_peak(lambda: n1.lp(1.5)) < 21.0 * size
 
 
 def test_wrapped_nodes_take_at_most_two_place_passes(monkeypatch):

@@ -22,6 +22,7 @@ from ergolab.functions import (
     taylor_shift,
     _periodic_spline,
     _powers,
+    _Stack,
 )
 from ergolab.spaces import circle_space, discrete_space
 
@@ -195,6 +196,28 @@ def test_merge_sum_checks_its_operands_as_addition_does():
     # an IndexError from funcs[0] before
     with pytest.raises(ValueError, match="a sum needs at least one function"):
         merge_sum([], [])
+
+
+def test_merge_sum_of_many_operands_gives_the_bits_of_a_fold():
+    # set ids past 127: an OverflowError or wrapped ids with int8 ids
+    rng = np.random.default_rng(3)
+    funcs = [hat(d=1).rotate(float(r)) for r in rng.uniform(0.0, 1.0, 130)]
+    weights = list(rng.uniform(-2.0, 2.0, 130))
+    for k in (70, 130):
+        got = merge_sum(funcs[:k], weights[:k])
+        ref = merge_sum(funcs[:1], weights[:1])
+        for f, w in zip(funcs[1:k], weights[1:k]):
+            ref = merge_sum([ref, f], [1.0, w])
+        assert got.breaks.tobytes() == ref.breaks.tobytes()
+        assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+
+
+def test_a_stack_of_no_functions_is_refused():
+    # NumPy's "need at least one array to concatenate" before
+    for k1 in (0, 3):
+        with pytest.raises(ValueError, match="a stack needs at least one"):
+            _Stack.of([], k1)
+    assert _Stack.of([hat(d=1)] * 2).m == 2
 
 
 def test_breaks_must_span_unit_interval():
