@@ -38,7 +38,7 @@ for t in times:
 print()
 C = ergodic_envelope_constant(flow, f, vnorm)
 print(f"envelope constant C = {C:.6f} (from the exact antiderivative)")
-report = ergodic_envelope_check(flow, f, averages, vnorm)
+report = ergodic_envelope_check(flow, f, averages, vnorm, C)
 tol = TOLERANCES["ergodic_envelope"]
 held = all(err <= bound + tol for _, err, bound in report.rows)
 print(f"sup-error <= C/t on the whole grid: {held}")

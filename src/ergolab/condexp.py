@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .functions import (CircleFunction, AtomFunction, _Stack, _antiderivative,
-                        _powers, _rows)
+                        _circle, _powers, _rows)
 from .fields import NormFamily, PolyField, AtomField, defect_max
 from .spaces import VectorNorm
 
@@ -86,8 +86,8 @@ def _cell_integrals(fns, partitions):
 
 def cond_exps(fns, partitions):
     """[cond_exp(f, P) for each pair (f, P)], each with the bits of its own
-    call, from one ``_cell_integrals`` pass (divided in place, so no copy
-    of the integrals outlives it)."""
+    call, from one ``_cell_integrals`` pass divided in place; circle
+    results are handed back unchecked on the partition's bounds."""
     fns, partitions = list(fns), list(partitions)
     out = []
     for f, part, sums in zip(fns, partitions,
@@ -95,8 +95,8 @@ def cond_exps(fns, partitions):
         for s, m in zip(sums, part.masses):
             np.divide(s, m[:, None], out=s)
         if isinstance(f, CircleFunction):
-            out.append(CircleFunction(part.cell_bounds_float(),
-                                      sums[0][:, None], f.space))
+            out.append(_circle(part.cell_bounds_float(), sums[0][:, None],
+                               f.space))
             continue
         vals = np.empty_like(f.values)
         for atoms, a in zip(part.size_groups, sums):
@@ -121,15 +121,14 @@ def cond_exp_dominant(h, partition):
     if isinstance(h, AtomField):
         ef = cond_exp(AtomFunction(h.space, h.values), partition)
         return AtomField(h.space, ef.values)
-    bounds = partition.cell_bounds_float()
-    avgs = h.cell_averages(partition)
-    return PolyField(CircleFunction(bounds, avgs[:, None, None], h.space))
+    avgs = h.cell_averages(partition)[:, None, None]
+    return PolyField(_circle(partition.cell_bounds_float(), avgs, h.space))
 
 
 def defining_property_check(f, partition):
     """Max over cells of the averaging defect |∫_B E f − ∫_B f| (max norm)."""
     got, want = _cell_integrals([cond_exp(f, partition), f], [partition] * 2)
-    return defect_max(0.0, *(np.max(np.abs(e - g)) for e, g in zip(got, want)))
+    return defect_max(0.0, *(np.abs(e - g).max() for e, g in zip(got, want)))
 
 
 def functional_commutation_check(f, partitions, functional):

@@ -31,8 +31,9 @@ whole family.  Per-owner reductions (running sums in piece order,
 first-largest maxima) give each member exactly the bits of a family of
 its own.  The single-field ``lp``, ``sup`` and ``integral`` run the same
 kernels on the field's own stack, ``pointwise_norm`` is a family of one,
-and ``sup_field`` is ``grid_sup_field(family.fields())``.  An atom family
-is one (members, atoms, d) value table.
+and ``sup_field`` hands the family's own stack to ``_sup_field``, the
+envelope step that ``grid_sup_field`` runs on its stacked fields.  An
+atom family is one (members, atoms, d) value table.
 
 Roots are batched across pieces: ``_piece_roots`` solves the companion
 matrices of all pieces of one stripped degree in one stacked eigenvalue
@@ -63,14 +64,16 @@ multiplies two tables row by row, looping over the columns of one factor,
 never over pieces.  Integer powers |f|^k for exact L_k norms and the
 euclidean radicand sum_j f_j^2 (``_square_sum``) are built from it.
 
-Gathers copy whole rows: coefficient rows go through ``_rows`` (np.take),
-the bytes of fancy indexing at a fraction of its cost.  Every evaluation
-reads one ``_powers`` table, the bytes of x[..., None] ** np.arange(k1)
-with no pow on x^0 and x^1.  A node row inside its key's piece takes
-that piece's one coefficient row; the nodes of any other row are wrapped
-and walked, a node wrapped from 1 starting at its owner's first piece,
-and ``_Stack.place`` returns at once when every point lies in [lo, hi)
-of its row."""
+Gathers copy whole rows: coefficient rows go through ``_rows``
+(``ndarray.take``), the bytes of fancy indexing at a fraction of its
+cost.  Small calls reach NumPy's C entry points directly, as ndarray
+methods and ufuncs (the C loops behind its Python wrappers), so no bit
+moves.  Every evaluation reads one ``_powers`` table, the bytes of
+x[..., None] ** np.arange(k1) with no pow on x^0 and x^1.  A node row
+inside its key's piece takes that piece's one coefficient row; the nodes
+of any other row are wrapped and walked, a node wrapped from 1 starting
+at its owner's first piece, and ``_Stack.place`` returns at once when
+every point lies in [lo, hi) of its row."""
 
 from __future__ import annotations
 
@@ -102,6 +105,7 @@ _LEAD_TOL = 1e-14
 # units without the factor max|c| / |c_top|, on rows with a tiny lead)
 _ROOT_FREE_DEGREE = 2
 _ROOT_ROUNDING = 256.0
+_EPS = np.finfo(float).eps
 # entries of one batch temporary (companion matrices, candidate powers)
 _BATCH_ENTRIES = 1 << 18
 
@@ -152,7 +156,7 @@ def gl_integrate(fn, lo, hi, depth=0, key=None):
     if tiny.any():
         out[tiny] = width[tiny] * values(
             0.5 * (lo[tiny] + hi[tiny])[:, None], tiny)[:, 0]
-    todo = np.flatnonzero(width >= _GL_TINY)
+    todo = (width >= _GL_TINY).nonzero()[0]
     prev = None
     for n in _GL_LADDER:
         if not todo.size:
@@ -187,7 +191,7 @@ def _batches(sizes, entries):
     """(size, indices) batches of the items of equal size; entries(size)
     per item keeps each batch within one temporary of _BATCH_ENTRIES."""
     for n in np.unique(sizes):
-        group = np.flatnonzero(sizes == n)
+        group = (sizes == n).nonzero()[0]
         width = max(_BATCH_ENTRIES // max(int(entries(n)), 1), 1)
         for i in range(0, group.size, width):
             yield n, group[i:i + width]
@@ -195,7 +199,7 @@ def _batches(sizes, entries):
 
 def _running_sum(vals):
     """Sum from 0.0 in order, as a loop of += adds."""
-    return float(np.cumsum(np.r_[0.0, vals])[-1])
+    return float(np.r_[0.0, vals].cumsum()[-1])
 
 
 def _product(a, b):
@@ -228,7 +232,7 @@ def _cut(lo, hi, key, x):
     """Intervals (lo[i], hi[i]) cut at the points x of interval key (sorted
     by key, then x, unique and strictly inside their interval): the
     (interval, start, end) of every part, in order."""
-    src = np.repeat(np.arange(lo.size), np.bincount(key, minlength=lo.size) + 1)
+    src = np.arange(lo.size).repeat(np.bincount(key, minlength=lo.size) + 1)
     start, end = lo[src], hi[src]
     # the q-th point starts part key[q] + q + 1 and ends the one before
     at = key + np.arange(x.size) + 1
@@ -251,20 +255,20 @@ def _root_free(c, lo, hi):
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             a[j] += lo * a[j + 1]
-    a[1:] *= np.cumprod(np.broadcast_to(width, a[1:].shape), axis=0)
+    a[1:] *= width[None].repeat(n, axis=0).cumprod(axis=0)
     b = _bernstein(n + 1) @ a
     mag = np.abs(c)
     reach = np.maximum(np.abs(lo) + width, 1.0)
     total = mag[:, n]
     for j in range(n - 1, -1, -1):
         total = total * reach + mag[:, j]
-    top = n - np.argmax(mag[:, ::-1] > 0.0, axis=1)
-    rounding = (_ROOT_ROUNDING * np.finfo(float).eps * total
+    top = n - (mag[:, ::-1] > 0.0).argmax(axis=1)
+    rounding = (_ROOT_ROUNDING * _EPS * total
                 * (mag.max(axis=1) / mag[np.arange(c.shape[0]), top]))
     # min |b_i| when one strict sign, else <= 0; width * sup|p'| is at most
     # n max |b_(i+1) - b_i|
     clear = np.maximum(b.min(axis=0), -b.max(axis=0))
-    slope = n * np.abs(np.diff(b, axis=0)).max(axis=0)
+    slope = n * np.abs(b[1:] - b[:-1]).max(axis=0)
     return (clear > rounding) & ((clear - rounding) * width
                                  > _ROOT_IMAG_TOL * slope)
 
@@ -272,13 +276,13 @@ def _root_free(c, lo, hi):
 def _piece_roots(coeffs, lo, hi):
     """Real roots of many polynomials, each strictly inside its (lo, hi).
 
-    coeffs is (N, k1), ascending.  Returns (piece, root) arrays sorted by
-    piece, then root, unique within a piece.  Each piece gets exactly what
-    np.roots gives it: leading and trailing zeros are stripped, pieces of
-    one stripped degree share stacked eigvals calls on the same companion
-    matrices, and every stripped low-order zero is a root at 0.  A piece
-    with a non-finite coefficient has no roots, so one NaN piece cannot
-    stop the solve of the others.
+    coeffs is (N, k1), ascending, and lo, hi are (N,) arrays.  Returns
+    (piece, root) arrays sorted by piece, then root, unique within a piece.
+    Each piece gets exactly what np.roots gives it: leading and trailing
+    zeros are stripped, pieces of one stripped degree share stacked eigvals
+    calls on the same companion matrices, and every stripped low-order zero
+    is a root at 0.  A piece with a non-finite coefficient has no roots, so
+    one NaN piece cannot stop the solve of the others.
 
     Before the solve, ``_root_free`` drops each piece whose Bernstein
     coefficients on [lo, hi] share one strict sign and clear two terms, so
@@ -298,14 +302,13 @@ def _piece_roots(coeffs, lo, hi):
     n_pieces, k1 = c.shape
     if k1 < 2 or n_pieces == 0:
         return np.empty(0, dtype=np.intp), np.empty(0)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (n_pieces,))
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n_pieces,))
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     nonzero = c != 0.0
-    top = k1 - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-    low = np.argmax(nonzero, axis=1)
+    top = k1 - 1 - nonzero[:, ::-1].argmax(axis=1)
+    low = nonzero.argmax(axis=1)
     # a piece that is constant after trimming its top zeros has no roots
     solved = nonzero.any(axis=1) & (top > 0) & np.isfinite(c).all(axis=1)
-    tested = np.flatnonzero(solved & (top - low >= _ROOT_FREE_DEGREE))
+    tested = (solved & (top - low >= _ROOT_FREE_DEGREE)).nonzero()[0]
     if tested.size:
         solved[tested[_root_free(c[tested], lo[tested], hi[tested])]] = False
     size = np.where(solved, top - low, 0)
@@ -320,9 +323,9 @@ def _piece_roots(coeffs, lo, hi):
         # a 1 x 1 companion is its own eigenvalue
         w = np.linalg.eigvals(comp) if n > 1 else comp[:, 0]
         real = np.abs(w.imag) <= _ROOT_IMAG_TOL
-        pieces.append(np.broadcast_to(idx[:, None], w.shape)[real])
+        pieces.append(idx.repeat(n)[real.ravel()])
         roots.append(w.real[real])
-    zeros = np.flatnonzero(solved & (low > 0))
+    zeros = (solved & (low > 0)).nonzero()[0]
     piece = np.concatenate(pieces + [zeros])
     root = np.concatenate(roots + [np.zeros(zeros.size)])
     inside = (root > lo[piece] + _ROOT_MARGIN) & (root < hi[piece] - _ROOT_MARGIN)
@@ -332,7 +335,8 @@ def _piece_roots(coeffs, lo, hi):
 def real_roots_in(coef_ascending, lo, hi):
     """Real roots of a polynomial strictly inside (lo, hi)."""
     coef = np.asarray(coef_ascending, dtype=float).reshape(1, -1)
-    return _piece_roots(coef, lo, hi)[1]
+    return _piece_roots(coef, np.asarray(lo, dtype=float).reshape(1),
+                        np.asarray(hi, dtype=float).reshape(1))[1]
 
 
 # -- stack kernels ---------------------------------------------------------------
@@ -382,9 +386,9 @@ def _at_nodes(st, x):
     x, key = np.asarray(x), x.key
     out = np.einsum("npk,nkd->npd", _powers(x, st.c.shape[1]),
                     _rows(st.c, key))[:, :, 0]
-    part = np.flatnonzero(~((x[:, 0] >= st.lo[key])
-                            & (x[:, -1] < st.hi[key])))
-    rows, x = np.repeat(key[part], x.shape[1]), x[part].ravel()
+    part = (~((x[:, 0] >= st.lo[key])
+              & (x[:, -1] < st.hi[key]))).nonzero()[0]
+    rows, x = key[part].repeat(x.shape[1]), x[part].ravel()
     rows = np.where(x >= 1.0, st.ends[st.owner[rows]], rows)
     x = np.mod(x, 1.0)
     out[part] = _eval_rows(_rows(st.c, st.place(rows, x)), x).reshape(
@@ -399,17 +403,17 @@ def _sup(st):
     k1 = c.shape[1]
     piece, root = _piece_roots(c[:, 1:] * np.arange(1, k1), st.lo, st.hi)
     # piece i holds the roots ends[i] to ends[i + 1] - 1
-    ends = np.searchsorted(piece, np.arange(st.lo.size + 1))
+    ends = piece.searchsorted(np.arange(st.lo.size + 1))
     piece_max = np.empty(st.lo.size)
     # candidates lo, hi, then the critical points, evaluated in stacks of
     # equal count: a matrix-vector product per piece, as the per-piece form
     # computes it
-    for r, idx in _batches(np.diff(ends), lambda r: (r + 2) * k1):
+    for r, idx in _batches(ends[1:] - ends[:-1], lambda r: (r + 2) * k1):
         xs = np.empty((idx.size, r + 2))
         xs[:, 0], xs[:, 1] = st.lo[idx], st.hi[idx]
         xs[:, 2:] = root[ends[idx, None] + np.arange(r)]
         vals = np.matmul(_powers(xs, k1), c[idx, :, None])
-        piece_max[idx] = np.max(vals[:, :, 0], axis=1)
+        piece_max[idx] = vals[:, :, 0].max(axis=1)
     return st.maxima(piece_max)
 
 
@@ -521,7 +525,7 @@ class PolyField:
             return 0.0
         # each piece's widths are summed on their own, then added up piece
         # by piece from 0.0, the order of the per-piece form
-        heads = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+        heads = np.r_[True, owner[1:] != owner[:-1]].nonzero()[0]
         sums = np.add.reduceat((hi - lo)[above], heads)
         return _running_sum(sums)
 
@@ -566,7 +570,7 @@ class SqrtPolyField:
         the part integrals of a cut at every y."""
         y = np.clip(np.atleast_1d(np.asarray(y, dtype=float)), 0.0, 1.0)
         ends, vals = self._part_integrals(np.unique(y))
-        return np.r_[0.0, np.cumsum(vals)][np.searchsorted(ends, y)]
+        return np.r_[0.0, vals.cumsum()][ends.searchsorted(y)]
 
     def cell_averages(self, partition):
         """Each cell's mean from its own parts: a cut at the cell bounds and
@@ -574,7 +578,7 @@ class SqrtPolyField:
         sums, so a narrow cell loses no digits to the integral before it."""
         bounds = partition.cell_bounds_float()
         ends, vals = self._part_integrals(bounds)
-        return (np.add.reduceat(vals, np.searchsorted(ends, bounds[:-1]))
+        return (np.add.reduceat(vals, ends.searchsorted(bounds[:-1]))
                 / np.diff(bounds))
 
     def sup(self):
@@ -613,7 +617,7 @@ class GenericField:
         cell, so a narrow cell's average loses no digits to a difference of
         values at its ends."""
         lo, hi = bounds[:-1], bounds[1:]
-        cell = np.searchsorted(bounds[1:-1], self.breaks, "right")
+        cell = bounds[1:-1].searchsorted(self.breaks, "right")
         inner = (self.breaks > lo[cell]) & (self.breaks < hi[cell])
         owner, a, b = _cut(lo, hi, cell[inner], self.breaks[inner])
         rest = gl_integrate(lambda x: (hi[x.key, None] - x) * self._derivative(
@@ -635,8 +639,8 @@ class GenericField:
         maxima = np.empty(lo.size)
         for _, idx in _batches(np.full(lo.size, n), lambda n: n):
             grid = np.linspace(lo[idx], hi[idx], n, axis=1)
-            maxima[idx] = np.max(self.eval(grid.ravel()).reshape(grid.shape),
-                                 axis=1)
+            vals = self.eval(grid.ravel()).reshape(grid.shape)
+            maxima[idx] = vals.max(axis=1)
         return defect_max(0.0, *maxima)
 
     def lp(self, p):
@@ -665,7 +669,7 @@ class AtomField:
         return float(self.space.weights @ self.values)
 
     def sup(self):
-        return float(np.max(self.values))
+        return float(self.values.max())
 
     def lp(self, p):
         return float(_atom_lp(self.values[None], self.space.weights,
@@ -693,15 +697,15 @@ def _crossings(st, ra, rb, lo, hi):
     gap = np.ascontiguousarray(gap.T)
     c0, c1, c2 = *gap, *np.zeros((3 - gap.shape[0], gap.shape[1]))
     quad = np.abs(c2) > _LEAD_TOL
-    lin = np.flatnonzero(~quad & (np.abs(c1) > _LEAD_TOL))
+    lin = (~quad & (np.abs(c1) > _LEAD_TOL)).nonzero()[0]
     cands = [(lin, -c0[lin] / c1[lin])]
-    q = np.flatnonzero(quad)
+    q = quad.nonzero()[0]
     a, b, c = c2[q], c1[q], c0[q]
     disc = b * b - 4.0 * a * c
-    two = np.flatnonzero(disc > 0.0)
+    two = (disc > 0.0).nonzero()[0]
     q, a, b, c = q[two], a[two], b[two], c[two]
     qa = (-b - np.sign(b + (b == 0.0)) * np.sqrt(disc[two])) / 2.0
-    big = np.flatnonzero(np.abs(qa) > 0.0)
+    big = (np.abs(qa) > 0.0).nonzero()[0]
     q, a, c, qa = q[big], a[big], c[big], qa[big]
     cands += [(q, qa / a), (q, c / qa)]
     piece, root = [], []
@@ -729,7 +733,7 @@ def _envelope(st, g):
         half = (g + 1) // 2
         run, i = np.divmod(np.arange(m), g)
         pair = _rows(run * half + i // 2, owner)
-        sides = [np.flatnonzero(_rows(side, owner))
+        sides = [_rows(side, owner).nonzero()[0]
                  for side in (i % 2 == 0, (i % 2 == 1) | (i == g - 1))]
         m = m // g * half
         owner, lo, hi, (a, b) = _merged(
@@ -749,6 +753,16 @@ def _envelope(st, g):
     return _Stack(owner, lo, hi, _rows(st.c, rows), m)
 
 
+def _sup_field(st, cls, space):
+    """The pointwise max of a stack's owners as one cls field from one
+    envelope: of PolyFields' polynomials, or of SqrtPolyFields' radicands
+    (sup_i sqrt(q_i) = sqrt(max_i q_i)), then split at its zeros."""
+    fn = _envelope(st, st.m).functions(space)[0]
+    if cls is SqrtPolyField:
+        fn = _split_at_roots(fn._stack).functions(space)[0]
+    return cls(fn)
+
+
 def upper_envelope(fields):
     """Exact pointwise maximum of PolyFields, as a PolyField: every output
     piece is one member's polynomial (see _envelope)."""
@@ -762,23 +776,24 @@ def upper_envelope(fields):
         raise ValueError("upper_envelope needs polynomial fields")
     fns = [f.fn for f in fields]
     st = _Stack.of(fns, max(fn.coeffs.shape[1] for fn in fns))
-    return PolyField(_envelope(st, st.m).functions(fns[0].space)[0])
+    return _sup_field(st, PolyField, fns[0].space)
 
 
 def grid_sup_field(fields):
     """Pointwise supremum of a family of norm fields, kept exact.
 
     The fields are one family's (``NormFamily.fields``), so all of one
-    kind.  Square-root fields reduce through their radicands: sup_i
-    sqrt(q_i) equals sqrt of the polynomial upper envelope of the q_i.
+    kind; square-root fields reduce through their radicands (see
+    _sup_field).
     """
     fields = list(fields)
     if len(fields) == 1:
         return fields[0]
-    if not all(isinstance(f, SqrtPolyField) for f in fields):
-        return upper_envelope(fields)
-    env = upper_envelope([PolyField(f.q) for f in fields]).fn
-    return SqrtPolyField(_split_at_roots(env._stack).functions(env.space)[0])
+    if fields and all(isinstance(f, SqrtPolyField) for f in fields):
+        qs = [f.q for f in fields]
+        st = _Stack.of(qs, max(q.coeffs.shape[1] for q in qs))
+        return _sup_field(st, SqrtPolyField, qs[0].space)
+    return upper_envelope(fields)
 
 
 # -- public norm API -----------------------------------------------------------
@@ -828,7 +843,7 @@ class NormFamily:
             widths = np.maximum(widths, [t.coeffs.shape[1] for t in target])
         self.groups = []
         for k1 in np.unique(widths):
-            idx = np.flatnonzero(widths == k1)
+            idx = (widths == k1).nonzero()[0]
             st = _Stack.of([members[i] for i in idx], k1)
             if target is not None:
                 st = _weighted_sum([st, _Stack.of([target[i] for i in idx],
@@ -842,7 +857,7 @@ class NormFamily:
         if vnorm.selector == "sum":
             # |f_j| of all components in one stack, added in component order
             parts = _abs(_components(st))
-            rows = [np.flatnonzero(parts.owner % d == j) for j in range(d)]
+            rows = [(parts.owner % d == j).nonzero()[0] for j in range(d)]
             return PolyField, _weighted_sum(
                 [_Stack(parts.owner[r] // d, parts.lo[r], parts.hi[r],
                         _rows(parts.c, r), st.m) for r in rows],
@@ -872,15 +887,19 @@ class NormFamily:
     def sup(self):
         """Each member's sup over the space of ||g_i - target||."""
         if self.values is not None:
-            return np.max(self.values, axis=1)
+            return self.values.max(axis=1)
         return self._per_member(_sup, lambda st: _sqrt_each(_sup(st)))
 
     def sup_field(self):
-        """The pointwise sup of the members' norm fields: an atom family's
-        from its value table, a circle family's as grid_sup_field."""
+        """The pointwise sup of the members' norm fields, as
+        grid_sup_field(self.fields()) gives it; for one coefficient width
+        from the family's own stack, with no field built per member."""
         if self.values is not None:
             return AtomField(self.space, np.maximum.reduce(self.values))
-        return grid_sup_field(self.fields())
+        if self.m == 1 or len(self.groups) > 1:
+            return grid_sup_field(self.fields())
+        _, cls, st = self.groups[0]
+        return _sup_field(st, cls, self.space)
 
     def fields(self):
         """Each member's norm field."""

@@ -12,9 +12,10 @@ first use), so one body serves one function and many: ``_antiderivative``
 (per-owner running sums of the gains), ``_weighted_sum`` on the
 ``_merged`` breaks (``merge_sum``, ``+``, ``-``, a norm family's targets)
 and ``_rotated``.  ``_Stack.of`` stacks functions, a lone one as its own
-stack, and ``_Stack.functions`` hands each owner back as a CircleFunction:
-the one path that skips the constructor's checks, for breaks that a
-kernel has just built.
+stack, and ``_Stack.functions`` hands each owner back as a CircleFunction
+through ``_circle``: the one constructor that skips the checks, for
+breaks and coefficients that a kernel has just built (``cond_exps`` hands
+its results back through it too).
 
 Discrete functions are plain per-atom value tables.
 """
@@ -35,12 +36,12 @@ _MAX_KNOTS = 4096
 
 
 def _rows(table, idx):
-    """table[idx] for integer row indices, copied whole by np.take at a
-    fraction of fancy indexing's cost; a mask (which np.take would read as
-    the rows 0 and 1) is refused."""
+    """table[idx] for integer row indices, copied whole by ndarray.take
+    (np.take's C call) at a fraction of fancy indexing's cost; a mask
+    (which take would read as the rows 0 and 1) is refused."""
     if np.asarray(idx).dtype == bool:
         raise TypeError("_rows takes integer row indices, not a mask")
-    return np.take(table, idx, axis=0)
+    return table.take(idx, axis=0)
 
 
 def _powers(x, k1):
@@ -111,7 +112,7 @@ class _Stack:
     def ends(self):
         """Each owner's first piece, then the stack's size: owner o holds
         the pieces ends[o] to ends[o + 1] - 1."""
-        return np.searchsorted(self.owner, np.arange(self.m + 1))
+        return self.owner.searchsorted(np.arange(self.m + 1))
 
     @classmethod
     def of(cls, fns, k1=0):
@@ -122,7 +123,7 @@ class _Stack:
             raise ValueError("a stack needs at least one function, got none")
         if len(fns) == 1 and fns[0].coeffs.shape[1] >= k1:
             return fns[0]._stack
-        return cls(np.repeat(np.arange(len(fns)), [fn.npieces for fn in fns]),
+        return cls(np.arange(len(fns)).repeat([fn.npieces for fn in fns]),
                    np.concatenate([fn.breaks[:-1] for fn in fns]),
                    np.concatenate([fn.breaks[1:] for fn in fns]),
                    np.concatenate([_pad(fn.coeffs, k1) for fn in fns]),
@@ -133,21 +134,20 @@ class _Stack:
         return _Stack(self.owner, self.lo, self.hi, c, self.m)
 
     def functions(self, space):
-        """Each owner's CircleFunction, without the constructor's checks (a
-        kernel's pieces run in order from 0 to 1)."""
-        out = []
-        for a, b in zip(self.ends[:-1], self.ends[1:]):
-            fn = object.__new__(CircleFunction)
-            fn.breaks = np.concatenate((self.lo[a:b], self.hi[b - 1:b]))
-            fn.coeffs, fn.space, fn._antideriv = self.c[a:b], space, None
-            out.append(fn)
-        return out
+        """Each owner's CircleFunction, unchecked (a kernel's pieces run in
+        order from 0 to 1); its breaks, its lo values and last hi, are a view
+        from ends[o] + o of one read-only array that one np.insert builds."""
+        ends = self.ends.tolist()
+        breaks = np.insert(self.lo, ends[1:], self.hi[self.ends[1:] - 1])
+        breaks.flags.writeable = False
+        return [_circle(breaks[a + o:b + o + 1], self.c[a:b], space)
+                for o, (a, b) in enumerate(zip(ends[:-1], ends[1:]))]
 
     def _table(self, vals, fill):
         """Each owner's vals in one row, in piece order after one column of
         fill and padded with it, and each piece's flat position before its
         value's."""
-        width = 1 + np.diff(self.ends).max()
+        width = 1 + (self.ends[1:] - self.ends[:-1]).max()
         at = (self.owner * width + np.arange(self.owner.size)
               - self.ends[self.owner])
         table = np.full((self.m * width,) + vals.shape[1:], fill)
@@ -158,13 +158,13 @@ class _Stack:
         """Each owner's vals added in piece order from 0.0, as a loop of +=
         adds (``_running_sum`` per owner)."""
         table, _ = self._table(vals, 0.0)
-        return np.cumsum(table, axis=1)[np.arange(self.m), np.diff(self.ends)]
+        return table.cumsum(axis=1)[np.arange(self.m), np.diff(self.ends)]
 
     def sums_before(self, vals):
         """Each piece's running sum of its owner's earlier vals (rows of
         vals), added in piece order from 0.0."""
         table, at = self._table(vals, 0.0)
-        return _rows(np.cumsum(table, axis=1).reshape(-1, *vals.shape[1:]), at)
+        return _rows(table.cumsum(axis=1).reshape(-1, *vals.shape[1:]), at)
 
     def place(self, rows, x):
         """The piece of its owner that piece_index finds for each x, searched
@@ -185,7 +185,7 @@ class _Stack:
     def maxima(self, vals):
         """Each owner's first largest value; a NaN value wins."""
         table, _ = self._table(vals, -np.inf)
-        return table[np.arange(self.m), np.argmax(table, axis=1)]
+        return table[np.arange(self.m), table.argmax(axis=1)]
 
 
 def _merged(sets, m):
@@ -203,15 +203,15 @@ def _merged(sets, m):
                        + [s.hi[s.ends[1:] - 1] for s in sets])
     order = np.lexsort((x, owner))
     ids = (np.arange(2 * k) % k).astype(np.min_scalar_type(k - 1))
-    setid = _rows(np.repeat(ids, [s.lo.size for s in sets] + [m] * k), order)
+    setid = _rows(ids.repeat([s.lo.size for s in sets] + [m] * k), order)
     owner, x = _rows(owner, order), _rows(x, order)
     del order
     # the last of equal breaks starts a piece if the next break is its owner's
-    at = np.flatnonzero((owner[1:] == owner[:-1]) & (x[1:] != x[:-1]))
+    at = ((owner[1:] == owner[:-1]) & (x[1:] != x[:-1])).nonzero()[0]
     owner, lo, hi = owner[at], x[at], x[at + 1]
     del x
     # a stack has ends[o] + o breaks before owner o: pieces plus one end
-    rows = [np.cumsum(setid == j)[at] - (owner + 1) for j in range(k)]
+    rows = [(setid == j).cumsum()[at] - (owner + 1) for j in range(k)]
     mids = 0.5 * (lo + hi)
     if (mids < hi).all():  # then each midpoint lies in its row's piece
         return owner, lo, hi, rows
@@ -245,7 +245,7 @@ def _rotated(fn, deltas):
     y = np.where(deltas[owner] == 0.0, lo, 0.5 * (lo + hi) + deltas[owner])
     wrapped = y >= 1.0
     c = _rows(fn.coeffs, fn.piece_index(np.where(wrapped, y - 1.0, y)))
-    moved = np.flatnonzero(deltas[owner] > 0.0)
+    moved = (deltas[owner] > 0.0).nonzero()[0]
     c[moved] = taylor_shift(_rows(c, moved),
                             np.column_stack((deltas, deltas - 1.0)).ravel(),
                             (2 * owner + wrapped)[moved])
@@ -263,6 +263,14 @@ def _antiderivative(st):
     vall = _eval_rows(ad, st.lo)
     ad[:, 0] += st.sums_before(_eval_rows(ad, st.hi) - vall) - vall
     return st.recoef(ad)
+
+
+def _circle(breaks, coeffs, space):
+    """A CircleFunction without the constructor's checks, for the float
+    breaks (rising from 0 to 1) and table that a kernel has just built."""
+    fn = object.__new__(CircleFunction)
+    fn.breaks, fn.coeffs, fn.space, fn._antideriv = breaks, coeffs, space, None
+    return fn
 
 
 class CircleFunction:
@@ -321,20 +329,19 @@ class CircleFunction:
     def piece_index(self, x):
         """The piece holding each x: the last piece starting at or below x,
         the first piece below 0 and the last one from 1 on."""
-        return np.searchsorted(self.breaks[1:-1], x, side="right")
+        return self.breaks[1:-1].searchsorted(x, side="right")
 
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xm = np.mod(np.atleast_1d(x), 1.0)
-        out = self._eval_unwrapped(xm)
-        return out[0] if scalar else out
+        out = self._eval_unwrapped(np.mod(x, 1.0))
+        return out[0] if x.ndim == 0 else out
 
     def _eval_unwrapped(self, x):
         """Evaluate without periodic wrap; x = 1 uses the last piece."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        x = x.reshape(x.shape or 1)  # a scalar as one point
         return _eval_rows(_rows(self.coeffs, self.piece_index(x)), x)
 
     # -- arithmetic ----------------------------------------------------------
@@ -408,7 +415,7 @@ class CircleFunction:
         """Continuity across interior breakpoints and the wrap point."""
         left = _eval_rows(self.coeffs, self.breaks[1:])
         right = self._eval_unwrapped(np.r_[self.breaks[1:-1], 0.0])
-        return float(np.max(np.abs(left - right))) <= _CONTINUITY_TOL
+        return float(np.abs(left - right).max()) <= _CONTINUITY_TOL
 
     def __repr__(self):
         return (f"CircleFunction({self.npieces} pieces, degree "
@@ -612,7 +619,7 @@ def from_smooth(generator, d, target=1e-8, space=None):
         probe = np.linspace(0.0, 1.0, 8 * n, endpoint=False)
         exact = np.asarray([np.atleast_1d(generator(float(x)))
                             for x in probe], dtype=float)
-        err = float(np.max(np.abs(f(probe) - exact)))
+        err = float(np.abs(f(probe) - exact).max())
         if err <= target:
             return f
         if n >= _MAX_KNOTS:
@@ -645,7 +652,7 @@ def cascade(levels=14, ramp_exp=20, space=None):
     b = idx * w
     prev = np.roll(vals, 1)
     ramp = prev != vals
-    flat = np.cumsum(1 + ramp) - 1
+    flat = (1 + ramp).cumsum() - 1
     edges = np.empty(flat[-1] + 2)
     coeffs = np.zeros((flat[-1] + 1, 2, 1))
     edges[flat] = np.where(ramp, b + wr, b)

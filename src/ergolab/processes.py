@@ -88,6 +88,10 @@ class ProcessGrid:
         self.flow = flow
         self.filtration = filtration
         self._norms = {}
+        # ((t, s), table key) in row-major order: t outer, s inner
+        levels = [(float(s), filtration.level(float(s))) for s in s_grid]
+        self._keys = [((float(t), s), (float(t), k))
+                      for t in t_grid for s, k in levels]
 
     def entry(self, t, s):
         """The entry at (t, s), read through the level of s: an s off the
@@ -101,17 +105,9 @@ class ProcessGrid:
                              f"s = {s} is on level {key[1]}, off the grid")
         return self.table[key]
 
-    def _keys(self):
-        """((t, s), table key) in row-major order: t outer, s inner."""
-        for t in self.t_grid:
-            for s in self.s_grid:
-                yield (float(t), float(s)), (float(t),
-                                             self.filtration.level(float(s)))
-
     def items(self):
         """Entries in row-major order: t outer, s inner."""
-        for ts, key in self._keys():
-            yield ts, self.table[key]
+        return ((ts, self.table[key]) for ts, key in self._keys)
 
     def recompute_entry(self, t, s):
         """Rebuild one entry from scratch, bypassing the table."""
@@ -268,7 +264,7 @@ def convergence_table(grid, target, p, vnorm):
     norms = NormFamily(grid.table.values(), vnorm, target)
     errs = {key: (float(lp), float(sup))
             for key, lp, sup in zip(grid.table, norms.lp(p), norms.sup())}
-    rows = [ts + errs[key] for ts, key in grid._keys()]
+    rows = [ts + errs[key] for ts, key in grid._keys]
     k = min(len(grid.t_grid), len(grid.s_grid))
     diagonal = [rows[i * len(grid.s_grid) + i] for i in range(k)]
     return ConvergenceReport(rows, diagonal)
@@ -299,10 +295,12 @@ class EnvelopeReport:
     rows: tuple
 
 
-def ergodic_envelope_check(flow, f, averages, vnorm):
+def ergodic_envelope_check(flow, f, averages, vnorm, constant=None):
     """Rows (t, sup ||A_t f - mean||_X, C/t) on the times of ``averages``,
-    a map t -> A_t f (the ME grid's ``inner``, say)."""
-    constant = ergodic_envelope_constant(flow, f, vnorm)
+    a map t -> A_t f (the ME grid's ``inner``, say); C is ``constant``, or
+    ergodic_envelope_constant(flow, f, vnorm) if that is None."""
+    if constant is None:
+        constant = ergodic_envelope_constant(flow, f, vnorm)
     errs = NormFamily(averages.values(), vnorm,
                       type(f).constant(f.mean(), f.space)).sup()
     return EnvelopeReport(constant, tuple(

@@ -62,6 +62,11 @@ class ScenarioContext:
         return self._memo("limits", lambda: limits(
             self.f, self.flow, self.filtration, 2.0 * float(self.t_grid[-1])))
 
+    def envelope_constant(self):
+        """The ergodic flow's envelope constant, computed once."""
+        return self._memo("envelope", lambda: ergodic_envelope_constant(
+            self.flow, self.f, self.vnorm))
+
     def table(self, order):
         """The order's convergence table against its limit, built once."""
         return self._memo(order + "_table", lambda: convergence_table(
@@ -118,7 +123,7 @@ def _convergence_record(ctx, name, table):
     plots = [{"suffix": "errors", "columns": ("t", "error"),
               "rows": [(t, sup_err) for t, _, _, sup_err in table.diagonal]}]
     if ctx.flow.ergodic and name == "me_convergence":
-        c = ergodic_envelope_constant(ctx.flow, ctx.f, ctx.vnorm)
+        c = ctx.envelope_constant()
         plots.append({"suffix": "envelope", "columns": ("t", "bound"),
                       "rows": [(t, c / t) for t, _, _, _ in table.diagonal]})
     diag = table.diagonal
@@ -276,7 +281,7 @@ def _chk_joint_vs_iterated(ctx):
 
 def _chk_ergodic_envelope(ctx):
     report = ergodic_envelope_check(ctx.flow, ctx.f, ctx.grid("me").inner,
-                                    ctx.vnorm)
+                                    ctx.vnorm, ctx.envelope_constant())
     rows = tuple((t, None, metric, v) for t, err, bound in report.rows
                  for metric, v in (("sup_error", err), ("bound", bound)))
     plots = ({"suffix": "errors", "columns": ("t", "error"),

@@ -134,6 +134,25 @@ def _same(a, b):
     return (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
 
 
+def test_cond_exps_hand_back_the_checked_construction():
+    f = sawtooth(d=2, amplitudes=[1.0, -0.5], phases=[0.0, 0.3])
+    g = hat(d=1).rotate(0.1)
+    parts = [make_dyadic_partition(level) for level in (0, 2, 5)]
+    fns = [f] * 3 + [g] * 3
+    got = cond_exps(fns, parts * 2)
+    for e, fn, part in zip(got, fns, parts * 2):
+        sums = condexp._cell_integrals([fn], [part])[0][0]
+        want = CircleFunction(part.cell_bounds_float(),
+                              (sums / part.masses[0][:, None])[:, None],
+                              fn.space)
+        assert type(e) is CircleFunction and e.space == want.space
+        assert _same(e.breaks, want.breaks) and _same(e.coeffs, want.coeffs)
+        assert e._antideriv is None
+        # the partition's own bounds, which it keeps read-only
+        assert e.breaks is part.cell_bounds_float()
+        assert not e.breaks.flags.writeable
+
+
 def _count_cond_exp(monkeypatch):
     calls = []
     real = condexp.cond_exp

@@ -1705,6 +1705,18 @@ def test_sup_field_gives_the_bytes_of_the_fields_envelope(case):
     assert _same_norm_field(family.sup_field(), want)
 
 
+def test_sup_field_of_one_width_builds_no_member_field(monkeypatch):
+    members = [hat(d=2, phases=[0.1 * k, 0.3]) for k in range(4)]
+    for vnorm in (VectorNorm("max", 2), VectorNorm("sum", 2),
+                  VectorNorm("euclidean", 2)):
+        family = NormFamily(members, vnorm, members[0])
+        want = grid_sup_field(family.fields())
+        with monkeypatch.context() as patch:
+            patch.setattr(NormFamily, "fields", None)
+            got = family.sup_field()
+        assert _same_norm_field(got, want)
+
+
 def test_sup_field_keeps_the_first_of_tied_members_of_two_widths():
     # a copy one column wider, the column -0.0: equal values everywhere, so
     # the envelope keeps the first member in family order; under the max

@@ -220,6 +220,53 @@ def test_a_stack_of_no_functions_is_refused():
     assert _Stack.of([hat(d=1)] * 2).m == 2
 
 
+def _stack_of_owners(rng, counts, k1, d, first_zero):
+    """A stack of len(counts) owners, owner o with counts[o] pieces on
+    random breaks rising from first_zero (0.0 or -0.0) to 1."""
+    lo, hi = [], []
+    for n in counts:
+        b = np.r_[first_zero, np.sort(rng.uniform(0.0, 1.0, n - 1)), 1.0]
+        lo.append(b[:-1])
+        hi.append(b[1:])
+    return _Stack(np.arange(len(counts)).repeat(counts), np.concatenate(lo),
+                  np.concatenate(hi), rng.normal(size=(sum(counts), k1, d)),
+                  len(counts))
+
+
+def _assert_handed_back(stack):
+    """Each owner's function has the bytes of the per-owner concatenation
+    and its coefficient slice, on one read-only array of breaks."""
+    space = circle_space()
+    fns = stack.functions(space)
+    assert len(fns) == stack.m
+    for o, fn in enumerate(fns):
+        a, b = stack.ends[o], stack.ends[o + 1]
+        want = np.concatenate((stack.lo[a:b], stack.hi[b - 1:b]))
+        assert fn.breaks.tobytes() == want.tobytes()
+        assert fn.breaks.dtype == want.dtype and fn.breaks.shape == want.shape
+        assert fn.coeffs.tobytes() == stack.c[a:b].tobytes()
+        assert fn.coeffs.shape == stack.c[a:b].shape
+        assert fn.space is space and fn._antideriv is None
+        with pytest.raises(ValueError, match="read-only"):
+            fn.breaks[-1] = 0.5
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=7),
+       st.integers(1, 4), st.integers(1, 3), st.sampled_from([0.0, -0.0]),
+       st.integers(0, 2 ** 32 - 1))
+def test_stack_functions_give_each_owner_its_bytes(counts, k1, d, first_zero,
+                                                   seed):
+    rng = np.random.default_rng(seed)
+    _assert_handed_back(_stack_of_owners(rng, counts, k1, d, first_zero))
+
+
+def test_stack_functions_of_one_owner_and_of_one_piece_owners():
+    rng = np.random.default_rng(7)
+    for counts in ([1], [4], [1, 1, 1], [1, 3, 1]):
+        _assert_handed_back(_stack_of_owners(rng, counts, 2, 1, 0.0))
+
+
 def test_breaks_must_span_unit_interval():
     with pytest.raises(ValueError):
         CircleFunction([0.0, 0.5], np.zeros((1, 1, 1)))

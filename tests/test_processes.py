@@ -316,6 +316,24 @@ def test_grid_items_yield_each_time_and_s_once(monkeypatch):
         assert fn is grid.table[(t, filt.level(s))]
 
 
+def test_grid_keys_are_built_once(monkeypatch):
+    f, flow, filt, t_grid, s_grid = _three_level_setup("rotation")
+    grid = me_process(f, flow, filt, t_grid, s_grid)
+    want = [((t, s), grid.table[(t, filt.level(s))])
+            for t in t_grid.tolist() for s in s_grid.tolist()]
+
+    def no_level(self, s):
+        raise AssertionError("the grid's keys are built with the grid")
+
+    monkeypatch.setattr(Filtration, "level", no_level)
+    for _ in range(2):
+        got = list(grid.items())
+        assert [ts for ts, _ in got] == [ts for ts, _ in want]
+        assert all(a is b for (_, a), (_, b) in zip(got, want))
+    table = convergence_table(grid, f, 2.0, VectorNorm("max", 1))
+    assert [row[:2] for row in table] == [ts for ts, _ in want]
+
+
 def test_entry_off_the_grid_names_t_or_s():
     grid = me_process(hat(), rotation_flow(GOLDEN),
                       Filtration(circle_space(), "decreasing", 3), [1, 2],

@@ -668,6 +668,29 @@ def test_envelope_reads_the_me_grid_averages(monkeypatch):
     _assert_families_built_once(monkeypatch, "step_z8", "ergodic_envelope")
 
 
+def test_envelope_constant_is_computed_once_per_scenario(monkeypatch):
+    # me_convergence's envelope plot and ergodic_envelope both read it
+    real = processes.ergodic_envelope_constant
+    calls = []
+
+    def counting(flow, f, vnorm):
+        calls.append(f)
+        return real(flow, f, vnorm)
+
+    _wrap_everywhere(monkeypatch, real, counting)
+    ergodic = 0
+    for name in sorted(os.listdir(scenario_dir())):
+        cfg = parse_config(os.path.join(scenario_dir(), name))
+        flow = runner.build_context(cfg, np.random.default_rng(0)).flow
+        if flow.ergodic:
+            assert {"me_convergence", "ergodic_envelope"} <= set(cfg.checks)
+        calls.clear()
+        assert run_scenario(cfg).passed
+        assert len(calls) == int(flow.ergodic), name
+        ergodic += flow.ergodic
+    assert ergodic == 6
+
+
 def test_artifacts_written_and_deterministic(tmp_path):
     cfg = parse_text(SMALL)
     out_a = tmp_path / "a"
