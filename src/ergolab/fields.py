@@ -163,12 +163,13 @@ def gl_integrate(fn, lo, hi, depth=0, key=None):
             break
         nodes, wts = _gl_nodes(n)
         val = np.empty(todo.size)
-        for _, idx in _batches(np.full(todo.size, n), lambda n: n):
-            i = todo[idx]
+        step = max(_BATCH_ENTRIES // n, 1)
+        for j in range(0, todo.size, step):
+            i = todo[j:j + step]
             fx = values(0.5 * width[i, None] * nodes
                         + 0.5 * (lo[i] + hi[i])[:, None], i)
-            val[idx] = 0.5 * width[i] * np.matmul(fx[:, None, :],
-                                                  wts[:, None])[:, 0, 0]
+            val[j:j + step] = 0.5 * width[i] * np.matmul(
+                fx[:, None, :], wts[:, None])[:, 0, 0]
         done = ~np.isfinite(val)
         if prev is not None:
             done |= np.abs(val - prev) <= np.maximum(
@@ -637,10 +638,11 @@ class GenericField:
         interval, one evaluation per batch of intervals."""
         lo, hi, n = self.breaks[:-1], self.breaks[1:], 2 ** 14 + 1
         maxima = np.empty(lo.size)
-        for _, idx in _batches(np.full(lo.size, n), lambda n: n):
-            grid = np.linspace(lo[idx], hi[idx], n, axis=1)
+        step = max(_BATCH_ENTRIES // n, 1)
+        for j in range(0, lo.size, step):
+            grid = np.linspace(lo[j:j + step], hi[j:j + step], n, axis=1)
             vals = self.eval(grid.ravel()).reshape(grid.shape)
-            maxima[idx] = vals.max(axis=1)
+            maxima[j:j + step] = vals.max(axis=1)
         return defect_max(0.0, *maxima)
 
     def lp(self, p):

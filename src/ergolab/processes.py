@@ -295,12 +295,10 @@ class EnvelopeReport:
     rows: tuple
 
 
-def ergodic_envelope_check(flow, f, averages, vnorm, constant=None):
+def ergodic_envelope_check(flow, f, averages, vnorm, constant):
     """Rows (t, sup ||A_t f - mean||_X, C/t) on the times of ``averages``,
-    a map t -> A_t f (the ME grid's ``inner``, say); C is ``constant``, or
-    ergodic_envelope_constant(flow, f, vnorm) if that is None."""
-    if constant is None:
-        constant = ergodic_envelope_constant(flow, f, vnorm)
+    a map t -> A_t f (the ME grid's ``inner``, say); C is ``constant``,
+    ergodic_envelope_constant(flow, f, vnorm) for instance."""
     errs = NormFamily(averages.values(), vnorm,
                       type(f).constant(f.mean(), f.space)).sup()
     return EnvelopeReport(constant, tuple(

@@ -100,11 +100,27 @@ class CheckRecord:
     plots: tuple = ()
 
 
-def _defect_record(name, worst, rows):
-    """PASS when the worst defect is within tolerance; a NaN defect fails."""
+def _verdict(name, value, rows, limits=None, otherwise="FAIL", **fields):
+    """The one verdict rule: PASS when every (measured, limit) pair of
+    ``limits`` has measured <= limit, so a NaN on either side never passes,
+    else ``otherwise`` (FAIL, or DIAGNOSTIC for a check that may report a
+    failed assumption).  A check that states no pairs is a DIAGNOSTIC, and
+    a DIAGNOSTIC record with a NaN value or row fails."""
+    rows = tuple(rows)
+    status = "DIAGNOSTIC" if limits is None else (
+        "PASS" if all(m <= lim for m, lim in limits) else otherwise)
+    # NaN is the one value unequal to itself
+    if status == "DIAGNOSTIC" and any(
+            v != v for v in [value] + [row[3] for row in rows]):
+        status, fields["note"] = "FAIL", "NaN in a diagnostic value or row"
+    return CheckRecord(name, status, value, rows=rows, **fields)
+
+
+def _defect_record(name, worst, rows, otherwise="FAIL"):
+    """PASS when the worst defect is within tolerance."""
     tol = TOLERANCES[name]
-    return CheckRecord(name, "PASS" if worst <= tol else "FAIL", worst,
-                       tolerance=tol, rows=tuple(rows))
+    return _verdict(name, worst, rows, [(worst, tol)], otherwise,
+                    tolerance=tol)
 
 
 # slack factor / floor for "errors do not grow along the diagonal"
@@ -116,10 +132,8 @@ def _convergence_record(ctx, name, table):
     """PASS when neither diagonal error sequence (lp, sup) grows by more
     than the slack between steps and the last sup error is within the
     scenario threshold; a NaN error fails."""
-    rows = []
-    for t, s, lp_err, sup_err in table:
-        rows.append((t, s, "lp_error", lp_err))
-        rows.append((t, s, "sup_error", sup_err))
+    rows = [(t, s, metric, v) for t, s, lp_err, sup_err in table
+            for metric, v in (("lp_error", lp_err), ("sup_error", sup_err))]
     plots = [{"suffix": "errors", "columns": ("t", "error"),
               "rows": [(t, sup_err) for t, _, _, sup_err in table.diagonal]}]
     if ctx.flow.ergodic and name == "me_convergence":
@@ -127,14 +141,14 @@ def _convergence_record(ctx, name, table):
         plots.append({"suffix": "envelope", "columns": ("t", "bound"),
                       "rows": [(t, c / t) for t, _, _, _ in table.diagonal]})
     diag = table.diagonal
-    monotone = all(b[j] <= _DIAG_SLACK * a[j] + _DIAG_FLOOR
-                   for a, b in zip(diag, diag[1:]) for j in (2, 3))
-    passed = monotone and table.final_sup_error <= ctx.cfg.threshold
-    status = "PASS" if passed else "FAIL"
+    steps = [(b[j], _DIAG_SLACK * a[j] + _DIAG_FLOOR)
+             for a, b in zip(diag, diag[1:]) for j in (2, 3)]
+    monotone = all(m <= lim for m, lim in steps)
     note = "" if monotone else "diagonal errors grew beyond slack"
-    return CheckRecord(name, status, float(table.final_sup_error),
-                       bound=ctx.cfg.threshold, tolerance=0.0, note=note,
-                       rows=tuple(rows), plots=tuple(plots))
+    return _verdict(name, float(table.final_sup_error), rows,
+                    steps + [(table.final_sup_error, ctx.cfg.threshold)],
+                    bound=ctx.cfg.threshold, tolerance=0.0, note=note,
+                    plots=tuple(plots))
 
 
 def _levels(ctx):
@@ -163,7 +177,6 @@ def _chk_defining_property(ctx):
 
 
 def _chk_tower_idempotence(ctx):
-    worst = 0.0
     rows = []
     parts = [ctx.filtration.partition_at_level(lvl) for lvl in _levels(ctx)]
     once = cond_exps([ctx.f] * len(parts), parts)
@@ -176,8 +189,8 @@ def _chk_tower_idempotence(ctx):
         d_tower = defect_max(0.0, *sups[1:])
         rows.append((None, float(lvl), "idempotence_defect", float(sups[0])))
         rows.append((None, float(lvl), "tower_defect", d_tower))
-        worst = defect_max(worst, *sups)
-    return _defect_record("tower_idempotence", worst, rows)
+    return _defect_record("tower_idempotence",
+                          defect_max(0.0, *(row[3] for row in rows)), rows)
 
 
 def _chk_functional_commutation(ctx):
@@ -194,10 +207,9 @@ def _chk_flow_isometry(ctx):
     norms = NormFamily([ctx.f] + apply_flows(ctx.flow, probes, ctx.f),
                        ctx.vnorm)
     lp, sup = norms.lp(ctx.cfg.p), norms.sup()
-    rows = []
-    for i, t in enumerate(probes, 1):
-        rows.append((t, None, "lp_defect", float(abs(lp[i] - lp[0]))))
-        rows.append((t, None, "sup_defect", float(abs(sup[i] - sup[0]))))
+    rows = [(t, None, metric, float(abs(v[i] - v[0])))
+            for i, t in enumerate(probes, 1)
+            for metric, v in (("lp_defect", lp), ("sup_defect", sup))]
     worst = defect_max(0.0, *(row[3] for row in rows))
     return _defect_record("flow_isometry", worst, rows)
 
@@ -252,10 +264,8 @@ def _chk_decomposition(ctx):
 def _chk_commutation(ctx):
     part = ctx.filtration.partition_at_level(ctx.cfg.filtration_max_level)
     d = float(commutation_check(ctx.flow, ctx.f, part, ctx.vnorm))
-    tol = TOLERANCES["commutation"]
-    status = "PASS" if d <= tol else "DIAGNOSTIC"
-    return CheckRecord("commutation", status, d, tolerance=tol,
-                       rows=((None, None, "defect", d),))
+    return _defect_record("commutation", d, ((None, None, "defect", d),),
+                          "DIAGNOSTIC")
 
 
 def _chk_convergence(order, ctx):
@@ -266,17 +276,13 @@ def _chk_joint_vs_iterated(ctx):
     table = ctx.table("me")
     errs = {(t, s): sup_err for t, s, _, sup_err in table}
     s_last = float(ctx.s_grid[-1])
-    rows = []
-    plot_rows = []
-    for t, s, _, joint in table.diagonal:
-        iterated = errs[(t, s_last)]
-        rows.append((t, s, "joint_error", joint))
-        rows.append((t, s_last, "iterated_error", iterated))
-        plot_rows.append((t, joint, iterated))
+    diag = [(t, s, joint, errs[(t, s_last)])
+            for t, s, _, joint in table.diagonal]
+    rows = [row for t, s, joint, iterated in diag for row in (
+        (t, s, "joint_error", joint), (t, s_last, "iterated_error", iterated))]
     plots = ({"suffix": "diagonal", "columns": ("t", "joint", "iterated"),
-              "rows": plot_rows},)
-    return CheckRecord("joint_vs_iterated", "DIAGNOSTIC",
-                       float(plot_rows[-1][1]), rows=tuple(rows), plots=plots)
+              "rows": [(t, joint, it) for t, _, joint, it in diag]},)
+    return _verdict("joint_vs_iterated", float(diag[-1][2]), rows, plots=plots)
 
 
 def _chk_ergodic_envelope(ctx):
@@ -289,9 +295,9 @@ def _chk_ergodic_envelope(ctx):
              {"suffix": "envelope", "columns": ("t", "bound"),
               "rows": [(t, b) for t, _, b in report.rows]})
     tol = TOLERANCES["ergodic_envelope"]
-    passed = all(err <= bound + tol for _, err, bound in report.rows)
-    return CheckRecord("ergodic_envelope", "PASS" if passed else "FAIL",
-                       report.constant, tolerance=tol, rows=rows, plots=plots)
+    return _verdict("ergodic_envelope", report.constant, rows,
+                    [(err, bound + tol) for _, err, bound in report.rows],
+                    tolerance=tol, plots=plots)
 
 
 # -- inequality checks -----------------------------------------------------------
@@ -303,12 +309,11 @@ def _report_rows(rep):
 
 
 def _ineq_record(name, rep, measured, value):
-    """PASS when ``measured`` is within tolerance of the report's bound; a
-    NaN fails."""
+    """PASS when ``measured`` is within tolerance of the report's bound."""
     tol = TOLERANCES[name]
-    status = "PASS" if measured <= rep.bound + tol else "FAIL"
-    return CheckRecord(name, status, value, bound=rep.bound, tolerance=tol,
-                       rows=_report_rows(rep))
+    return _verdict(name, value, _report_rows(rep),
+                    [(measured, rep.bound + tol)], bound=rep.bound,
+                    tolerance=tol)
 
 
 # each bound is read by its global name at call time, as in ScenarioContext.grid
@@ -337,8 +342,8 @@ def _chk_sup_integrability(ctx):
                             for g in (ctx.grid("me"), ctx.grid("em")))
     rows = ((None, None, "flow_sup_l1", over_flow),
             (None, None, "filtration_sup_l1", over_filt))
-    return CheckRecord("sup_integrability", "DIAGNOSTIC",
-                       defect_max(over_flow, over_filt), rows=rows)
+    return _verdict("sup_integrability", defect_max(over_flow, over_filt),
+                    rows)
 
 
 # -- martingale-side checks ------------------------------------------------------
@@ -350,25 +355,22 @@ def _chk_martingale_surrogate(ctx):
     if not ctx.f.is_continuous():
         raise ValueError("martingale surrogate needs a continuous function")
     lip = float(pointwise_norm(ctx.f.derivative(), ctx.vnorm).sup())
-    parts = [ctx.space.partition(lvl) for lvl in _levels(ctx)]
+    parts = [ctx.filtration.partition_at_level(lvl) for lvl in _levels(ctx)]
     errs = NormFamily(cond_exps([ctx.f] * len(parts), parts), ctx.vnorm,
                       ctx.f).lp(1.0)
-    worst_ratio = 0.0
-    ok = True
-    rows = []
-    for lvl, err in zip(_levels(ctx), errs.tolist()):
-        bound = lip * 2.0 ** (-lvl)
-        rows.append((None, float(lvl), "l1_error", err))
-        rows.append((None, float(lvl), "bound", bound))
-        ok = ok and err <= bound + TOLERANCES["martingale_surrogate_slack"]
-        if bound > 0.0:
-            worst_ratio = defect_max(worst_ratio, err / bound)
+    levels = [(float(lvl), err, lip * 2.0 ** (-lvl))
+              for lvl, err in zip(_levels(ctx), errs.tolist())]
+    rows = [(None, lvl, metric, v) for lvl, err, bound in levels
+            for metric, v in (("l1_error", err), ("bound", bound))]
+    slack = TOLERANCES["martingale_surrogate_slack"]
+    worst_ratio = defect_max(0.0, *(err / bound for _, err, bound in levels
+                                    if bound > 0.0))
     plots = ({"suffix": "errors", "columns": ("level", "error"),
-              "rows": [(r[1], r[3]) for r in rows if r[2] == "l1_error"]},)
-    return CheckRecord("martingale_surrogate", "PASS" if ok else "FAIL",
-                       worst_ratio, bound=1.0,
-                       tolerance=TOLERANCES["martingale_surrogate"],
-                       rows=tuple(rows), plots=plots)
+              "rows": [(lvl, err) for lvl, err, _ in levels]},)
+    return _verdict("martingale_surrogate", worst_ratio, rows,
+                    [(err, bound + slack) for _, err, bound in levels],
+                    bound=1.0, tolerance=TOLERANCES["martingale_surrogate"],
+                    plots=plots)
 
 
 def _chk_submartingale_sup(ctx):
@@ -379,9 +381,10 @@ def _chk_submartingale_sup(ctx):
     family = random_submartingale_family(filt, times, 5, ctx.rng)
     rep = submartingale_sup_check(family)
     tol = TOLERANCES["submartingale_sup"]
-    passed = rep.sup_defect <= tol and rep.terminal_defect == 0.0
-    return CheckRecord("submartingale_sup", "PASS" if passed else "FAIL",
-                       rep.sup_defect, tolerance=tol, rows=_report_rows(rep))
+    # the terminal defect is a max of absolute values: <= 0.0 is == 0.0
+    return _verdict("submartingale_sup", rep.sup_defect, _report_rows(rep),
+                    [(rep.sup_defect, tol), (rep.terminal_defect, 0.0)],
+                    tolerance=tol)
 
 
 def _chk_me_em_coincidence(ctx):
@@ -391,11 +394,11 @@ def _chk_me_em_coincidence(ctx):
     worst = defect_max(0.0, *sups[:-1])
     limit_gap = float(sups[-1])
     tol = TOLERANCES["me_em_coincidence"]
-    passed = worst <= tol and limit_gap <= TOLERANCES["me_em_limit_gap"]
     rows = ((None, None, "entry_defect", worst),
             (None, None, "limit_defect", limit_gap))
-    return CheckRecord("me_em_coincidence", "PASS" if passed else "DIAGNOSTIC",
-                       worst, tolerance=tol, rows=rows)
+    return _verdict("me_em_coincidence", worst, rows,
+                    [(worst, tol), (limit_gap, TOLERANCES["me_em_limit_gap"])],
+                    "DIAGNOSTIC", tolerance=tol)
 
 
 CHECKS = {
@@ -448,8 +451,8 @@ def run_scenario(cfg, out_dir=None, seed=None):
 
     Any exception in a check becomes its FAIL record (class in the note).
     Checks run with floating-point faults raised, so a division by zero,
-    an invalid operation or an overflow is such an exception.  A
-    DIAGNOSTIC record with a NaN value or row fails too.
+    an invalid operation or an overflow is such an exception; every other
+    status is ``_verdict``'s.
     """
     if seed is not None:
         cfg = replace(cfg, seed=_non_negative_int("seed", seed))
@@ -463,10 +466,6 @@ def run_scenario(cfg, out_dir=None, seed=None):
                 rec = CHECKS[name](ctx)
         except Exception as exc:
             rec = CheckRecord(name, "FAIL", note=f"{type(exc).__name__}: {exc}")
-        # NaN is the one value unequal to itself
-        if rec.status == "DIAGNOSTIC" and any(
-                v != v for v in [rec.value] + [row[3] for row in rec.rows]):
-            rec.status, rec.note = "FAIL", "NaN in a diagnostic value or row"
         rec.wall_time = time.perf_counter() - start
         records.append(rec)
     report = RunReport(cfg.name, cfg.seed, VERSION, records, cfg.echo())

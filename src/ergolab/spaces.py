@@ -102,7 +102,7 @@ class Atoms:
         return (np.arange(self.natoms) + 1) % self.natoms
 
     def __eq__(self, other):
-        return type(other) is type(self) and \
+        return other is self or type(other) is type(self) and \
             np.array_equal(self.weights, other.weights)
 
     def __repr__(self):

@@ -2,11 +2,11 @@
 
 Keys are check names, plus the second allowances inside
 martingale_surrogate and me_em_coincidence, and the defect up to which a
-submartingale family's input is accepted.  Only the runner's records read
-it for verdicts (the library's reports carry numbers), and they look
-entries up at the time of the verdict, so an edit here moves the verdict
-and the reported ``tolerance`` together.  The one library lookup is
-``SubmartingaleFamily``'s input validation.
+submartingale family's input is accepted.  Only the runner's checks read
+it for verdicts, as limits of ``runner._verdict`` (the library's reports
+carry numbers), and they look entries up at the time of the verdict, so
+an edit here moves the verdict and the reported ``tolerance`` together.
+The one library lookup is ``SubmartingaleFamily``'s input validation.
 """
 
 TOLERANCES = {

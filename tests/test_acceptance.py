@@ -46,6 +46,7 @@ from ergolab.processes import (
     cesaro_decomposition_check,
     em_process,
     ergodic_envelope_check,
+    ergodic_envelope_constant,
     limits,
     me_process,
 )
@@ -182,7 +183,9 @@ def test_criterion_4_ergodic_envelope(capsys, shipped):
         t_grid = t_grid[t_grid <= 10_000.0]
         averages = {float(t): cesaro_average(ctx.flow, float(t), ctx.f)
                     for t in t_grid}
-        report = ergodic_envelope_check(ctx.flow, ctx.f, averages, ctx.vnorm)
+        report = ergodic_envelope_check(
+            ctx.flow, ctx.f, averages, ctx.vnorm,
+            ergodic_envelope_constant(ctx.flow, ctx.f, ctx.vnorm))
         tol = TOLERANCES["ergodic_envelope"]
         if not all(err <= bound + tol for _, err, bound in report.rows):
             ok = False

@@ -527,7 +527,9 @@ def test_envelope_check_bounds_errors():
     f, flow, _ = _golden_setup()
     averages = {t: cesaro_average(flow, t, f)
                 for t in (1.0, 3.0, 10.0, 100.0, 1000.0)}
-    report = ergodic_envelope_check(flow, f, averages, VectorNorm("max", 1))
+    vnorm = VectorNorm("max", 1)
+    report = ergodic_envelope_check(flow, f, averages, vnorm,
+                                    ergodic_envelope_constant(flow, f, vnorm))
     for t, err, bound in report.rows:
         assert err <= bound + 1e-12
         assert bound == pytest.approx(report.constant / t)
@@ -589,7 +591,8 @@ def test_grid_norms_match_per_entry_loops(case):
         assert np.float64(got_l1).tobytes() == np.float64(ref_l1).tobytes()
     if flow.ergodic:
         averages = {t: cesaro_average(flow, t, f) for t in t_grid}
-        report = ergodic_envelope_check(flow, f, averages, vnorm)
+        report = ergodic_envelope_check(
+            flow, f, averages, vnorm, ergodic_envelope_constant(flow, f, vnorm))
         const = (AtomFunction if isinstance(f, AtomFunction)
                  else CircleFunction).constant(f.mean(), f.space)
         ref = [pointwise_norm(avg - const, vnorm).sup()

@@ -1,5 +1,7 @@
+import ast
 import copy
 import filecmp
+import inspect
 import json
 import math
 import os
@@ -577,6 +579,86 @@ def test_convergence_verdict_reads_diagonal_and_threshold(errors, status, grew):
     rec = runner._convergence_record(ctx, "em_convergence", table)
     assert (rec.status, rec.value, rec.bound) == (status, errors[-1], 0.05)
     assert rec.note == ("diagonal errors grew beyond slack" if grew else "")
+
+
+NAN_NOTE = "NaN in a diagnostic value or row"
+NAN_ROW = (None, None, "defect", math.nan)
+
+VERDICTS = [
+    # limits, fallback, value, rows -> status, note
+    ([(1.0, 1.0), (0.5, 2.0)], "FAIL", 1.0, (), "PASS", "given"),
+    ([(1.0, 1.0), (2.5, 2.0)], "FAIL", 1.0, (), "FAIL", "given"),
+    ([(1.0, 1.0), (2.5, 2.0)], "DIAGNOSTIC", 1.0, (), "DIAGNOSTIC", "given"),
+    ([(math.nan, 1.0)], "FAIL", 1.0, (), "FAIL", "given"),
+    ([(0.0, math.nan)], "FAIL", 1.0, (), "FAIL", "given"),
+    ([(math.nan, 1.0)], "DIAGNOSTIC", 1.0, (), "DIAGNOSTIC", "given"),
+    ([(0.0, math.nan)], "DIAGNOSTIC", 1.0, (), "DIAGNOSTIC", "given"),
+    (None, "FAIL", 1.0, (), "DIAGNOSTIC", "given"),
+    ([], "FAIL", 1.0, (), "PASS", "given"),
+    (None, "FAIL", math.nan, (), "FAIL", NAN_NOTE),
+    (None, "FAIL", 1.0, [NAN_ROW], "FAIL", NAN_NOTE),
+    ([(2.0, 1.0)], "DIAGNOSTIC", math.nan, (), "FAIL", NAN_NOTE),
+    ([(2.0, 1.0)], "DIAGNOSTIC", 1.0, [NAN_ROW], "FAIL", NAN_NOTE),
+    ([(2.0, 1.0)], "FAIL", math.nan, [NAN_ROW], "FAIL", "given"),
+]
+
+
+@pytest.mark.parametrize("limits, otherwise, value, rows, status, note",
+                         VERDICTS, ids=[f"case{i}-{case[4]}" for i, case
+                                        in enumerate(VERDICTS)])
+def test_verdict_rule(limits, otherwise, value, rows, status, note):
+    rec = runner._verdict("probe", value, rows, limits, otherwise,
+                          tolerance=0.5, note="given")
+    assert (rec.name, rec.status, rec.note) == ("probe", status, note)
+    assert rec.value is value and rec.tolerance == 0.5
+    assert rec.rows == tuple(rows) and isinstance(rec.rows, tuple)
+
+
+def test_statuses_are_decided_in_one_place():
+    # the verdict rule and the exception record are the only records built;
+    # no check writes a status expression of its own
+    tree = ast.parse(inspect.getsource(runner))
+
+    def is_record(node):
+        return isinstance(node, ast.Call) and \
+            getattr(node.func, "id", None) == "CheckRecord"
+
+    def is_status(node):
+        return isinstance(node, ast.IfExp) and \
+            getattr(node.body, "value", None) == "PASS"
+
+    owners = {fn.name: fn for fn in tree.body
+              if isinstance(fn, ast.FunctionDef)}
+    assert len([n for n in ast.walk(tree) if is_record(n)]) == 2
+    assert sorted(name for name, fn in owners.items()
+                  for n in ast.walk(fn) if is_record(n)) == [
+        "_verdict", "run_scenario"]
+    assert [name for name, fn in owners.items()
+            for n in ast.walk(fn) if is_status(n)] == ["_verdict"]
+
+
+def test_nan_iterated_error_fails_joint_vs_iterated(monkeypatch):
+    # a NaN off the diagonal, in the iterated column at the first time,
+    # may not pass as DIAGNOSTIC; the joint error on the diagonal is finite
+    cfg = _only("joint_vs_iterated")
+    assert run_scenario(cfg).records[0].status == "DIAGNOSTIC"
+    real = runner.convergence_table
+    s_last, t_first = float(cfg.s_grid[-1]), float(cfg.t_grid[0])
+
+    def nan_iterated(*args):
+        rep = real(*args)
+        rows = [(t, s, lp, math.nan if (t, s) == (t_first, s_last) else sup)
+                for t, s, lp, sup in rep]
+        return processes.ConvergenceReport(rows, rep.diagonal)
+
+    monkeypatch.setattr(runner, "convergence_table", nan_iterated)
+    report = run_scenario(cfg)
+    rec = report.records[0]
+    rows = {(t, metric): v for t, _, metric, v in rec.rows}
+    assert np.isnan(rows[(t_first, "iterated_error")])
+    assert not np.isnan(rec.value)
+    assert (rec.status, rec.note) == ("FAIL", NAN_NOTE)
+    assert not report.passed
 
 
 def test_decomposition_with_no_probe_fails():
