@@ -188,11 +188,18 @@ def gl_integrate(fn, lo, hi, depth=0, key=None):
     return float(out[0]) if scalar else out
 
 
+def _groups(sizes):
+    """(size, indices) of the items of each size, sizes increasing; one
+    size, the common case, needs no sort."""
+    if sizes.size and np.minimum.reduce(sizes) == np.maximum.reduce(sizes):
+        return [(sizes[0], np.arange(sizes.size))]
+    return [(n, (sizes == n).nonzero()[0]) for n in np.unique(sizes)]
+
+
 def _batches(sizes, entries):
     """(size, indices) batches of the items of equal size; entries(size)
     per item keeps each batch within one temporary of _BATCH_ENTRIES."""
-    for n in np.unique(sizes):
-        group = (sizes == n).nonzero()[0]
+    for n, group in _groups(sizes):
         width = max(_BATCH_ENTRIES // max(int(entries(n)), 1), 1)
         for i in range(0, group.size, width):
             yield n, group[i:i + width]
@@ -844,8 +851,7 @@ class NormFamily:
         if target is not None:
             widths = np.maximum(widths, [t.coeffs.shape[1] for t in target])
         self.groups = []
-        for k1 in np.unique(widths):
-            idx = (widths == k1).nonzero()[0]
+        for k1, idx in _groups(widths):
             st = _Stack.of([members[i] for i in idx], k1)
             if target is not None:
                 st = _weighted_sum([st, _Stack.of([target[i] for i in idx],

@@ -12,7 +12,7 @@ One class per flow kind; ``Flow`` itself is the identity T_t = id:
 Callers use the module functions (``apply_flows``, ``cesaro_averages``,
 ...), which check the time arguments and hand off to the flow's method.
 ``cesaro_averages`` takes a whole increasing list of times: a ``Step``
-serves all of them from one orbit pass and a ``Rotation`` from one
+serves all of them from its orbit sums and a ``Rotation`` from one
 antiderivative and one stacked rotate-and-merge.  Shifts are stacked the
 same way: ``apply_flows`` takes times in any order, and a ``Rotation``
 serves them from one ``CircleFunction.rotations`` call.  Each result has
@@ -29,10 +29,14 @@ constructed; its averages, shifts and ``ergodic`` all read that layout.
 Step averages add the terms values[S^k(i)] of each atom one at a time in
 increasing k, from +0.0, so they carry the bits of a plain per-step loop.
 The orbit-sum kernel keeps that order in blocks: a sequential ``np.cumsum``
-down the time axis of gathered orbit rows, the running total in row 0.  One
-pass up to the largest step count serves every time of a batch: the sum
-after n steps is the cumsum's row at n, the same row a pass that stopped
-at n would end on.  The cycle closed form q*cycle_sum + partial_sum is
+down the time axis of gathered orbit rows, the running total in row 0.  A
+``Step`` keeps, per input (its shape, dtype and bytes), the sums at every
+step count it has been asked for, and sums each input's orbit once: a new
+count resumes from the largest stored one below it, adding the same terms
+to the same running total in the same order, so the sum after n steps has
+the bits of one pass from step 0.  The store lives and dies with the flow
+(the runner builds one per scenario run), so it is no process-wide cache.
+The cycle closed form q*cycle_sum + partial_sum is
 O(natoms) but rounds differently and would move artifact values, so it is
 not used.  Nor is A_t v = v for an input v that S leaves invariant, exact
 only in real arithmetic.  Such an input (values == values[S] entry by
@@ -126,10 +130,13 @@ def _cycle_index(perm):
             math.lcm(*set(length.tolist())), cycle)
 
 
-def _orbit_sums(values, cycles, ns):
+def _orbit_sums(values, cycles, ns, known):
     """Sum_{k<n} values[perm^k(i)] for every atom i, and the map perm^n, for
-    each n of the nondecreasing list ns, for the permutation whose layout
-    _cycle_index gives as cycles.  One pass up to ns[-1] serves every n.
+    each n of ns, for the permutation whose layout _cycle_index gives as
+    cycles.  known maps the step counts this input has reached to its
+    (read-only) sums there; each new n is reached by resuming from the
+    largest one below it, one pass for the new counts up to the next
+    known one, and stored.
 
     Terms are added per atom in increasing k from +0.0, exactly as a
     per-step loop adds them, so the sums carry the loop's bits.  An input
@@ -139,39 +146,55 @@ def _orbit_sums(values, cycles, ns):
     1-cycle, and every atom takes its cycle's row -- the same additions.
     """
     order, start, length, pos, period, cycle = cycles
-    if np.array_equal(values, values[order[start + (pos + 1) % length]]):
-        # the rows of cycle leaders (pos 0) come in cycle-number order
-        heads = values[pos == 0]
-        own = np.arange(len(heads))
-        sums = [acc[cycle] for acc in
-                _blocked_sums(heads, (own, own, 1, 0, 1), ns)]
-    else:
-        sums = _blocked_sums(values, cycles[:5], ns)
-    return [(acc, order[start + (pos + n) % length])
-            for acc, n in zip(sums, ns)]
+    if not known:
+        known[0] = np.zeros(values.shape, values.dtype)
+        known[0].flags.writeable = False
+    todo = sorted(set(ns) - known.keys())
+    invariant = todo and np.array_equal(
+        values, values[order[start + (pos + 1) % length]])
+    while todo:
+        base = max(n for n in known if n < todo[0])
+        stop = min((n for n in known if n > base), default=math.inf)
+        run = [n for n in todo if n < stop]
+        todo = todo[len(run):]
+        if invariant:
+            # the rows of cycle leaders (pos 0) come in cycle-number order
+            heads = pos == 0
+            own = np.arange(np.count_nonzero(heads))
+            sums = [acc[cycle] for acc in _blocked_sums(
+                values[heads], (own, own, 1, 0, 1), run, base,
+                known[base][heads])]
+        else:
+            sums = _blocked_sums(values, cycles[:5], run, base, known[base])
+        for acc in sums:
+            acc.flags.writeable = False
+        known.update(zip(run, sums))
+    return [(known[n], order[start + (pos + n) % length]) for n in ns]
 
 
-def _blocked_sums(values, layout, ns):
+def _blocked_sums(values, layout, ns, n0, total):
     """The orbit sums of _orbit_sums for the layout (order, start, length,
-    pos, period): a sequential np.cumsum down the time axis of gathered
-    orbit rows, block by block, the running total in row 0."""
+    pos, period) at each n of the increasing ns above n0, resumed from the
+    sums total after n0 steps: a sequential np.cumsum down the time axis of
+    gathered orbit rows, block by block, the running total in row 0."""
     order, start, length, pos, period = layout
-    last = ns[-1] if ns else 0
+    last = ns[-1]
     rows = max(1, _ORBIT_BLOCK // values.size)
     if period <= rows:
         rows -= rows % period
-    buf = np.empty((min(rows, last) + 1,) + values.shape, dtype=values.dtype)
+    buf = np.empty((min(rows, last - n0) + 1,) + values.shape,
+                   dtype=values.dtype)
     out = np.empty_like(buf)
-    total = np.zeros_like(values)
     sums = []
-    for done in range(0, last, rows):
+    for done in range(n0, last, rows):
         m = min(rows, last - done)
         if period > rows:
             k = np.arange(done, done + m)[:, None]
             buf[1:m + 1] = values[order[start + (pos + k) % length]]
-        elif done == 0:
-            # a block is whole periods, so every block repeats one period
-            k = np.arange(min(period, m))[:, None]
+        elif done == n0:
+            # a block is whole periods, so every block repeats the period
+            # that starts at step n0
+            k = np.arange(n0, n0 + min(period, m))[:, None]
             one = values[order[start + (pos + k) % length]]
             buf[1:m + 1] = one[np.arange(m) % period]
         buf[0] = total
@@ -180,8 +203,7 @@ def _blocked_sums(values, layout, ns):
         while len(sums) < len(ns) and ns[len(sums)] <= done + m:
             sums.append(out[ns[len(sums)] - done].copy())
         total = out[m]
-    # no block ran when every n is 0: each sum is the empty one, +0.0
-    return sums + [total.copy() for _ in ns[len(sums):]]
+    return sums
 
 
 def _rotation_averages(fn, times, theta):
@@ -237,20 +259,6 @@ def _rotation_average_field(field, t, theta):
                             (field.breaks - delta) % 1.0,
                             [(1.0 - delta) % 1.0]])
     return GenericField(field.space, evaluator, inner, derivative)
-
-
-def _step_average_values(values, cycles, times, h):
-    """The step averages of values for each t of the increasing times,
-    from one orbit pass."""
-    splits = [_split_ratio(t, h) for t in times]
-    sums = _orbit_sums(values, cycles, [n for n, _ in splits])
-    out = []
-    for t, (_, rem), (acc, cur) in zip(times, splits, sums):
-        acc *= h
-        if rem > 0.0:
-            acc += rem * values[cur]
-        out.append(acc / t)
-    return out
 
 
 class Flow:
@@ -349,6 +357,9 @@ class Step(Flow):
         self.perm = p.astype(int)
         self.h = h
         self._cycles = _cycle_index(self.perm)
+        # the orbit sums of each input by step count, and t -> floor and
+        # remainder of t/h, both kept for the life of the flow
+        self._sums, self._splits = {}, {}
 
     @property
     def ergodic(self):
@@ -361,23 +372,42 @@ class Step(Flow):
         inv = 1.0 / self.h
         return abs(inv - np.rint(inv)) <= _UNIT_BLOCK_TOL
 
+    def _split(self, t):
+        if t not in self._splits:
+            self._splits[t] = _split_ratio(t, self.h)
+        return self._splits[t]
+
     def _map(self, t):
         """The time-t point map S^floor(t/h)."""
         order, start, length, pos, _, _ = self._cycles
-        return order[start + (pos + _split_ratio(t, self.h)[0]) % length]
+        return order[start + (pos + self._split(t)[0]) % length]
+
+    def _average_values(self, values, times):
+        """The step averages of values for each t of the increasing times,
+        from the orbit sums of values (keyed by shape, dtype and bytes)."""
+        splits = [self._split(t) for t in times]
+        known = self._sums.setdefault(
+            (values.shape, values.dtype.str, values.tobytes()), {})
+        sums = _orbit_sums(values, self._cycles, [n for n, _ in splits], known)
+        out = []
+        for t, (_, rem), (acc, cur) in zip(times, splits, sums):
+            acc = acc * self.h
+            if rem > 0.0:
+                acc += rem * values[cur]
+            out.append(acc / t)
+        return out
 
     def shifts(self, times, f):
         return [f.permute(self._map(t)) for t in times]
 
     def averages(self, times, f):
-        return [AtomFunction(f.space, vals) for vals in
-                _step_average_values(f.values, self._cycles, times, self.h)]
+        return [AtomFunction(f.space, vals)
+                for vals in self._average_values(f.values, times)]
 
     def dominant_average(self, t, field):
         if not isinstance(field, AtomField):
             raise ValueError("step dominants act on atomic fields")
-        (vals,) = _step_average_values(field.values[:, None], self._cycles,
-                                       [t], self.h)
+        (vals,) = self._average_values(field.values[:, None], [t])
         return AtomField(field.space, vals[:, 0])
 
     def envelope_constant(self, centered, vnorm):
@@ -435,7 +465,7 @@ def cesaro_average(flow, t, f):
 
 def cesaro_averages(flow, times, f):
     """[A_t f for t in times] for strictly increasing positive times; a step
-    flow serves every time from one orbit pass and a rotation from one
+    flow serves every time from its orbit sums and a rotation from one
     stacked rotate-and-merge, with the bits of ``cesaro_average`` at each t."""
     times = _times(times)
     if any(b <= a for a, b in zip(times, times[1:])):

@@ -459,15 +459,16 @@ def run_scenario(cfg, out_dir=None, seed=None):
     rng = np.random.default_rng(cfg.seed)
     ctx = build_context(cfg, rng)
     records = []
-    for name in cfg.checks:
-        start = time.perf_counter()
-        try:
-            with np.errstate(divide="raise", invalid="raise", over="raise"):
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        for name in cfg.checks:
+            start = time.perf_counter()
+            try:
                 rec = CHECKS[name](ctx)
-        except Exception as exc:
-            rec = CheckRecord(name, "FAIL", note=f"{type(exc).__name__}: {exc}")
-        rec.wall_time = time.perf_counter() - start
-        records.append(rec)
+            except Exception as exc:
+                rec = CheckRecord(name, "FAIL",
+                                  note=f"{type(exc).__name__}: {exc}")
+            rec.wall_time = time.perf_counter() - start
+            records.append(rec)
     report = RunReport(cfg.name, cfg.seed, VERSION, records, cfg.echo())
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

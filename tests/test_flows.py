@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from ergolab import fields, flows, functions
 from ergolab.cli import shipped_scenarios
 from ergolab.condexp import cond_exp, cond_exp_dominant
-from ergolab.config import parse_config
+from ergolab.config import parse_config, parse_text
 from ergolab.fields import AtomField, PolyField, pointwise_norm
 from ergolab.flows import (
     _cycle_index,
@@ -24,10 +26,13 @@ from ergolab.flows import (
 )
 from ergolab.functions import (AtomFunction, CircleFunction, cascade, hat,
                                merge_sum, sawtooth)
-from ergolab.runner import build_context
+from ergolab.runner import build_context, run_scenario
 from ergolab.spaces import VectorNorm, discrete_space, product_space
 
 import oracles
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
 
 
 def _unit_space(n):
@@ -264,6 +269,127 @@ def test_invariant_input_sums_one_row_per_cycle(monkeypatch, sp, perm, h,
     assert seen and set(seen) == {rows}
     # a cycle of mixed signed zeros sums to +0.0 on every atom
     assert not np.signbit(out[-1].values[vals == 0.0]).any()
+
+
+@st.composite
+def _orbit_inputs(draw):
+    """A permutation of 1-9 atoms, (atoms, d) values with signed zeros among
+    them (invariant under the permutation in about half the draws, zeros of
+    either sign mixed on a cycle) and 1-4 calls' step-count lists."""
+    n, d = draw(st.integers(1, 9)), draw(st.integers(1, 2))
+    perm = np.array(draw(st.permutations(range(n))), dtype=int)
+    pool = st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-1e3, 1e3)
+    vals = np.array(draw(st.lists(pool, min_size=n * d, max_size=n * d)),
+                    dtype=float).reshape(n, d)
+    if draw(st.booleans()):
+        order, start = _cycle_index(perm)[:2]
+        vals = vals[order[start]]
+        flip = np.array(draw(st.lists(st.booleans(), min_size=n * d,
+                                      max_size=n * d))).reshape(n, d)
+        vals[flip & (vals == 0.0)] *= -1.0
+    calls = draw(st.lists(st.lists(st.integers(0, 150), max_size=5).map(sorted),
+                          min_size=1, max_size=4))
+    return perm, vals, calls
+
+
+# orbit-sum block sizes: tiny ones put the period above the block's rows and
+# split a pass into many blocks, the default keeps whole periods per block
+_BLOCKS = st.sampled_from([flows._ORBIT_BLOCK, 1, 5]) | st.integers(2, 48)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=_orbit_inputs(), block=_BLOCKS)
+@example(case=(np.array([1, 2, 0, 4, 3]), np.arange(5.0)[:, None],
+               [[7], [0, 3, 3, 11], [10, 12, 40]]), block=12)
+@example(case=(np.array([1, 0]), np.array([[0.0], [-0.0]]), [[3], [5, 1]]),
+         block=1)
+def test_resumed_orbit_sums_have_the_bits_of_one_pass(case, block):
+    # one store across the calls, so later counts resume from earlier ones
+    # (at phases that are not whole periods) and no step between two
+    # stored counts is summed twice; each sum has the bits of the per-step
+    # loop and of a fresh pass from step 0
+    perm, vals, calls = case
+    cycles, known, steps = _cycle_index(perm), {}, []
+    real = flows._blocked_sums
+
+    def counted(values, layout, ns, n0, total):
+        steps.append(ns[-1] - n0)
+        return real(values, layout, ns, n0, total)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "_ORBIT_BLOCK", block)
+        mp.setattr(flows, "_blocked_sums", counted)
+        for ns in calls:
+            # each new count costs the steps from the count below it
+            reached = set(known) | set(ns) | {0}
+            want = sum(n - max(k for k in reached if k < n)
+                       for n in set(ns) - set(known) - {0})
+            steps.clear()
+            got = flows._orbit_sums(vals, cycles, ns, known)
+            assert len(got) == len(ns) and sum(steps) == want
+            for n, (acc, cur) in zip(ns, got):
+                ref, ref_cur = oracles.loop_orbit_sum(vals, perm, n)
+                fresh, _ = flows._orbit_sums(vals, cycles, [n], {})[0]
+                assert _same_bits(acc, ref) and _same_bits(acc, fresh), n
+                assert cur.tolist() == ref_cur.tolist()
+                assert not acc.flags.writeable
+
+
+def test_a_changed_average_leaves_later_averages_alone():
+    sp = _unit_space(8)
+    flow = step_flow(sp, sp.shift_perm(), h=0.5)
+    f, field = AtomFunction(sp, _normal(8)), AtomField(sp, np.arange(8.0))
+    times = [0.3, 2.7, 9.0]
+    first = cesaro_averages(flow, times, f)
+    dom = dominant_cesaro(flow, 2.7, field)
+    want = [avg.values.copy() for avg in first]
+    want_dom = dom.values.copy()
+    for avg in first:
+        avg.values[...] = 7.0
+    dom.values[...] = 7.0
+    again = cesaro_averages(flow, times, f)
+    assert all(_same_bits(a.values, w) for a, w in zip(again, want))
+    assert _same_bits(dominant_cesaro(flow, 2.7, field).values, want_dom)
+    for t, w in zip(times, want):
+        assert _same_bits(w, oracles.loop_step_average(
+            f.values, sp.shift_perm(), t, 0.5))
+
+
+def test_long_horizon_orbits_resume_and_stop_where_asked(monkeypatch):
+    # step_z8 with t up to 2**14: every pass resumes from the largest step
+    # count stored below its first new count, crosses no stored count and
+    # stops at a count its call asks, so no input's orbit runs past the
+    # largest count asked of it; a second run builds a new flow,
+    # whose store starts empty, and sums the same steps again
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+    cfg = parse_text(dict(workloads.scenario_texts("long_horizon"))["step_z8"])
+    real_orbit, real_blocked = flows._orbit_sums, flows._blocked_sums
+    runs, call = [], {}
+
+    def orbit(values, cycles, ns, known):
+        call.update(key=(values.shape, values.tobytes()), ns=ns, known=known)
+        asked = runs[-1][0]
+        asked[call["key"]] = max([asked.get(call["key"], 0)] + list(ns))
+        return real_orbit(values, cycles, ns, known)
+
+    def blocked(values, layout, ns, n0, total):
+        stored = call["known"].keys()
+        assert n0 == max(n for n in stored if n < ns[0])
+        assert not any(n0 < n < ns[-1] for n in stored)
+        assert set(ns) <= set(call["ns"]) - stored
+        ends, steps = runs[-1][1:]
+        ends[call["key"]] = max(ends.get(call["key"], 0), ns[-1])
+        steps[call["key"]] = steps.get(call["key"], 0) + ns[-1] - n0
+        return real_blocked(values, layout, ns, n0, total)
+    monkeypatch.setattr(flows, "_orbit_sums", orbit)
+    monkeypatch.setattr(flows, "_blocked_sums", blocked)
+    for _ in range(2):
+        runs.append(({}, {}, {}))
+        run_scenario(cfg, seed=1)
+    for asked, ends, _ in runs:
+        assert max(asked.values()) >= 2 ** 14
+        assert {key: ends.get(key, 0) for key in asked} == asked
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("theta, times", [

@@ -342,6 +342,7 @@ def test_nan_on_filtration_side_reaches_sup_integrability(monkeypatch):
     assert rec.name == "sup_integrability"
     assert rec.rows[0][3] > 0.0 and np.isnan(rec.rows[1][3])
     assert np.isnan(rec.value)
+    assert rec.status == "FAIL"
 
 
 def test_nan_norm_field_fails_ergodic_envelope(monkeypatch):
