@@ -130,7 +130,14 @@ def _cycle_index(perm):
             math.lcm(*set(length.tolist())), cycle)
 
 
-def _orbit_sums(values, cycles, ns, known):
+def _invariant(values, cycles):
+    """Whether the permutation whose layout _cycle_index gives as cycles
+    leaves values unchanged (values == values[perm], compared exactly)."""
+    order, start, length, pos = cycles[:4]
+    return np.array_equal(values, values[order[start + (pos + 1) % length]])
+
+
+def _orbit_sums(values, cycles, ns, known, invariant):
     """Sum_{k<n} values[perm^k(i)] for every atom i, and the map perm^n, for
     each n of ns, for the permutation whose layout _cycle_index gives as
     cycles.  known maps the step counts this input has reached to its
@@ -140,8 +147,8 @@ def _orbit_sums(values, cycles, ns, known):
 
     Terms are added per atom in increasing k from +0.0, exactly as a
     per-step loop adds them, so the sums carry the loop's bits.  An input
-    that perm leaves invariant (values == values[perm], compared exactly)
-    is constant on every cycle, so each atom's sum is n copies of its own
+    that perm leaves invariant (_invariant(values, cycles), passed in) is
+    constant on every cycle, so each atom's sum is n copies of its own
     value: the pass then runs on one row per cycle, each row its own
     1-cycle, and every atom takes its cycle's row -- the same additions.
     """
@@ -150,8 +157,6 @@ def _orbit_sums(values, cycles, ns, known):
         known[0] = np.zeros(values.shape, values.dtype)
         known[0].flags.writeable = False
     todo = sorted(set(ns) - known.keys())
-    invariant = todo and np.array_equal(
-        values, values[order[start + (pos + 1) % length]])
     while todo:
         base = max(n for n in known if n < todo[0])
         stop = min((n for n in known if n > base), default=math.inf)
@@ -357,8 +362,9 @@ class Step(Flow):
         self.perm = p.astype(int)
         self.h = h
         self._cycles = _cycle_index(self.perm)
-        # the orbit sums of each input by step count, and t -> floor and
-        # remainder of t/h, both kept for the life of the flow
+        # per input, whether the base map leaves it invariant and its orbit
+        # sums by step count; t -> floor and remainder of t/h; all kept for
+        # the life of the flow
         self._sums, self._splits = {}, {}
 
     @property
@@ -386,9 +392,12 @@ class Step(Flow):
         """The step averages of values for each t of the increasing times,
         from the orbit sums of values (keyed by shape, dtype and bytes)."""
         splits = [self._split(t) for t in times]
-        known = self._sums.setdefault(
-            (values.shape, values.dtype.str, values.tobytes()), {})
-        sums = _orbit_sums(values, self._cycles, [n for n, _ in splits], known)
+        key = (values.shape, values.dtype.str, values.tobytes())
+        if key not in self._sums:
+            self._sums[key] = (_invariant(values, self._cycles), {})
+        invariant, known = self._sums[key]
+        sums = _orbit_sums(values, self._cycles, [n for n, _ in splits],
+                           known, invariant)
         out = []
         for t, (_, rem), (acc, cur) in zip(times, splits, sums):
             acc = acc * self.h

@@ -1,4 +1,4 @@
-"""The call counts of tools/callcount.py on stand-in packages and jobs; no
+"""The calls probe of tools/probe.py on stand-in packages and jobs; no
 benchmark workload is run."""
 
 import importlib.util
@@ -8,10 +8,10 @@ import sys
 import textwrap
 
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
-                     "callcount.py")
-_spec = importlib.util.spec_from_file_location("callcount", _PATH)
-callcount = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(callcount)
+                     "probe.py")
+_spec = importlib.util.spec_from_file_location("probe", _PATH)
+probe = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(probe)
 
 
 def _load(path, name, text):
@@ -38,7 +38,7 @@ def test_calls_are_charged_to_their_entry_point_and_its_caller(tmp_path):
         def outer(entry):
             return kernel(entry) + kernel(entry) + entry()
         """)
-    counter = callcount.Counter(tmp_path / "lib", tmp_path / "pkg")
+    counter = probe.Counter(tmp_path / "lib", tmp_path / "pkg")
     for _ in range(2):
         counter.run([("job", lambda: pkg.outer(lib.entry))])
     out = counter.report(passes=2, top=5)
@@ -72,9 +72,12 @@ def test_main_counts_the_warm_passes_of_another_tree(tmp_path, monkeypatch,
             return [("flat", flat)]
         """))
     monkeypatch.setattr(sys, "path", list(sys.path))
+    # main pins the threads in a copy of the environment, not this process's
+    monkeypatch.setattr(os, "environ", dict(os.environ))
     monkeypatch.delitem(sys.modules, "workloads", raising=False)
-    assert callcount.main(["--workload", "corpus", "--seed", "3",
-                           "--passes", "2", "--root", str(tmp_path)]) == 0
+    assert probe.main(["calls", "--workload", "corpus", "--seed", "3",
+                       "--passes", "2", "--root", str(tmp_path)]) == 0
+    assert probe.PINNED.items() <= os.environ.items()
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     # one unmeasured pass and two measured ones, each in its own directory
     assert len(set(sys.modules["workloads"].RUNS)) == 3

@@ -310,6 +310,7 @@ def test_resumed_orbit_sums_have_the_bits_of_one_pass(case, block):
     # loop and of a fresh pass from step 0
     perm, vals, calls = case
     cycles, known, steps = _cycle_index(perm), {}, []
+    invariant = flows._invariant(vals, cycles)
     real = flows._blocked_sums
 
     def counted(values, layout, ns, n0, total):
@@ -324,14 +325,35 @@ def test_resumed_orbit_sums_have_the_bits_of_one_pass(case, block):
             want = sum(n - max(k for k in reached if k < n)
                        for n in set(ns) - set(known) - {0})
             steps.clear()
-            got = flows._orbit_sums(vals, cycles, ns, known)
+            got = flows._orbit_sums(vals, cycles, ns, known, invariant)
             assert len(got) == len(ns) and sum(steps) == want
             for n, (acc, cur) in zip(ns, got):
                 ref, ref_cur = oracles.loop_orbit_sum(vals, perm, n)
-                fresh, _ = flows._orbit_sums(vals, cycles, [n], {})[0]
+                fresh, _ = flows._orbit_sums(vals, cycles, [n], {},
+                                             invariant)[0]
                 assert _same_bits(acc, ref) and _same_bits(acc, fresh), n
                 assert cur.tolist() == ref_cur.tolist()
                 assert not acc.flags.writeable
+
+
+def test_each_input_is_tested_for_invariance_once(monkeypatch):
+    # the flag is stored with the input's orbit sums, so later calls with
+    # new step counts do not compare the input with its permuted self again
+    sp = _unit_space(8)
+    flow = step_flow(sp, sp.shift_perm(), h=0.5)
+    moving = AtomFunction(sp, _normal(8))
+    still = AtomFunction(sp, np.ones((8, 2)))
+    real, tested = flows._invariant, []
+
+    def spy(values, cycles):
+        tested.append(values.tobytes())
+        return real(values, cycles)
+    monkeypatch.setattr(flows, "_invariant", spy)
+    for times in ([0.3, 2.7], [9.0, 40.25], [2.7, 75.0]):
+        for f in (moving, still):
+            cesaro_averages(flow, times, f)
+    assert sorted(tested) == sorted([moving.values.tobytes(),
+                                     still.values.tobytes()])
 
 
 def test_a_changed_average_leaves_later_averages_alone():
@@ -366,11 +388,11 @@ def test_long_horizon_orbits_resume_and_stop_where_asked(monkeypatch):
     real_orbit, real_blocked = flows._orbit_sums, flows._blocked_sums
     runs, call = [], {}
 
-    def orbit(values, cycles, ns, known):
+    def orbit(values, cycles, ns, known, invariant):
         call.update(key=(values.shape, values.tobytes()), ns=ns, known=known)
         asked = runs[-1][0]
         asked[call["key"]] = max([asked.get(call["key"], 0)] + list(ns))
-        return real_orbit(values, cycles, ns, known)
+        return real_orbit(values, cycles, ns, known, invariant)
 
     def blocked(values, layout, ns, n0, total):
         stored = call["known"].keys()
